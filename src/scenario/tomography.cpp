@@ -17,7 +17,7 @@
 #include "analysis/streaming.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/fluid.h"
+#include "scenario/fabric_build.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "sim/udp_echo.h"
@@ -28,27 +28,6 @@ namespace {
 
 constexpr Duration kMeshWarmup = Duration::seconds(2);
 constexpr Duration kMeshDrain = Duration::seconds(2);
-
-/// Same clamp-and-fallback rules as run_topology: the generator's
-/// partition hints bound the domain count, the sampler forces the
-/// sequential kernel, and a zero-lookahead cut edge does too.
-std::size_t effective_mesh_domains(const TopologyPlan& topo,
-                                   const TomographySpec& spec) {
-  std::size_t domains = std::max<std::size_t>(1, spec.domains);
-  domains = std::min(domains, topo.partition_count);
-  if (domains == 1) return 1;
-  if (spec.obs_sample_interval) return 1;
-  const auto domain_of = [&](std::uint32_t node) {
-    return topo.nodes[node].partition * domains / topo.partition_count;
-  };
-  for (const TopologyPlan::EdgeSpec& edge : topo.edges) {
-    if (domain_of(edge.a) != domain_of(edge.b) &&
-        edge.propagation <= Duration::zero()) {
-      return 1;
-    }
-  }
-  return domains;
-}
 
 /// One round-trip probe stream with its online estimator bank.
 struct Stream {
@@ -263,7 +242,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument("run_tomography: need at least two hosts");
   }
 
-  const std::size_t domains = effective_mesh_domains(topo, spec);
+  const std::size_t domains = detail::effective_fabric_domains(
+      topo, spec.domains, spec.obs_sample_interval.has_value());
   std::optional<sim::ParallelSimulation> psim;
   std::optional<sim::Simulator> seq;
   if (domains > 1) {
@@ -283,20 +263,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   for (std::size_t i = 0; i < built.nodes.size(); ++i) {
     domain_of_node[built.nodes[i]] = built.node_domain[i];
   }
-  std::map<std::pair<sim::NodeId, sim::NodeId>, std::uint32_t> uid_of;
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    uid_of[{net.link_source(i), net.link_target(i)}] =
-        static_cast<std::uint32_t>(i);
-  }
-  const auto route_uids = [&](sim::NodeId from, sim::NodeId to) {
-    std::vector<std::uint32_t> uids;
-    const auto hops = net.traceroute(from, to);
-    uids.reserve(hops.size() - 1);
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      uids.push_back(uid_of.at({hops[i].node, hops[i + 1].node}));
-    }
-    return uids;
-  };
 
   // --- Loss ground truth: seeded per-directed-link drop probabilities ---
   // Drawn per link uid (plan order), so the assignment is independent of
@@ -340,75 +306,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   // --- Optional fluid background (all flows folded; no packetized zone) -
-  sim::FlowTable table;
-  std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates;
-  std::vector<std::unique_ptr<sim::FluidFlow>> envelopes;
+  std::optional<detail::FluidBackground> background;
   if (spec.fluid_background) {
-    const FluidBackgroundConfig& bg = *spec.fluid_background;
-    SplitMix64 pair_stream(derive_stream_seed(bg.seed, 0xB6));
-    std::map<std::pair<std::size_t, std::size_t>, sim::FlowTable::RouteId>
-        route_cache;
-    std::vector<double> unit_demand(net.link_count(), 0.0);
-    std::vector<sim::FlowTable::RouteId> flow_route(bg.flows);
-    for (std::size_t f = 0; f < bg.flows; ++f) {
-      const std::size_t si = pair_stream.next() % topo.hosts.size();
-      std::size_t di = pair_stream.next() % topo.hosts.size();
-      while (di == si) di = pair_stream.next() % topo.hosts.size();
-      auto [it, inserted] = route_cache.try_emplace({si, di});
-      if (inserted) {
-        it->second = table.intern_route(route_uids(
-            built.nodes[topo.hosts[si]], built.nodes[topo.hosts[di]]));
-      }
-      flow_route[f] = it->second;
-      for (std::size_t h = 0; h < table.route_length(it->second); ++h) {
-        unit_demand[table.route_link(it->second, h)] += bg.duty;
-      }
-    }
-    double peak = bg.flow_peak.bps();
-    if (peak <= 0.0) {
-      double worst = 0.0;
-      for (std::size_t i = 0; i < net.link_count(); ++i) {
-        if (unit_demand[i] > 0.0) {
-          worst = std::max(
-              worst, unit_demand[i] / net.link_at(i).config().rate.bps());
-        }
-      }
-      peak = worst > 0.0 ? bg.max_link_load / worst : 0.0;
-    }
-    for (std::size_t f = 0; f < bg.flows; ++f) {
-      const Duration phase = Duration::nanos(static_cast<std::int64_t>(
-          (static_cast<double>(f) / static_cast<double>(bg.flows)) *
-          static_cast<double>(bg.period.count_nanos())));
-      table.add_flow(f, flow_route[f], Bandwidth::bps(peak),
-                     static_cast<float>(bg.duty), bg.period, phase);
-    }
-    aggregates.resize(net.link_count());
-    const bool modulated = bg.envelope_states >= 2;
-    for (std::size_t i = 0; i < net.link_count(); ++i) {
-      const Bandwidth demand =
-          table.link_demand(static_cast<std::uint32_t>(i));
-      if (!demand.is_positive()) continue;
-      sim::Link& link = net.link_at(i);
-      sim::Simulator& link_sim = sim_of(domain_of_node[net.link_source(i)]);
-      sim::FluidAggregateConfig config;
-      config.capacity = link.config().rate;
-      config.queue_model = bg.queue_model;
-      config.mean_packet = bg.mean_packet;
-      aggregates[i] = std::make_unique<sim::FluidAggregate>(
-          link_sim, config, Rng(derive_stream_seed(bg.seed ^ 0xF1u, i)));
-      link.attach_fluid(*aggregates[i]);
-      if (modulated) {
-        envelopes.push_back(std::make_unique<sim::FluidFlow>(
-            link_sim,
-            sim::FluidFlowConfig::envelope(demand, bg.envelope_states,
-                                           bg.envelope_swing,
-                                           bg.envelope_mean_holding),
-            Rng(derive_stream_seed(bg.seed ^ 0xE2u, i))));
-        envelopes.back()->attach(*aggregates[i]);
-      } else {
-        aggregates[i]->add_base_rate(demand);
-      }
-    }
+    background.emplace(*spec.fluid_background, topo, built, net,
+                       std::vector<bool>{}, domain_of_node, sim_of);
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
@@ -422,8 +323,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
       if (i == j) continue;
       const sim::NodeId src = built.nodes[topo.hosts[i]];
       const sim::NodeId dst = built.nodes[topo.hosts[j]];
-      std::vector<std::uint32_t> round_trip = route_uids(src, dst);
-      const std::vector<std::uint32_t> back = route_uids(dst, src);
+      std::vector<std::uint32_t> round_trip = net.route_links(src, dst);
+      const std::vector<std::uint32_t> back = net.route_links(dst, src);
       round_trip.insert(round_trip.end(), back.begin(), back.end());
       double mu = net.link_at(round_trip.front()).config().rate.bps();
       for (const std::uint32_t uid : round_trip) {
@@ -510,7 +411,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   if (psim) {
     psim->attach(net, built.node_domain);
   }
-  for (auto& envelope : envelopes) envelope->start(Duration::zero());
+  if (background) background->start();
   // Staggered starts spread the mesh's send instants across one delta so
   // streams do not fire in lockstep.
   for (std::size_t s = 0; s < stream_count; ++s) {

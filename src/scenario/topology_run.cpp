@@ -6,21 +6,17 @@
 // probed/packetized packets rather than with the flow count.
 #include "scenario/scenarios.h"
 
-#include <algorithm>
 #include <limits>
-#include <map>
-#include <memory>
+#include <optional>
 #include <queue>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/fluid.h"
+#include "scenario/fabric_build.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
-#include "sim/traffic.h"
 #include "sim/udp_echo.h"
 
 namespace bolot::scenario {
@@ -29,29 +25,6 @@ namespace {
 
 constexpr Duration kTopoWarmup = Duration::seconds(5);
 constexpr Duration kTopoDrain = Duration::seconds(2);
-
-/// Effective PDES domain count for a generated topology: the requested
-/// count clamped against the *generator's* partition hints — not any route
-/// length; a mesh has no single route (the ScenarioOverrides::domains
-/// clamp bugfix) — with the same fallbacks as the chain scenarios: 1 when
-/// the sampler is on or when any cut edge would have zero lookahead.
-std::size_t effective_topology_domains(const TopologyPlan& topo,
-                                       const ScenarioOverrides& overrides) {
-  std::size_t domains = std::max<std::size_t>(1, overrides.domains);
-  domains = std::min(domains, topo.partition_count);
-  if (domains == 1) return 1;
-  if (overrides.obs_sample_interval) return 1;
-  const auto domain_of = [&](std::uint32_t node) {
-    return topo.nodes[node].partition * domains / topo.partition_count;
-  };
-  for (const TopologyPlan::EdgeSpec& edge : topo.edges) {
-    if (domain_of(edge.a) != domain_of(edge.b) &&
-        edge.propagation <= Duration::zero()) {
-      return 1;
-    }
-  }
-  return domains;
-}
 
 /// Multi-source BFS over the undirected wiring: hop distance from every
 /// node to the nearest probe-path node (path nodes are distance 0).
@@ -96,10 +69,8 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (topo.hosts.size() < 2) {
     throw std::invalid_argument("run_topology: need at least two hosts");
   }
-  const FluidBackgroundConfig background =
-      overrides.fluid_background.value_or(FluidBackgroundConfig{});
-
-  const std::size_t domains = effective_topology_domains(topo, overrides);
+  const std::size_t domains = detail::effective_fabric_domains(
+      topo, overrides.domains, overrides.obs_sample_interval.has_value());
   std::optional<sim::ParallelSimulation> psim;
   std::optional<sim::Simulator> seq;
   if (domains > 1) {
@@ -120,28 +91,14 @@ ScenarioResult run_topology(const ProbePlan& plan,
   for (std::size_t i = 0; i < built.nodes.size(); ++i) {
     domain_of_node[built.nodes[i]] = built.node_domain[i];
   }
-  // Directed (from, to) -> link uid, for turning traceroutes into routes.
-  std::map<std::pair<sim::NodeId, sim::NodeId>, std::uint32_t> uid_of;
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    uid_of[{net.link_source(i), net.link_target(i)}] =
-        static_cast<std::uint32_t>(i);
-  }
-  const auto route_uids = [&](sim::NodeId from, sim::NodeId to) {
-    std::vector<std::uint32_t> uids;
-    const auto hops = net.traceroute(from, to);
-    uids.reserve(hops.size() - 1);
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      uids.push_back(uid_of.at({hops[i].node, hops[i + 1].node}));
-    }
-    return uids;
-  };
 
   // The probe travels between the first and last generated hosts, which
   // the generators place in different partitions (pod 0 vs the last pod /
   // AS), so the probe crosses the fabric core.
   const sim::NodeId probe_src = built.nodes[topo.hosts.front()];
   const sim::NodeId probe_dst = built.nodes[topo.hosts.back()];
-  const std::vector<std::uint32_t> probe_fwd = route_uids(probe_src, probe_dst);
+  const std::vector<std::uint32_t> probe_fwd =
+      net.route_links(probe_src, probe_dst);
 
   // Packetized zone: links all of whose endpoints are within
   // packetize_radius hops of a probe-path node.  radius 0 = the probed
@@ -159,136 +116,10 @@ ScenarioResult run_topology(const ProbePlan& plan,
     }
   }
 
-  // --- Background flow population -------------------------------------
-  // Host pairs are drawn from a seeded stream; each (src, dst) pair's
-  // route and zone verdict is computed once and cached.  Pass 1 draws the
-  // population and accumulates per-link duty-weighted traversal counts
-  // (for peak calibration); pass 2 books fluid flows into the FlowTable.
-  struct PairRoute {
-    std::vector<std::uint32_t> uids;
-    bool packetized = false;
-  };
-  std::map<std::pair<std::size_t, std::size_t>, PairRoute> pair_cache;
-  SplitMix64 pair_stream(derive_stream_seed(background.seed, 0xB6));
-  std::vector<const PairRoute*> flow_pair(background.flows, nullptr);
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> flow_ends(background.flows);
-  std::vector<double> unit_demand(net.link_count(), 0.0);  // all flows
-  for (std::size_t f = 0; f < background.flows; ++f) {
-    const std::size_t si = pair_stream.next() % topo.hosts.size();
-    std::size_t di = pair_stream.next() % topo.hosts.size();
-    while (di == si) di = pair_stream.next() % topo.hosts.size();
-    const sim::NodeId src = built.nodes[topo.hosts[si]];
-    const sim::NodeId dst = built.nodes[topo.hosts[di]];
-    auto [it, inserted] = pair_cache.try_emplace({si, di});
-    if (inserted) {
-      it->second.uids = route_uids(src, dst);
-      for (const std::uint32_t uid : it->second.uids) {
-        if (in_zone[uid]) {
-          it->second.packetized = true;
-          break;
-        }
-      }
-    }
-    flow_pair[f] = &it->second;
-    flow_ends[f] = {src, dst};
-    for (const std::uint32_t uid : it->second.uids) {
-      unit_demand[uid] += background.duty;
-    }
-  }
-
-  // Peak calibration: unit peaks would load link `uid` at
-  // unit_demand[uid] / capacity; scale so the busiest link carries
-  // max_link_load.  All background flows count — fluid and packetized
-  // alike load the fabric.
-  double peak = background.flow_peak.bps();
-  if (peak <= 0.0) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < net.link_count(); ++i) {
-      if (unit_demand[i] > 0.0) {
-        worst = std::max(worst,
-                         unit_demand[i] / net.link_at(i).config().rate.bps());
-      }
-    }
-    peak = worst > 0.0 ? background.max_link_load / worst : 0.0;
-  }
-
-  // Pass 2: book fluid flows (zero events each) and remember packetized
-  // ones; phases spread evenly so FlowTable::rate_at queries desynchronize.
-  sim::FlowTable table;
-  std::vector<std::size_t> packet_flows;
-  for (std::size_t f = 0; f < background.flows; ++f) {
-    if (flow_pair[f]->packetized) {
-      packet_flows.push_back(f);
-      continue;
-    }
-    const sim::FlowTable::RouteId route = table.intern_route(flow_pair[f]->uids);
-    const Duration phase = Duration::nanos(static_cast<std::int64_t>(
-        (static_cast<double>(f) / static_cast<double>(background.flows)) *
-        static_cast<double>(background.period.count_nanos())));
-    table.add_flow(f, route, Bandwidth::bps(peak),
-                   static_cast<float>(background.duty), background.period,
-                   phase);
-  }
-
-  // Per-link fluid demand (mean rates of the folded flows) -> aggregates,
-  // each homed in its link's domain and seeded by link uid so the setup is
-  // independent of the domain count.  With envelope modulation the mean
-  // demand arrives as a K-state FluidFlow (stationary mean == demand)
-  // instead of a constant base rate — the only event source a fluid link
-  // has, O(1) per link.
-  std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates(
-      net.link_count());
-  std::vector<std::unique_ptr<sim::FluidFlow>> envelopes;
-  std::vector<sim::FluidAggregate*> by_link(net.link_count(), nullptr);
-  const bool modulated = background.envelope_states >= 2;
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    const Bandwidth demand = table.link_demand(static_cast<std::uint32_t>(i));
-    if (!demand.is_positive()) continue;
-    sim::Link& link = net.link_at(i);
-    sim::Simulator& link_sim = sim_of(domain_of_node[net.link_source(i)]);
-    sim::FluidAggregateConfig config;
-    config.capacity = link.config().rate;
-    config.queue_model = background.queue_model;
-    config.mean_packet = background.mean_packet;
-    aggregates[i] = std::make_unique<sim::FluidAggregate>(
-        link_sim, config,
-        Rng(derive_stream_seed(background.seed ^ 0xF1u, i)));
-    link.attach_fluid(*aggregates[i]);
-    by_link[i] = aggregates[i].get();
-    if (modulated) {
-      envelopes.push_back(std::make_unique<sim::FluidFlow>(
-          link_sim,
-          sim::FluidFlowConfig::envelope(demand, background.envelope_states,
-                                         background.envelope_swing,
-                                         background.envelope_mean_holding),
-          Rng(derive_stream_seed(background.seed ^ 0xE2u, i))));
-      envelopes.back()->attach(*aggregates[i]);
-    } else {
-      aggregates[i]->add_base_rate(demand);
-    }
-  }
-
-  // Packetized background: flows touching the zone run packet-by-packet
-  // as Poisson sources at their mean rate (peak * duty), so the zone sees
-  // real contention while its per-run cost stays proportional to the
-  // zone's traffic, not the population.
-  Rng packet_rng(derive_stream_seed(background.seed, 0xBEEF));
-  std::vector<std::unique_ptr<sim::TrafficSource>> sources;
-  std::uint32_t next_flow = 1;
-  const double mean_flow_bps = peak * background.duty;
-  if (!packet_flows.empty() && mean_flow_bps > 0.0) {
-    const double packet_bits =
-        static_cast<double>(background.mean_packet.bit_count());
-    const Duration mean_interarrival =
-        Duration::seconds(packet_bits / mean_flow_bps);
-    for (const std::size_t f : packet_flows) {
-      sources.push_back(std::make_unique<sim::PoissonSource>(
-          sim_of(domain_of_node[flow_ends[f].first]), net, flow_ends[f].first,
-          flow_ends[f].second, next_flow++, sim::PacketKind::kBulk,
-          packet_rng.split(), mean_interarrival,
-          background.mean_packet));
-    }
-  }
+  // Background population: fluid everywhere but the packetized zone.
+  detail::FluidBackground background(
+      overrides.fluid_background.value_or(FluidBackgroundConfig{}), topo,
+      built, net, in_zone, domain_of_node, sim_of);
 
   // NetDyn endpoints.
   sim::EchoHost echo(sim_of(domain_of_node[probe_dst]), net, probe_dst);
@@ -337,10 +168,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (psim) {
     psim->attach(net, built.node_domain);
   }
-  for (auto& envelope : envelopes) envelope->start(Duration::zero());
-  for (auto& source : sources) {
-    source->start(Duration::millis(packet_rng.uniform(0.0, 100.0)));
-  }
+  background.start();
   probe_source.start(kTopoWarmup);
   if (sampler) sampler->start(kTopoWarmup);
 
@@ -369,18 +197,18 @@ ScenarioResult run_topology(const ProbePlan& plan,
     result.metrics = registry.snapshot(sim_of(0).now());
     result.series = sampler->snapshot();
   }
-  result.background_flows_fluid = table.size();
-  result.background_flows_packetized = packet_flows.size();
+  result.background_flows_fluid = background.table().size();
+  result.background_flows_packetized = background.packetized_flows();
   std::vector<std::uint32_t> round_trip = probe_fwd;
   const std::vector<std::uint32_t> echo_path =
-      route_uids(probe_dst, probe_src);
+      net.route_links(probe_dst, probe_src);
   round_trip.insert(round_trip.end(), echo_path.begin(), echo_path.end());
   result.probe_hops.reserve(round_trip.size());
   for (const std::uint32_t uid : round_trip) {
     ScenarioResult::ProbeHop hop;
     hop.capacity = net.link_at(uid).config().rate;
     hop.propagation = net.link_at(uid).config().propagation;
-    hop.fluid = table.link_demand(uid);
+    hop.fluid = background.table().link_demand(uid);
     result.probe_hops.push_back(hop);
   }
   return result;

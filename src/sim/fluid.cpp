@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace bolot::sim {
 
@@ -297,12 +299,31 @@ FlowTable::RouteId FlowTable::intern_route(
   }
   const auto it = interned_.find(link_uids);
   if (it != interned_.end()) return it->second;
+  std::vector<std::uint32_t> sorted = link_uids;
+  std::sort(sorted.begin(), sorted.end());
+  const auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
+  if (repeat != sorted.end()) {
+    throw std::invalid_argument("FlowTable: route repeats link " +
+                                std::to_string(*repeat));
+  }
+  if (sorted.back() >= link_demand_bps_.size()) {
+    link_demand_bps_.resize(std::size_t{sorted.back()} + 1, 0.0);
+  }
   const RouteId id = static_cast<RouteId>(route_offset_.size());
   route_offset_.push_back(static_cast<std::uint32_t>(route_links_.size()));
   route_len_.push_back(static_cast<std::uint16_t>(link_uids.size()));
   route_links_.insert(route_links_.end(), link_uids.begin(), link_uids.end());
   interned_.emplace(link_uids, id);
   return id;
+}
+
+void FlowTable::reserve(std::size_t flows) {
+  external_id_.reserve(flows);
+  peak_rate_bps_.reserve(flows);
+  duty_.reserve(flows);
+  period_ns_.reserve(flows);
+  phase_ns_.reserve(flows);
+  route_.reserve(flows);
 }
 
 FlowTable::FlowId FlowTable::add_flow(std::uint64_t external_id, RouteId route,
@@ -312,8 +333,12 @@ FlowTable::FlowId FlowTable::add_flow(std::uint64_t external_id, RouteId route,
     throw std::out_of_range("FlowTable: unknown route");
   }
   const float peak_rate_bps = static_cast<float>(peak_rate.bps());
-  if (peak_rate_bps < 0.0f || duty < 0.0f || duty > 1.0f) {
-    throw std::invalid_argument("FlowTable: bad flow parameters");
+  if (!std::isfinite(peak_rate_bps) || peak_rate_bps < 0.0f) {
+    throw std::invalid_argument(
+        "FlowTable: peak rate must be finite and non-negative");
+  }
+  if (!(duty >= 0.0f && duty <= 1.0f)) {
+    throw std::invalid_argument("FlowTable: duty outside [0, 1]");
   }
   const FlowId id = static_cast<FlowId>(size());
   external_id_.push_back(external_id);
@@ -322,6 +347,13 @@ FlowTable::FlowId FlowTable::add_flow(std::uint64_t external_id, RouteId route,
   period_ns_.push_back(period.count_nanos());
   phase_ns_.push_back(phase.count_nanos());
   route_.push_back(route);
+  // The mean_rate(id) value, folded into each crossed link.
+  const double rate =
+      static_cast<double>(peak_rate_bps) * static_cast<double>(duty);
+  const std::uint32_t offset = route_offset_[route];
+  for (std::uint16_t i = 0; i < route_len_[route]; ++i) {
+    link_demand_bps_[route_links_[offset + i]] += rate;
+  }
   return id;
 }
 
@@ -379,19 +411,8 @@ void FlowTable::register_mean_rates(
 }
 
 Bandwidth FlowTable::link_demand(std::uint32_t uid) const {
-  double demand = 0.0;
-  for (std::size_t f = 0; f < size(); ++f) {
-    const RouteId r = route_[f];
-    const std::uint32_t offset = route_offset_[r];
-    const std::uint16_t len = route_len_[r];
-    for (std::uint16_t i = 0; i < len; ++i) {
-      if (route_links_[offset + i] == uid) {
-        demand += mean_rate(static_cast<FlowId>(f)).bps();
-        break;
-      }
-    }
-  }
-  return Bandwidth::bps(demand);
+  return Bandwidth::bps(uid < link_demand_bps_.size() ? link_demand_bps_[uid]
+                                                      : 0.0);
 }
 
 void FlowTable::audit_verify() const {
@@ -406,6 +427,17 @@ void FlowTable::audit_verify() const {
   for (std::size_t r = 0; r < route_offset_.size(); ++r) {
     SIM_CHECK(route_offset_[r] + route_len_[r] <= route_links_.size(),
               "FlowTable: route %zu overruns the arena", r);
+    const auto begin = route_links_.begin() + route_offset_[r];
+    std::vector<std::uint32_t> uids(begin, begin + route_len_[r]);
+    std::sort(uids.begin(), uids.end());
+    SIM_CHECK(std::adjacent_find(uids.begin(), uids.end()) == uids.end(),
+              "FlowTable: route %zu repeats a link", r);
+    SIM_CHECK(uids.back() < link_demand_bps_.size(),
+              "FlowTable: route %zu crosses a link with no demand slot", r);
+  }
+  for (const double demand : link_demand_bps_) {
+    SIM_CHECK(demand >= 0.0 && std::isfinite(demand),
+              "FlowTable: link demand %.3f bps out of range", demand);
   }
 }
 

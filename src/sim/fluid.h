@@ -200,12 +200,22 @@ class FlowTable {
   using RouteId = std::uint32_t;
 
   /// Interns a route given as directed link uids (Network link indices).
-  /// Identical sequences return the same RouteId.
+  /// Identical sequences return the same RouteId.  Throws
+  /// std::invalid_argument when the route is empty, too long, or repeats
+  /// a link (a flow crosses each link at most once; link_demand relies on
+  /// it).  One ordered-map lookup per call: intern once per path, not
+  /// once per flow.
   RouteId intern_route(const std::vector<std::uint32_t>& link_uids);
+
+  /// Reserves SoA storage for `flows` flows in total.
+  void reserve(std::size_t flows);
 
   /// Appends a flow; returns its dense id (== previous size()).
   /// `external_id` is the caller's identifier (hash, tuple, ...), kept
-  /// for reverse lookup; it need not be unique or dense.
+  /// for reverse lookup; it need not be unique or dense.  Throws
+  /// std::invalid_argument for a negative or non-finite peak rate (after
+  /// narrowing to float) or a duty outside [0, 1], NaN included.  Adds
+  /// the flow's mean rate to every link of its route: O(route length).
   FlowId add_flow(std::uint64_t external_id, RouteId route,
                   Bandwidth peak_rate, float duty,
                   Duration period = Duration::zero(),
@@ -239,9 +249,13 @@ class FlowTable {
   /// each link on its route: by_link_uid[uid] may be nullptr (packetized
   /// or unloaded link — the flow's demand there is simply not modeled as
   /// fluid).  `scale` multiplies every rate (load calibration).
+  /// O(flows x route length): one add_base_rate per flow per hop.
   void register_mean_rates(const std::vector<FluidAggregate*>& by_link_uid,
                            double scale = 1.0) const;
-  /// Sum of mean rates over flows whose route contains link `uid`.
+  /// Sum of mean rates over flows whose route contains link `uid` (0 for
+  /// a link no route crosses).  O(1): add_flow folds each flow into a
+  /// per-link column as it is appended, in flow order, which is the same
+  /// sequence of additions a scan over the flows would make.
   Bandwidth link_demand(std::uint32_t uid) const;
 
   /// Bytes of SoA storage per flow, the contract that makes 10^6 flows a
@@ -275,6 +289,10 @@ class FlowTable {
   /// Dedup index; setup-time only (ordered map: deterministic, and the
   /// src/sim unordered-iteration lint stays trivially satisfied).
   std::map<std::vector<std::uint32_t>, RouteId> interned_;
+
+  /// Per link uid (not per flow): summed mean rate of the flows crossing
+  /// it, sized to the largest interned uid + 1.
+  std::vector<double> link_demand_bps_;
 };
 
 }  // namespace bolot::sim

@@ -149,22 +149,30 @@ void Network::forward(NodeId at, Packet&& packet) {
 }
 
 std::vector<TracerouteHop> Network::traceroute(NodeId src, NodeId dst) const {
-  if (!routes_valid_) {
-    throw std::logic_error("Network: compute_routes() before traceroute");
+  const std::vector<std::uint32_t> uids = route_links(src, dst);
+  std::vector<TracerouteHop> hops{{src, nodes_.at(src).name}};
+  for (const std::uint32_t i : uids) {
+    const NodeId at = links_[i].to;
+    hops.push_back({at, nodes_[at].name});
   }
-  std::vector<TracerouteHop> hops;
-  NodeId at = src;
-  hops.push_back({at, nodes_.at(at).name});
-  while (at != dst) {
+  return hops;
+}
+
+std::vector<std::uint32_t> Network::route_links(NodeId src, NodeId dst) const {
+  if (!routes_valid_) {
+    throw std::logic_error("Network: compute_routes() before tracing a route");
+  }
+  std::vector<std::uint32_t> uids;
+  for (NodeId at = src; at != dst;) {
     const std::int32_t i = nodes_.at(at).next_hop.at(dst);
     if (i < 0) throw std::runtime_error("Network: traceroute found no route");
+    uids.push_back(static_cast<std::uint32_t>(i));
     at = links_[static_cast<std::size_t>(i)].to;
-    hops.push_back({at, nodes_.at(at).name});
-    if (hops.size() > nodes_.size()) {
+    if (uids.size() >= nodes_.size()) {
       throw std::logic_error("Network: routing loop detected");
     }
   }
-  return hops;
+  return uids;
 }
 
 void Network::set_link_down(NodeId a, NodeId b) {

@@ -80,6 +80,9 @@ class Network {
 
   /// Minimum-hop path from src to dst, inclusive of both endpoints.
   std::vector<TracerouteHop> traceroute(NodeId src, NodeId dst) const;
+  /// The same path as directed link uids (link_at indices), one per hop:
+  /// the links a packet from src to dst is forwarded over.
+  std::vector<std::uint32_t> route_links(NodeId src, NodeId dst) const;
 
   /// Forces (re)computation of the routing tables; otherwise computed on
   /// first send.

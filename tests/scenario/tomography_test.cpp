@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "tests/scenario/malformed_fluid_configs.h"
+
 namespace bolot::scenario {
 namespace {
 
@@ -155,6 +157,54 @@ TEST(TomographyTest, RejectsMalformedSpecs) {
   bad.drop_min = 0.5;
   bad.drop_max = 0.1;
   EXPECT_THROW(run_tomography(bad), std::invalid_argument);
+  bad = ci_spec();
+  expect_malformed_fluid_configs_rejected(
+      FluidBackgroundConfig{}, [&](const FluidBackgroundConfig& config) {
+        bad.fluid_background = config;
+        run_tomography(bad);
+      });
+}
+
+TEST(TomographyTest, FluidBackgroundLoadsTheMeshDeterministically) {
+  TomographySpec spec = ci_spec();
+  spec.duration = Duration::seconds(10);
+  const TomographyResult idle = run_tomography(spec);
+  FluidBackgroundConfig background;
+  background.flows = 10000;
+  background.max_link_load = 0.5;
+  background.envelope_states = 3;
+  background.envelope_mean_holding = Duration::millis(500);
+  spec.fluid_background = background;
+  const TomographyResult loaded = run_tomography(spec);
+  const TomographyResult again = run_tomography(spec);
+  spec.domains = 2;
+  const TomographyResult sharded = run_tomography(spec);
+  ASSERT_EQ(sharded.domains_used, 2u);
+
+  ASSERT_EQ(loaded.streams, idle.streams);
+  ASSERT_EQ(again.streams, loaded.streams);
+  ASSERT_EQ(sharded.streams, loaded.streams);
+  EXPECT_EQ(again.events, loaded.events);
+  EXPECT_EQ(again.loss_error, loaded.loss_error);
+  EXPECT_EQ(again.delay_error, loaded.delay_error);
+  EXPECT_EQ(sharded.loss_error, loaded.loss_error);
+  double idle_rtt = 0.0, loaded_rtt = 0.0;
+  for (std::size_t s = 0; s < loaded.streams; ++s) {
+    const TomographyStreamSummary& x = loaded.stream_summaries[s];
+    EXPECT_EQ(again.stream_summaries[s].received, x.received);
+    EXPECT_EQ(again.stream_summaries[s].mean_rtt_ms, x.mean_rtt_ms);
+    EXPECT_EQ(sharded.stream_summaries[s].received, x.received);
+    EXPECT_EQ(sharded.stream_summaries[s].loss_fraction, x.loss_fraction);
+    idle_rtt += idle.stream_summaries[s].mean_rtt_ms;
+    loaded_rtt += x.mean_rtt_ms;
+  }
+  ASSERT_EQ(sharded.classes.size(), loaded.classes.size());
+  for (std::size_t c = 0; c < loaded.classes.size(); ++c) {
+    EXPECT_EQ(sharded.classes[c].est_loss_sum, loaded.classes[c].est_loss_sum);
+  }
+  // Fluid demand takes capacity from every loaded link, so the probes
+  // queue longer on average than on the idle fabric.
+  EXPECT_GT(loaded_rtt, idle_rtt);
 }
 
 }  // namespace

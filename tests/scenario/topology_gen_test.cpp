@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "scenario/scenarios.h"
+#include "tests/scenario/malformed_fluid_configs.h"
 #include "sim/network.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
@@ -102,12 +103,16 @@ TEST(TopologyGenTest, PartitionHintsSplitEvenlyAcrossDomains) {
   EXPECT_EQ(population[0], population[1]);  // pods 0+1 vs pods 2+3
 }
 
-ScenarioResult run_small_fabric(std::size_t domains,
-                                std::optional<std::size_t> radius) {
+ProbePlan small_fabric_plan() {
   ProbePlan plan;
   plan.delta = Duration::millis(40);
   plan.duration = Duration::seconds(4);
   plan.seed = 424242;
+  return plan;
+}
+
+ScenarioOverrides small_fabric(std::size_t domains,
+                               std::optional<std::size_t> radius) {
   ScenarioOverrides overrides;
   overrides.domains = domains;
   TopologySpec spec;
@@ -122,7 +127,12 @@ ScenarioResult run_small_fabric(std::size_t domains,
   background.envelope_mean_holding = Duration::millis(400);
   overrides.fluid_background = background;
   overrides.packetize_radius = radius;
-  return run_topology(plan, overrides);
+  return overrides;
+}
+
+ScenarioResult run_small_fabric(std::size_t domains,
+                                std::optional<std::size_t> radius) {
+  return run_topology(small_fabric_plan(), small_fabric(domains, radius));
 }
 
 TEST(RunTopologyTest, DomainsClampAgainstPartitionHints) {
@@ -170,6 +180,16 @@ TEST(RunTopologyTest, PacketizeRadiusSplitsThePopulation) {
   // A fully fluid run dispatches far fewer events than a fully packetized
   // one carrying the identical population — the engine's reason to exist.
   EXPECT_LT(all_fluid.events, all_packets.events / 2);
+}
+
+TEST(RunTopologyTest, RejectsMalformedFluidBackground) {
+  ScenarioOverrides overrides = small_fabric(1, 1);
+  const FluidBackgroundConfig base = *overrides.fluid_background;
+  expect_malformed_fluid_configs_rejected(
+      base, [&](const FluidBackgroundConfig& bad) {
+        overrides.fluid_background = bad;
+        run_topology(small_fabric_plan(), overrides);
+      });
 }
 
 }  // namespace

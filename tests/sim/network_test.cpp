@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace bolot::sim {
 namespace {
 
@@ -86,6 +89,35 @@ TEST(NetworkTest, TracerouteReproducesChainOrder) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(hops[static_cast<std::size_t>(i)].name, "n" + std::to_string(i));
   }
+}
+
+TEST(NetworkTest, RouteLinksNameTheLinksTracerouteCrosses) {
+  Simulator simulator;
+  Network net(simulator);
+  // a - b - c plus a direct a - c link: the min-hop route takes the latter.
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  const NodeId c = net.add_node("c");
+  const NodeId d = net.add_node("d");
+  net.add_duplex_link(a, b, fast_link());
+  net.add_duplex_link(b, c, fast_link());
+  net.add_duplex_link(a, c, fast_link("direct"));
+  net.add_duplex_link(c, d, fast_link());
+  EXPECT_THROW(net.route_links(a, d), std::logic_error);  // not yet routed
+  net.compute_routes();
+  for (const auto& [src, dst] : {std::pair{a, d}, std::pair{d, b},
+                                 std::pair{b, a}}) {
+    const auto hops = net.traceroute(src, dst);
+    const std::vector<std::uint32_t> uids = net.route_links(src, dst);
+    ASSERT_EQ(uids.size() + 1, hops.size());
+    for (std::size_t i = 0; i < uids.size(); ++i) {
+      EXPECT_EQ(net.link_source(uids[i]), hops[i].node);
+      EXPECT_EQ(net.link_target(uids[i]), hops[i + 1].node);
+    }
+  }
+  EXPECT_EQ(net.link_at(net.route_links(a, d).front()).config().name,
+            "direct");
+  EXPECT_TRUE(net.route_links(a, a).empty());
 }
 
 TEST(NetworkTest, SendToSelfDeliversLocally) {
