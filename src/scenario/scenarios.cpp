@@ -2,158 +2,112 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "nettime/clock.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
+#include "scenario/build.h"
 #include "sim/traffic.h"
-#include "sim/udp_echo.h"
 
 namespace bolot::scenario {
 
 namespace {
 
-/// One hop of the probe path.
-struct HopSpec {
-  Bandwidth rate;
-  Duration propagation;
-  std::size_t buffer_packets;
-  Probability random_drop = Probability::zero();  // faulty-interface loss
-  std::optional<sim::RedConfig> red = std::nullopt;
-  /// Forward-direction-only stages: the probe direction carries the
-  /// modeled channel / trace-driven transmitter, the reverse (echo)
-  /// direction stays an ideal constant-rate link so measured loss
-  /// attributes cleanly.
-  std::optional<sim::MarkovChannelConfig> channel = std::nullopt;
-  std::shared_ptr<const sim::DeliverySchedule> schedule = nullptr;
+/// One of the paper's measured paths: hop i joins route node i to node
+/// i + 1 and carries that direction's LinkConfig (path_plan names it).
+struct PathSpec {
+  std::vector<std::string> names;        // path nodes, source first
+  std::vector<sim::LinkConfig> hops;     // names.size() - 1 entries
+  std::size_t bottleneck_hop;            // index into hops
+  std::vector<std::size_t> faulty_hops;  // faulty_interface_drop targets
+  Duration clock_tick;                   // source clock; zero = exact
+  CrossTraffic cross;                    // the path's default mix
 };
 
-struct ChainSpec {
-  std::vector<std::string> names;  // path nodes, source first
-  std::vector<HopSpec> hops;       // names.size() - 1 entries
-  std::size_t bottleneck_hop = 0;  // index into hops
-  Duration source_clock_tick;      // zero = exact clock
-};
-
-/// Warm-up before the probe run so cross traffic reaches steady state, and
-/// drain afterwards so in-flight echoes are counted.
-constexpr Duration kWarmup = Duration::seconds(5);
-constexpr Duration kDrain = Duration::seconds(2);
-
-/// Effective PDES domain count for a chain run: the requested count,
-/// clamped to the path length, with fallback to 1 (sequential) when the
-/// sampler is on (it reads state across the whole topology) or when any
-/// cut hop would have zero propagation delay (zero lookahead; MODEL_NOTES
-/// §14).  The partition is contiguous blocks of path nodes — path node i
-/// goes to domain i*d/n — so only chain hops can be cut; cross-traffic
-/// hosts ride with their router over never-cut access links.
-std::size_t effective_domains(const ChainSpec& spec,
-                              const ScenarioOverrides& overrides) {
-  std::size_t domains = std::max<std::size_t>(1, overrides.domains);
-  domains = std::min(domains, spec.names.size());
-  if (domains == 1) return 1;
-  if (overrides.obs_sample_interval) return 1;
-  const std::size_t n = spec.names.size();
-  for (std::size_t h = 0; h < spec.hops.size(); ++h) {
-    const bool cut = h * domains / n != (h + 1) * domains / n;
-    if (cut && spec.hops[h].propagation <= Duration::zero()) return 1;
-  }
-  return domains;
+sim::LinkConfig hop(Bandwidth rate, Duration propagation,
+                    std::size_t buffer_packets,
+                    Probability random_drop = Probability::zero()) {
+  sim::LinkConfig link;
+  link.rate = rate;
+  link.propagation = propagation;
+  link.buffer_packets = buffer_packets;
+  link.random_drop_probability = random_drop;
+  return link;
 }
 
-ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
-                         const CrossTraffic& cross,
-                         const ScenarioOverrides& overrides) {
-  TRACE_SCOPE("scenario.run_chain");
-  if (spec.names.size() < 2 || spec.hops.size() + 1 != spec.names.size()) {
-    throw std::invalid_argument("run_chain: inconsistent chain spec");
+void apply_overrides(PathSpec& path, const ScenarioOverrides& o) {
+  sim::LinkConfig& bottleneck = path.hops[path.bottleneck_hop];
+  if (o.bottleneck_rate) bottleneck.rate = *o.bottleneck_rate;
+  if (o.bottleneck_buffer_packets) {
+    bottleneck.buffer_packets = *o.bottleneck_buffer_packets;
   }
-
-  // One Simulator per PDES domain; with one domain this is exactly the
-  // sequential kernel (psim stays empty, no channels, no threads).
-  // Construction below is shared between both paths and single-threaded;
-  // only the Simulator& each link/source binds to differs, so the
-  // network's rng split order — and with it every random stream — is
-  // identical whichever kernel runs.
-  const std::size_t n_path = spec.names.size();
-  const std::size_t domains = effective_domains(spec, overrides);
-  const auto path_domain = [&](std::size_t i) { return i * domains / n_path; };
-  std::optional<sim::ParallelSimulation> psim;
-  std::optional<sim::Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
-  }
-  const auto sim_of = [&](std::size_t domain) -> sim::Simulator& {
-    return psim ? psim->simulator(domain) : *seq;
-  };
-
-  sim::Simulator& simulator = sim_of(0);  // domain of the probe source
-  sim::Network net(simulator, plan.seed);
-
-  // Path nodes and links.
-  std::vector<sim::NodeId> path;
-  path.reserve(spec.names.size());
-  for (const auto& name : spec.names) path.push_back(net.add_node(name));
-  for (std::size_t h = 0; h < spec.hops.size(); ++h) {
-    const HopSpec& hop = spec.hops[h];
-    sim::LinkConfig config;
-    config.name = spec.names[h] + "->" + spec.names[h + 1];
-    config.rate = hop.rate;
-    config.propagation = hop.propagation;
-    config.buffer_packets = hop.buffer_packets;
-    config.random_drop_probability = hop.random_drop;
-    config.red = hop.red;
-    // A link lives in the domain of the node whose queue it drains.
-    sim::Simulator& fwd_sim = sim_of(path_domain(h));
-    sim::Simulator& rev_sim = sim_of(path_domain(h + 1));
-    if (hop.channel || hop.schedule) {
-      // Channel stages are forward-only (see HopSpec), so the duplex pair
-      // becomes two directed links with asymmetric configs.  Forward
-      // first: add_duplex_link also creates a->b before b->a, so the
-      // per-link rng split order — and thus every channel-free stream —
-      // is unchanged.
-      config.channel = hop.channel;
-      config.schedule = hop.schedule;
-      net.add_link(path[h], path[h + 1], config, fwd_sim);
-      config.channel.reset();
-      config.schedule.reset();
-      net.add_link(path[h + 1], path[h], config, rev_sim);
-    } else {
-      net.add_duplex_link(path[h], path[h + 1], config, fwd_sim, rev_sim);
+  if (o.bottleneck_red) bottleneck.red = o.bottleneck_red;
+  if (o.bottleneck_channel) bottleneck.channel = o.bottleneck_channel;
+  if (o.bottleneck_schedule) bottleneck.schedule = o.bottleneck_schedule;
+  if (o.faulty_interface_drop) {
+    for (const std::size_t h : path.faulty_hops) {
+      path.hops[h].random_drop_probability = *o.faulty_interface_drop;
     }
   }
+  if (o.clock_tick) path.clock_tick = *o.clock_tick;
+  if (o.cross_traffic) path.cross = *o.cross_traffic;
+}
 
-  // Cross-traffic hosts hang off the two bottleneck routers via fast access
-  // links, so their packets traverse exactly the bottleneck link.
-  const sim::NodeId upstream = path[spec.bottleneck_hop];
-  const sim::NodeId downstream = path[spec.bottleneck_hop + 1];
-  const Bandwidth mu = spec.hops[spec.bottleneck_hop].rate;
-
+/// The path as a plan.  Path node i has partition hint i, so the PDES
+/// clamp cuts the path into contiguous blocks.  Two cross-traffic hosts
+/// hang off the bottleneck's routers via fast access links, so their
+/// packets traverse exactly the bottleneck; each takes its router's
+/// partition, so an access link is never cut.  Edges: the hops, then the
+/// two access links.
+TopologyPlan path_plan(const PathSpec& path) {
+  const std::uint32_t n = static_cast<std::uint32_t>(path.names.size());
+  const std::uint32_t up = static_cast<std::uint32_t>(path.bottleneck_hop);
+  TopologyPlan plan;
+  plan.partition_count = n;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    plan.nodes.push_back({path.names[i], i});
+  }
+  plan.nodes.push_back({"cross-host-upstream", up});
+  plan.nodes.push_back({"cross-host-downstream", up + 1});
+  for (std::uint32_t h = 0; h + 1 < n; ++h) {
+    plan.edges.push_back({h, h + 1, path.hops[h]});
+    plan.edges.back().link.name = path.names[h] + "->" + path.names[h + 1];
+  }
   sim::LinkConfig access;
   access.name = "cross-access";
-  access.rate = Bandwidth::bps(std::max(10e6, mu.bps() * 10.0));
+  access.rate =
+      Bandwidth::bps(std::max(10e6, path.hops[up].rate.bps() * 10.0));
   access.propagation = Duration::micros(100);
   access.buffer_packets = 2000;
-  const sim::NodeId host_up = net.add_node("cross-host-upstream");
-  const sim::NodeId host_down = net.add_node("cross-host-downstream");
-  // Hosts ride with their router's domain, so access links are never cut.
-  sim::Simulator& up_sim = sim_of(path_domain(spec.bottleneck_hop));
-  sim::Simulator& down_sim = sim_of(path_domain(spec.bottleneck_hop + 1));
-  net.add_duplex_link(host_up, upstream, access, up_sim, up_sim);
-  net.add_duplex_link(host_down, downstream, access, down_sim, down_sim);
+  plan.edges.push_back({n, up, access});
+  plan.edges.push_back({n + 1, up + 1, access});
+  return plan;
+}
+
+ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
+                         const ScenarioOverrides& overrides) {
+  TRACE_SCOPE("scenario.run_chain");
+  detail::reject_foreign_overrides(overrides, /*chain=*/true);
+  apply_overrides(path, overrides);
+  const TopologyPlan topo = path_plan(path);
+  detail::ScenarioBuild build(topo, overrides.domains,
+                              overrides.obs_sample_interval.has_value(),
+                              plan.seed);
+  sim::Network& net = build.net();
+  const sim::NodeId upstream = static_cast<sim::NodeId>(path.bottleneck_hop);
+  const sim::NodeId host_up = static_cast<sim::NodeId>(path.names.size());
+  const Bandwidth mu = path.hops[path.bottleneck_hop].rate;
+  const Bandwidth access_rate = topo.edges.back().link.rate;
+  const CrossTraffic& cross = path.cross;
 
   Rng rng(plan.seed ^ 0xC0FFEE);
   std::vector<std::unique_ptr<sim::TrafficSource>> sources;
   std::uint32_t next_flow = 1;
 
-  const auto add_direction = [&](sim::Simulator& src_sim, sim::NodeId from,
-                                 sim::NodeId to, double scale) {
+  const auto add_direction = [&](sim::NodeId from, sim::NodeId to,
+                                 double scale) {
+    sim::Simulator& src_sim = build.sim_for(from);
     const double session_bps = cross.session_load * mu.bps() * scale;
     if (session_bps > 0.0) {
       sim::FtpSessionConfig session;
@@ -182,7 +136,7 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
       burst.packet = cross.bulk_packet;
       // Bursts are clocked out at the access rate, i.e. effectively
       // back-to-back as seen by the (much slower) bottleneck.
-      burst.in_burst_spacing = access.rate.transmission_time(
+      burst.in_burst_spacing = access_rate.transmission_time(
           cross.bulk_packet);
       sources.push_back(std::make_unique<sim::BurstSource>(
           src_sim, net, from, to, next_flow++, sim::PacketKind::kBulk,
@@ -199,26 +153,15 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
           cross.interactive_packet));
     }
   };
-  add_direction(up_sim, host_up, host_down, 1.0);
-  add_direction(down_sim, host_down, host_up, cross.reverse_scale);
+  add_direction(host_up, host_up + 1, 1.0);
+  add_direction(host_up + 1, host_up, cross.reverse_scale);
 
-  // NetDyn endpoints: source at the head of the chain (domain 0), echo at
-  // the tail (the last domain).
-  sim::EchoHost echo(sim_of(path_domain(n_path - 1)), net, path.back());
-  sim::ProbeSourceConfig probe_config;
-  probe_config.delta = plan.delta;
-  probe_config.probe_wire = plan.probe_wire;
-  probe_config.probe_count = plan.probe_count();
-  if (spec.source_clock_tick > Duration::zero()) {
-    probe_config.clock_tick = spec.source_clock_tick;
-  }
-  sim::UdpEchoSource probe_source(simulator, net, path.front(), path.back(),
-                                  probe_config);
-
-  // Optional observability: nothing below is even constructed on the
-  // default path, so default runs schedule exactly the same events.
-  sim::Link& bneck_fwd = net.link(upstream, downstream);
-  sim::Link& bneck_rev = net.link(downstream, upstream);
+  // NetDyn endpoints: source at the head of the chain, echo at the tail.
+  detail::ProbedRun run(build, plan, path.clock_tick, 0,
+                        static_cast<sim::NodeId>(path.names.size() - 1),
+                        overrides);
+  sim::Link& bneck_fwd = net.link(upstream, upstream + 1);
+  sim::Link& bneck_rev = net.link(upstream + 1, upstream);
   std::vector<SimTime> bneck_deliveries;
   if (overrides.record_bottleneck_deliveries) {
     bneck_fwd.add_delivery_hook(
@@ -226,163 +169,116 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
           bneck_deliveries.push_back(at);
         });
   }
-  obs::MetricsRegistry registry;
-  std::optional<obs::Sampler> sampler;
-  if (overrides.obs_sample_interval) {
-    sampler.emplace(simulator, *overrides.obs_sample_interval,
-                    overrides.obs_series_budget);
+  if (obs::Sampler* sampler = run.sampler()) {
     // Both directions of a duplex link share one config name; publish
     // them under stable direction-qualified prefixes so sweeps can be
     // diffed across scenarios.
-    bneck_fwd.publish_metrics(registry, "bneck.fwd");
-    bneck_rev.publish_metrics(registry, "bneck.rev");
-    probe_source.publish_metrics(registry);
+    bneck_fwd.publish_metrics(run.registry(), "bneck.fwd");
+    bneck_rev.publish_metrics(run.registry(), "bneck.rev");
+    run.probe().publish_metrics(run.registry());
     obs::watch_queue_packets(*sampler, bneck_fwd);
     obs::watch_backlog_work_ms(*sampler, bneck_fwd);
-    obs::watch_utilization(*sampler, bneck_fwd, simulator);
-    if (spec.hops[spec.bottleneck_hop].red) {
+    obs::watch_utilization(*sampler, bneck_fwd, build.sim_for(upstream));
+    if (bneck_fwd.config().red) {
       obs::watch_red_average_queue(*sampler, bneck_fwd);
     }
-    obs::watch_probe_rtt_ms(*sampler, probe_source);
+    obs::watch_probe_rtt_ms(*sampler, run.probe());
   }
 
-  net.compute_routes();
-  if (psim) {
-    // Map every node to its domain (add_node order: path, then the two
-    // cross hosts) and wire the cut links to handoff channels.
-    std::vector<std::size_t> node_domain;
-    node_domain.reserve(net.node_count());
-    for (std::size_t i = 0; i < n_path; ++i) {
-      node_domain.push_back(path_domain(i));
-    }
-    node_domain.push_back(path_domain(spec.bottleneck_hop));      // host_up
-    node_domain.push_back(path_domain(spec.bottleneck_hop + 1));  // host_down
-    psim->attach(net, node_domain);
-  }
-  for (auto& source : sources) {
-    // Stagger starts so sources do not phase-lock on the first event.
-    source->start(Duration::millis(rng.uniform(0.0, 100.0)));
-  }
-  probe_source.start(kWarmup);
-  if (sampler) sampler->start(kWarmup);
-
-  const Duration end = kWarmup + plan.duration + kDrain;
-  if (psim) {
-    psim->run_until(end);
-  } else {
-    simulator.run_until(end);
-  }
-  if (sampler) sampler->stop();
-
-  ScenarioResult result;
-  result.trace = probe_source.trace();
-  result.route = net.traceroute(path.front(), path.back());
-  result.bottleneck_forward = bneck_fwd.stats();
-  result.bottleneck_reverse = bneck_rev.stats();
-  result.total_overflow_drops = net.total_overflow_drops();
-  result.total_random_drops = net.total_random_drops();
-  result.total_channel_drops = net.total_channel_drops();
-  result.hop_deliveries = net.total_delivered();
-  result.simulated = end;
-  result.events = psim ? psim->events_dispatched()
-                       : simulator.events_dispatched();
-  result.domains_used = domains;
-  if (sampler) {
-    result.metrics = registry.snapshot(simulator.now());
-    result.series = sampler->snapshot();
-  }
+  ScenarioResult result = run.run(
+      [&] {
+        for (auto& source : sources) {
+          // Stagger starts so sources do not phase-lock on the first event.
+          source->start(Duration::millis(rng.uniform(0.0, 100.0)));
+        }
+      },
+      bneck_fwd, bneck_rev);
   result.bottleneck_delivery_times = std::move(bneck_deliveries);
   return result;
 }
 
-ChainSpec inria_umd_spec(const ScenarioOverrides& overrides) {
-  ChainSpec spec;
-  spec.names = inria_umd_route_names();
+PathSpec inria_umd_path() {
   // Rates/propagations chosen so the fixed round-trip delay is ~140 ms
   // (Fig. 2) with the 128 kb/s transatlantic hop as bottleneck (Table 1).
-  spec.hops = {
-      {Bandwidth::bps(10e6), Duration::millis(0.2), 100, Probability::zero(), {}},    // tom -> t8-gw
-      {Bandwidth::bps(10e6), Duration::millis(0.3), 100, Probability::zero(), {}},    // t8-gw -> sophia-gw
-      {Bandwidth::bps(2e6), Duration::millis(1.0), 80, Probability::zero(), {}},      // sophia-gw -> icm-sophia
-      {Bandwidth::bps(128e3), Duration::millis(52.0), 14, Probability::zero(), {}},   // transatlantic (bottleneck)
-      {Bandwidth::bps(45e6), Duration::millis(0.1), 200, Probability::zero(), {}},    // Ithaca NSS internal
-      {Bandwidth::bps(1.544e6), Duration::millis(8.0), 60, Probability::zero(), {}},  // NSS -> SURAnet
-      {Bandwidth::bps(1.544e6), Duration::millis(2.0), 60, Probability::checked(0.011), {}},  // SURAnet (faulty card)
-      {Bandwidth::bps(10e6), Duration::millis(0.3), 100, Probability::checked(0.011), {}},    // SURAnet -> UMd (faulty)
-      {Bandwidth::bps(10e6), Duration::millis(0.2), 100, Probability::zero(), {}},    // UMd campus
-  };
-  spec.bottleneck_hop = 3;
-  spec.source_clock_tick = kDecstationTick;  // DECstation 5000
-
-  if (overrides.bottleneck_rate) {
-    spec.hops[spec.bottleneck_hop].rate = *overrides.bottleneck_rate;
-  }
-  if (overrides.bottleneck_buffer_packets) {
-    spec.hops[spec.bottleneck_hop].buffer_packets =
-        *overrides.bottleneck_buffer_packets;
-  }
-  if (overrides.bottleneck_red) {
-    spec.hops[spec.bottleneck_hop].red = *overrides.bottleneck_red;
-  }
-  if (overrides.bottleneck_channel) {
-    spec.hops[spec.bottleneck_hop].channel = overrides.bottleneck_channel;
-  }
-  if (overrides.bottleneck_schedule) {
-    spec.hops[spec.bottleneck_hop].schedule = overrides.bottleneck_schedule;
-  }
-  if (overrides.faulty_interface_drop) {
-    spec.hops[6].random_drop = *overrides.faulty_interface_drop;
-    spec.hops[7].random_drop = *overrides.faulty_interface_drop;
-  }
-  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
-  return spec;
+  // The SURAnet hops carry the faulty interface cards.
+  return {inria_umd_route_names(),
+          {
+              hop(Bandwidth::bps(10e6), Duration::millis(0.2), 100),    // tom -> t8-gw
+              hop(Bandwidth::bps(10e6), Duration::millis(0.3), 100),    // t8-gw -> sophia-gw
+              hop(Bandwidth::bps(2e6), Duration::millis(1.0), 80),      // sophia-gw -> icm-sophia
+              hop(Bandwidth::bps(128e3), Duration::millis(52.0), 14),   // transatlantic (bottleneck)
+              hop(Bandwidth::bps(45e6), Duration::millis(0.1), 200),    // Ithaca NSS internal
+              hop(Bandwidth::bps(1.544e6), Duration::millis(8.0), 60),  // NSS -> SURAnet
+              hop(Bandwidth::bps(1.544e6), Duration::millis(2.0), 60, Probability::checked(0.011)),  // SURAnet (faulty card)
+              hop(Bandwidth::bps(10e6), Duration::millis(0.3), 100, Probability::checked(0.011)),    // SURAnet -> UMd (faulty)
+              hop(Bandwidth::bps(10e6), Duration::millis(0.2), 100),    // UMd campus
+          },
+          /*bottleneck_hop=*/3,
+          /*faulty_hops=*/{6, 7},
+          kDecstationTick,  // DECstation 5000
+          CrossTraffic{}};
 }
 
-ChainSpec umd_pitt_spec(const ScenarioOverrides& overrides) {
-  ChainSpec spec;
-  spec.names = umd_pitt_route_names();
+PathSpec umd_pitt_path() {
   // The T3 backbone is fast; the Pittsburgh campus Ethernet is the
   // bottleneck ("very likely that the bottleneck bandwidth is much higher
   // than ... 128 kb/s").  Fixed RTT ~ 25 ms.
-  spec.hops = {
-      {Bandwidth::bps(10e6), Duration::millis(0.2), 100, Probability::zero(), {}},   // lena -> avw1hub
-      {Bandwidth::bps(10e6), Duration::millis(0.2), 100, Probability::zero(), {}},   // avw1hub -> csc2hub
-      {Bandwidth::bps(10e6), Duration::millis(0.3), 100, Probability::zero(), {}},   // csc2hub -> 192.221.38.5
-      {Bandwidth::bps(45e6), Duration::millis(0.5), 200, Probability::zero(), {}},   // -> enss136
-      {Bandwidth::bps(45e6), Duration::millis(1.0), 200, Probability::zero(), {}},   // -> DC cnss58
-      {Bandwidth::bps(45e6), Duration::millis(0.3), 200, Probability::zero(), {}},   // -> DC cnss56
-      {Bandwidth::bps(45e6), Duration::millis(2.5), 200, Probability::zero(), {}},   // -> New York cnss32
-      {Bandwidth::bps(45e6), Duration::millis(4.0), 200, Probability::zero(), {}},   // -> Cleveland cnss40
-      {Bandwidth::bps(45e6), Duration::millis(0.3), 200, Probability::zero(), {}},   // -> Cleveland cnss41
-      {Bandwidth::bps(45e6), Duration::millis(1.5), 200, Probability::zero(), {}},   // -> enss132
-      {Bandwidth::bps(10e6), Duration::millis(0.5), 60, Probability::zero(), {}},    // -> externals.gw.pitt.edu
-      {Bandwidth::bps(10e6), Duration::millis(0.3), 60, Probability::zero(), {}},    // -> 136.142.2.54 (bottleneck)
-      {Bandwidth::bps(10e6), Duration::millis(0.2), 60, Probability::zero(), {}},    // -> hub-eh.gw.pitt.edu
-  };
-  spec.bottleneck_hop = 11;
-  spec.source_clock_tick = kUmdPittClockTick;
+  //
+  // Campus-Ethernet cross traffic: full-MTU packets and larger bursts
+  // (many concurrent flows share the 10 Mb/s segment), so probes queue
+  // for several ms and the delta = 8 ms compression line of Fig. 5
+  // appears.
+  const CrossTraffic cross{.session_load = 0.22,
+                           .bulk_load = 0.45,
+                           .mean_burst_packets = 30.0,
+                           .interactive_load = 0.08,
+                           .bulk_packet = ByteSize::bytes(1500),
+                           .interactive_packet = ByteSize::bytes(128)};
+  return {umd_pitt_route_names(),
+          {
+              hop(Bandwidth::bps(10e6), Duration::millis(0.2), 100),  // lena -> avw1hub
+              hop(Bandwidth::bps(10e6), Duration::millis(0.2), 100),  // avw1hub -> csc2hub
+              hop(Bandwidth::bps(10e6), Duration::millis(0.3), 100),  // csc2hub -> 192.221.38.5
+              hop(Bandwidth::bps(45e6), Duration::millis(0.5), 200),  // -> enss136
+              hop(Bandwidth::bps(45e6), Duration::millis(1.0), 200),  // -> DC cnss58
+              hop(Bandwidth::bps(45e6), Duration::millis(0.3), 200),  // -> DC cnss56
+              hop(Bandwidth::bps(45e6), Duration::millis(2.5), 200),  // -> New York cnss32
+              hop(Bandwidth::bps(45e6), Duration::millis(4.0), 200),  // -> Cleveland cnss40
+              hop(Bandwidth::bps(45e6), Duration::millis(0.3), 200),  // -> Cleveland cnss41
+              hop(Bandwidth::bps(45e6), Duration::millis(1.5), 200),  // -> enss132
+              hop(Bandwidth::bps(10e6), Duration::millis(0.5), 60),   // -> externals.gw.pitt.edu
+              hop(Bandwidth::bps(10e6), Duration::millis(0.3), 60),   // -> 136.142.2.54 (bottleneck)
+              hop(Bandwidth::bps(10e6), Duration::millis(0.2), 60),   // -> hub-eh.gw.pitt.edu
+          },
+          /*bottleneck_hop=*/11,
+          /*faulty_hops=*/{10},
+          kUmdPittClockTick,
+          cross};
+}
 
-  if (overrides.bottleneck_rate) {
-    spec.hops[spec.bottleneck_hop].rate = *overrides.bottleneck_rate;
-  }
-  if (overrides.bottleneck_buffer_packets) {
-    spec.hops[spec.bottleneck_hop].buffer_packets =
-        *overrides.bottleneck_buffer_packets;
-  }
-  if (overrides.bottleneck_red) {
-    spec.hops[spec.bottleneck_hop].red = *overrides.bottleneck_red;
-  }
-  if (overrides.bottleneck_channel) {
-    spec.hops[spec.bottleneck_hop].channel = overrides.bottleneck_channel;
-  }
-  if (overrides.bottleneck_schedule) {
-    spec.hops[spec.bottleneck_hop].schedule = overrides.bottleneck_schedule;
-  }
-  if (overrides.faulty_interface_drop) {
-    spec.hops[10].random_drop = *overrides.faulty_interface_drop;
-  }
-  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
-  return spec;
+PathSpec inria_europe_path() {
+  // Six hops inside Europe; the 2 Mb/s national backbone segment is the
+  // bottleneck.  Fixed RTT ~ 45 ms.
+  //
+  // European mid-speed path: the same traffic families at intermediate
+  // intensity (the bottleneck is 16x faster than the transatlantic link,
+  // packets are the same sizes).
+  const CrossTraffic cross{.session_load = 0.30,
+                           .bulk_load = 0.30,
+                           .mean_burst_packets = 12.0,
+                           .interactive_load = 0.08};
+  return {inria_europe_route_names(),
+          {
+              hop(Bandwidth::bps(10e6), Duration::millis(0.3), 100),  // tom -> t8-gw
+              hop(Bandwidth::bps(10e6), Duration::millis(0.5), 100),  // t8-gw -> sophia-gw
+              hop(Bandwidth::bps(2e6), Duration::millis(8.0), 30),    // national backbone (bneck)
+              hop(Bandwidth::bps(2e6), Duration::millis(9.0), 60, Probability::checked(0.004)),  // cross-border segment
+              hop(Bandwidth::bps(10e6), Duration::millis(2.0), 100),  // destination campus
+          },
+          /*bottleneck_hop=*/2,
+          /*faulty_hops=*/{3},
+          kDecstationTick,  // same INRIA source host
+          cross};
 }
 
 }  // namespace
@@ -429,80 +325,17 @@ const std::vector<std::string>& umd_pitt_route_names() {
 
 ScenarioResult run_inria_umd(const ProbePlan& plan,
                              const ScenarioOverrides& overrides) {
-  const ChainSpec spec = inria_umd_spec(overrides);
-  const CrossTraffic cross = overrides.cross_traffic.value_or(CrossTraffic{});
-  return run_chain(spec, plan, cross, overrides);
-}
-
-ChainSpec inria_europe_spec(const ScenarioOverrides& overrides) {
-  ChainSpec spec;
-  spec.names = inria_europe_route_names();
-  // Six hops inside Europe; the 2 Mb/s national backbone segment is the
-  // bottleneck.  Fixed RTT ~ 45 ms.
-  spec.hops = {
-      {Bandwidth::bps(10e6), Duration::millis(0.3), 100, Probability::zero(), {}},   // tom -> t8-gw
-      {Bandwidth::bps(10e6), Duration::millis(0.5), 100, Probability::zero(), {}},   // t8-gw -> sophia-gw
-      {Bandwidth::bps(2e6), Duration::millis(8.0), 30, Probability::zero(), {}},     // national backbone (bneck)
-      {Bandwidth::bps(2e6), Duration::millis(9.0), 60, Probability::checked(0.004), {}},   // cross-border segment
-      {Bandwidth::bps(10e6), Duration::millis(2.0), 100, Probability::zero(), {}},   // destination campus
-  };
-  spec.bottleneck_hop = 2;
-  spec.source_clock_tick = kDecstationTick;  // same INRIA source host
-
-  if (overrides.bottleneck_rate) {
-    spec.hops[spec.bottleneck_hop].rate = *overrides.bottleneck_rate;
-  }
-  if (overrides.bottleneck_buffer_packets) {
-    spec.hops[spec.bottleneck_hop].buffer_packets =
-        *overrides.bottleneck_buffer_packets;
-  }
-  if (overrides.bottleneck_red) {
-    spec.hops[spec.bottleneck_hop].red = *overrides.bottleneck_red;
-  }
-  if (overrides.bottleneck_channel) {
-    spec.hops[spec.bottleneck_hop].channel = overrides.bottleneck_channel;
-  }
-  if (overrides.bottleneck_schedule) {
-    spec.hops[spec.bottleneck_hop].schedule = overrides.bottleneck_schedule;
-  }
-  if (overrides.faulty_interface_drop) {
-    spec.hops[3].random_drop = *overrides.faulty_interface_drop;
-  }
-  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
-  return spec;
+  return run_chain(inria_umd_path(), plan, overrides);
 }
 
 ScenarioResult run_umd_pitt(const ProbePlan& plan,
                             const ScenarioOverrides& overrides) {
-  const ChainSpec spec = umd_pitt_spec(overrides);
-  // Campus-Ethernet cross traffic: full-MTU packets and larger bursts
-  // (many concurrent flows share the 10 Mb/s segment), so probes queue
-  // for several ms and the delta = 8 ms compression line of Fig. 5
-  // appears.
-  CrossTraffic defaults;
-  defaults.session_load = 0.22;
-  defaults.bulk_load = 0.45;
-  defaults.mean_burst_packets = 30.0;
-  defaults.bulk_packet = ByteSize::bytes(1500);
-  defaults.interactive_load = 0.08;
-  defaults.interactive_packet = ByteSize::bytes(128);
-  const CrossTraffic cross = overrides.cross_traffic.value_or(defaults);
-  return run_chain(spec, plan, cross, overrides);
+  return run_chain(umd_pitt_path(), plan, overrides);
 }
 
 ScenarioResult run_inria_europe(const ProbePlan& plan,
                                 const ScenarioOverrides& overrides) {
-  const ChainSpec spec = inria_europe_spec(overrides);
-  // European mid-speed path: the same traffic families at intermediate
-  // intensity (the bottleneck is 16x faster than the transatlantic link,
-  // packets are the same sizes).
-  CrossTraffic defaults;
-  defaults.session_load = 0.30;
-  defaults.bulk_load = 0.30;
-  defaults.mean_burst_packets = 12.0;
-  defaults.interactive_load = 0.08;
-  const CrossTraffic cross = overrides.cross_traffic.value_or(defaults);
-  return run_chain(spec, plan, cross, overrides);
+  return run_chain(inria_europe_path(), plan, overrides);
 }
 
 }  // namespace bolot::scenario

@@ -95,12 +95,20 @@ struct FluidBackgroundConfig {
   std::uint64_t seed = 0xF10D;
 };
 
+/// Knobs for one run.  A knob marked "chain only" applies to the paper's
+/// paths (run_inria_umd, run_umd_pitt, run_inria_europe) and run_topology
+/// rejects it; the run_topology-only knobs at the end are rejected by the
+/// chain scenarios.  Both throw std::invalid_argument naming the field.
 struct ScenarioOverrides {
+  /// Chain only: the bottleneck hop's rate and buffer.
   std::optional<Bandwidth> bottleneck_rate;
   std::optional<std::size_t> bottleneck_buffer_packets;
-  /// RED at the bottleneck (both directions) instead of drop-tail.
+  /// Chain only: RED at the bottleneck (both directions) instead of
+  /// drop-tail.
   std::optional<sim::RedConfig> bottleneck_red;
-  std::optional<Probability> faulty_interface_drop;  // per faulty link dir
+  /// Chain only: per direction of each faulty hop.
+  std::optional<Probability> faulty_interface_drop;
+  /// Chain only: replaces the path's default cross-traffic mix.
   std::optional<CrossTraffic> cross_traffic;
   /// Clock quantization at the source host; nullopt keeps the scenario's
   /// historically accurate tick, Duration::zero() disables quantization.
@@ -115,29 +123,32 @@ struct ScenarioOverrides {
   std::optional<Duration> obs_sample_interval;
   /// Per-series sample budget before decimation (see obs::TimeSeries).
   std::size_t obs_series_budget = 16384;
-  /// Correlated-loss channel on the *forward* direction of the bottleneck
-  /// link (probe direction; the reverse echo path stays ideal so measured
-  /// loss attributes cleanly to the modeled channel).  MODEL_NOTES §13.
+  /// Chain only: correlated-loss channel on the *forward* direction of the
+  /// bottleneck link (probe direction; the reverse echo path stays ideal
+  /// so measured loss attributes cleanly to the modeled channel).
+  /// MODEL_NOTES §13.
   std::optional<sim::MarkovChannelConfig> bottleneck_channel;
-  /// Trace-driven transmitter on the forward bottleneck direction: the
-  /// recorded delivery opportunities replace the constant-rate server.
+  /// Chain only: trace-driven transmitter on the forward bottleneck
+  /// direction: the recorded delivery opportunities replace the
+  /// constant-rate server.
   std::shared_ptr<const sim::DeliverySchedule> bottleneck_schedule;
-  /// When true, the result carries the arrival time of every packet the
-  /// forward bottleneck link delivered — the raw material for recording a
-  /// DeliverySchedule from a simulated path (tools/channel_trace_record).
+  /// Chain only: when true, the result carries the arrival time of every
+  /// packet the forward bottleneck link delivered — the raw material for
+  /// recording a DeliverySchedule from a simulated path
+  /// (tools/channel_trace_record).
   bool record_bottleneck_deliveries = false;
-  /// Shard the run across this many PDES domains (sim/pdes.h): the path
-  /// is cut into contiguous node blocks, cross-traffic hosts ride with
-  /// their router, and cut hops must have positive propagation delay.
-  /// The event stream is that of the sequential kernel; see MODEL_NOTES
-  /// §14.  Chain scenarios clamp to the path length; run_topology clamps
-  /// to the generator's TopologyPlan::partition_count.  Falls back to 1
-  /// when a cut hop would have zero lookahead or when
+  /// Shard the run across this many PDES domains (sim/pdes.h).  Both kinds
+  /// of scenario clamp to their plan's TopologyPlan::partition_count: a
+  /// chain's path length (path index = partition hint, so the path is cut
+  /// into contiguous node blocks and cross-traffic hosts ride with their
+  /// router), a generated fabric's pods or provider cores.  The event
+  /// stream is that of the sequential kernel; see MODEL_NOTES §14.  Falls
+  /// back to 1 when a cut hop would have zero lookahead or when
   /// obs_sample_interval is set (the sampler reads state across the
   /// whole topology).  Default 1 keeps every default output
   /// byte-identical to the sequential kernel.
   std::size_t domains = 1;
-  /// --- run_topology only (ignored by the chain scenarios) ---
+  /// --- run_topology only (rejected by the chain scenarios) ---
   /// Generated topology to probe instead of a historical path.
   std::optional<TopologySpec> topology;
   /// Background flow population riding the generated topology.

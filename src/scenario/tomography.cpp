@@ -17,10 +17,7 @@
 #include "analysis/streaming.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "scenario/fabric_build.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
-#include "sim/udp_echo.h"
+#include "scenario/build.h"
 
 namespace bolot::scenario {
 
@@ -242,27 +239,9 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument("run_tomography: need at least two hosts");
   }
 
-  const std::size_t domains = detail::effective_fabric_domains(
-      topo, spec.domains, spec.obs_sample_interval.has_value());
-  std::optional<sim::ParallelSimulation> psim;
-  std::optional<sim::Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
-  }
-  const auto sim_of = [&](std::size_t domain) -> sim::Simulator& {
-    return psim ? psim->simulator(domain) : *seq;
-  };
-
-  sim::Network net(sim_of(0), spec.seed);
-  const BuiltTopology built = instantiate_topology(topo, net, domains, sim_of);
-  net.compute_routes();
-
-  std::vector<std::size_t> domain_of_node(net.node_count(), 0);
-  for (std::size_t i = 0; i < built.nodes.size(); ++i) {
-    domain_of_node[built.nodes[i]] = built.node_domain[i];
-  }
+  detail::ScenarioBuild build(topo, spec.domains,
+                              spec.obs_sample_interval.has_value(), spec.seed);
+  sim::Network& net = build.net();
 
   // --- Loss ground truth: seeded per-directed-link drop probabilities ---
   // Drawn per link uid (plan order), so the assignment is independent of
@@ -276,7 +255,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   // --- Delay ground truth: delivery hooks (sequential kernel only) ------
-  const bool collect_delay = domains == 1;
+  const bool collect_delay = build.domains() == 1;
   DelayTruth delay_truth;
   if (collect_delay) {
     delay_truth.sum_ms.assign(net.link_count(), 0.0);
@@ -308,8 +287,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   // --- Optional fluid background (all flows folded; no packetized zone) -
   std::optional<detail::FluidBackground> background;
   if (spec.fluid_background) {
-    background.emplace(*spec.fluid_background, topo, built, net,
-                       std::vector<bool>{}, domain_of_node, sim_of);
+    background.emplace(*spec.fluid_background, build, std::vector<bool>{});
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
@@ -321,8 +299,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   for (std::size_t i = 0; i < host_count; ++i) {
     for (std::size_t j = 0; j < host_count; ++j) {
       if (i == j) continue;
-      const sim::NodeId src = built.nodes[topo.hosts[i]];
-      const sim::NodeId dst = built.nodes[topo.hosts[j]];
+      const sim::NodeId src = topo.hosts[i];
+      const sim::NodeId dst = topo.hosts[j];
       std::vector<std::uint32_t> round_trip = net.route_links(src, dst);
       const std::vector<std::uint32_t> back = net.route_links(dst, src);
       round_trip.insert(round_trip.end(), back.begin(), back.end());
@@ -363,19 +341,18 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   std::vector<std::unique_ptr<MeshProbeHost>> hosts;
   hosts.reserve(host_count);
   std::map<sim::NodeId, MeshProbeHost*> host_of;
-  for (const std::uint32_t h : topo.hosts) {
-    const sim::NodeId node = built.nodes[h];
+  for (const sim::NodeId node : topo.hosts) {
     hosts.push_back(std::make_unique<MeshProbeHost>(
-        sim_of(domain_of_node[node]), net, node, mesh, spec.delta,
-        spec.probe_wire, spec.pair_stride));
+        build.sim_for(node), net, node, mesh, spec.delta, spec.probe_wire,
+        spec.pair_stride));
     host_of[node] = hosts.back().get();
   }
 
   // --- Observability: mesh-aggregate gauges off the online accessors ----
   std::optional<obs::Sampler> sampler;
-  if (spec.obs_sample_interval && domains == 1) {
-    sampler.emplace(sim_of(0), *spec.obs_sample_interval,
-                    spec.obs_series_budget);
+  if (spec.obs_sample_interval) {  // sampling keeps one simulator
+    sampler.emplace(build.sim_for(topo.hosts.front()),
+                    *spec.obs_sample_interval, spec.obs_series_budget);
     MeshState* m = &mesh;
     sampler->add_series("mesh.received_total", [m] {
       double total = 0.0;
@@ -408,9 +385,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     });
   }
 
-  if (psim) {
-    psim->attach(net, built.node_domain);
-  }
+  build.finish();
   if (background) background->start();
   // Staggered starts spread the mesh's send instants across one delta so
   // streams do not fire in lockstep.
@@ -424,11 +399,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   if (sampler) sampler->start(kMeshWarmup);
 
   const Duration end = kMeshWarmup + spec.duration + kMeshDrain;
-  if (psim) {
-    psim->run_until(end);
-  } else {
-    seq->run_until(end);
-  }
+  build.run_until(end);
   if (sampler) sampler->stop();
 
   // Probes sent but never returned are lost; close every stream's push
@@ -441,10 +412,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   TomographyResult result;
   result.hosts = host_count;
   result.streams = stream_count;
-  result.domains_used = domains;
+  result.domains_used = build.domains();
   result.delay_truth_collected = collect_delay;
   result.simulated = end;
-  result.events = psim ? psim->events_dispatched() : seq->events_dispatched();
+  result.events = build.events();
   if (sampler) result.series = sampler->snapshot();
 
   // Routing matrix columns (per directed link crossed by any stream), then

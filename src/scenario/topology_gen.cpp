@@ -51,6 +51,20 @@ Duration jittered(Duration base, double jitter, SplitMix64& stream) {
       static_cast<double>(base.count_nanos()) * factor));
 }
 
+/// Appends the duplex edge a <-> b, named after its endpoints, with
+/// `propagation` jittered by the stream's next draw.
+void add_edge(TopologyPlan& plan, const TopologySpec& spec,
+              SplitMix64& stream, std::uint32_t a, std::uint32_t b,
+              Bandwidth rate, Duration propagation,
+              std::size_t buffer_packets) {
+  sim::LinkConfig link;
+  link.name = plan.nodes[a].name + "<->" + plan.nodes[b].name;
+  link.rate = rate;
+  link.propagation = jittered(propagation, spec.propagation_jitter, stream);
+  link.buffer_packets = buffer_packets;
+  plan.edges.push_back({a, b, std::move(link)});
+}
+
 TopologyPlan generate_fat_tree(const TopologySpec& spec) {
   const std::size_t k = spec.fat_tree_k;
   if (k < 2 || k % 2 != 0) {
@@ -84,20 +98,16 @@ TopologyPlan generate_fat_tree(const TopologySpec& spec) {
                                   std::to_string(h),
                               p, true});
         plan.hosts.push_back(id);
-        plan.edges.push_back({pod_edges[p][e], id, spec.edge_rate,
-                              jittered(spec.edge_propagation,
-                                       spec.propagation_jitter, stream),
-                              spec.edge_buffer_packets});
+        add_edge(plan, spec, stream, pod_edges[p][e], id, spec.edge_rate,
+                 spec.edge_propagation, spec.edge_buffer_packets);
       }
     }
     // Full bipartite edge <-> aggregation inside the pod.
     for (std::size_t e = 0; e < half; ++e) {
       for (std::size_t a = 0; a < half; ++a) {
-        plan.edges.push_back({pod_edges[p][e], pod_aggs[p][a],
-                              spec.aggregation_rate,
-                              jittered(spec.aggregation_propagation,
-                                       spec.propagation_jitter, stream),
-                              spec.core_buffer_packets});
+        add_edge(plan, spec, stream, pod_edges[p][e], pod_aggs[p][a],
+                 spec.aggregation_rate, spec.aggregation_propagation,
+                 spec.core_buffer_packets);
       }
     }
   }
@@ -111,10 +121,8 @@ TopologyPlan generate_fat_tree(const TopologySpec& spec) {
                                 std::to_string(j),
                             (r * half + j) % k, false});
       for (std::size_t p = 0; p < k; ++p) {
-        plan.edges.push_back({pod_aggs[p][r], core, spec.core_rate,
-                              jittered(spec.core_propagation,
-                                       spec.propagation_jitter, stream),
-                              spec.core_buffer_packets});
+        add_edge(plan, spec, stream, pod_aggs[p][r], core, spec.core_rate,
+                 spec.core_propagation, spec.core_buffer_packets);
       }
     }
   }
@@ -140,10 +148,8 @@ TopologyPlan generate_as_hierarchy(const TopologySpec& spec) {
   // Full transit mesh between core routers.
   for (std::size_t i = 0; i < spec.core_count; ++i) {
     for (std::size_t j = i + 1; j < spec.core_count; ++j) {
-      plan.edges.push_back({cores[i], cores[j], spec.core_rate,
-                            jittered(spec.core_propagation,
-                                     spec.propagation_jitter, stream),
-                            spec.core_buffer_packets});
+      add_edge(plan, spec, stream, cores[i], cores[j], spec.core_rate,
+               spec.core_propagation, spec.core_buffer_packets);
     }
   }
   // Stub ASes ride in their provider's partition; hosts behind each stub.
@@ -155,19 +161,15 @@ TopologyPlan generate_as_hierarchy(const TopologySpec& spec) {
           "as" + std::to_string(c) + "-stub" + std::to_string(s);
       plan.nodes.push_back({name, c, false});
       stubs.push_back(stub);
-      plan.edges.push_back({cores[c], stub, spec.aggregation_rate,
-                            jittered(spec.aggregation_propagation,
-                                     spec.propagation_jitter, stream),
-                            spec.core_buffer_packets});
+      add_edge(plan, spec, stream, cores[c], stub, spec.aggregation_rate,
+               spec.aggregation_propagation, spec.core_buffer_packets);
       for (std::size_t h = 0; h < spec.hosts_per_stub; ++h) {
         const std::uint32_t host =
             static_cast<std::uint32_t>(plan.nodes.size());
         plan.nodes.push_back({name + "-host" + std::to_string(h), c, true});
         plan.hosts.push_back(host);
-        plan.edges.push_back({stub, host, spec.edge_rate,
-                              jittered(spec.edge_propagation,
-                                       spec.propagation_jitter, stream),
-                              spec.edge_buffer_packets});
+        add_edge(plan, spec, stream, stub, host, spec.edge_rate,
+                 spec.edge_propagation, spec.edge_buffer_packets);
       }
     }
   }
@@ -192,10 +194,8 @@ TopologyPlan generate_as_hierarchy(const TopologySpec& spec) {
     }
     if (duplicate) continue;
     peered.emplace_back(lo, hi);
-    plan.edges.push_back({lo, hi, spec.aggregation_rate,
-                          jittered(spec.aggregation_propagation,
-                                   spec.propagation_jitter, stream),
-                          spec.core_buffer_packets});
+    add_edge(plan, spec, stream, lo, hi, spec.aggregation_rate,
+             spec.aggregation_propagation, spec.core_buffer_packets);
     ++added;
   }
   return plan;
@@ -215,9 +215,9 @@ std::uint64_t TopologyPlan::wiring_digest() const {
   for (const EdgeSpec& edge : edges) {
     fnv.mix(edge.a);
     fnv.mix(edge.b);
-    fnv.mix(double_bits(edge.rate.bps()));
-    fnv.mix(static_cast<std::uint64_t>(edge.propagation.count_nanos()));
-    fnv.mix(edge.buffer_packets);
+    fnv.mix(double_bits(edge.link.rate.bps()));
+    fnv.mix(static_cast<std::uint64_t>(edge.link.propagation.count_nanos()));
+    fnv.mix(edge.link.buffer_packets);
   }
   fnv.mix(partition_count);
   fnv.mix(hosts.size());
@@ -255,15 +255,13 @@ BuiltTopology instantiate_topology(
                                 plan.partition_count);
   }
   for (const TopologyPlan::EdgeSpec& edge : plan.edges) {
-    sim::LinkConfig config;
-    config.name =
-        plan.nodes[edge.a].name + "<->" + plan.nodes[edge.b].name;
-    config.rate = edge.rate;
-    config.propagation = edge.propagation;
-    config.buffer_packets = edge.buffer_packets;
-    net.add_duplex_link(built.nodes[edge.a], built.nodes[edge.b], config,
-                        sim_of(built.node_domain[edge.a]),
-                        sim_of(built.node_domain[edge.b]));
+    sim::LinkConfig reverse = edge.link;
+    reverse.channel.reset();
+    reverse.schedule.reset();
+    net.add_link(built.nodes[edge.a], built.nodes[edge.b], edge.link,
+                 sim_of(built.node_domain[edge.a]));
+    net.add_link(built.nodes[edge.b], built.nodes[edge.a], reverse,
+                 sim_of(built.node_domain[edge.b]));
   }
   return built;
 }

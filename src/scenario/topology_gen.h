@@ -61,7 +61,8 @@ struct TopologySpec {
 };
 
 /// Pure-value wiring: everything needed to rebuild the Network, plus the
-/// PDES partition hints the domains clamp is checked against.
+/// PDES partition hints the domains clamp is checked against.  Generated
+/// fabrics and the paper's measured paths (scenarios.cpp) are both plans.
 struct TopologyPlan {
   struct NodeSpec {
     std::string name;
@@ -70,9 +71,11 @@ struct TopologyPlan {
   };
   struct EdgeSpec {
     std::uint32_t a = 0, b = 0;  // indices into nodes; instantiated duplex
-    Bandwidth rate = Bandwidth::zero();
-    Duration propagation;
-    std::size_t buffer_packets = 0;
+    /// The a -> b direction.  b -> a gets the same config without the
+    /// channel and the schedule: those model the probe direction only, so
+    /// the echo path stays an ideal constant-rate link and measured loss
+    /// attributes cleanly (MODEL_NOTES §13).
+    sim::LinkConfig link;
   };
 
   std::vector<NodeSpec> nodes;
@@ -97,10 +100,10 @@ struct BuiltTopology {
 
 /// Instantiates `plan` into `net` across `domains` PDES domains: node i
 /// lands in domain partition_i * domains / partition_count, each edge
-/// becomes a duplex link homed per direction in its source node's domain
-/// via `sim_of(domain)`.  Edge order is plan order, so the Network's
-/// per-link rng split order — and every random stream — is a function of
-/// the plan alone, not of the domain count.
+/// becomes two directed links, a -> b first, each homed in its source
+/// node's domain via `sim_of(domain)`.  Edge order is plan order, so the
+/// Network's per-link rng split order — and every random stream — is a
+/// function of the plan alone, not of the domain count.
 BuiltTopology instantiate_topology(
     const TopologyPlan& plan, sim::Network& net, std::size_t domains,
     const std::function<sim::Simulator&(std::size_t)>& sim_of);

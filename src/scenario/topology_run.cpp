@@ -7,24 +7,18 @@
 #include "scenario/scenarios.h"
 
 #include <limits>
-#include <optional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "scenario/fabric_build.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
-#include "sim/udp_echo.h"
+#include "scenario/build.h"
 
 namespace bolot::scenario {
 
 namespace {
-
-constexpr Duration kTopoWarmup = Duration::seconds(5);
-constexpr Duration kTopoDrain = Duration::seconds(2);
 
 /// Multi-source BFS over the undirected wiring: hop distance from every
 /// node to the nearest probe-path node (path nodes are distance 0).
@@ -62,6 +56,7 @@ std::vector<std::size_t> hops_from_path(
 ScenarioResult run_topology(const ProbePlan& plan,
                             const ScenarioOverrides& overrides) {
   TRACE_SCOPE("scenario.run_topology");
+  detail::reject_foreign_overrides(overrides, /*chain=*/false);
   if (!overrides.topology) {
     throw std::invalid_argument("run_topology: overrides.topology required");
   }
@@ -69,34 +64,16 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (topo.hosts.size() < 2) {
     throw std::invalid_argument("run_topology: need at least two hosts");
   }
-  const std::size_t domains = detail::effective_fabric_domains(
-      topo, overrides.domains, overrides.obs_sample_interval.has_value());
-  std::optional<sim::ParallelSimulation> psim;
-  std::optional<sim::Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
-  }
-  const auto sim_of = [&](std::size_t domain) -> sim::Simulator& {
-    return psim ? psim->simulator(domain) : *seq;
-  };
-
-  sim::Network net(sim_of(0), plan.seed);
-  const BuiltTopology built = instantiate_topology(topo, net, domains, sim_of);
-  net.compute_routes();
-
-  // Plan node index -> domain, by NodeId (add order == plan order).
-  std::vector<std::size_t> domain_of_node(net.node_count(), 0);
-  for (std::size_t i = 0; i < built.nodes.size(); ++i) {
-    domain_of_node[built.nodes[i]] = built.node_domain[i];
-  }
+  detail::ScenarioBuild build(topo, overrides.domains,
+                              overrides.obs_sample_interval.has_value(),
+                              plan.seed);
+  sim::Network& net = build.net();
 
   // The probe travels between the first and last generated hosts, which
   // the generators place in different partitions (pod 0 vs the last pod /
   // AS), so the probe crosses the fabric core.
-  const sim::NodeId probe_src = built.nodes[topo.hosts.front()];
-  const sim::NodeId probe_dst = built.nodes[topo.hosts.back()];
+  const sim::NodeId probe_src = topo.hosts.front();
+  const sim::NodeId probe_dst = topo.hosts.back();
   const std::vector<std::uint32_t> probe_fwd =
       net.route_links(probe_src, probe_dst);
 
@@ -107,7 +84,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (overrides.packetize_radius) {
     std::vector<bool> on_path(topo.nodes.size(), false);
     for (const sim::TracerouteHop& hop : net.traceroute(probe_src, probe_dst)) {
-      on_path[hop.node] = true;  // NodeId == plan node index (add order)
+      on_path[hop.node] = true;
     }
     const std::vector<std::size_t> dist = hops_from_path(topo, on_path);
     for (std::size_t i = 0; i < net.link_count(); ++i) {
@@ -118,20 +95,12 @@ ScenarioResult run_topology(const ProbePlan& plan,
 
   // Background population: fluid everywhere but the packetized zone.
   detail::FluidBackground background(
-      overrides.fluid_background.value_or(FluidBackgroundConfig{}), topo,
-      built, net, in_zone, domain_of_node, sim_of);
+      overrides.fluid_background.value_or(FluidBackgroundConfig{}), build,
+      in_zone);
 
-  // NetDyn endpoints.
-  sim::EchoHost echo(sim_of(domain_of_node[probe_dst]), net, probe_dst);
-  sim::ProbeSourceConfig probe_config;
-  probe_config.delta = plan.delta;
-  probe_config.probe_wire = plan.probe_wire;
-  probe_config.probe_count = plan.probe_count();
-  if (overrides.clock_tick && *overrides.clock_tick > Duration::zero()) {
-    probe_config.clock_tick = *overrides.clock_tick;
-  }
-  sim::UdpEchoSource probe_source(sim_of(domain_of_node[probe_src]), net,
-                                  probe_src, probe_dst, probe_config);
+  detail::ProbedRun run(build, plan,
+                        overrides.clock_tick.value_or(Duration::zero()),
+                        probe_src, probe_dst, overrides);
 
   // The probe path's slowest forward link plays the bottleneck role in
   // the result (generated fabrics have no designated bottleneck hop).
@@ -146,57 +115,22 @@ ScenarioResult run_topology(const ProbePlan& plan,
   sim::Link& bneck_rev =
       net.link(net.link_target(bneck_uid), net.link_source(bneck_uid));
 
-  obs::MetricsRegistry registry;
-  std::optional<obs::Sampler> sampler;
-  if (overrides.obs_sample_interval) {
-    sim::Simulator& simulator = sim_of(0);
-    sampler.emplace(simulator, *overrides.obs_sample_interval,
-                    overrides.obs_series_budget);
+  if (obs::Sampler* sampler = run.sampler()) {
     // Every forward hop of the probed path publishes under a stable
     // prefix; fluid-served hops add their fluid gauges automatically
     // (Link::publish_metrics).
     for (std::size_t h = 0; h < probe_fwd.size(); ++h) {
       net.link_at(probe_fwd[h])
-          .publish_metrics(registry, "path.hop" + std::to_string(h));
+          .publish_metrics(run.registry(), "path.hop" + std::to_string(h));
     }
-    probe_source.publish_metrics(registry);
+    run.probe().publish_metrics(run.registry());
     obs::watch_queue_packets(*sampler, bneck_fwd);
-    obs::watch_utilization(*sampler, bneck_fwd, simulator);
-    obs::watch_probe_rtt_ms(*sampler, probe_source);
+    obs::watch_utilization(*sampler, bneck_fwd, build.sim_for(probe_src));
+    obs::watch_probe_rtt_ms(*sampler, run.probe());
   }
 
-  if (psim) {
-    psim->attach(net, built.node_domain);
-  }
-  background.start();
-  probe_source.start(kTopoWarmup);
-  if (sampler) sampler->start(kTopoWarmup);
-
-  const Duration end = kTopoWarmup + plan.duration + kTopoDrain;
-  if (psim) {
-    psim->run_until(end);
-  } else {
-    seq->run_until(end);
-  }
-  if (sampler) sampler->stop();
-
-  ScenarioResult result;
-  result.trace = probe_source.trace();
-  result.route = net.traceroute(probe_src, probe_dst);
-  result.bottleneck_forward = bneck_fwd.stats();
-  result.bottleneck_reverse = bneck_rev.stats();
-  result.total_overflow_drops = net.total_overflow_drops();
-  result.total_random_drops = net.total_random_drops();
-  result.total_channel_drops = net.total_channel_drops();
-  result.hop_deliveries = net.total_delivered();
-  result.simulated = end;
-  result.events =
-      psim ? psim->events_dispatched() : seq->events_dispatched();
-  result.domains_used = domains;
-  if (sampler) {
-    result.metrics = registry.snapshot(sim_of(0).now());
-    result.series = sampler->snapshot();
-  }
+  ScenarioResult result =
+      run.run([&] { background.start(); }, bneck_fwd, bneck_rev);
   result.background_flows_fluid = background.table().size();
   result.background_flows_packetized = background.packetized_flows();
   std::vector<std::uint32_t> round_trip = probe_fwd;

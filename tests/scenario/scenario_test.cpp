@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "nettime/clock.h"
 
@@ -150,6 +153,35 @@ TEST(InriaUmdTest, RedOverrideMovesDropsToRed) {
   // of the time, so overflow drops shrink dramatically.
   EXPECT_LT(result.bottleneck_forward.overflow_drops,
             result.bottleneck_forward.red_drops);
+}
+
+TEST(ChainScenarioTest, RejectsRunTopologyOverrides) {
+  // A paper path is not a generated fabric: each run_topology knob is a
+  // named error, not a silently ignored field.
+  using Set = void (*)(ScenarioOverrides&);
+  const std::pair<const char*, Set> fields[] = {
+      {"topology",
+       [](ScenarioOverrides& o) { o.topology = TopologySpec{}; }},
+      {"fluid_background",
+       [](ScenarioOverrides& o) {
+         o.fluid_background = FluidBackgroundConfig{};
+       }},
+      {"packetize_radius",
+       [](ScenarioOverrides& o) { o.packetize_radius = 0; }},
+  };
+  for (const auto& [field, set] : fields) {
+    ScenarioOverrides overrides;
+    set(overrides);
+    for (const auto run : {run_inria_umd, run_umd_pitt, run_inria_europe}) {
+      try {
+        run(quick_plan(100, 0.1), overrides);
+        ADD_FAILURE() << field << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), std::string("chain scenario: ") + field +
+                                " is a run_topology override");
+      }
+    }
+  }
 }
 
 TEST(InriaEuropeTest, RouteAndDelayMatchSpec) {

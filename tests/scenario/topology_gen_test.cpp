@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/scenarios.h"
@@ -58,6 +61,28 @@ TEST(TopologyGenTest, AsHierarchyHasMeshProvidersAndPeers) {
   // Core mesh C(4,2) + provider links + host links + peering shortcuts.
   EXPECT_EQ(plan.edges.size(), 6u + 12u + 24u + 2u);
   EXPECT_EQ(plan.partition_count, 4u);
+}
+
+TEST(TopologyGenTest, WiringDigestsArePinned) {
+  // The default fat-tree and the perf ledger's two fabrics.  A change to
+  // a generator, or to the fields the digest mixes, moves these.
+  TopologySpec ledger_fat_tree;
+  ledger_fat_tree.fat_tree_k = 4;
+  ledger_fat_tree.hosts_per_edge = 2;
+  ledger_fat_tree.seed = 3;
+  TopologySpec ledger_mesh;
+  ledger_mesh.family = TopologySpec::Family::kAsHierarchy;
+  ledger_mesh.core_count = 2;
+  ledger_mesh.stubs_per_core = 3;
+  ledger_mesh.hosts_per_stub = 3;
+  ledger_mesh.peer_links = 0;
+  ledger_mesh.seed = 7;
+  EXPECT_EQ(generate_topology(TopologySpec{}).wiring_digest(),
+            0x4fb2922d2ddcd74bULL);
+  EXPECT_EQ(generate_topology(ledger_fat_tree).wiring_digest(),
+            0x11d74a8fb2d9d3acULL);
+  EXPECT_EQ(generate_topology(ledger_mesh).wiring_digest(),
+            0x608b183c80a8282cULL);
 }
 
 TEST(TopologyGenTest, InstantiateRejectsMoreDomainsThanPartitions) {
@@ -180,6 +205,49 @@ TEST(RunTopologyTest, PacketizeRadiusSplitsThePopulation) {
   // A fully fluid run dispatches far fewer events than a fully packetized
   // one carrying the identical population — the engine's reason to exist.
   EXPECT_LT(all_fluid.events, all_packets.events / 2);
+}
+
+TEST(RunTopologyTest, RejectsChainOverrides) {
+  // A generated fabric has no designated bottleneck hop, faulty cards or
+  // cross-traffic hosts: each chain knob is a named error, not a silently
+  // ignored field.
+  using Set = void (*)(ScenarioOverrides&);
+  const std::pair<const char*, Set> fields[] = {
+      {"bottleneck_rate",
+       [](ScenarioOverrides& o) { o.bottleneck_rate = Bandwidth::mbps(1); }},
+      {"bottleneck_buffer_packets",
+       [](ScenarioOverrides& o) { o.bottleneck_buffer_packets = 8; }},
+      {"bottleneck_red",
+       [](ScenarioOverrides& o) { o.bottleneck_red = sim::RedConfig{}; }},
+      {"faulty_interface_drop",
+       [](ScenarioOverrides& o) {
+         o.faulty_interface_drop = Probability::zero();
+       }},
+      {"cross_traffic",
+       [](ScenarioOverrides& o) { o.cross_traffic = CrossTraffic{}; }},
+      {"bottleneck_channel",
+       [](ScenarioOverrides& o) {
+         o.bottleneck_channel = sim::MarkovChannelConfig::gilbert_elliott(
+             Probability::checked(0.1), Probability::checked(0.5));
+       }},
+      {"bottleneck_schedule",
+       [](ScenarioOverrides& o) {
+         o.bottleneck_schedule = std::make_shared<sim::DeliverySchedule>();
+       }},
+      {"record_bottleneck_deliveries",
+       [](ScenarioOverrides& o) { o.record_bottleneck_deliveries = true; }},
+  };
+  for (const auto& [field, set] : fields) {
+    ScenarioOverrides overrides = small_fabric(1, 1);
+    set(overrides);
+    try {
+      run_topology(small_fabric_plan(), overrides);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), std::string("run_topology: ") + field +
+                              " is a chain-scenario override");
+    }
+  }
 }
 
 TEST(RunTopologyTest, RejectsMalformedFluidBackground) {

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runner/thread_pool.h"
@@ -284,35 +286,118 @@ TEST(PdesTest, RepeatedShardedRunsIdenticalWithWorkerThreads) {
   EXPECT_TRUE(run_chain_case(0) == first);
 }
 
-TEST(PdesScenarioTest, ShardedInriaUmdMatchesSequential) {
+/// A trace-driven transmitter serving about `rate`: ten unevenly spaced
+/// opportunities per 10 ms cycle, each worth 1 ms of service.
+std::shared_ptr<const DeliverySchedule> schedule_near(Bandwidth rate) {
+  auto schedule = std::make_shared<DeliverySchedule>();
+  for (std::int64_t i = 0; i < 10; ++i) {
+    schedule->opportunities.push_back(
+        Duration::micros(1000 * i + 137 * (i % 3)));
+  }
+  schedule->period = Duration::millis(10);
+  schedule->bytes_per_opportunity =
+      static_cast<std::int64_t>(rate.bps() / 8000.0);
+  return schedule;
+}
+
+void expect_same_stats(const LinkStats& a, const LinkStats& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.overflow_drops, b.overflow_drops);
+  EXPECT_EQ(a.random_drops, b.random_drops);
+  EXPECT_EQ(a.red_drops, b.red_drops);
+  EXPECT_EQ(a.channel_drops, b.channel_drops);
+  EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+}
+
+/// Probe trace, bottleneck stats, drop totals and events all equal.
+void expect_same_run(const scenario::ScenarioResult& a,
+                     const scenario::ScenarioResult& b) {
+  ASSERT_EQ(a.trace.records.size(), b.trace.records.size());
+  for (std::size_t i = 0; i < a.trace.records.size(); ++i) {
+    EXPECT_EQ(a.trace.records[i].send_time, b.trace.records[i].send_time)
+        << "probe " << i;
+    EXPECT_EQ(a.trace.records[i].rtt, b.trace.records[i].rtt) << "probe " << i;
+    EXPECT_EQ(a.trace.records[i].received, b.trace.records[i].received)
+        << "probe " << i;
+  }
+  expect_same_stats(a.bottleneck_forward, b.bottleneck_forward);
+  expect_same_stats(a.bottleneck_reverse, b.bottleneck_reverse);
+  EXPECT_EQ(a.total_overflow_drops, b.total_overflow_drops);
+  EXPECT_EQ(a.total_random_drops, b.total_random_drops);
+  EXPECT_EQ(a.total_channel_drops, b.total_channel_drops);
+  EXPECT_EQ(a.hop_deliveries, b.hop_deliveries);
+  EXPECT_EQ(a.events, b.events);
+}
+
+TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
+  // Every paper path x every bottleneck discipline, the forward-only
+  // channel and schedule included: a sharded run is the sequential run
+  // (one known exception, below).
+  using Run = scenario::ScenarioResult (*)(const scenario::ProbePlan&,
+                                           const scenario::ScenarioOverrides&);
+  const std::tuple<const char*, Run, Bandwidth> paths[] = {
+      {"inria_umd", scenario::run_inria_umd, scenario::kInriaUmdBottleneck},
+      {"umd_pitt", scenario::run_umd_pitt, scenario::kUmdPittBottleneck},
+      {"inria_europe", scenario::run_inria_europe,
+       scenario::kInriaEuropeBottleneck},
+  };
+  using Discipline = void (*)(scenario::ScenarioOverrides&, Bandwidth);
+  const std::pair<const char*, Discipline> disciplines[] = {
+      {"drop-tail", [](scenario::ScenarioOverrides&, Bandwidth) {}},
+      {"red",
+       [](scenario::ScenarioOverrides& o, Bandwidth) {
+         RedConfig red;
+         red.min_threshold = 2.0;
+         red.max_threshold = 10.0;
+         red.max_probability = Probability::checked(0.2);
+         red.weight = 0.05;
+         o.bottleneck_red = red;
+       }},
+      {"gilbert-elliott",
+       [](scenario::ScenarioOverrides& o, Bandwidth) {
+         o.bottleneck_channel = MarkovChannelConfig::gilbert_elliott(
+             Probability::checked(0.02), Probability::checked(0.3));
+       }},
+      {"schedule",
+       [](scenario::ScenarioOverrides& o, Bandwidth rate) {
+         o.bottleneck_schedule = schedule_near(rate);
+       }},
+  };
   scenario::ProbePlan plan;
   plan.delta = Duration::millis(20);
   plan.duration = Duration::seconds(3);
   plan.seed = 1993;
-  const scenario::ScenarioResult sequential = scenario::run_inria_umd(plan);
-  scenario::ScenarioOverrides overrides;
-  overrides.domains = 4;
-  const scenario::ScenarioResult sharded =
-      scenario::run_inria_umd(plan, overrides);
-  EXPECT_EQ(sharded.domains_used, 4u);
-  EXPECT_EQ(sequential.domains_used, 1u);
-
-  ASSERT_EQ(sharded.trace.records.size(), sequential.trace.records.size());
-  for (std::size_t i = 0; i < sequential.trace.records.size(); ++i) {
-    const auto& a = sequential.trace.records[i];
-    const auto& b = sharded.trace.records[i];
-    EXPECT_EQ(a.send_time, b.send_time) << "probe " << i;
-    EXPECT_EQ(a.rtt, b.rtt) << "probe " << i;
-    EXPECT_EQ(a.received, b.received) << "probe " << i;
+  for (const auto& [path, run, rate] : paths) {
+    for (const auto& [discipline, configure] : disciplines) {
+      const std::string label = std::string(path) + " " + discipline;
+      scenario::ScenarioOverrides overrides;
+      configure(overrides, rate);
+      const scenario::ScenarioResult sequential = run(plan, overrides);
+      ASSERT_EQ(sequential.domains_used, 1u) << label;
+      ASSERT_GT(sequential.trace.received_count(), 0u) << label;
+      for (const std::size_t domains : {2u, 4u}) {
+        SCOPED_TRACE(label + ", " + std::to_string(domains) + " domains");
+        overrides.domains = domains;
+        const scenario::ScenarioResult sharded = run(plan, overrides);
+        EXPECT_EQ(sharded.domains_used, domains);
+        if (label == "inria_umd red") {
+          // Known divergence, pinned so a kernel fix flips it.  Probes
+          // leave the 128 kb/s bottleneck compressed 4.5 ms apart, so each
+          // echo reaches Ithaca the nanosecond the previous echo's
+          // reverse-direction service ends.  The sequential kernel orders
+          // those two events by seq; ParallelSimulation dispatches the
+          // cross-domain arrival first (domain.cpp); and RED, unlike
+          // drop-tail, reads the queue length at that instant.  The
+          // sharded run itself stays deterministic.
+          EXPECT_NE(sharded.events, sequential.events);
+          EXPECT_EQ(run(plan, overrides).events, sharded.events);
+          continue;
+        }
+        expect_same_run(sharded, sequential);
+      }
+    }
   }
-  EXPECT_EQ(sharded.bottleneck_forward.delivered,
-            sequential.bottleneck_forward.delivered);
-  EXPECT_EQ(sharded.bottleneck_forward.overflow_drops,
-            sequential.bottleneck_forward.overflow_drops);
-  EXPECT_EQ(sharded.total_overflow_drops, sequential.total_overflow_drops);
-  EXPECT_EQ(sharded.total_random_drops, sequential.total_random_drops);
-  EXPECT_EQ(sharded.hop_deliveries, sequential.hop_deliveries);
-  EXPECT_EQ(sharded.events, sequential.events);
 }
 
 TEST(PdesScenarioTest, DomainsClampAndFallback) {

@@ -1,15 +1,34 @@
 #!/usr/bin/env python3
 """Static lint: determinism hazards plus dimensional-unit discipline.
 
-Supersedes tools/lint_determinism.py in CI: this lint imports that
-module's rules and runs them unchanged, then adds the unit-discipline
-rules introduced together with src/util/units.h.  The goal is that the
-strong-typed boundary cannot erode one signature at a time — new code in
-the unit-typed layers must traffic in Bandwidth / ByteSize / BitSize /
-Rate / Probability, not in raw scalars with a suffix naming the unit.
+The repo's core contract is that a simulation is a pure function of its
+seed (audit_fuzz_test's same-seed digest check).  That property is easy
+to lose one innocent line at a time, and so is the strong-typed boundary
+of src/util/units.h; this lint fails CI the moment either erodes.
 
-Unit rules (on top of lint_determinism's)
------------------------------------------
+Determinism rules
+-----------------
+  libc-rand            `rand(` / `srand(` — unseeded global PRNG; use
+                       bolot::util::Rng (per-stream, splittable).
+  wall-clock-seed      `time(nullptr)` / `time(NULL)` / `::time(0)` —
+                       wall-clock seeding destroys replayability.
+  random-device        `std::random_device` — hardware entropy in the
+                       sim means no two runs agree.
+  unordered-iteration  a `std::unordered_map`/`set` in src/sim or
+                       src/analysis — iteration order is
+                       implementation-defined, so keep the containers
+                       out of those directories entirely.
+  pointer-ordering     ordered containers keyed on raw pointer value —
+                       allocation addresses differ run to run.
+  build-timestamp      `__DATE__` / `__TIME__` / `__TIMESTAMP__` —
+                       bakes the build time into outputs.
+
+Unit rules
+----------
+New code in the unit-typed layers must traffic in Bandwidth / ByteSize /
+BitSize / Rate / Probability, not in raw scalars with a suffix naming
+the unit.
+
   raw-unit-param       a function signature in src/sim or src/scenario
                        declares `double <name>_bps` or an integer
                        `<name>_bytes` parameter.  Pass Bandwidth /
@@ -57,9 +76,9 @@ narrowing-unit-cast and unchecked-probability rules are textual in both
 modes (a cast's value category is visible in the token stream; the AST
 adds nothing for them).
 
-Allowlist: tools/lint_static_allow.txt, same `<path> <rule>` format as
-the determinism allowlist (which this lint also honours for the imported
-determinism rules).  Stale entries fail the lint.
+Allowlist: tools/lint_static_allow.txt, `<path> <rule>` lines, each with
+a trailing comment justifying it.  The lint fails on new findings only;
+allowlisted ones are reported as "allowed", and stale entries fail it.
 
 Usage:  python3 tools/lint_static.py [--root DIR] [--self-test]
 Exit 0 when clean, 1 on findings, 2 on usage errors.
@@ -71,8 +90,60 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import lint_determinism  # noqa: E402  (sibling module, reused wholesale)
+# (rule, regex, dirs-restriction-or-None, advice)
+DETERMINISM_RULES = [
+    ("libc-rand", re.compile(r"(?<![\w:])s?rand\s*\("), None,
+     "use bolot::util::Rng with a derived stream seed"),
+    ("wall-clock-seed",
+     re.compile(r"(?<![\w:])time\s*\(\s*(?:nullptr|NULL|0)\s*\)"), None,
+     "seeds must come from the scenario config, never the wall clock"),
+    ("random-device", re.compile(r"std::random_device"), None,
+     "hardware entropy is not replayable; derive seeds with "
+     "derive_stream_seed()"),
+    ("unordered-iteration",
+     re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b"),
+     ("src/sim", "src/analysis"),
+     "iteration order is implementation-defined; use std::map, a "
+     "sorted vector, or index by dense id"),
+    ("pointer-ordering",
+     re.compile(
+         r"std::(?:map|set)\s*<\s*(?:const\s+)?\w+(?:::\w+)*\s*\*\s*[,>]"),
+     None, "pointer keys order by allocation address; key on a stable id"),
+    ("build-timestamp", re.compile(r"__(?:DATE|TIME|TIMESTAMP)__"), None,
+     "build timestamps make otherwise identical runs differ"),
+]
+
+SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
+
+
+def load_allowlist(path: Path) -> set[tuple[str, str]]:
+    allowed: set[tuple[str, str]] = set()
+    if not path.exists():
+        return allowed
+    for raw in path.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            print(f"lint_static: malformed allowlist line: {raw!r}",
+                  file=sys.stderr)
+            sys.exit(2)
+        allowed.add((parts[0], parts[1]))
+    return allowed
+
+
+def in_restricted_dirs(rel: str, dirs: tuple[str, ...] | None) -> bool:
+    if dirs is None:
+        return True
+    return any(rel.startswith(d + "/") for d in dirs)
+
+
+def strip_comments(line: str) -> str:
+    """Drop // comments so documentation may name the hazards."""
+    # Good enough for this tree: no multi-line /* */ spans hazard text.
+    cut = line.find("//")
+    return line if cut < 0 else line[:cut]
 
 # Directories where the strong-typed units layer is mandatory.
 UNIT_DIRS = ("src/sim", "src/scenario")
@@ -87,7 +158,7 @@ def in_unit_scope(rel: str, dirs: tuple[str, ...] | None) -> bool:
     """UNIT_DIRS membership, extended by the UNIT_FILES enrollment."""
     if dirs is None:
         return True
-    return lint_determinism.in_restricted_dirs(rel, dirs) or rel in UNIT_FILES
+    return in_restricted_dirs(rel, dirs) or rel in UNIT_FILES
 
 INT_TYPES = r"(?:(?:std::)?u?int(?:8|16|32|64)?_t|int|long|(?:std::)?size_t|unsigned)"
 
@@ -151,9 +222,9 @@ def scan_lines(rel: str, lines: list[str],
     findings: list[tuple[str, int, str, str]] = []
     is_header = rel.endswith((".h", ".hpp"))
     for lineno, line in enumerate(lines, start=1):
-        code = lint_determinism.strip_comments(line)
-        for rule, pattern, dirs, advice in lint_determinism.RULES:
-            if not lint_determinism.in_restricted_dirs(rel, dirs):
+        code = strip_comments(line)
+        for rule, pattern, dirs, advice in DETERMINISM_RULES:
+            if not in_restricted_dirs(rel, dirs):
                 continue
             if pattern.search(code):
                 findings.append((rule, lineno, line.strip(), advice))
@@ -267,10 +338,34 @@ SELF_TEST_CASES = [
      "src/sim/synthetic.cpp",
      "channel.drop = Probability::checked(0.5);",
      set()),
-    ("determinism rules still run (rand ban inherited)",
+    ("libc rand is rejected",
      "src/sim/synthetic.cpp",
      "int jitter = rand() % 7;",
      {"libc-rand"}),
+    ("wall-clock seeding is rejected",
+     "src/runner/synthetic.cpp",
+     "Rng rng(time(nullptr));",
+     {"wall-clock-seed"}),
+    ("hardware entropy is rejected",
+     "src/scenario/synthetic.cpp",
+     "std::random_device entropy;",
+     {"random-device"}),
+    ("unordered container in analysis is rejected",
+     "src/analysis/synthetic.cpp",
+     "std::unordered_map<int, double> by_flow;",
+     {"unordered-iteration"}),
+    ("same container outside sim/analysis is out of scope",
+     "src/scenario/synthetic.cpp",
+     "std::unordered_map<int, double> by_flow;",
+     set()),
+    ("pointer-keyed ordering is rejected",
+     "src/sim/synthetic.cpp",
+     "std::map<const Link*, int> order;",
+     {"pointer-ordering"}),
+    ("build timestamp is rejected",
+     "src/obs/synthetic.cpp",
+     "const char* built = __DATE__;",
+     {"build-timestamp"}),
 ]
 
 
@@ -311,10 +406,7 @@ def main() -> int:
         print(f"lint_static: no src/ under {root}", file=sys.stderr)
         return 2
 
-    allowed = lint_determinism.load_allowlist(
-        root / "tools" / "lint_static_allow.txt")
-    allowed |= lint_determinism.load_allowlist(
-        root / "tools" / "lint_determinism_allow.txt")
+    allowed = load_allowlist(root / "tools" / "lint_static_allow.txt")
     used_allow: set[tuple[str, str]] = set()
     findings: list[str] = []
     allowed_hits: list[str] = []
@@ -327,7 +419,7 @@ def main() -> int:
     textual_skip = {"raw-unit-param", "raw-unit-member"} if index else set()
 
     for path in sorted(src.rglob("*")):
-        if (path.suffix not in lint_determinism.SOURCE_SUFFIXES
+        if (path.suffix not in SOURCE_SUFFIXES
                 or not path.is_file()):
             continue
         rel = path.relative_to(root).as_posix()
