@@ -11,7 +11,7 @@
 //                    packet-pair capacity), link classes, events.  The
 //                    exit code enforces the acceptance gates: loss
 //                    inference within 10% of ground truth on every row
-//                    and a bit-exact streaming-vs-batch audit.
+//                    and a zero push audit (TomographyResult::audit_*).
 //   stream_n{N}      synthetic throughput kernel: N concurrent streaming
 //                    estimator banks (loss + Lindley + phase + autocorr)
 //                    fed round-robin — the push pattern of N live
@@ -95,7 +95,9 @@ std::vector<runner::Metric> mesh_metrics(
   return metrics;
 }
 
-/// One stream's online estimator bank, as the mesh instantiates it.
+/// All four streaming estimators on one stream: a superset of the mesh's
+/// own bank (which keeps only the loss state, the Lindley inversion and an
+/// rtt summary), so the kernel measures the full per-push cost.
 struct StreamBank {
   StreamBank(const analysis::StreamingLindleyConfig& lindley_config,
              const analysis::StreamingPhaseFitConfig& phase_config,

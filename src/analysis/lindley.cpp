@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
+#include <utility>
+
+#include "analysis/streaming.h"
 
 namespace bolot::analysis {
 
@@ -40,84 +42,29 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
   if (options.bottleneck_bps <= 0.0) {
     throw std::invalid_argument("analyze_workload: mu must be positive");
   }
+  // Pre-pass: validates the order, rejects a pairless trace, and sizes
+  // the auto edge, which a one-pass core cannot do.
   const std::vector<double> samples = workload_samples_ms(trace);
   if (samples.empty()) {
     throw std::invalid_argument("analyze_workload: no consecutive pairs");
   }
-  const double delta_ms = trace.delta.millis();
-  double max_ms = options.max_ms;
-  if (max_ms <= 0.0) {
-    max_ms = 0.0;
-    for (double g : samples) max_ms = std::max(max_ms, g);
-    max_ms = std::max(max_ms * 1.05, delta_ms * 2.0);
+  WorkloadOptions sized = options;
+  if (sized.max_ms <= 0.0) {
+    double max_g = 0.0;
+    for (double g : samples) max_g = std::max(max_g, g);
+    sized.max_ms = std::max(max_g * 1.05, trace.delta.millis() * 2.0);
   }
-  const auto bins = static_cast<std::size_t>(
-      std::max(8.0, std::ceil(max_ms / options.bin_ms)));
-
-  const double mu = options.bottleneck_bps;       // bit/s
-  const double mu_bits_per_ms = mu * 1e-3;
-  const double probe_bits = static_cast<double>(trace.probe_wire_bytes * 8);
-  const double ref_bits =
-      static_cast<double>(options.reference_packet_bytes * 8);
-
-  WorkloadAnalysis result{Histogram(0.0, max_ms, bins), {}, 0.0, 0.0};
-  result.histogram.add_all(samples);
-
-  for (const HistogramPeak& peak :
-       result.histogram.find_peaks(options.min_peak_mass, 2)) {
-    WorkloadPeak wp;
-    wp.position_ms = peak.center;
-    wp.mass = peak.mass;
-    wp.workload_bits =
-        std::max(0.0, mu_bits_per_ms * peak.center - probe_bits);
-    // Label peaks that are neither the compression peak (near P/mu) nor the
-    // idle peak (near delta) as k reference packets.
-    const double service_ms = probe_bits / mu_bits_per_ms;  // P/mu in ms
-    // A peak can only be the compression or idle peak if its *bin* covers
-    // P/mu or delta, i.e. the center lies within half a bin of it; a full
-    // bin's tolerance would swallow the adjacent-bin peaks too.
-    const double half_bin = 0.5 * result.histogram.bin_width();
-    const bool is_compression = std::abs(peak.center - service_ms) <= half_bin;
-    const bool is_idle = std::abs(peak.center - delta_ms) <= half_bin;
-    if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
-      wp.cross_packets = wp.workload_bits / ref_bits;
-    }
-    result.peaks.push_back(wp);
-  }
-
-  // Mean workload over samples where the busy-period assumption holds
-  // (g_n > P/mu, i.e. implied b_n > 0).
-  double sum_bits = 0.0;
-  std::size_t busy = 0;
-  for (double g : samples) {
-    const double b = mu_bits_per_ms * g - probe_bits;
-    if (b > 0.0) {
-      sum_bits += b;
-      ++busy;
+  StreamingLindley core(trace.delta, ByteSize::bytes(trace.probe_wire_bytes),
+                        sized);
+  for (const ProbeRecord& record : trace.records) {
+    if (record.received) {
+      core.push_received(record.rtt);
+    } else {
+      core.push_lost();
     }
   }
-  result.mean_workload_bits = busy > 0 ? sum_bits / static_cast<double>(busy) : 0.0;
-  result.busy_sample_fraction =
-      static_cast<double>(busy) / static_cast<double>(samples.size());
-  return result;
+  return core.analysis();
 }
-
-namespace {
-
-/// Exact-value frequency map for quantized data: g values are discrete
-/// (multiples of the source clock tick offset from delta), so count them
-/// at microsecond resolution instead of smearing them into wide bins.
-std::map<std::int64_t, std::size_t> discrete_counts(
-    const std::vector<double>& samples, double lo_ms, double hi_ms) {
-  std::map<std::int64_t, std::size_t> counts;
-  for (double g : samples) {
-    if (g <= lo_ms || g >= hi_ms) continue;
-    ++counts[static_cast<std::int64_t>(std::llround(g * 1e3))];  // us
-  }
-  return counts;
-}
-
-}  // namespace
 
 BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
                                        const BottleneckOptions& options) {
@@ -139,27 +86,24 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
     // two queued probes) repeat exactly, while contaminated samples
     // scatter to other ticks.  Find the adjacent tick pair with maximal
     // combined count and average just those samples — this stays robust
-    // as delta grows and interleaving becomes common.
-    const auto counts = discrete_counts(samples, 0.0, search_hi);
-    if (counts.empty()) {
+    // as delta grows and interleaving becomes common.  The values are
+    // discrete, so they are counted at microsecond resolution, not binned.
+    std::vector<std::int64_t> keys;
+    for (double g : samples) {
+      if (g > 0.0 && g < search_hi) {
+        keys.push_back(static_cast<std::int64_t>(std::llround(g * 1e3)));
+      }
+    }
+    if (keys.empty()) {
       throw std::runtime_error(
           "estimate_bottleneck: no compression cluster (delta too large or "
           "path uncongested)");
     }
     const auto tick_us = static_cast<std::int64_t>(std::llround(tick_ms * 1e3));
-    std::int64_t best_value = 0;
-    std::size_t best_count = 0;
-    for (const auto& [value_us, count] : counts) {
-      std::size_t pair = count;
-      const auto next = counts.find(value_us + tick_us);
-      if (next != counts.end()) pair += next->second;
-      if (pair > best_count) {
-        best_count = pair;
-        best_value = value_us;
-      }
-    }
-    lower = static_cast<double>(best_value) * 1e-3 - 1e-3;
-    upper = static_cast<double>(best_value + tick_us) * 1e-3 + 1e-3;
+    const detail::TickPair best = detail::heaviest_adjacent_ticks(
+        detail::sorted_key_counts(std::move(keys)), tick_us);
+    lower = static_cast<double>(best.key) * 1e-3 - 1e-3;
+    upper = static_cast<double>(best.key + tick_us) * 1e-3 + 1e-3;
   } else {
     // Exact clocks: pure-compression samples coincide at P/mu, so a fine
     // histogram's modal bin nails the cluster.

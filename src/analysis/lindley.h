@@ -63,7 +63,9 @@ struct WorkloadOptions {
   std::int64_t reference_packet_bytes = 512;
 };
 
-/// Builds the Fig.-8/9 distribution and decodes its peaks.
+/// Builds the Fig.-8/9 distribution and decodes its peaks: a fold over
+/// StreamingLindley (analysis/streaming.h), after a pre-pass that sizes
+/// the histogram edge when options.max_ms is 0.
 WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
                                   const WorkloadOptions& options = {});
 

@@ -1,62 +1,33 @@
 #include "analysis/loss.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+
+#include "analysis/streaming.h"
 
 namespace bolot::analysis {
 
+namespace {
+
+/// Share of the losses in `s` that lie in a burst of length <= k.
+double recoverable_share(const LossStats& s, std::size_t k) {
+  if (s.losses == 0) return 1.0;
+  const std::size_t longest = std::min(k, s.burst_length_counts.size());
+  std::size_t recoverable = 0;
+  for (std::size_t len = 1; len <= longest; ++len) {
+    recoverable += s.burst_length_counts[len - 1] * len;
+  }
+  return static_cast<double>(recoverable) / static_cast<double>(s.losses);
+}
+
+}  // namespace
+
 LossStats loss_stats(std::span<const std::uint8_t> losses) {
   if (losses.empty()) throw std::invalid_argument("loss_stats: empty input");
-  LossStats s;
-  s.probes = losses.size();
-
-  std::size_t lost_pairs_num = 0;  // pairs (lost, lost)
-  std::size_t lost_pairs_den = 0;  // pairs (lost, *)
-  std::size_t run = 0;
-  for (std::size_t n = 0; n < losses.size(); ++n) {
-    const bool lost = losses[n] != 0;
-    if (lost) {
-      ++s.losses;
-      ++run;
-    }
-    if (n + 1 < losses.size() && lost) {
-      ++lost_pairs_den;
-      if (losses[n + 1] != 0) ++lost_pairs_num;
-    }
-    if (!lost && run > 0) {
-      // run of length `run` just ended at n-1
-      if (run > s.burst_length_counts.size()) {
-        s.burst_length_counts.resize(run, 0);
-      }
-      ++s.burst_length_counts[run - 1];
-      run = 0;
-    } else if (lost && n + 1 == losses.size()) {
-      if (run > s.burst_length_counts.size()) {
-        s.burst_length_counts.resize(run, 0);
-      }
-      ++s.burst_length_counts[run - 1];
-    }
-  }
-
-  s.ulp = static_cast<double>(s.losses) / static_cast<double>(s.probes);
-  s.clp = lost_pairs_den > 0 ? static_cast<double>(lost_pairs_num) /
-                                   static_cast<double>(lost_pairs_den)
-                             : 0.0;
-  s.plg_from_clp = s.clp < 1.0
-                     ? 1.0 / (1.0 - s.clp)
-                     : std::numeric_limits<double>::infinity();
-
-  std::size_t burst_count = 0;
-  std::size_t burst_total = 0;
-  for (std::size_t k = 0; k < s.burst_length_counts.size(); ++k) {
-    burst_count += s.burst_length_counts[k];
-    burst_total += s.burst_length_counts[k] * (k + 1);
-  }
-  s.mean_burst_length = burst_count > 0 ? static_cast<double>(burst_total) /
-                                              static_cast<double>(burst_count)
-                                        : 0.0;
-  return s;
+  StreamingLossState state;
+  for (const std::uint8_t v : losses) state.push_lost(v != 0);
+  return state.stats();
 }
 
 LossStats loss_stats(const ProbeTrace& trace) {
@@ -81,36 +52,9 @@ GilbertFit fit_gilbert(std::span<const std::uint8_t> losses) {
   if (losses.size() < 2) {
     throw std::invalid_argument("fit_gilbert: need at least two samples");
   }
-  std::size_t ok_to_lost = 0, ok_pairs = 0;
-  std::size_t lost_to_ok = 0, lost_pairs = 0;
-  for (std::size_t n = 0; n + 1 < losses.size(); ++n) {
-    if (losses[n] == 0) {
-      ++ok_pairs;
-      if (losses[n + 1] != 0) ++ok_to_lost;
-    } else {
-      ++lost_pairs;
-      if (losses[n + 1] == 0) ++lost_to_ok;
-    }
-  }
-  GilbertFit fit;
-  if (ok_pairs == 0) {
-    // All-lost: q was never observed.  Clamp so stationary_loss() reports
-    // the empirical rate 1.0 instead of the old degenerate 0.0.
-    fit.p = 1.0;
-    fit.q = 0.0;
-    fit.degenerate = true;
-    return fit;
-  }
-  if (lost_pairs == 0) {
-    // All-ok (as far as transitions go): p is measured, q never observed.
-    fit.p = static_cast<double>(ok_to_lost) / static_cast<double>(ok_pairs);
-    fit.q = 1.0;
-    fit.degenerate = true;
-    return fit;
-  }
-  fit.p = static_cast<double>(ok_to_lost) / static_cast<double>(ok_pairs);
-  fit.q = static_cast<double>(lost_to_ok) / static_cast<double>(lost_pairs);
-  return fit;
+  StreamingLossState state;
+  for (const std::uint8_t v : losses) state.push_lost(v != 0);
+  return state.gilbert();
 }
 
 std::vector<std::uint8_t> generate_gilbert(const GilbertFit& fit,
@@ -152,15 +96,7 @@ double loss_runs_test_z(std::span<const std::uint8_t> losses) {
 
 double fec_recoverable_fraction(std::span<const std::uint8_t> losses,
                                 std::size_t k) {
-  const LossStats s = loss_stats(losses);
-  if (s.losses == 0) return 1.0;
-  std::size_t recoverable = 0;
-  for (std::size_t len = 1; len <= s.burst_length_counts.size(); ++len) {
-    if (len <= k) {
-      recoverable += s.burst_length_counts[len - 1] * len;
-    }
-  }
-  return static_cast<double>(recoverable) / static_cast<double>(s.losses);
+  return recoverable_share(loss_stats(losses), k);
 }
 
 FecPlan design_fec(std::span<const std::uint8_t> losses,
@@ -171,8 +107,7 @@ FecPlan design_fec(std::span<const std::uint8_t> losses,
   const LossStats stats = loss_stats(losses);
   FecPlan plan;
   for (std::size_t k = 0; k <= max_k; ++k) {
-    const double recoverable =
-        k == 0 ? 0.0 : fec_recoverable_fraction(losses, k);
+    const double recoverable = k == 0 ? 0.0 : recoverable_share(stats, k);
     plan.k = k;
     plan.residual_loss = stats.ulp * (1.0 - recoverable);
     if (plan.residual_loss <= target_residual_loss) {

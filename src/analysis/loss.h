@@ -52,7 +52,9 @@ struct LossStats {
 };
 
 /// Computes the loss statistics from a 0/1 loss indicator sequence
-/// (1 = lost).  Throws on an empty sequence.
+/// (1 = lost), as a fold over StreamingLossState (analysis/streaming.h).
+/// The trace overload decides loss by ProbeRecord::received.  Throws on
+/// an empty sequence.
 LossStats loss_stats(std::span<const std::uint8_t> losses);
 LossStats loss_stats(const ProbeTrace& trace);
 
@@ -81,6 +83,7 @@ struct GilbertFit {
   double conditional_loss() const { return 1.0 - q; }
 };
 
+/// A fold over StreamingLossState; throws below two samples.
 GilbertFit fit_gilbert(std::span<const std::uint8_t> losses);
 
 /// Simulates a loss indicator sequence from a Gilbert model (for FEC

@@ -1,12 +1,13 @@
 #include "analysis/phase_plot.h"
 
 #include <algorithm>
-#include <map>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/histogram.h"
+#include "analysis/streaming.h"
 
 namespace bolot::analysis {
 
@@ -54,26 +55,17 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
       // values, so find the heaviest adjacent pair and average its
       // samples — the centroid over both quantization images is
       // unbiased.
-      std::map<std::int64_t, std::size_t> counts;
+      std::vector<std::int64_t> keys;
+      keys.reserve(candidates.size());
       for (double d : candidates) {
-        ++counts[static_cast<std::int64_t>(std::llround(d * 1e3))];
+        keys.push_back(static_cast<std::int64_t>(std::llround(d * 1e3)));
       }
-      const auto tick_us =
-          static_cast<std::int64_t>(std::llround(tick_ms * 1e3));
-      std::int64_t best_value = 0;
-      std::size_t best_count = 0;
-      for (const auto& [value_us, count] : counts) {
-        std::size_t pair = count;
-        const auto next = counts.find(value_us + tick_us);
-        if (next != counts.end()) pair += next->second;
-        if (pair > best_count) {
-          best_count = pair;
-          best_value = value_us;
-        }
-      }
-      if (static_cast<double>(best_count) >=
+      const detail::TickPair best = detail::heaviest_adjacent_ticks(
+          detail::sorted_key_counts(std::move(keys)),
+          static_cast<std::int64_t>(std::llround(tick_ms * 1e3)));
+      if (static_cast<double>(best.count) >=
           options.min_cluster_mass * static_cast<double>(plot.size())) {
-        const double lo = static_cast<double>(best_value) * 1e-3 - 1e-3;
+        const double lo = static_cast<double>(best.key) * 1e-3 - 1e-3;
         const double hi = lo + tick_ms + 2e-3;
         double sum = 0.0;
         std::size_t count = 0;

@@ -6,30 +6,41 @@
 
 namespace bolot::analysis {
 
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  // Welford's online algorithm: numerically stable single pass.
-  double mean = 0.0;
-  double m2 = 0.0;
-  double lo = xs[0];
-  double hi = xs[0];
-  std::size_t n = 0;
-  for (double x : xs) {
-    ++n;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (x - mean);
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
+void StreamingSummary::push(double x) {
+  if (count_ == 0) {
+    min_ = x;
+    max_ = x;
+  } else {
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
   }
-  s.mean = mean;
-  s.variance = n > 1 ? m2 / static_cast<double>(n - 1) : 0.0;
+  // Welford's online algorithm: numerically stable single pass.
+  ++count_;
+  const double delta = x - mean_;
+  mean_ += delta / static_cast<double>(count_);
+  m2_ += delta * (x - mean_);
+}
+
+double StreamingSummary::variance() const {
+  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
+}
+
+Summary StreamingSummary::summary() const {
+  Summary s;
+  s.count = count_;
+  if (count_ == 0) return s;
+  s.mean = mean_;
+  s.variance = variance();
   s.stddev = std::sqrt(s.variance);
-  s.min = lo;
-  s.max = hi;
+  s.min = min_;
+  s.max = max_;
   return s;
+}
+
+Summary summarize(std::span<const double> xs) {
+  StreamingSummary summary;
+  for (double x : xs) summary.push(x);
+  return summary.summary();
 }
 
 double quantile(std::span<const double> xs, double q) {

@@ -16,6 +16,28 @@ struct Summary {
   double max = 0.0;
 };
 
+/// Welford's online mean / variance plus min / max: the one summary
+/// recurrence in the library.  summarize() is a fold over it, and the
+/// streaming consumers (StreamingAutocorr, the tomography mesh) push one
+/// value at a time; summary() over the pushed values equals summarize()
+/// over the same values in the same order, bit for bit.
+class StreamingSummary {
+ public:
+  void push(double x);
+
+  std::size_t count() const { return count_; }
+  double mean() const { return mean_; }
+  double variance() const;  // unbiased (n-1) when count > 1, else 0
+  Summary summary() const;
+
+ private:
+  std::size_t count_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
 /// Summary of a sample; returns a zeroed struct for an empty input.
 Summary summarize(std::span<const double> xs);
 

@@ -32,10 +32,6 @@ KeyStatMap::Entry* KeyStatMap::slot_for(std::int64_t key) {
   return &slots_[idx];
 }
 
-const KeyStatMap::Entry* KeyStatMap::slot_for(std::int64_t key) const {
-  return const_cast<KeyStatMap*>(this)->slot_for(key);
-}
-
 void KeyStatMap::add(std::int64_t key, double value) {
   Entry* e = slot_for(key);
   if (e->count == 0) {
@@ -51,10 +47,6 @@ void KeyStatMap::add(std::int64_t key, double value) {
   e->sum += value;
 }
 
-std::uint64_t KeyStatMap::count_at(std::int64_t key) const {
-  return slot_for(key)->count;
-}
-
 void KeyStatMap::sorted_entries(std::vector<Entry>& out) const {
   out.clear();
   for (const Entry& e : slots_) {
@@ -62,6 +54,32 @@ void KeyStatMap::sorted_entries(std::vector<Entry>& out) const {
   }
   std::sort(out.begin(), out.end(),
             [](const Entry& a, const Entry& b) { return a.key < b.key; });
+}
+
+std::vector<KeyStatMap::Entry> sorted_key_counts(
+    std::vector<std::int64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  std::vector<KeyStatMap::Entry> out;
+  for (const std::int64_t key : keys) {
+    if (out.empty() || out.back().key != key) out.push_back({key, 0, 0.0});
+    ++out.back().count;
+  }
+  return out;
+}
+
+TickPair heaviest_adjacent_ticks(std::span<const KeyStatMap::Entry> sorted,
+                                 std::int64_t tick) {
+  TickPair best;
+  std::size_t next = 0;  // first entry with key >= e.key + tick
+  for (const KeyStatMap::Entry& e : sorted) {
+    while (next < sorted.size() && sorted[next].key < e.key + tick) ++next;
+    std::uint64_t pair = e.count;
+    if (next < sorted.size() && sorted[next].key == e.key + tick) {
+      pair += sorted[next].count;
+    }
+    if (pair > best.count) best = {e.key, pair};
+  }
+  return best;
 }
 
 }  // namespace detail
@@ -76,11 +94,8 @@ StreamingLossState::StreamingLossState(std::size_t burst_capacity) {
 
 void StreamingLossState::push_lost(bool lost) {
   if (have_prev_) {
-    // The batch estimator counts a pair at n whenever sample n+1 exists,
-    // which is exactly "the previous sample now has a successor".
+    // A pair (n, n+1) counts once sample n has a successor.
     if (prev_lost_) {
-      ++lost_pairs_den_;
-      if (lost) ++lost_pairs_num_;
       ++lost_pairs_;
       if (!lost) ++lost_to_ok_;
     } else {
@@ -116,17 +131,16 @@ LossStats StreamingLossState::stats() const {
   s.losses = losses_;
   s.burst_length_counts = closed_bursts_;
   if (run_ > 0) {
-    // The batch counts the trailing run at end-of-input; the snapshot
-    // closes the open run the same way.
+    // The snapshot closes the still-open trailing run.
     if (run_ > s.burst_length_counts.size()) {
       s.burst_length_counts.resize(run_, 0);
     }
     ++s.burst_length_counts[run_ - 1];
   }
   s.ulp = static_cast<double>(s.losses) / static_cast<double>(s.probes);
-  s.clp = lost_pairs_den_ > 0 ? static_cast<double>(lost_pairs_num_) /
-                                    static_cast<double>(lost_pairs_den_)
-                              : 0.0;
+  s.clp = lost_pairs_ > 0 ? static_cast<double>(lost_pairs_ - lost_to_ok_) /
+                                static_cast<double>(lost_pairs_)
+                          : 0.0;
   s.plg_from_clp = s.clp < 1.0 ? 1.0 / (1.0 - s.clp)
                                : std::numeric_limits<double>::infinity();
   std::size_t burst_count = 0;
@@ -149,12 +163,15 @@ GilbertFit StreamingLossState::gilbert() const {
   }
   GilbertFit fit;
   if (ok_pairs_ == 0) {
+    // All-lost: q was never observed.  Clamp so stationary_loss() reports
+    // the empirical rate 1.0 instead of a degenerate 0.0.
     fit.p = 1.0;
     fit.q = 0.0;
     fit.degenerate = true;
     return fit;
   }
   if (lost_pairs_ == 0) {
+    // All-ok (as far as transitions go): p is measured, q never observed.
     fit.p =
         static_cast<double>(ok_to_lost_) / static_cast<double>(ok_pairs_);
     fit.q = 1.0;
@@ -173,7 +190,9 @@ GilbertFit StreamingLossState::gilbert() const {
 
 namespace {
 
-std::size_t lindley_bins(const StreamingLindleyConfig& config) {
+/// The typed config in analyze_workload()'s terms; the checks are the
+/// one-pass estimator's own (the batch can auto-size the edge).
+WorkloadOptions workload_options(const StreamingLindleyConfig& config) {
   if (!(config.max > Duration::zero())) {
     throw std::invalid_argument(
         "StreamingLindley: config.max must be positive (one-pass "
@@ -183,39 +202,53 @@ std::size_t lindley_bins(const StreamingLindleyConfig& config) {
     throw std::invalid_argument("StreamingLindley: config.bin must be "
                                 "positive");
   }
-  return static_cast<std::size_t>(
-      std::max(8.0, std::ceil(config.max.millis() / config.bin.millis())));
+  WorkloadOptions options;
+  options.bottleneck_bps = config.bottleneck.bps();
+  options.bin_ms = config.bin.millis();
+  options.max_ms = config.max.millis();
+  options.min_peak_mass = config.min_peak_mass;
+  options.reference_packet_bytes = config.reference_packet.count();
+  return options;
 }
 
 }  // namespace
 
 StreamingLindley::StreamingLindley(const StreamingLindleyConfig& config)
-    : config_(config),
-      histogram_(0.0, config.max.millis(), lindley_bins(config)) {
-  if (config_.bottleneck.bps() <= 0.0) {
+    : StreamingLindley(config.delta, config.probe_wire,
+                       workload_options(config)) {}
+
+StreamingLindley::StreamingLindley(Duration delta, ByteSize probe_wire,
+                                   const WorkloadOptions& options)
+    : histogram_(0.0, options.max_ms,
+                 static_cast<std::size_t>(std::max(
+                     8.0, std::ceil(options.max_ms / options.bin_ms)))),
+      delta_ms_(delta.millis()),
+      mu_bits_per_ms_(options.bottleneck_bps * 1e-3),
+      probe_bits_(static_cast<double>(probe_wire.bit_count())),
+      reference_bits_(
+          static_cast<double>(options.reference_packet_bytes * 8)),
+      min_peak_mass_(options.min_peak_mass) {
+  if (options.bottleneck_bps <= 0.0) {
     throw std::invalid_argument("StreamingLindley: mu must be positive");
   }
-  mu_bits_per_ms_ = config_.bottleneck.bps() * 1e-3;
-  probe_bits_ = static_cast<double>(config_.probe_wire.bit_count());
 }
 
-void StreamingLindley::push(Duration rtt) {
-  const bool received = !(rtt == Duration::zero());
-  if (received) {
-    const double rtt_ms = rtt.millis();
-    if (have_prev_) {
-      const double g = rtt_ms - prev_rtt_ms_ + config_.delta.millis();
-      histogram_.add(g);
-      ++samples_;
-      const double b = mu_bits_per_ms_ * g - probe_bits_;
-      if (b > 0.0) {
-        busy_bits_sum_ += b;
-        ++busy_;
-      }
+void StreamingLindley::push_received(Duration rtt) {
+  const double rtt_ms = rtt.millis();
+  if (have_prev_) {
+    const double g = rtt_ms - prev_rtt_ms_ + delta_ms_;
+    histogram_.add(g);
+    ++samples_;
+    // Eq. (6): the busy-period workload b_n = mu * g_n - P, averaged over
+    // the samples where the busy-server assumption holds (b_n > 0).
+    const double b = mu_bits_per_ms_ * g - probe_bits_;
+    if (b > 0.0) {
+      busy_bits_sum_ += b;
+      ++busy_;
     }
-    prev_rtt_ms_ = rtt_ms;
   }
-  have_prev_ = received;
+  prev_rtt_ms_ = rtt_ms;
+  have_prev_ = true;
 }
 
 double StreamingLindley::mean_workload_bits() const {
@@ -234,23 +267,24 @@ WorkloadAnalysis StreamingLindley::analysis() const {
         "StreamingLindley::analysis: no consecutive pairs");
   }
   WorkloadAnalysis result{histogram_, {}, 0.0, 0.0};
-  const double delta_ms = config_.delta.millis();
-  const double ref_bits =
-      static_cast<double>(config_.reference_packet.bit_count());
+  const double service_ms = probe_bits_ / mu_bits_per_ms_;  // P/mu in ms
+  // A peak is the compression (P/mu) or idle (delta) peak only if its
+  // *bin* covers that value, i.e. the center lies within half a bin of
+  // it; a full bin's tolerance would swallow the adjacent-bin peaks too.
+  const double half_bin = 0.5 * result.histogram.bin_width();
   for (const HistogramPeak& peak :
-       result.histogram.find_peaks(config_.min_peak_mass, 2)) {
+       result.histogram.find_peaks(min_peak_mass_, 2)) {
     WorkloadPeak wp;
     wp.position_ms = peak.center;
     wp.mass = peak.mass;
     wp.workload_bits =
         std::max(0.0, mu_bits_per_ms_ * peak.center - probe_bits_);
-    const double service_ms = probe_bits_ / mu_bits_per_ms_;
-    const double half_bin = 0.5 * result.histogram.bin_width();
     const bool is_compression =
         std::abs(peak.center - service_ms) <= half_bin;
-    const bool is_idle = std::abs(peak.center - delta_ms) <= half_bin;
+    const bool is_idle = std::abs(peak.center - delta_ms_) <= half_bin;
+    // Every other peak is labeled as k reference packets.
     if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
-      wp.cross_packets = wp.workload_bits / ref_bits;
+      wp.cross_packets = wp.workload_bits / reference_bits_;
     }
     result.peaks.push_back(wp);
   }
@@ -368,21 +402,13 @@ void StreamingPhaseFit::push_pair(double prev_ms, double cur_ms) {
 
 std::optional<double> StreamingPhaseFit::quantized_intercept() const {
   cluster_map_->sorted_entries(scratch_);
-  const auto tick_us = static_cast<std::int64_t>(std::llround(tick_ms_ * 1e3));
-  std::int64_t best_value = 0;
-  std::uint64_t best_count = 0;
-  for (const auto& e : scratch_) {
-    std::uint64_t pair = e.count + cluster_map_->count_at(e.key + tick_us);
-    if (pair > best_count) {
-      best_count = pair;
-      best_value = e.key;
-    }
-  }
-  if (static_cast<double>(best_count) <
+  const detail::TickPair best = detail::heaviest_adjacent_ticks(
+      scratch_, static_cast<std::int64_t>(std::llround(tick_ms_ * 1e3)));
+  if (static_cast<double>(best.count) <
       options_.min_cluster_mass * static_cast<double>(pairs_)) {
     return std::nullopt;
   }
-  const double lo = static_cast<double>(best_value) * 1e-3 - 1e-3;
+  const double lo = static_cast<double>(best.key) * 1e-3 - 1e-3;
   const double hi = lo + tick_ms_ + 2e-3;
   double sum = 0.0;
   std::uint64_t count = 0;
@@ -494,20 +520,9 @@ StreamingAutocorr::StreamingAutocorr(std::size_t max_lag)
       cross_(max_lag + 1, 0.0) {}
 
 void StreamingAutocorr::push(double x) {
-  const std::size_t i = count_;
-  if (i == 0) {
-    offset_ = x;
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  // Welford in push order: bit-identical to summarize().
-  const double n = static_cast<double>(i + 1);
-  const double delta = x - mean_;
-  mean_ += delta / n;
-  m2_ += delta * (x - mean_);
+  const std::size_t i = summary_.count();
+  if (i == 0) offset_ = x;
+  summary_.push(x);
 
   const double z = x - offset_;
   const std::size_t cap = ring_.size();
@@ -518,40 +533,21 @@ void StreamingAutocorr::push(double x) {
   }
   if (i < max_lag_) head_[i] = z;
   shifted_sum_ += z;
-  ++count_;
-}
-
-double StreamingAutocorr::mean() const { return count_ > 0 ? mean_ : 0.0; }
-
-double StreamingAutocorr::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-Summary StreamingAutocorr::summary() const {
-  Summary s;
-  s.count = count_;
-  if (count_ == 0) return s;
-  s.mean = mean_;
-  s.variance = variance();
-  s.stddev = std::sqrt(s.variance);
-  s.min = min_;
-  s.max = max_;
-  return s;
 }
 
 std::vector<double> StreamingAutocorr::acf() const {
-  if (count_ == 0) {
+  const std::size_t n = summary_.count();
+  if (n == 0) {
     throw std::invalid_argument("StreamingAutocorr::acf: empty sample");
   }
-  const std::size_t n = count_;
   // The batch divides by variance * (n - 1) after the m2 / (n - 1)
   // round-trip; reproduce that exact arithmetic path.
-  const double denom = variance() * static_cast<double>(n - 1);
+  const double denom = summary_.variance() * static_cast<double>(n - 1);
   if (denom <= 0.0) {
     throw std::invalid_argument("StreamingAutocorr::acf: constant sample");
   }
   const std::size_t lags = std::min(max_lag_, n - 1);
-  const double mz = mean_ - offset_;
+  const double mz = summary_.mean() - offset_;
   const std::size_t cap = ring_.size();
   std::vector<double> acf(lags + 1, 0.0);
   double tail = 0.0;  // sum of the last `lag` shifted values

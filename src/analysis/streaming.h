@@ -1,46 +1,48 @@
 // One-pass, bounded-memory streaming forms of the core estimators.
 //
-// The batch routines in loss.h / lindley.h / phase_plot.h / stats.h take a
-// complete trace; fine for one path, impossible for an N x N tomography
-// mesh where 10^4+ probe streams must be analyzed online in one process.
-// Each class here is push(rtt)-driven, allocates nothing on the push path
-// after construction, and reproduces its batch counterpart on identical
-// inputs:
+// An N x N tomography mesh analyzes 10^4+ probe streams online in one
+// process, so every estimator here is push-driven and allocates nothing on
+// the push path after construction.  Two of them are the *only*
+// implementation of their recurrence: the batch entry points are folds
+// over them.
 //
-//   StreamingLossState  -- ulp / clp / plg and the Gilbert refit.  All
-//                          state is integer transition counters, so
-//                          stats() and gilbert() equal loss_stats() and
-//                          fit_gilbert() *exactly* (bit-for-bit).
-//   StreamingLindley    -- the eq. (6) workload inversion.  The g_n
-//                          histogram and the busy-sample accumulator are
-//                          updated in push order with the same arithmetic
-//                          as analyze_workload(), so analysis() is
-//                          bit-identical given the same (explicit)
-//                          histogram edge.
+//   StreamingLossState  -- ulp / clp / plg and the Gilbert refit.
+//                          loss_stats() and fit_gilbert() push every
+//                          indicator into one and return its snapshot.
+//   StreamingLindley    -- the eq. (6) workload inversion: g_n histogram,
+//                          busy-sample accumulator, peak labels.
+//                          analyze_workload() validates, resolves the
+//                          histogram edge (auto-sizing needs a pre-pass
+//                          over g_n that one-pass estimation cannot do)
+//                          and pushes every record into one.
 //   StreamingPhaseFit   -- the phase-plot mu / D regression.  Quantized
 //                          clocks (clock_tick > 0, an integer number of
-//                          microseconds) reproduce analyze_phase_plot()
-//                          exactly; exact clocks reproduce the estimates
-//                          (D-hat, intercept, mu-hat, diagonal fraction)
-//                          up to measure-zero bin-boundary ties, and
-//                          approximate compression_fraction to one
-//                          auxiliary bin of boundary mass (see
-//                          fractions_exact() and docs/ESTIMATORS.md).
-//   StreamingAutocorr   -- fixed-lag autocorrelation plus the Welford
-//                          summary.  mean/variance/min/max are
-//                          bit-identical to summarize(); acf() matches
-//                          autocorrelation() to ~1e-12 relative (the
-//                          centered products are expanded algebraically
-//                          around the first sample; MODEL_NOTES section 17
-//                          gives the cancellation argument).
+//                          microseconds) reproduce analyze_phase_plot() to
+//                          rounding (the centroids sum per descent key,
+//                          the batch in trace order); exact clocks
+//                          reproduce the estimates (D-hat, intercept,
+//                          mu-hat, diagonal fraction) up to measure-zero
+//                          bin-boundary ties, and approximate
+//                          compression_fraction to one auxiliary bin of
+//                          boundary mass (see fractions_exact()).
+//   StreamingAutocorr   -- fixed-lag autocorrelation over the shared
+//                          StreamingSummary (stats.h), the Welford
+//                          recurrence summarize() also folds over.  acf()
+//                          matches autocorrelation() to ~1e-12 relative
+//                          (the centered products are expanded
+//                          algebraically around the first sample;
+//                          MODEL_NOTES section 17 gives the cancellation
+//                          argument).
 //
-// The batch/streaming equivalence is property-tested on 10^6-sample random
-// streams in tests/analysis/streaming_test.cpp; the contract per estimator
-// is documented in docs/ESTIMATORS.md.
+// The phase fit and the acf keep their batch forms (analyze_phase_plot,
+// autocorrelation) as the references tests/analysis/streaming_test.cpp
+// compares against, because neither streaming form is bit-identical.  The
+// per-estimator contract is documented in docs/ESTIMATORS.md.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/histogram.h"
@@ -72,7 +74,6 @@ class KeyStatMap {
   explicit KeyStatMap(std::size_t capacity);
 
   void add(std::int64_t key, double value);
-  std::uint64_t count_at(std::int64_t key) const;  // 0 when absent
   std::size_t distinct() const { return occupied_; }
 
   /// Occupied entries sorted by key ascending, written into `out` (cleared
@@ -81,7 +82,6 @@ class KeyStatMap {
 
  private:
   Entry* slot_for(std::int64_t key);
-  const Entry* slot_for(std::int64_t key) const;
 
   std::vector<Entry> slots_;
   std::size_t mask_ = 0;
@@ -89,17 +89,35 @@ class KeyStatMap {
   std::size_t capacity_ = 0;
 };
 
+/// Run-length (key, count) entries of `keys`, ascending by key, sums left
+/// at zero: the batch estimators' counterpart of
+/// KeyStatMap::sorted_entries.
+std::vector<KeyStatMap::Entry> sorted_key_counts(
+    std::vector<std::int64_t> keys);
+
+/// The adjacent tick pair (key, key + tick) with the largest combined
+/// count over `sorted` (strictly increasing keys).  A quantized clock
+/// splits a point mass over exactly two adjacent ticks, so this is where
+/// estimate_bottleneck, analyze_phase_plot and StreamingPhaseFit look for
+/// their compression cluster.  Ties keep the first pair in key order;
+/// count == 0 when `sorted` is empty.
+struct TickPair {
+  std::int64_t key = 0;
+  std::uint64_t count = 0;
+};
+TickPair heaviest_adjacent_ticks(std::span<const KeyStatMap::Entry> sorted,
+                                 std::int64_t tick);
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
 // StreamingLossState
 // ---------------------------------------------------------------------------
 
-/// Streaming ulp / clp / plg (paper section 5).  push() one probe outcome
-/// at a time in sequence order; stats() snapshots the same LossStats that
-/// loss_stats() would compute over the pushed prefix, including the
-/// still-open trailing loss run.  All counters are integers, so the match
-/// with the batch estimator is exact, not approximate.
+/// Streaming ulp / clp / plg (paper section 5) and the Gilbert fit.  push()
+/// one probe outcome at a time in sequence order; stats() snapshots the
+/// LossStats of the pushed prefix, including the still-open trailing loss
+/// run.  loss_stats() and fit_gilbert() are folds over this class.
 class StreamingLossState {
  public:
   /// `burst_capacity` reserves the burst-length histogram; a loss run
@@ -117,26 +135,25 @@ class StreamingLossState {
   /// Cheap online accessor (an obs Sampler probe): losses / probes.
   double loss_fraction() const;
 
-  /// Equals loss_stats() over the pushed prefix.  Throws
-  /// std::invalid_argument when nothing was pushed (as the batch does on
-  /// an empty input).  Allocates the snapshot's burst vector; the push
-  /// path stays allocation-free.
+  /// The LossStats of the pushed prefix.  Throws std::invalid_argument
+  /// when nothing was pushed.  Allocates the snapshot's burst vector; the
+  /// push path stays allocation-free.
   LossStats stats() const;
 
-  /// Equals fit_gilbert() over the pushed prefix; throws
-  /// std::invalid_argument below two samples.
+  /// The Gilbert fit of the pushed prefix; throws std::invalid_argument
+  /// below two samples.
   GilbertFit gilbert() const;
 
  private:
   std::size_t probes_ = 0;
   std::size_t losses_ = 0;
-  std::size_t lost_pairs_num_ = 0;  // (lost, lost) pairs
-  std::size_t lost_pairs_den_ = 0;  // (lost, *) pairs
-  std::size_t ok_to_lost_ = 0;      // Gilbert transition counters
-  std::size_t ok_pairs_ = 0;
-  std::size_t lost_to_ok_ = 0;
-  std::size_t lost_pairs_ = 0;
-  std::size_t run_ = 0;             // open loss run length
+  // Transition counters over consecutive pairs; clp = 1 - q is
+  // (lost_pairs_ - lost_to_ok_) / lost_pairs_.
+  std::size_t ok_pairs_ = 0;    // (ok, *) pairs
+  std::size_t ok_to_lost_ = 0;  // (ok, lost) pairs
+  std::size_t lost_pairs_ = 0;  // (lost, *) pairs
+  std::size_t lost_to_ok_ = 0;  // (lost, ok) pairs
+  std::size_t run_ = 0;         // open loss run length
   bool have_prev_ = false;
   bool prev_lost_ = false;
   std::vector<std::size_t> closed_bursts_;  // index k = runs of length k+1
@@ -151,10 +168,9 @@ struct StreamingLindleyConfig {
   ByteSize probe_wire;                          // P at the bottleneck
   Bandwidth bottleneck = Bandwidth::kbps(128);  // mu used to invert eq. (6)
   Duration bin = Duration::millis(1);
-  /// Histogram upper edge.  The batch estimator can auto-size this from
-  /// max(g_n); a one-pass estimator cannot, so it is required here
-  /// (constructor throws when zero).  Equivalence with analyze_workload()
-  /// holds when the batch call is given the same explicit edge.
+  /// Histogram upper edge.  analyze_workload() can auto-size this from
+  /// max(g_n) with a pre-pass; a one-pass estimator cannot, so it is
+  /// required here (constructor throws when zero).
   Duration max;
   double min_peak_mass = 0.01;
   /// Reference cross-traffic packet for labeling peaks.
@@ -166,27 +182,45 @@ struct StreamingLindleyConfig {
 class StreamingLindley {
  public:
   explicit StreamingLindley(const StreamingLindleyConfig& config);
+  /// analyze_workload()'s parameterization.  `options.max_ms` is the
+  /// resolved histogram edge, used as given (a Duration round trip would
+  /// round an auto-sized edge to whole nanoseconds and move the bins);
+  /// Histogram throws unless it is positive.
+  StreamingLindley(Duration delta, ByteSize probe_wire,
+                   const WorkloadOptions& options);
 
-  /// Push the next probe's rtt in sequence order (zero = lost; a loss
-  /// breaks the consecutive pair exactly as in workload_samples_ms()).
-  void push(Duration rtt);
+  /// Push the next probe in sequence order.  A lost probe breaks the
+  /// consecutive pair exactly as in workload_samples_ms().
+  void push_received(Duration rtt);
+  void push_lost() { have_prev_ = false; }
+  /// The paper's convention: a zero rtt marks a lost probe.
+  void push(Duration rtt) {
+    if (rtt == Duration::zero()) {
+      push_lost();
+    } else {
+      push_received(rtt);
+    }
+  }
 
   std::size_t samples() const { return samples_; }
   const Histogram& histogram() const { return histogram_; }
-  /// Online accessors (obs Sampler probes); both equal the batch values
-  /// over the pushed prefix at any point.
+  /// Online accessors (obs Sampler probes): the analysis() fields over
+  /// the pushed prefix.
   double mean_workload_bits() const;
   double busy_sample_fraction() const;
 
-  /// Equals analyze_workload() with the same options over the pushed
-  /// prefix; throws std::invalid_argument when no pair has formed yet.
+  /// The histogram, its decoded peaks and the busy-sample statistics over
+  /// the pushed prefix; throws std::invalid_argument when no pair has
+  /// formed yet.
   WorkloadAnalysis analysis() const;
 
  private:
-  StreamingLindleyConfig config_;
   Histogram histogram_;
+  double delta_ms_ = 0.0;
   double mu_bits_per_ms_ = 0.0;
   double probe_bits_ = 0.0;
+  double reference_bits_ = 0.0;
+  double min_peak_mass_ = 0.0;
   std::size_t samples_ = 0;
   std::size_t busy_ = 0;
   double busy_bits_sum_ = 0.0;
@@ -297,12 +331,13 @@ class StreamingPhaseFit {
 // StreamingAutocorr
 // ---------------------------------------------------------------------------
 
-/// Fixed-lag streaming autocorrelation plus the Welford summary.  Memory
-/// is O(max_lag), independent of the stream length: a ring of the last
-/// max_lag + 1 values, the first max_lag values, and one cross-product
-/// accumulator per lag.  Values are shifted by the first sample before
-/// accumulation, which is what keeps the algebraic expansion of the
-/// centered products well-conditioned (MODEL_NOTES section 17).
+/// Fixed-lag streaming autocorrelation over the shared Welford summary.
+/// Memory is O(max_lag), independent of the stream length: a ring of the
+/// last max_lag + 1 values, the first max_lag values, and one
+/// cross-product accumulator per lag.  Values are shifted by the first
+/// sample before accumulation, which is what keeps the algebraic
+/// expansion of the centered products well-conditioned (MODEL_NOTES
+/// section 17).
 class StreamingAutocorr {
  public:
   explicit StreamingAutocorr(std::size_t max_lag);
@@ -311,13 +346,10 @@ class StreamingAutocorr {
   /// rtt-driven convenience: pushes rtt in milliseconds.
   void push(Duration rtt) { push(rtt.millis()); }
 
-  std::size_t count() const { return count_; }
+  std::size_t count() const { return summary_.count(); }
   std::size_t max_lag() const { return max_lag_; }
-  /// Bit-identical to summarize() over the pushed values (same Welford
-  /// recurrence in the same order).
-  double mean() const;
-  double variance() const;
-  Summary summary() const;
+  /// The StreamingSummary of the pushed values: summarize() over them.
+  Summary summary() const { return summary_.summary(); }
 
   /// Matches autocorrelation(xs, max_lag()) to ~1e-12 relative; throws
   /// std::invalid_argument on an empty or constant stream exactly as the
@@ -326,13 +358,9 @@ class StreamingAutocorr {
 
  private:
   std::size_t max_lag_;
-  std::size_t count_ = 0;
+  StreamingSummary summary_;  // Welford state on the raw values
   double offset_ = 0.0;       // first sample; all sums are of x - offset_
   double shifted_sum_ = 0.0;  // sum of z_i
-  double mean_ = 0.0;         // Welford state on the raw values
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
   std::vector<double> ring_;   // last max_lag_ + 1 shifted values
   std::vector<double> head_;   // first max_lag_ shifted values
   std::vector<double> cross_;  // cross_[l] = sum_i z_i * z_{i+l}

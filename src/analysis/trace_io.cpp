@@ -102,9 +102,24 @@ ProbeTrace read_trace_csv(std::istream& is) {
     ProbeRecord record;
     record.seq = static_cast<std::uint64_t>(parse_int(cells[0], "seq"));
     record.send_time = Duration::nanos(parse_int(cells[1], "send_ns"));
-    record.received = parse_int(cells[2], "received") != 0;
-    record.rtt = Duration::nanos(parse_int(cells[3], "rtt_ns"));
+    const std::int64_t received = parse_int(cells[2], "received");
+    const std::int64_t rtt_ns = parse_int(cells[3], "rtt_ns");
     record.echo_time = Duration::nanos(parse_int(cells[4], "echo_ns"));
+    // Writers set an rtt only on receipt (lost rows carry 0), so anything
+    // else is a corrupt row, not a measurement.
+    const auto reject = [&record](const std::string& what) {
+      throw std::runtime_error("trace csv: " + what + " at seq " +
+                               std::to_string(record.seq));
+    };
+    if (received != 0 && received != 1) {
+      reject("received must be 0 or 1, got " + std::to_string(received));
+    }
+    if (rtt_ns < 0) reject("negative rtt_ns " + std::to_string(rtt_ns));
+    if (received == 0 && rtt_ns != 0) {
+      reject("lost probe carries rtt_ns " + std::to_string(rtt_ns));
+    }
+    record.received = received == 1;
+    record.rtt = Duration::nanos(rtt_ns);
     if (record.seq != trace.records.size()) {
       throw std::runtime_error("trace csv: sequence numbers must be dense");
     }

@@ -26,18 +26,15 @@ namespace {
 constexpr Duration kMeshWarmup = Duration::seconds(2);
 constexpr Duration kMeshDrain = Duration::seconds(2);
 
-/// One round-trip probe stream with its online estimator bank.
+/// One round-trip probe stream with its online estimator bank: the
+/// estimators the inference, the gauges and the audit read, nothing more.
 struct Stream {
   Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes,
-         const analysis::StreamingLindleyConfig& lindley_config,
-         const analysis::StreamingPhaseFitConfig& phase_config,
-         std::size_t autocorr_max_lag)
+         const analysis::StreamingLindleyConfig& lindley_config)
       : src(src_node),
         dst(dst_node),
         probe_count(probes),
-        lindley(lindley_config),
-        phase(phase_config),
-        autocorr(autocorr_max_lag) {}
+        lindley(lindley_config) {}
 
   sim::NodeId src;
   sim::NodeId dst;
@@ -52,26 +49,27 @@ struct Stream {
 
   analysis::StreamingLossState loss;
   analysis::StreamingLindley lindley;
-  analysis::StreamingPhaseFit phase;
-  analysis::StreamingAutocorr autocorr;
-  // Retained traces: the post-run streaming-vs-batch audit and the
-  // packet-pair dispersion pass read these.
+  analysis::StreamingSummary rtt_summary;  // ms, 0 for a lost probe
+  // Retained traces: the post-run push audit and the packet-pair
+  // dispersion pass read these.
   analysis::ProbeTrace trace;
   analysis::ProbeTrace pair_trace;
 
   /// Pushes seqs [pushed, upto) as lost, in order, into every estimator.
   void push_gap_losses(std::uint64_t upto) {
     while (pushed < upto) {
-      push_outcome(Duration::zero());
+      loss.push_lost(true);
+      lindley.push_lost();
+      rtt_summary.push(0.0);
+      ++pushed;
     }
   }
 
-  /// Pushes one probe outcome (zero = lost) into every estimator.
-  void push_outcome(Duration rtt) {
-    loss.push(rtt);
-    lindley.push(rtt);
-    phase.push(rtt);
-    autocorr.push(rtt);
+  /// Pushes the next seq as received into every estimator.
+  void push_received(Duration rtt) {
+    loss.push_lost(false);
+    lindley.push_received(rtt);
+    rtt_summary.push(rtt.millis());
     ++pushed;
   }
 };
@@ -99,7 +97,7 @@ struct MeshState {
     // routes, equal sizes), so arrival order is seq order: everything
     // between the last pushed seq and this one was dropped.
     stream.push_gap_losses(seq);
-    stream.push_outcome(record.rtt);
+    stream.push_received(record.rtt);
     ++stream.received;
     stream.rtt_sum_ms += record.rtt.millis();
   }
@@ -314,13 +312,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
       lindley_config.probe_wire = spec.probe_wire;
       lindley_config.bottleneck = Bandwidth::bps(mu);
       lindley_config.max = spec.lindley_max;
-      analysis::StreamingPhaseFitConfig phase_config;
-      phase_config.delta = spec.delta;
-      phase_config.probe_wire = spec.probe_wire;
-      phase_config.clock_tick = Duration::zero();  // exact clocks
 
-      Stream stream(src, dst, probes_per_stream, lindley_config,
-                    phase_config, spec.autocorr_max_lag);
+      Stream stream(src, dst, probes_per_stream, lindley_config);
       stream.mu_true_bps = mu;
       stream.round_trip = std::move(round_trip);
       stream.trace.delta = spec.delta;
@@ -503,7 +496,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   result.delay_error =
       delay_err_den > 0.0 ? delay_err_num / delay_err_den : 0.0;
 
-  // --- Stream summaries, packet-pair pass, streaming-vs-batch audit -----
+  // --- Stream summaries, packet-pair pass, push audit -------------------
   std::vector<double> capacity_errors;
   for (const Stream& stream : mesh.streams) {
     TomographyStreamSummary summary;
@@ -531,8 +524,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     }
     result.stream_summaries.push_back(summary);
 
-    // Audit: the online state must reproduce the batch estimators on the
-    // very trace this stream just produced.
+    // Audit: the batch entry points re-fold the retained trace through
+    // the same cores, so any mismatch with the online state is the mesh's
+    // push bookkeeping (arrival order vs seq order, gap losses, the drain
+    // close-out), not the estimators.
     if (stream.next_seq > 0) {
       const analysis::LossStats batch = analysis::loss_stats(stream.trace);
       const analysis::LossStats online = stream.loss.stats();
@@ -543,7 +538,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
 
       const analysis::Summary batch_summary =
           analysis::summarize(stream.trace.rtt_ms_with_losses());
-      const analysis::Summary online_summary = stream.autocorr.summary();
+      const analysis::Summary online_summary = stream.rtt_summary.summary();
       result.audit_summary_mismatch =
           std::max({result.audit_summary_mismatch,
                     std::abs(batch_summary.mean - online_summary.mean),

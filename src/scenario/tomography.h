@@ -3,10 +3,12 @@
 // Every ordered pair of generated hosts runs a round-trip probe stream
 // (probe out, echo back), all sharing the fabric and the optional fluid
 // background population — so an H-host mesh drives H*(H-1) concurrent
-// streams through the *streaming* estimators (analysis/streaming.h): each
-// echo return is pushed online into StreamingLossState / StreamingLindley /
-// StreamingPhaseFit / StreamingAutocorr, no per-stream batch pass needed
-// while the simulation runs.
+// streams through the *streaming* estimators (analysis/streaming.h).  Each
+// stream's bank holds what the run reads and nothing more: a
+// StreamingLossState (loss fraction for the inference and the gauges), a
+// StreamingLindley and a StreamingSummary of the rtts (read only by the
+// audit below).  Each echo return, and each gap of lost seqs before it, is
+// pushed online; no per-stream batch pass runs while the simulation runs.
 //
 // After the run, per-link loss and delay are inferred from the end-to-end
 // streaming estimates alone by least squares over the routing matrix
@@ -84,8 +86,6 @@ struct TomographySpec {
   /// sequential kernel; loss inference is domain-count-invariant.
   std::size_t domains = 1;
 
-  // --- streaming estimator knobs (one instance of each per stream) ---
-  std::size_t autocorr_max_lag = 32;
   /// Histogram edge for StreamingLindley (one-pass estimation cannot
   /// auto-size it; see StreamingLindleyConfig::max).
   Duration lindley_max = Duration::millis(200);
@@ -145,11 +145,13 @@ struct TomographyResult {
   /// Median over streams of the packet-pair bottleneck's relative error.
   double capacity_error = 0.0;
 
-  /// Streaming-vs-batch audit over every stream, computed on the actual
-  /// simulated traces after the run: maximum absolute mismatch between
-  /// each streaming estimator and its batch counterpart.  The loss and
-  /// summary audits are exact contracts (expected 0.0); the Lindley audit
-  /// is bit-identical given the shared histogram edge (expected 0.0).
+  /// Push audit over every stream: after the run the batch entry points
+  /// (loss_stats, summarize, analyze_workload with the same edge) re-fold
+  /// each retained trace through the same estimator cores, and these are
+  /// the maximum absolute mismatches with the online state.  They are 0.0
+  /// exactly when the mesh pushed every stream in seq order, with every
+  /// gap loss and the post-drain close-out; anything else is a push
+  /// bookkeeping bug.
   double audit_loss_mismatch = 0.0;
   double audit_summary_mismatch = 0.0;
   double audit_lindley_mismatch = 0.0;

@@ -183,6 +183,99 @@ TEST(AnalyzeWorkloadTest, Validation) {
                std::invalid_argument);
 }
 
+TEST(AnalyzeWorkloadTest, ReceivedProbeWithZeroRttFormsPairs) {
+  // Pairing follows ProbeRecord::received, never rtt == 0: the received
+  // 0-ns probe pairs with both neighbors (g = -80 ms, then 120 ms).
+  const auto trace = make_trace(20, {100.0, 0.0, 100.0, std::nullopt, 100.0});
+  for (const double max_ms : {200.0, 0.0}) {
+    SCOPED_TRACE(max_ms);
+    WorkloadOptions options;
+    options.max_ms = max_ms;
+    const WorkloadAnalysis wa = analyze_workload(trace, options);
+    EXPECT_EQ(wa.histogram.bin_count(), max_ms > 0.0 ? 200u : 126u);
+    EXPECT_EQ(wa.histogram.total(), 2u);
+    EXPECT_EQ(wa.histogram.underflow(), 1u);
+    EXPECT_EQ(wa.histogram.count(120), 1u);
+    EXPECT_EQ(wa.mean_workload_bits, 0x1.cep+13);  // 128 * 120 - 576
+    EXPECT_EQ(wa.busy_sample_fraction, 0.5);
+    ASSERT_EQ(wa.peaks.size(), 1u);
+    EXPECT_EQ(wa.peaks[0].position_ms, 0x1.e2p+6);
+  }
+}
+
+/// Histogram bins weighted by (index + 1): one number that moves when any
+/// sample lands in a different bin.
+std::uint64_t bin_checksum(const Histogram& histogram) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < histogram.bin_count(); ++i) {
+    sum += (i + 1) * histogram.count(i);
+  }
+  return sum;
+}
+
+struct PinnedPeak {
+  double position_ms, mass, workload_bits;
+  std::optional<double> cross_packets;
+};
+
+void expect_peaks(const WorkloadAnalysis& wa,
+                  const std::vector<PinnedPeak>& want) {
+  ASSERT_EQ(wa.peaks.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(wa.peaks[i].position_ms, want[i].position_ms) << i;
+    EXPECT_EQ(wa.peaks[i].mass, want[i].mass) << i;
+    EXPECT_EQ(wa.peaks[i].workload_bits, want[i].workload_bits) << i;
+    EXPECT_EQ(wa.peaks[i].cross_packets, want[i].cross_packets) << i;
+  }
+}
+
+TEST(AnalyzeWorkloadTest, MillionSampleStreamIsPinned) {
+  // analyze_workload on the million-sample random-walk stream, pinned bit
+  // for bit (hex floats).  The auto edge at delta = 20 ms is 1.05 * max g,
+  // not a whole number of ns: converting it through Duration would move
+  // the bin width and every pin below.
+  const auto rtts = testing::random_rtt_stream(
+      11, testing::kMillionSamples, 0.05, 19.5, /*tick_ms=*/0.0);
+  WorkloadOptions options;
+  options.bottleneck_bps = 128e3;
+  options.bin_ms = 1.0;
+
+  options.max_ms = 200.0;
+  const WorkloadAnalysis explicit_edge =
+      analyze_workload(make_trace(50.0, rtts), options);
+  EXPECT_EQ(explicit_edge.histogram.bin_count(), 200u);
+  EXPECT_EQ(explicit_edge.histogram.bin_width(), 1.0);
+  EXPECT_EQ(explicit_edge.histogram.total(), 902483u);
+  EXPECT_EQ(explicit_edge.histogram.underflow(), 0u);
+  EXPECT_EQ(explicit_edge.histogram.overflow(), 0u);
+  EXPECT_EQ(bin_checksum(explicit_edge.histogram), 45576632u);
+  EXPECT_EQ(explicit_edge.mean_workload_bits, 0x1.6c03f5f0005bap+12);
+  EXPECT_EQ(explicit_edge.busy_sample_fraction, 1.0);
+  expect_peaks(explicit_edge,
+               {{0x1.e8p+4, 0x1.48f056b805661p-4, 0x1.ap+11, 0x1.ap-1},
+                {0x1.94p+5, 0x1.6fc5600275bdp-4, 0x1.7p+12, std::nullopt},
+                {0x1.b4p+5, 0x1.6fe711cc86b1fp-4, 0x1.9p+12, 0x1.9p+0}});
+
+  options.max_ms = 0.0;
+  const WorkloadAnalysis auto_edge =
+      analyze_workload(make_trace(20.0, rtts), options);
+  EXPECT_EQ(auto_edge.histogram.bin_count(), 53u);
+  EXPECT_EQ(auto_edge.histogram.bin_width(), 0x1.f9f68b34bcdcep-1);
+  EXPECT_EQ(auto_edge.histogram.total(), 902483u);
+  EXPECT_EQ(auto_edge.histogram.underflow(), 0u);
+  EXPECT_EQ(auto_edge.histogram.overflow(), 0u);
+  EXPECT_EQ(bin_checksum(auto_edge.histogram), 18719839u);
+  EXPECT_EQ(auto_edge.mean_workload_bits, 0x1.13eb769bec6f2p+11);
+  EXPECT_EQ(auto_edge.busy_sample_fraction, 0x1.d5dcae1cdf25dp-1);
+  expect_peaks(
+      auto_edge,
+      {{0x1.f9f68b34bcdcep-2, 0x1.48ee03d63931ep-4, 0.0, std::nullopt},
+       {0x1.4421f12dc8fd8p+4, 0x1.6a3e34dbad8e3p-4, 0x1.f843e25b91fbp+10,
+        std::nullopt},
+       {0x1.8360c29460992p+4, 0x1.6a648c6956eb8p-4, 0x1.3b60c29460992p+11,
+        0x1.3b60c29460992p-1}});
+}
+
 TEST(EstimateBottleneckTest, ExactClockRecoversMu) {
   const auto trace = fig8_trace(20.0);
   const BottleneckEstimate estimate = estimate_bottleneck(trace);

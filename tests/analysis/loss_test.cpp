@@ -74,6 +74,63 @@ TEST(LossStatsTest, ThrowsOnEmpty) {
                std::invalid_argument);
 }
 
+TEST(LossStatsTest, ReceivedProbeWithZeroRttIsNotALoss) {
+  // Loss is decided by ProbeRecord::received, never by rtt == 0: a
+  // received probe whose rtt rounds to 0 ns stays received.
+  const auto trace = testing::make_trace(
+      20, {100.0, 0.0, 100.0, std::nullopt, 100.0});
+  ASSERT_TRUE(trace.records[1].received);
+  const auto s = loss_stats(trace);
+  EXPECT_EQ(s.probes, 5u);
+  EXPECT_EQ(s.losses, 1u);
+  EXPECT_EQ(s.ulp, 0x1.999999999999ap-3);
+  EXPECT_EQ(s.clp, 0.0);
+}
+
+TEST(LossStatsTest, MillionSampleStreamsArePinned) {
+  // loss_stats and fit_gilbert on three Gilbert chains, pinned bit for
+  // bit (hex floats) so a change to the fold or its core cannot move them.
+  const struct {
+    std::uint64_t seed;
+    double p, q;
+    std::size_t losses;
+    double ulp, clp, plg, mean_burst;
+    std::size_t longest, bursts;
+    double fit_p, fit_q;
+  } pins[] = {
+      {1, 0.02, 0.5, 38680, 0x1.3cddd6e04c059p-5, 0x1.ff0c04df038c2p-2,
+       0x1.ff0c78eb12643p+0, 0x1.ff0c78eb12643p+0, 20, 19376,
+       0x1.4a3ae20132a46p-6, 0x1.0079fd907e39fp-1},
+      {2, 0.2, 0.2, 498341, 0x1.fe4d1a6506141p-2, 0x1.994b460c9c01p-1,
+       0x1.3f0bf59277689p+2, 0x1.3f0bf59277688p+2, 53, 99966,
+       0x1.981a7667dc21bp-3, 0x1.9ad2e7cd8ffc1p-3},
+      {3, 0.001, 0.9, 1161, 0x1.3059641f64495p-10, 0x1.c71c71c71c71cp-4,
+       0x1.2p+0, 0x1.2p+0, 4, 1032, 0x1.0ed8eaca0fe76p-10,
+       0x1.c71c71c71c71cp-1},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(pin.seed);
+    const auto losses = testing::random_gilbert_losses(
+        pin.seed, pin.p, pin.q, testing::kMillionSamples);
+    const LossStats s = loss_stats(losses);
+    EXPECT_EQ(s.probes, testing::kMillionSamples);
+    EXPECT_EQ(s.losses, pin.losses);
+    EXPECT_EQ(s.ulp, pin.ulp);
+    EXPECT_EQ(s.clp, pin.clp);
+    EXPECT_EQ(s.plg_from_clp, pin.plg);
+    EXPECT_EQ(s.mean_burst_length, pin.mean_burst);
+    EXPECT_EQ(s.burst_length_counts.size(), pin.longest);
+    std::size_t bursts = 0;
+    for (const std::size_t count : s.burst_length_counts) bursts += count;
+    EXPECT_EQ(bursts, pin.bursts);
+
+    const GilbertFit fit = fit_gilbert(losses);
+    EXPECT_EQ(fit.p, pin.fit_p);
+    EXPECT_EQ(fit.q, pin.fit_q);
+    EXPECT_FALSE(fit.degenerate);
+  }
+}
+
 TEST(LossStatsTest, PlgFormulaMatchesMeanBurstForGeometricLosses) {
   // For a stationary Gilbert process, plg = 1/(1-clp) equals the mean
   // burst length (the paper's Palm-probability identity).

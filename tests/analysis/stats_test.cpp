@@ -44,6 +44,31 @@ TEST(SummarizeTest, NumericallyStableForLargeOffsets) {
   EXPECT_NEAR(s.variance, 0.2502, 0.001);
 }
 
+TEST(SummarizeTest, MillionSampleStreamIsPinned) {
+  // A large offset: the Welford recurrence must not cancel.  Pinned bit
+  // for bit (hex floats); StreamingSummary, the one recurrence summarize()
+  // folds over, must reproduce it pushed one value at a time.
+  Rng rng(29);
+  std::vector<double> xs;
+  StreamingSummary streaming;
+  for (std::size_t i = 0; i < 1'000'000; ++i) {
+    xs.push_back(1e6 + rng.normal(0.0, 3.0));
+    streaming.push(xs.back());
+  }
+  const Summary s = summarize(xs);
+  EXPECT_EQ(s.count, 1'000'000u);
+  EXPECT_EQ(s.mean, 0x1.e848000a57f6cp+19);
+  EXPECT_EQ(s.variance, 0x1.1f99c369cd46dp+3);
+  EXPECT_EQ(s.stddev, 0x1.7fbbd18e4c931p+1);
+  EXPECT_EQ(s.min, 0x1.e8462c5cd8316p+19);
+  EXPECT_EQ(s.max, 0x1.e849b05975ad5p+19);
+  const Summary online = streaming.summary();
+  EXPECT_EQ(online.mean, s.mean);
+  EXPECT_EQ(online.variance, s.variance);
+  EXPECT_EQ(online.min, s.min);
+  EXPECT_EQ(online.max, s.max);
+}
+
 TEST(QuantileTest, MedianAndExtremes) {
   const std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);

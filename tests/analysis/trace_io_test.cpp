@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "tests/analysis/trace_fixtures.h"
 
@@ -99,6 +100,43 @@ TEST(TraceIoTest, RejectsMissingHeaderField) {
       "# delta_ns=50000000 probe_wire_bytes=72\n"
       "seq,send_ns,received,rtt_ns,echo_ns\n");
   EXPECT_THROW(read_trace_csv(buffer), std::runtime_error);
+}
+
+/// Parses a one-row trace and returns the rejection message ("" when the
+/// row is accepted).
+std::string row_error(const std::string& row) {
+  std::stringstream buffer(
+      "# bolot-trace v1\n"
+      "# delta_ns=50000000 probe_wire_bytes=72 clock_tick_ns=0\n"
+      "seq,send_ns,received,rtt_ns,echo_ns\n"
+      "0,0,1,141000000,0\n" +
+      row + "\n");
+  try {
+    read_trace_csv(buffer);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(TraceIoTest, RejectsReceivedOtherThanZeroOrOne) {
+  EXPECT_EQ(row_error("1,50000000,2,141000000,0"),
+            "trace csv: received must be 0 or 1, got 2 at seq 1");
+  EXPECT_EQ(row_error("1,50000000,-1,0,0"),
+            "trace csv: received must be 0 or 1, got -1 at seq 1");
+}
+
+TEST(TraceIoTest, RejectsNegativeRtt) {
+  EXPECT_EQ(row_error("1,50000000,1,-5,0"),
+            "trace csv: negative rtt_ns -5 at seq 1");
+}
+
+TEST(TraceIoTest, RejectsLostProbeCarryingRtt) {
+  EXPECT_EQ(row_error("1,50000000,0,141000000,0"),
+            "trace csv: lost probe carries rtt_ns 141000000 at seq 1");
+  // The boundary rows every writer produces still load.
+  EXPECT_EQ(row_error("1,50000000,0,0,0"), "");
+  EXPECT_EQ(row_error("1,50000000,1,0,0"), "");
 }
 
 TEST(TraceIoTest, AnalysisWorksOnReloadedTrace) {

@@ -1,6 +1,6 @@
 // run_tomography: inference accuracy against simulator ground truth,
 // determinism (same spec -> same result, including across PDES domain
-// counts for the loss pass), and the mesh-level streaming-vs-batch audit.
+// counts for the loss pass), and the mesh-level push audit.
 #include "scenario/tomography.h"
 
 #include <gtest/gtest.h>
@@ -76,9 +76,9 @@ TEST(TomographyTest, PacketPairRecoversBottleneckCapacity) {
 
 TEST(TomographyTest, StreamingMatchesBatchOnSimulatedStreams) {
   const TomographyResult result = run_tomography(ci_spec());
-  // The exactness contracts, exercised on real simulated traces: loss and
-  // Welford summary are exact; Lindley is bit-identical given the shared
-  // histogram edge.
+  // Re-folding each retained trace through the batch entry points must
+  // reproduce the online state exactly: the mesh pushed every stream in
+  // seq order, with every gap loss and the post-drain close-out.
   EXPECT_EQ(result.audit_loss_mismatch, 0.0);
   EXPECT_EQ(result.audit_summary_mismatch, 0.0);
   EXPECT_EQ(result.audit_lindley_mismatch, 0.0);
