@@ -2,8 +2,7 @@
 // eq. (6) against the actual bottleneck queue.
 //
 // We probe a single-bottleneck path while an obs::Sampler records the true
-// queue (the same uniformly-spaced series QueueMonitor used to collect,
-// now going through the shared observability layer), then compare:
+// queue on a uniform time grid, then compare:
 //   * the probe-inferred waiting time w-hat_n = rtt_n - D - P/mu against
 //     the monitored backlog at the probe's arrival;
 //   * the eq.-6 workload estimate against the cross traffic actually
@@ -80,8 +79,8 @@ int main(int argc, char** argv) {
   // Sample the true backlog (as milliseconds of work) at exactly the
   // probe send cadence, phase-locked to arrivals at the bottleneck
   // (send + access link latency).  The run records ~33k samples; the
-  // budget keeps the series on the original grid (no decimation), so the
-  // values match the retired QueueMonitor sample for sample.
+  // budget keeps the series on the 20 ms grid (no decimation), one sample
+  // per grid point.
   obs::Sampler sampler(simulator, Duration::millis(20), 65536);
   const std::size_t backlog_series =
       obs::watch_backlog_work_ms(sampler, bottleneck);

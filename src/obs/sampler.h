@@ -1,9 +1,9 @@
 // Sampler: uniformly-spaced time-series recording driven by the existing
 // coalesced event queue.
 //
-// One Sampler owns one self-re-arming event (the QueueMonitor pattern:
-// schedule_at once, then Simulator::rearm_in from inside the callback, so
-// the whole sampling loop reuses a single slab slot).  Each tick it
+// One Sampler owns one self-re-arming event (schedule_at once, then
+// Simulator::rearm_in from inside the callback, so the whole sampling
+// loop reuses a single slab slot).  Each tick it
 // evaluates every registered probe closure and pushes the value into that
 // probe's TimeSeries.  All series share the grid, so they stay aligned:
 // when the budget is reached, every series decimates together and the
@@ -65,9 +65,9 @@ class Sampler {
   }
 
   /// Begins sampling at absolute time `at` (the first sample is taken at
-  /// `at` itself).  Runs until stop() — like QueueMonitor, the
-  /// self-re-arming event keeps the queue non-empty, so bound the run
-  /// with run_until or call stop() before run_to_completion.
+  /// `at` itself).  Runs until stop() — the self-re-arming event keeps
+  /// the queue non-empty, so bound the run with run_until or call stop()
+  /// before run_to_completion.
   void start(SimTime at) {
     if (running_) return;
     started_ = true;
@@ -142,7 +142,7 @@ class Sampler {
 // ---------------------------------------------------------------------------
 // Watch helpers: one-liners wiring the standard component observables
 // into a sampler.  Each returns the series index.  The component must
-// outlive the sampler (same contract as QueueMonitor).
+// outlive the sampler.
 
 /// Instantaneous queue length in packets (including the one in service).
 inline std::size_t watch_queue_packets(Sampler& sampler,
@@ -161,7 +161,7 @@ inline std::size_t watch_backlog_bytes(Sampler& sampler,
 }
 
 /// Backlog expressed as milliseconds of work at the link rate — the
-/// quantity eq. 6 infers from probe rtts (QueueMonitor::Mode::kWorkMs).
+/// quantity eq. 6 infers from probe rtts.
 inline std::size_t watch_backlog_work_ms(Sampler& sampler,
                                          const sim::Link& link) {
   return sampler.add_series(

@@ -62,8 +62,8 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
   // threads == 0 (the default) fans out on the process-wide shared pool —
   // reused across sweeps, and the same workers PDES domains borrow — via
   // a TaskGroup, which scopes completion and errors to this sweep.  An
-  // explicit thread count still gets a private pool (benches use
-  // threads=1 for undisturbed timing).
+  // explicit thread count gets a private pool and runs exactly that many
+  // jobs at once (benches use threads=1 for undisturbed timing).
   std::optional<ThreadPool> own_pool;
   if (options.threads != 0) own_pool.emplace(options.threads);
   ThreadPool& pool = own_pool ? *own_pool : shared_pool();
@@ -98,6 +98,9 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
       run.wall_seconds = elapsed_seconds(run_start);
     });
   }
+  // TaskGroup::wait runs queued jobs on this thread; on a private pool
+  // that would be one job more than `threads`, so wait on the pool itself.
+  if (own_pool) own_pool->wait_idle();
   group.wait();
   for (std::size_t i = 0; i < slot_writes.size(); ++i) {
     SIM_CHECK(slot_writes[i] == 1,

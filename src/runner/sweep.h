@@ -80,7 +80,8 @@ struct SweepResult {
 
 struct SweepOptions {
   std::string name = "sweep";
-  std::size_t threads = 0;  // 0 = hardware concurrency
+  /// Jobs that run at once; 0 = the shared pool (hardware concurrency).
+  std::size_t threads = 0;
   std::uint64_t base_seed = 1993;
 };
 

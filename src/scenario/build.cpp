@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,7 +40,6 @@ void validate(const FluidBackgroundConfig& c) {
        "max_link_load outside (0, 1]"},
       {std::isfinite(peak) && peak >= 0.0,
        "flow_peak must be finite and non-negative"},
-      {c.period >= Duration::zero(), "period is negative"},
       {c.mean_packet > ByteSize::zero(), "mean_packet must be positive"},
       {c.envelope_states != 1,
        "envelope_states must be 0 (unmodulated) or at least 2"},
@@ -53,6 +52,31 @@ void validate(const FluidBackgroundConfig& c) {
                                   what);
     }
   }
+}
+
+/// Per link i, `addend` added counts[i] times to 0.0, rounding after each
+/// addition: the sum a flow-order fold reaches when every flow adds the
+/// same value, whatever the order.  `counts[i] * addend` rounds once and
+/// can differ.  The links' chains of additions advance side by side (in
+/// descending count order, so the ones still running stay contiguous),
+/// which lets independent additions overlap.
+std::vector<double> repeated_sums(double addend,
+                                  const std::vector<std::size_t>& counts) {
+  std::vector<std::size_t> order(counts.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return counts[a] > counts[b];
+  });
+  std::vector<double> chains(counts.size(), 0.0);
+  std::size_t running = counts.size();
+  for (std::size_t k = 0;; ++k) {
+    while (running > 0 && counts[order[running - 1]] <= k) --running;
+    if (running == 0) break;
+    for (std::size_t j = 0; j < running; ++j) chains[j] += addend;
+  }
+  std::vector<double> sums(counts.size());
+  for (std::size_t j = 0; j < order.size(); ++j) sums[order[j]] = chains[j];
+  return sums;
 }
 
 sim::ProbeSourceConfig probe_config(const ProbePlan& plan,
@@ -121,16 +145,9 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
   const TopologyPlan& topo = build.plan();
   sim::Network& net = build.net();
   const std::size_t hosts = topo.hosts.size();
-  // Pair index src * hosts + dst -> its route, zone verdict and interned
-  // RouteId, each found the first time the pair is needed.
-  struct Pair {
-    std::vector<std::uint32_t> uids;  // empty until first drawn
-    bool packetized = false;
-    std::optional<sim::FlowTable::RouteId> route;
-  };
-  std::vector<Pair> pairs(hosts * hosts);
-  // Flow f's host pair is the f-th draw of one seeded stream; both passes
-  // replay it, so no per-flow state is kept between them.
+  const std::size_t links = net.link_count();
+  // Flow f's host pair (index src * hosts + dst) is the f-th draw of one
+  // seeded stream; both passes replay it, so no per-flow state is kept.
   const std::uint64_t pair_seed = derive_stream_seed(config.seed, 0xB6);
   const auto draw = [hosts](SplitMix64& stream) {
     const std::size_t si = stream.next() % hosts;
@@ -139,32 +156,44 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
     return si * hosts + di;
   };
 
-  // Pass 1: per-link duty-weighted traversal counts over all flows —
-  // fluid and packetized alike load the fabric — for peak calibration.
-  std::vector<double> unit_demand(net.link_count(), 0.0);
-  std::size_t fluid_flows = 0;
+  // Pass 1: flows per host pair.
+  std::vector<std::size_t> pair_flows(hosts * hosts, 0);
   SplitMix64 stream(pair_seed);
-  for (std::size_t f = 0; f < config.flows; ++f) {
-    const std::size_t p = draw(stream);
-    Pair& pair = pairs[p];
-    if (pair.uids.empty()) {
-      pair.uids =
-          net.route_links(topo.hosts[p / hosts], topo.hosts[p % hosts]);
-      pair.packetized =
-          !in_zone.empty() &&
-          std::any_of(pair.uids.begin(), pair.uids.end(),
-                      [&](std::uint32_t uid) { return in_zone[uid]; });
+  for (std::size_t f = 0; f < config.flows; ++f) ++pair_flows[draw(stream)];
+
+  // Route each drawn pair once, and count link crossings over all flows —
+  // fluid and packetized alike load the fabric — for peak calibration,
+  // and over fluid flows for demand.  A route never repeats a link
+  // (Network::route_links throws on a loop), so a flow crosses a link at
+  // most once.
+  std::vector<bool> packetized_pair(pair_flows.size(), false);
+  std::vector<std::size_t> crossings(links, 0);
+  std::vector<std::size_t> fluid_crossings(links, 0);
+  for (std::size_t p = 0; p < pair_flows.size(); ++p) {
+    const std::size_t n = pair_flows[p];
+    if (n == 0) continue;
+    const std::vector<std::uint32_t> uids =
+        net.route_links(topo.hosts[p / hosts], topo.hosts[p % hosts]);
+    packetized_pair[p] =
+        !in_zone.empty() && std::any_of(uids.begin(), uids.end(),
+                                        [&](std::uint32_t uid) {
+                                          return in_zone[uid];
+                                        });
+    (packetized_pair[p] ? packetized_ : fluid_flows_) += n;
+    for (const std::uint32_t uid : uids) {
+      crossings[uid] += n;
+      if (!packetized_pair[p]) fluid_crossings[uid] += n;
     }
-    if (!pair.packetized) ++fluid_flows;
-    for (const std::uint32_t uid : pair.uids) unit_demand[uid] += config.duty;
   }
 
-  // Unit peaks would load link i at unit_demand[i] / capacity; scale so
-  // the busiest link carries max_link_load.
+  // Unit peaks would load link i at duty per crossing over its capacity;
+  // scale so the busiest link carries max_link_load.
   double peak = config.flow_peak.bps();
   if (peak <= 0.0) {
+    const std::vector<double> unit_demand =
+        repeated_sums(config.duty, crossings);
     double worst = 0.0;
-    for (std::size_t i = 0; i < net.link_count(); ++i) {
+    for (std::size_t i = 0; i < links; ++i) {
       if (unit_demand[i] > 0.0) {
         worst = std::max(worst,
                          unit_demand[i] / net.link_at(i).config().rate.bps());
@@ -173,47 +202,50 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
     peak = worst > 0.0 ? config.max_link_load / worst : 0.0;
   }
 
-  // Pass 2: fluid flows into the table (zero events each; phases spread
-  // evenly so FlowTable::rate_at queries desynchronize).  Packetized flows
+  // A fluid flow folds to its mean rate with peak and duty each held at
+  // float precision; every link it crosses gets that one addend.
+  const float fluid_peak = static_cast<float>(peak);
+  if (!std::isfinite(fluid_peak)) {
+    throw std::invalid_argument(
+        config.flow_peak.is_positive()
+            ? "FluidBackgroundConfig: flow_peak exceeds float range"
+            : "FluidBackgroundConfig: duty calibrates a flow peak past "
+              "float range");
+  }
+  const double flow_demand = static_cast<double>(fluid_peak) *
+                             static_cast<double>(static_cast<float>(config.duty));
+  link_demand_bps_ = repeated_sums(flow_demand, fluid_crossings);
+
+  // Pass 2, only when there are packet sources to build: packetized flows
   // run as Poisson sources at their mean rate (peak * duty), so the zone
   // sees real contention while its cost stays proportional to the zone's
-  // traffic, not the population.
-  table_.reserve(fluid_flows);
+  // traffic, not the population.  Flow order fixes their flow ids and rng
+  // splits.
   const double mean_flow_bps = peak * config.duty;
-  const double packet_bits =
-      static_cast<double>(config.mean_packet.bit_count());
-  std::uint32_t next_flow = 1;
-  stream = SplitMix64(pair_seed);
-  for (std::size_t f = 0; f < config.flows; ++f) {
-    const std::size_t p = draw(stream);
-    Pair& pair = pairs[p];
-    if (pair.packetized) {
-      ++packetized_;
-      if (mean_flow_bps > 0.0) {
-        const sim::NodeId src = topo.hosts[p / hosts];
-        sources_.push_back(std::make_unique<sim::PoissonSource>(
-            build.sim_for(src), net, src, topo.hosts[p % hosts],
-            next_flow++, sim::PacketKind::kBulk, packet_rng_.split(),
-            Duration::seconds(packet_bits / mean_flow_bps),
-            config.mean_packet));
-      }
-      continue;
+  if (packetized_ > 0 && mean_flow_bps > 0.0) {
+    const double packet_bits =
+        static_cast<double>(config.mean_packet.bit_count());
+    sources_.reserve(packetized_);
+    std::uint32_t next_flow = 1;
+    stream = SplitMix64(pair_seed);
+    for (std::size_t f = 0; f < config.flows; ++f) {
+      const std::size_t p = draw(stream);
+      if (!packetized_pair[p]) continue;
+      const sim::NodeId src = topo.hosts[p / hosts];
+      sources_.push_back(std::make_unique<sim::PoissonSource>(
+          build.sim_for(src), net, src, topo.hosts[p % hosts], next_flow++,
+          sim::PacketKind::kBulk, packet_rng_.split(),
+          Duration::seconds(packet_bits / mean_flow_bps), config.mean_packet));
     }
-    if (!pair.route) pair.route = table_.intern_route(pair.uids);
-    const Duration phase = Duration::nanos(static_cast<std::int64_t>(
-        (static_cast<double>(f) / static_cast<double>(config.flows)) *
-        static_cast<double>(config.period.count_nanos())));
-    table_.add_flow(f, *pair.route, Bandwidth::bps(peak),
-                    static_cast<float>(config.duty), config.period, phase);
   }
 
   // Per-link fluid demand -> aggregates.  With envelope modulation the
   // demand arrives as a K-state FluidFlow (stationary mean == demand)
   // instead of a constant base rate — the only event source a fluid link
   // has, O(1) per link.
-  aggregates_.resize(net.link_count());
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    const Bandwidth demand = table_.link_demand(static_cast<std::uint32_t>(i));
+  aggregates_.resize(links);
+  for (std::size_t i = 0; i < links; ++i) {
+    const Bandwidth demand = Bandwidth::bps(link_demand_bps_[i]);
     if (!demand.is_positive()) continue;
     sim::Link& link = net.link_at(i);
     sim::Simulator& link_sim = build.sim_for(net.link_source(i));

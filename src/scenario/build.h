@@ -80,13 +80,15 @@ class ScenarioBuild {
 /// A run's FluidBackgroundConfig population on a generated fabric:
 /// `flows` on/off flows between seeded random host pairs.  Flows whose
 /// route touches the packetized zone become Poisson packet sources; the
-/// rest fold into a FlowTable and one FluidAggregate (plus an optional
+/// rest fold to their mean rate into one FluidAggregate (plus an optional
 /// envelope FluidFlow) per loaded link, homed in the link's domain and
 /// seeded by link uid, so set-up does not depend on the domain count.
 ///
-/// Set-up costs O(flows x route length) with no map lookup per flow: a
-/// dense hosts x hosts table routes and interns each drawn pair once, and
-/// per-link demand comes folded out of FlowTable::add_flow.
+/// Set-up keeps O(hosts^2 + links) state, none of it per flow: one replay
+/// of the pair stream counts flows per host pair, each drawn pair is
+/// routed once, and a link's demand is its per-flow addend summed once
+/// per crossing flow (MODEL_NOTES §15).  Only packetized flows are
+/// replayed in flow order, to build their sources.
 class FluidBackground {
  public:
   /// `in_zone` flags packetized links by uid (empty: no zone, every flow
@@ -99,15 +101,19 @@ class FluidBackground {
   /// seeded offset in [0, 100) ms.
   void start();
 
-  /// The fluid (folded) flows; link_demand(uid) is each link's demand.
-  const sim::FlowTable& table() const { return table_; }
+  std::size_t fluid_flows() const { return fluid_flows_; }
   std::size_t packetized_flows() const { return packetized_; }
+  /// Summed mean rate of the fluid flows crossing link `uid`.
+  Bandwidth link_demand(std::uint32_t uid) const {
+    return Bandwidth::bps(link_demand_bps_.at(uid));
+  }
 
  private:
-  sim::FlowTable table_;
+  std::vector<double> link_demand_bps_;
   std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates_;
   std::vector<std::unique_ptr<sim::FluidFlow>> envelopes_;
   std::vector<std::unique_ptr<sim::TrafficSource>> sources_;
+  std::size_t fluid_flows_ = 0;
   std::size_t packetized_ = 0;
   Rng packet_rng_;
 };

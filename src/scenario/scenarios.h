@@ -74,12 +74,12 @@ struct CrossTraffic {
 /// flows that touch the zone become real packet sources.
 struct FluidBackgroundConfig {
   std::size_t flows = 10000;
-  /// On/off shape of each flow: peak rate, fraction of time on, cycle.
+  /// On/off shape of each flow: peak rate and fraction of time on.  Only
+  /// the mean (peak x duty) is modeled, so the cycle length is not a knob.
   /// A zero flow_peak auto-calibrates the peak so the busiest link
   /// carries `max_link_load` of its capacity in mean background demand.
   Bandwidth flow_peak = Bandwidth::zero();
   double duty = 0.5;
-  Duration period = Duration::seconds(2);
   double max_link_load = 0.5;
   /// How fluid-served links model queueing (see sim::FluidQueueModel):
   /// kResidualRate drains probes at the residual capacity; kMd1Wait adds
@@ -214,7 +214,8 @@ ScenarioResult run_umd_pitt(const ProbePlan& plan,
 /// load the fabric — fluid everywhere except the packetized zone around
 /// the probed path (overrides.packetize_radius).  The per-run event cost
 /// scales with probed/packetized packets, not with the background flow
-/// count; see MODEL_NOTES §15 and bench/fluid_scale_baseline.
+/// count; see MODEL_NOTES §15 and
+/// RunTopologyTest.FluidEventCountIsFlatInFlowCount.
 ScenarioResult run_topology(const ProbePlan& plan,
                             const ScenarioOverrides& overrides);
 

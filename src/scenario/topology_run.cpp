@@ -131,7 +131,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
 
   ScenarioResult result =
       run.run([&] { background.start(); }, bneck_fwd, bneck_rev);
-  result.background_flows_fluid = background.table().size();
+  result.background_flows_fluid = background.fluid_flows();
   result.background_flows_packetized = background.packetized_flows();
   std::vector<std::uint32_t> round_trip = probe_fwd;
   const std::vector<std::uint32_t> echo_path =
@@ -142,7 +142,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
     ScenarioResult::ProbeHop hop;
     hop.capacity = net.link_at(uid).config().rate;
     hop.propagation = net.link_at(uid).config().propagation;
-    hop.fluid = background.table().link_demand(uid);
+    hop.fluid = background.link_demand(uid);
     result.probe_hops.push_back(hop);
   }
   return result;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -284,161 +283,6 @@ void FluidFlow::audit_verify() const {
             "FluidFlow: rate %.3f bps out of range", rate_bps_);
   SIM_CHECK(!config_.modulated() || state_ < config_.state_count(),
             "FluidFlow: state %zu out of range", state_);
-}
-
-// ---------------------------------------------------------------------------
-// FlowTable
-
-FlowTable::RouteId FlowTable::intern_route(
-    const std::vector<std::uint32_t>& link_uids) {
-  if (link_uids.empty()) {
-    throw std::invalid_argument("FlowTable: empty route");
-  }
-  if (link_uids.size() > UINT16_MAX) {
-    throw std::invalid_argument("FlowTable: route too long");
-  }
-  const auto it = interned_.find(link_uids);
-  if (it != interned_.end()) return it->second;
-  std::vector<std::uint32_t> sorted = link_uids;
-  std::sort(sorted.begin(), sorted.end());
-  const auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
-  if (repeat != sorted.end()) {
-    throw std::invalid_argument("FlowTable: route repeats link " +
-                                std::to_string(*repeat));
-  }
-  if (sorted.back() >= link_demand_bps_.size()) {
-    link_demand_bps_.resize(std::size_t{sorted.back()} + 1, 0.0);
-  }
-  const RouteId id = static_cast<RouteId>(route_offset_.size());
-  route_offset_.push_back(static_cast<std::uint32_t>(route_links_.size()));
-  route_len_.push_back(static_cast<std::uint16_t>(link_uids.size()));
-  route_links_.insert(route_links_.end(), link_uids.begin(), link_uids.end());
-  interned_.emplace(link_uids, id);
-  return id;
-}
-
-void FlowTable::reserve(std::size_t flows) {
-  external_id_.reserve(flows);
-  peak_rate_bps_.reserve(flows);
-  duty_.reserve(flows);
-  period_ns_.reserve(flows);
-  phase_ns_.reserve(flows);
-  route_.reserve(flows);
-}
-
-FlowTable::FlowId FlowTable::add_flow(std::uint64_t external_id, RouteId route,
-                                      Bandwidth peak_rate, float duty,
-                                      Duration period, Duration phase) {
-  if (route >= route_offset_.size()) {
-    throw std::out_of_range("FlowTable: unknown route");
-  }
-  const float peak_rate_bps = static_cast<float>(peak_rate.bps());
-  if (!std::isfinite(peak_rate_bps) || peak_rate_bps < 0.0f) {
-    throw std::invalid_argument(
-        "FlowTable: peak rate must be finite and non-negative");
-  }
-  if (!(duty >= 0.0f && duty <= 1.0f)) {
-    throw std::invalid_argument("FlowTable: duty outside [0, 1]");
-  }
-  const FlowId id = static_cast<FlowId>(size());
-  external_id_.push_back(external_id);
-  peak_rate_bps_.push_back(peak_rate_bps);
-  duty_.push_back(duty);
-  period_ns_.push_back(period.count_nanos());
-  phase_ns_.push_back(phase.count_nanos());
-  route_.push_back(route);
-  // The mean_rate(id) value, folded into each crossed link.
-  const double rate =
-      static_cast<double>(peak_rate_bps) * static_cast<double>(duty);
-  const std::uint32_t offset = route_offset_[route];
-  for (std::uint16_t i = 0; i < route_len_[route]; ++i) {
-    link_demand_bps_[route_links_[offset + i]] += rate;
-  }
-  return id;
-}
-
-FlowTable::FlowId FlowTable::find(std::uint64_t external_id) const {
-  for (std::size_t i = 0; i < external_id_.size(); ++i) {
-    if (external_id_[i] == external_id) return static_cast<FlowId>(i);
-  }
-  throw std::out_of_range("FlowTable: unknown external id");
-}
-
-Bandwidth FlowTable::mean_rate(FlowId f) const {
-  return Bandwidth::bps(static_cast<double>(peak_rate_bps_.at(f)) *
-                        static_cast<double>(duty_.at(f)));
-}
-
-Bandwidth FlowTable::rate_at(FlowId f, SimTime t) const {
-  const std::int64_t period = period_ns_.at(f);
-  if (period <= 0) return mean_rate(f);
-  const double duty = duty_[f];
-  if (duty >= 1.0) return Bandwidth::bps(peak_rate_bps_[f]);
-  if (duty <= 0.0) return Bandwidth::zero();
-  std::int64_t offset = (t.count_nanos() - phase_ns_[f]) % period;
-  if (offset < 0) offset += period;
-  const double on_ns = duty * static_cast<double>(period);
-  return static_cast<double>(offset) < on_ns ? Bandwidth::bps(peak_rate_bps_[f])
-                                             : Bandwidth::zero();
-}
-
-std::size_t FlowTable::route_length(RouteId r) const {
-  return route_len_.at(r);
-}
-
-std::uint32_t FlowTable::route_link(RouteId r, std::size_t i) const {
-  if (i >= route_len_.at(r)) {
-    throw std::out_of_range("FlowTable: route link index");
-  }
-  return route_links_[route_offset_[r] + i];
-}
-
-void FlowTable::register_mean_rates(
-    const std::vector<FluidAggregate*>& by_link_uid, double scale) const {
-  for (std::size_t f = 0; f < size(); ++f) {
-    const double rate = mean_rate(static_cast<FlowId>(f)).bps() * scale;
-    if (rate <= 0.0) continue;
-    const RouteId r = route_[f];
-    const std::uint32_t offset = route_offset_[r];
-    const std::uint16_t len = route_len_[r];
-    for (std::uint16_t i = 0; i < len; ++i) {
-      const std::uint32_t uid = route_links_[offset + i];
-      if (uid < by_link_uid.size() && by_link_uid[uid] != nullptr) {
-        by_link_uid[uid]->add_base_rate(Bandwidth::bps(rate));
-      }
-    }
-  }
-}
-
-Bandwidth FlowTable::link_demand(std::uint32_t uid) const {
-  return Bandwidth::bps(uid < link_demand_bps_.size() ? link_demand_bps_[uid]
-                                                      : 0.0);
-}
-
-void FlowTable::audit_verify() const {
-  const std::size_t n = size();
-  SIM_CHECK(external_id_.size() == n && duty_.size() == n &&
-                period_ns_.size() == n && phase_ns_.size() == n &&
-                route_.size() == n,
-            "FlowTable: SoA columns out of sync at %zu flows", n);
-  SIM_CHECK(route_offset_.size() == route_len_.size() &&
-                interned_.size() == route_offset_.size(),
-            "FlowTable: route arena index out of sync");
-  for (std::size_t r = 0; r < route_offset_.size(); ++r) {
-    SIM_CHECK(route_offset_[r] + route_len_[r] <= route_links_.size(),
-              "FlowTable: route %zu overruns the arena", r);
-    const auto begin = route_links_.begin() + route_offset_[r];
-    std::vector<std::uint32_t> uids(begin, begin + route_len_[r]);
-    std::sort(uids.begin(), uids.end());
-    SIM_CHECK(std::adjacent_find(uids.begin(), uids.end()) == uids.end(),
-              "FlowTable: route %zu repeats a link", r);
-    SIM_CHECK(uids.back() < link_demand_bps_.size(),
-              "FlowTable: route %zu crosses a link with no demand slot", r);
-  }
-  for (const double demand : link_demand_bps_) {
-    SIM_CHECK(demand >= 0.0 && std::isfinite(demand),
-              "FlowTable: link demand %.3f bps out of range", demand);
-  }
 }
 
 }  // namespace bolot::sim

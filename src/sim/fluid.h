@@ -14,9 +14,11 @@
 //     (deterministic on/off, or an MMPP-style K-state modulated chain)
 //     feeding one or more same-domain aggregates.  Cost: O(1) events per
 //     rate edge, independent of the rate itself.
-//   * FlowTable — compact SoA state for 10^5..10^6 background flows whose
-//     on/off structure is folded analytically (law of large numbers) into
-//     the aggregates at registration time: zero events per flow.
+//
+// The 10^5..10^6 background flows themselves are never stored: the
+// scenario layer (scenario/build.h) folds their on/off structure to its
+// mean (law of large numbers) into each link's aggregate at set-up, from
+// per-host-pair flow counts: zero events and zero bytes per flow.
 //
 // RNG discipline follows MarkovChannel: a link splits nothing and draws
 // nothing unless a fluid stage is attached, so fluid-free runs schedule
@@ -24,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -64,7 +64,7 @@ struct FluidAggregateConfig {
 
 /// Piecewise-constant fluid demand on one link.  Owned by the caller
 /// (scenario layer), attached to a Link, updated by FluidFlows and by
-/// FlowTable registration.  Must live in the same PDES domain as its link
+/// set-up-time base rates.  Must live in the same PDES domain as its link
 /// (its Simulator& is the link's).
 class FluidAggregate {
  public:
@@ -72,7 +72,7 @@ class FluidAggregate {
   /// delivered packet; in kResidualRate mode the stream sits untouched.
   FluidAggregate(Simulator& sim, FluidAggregateConfig config, Rng rng);
 
-  /// Setup-time registration of time-invariant demand (FlowTable flows
+  /// Setup-time registration of time-invariant demand (background flows
   /// folded to their mean rate).  Not an event; no time accrual needed
   /// before the first one, but safe at any simulated time.
   void add_base_rate(Bandwidth rate);
@@ -186,113 +186,6 @@ class FluidFlow {
   bool on_ = false;
   std::uint64_t edges_ = 0;
   bool started_ = false;
-};
-
-/// Compact per-flow state for the 10^5..10^6 background flows of one run.
-/// Structure-of-arrays; flow ids are dense (the row index), routes are
-/// interned so flows sharing a path share one arena slice.  Flows here
-/// cost zero events: their deterministic on/off structure is folded to
-/// its mean when registered into the per-link aggregates, which is exact
-/// in the many-flows limit (law of large numbers; MODEL_NOTES §15).
-class FlowTable {
- public:
-  using FlowId = std::uint32_t;
-  using RouteId = std::uint32_t;
-
-  /// Interns a route given as directed link uids (Network link indices).
-  /// Identical sequences return the same RouteId.  Throws
-  /// std::invalid_argument when the route is empty, too long, or repeats
-  /// a link (a flow crosses each link at most once; link_demand relies on
-  /// it).  One ordered-map lookup per call: intern once per path, not
-  /// once per flow.
-  RouteId intern_route(const std::vector<std::uint32_t>& link_uids);
-
-  /// Reserves SoA storage for `flows` flows in total.
-  void reserve(std::size_t flows);
-
-  /// Appends a flow; returns its dense id (== previous size()).
-  /// `external_id` is the caller's identifier (hash, tuple, ...), kept
-  /// for reverse lookup; it need not be unique or dense.  Throws
-  /// std::invalid_argument for a negative or non-finite peak rate (after
-  /// narrowing to float) or a duty outside [0, 1], NaN included.  Adds
-  /// the flow's mean rate to every link of its route: O(route length).
-  FlowId add_flow(std::uint64_t external_id, RouteId route,
-                  Bandwidth peak_rate, float duty,
-                  Duration period = Duration::zero(),
-                  Duration phase = Duration::zero());
-
-  std::size_t size() const { return peak_rate_bps_.size(); }
-  std::size_t route_count() const { return route_offset_.size(); }
-
-  std::uint64_t external_id(FlowId f) const { return external_id_.at(f); }
-  /// First flow with this external id; throws std::out_of_range if absent.
-  /// Linear scan — tooling/tests only, not a datapath operation.
-  FlowId find(std::uint64_t external_id) const;
-
-  /// Stored at float precision (the SoA budget); the returned Bandwidth
-  /// carries the float value widened back to double.
-  Bandwidth peak_rate(FlowId f) const {
-    return Bandwidth::bps(static_cast<double>(peak_rate_bps_.at(f)));
-  }
-  float duty(FlowId f) const { return duty_.at(f); }
-  RouteId route(FlowId f) const { return route_.at(f); }
-  /// Long-run mean rate: peak * duty.
-  Bandwidth mean_rate(FlowId f) const;
-  /// Instantaneous rate of the deterministic on/off process at `t`
-  /// (peak while ON, zero while OFF; constant mean when period is zero).
-  Bandwidth rate_at(FlowId f, SimTime t) const;
-
-  std::size_t route_length(RouteId r) const;
-  std::uint32_t route_link(RouteId r, std::size_t i) const;
-
-  /// Folds every flow to its mean rate and adds it to the aggregate of
-  /// each link on its route: by_link_uid[uid] may be nullptr (packetized
-  /// or unloaded link — the flow's demand there is simply not modeled as
-  /// fluid).  `scale` multiplies every rate (load calibration).
-  /// O(flows x route length): one add_base_rate per flow per hop.
-  void register_mean_rates(const std::vector<FluidAggregate*>& by_link_uid,
-                           double scale = 1.0) const;
-  /// Sum of mean rates over flows whose route contains link `uid` (0 for
-  /// a link no route crosses).  O(1): add_flow folds each flow into a
-  /// per-link column as it is appended, in flow order, which is the same
-  /// sequence of additions a scan over the flows would make.
-  Bandwidth link_demand(std::uint32_t uid) const;
-
-  /// Bytes of SoA storage per flow, the contract that makes 10^6 flows a
-  /// ~40 MB statement (routes are shared, so the arena amortizes out).
-  static constexpr std::size_t kBytesPerFlow =
-      sizeof(std::uint64_t) +  // external_id_
-      sizeof(float) +          // peak_rate_bps_
-      sizeof(float) +          // duty_
-      sizeof(std::int64_t) +   // period_ns_
-      sizeof(std::int64_t) +   // phase_ns_
-      sizeof(RouteId);         // route_
-  static_assert(kBytesPerFlow <= 64,
-                "FlowTable: per-flow SoA footprint exceeds the 64-byte "
-                "budget — 10^6-flow runs stop being cheap");
-
-  void audit_verify() const;
-
- private:
-  // SoA columns, one entry per flow (kBytesPerFlow tracks these).
-  std::vector<std::uint64_t> external_id_;
-  std::vector<float> peak_rate_bps_;
-  std::vector<float> duty_;
-  std::vector<std::int64_t> period_ns_;
-  std::vector<std::int64_t> phase_ns_;
-  std::vector<RouteId> route_;
-
-  // Route arena: interned link-uid sequences.
-  std::vector<std::uint32_t> route_offset_;
-  std::vector<std::uint16_t> route_len_;
-  std::vector<std::uint32_t> route_links_;
-  /// Dedup index; setup-time only (ordered map: deterministic, and the
-  /// src/sim unordered-iteration lint stays trivially satisfied).
-  std::map<std::vector<std::uint32_t>, RouteId> interned_;
-
-  /// Per link uid (not per flow): summed mean rate of the flows crossing
-  /// it, sized to the largest interned uid + 1.
-  std::vector<double> link_demand_bps_;
 };
 
 }  // namespace bolot::sim

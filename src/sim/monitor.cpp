@@ -1,54 +1,8 @@
 #include "sim/monitor.h"
 
-#include <stdexcept>
-
 #include "obs/metrics.h"
 
 namespace bolot::sim {
-
-QueueMonitor::QueueMonitor(Simulator& sim, const Link& link,
-                           Duration interval, Mode mode)
-    : sim_(sim), link_(link), interval_(interval), mode_(mode) {
-  if (interval <= Duration::zero()) {
-    throw std::invalid_argument("QueueMonitor: interval must be positive");
-  }
-}
-
-void QueueMonitor::start(SimTime at) {
-  if (running_) return;
-  running_ = true;
-  pending_ = sim_.schedule_at(at, [this] { sample(); });
-}
-
-void QueueMonitor::stop() {
-  running_ = false;
-  pending_.cancel();
-}
-
-void QueueMonitor::sample() {
-  if (!running_) return;
-  if (mode_ == Mode::kPackets) {
-    samples_.push_back(static_cast<double>(link_.queue_length()));
-  } else {
-    samples_.push_back(
-        link_.service_time(ByteSize::bytes(link_.backlog_bytes())).millis());
-  }
-  times_.push_back(sim_.now());
-  // sample() only runs from its own event; re-arm it in place (pending_
-  // stays valid for stop()).
-  sim_.rearm_in(interval_);
-}
-
-analysis::Summary QueueMonitor::occupancy() const {
-  return analysis::summarize(samples_);
-}
-
-double QueueMonitor::fraction_at_or_above(double threshold) const {
-  if (samples_.empty()) return 0.0;
-  std::size_t hits = 0;
-  for (double s : samples_) hits += s >= threshold ? 1 : 0;
-  return static_cast<double>(hits) / static_cast<double>(samples_.size());
-}
 
 void DropMonitor::attach(Link& link) {
   link.add_drop_hook([this](const Packet& packet, DropCause cause) {

@@ -1,62 +1,20 @@
 // Measurement instrumentation for the simulator itself (as opposed to the
-// NetDyn probes, which only see the network from the edge): periodic
-// queue-length sampling and per-flow drop accounting.  The benches use
-// these to show what the probes *should* have inferred — e.g. comparing
-// the true bottleneck occupancy against eq.-6 estimates.
+// NetDyn probes, which only see the network from the edge): per-flow drop
+// accounting by cause.  Queue occupancy ground truth is an obs::Sampler
+// series (obs/sampler.h).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <string>
 
-#include "analysis/stats.h"
 #include "sim/link.h"
-#include "sim/simulator.h"
 
 namespace bolot::obs {
 class MetricsRegistry;
 }  // namespace bolot::obs
 
 namespace bolot::sim {
-
-/// Samples a link's instantaneous queue length (packets, including the
-/// one in service) every `interval`.  Start once; runs until the
-/// simulation ends or stop() is called.
-class QueueMonitor {
- public:
-  enum class Mode {
-    kPackets,  // sample queue_length()
-    kWorkMs,   // sample backlog_bytes() expressed as service time (ms)
-  };
-
-  /// `link` must outlive the monitor.
-  QueueMonitor(Simulator& sim, const Link& link, Duration interval,
-               Mode mode = Mode::kPackets);
-
-  void start(SimTime at);
-  void stop();
-
-  const std::vector<double>& samples() const { return samples_; }
-  const std::vector<SimTime>& sample_times() const { return times_; }
-
-  /// Summary of the sampled occupancy.
-  analysis::Summary occupancy() const;
-
-  /// Fraction of samples at or above `threshold` packets.
-  double fraction_at_or_above(double threshold) const;
-
- private:
-  void sample();
-
-  Simulator& sim_;
-  const Link& link_;
-  Duration interval_;
-  Mode mode_;
-  bool running_ = false;
-  EventHandle pending_;
-  std::vector<double> samples_;
-  std::vector<SimTime> times_;
-};
 
 /// Aggregates drop causes per flow across any number of links; attach()
 /// chains onto each link's drop hook, so it composes with PacketLog and

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runner/sweep_io.h"
@@ -125,6 +127,28 @@ TEST(SweepRunnerTest, SimulationSweepDeterministicAcrossThreadCounts) {
     } else {
       EXPECT_EQ(reference, json);
     }
+  }
+}
+
+TEST(SweepRunnerTest, ThreadsBoundsConcurrentlyRunningJobs) {
+  // A timing sweep at threads = 1 must run one job at a time: no job may
+  // run on the waiting thread beside the pool's workers.
+  for (const std::size_t threads : {1u, 2u}) {
+    std::atomic<std::size_t> running{0};
+    std::atomic<std::size_t> high_water{0};
+    const SweepJob job = [&](const RunContext&) -> std::vector<Metric> {
+      const std::size_t now = ++running;
+      std::size_t seen = high_water.load();
+      while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      --running;
+      return {};
+    };
+    SweepOptions options;
+    options.threads = threads;
+    run_sweep(numbered_specs(8), job, options);
+    EXPECT_EQ(high_water.load(), threads) << threads << " threads";
   }
 }
 

@@ -48,9 +48,12 @@ void expect_malformed_fluid_configs_rejected(const FluidBackgroundConfig& base,
   expect_rejected("flow_peak", [&](Config& c) {
     c.flow_peak = Bandwidth::bps(nan);
   });
-  expect_rejected("period", [](Config& c) {
-    c.period = Duration::millis(-1);
+  // Fluid rates fold at float precision: a peak past FLT_MAX, given or
+  // calibrated from a tiny duty, must not fold as infinity.
+  expect_rejected("flow_peak", [](Config& c) {
+    c.flow_peak = Bandwidth::bps(1e39);
   });
+  expect_rejected("duty", [](Config& c) { c.duty = 1e-40; });
   expect_rejected("mean_packet", [](Config& c) {
     c.mean_packet = ByteSize::zero();
   });

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "tests/scenario/malformed_fluid_configs.h"
 
@@ -205,6 +206,42 @@ TEST(TomographyTest, FluidBackgroundLoadsTheMeshDeterministically) {
   // Fluid demand takes capacity from every loaded link, so the probes
   // queue longer on average than on the idle fabric.
   EXPECT_GT(loaded_rtt, idle_rtt);
+}
+
+TEST(TomographyTest, FluidLoadedInferenceIsPinned) {
+  // Recorded as hex floats: the mesh's per-class estimates see the fluid
+  // background only through each link's folded demand, so a change to
+  // the fold moves bits here.
+  TomographySpec spec = ci_spec();
+  spec.duration = Duration::seconds(4);
+  FluidBackgroundConfig background;
+  background.flows = 10000;
+  background.max_link_load = 0.5;
+  background.duty = 0.3;
+  background.queue_model = sim::FluidQueueModel::kMd1Wait;
+  spec.fluid_background = background;
+  const TomographyResult result = run_tomography(spec);
+  EXPECT_EQ(result.events, 392354u);
+  const double expected[][2] = {
+      {0x1.012f3e360a997p-4, 0x1.2f4dc83329df7p+0},
+      {0x1.6ee5353a5ed2cp-4, 0x1.06fe4b61cb357p+0},
+      {0x1.ed43a52fd242cp-5, 0x1.0276045d39ea3p+1},
+      {0x1.0d0e7b07fa53cp-4, 0x1.0c2d79d93bf29p+0},
+      {0x1.22f8547c11ba1p-4, 0x1.0fba8b2299781p+0},
+      {0x1.5ae12ed33d3fap-5, 0x1.33243c635decfp+1},
+      {0x1.1c09569ad629p-4, 0x1.f5527ca15a0cap+1},
+      {0x1.11fd0260e154dp-4, 0x1.2946dfb811fddp+0},
+      {0x1.228d70205d92dp-4, 0x1.15ebe44028f1dp+0},
+      {0x1.42b764715a54ep-4, 0x1.126c1f6c58f63p+1},
+      {0x1.451200e28980ep-5, 0x1.0d182cf12489cp+1},
+      {0x1.817eaea5b875cp-4, 0x1.099ddaeaca21cp+0},
+      {0x1.6d7756f4cddb2p-4, 0x1.e6c2a5217d224p-1},
+  };
+  ASSERT_EQ(result.classes.size(), std::size(expected));
+  for (std::size_t c = 0; c < result.classes.size(); ++c) {
+    EXPECT_EQ(result.classes[c].est_loss_sum, expected[c][0]) << "class " << c;
+    EXPECT_EQ(result.classes[c].est_delay_ms, expected[c][1]) << "class " << c;
+  }
 }
 
 }  // namespace

@@ -207,6 +207,102 @@ TEST(RunTopologyTest, PacketizeRadiusSplitsThePopulation) {
   EXPECT_LT(all_fluid.events, all_packets.events / 2);
 }
 
+TEST(RunTopologyTest, FluidEventCountIsFlatInFlowCount) {
+  // The property the fluid engine exists for: folded flows cost zero
+  // events, so the run's event bill is the same at every population size.
+  ProbePlan plan;
+  plan.delta = Duration::millis(20);
+  plan.duration = Duration::seconds(4);
+  plan.seed = 1993;
+  ScenarioOverrides overrides;
+  TopologySpec spec;
+  spec.fat_tree_k = 4;
+  spec.hosts_per_edge = 2;
+  spec.seed = 3;
+  overrides.topology = spec;
+  FluidBackgroundConfig background;
+  background.max_link_load = 0.4;  // calibrated: same load at every size
+  background.envelope_states = 3;
+  for (const std::size_t flows : {1000u, 10000u, 100000u, 1000000u}) {
+    SCOPED_TRACE(std::to_string(flows) + " flows");
+    background.flows = flows;
+    overrides.fluid_background = background;
+    const ScenarioResult result = run_topology(plan, overrides);
+    EXPECT_EQ(result.background_flows_fluid, flows);
+    EXPECT_EQ(result.events, 5362u);
+  }
+}
+
+/// Pins recorded as hex floats: the fluid demand on every probed hop is
+/// the per-flow addend summed once per crossing flow, so any change to
+/// the pair stream, the calibration or the fold moves a bit here.  A duty
+/// of 0.3 gives the addends enough significant bits that a sum formed as
+/// count x addend rounds differently from the repeated one (at duty 0.5
+/// every partial sum is exact, and the two agree).
+ScenarioOverrides pinned_fabric(std::size_t flows,
+                                std::optional<std::size_t> radius,
+                                Bandwidth peak) {
+  ScenarioOverrides overrides = small_fabric(1, radius);
+  overrides.fluid_background->flows = flows;
+  overrides.fluid_background->flow_peak = peak;
+  overrides.fluid_background->duty = 0.3;
+  overrides.fluid_background->envelope_states = 0;
+  return overrides;
+}
+
+ProbePlan pinned_plan() {
+  ProbePlan plan = small_fabric_plan();
+  plan.duration = Duration::seconds(1);
+  return plan;
+}
+
+void expect_probe_hop_fluid(const ScenarioResult& result,
+                            const std::vector<double>& expected) {
+  ASSERT_EQ(result.probe_hops.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.probe_hops[i].fluid.bps(), expected[i]) << "hop " << i;
+  }
+}
+
+TEST(RunTopologyTest, CalibratedFluidDemandIsPinned) {
+  const ScenarioResult result = run_topology(
+      pinned_plan(), pinned_fabric(100000, std::nullopt, Bandwidth::zero()));
+  EXPECT_EQ(result.background_flows_fluid, 100000u);
+  EXPECT_EQ(result.background_flows_packetized, 0u);
+  expect_probe_hop_fluid(
+      result,
+      {0x1.de22c05ec1d4cp+21, 0x1.bf95b52e63306p+22, 0x1.7cdb6a67e6cc7p+23,
+       0x1.7ee5cb83430b8p+23, 0x1.be0f24cd5ed16p+22, 0x1.da7965dc50edcp+21,
+       0x1.d0409e858068ep+21, 0x1.b76c30c0f2342p+22, 0x1.7993b3fdb7003p+23,
+       0x1.7b54da06e26d7p+23, 0x1.b616726c0e61p+22, 0x1.d361467f962e3p+21});
+}
+
+TEST(RunTopologyTest, ExplicitPeakFluidDemandIsPinned) {
+  const ScenarioResult result = run_topology(
+      pinned_plan(), pinned_fabric(10000, std::nullopt, Bandwidth::kbps(300)));
+  EXPECT_EQ(result.background_flows_fluid, 10000u);
+  EXPECT_EQ(result.background_flows_packetized, 0u);
+  expect_probe_hop_fluid(
+      result,
+      {0x1.a6f94119fb8p+25, 0x1.9cac89131dbp+26, 0x1.5ee038e9eadp+27,
+       0x1.554348e3823p+27, 0x1.8c89ad085bc8p+26, 0x1.9bfcc112a88p+25,
+       0x1.9d5c511392ep+25, 0x1.988dd9105e9p+26, 0x1.53e3b8e297dp+27,
+       0x1.5074d0e04dep+27, 0x1.784820fadacp+26, 0x1.930f990cb51p+25});
+}
+
+TEST(RunTopologyTest, PacketizedSplitIsPinned) {
+  // Every probed hop lies in the zone, so none carries fluid; the split,
+  // and the packet sources' flow ids and rng splits (through the event
+  // and delivery counts), are what this pins.
+  const ScenarioResult result = run_topology(
+      pinned_plan(), pinned_fabric(2000, 1, Bandwidth::zero()));
+  EXPECT_EQ(result.background_flows_fluid, 242u);
+  EXPECT_EQ(result.background_flows_packetized, 1758u);
+  EXPECT_EQ(result.events, 1226061u);
+  EXPECT_EQ(result.hop_deliveries, 564159u);
+  expect_probe_hop_fluid(result, std::vector<double>(12, 0.0));
+}
+
 TEST(RunTopologyTest, RejectsChainOverrides) {
   // A generated fabric has no designated bottleneck hop, faulty cards or
   // cross-traffic hosts: each chain knob is a named error, not a silently

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -173,172 +170,6 @@ TEST(FluidFlowTest, EnvelopeConfigHasStationaryMeanAtPeak) {
     EXPECT_NEAR(sum, 1.0, 1e-12);
     EXPECT_DOUBLE_EQ(config.transition[row * 5 + row], 0.0);
   }
-}
-
-TEST(FlowTableTest, InternsRoutesAndGrowsDensely) {
-  FlowTable table;
-  const std::vector<std::uint32_t> route_a{0, 3, 7};
-  const std::vector<std::uint32_t> route_b{0, 3, 8};
-  const auto a = table.intern_route(route_a);
-  const auto b = table.intern_route(route_b);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(table.intern_route(route_a), a);  // dedup
-  EXPECT_EQ(table.route_count(), 2u);
-  ASSERT_EQ(table.route_length(a), 3u);
-  EXPECT_EQ(table.route_link(a, 2), 7u);
-
-  for (std::uint64_t f = 0; f < 100000; ++f) {
-    const auto id = table.add_flow(f * 2 + 1, f % 2 ? a : b,
-                                   /*peak_rate=*/Bandwidth::bps(1000.0), /*duty=*/0.5f,
-                                   Duration::seconds(1));
-    EXPECT_EQ(id, f);
-  }
-  EXPECT_EQ(table.size(), 100000u);
-  EXPECT_EQ(table.external_id(42), 85u);
-  EXPECT_EQ(table.find(85), 42u);
-  EXPECT_DOUBLE_EQ(table.mean_rate(0).bps(), 500.0);
-  table.audit_verify();
-}
-
-TEST(FlowTableTest, PerFlowFootprintStaysInBudget) {
-  // The 64 B/flow contract that keeps 10^6-flow runs a ~40 MB statement;
-  // the static_assert enforces the ceiling, this pins the exact layout.
-  EXPECT_EQ(FlowTable::kBytesPerFlow, 36u);
-  EXPECT_LE(FlowTable::kBytesPerFlow, 64u);
-}
-
-TEST(FlowTableTest, RateAtFollowsTheOnOffStructure) {
-  FlowTable table;
-  const auto route = table.intern_route({1});
-  const auto f =
-      table.add_flow(7, route, Bandwidth::bps(1000.0), 0.25f, Duration::seconds(1),
-                     /*phase=*/Duration::millis(100));
-  // ON during [0.1, 0.35) of each cycle.
-  EXPECT_DOUBLE_EQ(table.rate_at(f, Duration::millis(50)).bps(), 0.0);
-  EXPECT_DOUBLE_EQ(table.rate_at(f, Duration::millis(200)).bps(), 1000.0);
-  EXPECT_DOUBLE_EQ(table.rate_at(f, Duration::millis(500)).bps(), 0.0);
-  EXPECT_DOUBLE_EQ(table.rate_at(f, Duration::millis(1200)).bps(), 1000.0);
-  // Zero period = constant at the mean.
-  const auto constant = table.add_flow(8, route, Bandwidth::bps(1000.0), 0.25f);
-  EXPECT_DOUBLE_EQ(table.rate_at(constant, Duration::zero()).bps(), 250.0);
-}
-
-TEST(FlowTableTest, RegisterMeanRatesFoldsDemandIntoAggregates) {
-  Simulator simulator;
-  FluidAggregate agg0(simulator, aggregate_config(1e6), Rng(1));
-  FluidAggregate agg2(simulator, aggregate_config(1e6), Rng(2));
-  FlowTable table;
-  const auto shared = table.intern_route({0, 1, 2});
-  const auto lonely = table.intern_route({2});
-  table.add_flow(1, shared, Bandwidth::bps(100e3), 0.5f);
-  table.add_flow(2, shared, Bandwidth::bps(100e3), 0.5f);
-  table.add_flow(3, lonely, Bandwidth::bps(40e3), 1.0f);
-  // Link 1 is packetized (nullptr slot): demand there is simply not fluid.
-  std::vector<FluidAggregate*> by_link{&agg0, nullptr, &agg2};
-  table.register_mean_rates(by_link);
-  EXPECT_DOUBLE_EQ(agg0.fluid_rate().bps(), 100e3);
-  EXPECT_DOUBLE_EQ(agg2.fluid_rate().bps(), 140e3);
-  EXPECT_DOUBLE_EQ(table.link_demand(0).bps(), 100e3);
-  EXPECT_DOUBLE_EQ(table.link_demand(1).bps(), 100e3);
-  EXPECT_DOUBLE_EQ(table.link_demand(2).bps(), 140e3);
-}
-
-TEST(FlowTableTest, RejectsRouteThatRepeatsALink) {
-  // On a route that crossed link 3 twice, register_mean_rates would add
-  // the flow there twice while link_demand counted it once.
-  FlowTable table;
-  try {
-    table.intern_route({3, 5, 3});
-    FAIL() << "a route repeating link 3 was interned";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "FlowTable: route repeats link 3");
-  }
-  EXPECT_EQ(table.route_count(), 0u);
-  const auto route = table.intern_route({3, 5});
-  table.add_flow(1, route, Bandwidth::bps(1000.0), 0.5f);
-  EXPECT_DOUBLE_EQ(table.link_demand(3).bps(), 500.0);
-  table.audit_verify();
-}
-
-TEST(FlowTableTest, RejectsNonFiniteFlowParameters) {
-  // NaN compares false with everything, so a range check alone lets it in.
-  FlowTable table;
-  const auto route = table.intern_route({0});
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(table.add_flow(1, route, Bandwidth::bps(nan), 0.5f),
-               std::invalid_argument);
-  EXPECT_THROW(table.add_flow(1, route, Bandwidth::bps(inf), 0.5f),
-               std::invalid_argument);
-  EXPECT_THROW(table.add_flow(1, route, Bandwidth::bps(-1.0), 0.5f),
-               std::invalid_argument);
-  EXPECT_THROW(table.add_flow(1, route, Bandwidth::bps(1e3),
-                              std::numeric_limits<float>::quiet_NaN()),
-               std::invalid_argument);
-  EXPECT_THROW(table.add_flow(1, route, Bandwidth::bps(1e3), 1.5f),
-               std::invalid_argument);
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.link_demand(0).bps(), 0.0);
-}
-
-/// Per-link demand as a scan over every flow's route, in flow order: the
-/// O(flows) computation link_demand's folded column replaces.
-double scanned_link_demand(const FlowTable& table, std::uint32_t uid) {
-  double demand = 0.0;
-  for (FlowTable::FlowId f = 0; f < table.size(); ++f) {
-    const FlowTable::RouteId r = table.route(f);
-    for (std::size_t i = 0; i < table.route_length(r); ++i) {
-      if (table.route_link(r, i) == uid) {
-        demand += table.mean_rate(f).bps();
-        break;
-      }
-    }
-  }
-  return demand;
-}
-
-TEST(FlowTableTest, LinkDemandMatchesBruteForceBitForBit) {
-  // Floating-point addition is not associative, so "the same sum" means
-  // the same additions in the same order; compare bit patterns.
-  constexpr std::uint32_t kLinks = 48;  // routes draw from uids [0, 40)
-  constexpr std::uint32_t kUsed = 40;
-  FlowTable table;
-  Rng rng(0xF10D);
-  std::vector<FlowTable::RouteId> routes;
-  const auto intern_random_route = [&] {
-    std::vector<std::uint32_t> uids;
-    const std::uint64_t length = 1 + rng.uniform_int(6);
-    while (uids.size() < length) {
-      const auto uid = static_cast<std::uint32_t>(rng.uniform_int(kUsed));
-      if (std::find(uids.begin(), uids.end(), uid) == uids.end()) {
-        uids.push_back(uid);
-      }
-    }
-    routes.push_back(table.intern_route(uids));
-  };
-  for (int r = 0; r < 20; ++r) intern_random_route();
-  for (std::uint64_t f = 0; f < 10000; ++f) {
-    // Routes keep arriving after flows exist: the demand column must grow
-    // without disturbing the sums already folded.
-    if (f % 500 == 499) intern_random_route();
-    const float duty = rng.chance(0.2) ? 1.0f
-                                       : static_cast<float>(rng.uniform());
-    table.add_flow(f, routes[rng.uniform_int(routes.size())],
-                   Bandwidth::bps(rng.uniform(1e3, 5e6)), duty,
-                   Duration::seconds(2));
-  }
-  ASSERT_EQ(table.size(), 10000u);
-  for (std::uint32_t uid = 0; uid < kLinks; ++uid) {
-    const double folded = table.link_demand(uid).bps();
-    const double scanned = scanned_link_demand(table, uid);
-    EXPECT_EQ(std::memcmp(&folded, &scanned, sizeof(double)), 0)
-        << "uid " << uid << ": folded " << folded << " vs scanned "
-        << scanned;
-  }
-  for (std::uint32_t uid = kUsed; uid < kLinks; ++uid) {
-    EXPECT_EQ(table.link_demand(uid).bps(), 0.0) << "unused uid " << uid;
-  }
-  table.audit_verify();
 }
 
 TEST(FluidLinkTest, PacketsServeAtResidualRate) {

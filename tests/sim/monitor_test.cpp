@@ -8,75 +8,6 @@
 namespace bolot::sim {
 namespace {
 
-TEST(QueueMonitorTest, SamplesAtConfiguredInterval) {
-  Simulator simulator;
-  LinkConfig config;
-  config.rate = Bandwidth::bps(128e3);
-  config.propagation = Duration::millis(1);
-  config.buffer_packets = 64;
-  Link link(simulator, config, Rng(1));
-  link.set_sink([](Packet&&) {});
-
-  QueueMonitor monitor(simulator, link, Duration::millis(10));
-  monitor.start(Duration::zero());
-  simulator.run_until(Duration::millis(95));
-  EXPECT_EQ(monitor.samples().size(), 10u);  // t = 0, 10, ..., 90
-  ASSERT_EQ(monitor.sample_times().size(), 10u);
-  EXPECT_EQ(monitor.sample_times()[3], Duration::millis(30));
-}
-
-TEST(QueueMonitorTest, TracksOccupancy) {
-  Simulator simulator;
-  LinkConfig config;
-  config.rate = Bandwidth::bps(128e3);  // 512 B = 32 ms service
-  config.propagation = Duration::millis(1);
-  config.buffer_packets = 64;
-  Link link(simulator, config, Rng(1));
-  link.set_sink([](Packet&&) {});
-
-  QueueMonitor monitor(simulator, link, Duration::millis(1));
-  monitor.start(Duration::zero());
-  // Three packets at t=5ms: queue holds 3, 2, 1, 0 as they drain.
-  simulator.schedule_in(Duration::millis(5), [&link] {
-    for (int i = 0; i < 3; ++i) {
-      Packet p;
-      p.size_bytes = 512;
-      link.enqueue(std::move(p));
-    }
-  });
-  simulator.run_until(Duration::millis(120));
-  const auto occupancy = monitor.occupancy();
-  EXPECT_EQ(occupancy.max, 3.0);
-  EXPECT_EQ(occupancy.min, 0.0);
-  EXPECT_GT(monitor.fraction_at_or_above(1.0), 0.5);  // busy ~96 of 120 ms
-  EXPECT_LT(monitor.fraction_at_or_above(3.0), 0.4);
-}
-
-TEST(QueueMonitorTest, StopHaltsSampling) {
-  Simulator simulator;
-  LinkConfig config;
-  config.rate = Bandwidth::bps(1e6);
-  config.buffer_packets = 4;
-  Link link(simulator, config, Rng(1));
-  QueueMonitor monitor(simulator, link, Duration::millis(5));
-  monitor.start(Duration::zero());
-  simulator.run_until(Duration::millis(21));
-  monitor.stop();
-  const auto count = monitor.samples().size();
-  simulator.run_until(Duration::millis(100));
-  EXPECT_EQ(monitor.samples().size(), count);
-}
-
-TEST(QueueMonitorTest, RejectsNonPositiveInterval) {
-  Simulator simulator;
-  LinkConfig config;
-  config.rate = Bandwidth::bps(1e6);
-  config.buffer_packets = 4;
-  Link link(simulator, config, Rng(1));
-  EXPECT_THROW(QueueMonitor(simulator, link, Duration::zero()),
-               std::invalid_argument);
-}
-
 TEST(DropMonitorTest, CountsByFlowAndCause) {
   Simulator simulator;
   LinkConfig config;
