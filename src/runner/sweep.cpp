@@ -145,16 +145,10 @@ std::vector<Metric> scenario_metrics(const scenario::ScenarioResult& result) {
   metrics.push_back(
       {"path_channel_drops", static_cast<double>(result.total_channel_drops)});
   metrics.push_back({"events", static_cast<double>(result.events)});
-  append_snapshot_metrics(metrics, result.metrics);
-  return metrics;
-}
-
-void append_snapshot_metrics(std::vector<Metric>& metrics,
-                             const obs::MetricsSnapshot& snapshot,
-                             const std::string& prefix) {
-  for (const obs::SnapshotEntry& entry : snapshot.entries) {
-    metrics.push_back({prefix + entry.name, entry.value});
+  for (const obs::SnapshotEntry& entry : result.metrics.entries) {
+    metrics.push_back({"obs." + entry.name, entry.value});
   }
+  return metrics;
 }
 
 }  // namespace bolot::runner

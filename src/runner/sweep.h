@@ -96,16 +96,10 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
 
 /// Standard per-run stats for a scenario run: loss stats (ulp, clp, plg,
 /// mean burst, probe/loss counts), delay percentiles (p50/p95/p99 rtt),
-/// bottleneck and path drop counters, and event count.  Benches append
-/// their sweep-specific extras to this base.
+/// bottleneck and path drop counters, and event count, followed by every
+/// scalar entry of the run's metrics snapshot as "obs.<name>" (the prefix
+/// keeps them from colliding with the names above).  Benches append their
+/// sweep-specific extras to this base.
 std::vector<Metric> scenario_metrics(const scenario::ScenarioResult& result);
-
-/// Appends every scalar entry of a metrics snapshot (counters and gauges;
-/// histograms are skipped — they are not single scalars) to `metrics` as
-/// "<prefix><name>".  Scenario jobs use prefix "obs." so snapshot-derived
-/// values cannot collide with the hand-rolled metric names above.
-void append_snapshot_metrics(std::vector<Metric>& metrics,
-                             const obs::MetricsSnapshot& snapshot,
-                             const std::string& prefix = "obs.");
 
 }  // namespace bolot::runner

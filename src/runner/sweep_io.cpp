@@ -15,8 +15,7 @@ namespace {
 /// Shortest round-trip decimal rendering; locale-independent.  JSON has
 /// no representation for inf/nan (std::to_chars would happily emit those
 /// tokens and corrupt the artifact — e.g. plg when every probe after the
-/// first is lost, clp == 1), so non-finite values serialize as null;
-/// consumers (tools/bench_diff.py) treat null as "not comparable".
+/// first is lost, clp == 1), so non-finite values serialize as null.
 std::string format_number(double value) {
   if (!std::isfinite(value)) return "null";
   char buffer[64];

@@ -170,8 +170,7 @@ struct ScenarioResult {
   std::uint64_t total_overflow_drops = 0;
   std::uint64_t total_random_drops = 0;
   std::uint64_t total_channel_drops = 0;
-  /// Per-link deliveries summed over every link (hop traversals); the
-  /// datapath perf baseline divides this by wall time.
+  /// Per-link deliveries summed over every link (hop traversals).
   std::uint64_t hop_deliveries = 0;
   Duration simulated;
   std::uint64_t events = 0;

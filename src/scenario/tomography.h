@@ -32,10 +32,9 @@
 // estimate_bottleneck_packet_pair recovers each round trip's bottleneck
 // capacity from their return spacing.
 //
-// bench/tomography_mesh sweeps inference error against mesh size and probe
-// rate and measures raw streaming throughput; tests/scenario/
-// tomography_test.cpp pins inference error and determinism across PDES
-// domain counts.
+// tests/scenario/tomography_test.cpp gates inference error against mesh
+// size and probe rate and pins determinism across PDES domain counts;
+// bench/perf_ledger times the 18-host mesh.
 #pragma once
 
 #include <cstdint>

@@ -503,7 +503,7 @@ void Link::publish_metrics(obs::MetricsRegistry& registry,
                          [this] { return double(stats_.bytes_delivered); });
   registry.probe_counter(prefix + ".drops_overflow",
                          [this] { return double(stats_.overflow_drops); });
-  // RED early drops — the "early" half of the DropMonitor split.
+  // RED early drops, split from buffer-full overflow drops.
   registry.probe_counter(prefix + ".drops_early",
                          [this] { return double(stats_.red_drops); });
   registry.probe_counter(prefix + ".drops_random",

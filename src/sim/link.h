@@ -117,8 +117,8 @@ class Link {
   /// Hooks live inline in the Link (no heap, no std::function): a closure
   /// must fit kHookCapacity bytes, enforced at compile time.
   static constexpr std::size_t kHookCapacity = 48;
-  /// Observation hooks form small chains (e.g. PacketLog + DropMonitor on
-  /// the same link); each link holds up to kMaxHooks of each kind.
+  /// Observation hooks form small chains (e.g. PacketLog + a counting drop
+  /// hook on the same link); each link holds up to kMaxHooks of each kind.
   static constexpr std::size_t kMaxHooks = 4;
 
   using Sink = util::InplaceFunction<void(Packet&&), kHookCapacity>;

@@ -5,7 +5,7 @@
 //
 // Delivery events hook the link delivery hook, drop events the drop hook;
 // both chain to whatever was installed before, so logging composes with
-// DropMonitor and with the Network's own forwarding.
+// other drop hooks and with the Network's own forwarding.
 #pragma once
 
 #include <cstdint>

@@ -5,14 +5,17 @@
 // The contract under test: after construction, push() on every streaming
 // estimator performs zero heap allocations — constructor-reserved rings,
 // histograms, and descent maps absorb the whole stream.  This is what
-// makes 10^4+ concurrent per-stream estimators viable in one process.
+// makes 10^4+ concurrent per-stream estimators viable in one process, and
+// TenThousandConcurrentStreamsAreAllocationFree runs exactly that.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "analysis/stats.h"
 #include "analysis/streaming.h"
 #include "util/rng.h"
 
@@ -87,6 +90,56 @@ TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
   EXPECT_GT(phase_exact.estimate().fixed_delay_ms, 0.0);
   EXPECT_GT(phase_quantized.estimate().fixed_delay_ms, 0.0);
   EXPECT_NEAR(autocorr.acf().front(), 1.0, 1e-9);
+}
+
+/// The tomography mesh's per-stream bank: loss state, Lindley inversion
+/// and an rtt summary (ms, 0 for a lost probe), pushed as the mesh does.
+struct MeshBank {
+  explicit MeshBank(const StreamingLindleyConfig& config) : lindley(config) {}
+
+  void push(Duration rtt) {
+    const bool lost = rtt == Duration::zero();
+    loss.push_lost(lost);
+    lindley.push(rtt);
+    summary.push(lost ? 0.0 : rtt.millis());
+  }
+
+  StreamingLossState loss;
+  StreamingLindley lindley;
+  StreamingSummary summary;
+};
+
+TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
+  constexpr std::size_t kStreams = 10'000;
+  constexpr std::size_t kProbesPerStream = 100;
+  StreamingLindleyConfig config;
+  config.delta = Duration::millis(20);
+  config.probe_wire = ByteSize::bytes(72);
+  config.bottleneck = Bandwidth::mbps(1);
+  config.max = Duration::millis(200);
+  std::vector<MeshBank> banks;
+  banks.reserve(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) banks.emplace_back(config);
+
+  // Round-robin: the arrival order of 10^4 live streams analyzed online.
+  Rng rng(1993);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t k = 0; k < kProbesPerStream; ++k) {
+    for (MeshBank& bank : banks) bank.push(synth_rtt(rng, 0.0));
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+
+  std::size_t losses = 0;
+  for (const MeshBank& bank : banks) {
+    ASSERT_EQ(bank.loss.probes(), kProbesPerStream);
+    ASSERT_EQ(bank.summary.count(), kProbesPerStream);
+    ASSERT_LT(bank.lindley.samples(), kProbesPerStream);
+    losses += bank.loss.losses();
+  }
+  // synth_rtt loses 5% of probes.
+  EXPECT_NEAR(static_cast<double>(losses) / (kStreams * kProbesPerStream),
+              0.05, 0.005);
 }
 
 }  // namespace

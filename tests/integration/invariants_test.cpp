@@ -8,7 +8,6 @@
 #include "analysis/loss.h"
 #include "analysis/stats.h"
 #include "scenario/scenarios.h"
-#include "sim/monitor.h"
 #include "sim/traffic.h"
 #include "sim/udp_echo.h"
 

@@ -8,9 +8,10 @@
 //     Histogram::record) is allocation-free after registration;
 //   * a Sampler's steady state — probe evaluation, series push, event
 //     re-arm, and decimation — performs zero heap allocations;
-//   * attaching the full metrics + sampler stack to the chain3 datapath
-//     kernel changes neither what the simulation computes (deliveries)
-//     nor its event count beyond exactly one event per sample;
+//   * attaching the full metrics + sampler stack to a line-rate 3-hop
+//     chain changes neither what the simulation computes (deliveries,
+//     pinned exactly) nor its event count (pinned exactly) beyond exactly
+//     one event per sample;
 //   * (opt-in, BOLOT_PERF_ASSERT=1) the instrumented kernel's wall clock
 //     stays within 3% of bare — advisory by default because shared CI
 //     runners make wall-clock assertions flaky.
@@ -95,13 +96,15 @@ TEST(ObsOverheadTest, SamplerSteadyStateIsAllocationFree) {
 }
 
 struct ChainRun {
-  std::uint64_t delivered = 0;
+  std::uint64_t delivered = 0;  // end to end
+  std::uint64_t hop_deliveries = 0;
   std::uint64_t events = 0;
   std::uint64_t samples = 0;
   double wall_seconds = 0.0;
 };
 
-/// The datapath_baseline chain3 kernel, shrunk to 1 sim-second.
+/// A 3-hop chain at 1.024e9 b/s (512 B in exactly 4 us) driven by CBR at
+/// line rate for 1 sim-second: every transmitter busy, nothing drops.
 ChainRun run_chain3(bool with_obs) {
   sim::Simulator simulator;
   sim::Network net(simulator, 7);
@@ -148,6 +151,7 @@ ChainRun run_chain3(bool with_obs) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   run.delivered = received;
+  run.hop_deliveries = net.total_delivered();
   run.events = simulator.events_dispatched();
   run.samples = sampler.size();  // one event dispatch per sample (no decim.)
   return run;
@@ -158,8 +162,11 @@ TEST(ObsOverheadTest, SamplingChangesNothingButTheSampleEvents) {
   const ChainRun obs = run_chain3(/*with_obs=*/true);
 
   // The simulation's outputs are identical: probes only read state.
+  EXPECT_EQ(bare.delivered, 250'001u);
+  EXPECT_EQ(bare.hop_deliveries, 750'003u);
+  EXPECT_EQ(bare.events, 1'750'007u);
   EXPECT_EQ(obs.delivered, bare.delivered);
-  EXPECT_GT(bare.delivered, 0u);
+  EXPECT_EQ(obs.hop_deliveries, bare.hop_deliveries);
   // And the schedule differs by exactly the sampler's own events (the
   // 1 ms grid over 1 s stays under budget, so dispatches == samples).
   EXPECT_EQ(obs.events, bare.events + obs.samples);

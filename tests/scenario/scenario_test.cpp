@@ -184,6 +184,18 @@ TEST(ChainScenarioTest, RejectsRunTopologyOverrides) {
   }
 }
 
+TEST(ChainScenarioTest, InriaUmdCountersArePinned) {
+  // The paper's Table-1 path under its default probe + bulk + interactive
+  // mix at delta = 20 ms: one simulated second, then the full 10 minutes.
+  ProbePlan plan = quick_plan(20);
+  plan.duration = Duration::seconds(1);
+  EXPECT_EQ(run_inria_umd(plan).events, 6'043u);
+  const ScenarioResult full = run_inria_umd(quick_plan(20, 10.0));
+  EXPECT_EQ(full.events, 1'194'667u);
+  EXPECT_EQ(full.hop_deliveries, 565'146u);
+  EXPECT_EQ(full.trace.received_count(), 24'455u);
+}
+
 TEST(InriaEuropeTest, RouteAndDelayMatchSpec) {
   const auto result = run_inria_europe(quick_plan(20, 1.0));
   const auto& expected = inria_europe_route_names();

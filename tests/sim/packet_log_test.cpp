@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "sim/monitor.h"
 #include "sim/network.h"
 
 namespace bolot::sim {
@@ -119,30 +118,32 @@ TEST_F(LogFixture, CsvDump) {
   EXPECT_NE(csv.find("delivered,-,a->b,42,7,bulk,512"), std::string::npos);
 }
 
-TEST_F(LogFixture, ComposesWithDropMonitorLogFirst) {
-  // Hook chaining: both observers on one link, in either attach order,
-  // each see every drop.  Buffer 2, four sends at t = 0: two overflow.
+/// Hook chaining: the log and a counting drop hook on one link, attached
+/// in either order, each see every drop.  Buffer 2, four sends at t = 0:
+/// two overflow.
+void expect_log_and_hook_see_both_drops(LogFixture& f, bool log_first) {
   PacketLog log;
-  DropMonitor drops;
-  log.attach(simulator, net.link(a, b));
-  drops.attach(net.link(a, b));
-  for (std::uint64_t i = 0; i < 4; ++i) send(1, i);
-  simulator.run_to_completion();
-  EXPECT_EQ(drops.drops_for(1).overflow, 2u);
+  std::uint64_t overflow = 0;
+  const auto count_overflow = [&overflow](const Packet&, DropCause cause) {
+    if (cause == DropCause::kOverflow) ++overflow;
+  };
+  Link& link = f.net.link(f.a, f.b);
+  if (log_first) log.attach(f.simulator, link);
+  link.add_drop_hook(count_overflow);
+  if (!log_first) log.attach(f.simulator, link);
+  for (std::uint64_t i = 0; i < 4; ++i) f.send(1, i);
+  f.simulator.run_to_completion();
+  EXPECT_EQ(overflow, 2u);
   EXPECT_EQ(log.drops_between(Duration::zero(), Duration::seconds(1)).size(),
             2u);
 }
 
-TEST_F(LogFixture, ComposesWithDropMonitorLogSecond) {
-  PacketLog log;
-  DropMonitor drops;
-  drops.attach(net.link(a, b));
-  log.attach(simulator, net.link(a, b));
-  for (std::uint64_t i = 0; i < 4; ++i) send(1, i);
-  simulator.run_to_completion();
-  EXPECT_EQ(drops.drops_for(1).overflow, 2u);
-  EXPECT_EQ(log.drops_between(Duration::zero(), Duration::seconds(1)).size(),
-            2u);
+TEST_F(LogFixture, ComposesWithDropHookFirst) {
+  expect_log_and_hook_see_both_drops(*this, /*log_first=*/true);
+}
+
+TEST_F(LogFixture, ComposesWithDropHookSecond) {
+  expect_log_and_hook_see_both_drops(*this, /*log_first=*/false);
 }
 
 TEST_F(LogFixture, RejectsZeroCapacity) {

@@ -286,6 +286,112 @@ TEST(PdesTest, RepeatedShardedRunsIdenticalWithWorkerThreads) {
   EXPECT_TRUE(run_chain_case(0) == first);
 }
 
+// ---------------------------------------------------------------------
+// Quantized rates: a 9-node duplex chain at 1.024e8 b/s, where a 512 B
+// packet takes exactly 40 us and every hop propagates for 1 ms, so service
+// completions, arrivals and CBR ticks share whole microseconds and
+// same-nanosecond ties are routine.  domains == 1 is the sequential kernel.
+
+enum class ChainLoad {
+  kLineRateCbr,  // line-rate CBR end to end in both directions
+  kParkingLot,   // every node sends Poisson to the far end: load grows by hop
+};
+
+struct ChainCounters {
+  std::uint64_t hop_deliveries = 0;
+  std::uint64_t events = 0;
+};
+
+ChainCounters run_quantized_chain(ChainLoad load, std::size_t domains) {
+  constexpr std::size_t kNodes = 9;
+  std::optional<ParallelSimulation> psim;
+  std::optional<Simulator> seq;
+  if (domains > 1) {
+    psim.emplace(domains);
+  } else {
+    seq.emplace();
+  }
+  const auto domain_of = [&](std::size_t i) { return i * domains / kNodes; };
+  const auto sim_of = [&](std::size_t i) -> Simulator& {
+    return psim ? psim->simulator(domain_of(i)) : *seq;
+  };
+
+  Network net(sim_of(0), 7);
+  std::vector<NodeId> nodes;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    nodes.push_back(net.add_node(std::to_string(i)));
+  }
+  LinkConfig config;
+  config.rate = Bandwidth::bps(1.024e8);
+  config.propagation = Duration::millis(1);
+  config.buffer_packets = 64;
+  for (std::size_t h = 0; h + 1 < kNodes; ++h) {
+    config.name = "hop" + std::to_string(h);
+    net.add_duplex_link(nodes[h], nodes[h + 1], config, sim_of(h),
+                        sim_of(h + 1));
+  }
+
+  std::vector<std::unique_ptr<TrafficSource>> sources;
+  if (load == ChainLoad::kLineRateCbr) {
+    sources.push_back(std::make_unique<CbrSource>(
+        sim_of(0), net, nodes.front(), nodes.back(), 1, PacketKind::kBulk,
+        Rng(11), Duration::micros(40), ByteSize::bytes(512)));
+    sources.push_back(std::make_unique<CbrSource>(
+        sim_of(kNodes - 1), net, nodes.back(), nodes.front(), 2,
+        PacketKind::kBulk, Rng(13), Duration::micros(40),
+        ByteSize::bytes(512)));
+  } else {
+    // Each flow at 1/10 of line rate: the last hop carries eight (~80%).
+    Rng rng(29);
+    for (std::size_t i = 0; i + 1 < kNodes; ++i) {
+      sources.push_back(std::make_unique<PoissonSource>(
+          sim_of(i), net, nodes[i], nodes.back(),
+          static_cast<std::uint32_t>(10 + i), PacketKind::kBulk, rng.split(),
+          Duration::micros(400), ByteSize::bytes(512)));
+    }
+  }
+
+  net.compute_routes();
+  if (psim) {
+    std::vector<std::size_t> node_domain;
+    for (std::size_t i = 0; i < kNodes; ++i) node_domain.push_back(domain_of(i));
+    psim->attach(net, node_domain);
+  }
+  for (auto& source : sources) source->start(SimTime());
+
+  const Duration span = Duration::seconds(2);
+  if (psim) {
+    psim->run_until(span);
+  } else {
+    seq->run_until(span);
+  }
+  return {net.total_delivered(),
+          psim ? psim->events_dispatched() : seq->events_dispatched()};
+}
+
+TEST(PdesTest, QuantizedChainAndParkingLotCountersMatchAcrossDomainCounts) {
+  runner::shared_pool();  // domains borrow the process-wide workers
+  struct Case {
+    const char* name;
+    ChainLoad load;
+    std::uint64_t hop_deliveries;
+    std::uint64_t events;
+  };
+  const Case cases[] = {
+      {"line-rate chain", ChainLoad::kLineRateCbr, 798'544, 1'696'690},
+      {"parking lot", ChainLoad::kParkingLot, 178'109, 395'598},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t domains : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(domains) +
+                   " domains");
+      const ChainCounters counters = run_quantized_chain(c.load, domains);
+      EXPECT_EQ(counters.hop_deliveries, c.hop_deliveries);
+      EXPECT_EQ(counters.events, c.events);
+    }
+  }
+}
+
 /// A trace-driven transmitter serving about `rate`: ten unevenly spaced
 /// opportunities per 10 ms cycle, each worth 1 ms of service.
 std::shared_ptr<const DeliverySchedule> schedule_near(Bandwidth rate) {
