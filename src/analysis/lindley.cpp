@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/phase_plot.h"
 #include "analysis/streaming.h"
 
 namespace bolot::analysis {
@@ -100,8 +101,8 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
           "path uncongested)");
     }
     const auto tick_us = static_cast<std::int64_t>(std::llround(tick_ms * 1e3));
-    const detail::TickPair best = detail::heaviest_adjacent_ticks(
-        detail::sorted_key_counts(std::move(keys)), tick_us);
+    const detail::TickPair best =
+        detail::heaviest_adjacent_ticks(std::move(keys), tick_us);
     lower = static_cast<double>(best.key) * 1e-3 - 1e-3;
     upper = static_cast<double>(best.key + tick_us) * 1e-3 + 1e-3;
   } else {

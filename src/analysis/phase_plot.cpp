@@ -7,9 +7,28 @@
 #include <utility>
 
 #include "analysis/histogram.h"
-#include "analysis/streaming.h"
 
 namespace bolot::analysis {
+
+namespace detail {
+
+TickPair heaviest_adjacent_ticks(std::vector<std::int64_t> keys,
+                                 std::int64_t tick) {
+  std::sort(keys.begin(), keys.end());
+  TickPair best;
+  for (auto run = keys.begin(); run != keys.end();) {
+    const auto run_end = std::upper_bound(run, keys.end(), *run);
+    const auto [pair_begin, pair_end] =
+        std::equal_range(run, keys.end(), *run + tick);
+    const auto count = static_cast<std::uint64_t>((run_end - run) +
+                                                  (pair_end - pair_begin));
+    if (count > best.count) best = {*run, count};
+    run = run_end;
+  }
+  return best;
+}
+
+}  // namespace detail
 
 PhasePlot build_phase_plot(const ProbeTrace& trace) {
   validate_probe_order(trace, "build_phase_plot");
@@ -61,7 +80,7 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
         keys.push_back(static_cast<std::int64_t>(std::llround(d * 1e3)));
       }
       const detail::TickPair best = detail::heaviest_adjacent_ticks(
-          detail::sorted_key_counts(std::move(keys)),
+          std::move(keys),
           static_cast<std::int64_t>(std::llround(tick_ms * 1e3)));
       if (static_cast<double>(best.count) >=
           options.min_cluster_mass * static_cast<double>(plot.size())) {

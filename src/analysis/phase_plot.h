@@ -62,4 +62,21 @@ struct PhaseAnalysisOptions {
 PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
                                  const PhaseAnalysisOptions& options = {});
 
+namespace detail {
+
+/// The adjacent tick pair (key, key + tick) with the largest combined
+/// count among `keys` (microsecond-quantized samples, in any order).  A
+/// quantized clock splits a point mass over exactly two adjacent ticks, so
+/// this is where analyze_phase_plot and estimate_bottleneck look for their
+/// compression cluster.  Ties keep the first pair in key order;
+/// count == 0 when `keys` is empty.
+struct TickPair {
+  std::int64_t key = 0;
+  std::uint64_t count = 0;
+};
+TickPair heaviest_adjacent_ticks(std::vector<std::int64_t> keys,
+                                 std::int64_t tick);
+
+}  // namespace detail
+
 }  // namespace bolot::analysis

@@ -18,9 +18,9 @@ struct Summary {
 
 /// Welford's online mean / variance plus min / max: the one summary
 /// recurrence in the library.  summarize() is a fold over it, and the
-/// streaming consumers (StreamingAutocorr, the tomography mesh) push one
-/// value at a time; summary() over the pushed values equals summarize()
-/// over the same values in the same order, bit for bit.
+/// tomography mesh pushes one value at a time; summary() over the pushed
+/// values equals summarize() over the same values in the same order, bit
+/// for bit.
 class StreamingSummary {
  public:
   void push(double x);

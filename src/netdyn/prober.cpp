@@ -15,41 +15,35 @@ Prober::Prober(const Clock& clock, ProberConfig config)
   if (config_.probe_count == 0) {
     throw std::invalid_argument("Prober: probe_count must be positive");
   }
+  // Sequence numbers 0 .. probe_count - 1 must fit the 32-bit wire field,
+  // or a later echo would land in an earlier probe's record.
+  if (config_.probe_count > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument(
+        "Prober: probe_count exceeds the 32-bit wire sequence space");
+  }
   trace_.delta = config_.delta;
   trace_.probe_wire_bytes = static_cast<std::int64_t>(kProbePacketSize) + 40;
 }
 
-void Prober::handle_datagram() {
+bool Prober::receive_echo(Duration timeout) {
   std::array<std::byte, kProbePacketSize> buffer{};
-  // Zero timeout: drain whatever is already queued.
-  while (auto received = socket_.receive(buffer, Duration::zero())) {
-    if (received->size != kProbePacketSize) continue;
-    const auto msg = decode_probe(buffer);
-    if (!msg) continue;
-    if (msg->seq >= trace_.records.size()) continue;  // stray/duplicate
-    auto& record = trace_.records[msg->seq];
-    if (record.received) continue;  // duplicate echo
-    record.received = true;
-    record.rtt = clock_.now() - record.send_time;
-    record.echo_time = msg->echo_ts;
-  }
+  const auto received = socket_.receive(buffer, timeout);
+  if (!received) return false;  // timed out
+  if (received->size != kProbePacketSize) return true;
+  const auto msg = decode_probe(buffer);
+  if (!msg || msg->seq >= trace_.records.size()) return true;  // stray
+  auto& record = trace_.records[msg->seq];
+  if (record.received) return true;  // duplicate echo
+  record.received = true;
+  record.rtt = clock_.now() - record.send_time;
+  record.echo_time = msg->echo_ts;
+  return true;
 }
 
 void Prober::receive_until(SimTime deadline) {
-  std::array<std::byte, kProbePacketSize> buffer{};
   for (;;) {
     const Duration remaining = deadline - clock_.now();
-    if (remaining <= Duration::zero()) return;
-    const auto received = socket_.receive(buffer, remaining);
-    if (!received) return;  // timed out: deadline reached
-    if (received->size != kProbePacketSize) continue;
-    const auto msg = decode_probe(buffer);
-    if (!msg || msg->seq >= trace_.records.size()) continue;
-    auto& record = trace_.records[msg->seq];
-    if (record.received) continue;
-    record.received = true;
-    record.rtt = clock_.now() - record.send_time;
-    record.echo_time = msg->echo_ts;
+    if (remaining <= Duration::zero() || !receive_echo(remaining)) return;
   }
 }
 
@@ -73,7 +67,9 @@ analysis::ProbeTrace Prober::run(const Endpoint& echo_host) {
     msg.source_ts = record.send_time;
     const auto datagram = encode_probe(msg);
     socket_.send_to(datagram, echo_host);
-    handle_datagram();
+    // Zero timeout: drain whatever is already queued.
+    while (receive_echo(Duration::zero())) {
+    }
   }
   receive_until(clock_.now() + config_.drain);
   return trace_;

@@ -33,8 +33,10 @@ class Prober {
   analysis::ProbeTrace run(const Endpoint& echo_host);
 
  private:
+  /// Waits up to `timeout` for one datagram and records it if it is the
+  /// first echo of a sent probe; false when nothing arrived in time.
+  bool receive_echo(Duration timeout);
   void receive_until(SimTime deadline);
-  void handle_datagram();
 
   const Clock& clock_;
   ProberConfig config_;

@@ -3,32 +3,18 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
 namespace bolot::obs {
 
-namespace {
-
-// Shortest round-trip double formatting, same contract as the runner's
-// sweep_io (byte-stable across machines, locale-independent).  Non-finite
-// values serialize as null: JSON has no inf/nan tokens, and a gauge can
-// legitimately evaluate to one (e.g. a loss-gap probe over an all-lost
-// window).
 std::string format_number(double value) {
   if (!std::isfinite(value)) return "null";
   char buffer[64];
   const auto [ptr, ec] =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
   if (ec != std::errc()) throw std::runtime_error("format_number: to_chars");
-  return std::string(buffer, ptr);
-}
-
-std::string format_integer(std::int64_t value) {
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) throw std::runtime_error("format_integer: to_chars");
   return std::string(buffer, ptr);
 }
 
@@ -45,11 +31,34 @@ void append_json_string(std::string& out, const std::string& s) {
       case '\n':
         out += "\\n";
         break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
       default:
-        out += c;
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned char>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
     }
   }
   out += '"';
+}
+
+namespace {
+
+std::string format_integer(std::int64_t value) {
+  char buffer[32];
+  const auto [ptr, ec] =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  if (ec != std::errc()) throw std::runtime_error("format_integer: to_chars");
+  return std::string(buffer, ptr);
 }
 
 const char* kind_name(MetricKind kind) {

@@ -1,62 +1,18 @@
 #include "runner/sweep_io.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <system_error>
 
+#include "obs/metrics_io.h"
+
 namespace bolot::runner {
 
 namespace {
 
-/// Shortest round-trip decimal rendering; locale-independent.  JSON has
-/// no representation for inf/nan (std::to_chars would happily emit those
-/// tokens and corrupt the artifact — e.g. plg when every probe after the
-/// first is lost, clp == 1), so non-finite values serialize as null.
-std::string format_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) throw std::runtime_error("format_number: to_chars");
-  return std::string(buffer, ptr);
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
+using obs::append_json_string;
+using obs::format_number;
 
 void append_metric_object(std::string& out,
                           const std::vector<Metric>& metrics,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/linalg.h"
+#include "analysis/stats.h"
 #include "analysis/streaming.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"

@@ -10,7 +10,10 @@
 namespace bolot::analysis {
 namespace {
 
+using testing::kMillionSamples;
 using testing::make_trace;
+using testing::random_rtt_stream;
+using testing::stream_trace;
 
 TEST(BuildPhasePlotTest, PairsConsecutiveReceivedProbes) {
   const auto trace =
@@ -125,6 +128,49 @@ TEST_P(InterceptSweep, InterceptMatchesServiceTime) {
 
 INSTANTIATE_TEST_SUITE_P(ServiceTimes, InterceptSweep,
                          ::testing::Values(2.0, 4.5, 8.0, 12.0, 20.0));
+
+struct PhasePins {
+  double fixed_delay_ms;
+  double compression_intercept_ms;
+  double bottleneck_bps;
+  double compression_fraction;
+  double diagonal_fraction;
+};
+
+void expect_pinned(const PhaseAnalysis& got, const PhasePins& want) {
+  EXPECT_EQ(got.fixed_delay_ms, want.fixed_delay_ms);
+  ASSERT_TRUE(got.compression_intercept_ms.has_value());
+  EXPECT_EQ(*got.compression_intercept_ms, want.compression_intercept_ms);
+  ASSERT_TRUE(got.bottleneck_bps.has_value());
+  EXPECT_EQ(*got.bottleneck_bps, want.bottleneck_bps);
+  EXPECT_EQ(got.compression_fraction, want.compression_fraction);
+  EXPECT_EQ(got.diagonal_fraction, want.diagonal_fraction);
+}
+
+// Bit-exact pins over 10^6-sample random walks with loss gaps and an
+// injected compression cluster, one per clock regime: at this scale the
+// adjacent-tick search, the centroid windows and the band counts all see
+// real boundary mass.
+TEST(AnalyzePhasePlotTest, MillionSampleStreamsArePinned) {
+  const double tick_ms = 3.906;  // the paper's DECstation clock
+  const ProbeTrace quantized = stream_trace(
+      random_rtt_stream(17, kMillionSamples, 0.05,
+                        /*descent_ms=*/5.0 * tick_ms, tick_ms),
+      50.0, tick_ms);
+  expect_pinned(analyze_phase_plot(quantized),
+                {0x1.387ae147ae147p+5, 0x1.359415455b88ep+4,
+                 0x1.259ffc4ad5cdcp+14, 0x1.5bcf0929f4cd1p-4,
+                 0x1.91a7fb7aa6e22p-1});
+
+  const ProbeTrace exact = stream_trace(
+      random_rtt_stream(19, kMillionSamples, 0.05, /*descent_ms=*/19.53,
+                        /*tick_ms=*/0.0),
+      50.0, 0.0);
+  expect_pinned(analyze_phase_plot(exact),
+                {0x1.400005c4651f4p+5, 0x1.38760fcb88c7p+4,
+                 0x1.275c70b2fc70cp+14, 0x1.516f4800bf38bp-4,
+                 0x1.63ac39433f3c6p-1});
+}
 
 }  // namespace
 }  // namespace bolot::analysis

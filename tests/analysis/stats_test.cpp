@@ -6,6 +6,7 @@
 #include <numbers>
 #include <vector>
 
+#include "tests/analysis/trace_fixtures.h"
 #include "util/rng.h"
 
 namespace bolot::analysis {
@@ -119,6 +120,25 @@ TEST(AutocorrelationTest, Ar1ProcessHasGeometricAcf) {
   EXPECT_NEAR(acf[1], 0.8, 0.02);
   EXPECT_NEAR(acf[2], 0.64, 0.03);
   EXPECT_NEAR(acf[3], 0.512, 0.04);
+}
+
+TEST(AutocorrelationTest, MillionSampleArStreamIsPinned) {
+  // AR(1) around an rtt-like offset: the long-horizon accumulation is
+  // pinned bit for bit at lags across the whole decay.
+  Rng rng(31);
+  std::vector<double> xs;
+  xs.reserve(testing::kMillionSamples);
+  double x = 0.0;
+  for (std::size_t i = 0; i < testing::kMillionSamples; ++i) {
+    x = 0.8 * x + rng.normal(0.0, 1.0);
+    xs.push_back(120.0 + x);
+  }
+  const std::vector<double> acf = autocorrelation(xs, 64);
+  ASSERT_EQ(acf.size(), 65u);
+  EXPECT_EQ(acf[1], 0x1.99c3a478bd99cp-1);
+  EXPECT_EQ(acf[2], 0x1.47cb27e5eb2d3p-1);
+  EXPECT_EQ(acf[16], 0x1.a1a3a660f9e6p-6);
+  EXPECT_EQ(acf[64], -0x1.def0c54ca5b1cp-10);
 }
 
 TEST(AutocorrelationTest, PeriodicSignalOscillates) {

@@ -96,4 +96,11 @@ inline std::vector<std::optional<double>> random_rtt_stream(
   return rtts;
 }
 
+/// A random_rtt_stream as a trace of 72-byte probes at `delta_ms`, stamped
+/// by a source clock of resolution `tick_ms` (0 = exact).
+inline ProbeTrace stream_trace(const std::vector<std::optional<double>>& rtts,
+                               double delta_ms, double tick_ms) {
+  return make_trace(delta_ms, rtts, /*probe_wire_bytes=*/72, tick_ms);
+}
+
 }  // namespace bolot::analysis::testing

@@ -4,6 +4,8 @@
 // kernel's loopback device standing in for the Internet.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "analysis/loss.h"
 #include "analysis/stats.h"
 #include "netdyn/echo_server.h"
@@ -95,6 +97,15 @@ TEST(LoopbackIntegrationTest, ProberRunsOnce) {
   Prober prober(clock, config);
   prober.run(loopback(server.port()));
   EXPECT_THROW(prober.run(loopback(server.port())), std::logic_error);
+}
+
+TEST(ProberTest, RejectsProbeCountBeyondWireSequenceSpace) {
+  SystemClock clock;
+  ProberConfig config;
+  config.probe_count = (std::uint64_t{1} << 32) + 1;
+  EXPECT_THROW((Prober{clock, config}), std::invalid_argument);
+  config.probe_count = std::uint64_t{1} << 32;  // seqs 0 .. 2^32 - 1 fit
+  EXPECT_NO_THROW((Prober{clock, config}));
 }
 
 TEST(LoopbackIntegrationTest, QuantizedClockProducesCoarseRtts) {
