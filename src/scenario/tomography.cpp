@@ -9,7 +9,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -206,13 +205,19 @@ class MeshProbeHost {
 
 /// Per-link probe sojourn accumulators (delay ground truth).  A packet's
 /// sojourn at a link is its delivery time there minus its delivery time at
-/// the previous link of its path (its creation time at the first hop);
-/// `last` threads that previous time through by packet id, which is why
-/// these hooks only attach on the sequential kernel.
+/// the previous link of its path (its creation time at the first hop).
+/// `last` threads that previous time through, one entry per main-flow
+/// probe at stream × probes_per_stream + seq (a probe's id is
+/// (kMeshFlowBase + stream) << 40 | seq, so the index is its id made
+/// dense).  kNoHop marks a probe with no delivery yet; the return to the
+/// source writes it back.  The writes from every link's hook into one
+/// table are why these hooks only attach on the sequential kernel.
 struct DelayTruth {
+  static constexpr SimTime kNoHop = SimTime::max();
+
   std::vector<double> sum_ms;
   std::vector<std::uint64_t> count;
-  std::unordered_map<std::uint64_t, SimTime> last;
+  std::vector<SimTime> last;
 };
 
 double median(std::vector<double> values) {
@@ -253,33 +258,39 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         Probability::checked(drop_prob[i]));
   }
 
+  const std::uint64_t probes_per_stream =
+      static_cast<std::uint64_t>(spec.duration / spec.delta);
+  const std::size_t host_count = topo.hosts.size();
+  const std::size_t stream_count = host_count * (host_count - 1);
+
   // --- Delay ground truth: delivery hooks (sequential kernel only) ------
   const bool collect_delay = build.domains() == 1;
   DelayTruth delay_truth;
   if (collect_delay) {
     delay_truth.sum_ms.assign(net.link_count(), 0.0);
     delay_truth.count.assign(net.link_count(), 0);
+    delay_truth.last.assign(stream_count * probes_per_stream,
+                            DelayTruth::kNoHop);
     for (std::size_t i = 0; i < net.link_count(); ++i) {
       const std::uint32_t uid = static_cast<std::uint32_t>(i);
       const sim::NodeId target = net.link_target(i);
-      net.link_at(i).add_delivery_hook(
-          [gt = &delay_truth, uid, target](const sim::Packet& p, SimTime at) {
-            // Main-flow probes only: pair followers queue behind their
-            // leader by construction, which would bias the sojourn mean.
-            if (p.kind != sim::PacketKind::kProbe ||
-                p.flow < kMeshFlowBase || p.flow >= kMeshPairFlowBase) {
-              return;
-            }
-            const auto it = gt->last.find(p.id);
-            const SimTime from = it == gt->last.end() ? p.created : it->second;
-            gt->sum_ms[uid] += (at - from).millis();
-            ++gt->count[uid];
-            if (p.probe().echoed && p.dst == target) {
-              if (it != gt->last.end()) gt->last.erase(it);
-            } else {
-              gt->last[p.id] = at;
-            }
-          });
+      net.link_at(i).add_delivery_hook([gt = &delay_truth, uid, target,
+                                        probes_per_stream](
+                                           const sim::Packet& p, SimTime at) {
+        // Main-flow probes only: pair followers queue behind their leader
+        // by construction, which would bias the sojourn mean.
+        if (p.kind != sim::PacketKind::kProbe || p.flow < kMeshFlowBase ||
+            p.flow >= kMeshPairFlowBase) {
+          return;
+        }
+        SimTime& last =
+            gt->last[(p.flow - kMeshFlowBase) * probes_per_stream +
+                     p.probe().seq];
+        const SimTime from = last == DelayTruth::kNoHop ? p.created : last;
+        gt->sum_ms[uid] += (at - from).millis();
+        ++gt->count[uid];
+        last = p.probe().echoed && p.dst == target ? DelayTruth::kNoHop : at;
+      });
     }
   }
 
@@ -290,11 +301,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
-  const std::uint64_t probes_per_stream =
-      static_cast<std::uint64_t>(spec.duration / spec.delta);
   MeshState mesh;
-  const std::size_t host_count = topo.hosts.size();
-  mesh.streams.reserve(host_count * (host_count - 1));
+  mesh.streams.reserve(stream_count);
   for (std::size_t i = 0; i < host_count; ++i) {
     for (std::size_t j = 0; j < host_count; ++j) {
       if (i == j) continue;
@@ -329,7 +337,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
       mesh.streams.push_back(std::move(stream));
     }
   }
-  const std::size_t stream_count = mesh.streams.size();
 
   // One endpoint per host node; host i sources streams to every j != i.
   std::vector<std::unique_ptr<MeshProbeHost>> hosts;

@@ -14,7 +14,7 @@ std::mutex& pool_mutex() {
 
 /// Upper bound on retained chunks; beyond this, surplus chunks are freed
 /// so a one-off giant simulation cannot pin its slab forever.
-constexpr std::size_t kMaxPooledChunks = 256;  // 256 * 40 KiB = 10 MiB
+constexpr std::size_t kMaxPooledChunks = 256;  // 256 * 20 KiB = 5 MiB
 
 }  // namespace
 
@@ -65,7 +65,7 @@ void EventQueue::cancel(std::uint32_t slot_index, std::uint64_t gen) {
   Slot& slot = slot_at(slot_index);
   const std::uint32_t pos = heap_pos_[slot_index];
   if (slot.gen != gen || pos == kNone) return;  // already fired/cancelled
-  SIM_AUDIT(pos < heap_.size() && heap_[pos].slot == slot_index,
+  SIM_AUDIT(pos < heap_.size() && slot_of(heap_[pos]) == slot_index,
             "EventQueue: cancel of slot %u found stale heap position %u "
             "(heap size %zu)",
             slot_index, pos, heap_.size());
@@ -73,7 +73,14 @@ void EventQueue::cancel(std::uint32_t slot_index, std::uint64_t gen) {
   release_slot(slot_index);
 }
 
-void EventQueue::grow_slab() { chunks_.emplace_back(acquire_chunk()); }
+void EventQueue::grow_slab() {
+  if (slot_count_ >= kMaxSlots) {
+    throw std::length_error(
+        "EventQueue: slab full at 2^24 concurrently pending events (the "
+        "heap key's slot field)");
+  }
+  chunks_.emplace_back(acquire_chunk());
+}
 
 void EventQueue::audit_verify() const {
   // 0 = untracked, 1 = queued, 2 = free, 3 = dispatching.  The scratch
@@ -89,36 +96,36 @@ void EventQueue::audit_verify() const {
   // live but it has been unlinked from the heap for the callback).
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const HeapEntry& entry = heap_[i];
-    SIM_CHECK(entry.slot < slot_count_,
+    const std::uint32_t slot = slot_of(entry);
+    SIM_CHECK(slot < slot_count_,
               "EventQueue: heap entry %zu names slot %u outside the slab "
               "(%u slots)",
-              i, entry.slot, slot_count_);
-    SIM_CHECK(state[entry.slot] == 0,
-              "EventQueue: slot %u appears twice in the heap", entry.slot);
-    state[entry.slot] = 1;
-    SIM_CHECK(heap_pos_[entry.slot] == i,
+              i, slot, slot_count_);
+    SIM_CHECK(state[slot] == 0,
+              "EventQueue: slot %u appears twice in the heap", slot);
+    state[slot] = 1;
+    SIM_CHECK(heap_pos_[slot] == i,
               "EventQueue: slot %u at heap index %zu has back-pointer %u",
-              entry.slot, i, heap_pos_[entry.slot]);
-    SIM_CHECK(entry.seq < next_seq_,
+              slot, i, heap_pos_[slot]);
+    SIM_CHECK(seq_of(entry) < next_seq_,
               "EventQueue: heap entry %zu carries unissued seq %llu "
               "(next %llu)",
-              i, static_cast<unsigned long long>(entry.seq),
+              i, static_cast<unsigned long long>(seq_of(entry)),
               static_cast<unsigned long long>(next_seq_));
     SIM_CHECK(entry.at >= last_popped_,
               "EventQueue: heap entry %zu (slot %u) is scheduled at "
               "%.9f s, before the dispatch clock %.9f s",
-              i, entry.slot, entry.at.seconds(), last_popped_.seconds());
+              i, slot, entry.at.seconds(), last_popped_.seconds());
     if (i > 0) {
       const HeapEntry& parent = heap_[(i - 1) / 4];
       SIM_CHECK(!earlier(entry, parent),
                 "EventQueue: heap property violated at index %zu (slot %u, "
                 "t=%.9f s seq=%llu sorts before its parent)",
-                i, entry.slot, entry.at.seconds(),
-                static_cast<unsigned long long>(entry.seq));
+                i, slot, entry.at.seconds(),
+                static_cast<unsigned long long>(seq_of(entry)));
     }
-    SIM_CHECK(static_cast<bool>(slot_at(entry.slot).fn) ||
-                  entry.slot == dispatching_,
-              "EventQueue: queued slot %u holds no closure", entry.slot);
+    SIM_CHECK(static_cast<bool>(slot_at(slot).fn) || slot == dispatching_,
+              "EventQueue: queued slot %u holds no closure", slot);
   }
 
   if (dispatching_ != kNone && state[dispatching_] == 0) {
@@ -171,6 +178,12 @@ void EventQueue::throw_past() {
 }
 
 void EventQueue::throw_empty(const char* what) { throw std::logic_error(what); }
+
+void EventQueue::throw_seq_exhausted() {
+  throw std::length_error(
+      "EventQueue: sequence space exhausted after 2^40 scheduled events "
+      "(the heap key's seq field)");
+}
 
 void EventQueue::throw_bad_rearm() {
   throw std::logic_error(

@@ -1,20 +1,27 @@
 // Deterministic discrete-event queue with an allocation-free steady state.
 //
-// Pending events are ordered by an indexed 4-ary min-heap whose 24-byte
-// entries carry the full sort key (time, sequence) — comparisons stay in
-// the contiguous heap array and never chase pointers.  Callback closures
-// live inline in a slab of reusable slots (InplaceFunction, no heap
-// fallback); schedule() constructs the closure directly in its slot and
-// dispatch_top() invokes it there (no move out), so after the slab and
-// heap vectors reach their high-water marks a schedule -> dispatch cycle
-// performs zero allocations.  Self-re-arming events (a link transmitter
-// clocking back-to-back packets, a periodic source) go one step further:
+// Pending events are ordered by an indexed 4-ary min-heap of 16-byte
+// entries {time, key}.  The key packs the event's sequence number above
+// its slab slot (seq << 24 | slot), so one entry carries both the full
+// sort key and the slot it names: comparisons stay in the contiguous heap
+// array and never chase pointers, and the four children a sift compares
+// share one 64-byte cache line.  Callback closures live inline in a slab
+// of reusable slots (InplaceFunction, no heap fallback); schedule()
+// constructs the closure directly in its slot and dispatch_top() invokes
+// it there (no move out), so after the slab and heap vectors reach their
+// high-water marks a schedule -> dispatch cycle performs zero
+// allocations.  Self-re-arming events (a link transmitter clocking
+// back-to-back packets, a periodic source) go one step further:
 // reschedule_current() re-queues the dispatching slot for one heap push,
 // with no slab traffic and no closure construction at all.
 //
 // Events at equal timestamps are dispatched in scheduling order (FIFO via
 // a monotonically increasing sequence number), so a simulation is a pure
-// function of its inputs and seed.
+// function of its inputs and seed.  Comparing packed keys is comparing
+// sequence numbers: each seq is issued once, so the slot bits below it
+// never decide an order.  The packing caps the queue at 2^24 concurrently
+// pending events and 2^40 events scheduled over its lifetime; either
+// limit is a std::length_error, never a silent wrap.
 //
 // Cancellation is eager: cancel() removes the entry from the heap
 // immediately (O(log n) sift via the slot's stored heap position) and
@@ -27,7 +34,7 @@
 //
 // The hot paths (schedule, pop, the sifts) are defined in this header so
 // they inline into the simulator's dispatch loop; see docs/MODEL_NOTES.md
-// §9 for why eager cancellation preserves determinism.
+// §9 for why eager cancellation and the packed key preserve determinism.
 #pragma once
 
 #include <cstddef>
@@ -95,13 +102,14 @@ class EventQueue {
   template <typename F>
   EventHandle schedule(SimTime at, F&& fn) {
     if (at < last_popped_) throw_past();
+    if (next_seq_ >= kMaxSeq) throw_seq_exhausted();
     std::uint32_t index;
     if (free_head_ != kNone) {
       index = free_head_;
       free_head_ = slot_at(index).next_free;
     } else {
+      if ((slot_count_ & kChunkMask) == 0) grow_slab();
       index = slot_count_++;
-      if ((index & kChunkMask) == 0) grow_slab();
       heap_pos_.push_back(kNone);
     }
     Slot& slot = slot_at(index);
@@ -114,7 +122,7 @@ class EventQueue {
               "EventQueue: slot %u handed out while still queued at heap "
               "position %u",
               index, heap_pos_[index]);
-    heap_.push_back(HeapEntry{at, next_seq_++, index});
+    heap_.push_back(HeapEntry{at, pack_key(next_seq_++, index)});
     sift_up(heap_.size() - 1);
     return EventHandle(this, index, slot.gen);
   }
@@ -139,7 +147,7 @@ class EventQueue {
   /// own time.
   PoppedEvent pop() {
     if (heap_.empty()) throw_empty("EventQueue: pop on empty");
-    const std::uint32_t index = heap_[0].slot;
+    const std::uint32_t index = slot_of(heap_[0]);
     SIM_AUDIT(heap_pos_[index] == 0,
               "EventQueue: root slot %u disagrees with its heap position %u",
               index, heap_pos_[index]);
@@ -158,7 +166,7 @@ class EventQueue {
   template <typename OnAdvance>
   void dispatch_top(OnAdvance&& on_advance) {
     if (heap_.empty()) throw_empty("EventQueue: dispatch on empty");
-    const std::uint32_t index = heap_[0].slot;
+    const std::uint32_t index = slot_of(heap_[0]);
     const SimTime at = heap_[0].at;
     SIM_AUDIT(heap_pos_[index] == 0,
               "EventQueue: root slot %u disagrees with its heap position %u",
@@ -179,7 +187,7 @@ class EventQueue {
     heap_pos_[index] = kNone;
     if (!heap_.empty()) {
       heap_[0] = moved;
-      heap_pos_[moved.slot] = 0;
+      heap_pos_[slot_of(moved)] = 0;
       sift_down(0);
     }
     dispatching_ = index;
@@ -190,7 +198,7 @@ class EventQueue {
       // Re-queue the very closure that just ran, slab untouched.  The
       // sequence number was taken inside the callback, so the dispatch
       // order is exactly that of a fresh schedule() at the same point.
-      heap_.push_back(HeapEntry{rearm_at_, rearm_seq_, index});
+      heap_.push_back(HeapEntry{rearm_at_, pack_key(rearm_seq_, index)});
       sift_up(heap_.size() - 1);
     } else {
       release_slot(index);
@@ -209,6 +217,7 @@ class EventQueue {
   void reschedule_current(SimTime at) {
     if (dispatching_ == kNone || rearm_seq_ != kNoRearm) throw_bad_rearm();
     if (at < last_popped_) throw_past();
+    if (next_seq_ >= kMaxSeq) throw_seq_exhausted();
     rearm_at_ = at;
     rearm_seq_ = next_seq_++;
   }
@@ -232,6 +241,10 @@ class EventQueue {
 
  private:
   friend class EventHandle;
+  // Tests reach the two key limits through this peer by fast-forwarding
+  // the counters behind them; 2^40 schedules or 2^24 live slots cannot be
+  // run for real.
+  friend class EventQueueTestPeer;
 
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
@@ -244,11 +257,19 @@ class EventQueue {
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
+  /// The heap key: the sequence number in the high 40 bits, the slot in
+  /// the low 24.  grow_slab() keeps slots below kMaxSlots and schedule()
+  /// / reschedule_current() keep sequence numbers below kMaxSeq, so the
+  /// fields never overlap and keys order exactly as sequence numbers do.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                           << (64 - kSlotBits);
+
   /// Heap entries carry the sort key so ordering never touches the slab.
   struct HeapEntry {
     SimTime at;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t key;  // seq << kSlotBits | slot
   };
 
   struct Slot {
@@ -257,6 +278,21 @@ class EventQueue {
     EventFn fn;
   };
 
+  // Four children of a 4-ary node fill one 64-byte line; a closure field
+  // that outgrows kEventFnCapacity shows up here, not in a profile.
+  static_assert(sizeof(HeapEntry) == 16);
+  static_assert(sizeof(Slot) == 80);
+
+  static std::uint64_t pack_key(std::uint64_t seq, std::uint32_t slot) {
+    return seq << kSlotBits | slot;
+  }
+  static std::uint32_t slot_of(const HeapEntry& entry) {
+    return static_cast<std::uint32_t>(entry.key & (kMaxSlots - 1));
+  }
+  static std::uint64_t seq_of(const HeapEntry& entry) {
+    return entry.key >> kSlotBits;
+  }
+
   Slot& slot_at(std::uint32_t index) {
     return chunks_[index >> kChunkShift][index & kChunkMask];
   }
@@ -264,10 +300,11 @@ class EventQueue {
     return chunks_[index >> kChunkShift][index & kChunkMask];
   }
 
-  /// Heap order: earliest time first, scheduling order within a timestamp.
+  /// Heap order: earliest time first, scheduling order within a timestamp
+  /// (the key's seq field decides; see kSlotBits).
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+    return a.key < b.key;
   }
 
   void sift_up(std::size_t pos) {
@@ -276,11 +313,11 @@ class EventQueue {
       const std::size_t parent = (pos - 1) / 4;
       if (!earlier(entry, heap_[parent])) break;
       heap_[pos] = heap_[parent];
-      heap_pos_[heap_[pos].slot] = static_cast<std::uint32_t>(pos);
+      heap_pos_[slot_of(heap_[pos])] = static_cast<std::uint32_t>(pos);
       pos = parent;
     }
     heap_[pos] = entry;
-    heap_pos_[entry.slot] = static_cast<std::uint32_t>(pos);
+    heap_pos_[slot_of(entry)] = static_cast<std::uint32_t>(pos);
   }
 
   void sift_down(std::size_t pos) {
@@ -296,11 +333,11 @@ class EventQueue {
       }
       if (!earlier(heap_[best], entry)) break;
       heap_[pos] = heap_[best];
-      heap_pos_[heap_[pos].slot] = static_cast<std::uint32_t>(pos);
+      heap_pos_[slot_of(heap_[pos])] = static_cast<std::uint32_t>(pos);
       pos = best;
     }
     heap_[pos] = entry;
-    heap_pos_[entry.slot] = static_cast<std::uint32_t>(pos);
+    heap_pos_[slot_of(entry)] = static_cast<std::uint32_t>(pos);
   }
 
   /// Removes the heap entry at `pos`, restoring the heap property.
@@ -308,11 +345,12 @@ class EventQueue {
     const HeapEntry moved = heap_.back();
     heap_.pop_back();
     if (pos >= heap_.size()) return;  // removed the tail entry itself
+    const std::uint32_t moved_slot = slot_of(moved);
     heap_[pos] = moved;
-    heap_pos_[moved.slot] = static_cast<std::uint32_t>(pos);
+    heap_pos_[moved_slot] = static_cast<std::uint32_t>(pos);
     // The tail element may belong above or below the vacated position.
     sift_down(pos);
-    sift_up(heap_pos_[moved.slot]);
+    sift_up(heap_pos_[moved_slot]);
   }
 
   /// Returns `index` to the free list and invalidates outstanding handles.
@@ -328,7 +366,8 @@ class EventQueue {
   /// Eagerly removes the event in `slot` if `gen` still matches.
   void cancel(std::uint32_t slot_index, std::uint64_t gen);
 
-  /// Appends one chunk of pristine slots (cold path).
+  /// Appends one chunk of pristine slots (cold path).  Throws
+  /// std::length_error once the slab holds kMaxSlots slots.
   void grow_slab();
 
   // Chunks are recycled through a process-wide pool rather than freed:
@@ -344,10 +383,11 @@ class EventQueue {
   [[noreturn]] static void throw_past();
   [[noreturn]] static void throw_empty(const char* what);
   [[noreturn]] static void throw_bad_rearm();
+  [[noreturn]] static void throw_seq_exhausted();
 
   // Slot storage is split so the hot heap operations stay in compact,
   // trivially-copyable arrays: heap_pos_ (written on every sift step)
-  // lives apart from the 160-byte Slot that holds the closure.
+  // lives apart from the 80-byte Slot that holds the closure.
   std::vector<std::unique_ptr<Slot[]>> chunks_;  // slab; slots never move
   std::uint32_t slot_count_ = 0;                 // slots ever allocated
   std::vector<std::uint32_t> heap_pos_;  // per-slot; kNone when not queued

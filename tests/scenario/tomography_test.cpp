@@ -87,6 +87,62 @@ TEST(TomographyTest, DelayInferenceMatchesDeliveryHookTruth) {
   }
 }
 
+TEST(TomographyTest, DelayTruthIsPinned) {
+  // The ledger digest leaves the delay ground truth out (it exists on the
+  // sequential kernel only), so these hex floats are what prove the
+  // per-probe hop table exact: every class's true_delay_ms and the
+  // delay_error, on the idle mesh and under a 3-state fluid background
+  // whose M/D/1 wait lengthens every loaded sojourn.  Recorded before the
+  // hop table replaced a hash map keyed by packet id.
+  TomographySpec spec = ci_spec();
+  spec.duration = Duration::seconds(10);
+  const TomographyResult idle = run_tomography(spec);
+  FluidBackgroundConfig background;
+  background.flows = 10000;
+  background.max_link_load = 0.5;
+  background.envelope_states = 3;
+  background.envelope_mean_holding = Duration::millis(500);
+  background.queue_model = sim::FluidQueueModel::kMd1Wait;
+  spec.fluid_background = background;
+  const TomographyResult loaded = run_tomography(spec);
+
+  struct Pinned {
+    const char* name;
+    const TomographyResult& result;
+    double delay_error;
+    double true_delay_ms[13];
+  };
+  const Pinned cases[] = {
+      {"idle",
+       idle,
+       0x1.a83cb22abaea6p-9,
+       {0x1.21f81b2fc9ee4p-1, 0x1.d2b28e8ac7184p-2, 0x1.01cca70d1feb6p+1,
+        0x1.ef806a582652ep-2, 0x1.f4c4b87ccd09cp-2, 0x1.349b6f663c752p+1,
+        0x1.ee3da07f959d8p+1, 0x1.0ace75acf2d92p-1, 0x1.da2bbc87e1155p-2,
+        0x1.146ac6070ef37p+1, 0x1.0ba59aecf0524p+1, 0x1.0833b51c7017p-1,
+        0x1.f678ab112d306p-2}},
+      {"fluid",
+       loaded,
+       0x1.e2be0f5bc71a4p-6,
+       {0x1.3bf8f05af115p+0, 0x1.2f53bb51cf942p+0, 0x1.07b1c84d26236p+1,
+        0x1.28133e42eee91p+0, 0x1.0b523a30bbfc4p+0, 0x1.39e6432577c38p+1,
+        0x1.ef2afd3fc8c55p+1, 0x1.5e1866e4bbbdbp+0, 0x1.69ae73922ec52p+0,
+        0x1.1ac0ee6e139ap+1, 0x1.116065ac3ae4ap+1, 0x1.4fab3f7564f82p+0,
+        0x1.43251272d6bbap+0}},
+  };
+  for (const Pinned& pinned : cases) {
+    SCOPED_TRACE(pinned.name);
+    ASSERT_TRUE(pinned.result.delay_truth_collected);
+    ASSERT_EQ(pinned.result.classes.size(), std::size(pinned.true_delay_ms));
+    for (std::size_t c = 0; c < pinned.result.classes.size(); ++c) {
+      EXPECT_EQ(pinned.result.classes[c].true_delay_ms,
+                pinned.true_delay_ms[c])
+          << "class " << c;
+    }
+    EXPECT_EQ(pinned.result.delay_error, pinned.delay_error);
+  }
+}
+
 TEST(TomographyTest, PacketPairRecoversBottleneckCapacity) {
   const TomographyResult result = run_tomography(ci_spec());
   std::size_t with_pairs = 0;

@@ -3,10 +3,43 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace bolot::sim {
+
+/// Reaches the counters behind the heap key's two limits, which no test
+/// can exhaust for real (2^40 schedules, 2^24 slots of 80 bytes).
+class EventQueueTestPeer {
+ public:
+  static constexpr std::uint64_t kMaxSeq = EventQueue::kMaxSeq;
+  static constexpr std::uint64_t kMaxSlots = EventQueue::kMaxSlots;
+
+  static std::uint64_t pack(std::uint64_t seq, std::uint32_t slot) {
+    return EventQueue::pack_key(seq, slot);
+  }
+  static std::uint64_t seq_of(std::uint64_t key) {
+    return EventQueue::seq_of(EventQueue::HeapEntry{SimTime{}, key});
+  }
+  static std::uint32_t slot_of(std::uint64_t key) {
+    return EventQueue::slot_of(EventQueue::HeapEntry{SimTime{}, key});
+  }
+  static void set_next_seq(EventQueue& queue, std::uint64_t seq) {
+    queue.next_seq_ = seq;
+  }
+  static void set_slot_count(EventQueue& queue, std::uint32_t count) {
+    queue.slot_count_ = count;
+  }
+};
+
 namespace {
 
 TEST(EventQueueTest, EmptyOnConstruction) {
@@ -353,6 +386,182 @@ TEST(EventQueueTest, PopMovesMoveOnlyCallback) {
   auto event = queue.pop();
   event.fn();
   EXPECT_EQ(seen, 42);
+}
+
+TEST(EventQueueTest, DispatchOrderMatchesReferenceUnderTiesAndChurn) {
+  // 10^5 seeded schedule / cancel / dispatch_top / in-callback rearm
+  // operations against a sorted (at, seq) reference.  Times come from a
+  // handful of offsets, so most dispatches break a tie; every dispatch
+  // must be exactly the reference's front, not merely in time order.
+  struct Token {
+    std::uint64_t seq = 0;
+    SimTime at;
+    bool live = false;
+    EventHandle handle;
+  };
+  EventQueue queue;
+  Rng rng(0xE7E27);
+  std::set<std::pair<SimTime, std::uint64_t>> reference;
+  std::uint64_t next_seq = 0;
+  std::vector<Token> tokens;
+  SimTime now;
+  std::size_t ops = 0;
+  std::size_t dispatched = 0;
+  std::size_t rearms = 0;
+  std::size_t dispatching = SIZE_MAX;
+  std::uint64_t expected_seq = 0;
+
+  const auto draw_time = [&] {
+    return now + Duration::micros(static_cast<double>(rng.uniform_int(4)));
+  };
+  const auto track = [&](std::size_t k, SimTime at) {
+    tokens[k].seq = next_seq++;
+    tokens[k].at = at;
+    tokens[k].live = true;
+    reference.emplace(at, tokens[k].seq);
+  };
+  const auto cancel_random = [&] {
+    if (tokens.empty()) return;
+    const std::size_t k = rng.uniform_int(tokens.size());
+    tokens[k].handle.cancel();  // a fired or cancelled token is a no-op
+    if (tokens[k].live && k != dispatching) {
+      reference.erase({tokens[k].at, tokens[k].seq});
+      tokens[k].live = false;
+    }
+  };
+  std::function<void()> schedule_new;
+  const auto on_fire = [&](std::size_t k) {
+    EXPECT_EQ(tokens[k].seq, expected_seq) << "dispatch " << dispatched;
+    tokens[k].live = false;
+    dispatching = k;
+    // In-callback churn: rearm, schedules and cancels in random order,
+    // so the rearm's seq lands between fresh schedules' seqs.
+    bool rearmed = false;
+    for (int step = static_cast<int>(rng.uniform_int(4)); step > 0; --step) {
+      ++ops;
+      const std::uint64_t r = rng.uniform_int(3);
+      if (r == 0 && !rearmed) {
+        const SimTime at = draw_time();
+        queue.reschedule_current(at);
+        track(k, at);
+        rearmed = true;
+        ++rearms;
+      } else if (r == 1) {
+        schedule_new();
+      } else {
+        cancel_random();
+      }
+    }
+    dispatching = SIZE_MAX;
+  };
+  schedule_new = [&] {
+    const SimTime at = draw_time();
+    const std::size_t k = tokens.size();
+    tokens.emplace_back();
+    track(k, at);
+    tokens[k].handle = queue.schedule(at, [&on_fire, k] { on_fire(k); });
+  };
+  const auto dispatch = [&] {
+    queue.dispatch_top([&](SimTime at) {
+      ASSERT_FALSE(reference.empty());
+      EXPECT_EQ(at, reference.begin()->first);
+      expected_seq = reference.begin()->second;
+      reference.erase(reference.begin());
+      now = at;
+    });
+    ++dispatched;
+  };
+
+  while (ops < 100'000) {
+    ++ops;
+    const std::uint64_t r = rng.uniform_int(10);
+    if (r < 4 || queue.empty()) {
+      schedule_new();
+    } else if (r < 5) {
+      cancel_random();
+    } else {
+      dispatch();
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+    if (!queue.empty()) {
+      ASSERT_EQ(queue.next_time(), reference.begin()->first);
+    }
+  }
+  while (!queue.empty()) dispatch();
+  EXPECT_TRUE(reference.empty());
+  queue.audit_verify();
+  EXPECT_GT(dispatched, 50'000u);
+  EXPECT_GT(rearms, 20'000u);
+}
+
+TEST(EventQueueTest, HeapKeyPacksSeqAboveSlotAtBothLimits) {
+  using Peer = EventQueueTestPeer;
+  const std::uint64_t last_seq = Peer::kMaxSeq - 1;
+  const auto last_slot = static_cast<std::uint32_t>(Peer::kMaxSlots - 1);
+  EXPECT_EQ(Peer::kMaxSeq, std::uint64_t{1} << 40);
+  EXPECT_EQ(Peer::kMaxSlots, std::uint64_t{1} << 24);
+  EXPECT_EQ(Peer::pack(0, 0), 0u);
+  EXPECT_EQ(Peer::pack(last_seq, last_slot), UINT64_MAX);
+  for (const std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}, last_seq}) {
+    for (const std::uint32_t slot : {0u, 1u, last_slot}) {
+      const std::uint64_t key = Peer::pack(seq, slot);
+      EXPECT_EQ(Peer::seq_of(key), seq);
+      EXPECT_EQ(Peer::slot_of(key), slot);
+    }
+  }
+  // The slot bits never decide an order: the largest slot at one seq
+  // still sorts before the smallest at the next.
+  EXPECT_LT(Peer::pack(0, last_slot), Peer::pack(1, 0));
+  EXPECT_LT(Peer::pack(last_seq - 1, last_slot), Peer::pack(last_seq, 0));
+}
+
+TEST(EventQueueTest, LastSequenceNumbersDispatchInOrderThenExhaust) {
+  EventQueue queue;
+  EventQueueTestPeer::set_next_seq(queue, EventQueueTestPeer::kMaxSeq - 3);
+  std::vector<int> order;
+  std::string rearm_error;
+  queue.schedule(Duration::millis(1), [&] {
+    order.push_back(0);
+    try {
+      queue.reschedule_current(Duration::millis(2));
+    } catch (const std::length_error& e) {
+      rearm_error = e.what();
+    }
+  });
+  queue.schedule(Duration::millis(1), [&order] { order.push_back(1); });
+  queue.schedule(Duration::millis(1), [&order] { order.push_back(2); });
+  try {
+    queue.schedule(Duration::millis(1), [] {});
+    ADD_FAILURE() << "schedule past the last sequence number did not throw";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^40"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(queue.size(), 3u);  // the failed schedule left no trace
+  queue.audit_verify();
+  while (!queue.empty()) queue.dispatch_top([](SimTime) {});
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_NE(rearm_error.find("2^40"), std::string::npos) << rearm_error;
+}
+
+TEST(EventQueueTest, FullSlabIsANamedError) {
+  EventQueue queue;
+  EventQueueTestPeer::set_slot_count(
+      queue, static_cast<std::uint32_t>(EventQueueTestPeer::kMaxSlots));
+  try {
+    queue.schedule(Duration::millis(1), [] {});
+    ADD_FAILURE() << "schedule into a full slab did not throw";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^24"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(queue.empty());
+  // The check runs before any slot is claimed, so the queue is intact.
+  EventQueueTestPeer::set_slot_count(queue, 0);
+  int fired = 0;
+  queue.schedule(Duration::millis(1), [&fired] { ++fired; });
+  queue.dispatch_top([](SimTime) {});
+  EXPECT_EQ(fired, 1);
 }
 
 }  // namespace

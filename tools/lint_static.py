@@ -14,8 +14,8 @@ Determinism rules
                        wall-clock seeding destroys replayability.
   random-device        `std::random_device` — hardware entropy in the
                        sim means no two runs agree.
-  unordered-iteration  a `std::unordered_map`/`set` in src/sim or
-                       src/analysis — iteration order is
+  unordered-iteration  a `std::unordered_map`/`set` in src/sim,
+                       src/analysis or src/scenario — iteration order is
                        implementation-defined, so keep the containers
                        out of those directories entirely.
   pointer-ordering     ordered containers keyed on raw pointer value —
@@ -102,7 +102,7 @@ DETERMINISM_RULES = [
      "derive_stream_seed()"),
     ("unordered-iteration",
      re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b"),
-     ("src/sim", "src/analysis"),
+     ("src/sim", "src/analysis", "src/scenario"),
      "iteration order is implementation-defined; use std::map, a "
      "sorted vector, or index by dense id"),
     ("pointer-ordering",
@@ -354,8 +354,12 @@ SELF_TEST_CASES = [
      "src/analysis/synthetic.cpp",
      "std::unordered_map<int, double> by_flow;",
      {"unordered-iteration"}),
-    ("same container outside sim/analysis is out of scope",
+    ("unordered container in scenario is rejected",
      "src/scenario/synthetic.cpp",
+     "std::unordered_map<std::uint64_t, SimTime> last;",
+     {"unordered-iteration"}),
+    ("same container outside sim/analysis/scenario is out of scope",
+     "src/runner/synthetic.cpp",
      "std::unordered_map<int, double> by_flow;",
      set()),
     ("pointer-keyed ordering is rejected",
