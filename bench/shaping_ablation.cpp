@@ -72,7 +72,6 @@ RunOutcome run(bool shaped) {
       p.size_bytes = 512;
       p.src = cross_src;
       p.dst = cross_dst;
-      p.created = simulator.now();
       if (shaped) {
         shaper.offer(std::move(p));
       } else {

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include <malloc.h>  // malloc_trim (glibc)
+
 namespace bolot::scenario::detail {
 
 namespace {
@@ -57,25 +59,23 @@ void validate(const FluidBackgroundConfig& c) {
 /// Per link i, `addend` added counts[i] times to 0.0, rounding after each
 /// addition: the sum a flow-order fold reaches when every flow adds the
 /// same value, whatever the order.  `counts[i] * addend` rounds once and
-/// can differ.  The links' chains of additions advance side by side (in
-/// descending count order, so the ones still running stay contiguous),
-/// which lets independent additions overlap.
+/// can differ.  Every link's chain of additions is a prefix of the same
+/// one sequence, so it runs once, to the largest count, and each link
+/// reads the partial sum at its own count (in ascending count order).
 std::vector<double> repeated_sums(double addend,
                                   const std::vector<std::size_t>& counts) {
   std::vector<std::size_t> order(counts.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return counts[a] > counts[b];
+    return counts[a] < counts[b];
   });
-  std::vector<double> chains(counts.size(), 0.0);
-  std::size_t running = counts.size();
-  for (std::size_t k = 0;; ++k) {
-    while (running > 0 && counts[order[running - 1]] <= k) --running;
-    if (running == 0) break;
-    for (std::size_t j = 0; j < running; ++j) chains[j] += addend;
-  }
   std::vector<double> sums(counts.size());
-  for (std::size_t j = 0; j < order.size(); ++j) sums[order[j]] = chains[j];
+  double sum = 0.0;
+  std::size_t added = 0;
+  for (const std::size_t i : order) {
+    for (; added < counts[i]; ++added) sum += addend;
+    sums[i] = sum;
+  }
   return sums;
 }
 
@@ -296,6 +296,12 @@ ProbedRun::ProbedRun(ScenarioBuild& build, const ProbePlan& plan,
 
 ScenarioResult ProbedRun::run(const std::function<void()>& start_background,
                               const sim::Link& fwd, const sim::Link& rev) {
+  // The probe trace is one block of probe_count records, written as the
+  // run goes.  Free pages go back to the OS first: in a process that runs
+  // scenarios back to back, a block an earlier run freed stays resident
+  // whenever the allocator places the new one elsewhere, and the peak
+  // resident set then depends on where it lands.
+  malloc_trim(0);
   build_.finish();
   start_background();
   probe_.start(kWarmup);
@@ -306,7 +312,7 @@ ScenarioResult ProbedRun::run(const std::function<void()>& start_background,
 
   const sim::Network& net = build_.net();
   ScenarioResult result;
-  result.trace = probe_.trace();
+  result.trace = probe_.take_trace();
   result.route = net.traceroute(src_, dst_);
   result.bottleneck_forward = fwd.stats();
   result.bottleneck_reverse = rev.stats();

@@ -12,8 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/lindley.h"
 #include "analysis/linalg.h"
-#include "analysis/stats.h"
 #include "analysis/streaming.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
@@ -26,51 +26,50 @@ namespace {
 constexpr Duration kMeshWarmup = Duration::seconds(2);
 constexpr Duration kMeshDrain = Duration::seconds(2);
 
-/// One round-trip probe stream with its online estimator bank: the
-/// estimators the inference, the gauges and the audit read, nothing more.
+/// One round-trip probe stream: per-stream state only, nothing per probe.
+/// The loss state is the whole estimator bank (the inference and the
+/// gauges read it); each rtt comes from the probe's own source_ts, as
+/// NetDyn takes it, so the sender keeps no per-probe table.
 struct Stream {
-  Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes,
-         const analysis::StreamingLindleyConfig& lindley_config)
-      : src(src_node),
-        dst(dst_node),
-        probe_count(probes),
-        lindley(lindley_config) {}
+  Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes)
+      : src(src_node), dst(dst_node), probe_count(probes) {}
 
   sim::NodeId src;
   sim::NodeId dst;
   std::uint64_t probe_count;
   std::uint64_t next_seq = 0;       // probes sent
-  std::uint64_t pushed = 0;         // seq prefix pushed into the estimators
-  std::uint64_t received = 0;
+  std::uint64_t received = 0;       // returns pushed as received
+  std::uint64_t late_returns = 0;   // returns behind the pushed prefix
   std::uint64_t pair_next_seq = 0;  // records in pair_trace
   double rtt_sum_ms = 0.0;
   double mu_true_bps = 0.0;              // min capacity over the round trip
   std::vector<std::uint32_t> round_trip;  // directed link uids
 
-  analysis::StreamingLossState loss;
-  analysis::StreamingLindley lindley;
-  analysis::StreamingSummary rtt_summary;  // ms, 0 for a lost probe
-  // Retained traces: the post-run push audit and the packet-pair
-  // dispersion pass read these.
-  analysis::ProbeTrace trace;
+  analysis::StreamingLossState loss;  // pushed in seq order
+  // The packet-pair dispersion pass reads this after the run (two
+  // records per pair_stride probes).
   analysis::ProbeTrace pair_trace;
 
-  /// Pushes seqs [pushed, upto) as lost, in order, into every estimator.
+  /// Pushes seqs [loss.probes(), upto) as lost, in order.
   void push_gap_losses(std::uint64_t upto) {
-    while (pushed < upto) {
-      loss.push_lost(true);
-      lindley.push_lost();
-      rtt_summary.push(0.0);
-      ++pushed;
-    }
+    while (loss.probes() < upto) loss.push_lost(true);
   }
 
-  /// Pushes the next seq as received into every estimator.
-  void push_received(Duration rtt) {
+  /// The one entry point for a main-flow return.  Echoes of one stream
+  /// cannot overtake each other (FIFO links, fixed routes, equal sizes),
+  /// so arrival order is seq order and every seq between the pushed
+  /// prefix and this one was dropped.  A return behind the prefix is late
+  /// or a duplicate: it is counted, never pushed, so it cannot corrupt
+  /// the bank.
+  void on_return(std::uint64_t seq, Duration rtt) {
+    if (seq < loss.probes()) {
+      ++late_returns;
+      return;
+    }
+    push_gap_losses(seq);
     loss.push_lost(false);
-    lindley.push_received(rtt);
-    rtt_summary.push(rtt.millis());
-    ++pushed;
+    ++received;
+    rtt_sum_ms += rtt.millis();
   }
 };
 
@@ -88,18 +87,8 @@ struct MeshState {
       record.echo_time = p.probe().echo_ts;
       return;
     }
-    Stream& stream = streams.at(p.flow - kMeshFlowBase);
-    auto& record = stream.trace.records.at(seq);
-    record.received = true;
-    record.rtt = now - record.send_time;
-    record.echo_time = p.probe().echo_ts;
-    // Echoes of one stream cannot overtake each other (FIFO links, fixed
-    // routes, equal sizes), so arrival order is seq order: everything
-    // between the last pushed seq and this one was dropped.
-    stream.push_gap_losses(seq);
-    stream.push_received(record.rtt);
-    ++stream.received;
-    stream.rtt_sum_ms += record.rtt.millis();
+    streams.at(p.flow - kMeshFlowBase).on_return(seq,
+                                                  now - p.probe().source_ts);
   }
 };
 
@@ -135,10 +124,6 @@ class MeshProbeHost {
     SIM_TRACE("mesh.probe.send");
 
     const std::uint64_t seq = stream.next_seq++;
-    analysis::ProbeRecord record;
-    record.seq = seq;
-    record.send_time = sim_.now();
-    stream.trace.records.push_back(record);
     net_.send(make_probe(kMeshFlowBase + static_cast<std::uint32_t>(s), seq,
                          stream.src, stream.dst));
 
@@ -175,7 +160,6 @@ class MeshProbeHost {
     p.size_bytes = probe_wire_.count();
     p.src = src;
     p.dst = dst;
-    p.created = sim_.now();
     p.set_probe({seq, sim_.now(), Duration::zero(), false});
     return p;
   }
@@ -204,20 +188,13 @@ class MeshProbeHost {
 };
 
 /// Per-link probe sojourn accumulators (delay ground truth).  A packet's
-/// sojourn at a link is its delivery time there minus its delivery time at
-/// the previous link of its path (its creation time at the first hop).
-/// `last` threads that previous time through, one entry per main-flow
-/// probe at stream × probes_per_stream + seq (a probe's id is
-/// (kMeshFlowBase + stream) << 40 | seq, so the index is its id made
-/// dense).  kNoHop marks a probe with no delivery yet; the return to the
-/// source writes it back.  The writes from every link's hook into one
-/// table are why these hooks only attach on the sequential kernel.
+/// sojourn at a link is its delivery time there minus its hop_start, the
+/// time Link::enqueue admitted it there.  Nodes forward in zero time, so
+/// that is also its delivery time at the previous link (its send time at
+/// the first hop).  Each link's hook touches only its own slot.
 struct DelayTruth {
-  static constexpr SimTime kNoHop = SimTime::max();
-
   std::vector<double> sum_ms;
   std::vector<std::uint64_t> count;
-  std::vector<SimTime> last;
 };
 
 double median(std::vector<double> values) {
@@ -269,13 +246,9 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   if (collect_delay) {
     delay_truth.sum_ms.assign(net.link_count(), 0.0);
     delay_truth.count.assign(net.link_count(), 0);
-    delay_truth.last.assign(stream_count * probes_per_stream,
-                            DelayTruth::kNoHop);
     for (std::size_t i = 0; i < net.link_count(); ++i) {
       const std::uint32_t uid = static_cast<std::uint32_t>(i);
-      const sim::NodeId target = net.link_target(i);
-      net.link_at(i).add_delivery_hook([gt = &delay_truth, uid, target,
-                                        probes_per_stream](
+      net.link_at(i).add_delivery_hook([gt = &delay_truth, uid](
                                            const sim::Packet& p, SimTime at) {
         // Main-flow probes only: pair followers queue behind their leader
         // by construction, which would bias the sojourn mean.
@@ -283,13 +256,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
             p.flow >= kMeshPairFlowBase) {
           return;
         }
-        SimTime& last =
-            gt->last[(p.flow - kMeshFlowBase) * probes_per_stream +
-                     p.probe().seq];
-        const SimTime from = last == DelayTruth::kNoHop ? p.created : last;
-        gt->sum_ms[uid] += (at - from).millis();
+        gt->sum_ms[uid] += (at - p.hop_start).millis();
         ++gt->count[uid];
-        last = p.probe().echoed && p.dst == target ? DelayTruth::kNoHop : at;
       });
     }
   }
@@ -316,18 +284,9 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         mu = std::min(mu, net.link_at(uid).config().rate.bps());
       }
 
-      analysis::StreamingLindleyConfig lindley_config;
-      lindley_config.delta = spec.delta;
-      lindley_config.probe_wire = spec.probe_wire;
-      lindley_config.bottleneck = Bandwidth::bps(mu);
-      lindley_config.max = spec.lindley_max;
-
-      Stream stream(src, dst, probes_per_stream, lindley_config);
+      Stream stream(src, dst, probes_per_stream);
       stream.mu_true_bps = mu;
       stream.round_trip = std::move(round_trip);
-      stream.trace.delta = spec.delta;
-      stream.trace.probe_wire_bytes = spec.probe_wire.count();
-      stream.trace.records.reserve(probes_per_stream);
       stream.pair_trace.delta = spec.delta;
       stream.pair_trace.probe_wire_bytes = spec.probe_wire.count();
       if (spec.pair_stride > 0) {
@@ -404,7 +363,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   if (sampler) sampler->stop();
 
   // Probes sent but never returned are lost; close every stream's push
-  // prefix so streaming state covers the full trace.
+  // prefix so the loss state covers every sent probe.
   for (Stream& stream : mesh.streams) {
     stream.push_gap_losses(stream.next_seq);
   }
@@ -532,42 +491,17 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     }
     result.stream_summaries.push_back(summary);
 
-    // Audit: the batch entry points re-fold the retained trace through
-    // the same cores, so any mismatch with the online state is the mesh's
-    // push bookkeeping (arrival order vs seq order, gap losses, the drain
-    // close-out), not the estimators.
-    if (stream.next_seq > 0) {
-      const analysis::LossStats batch = analysis::loss_stats(stream.trace);
-      const analysis::LossStats online = stream.loss.stats();
-      result.audit_loss_mismatch = std::max(
-          {result.audit_loss_mismatch, std::abs(batch.ulp - online.ulp),
-           std::abs(batch.clp - online.clp),
-           std::abs(batch.mean_burst_length - online.mean_burst_length)});
-
-      const analysis::Summary batch_summary =
-          analysis::summarize(stream.trace.rtt_ms_with_losses());
-      const analysis::Summary online_summary = stream.rtt_summary.summary();
-      result.audit_summary_mismatch =
-          std::max({result.audit_summary_mismatch,
-                    std::abs(batch_summary.mean - online_summary.mean),
-                    std::abs(batch_summary.variance - online_summary.variance)});
-
-      if (stream.lindley.samples() > 0) {
-        analysis::WorkloadOptions workload_options;
-        workload_options.bottleneck_bps = stream.mu_true_bps;
-        workload_options.max_ms = spec.lindley_max.millis();
-        const analysis::WorkloadAnalysis batch_workload =
-            analysis::analyze_workload(stream.trace, workload_options);
-        const analysis::WorkloadAnalysis online_workload =
-            stream.lindley.analysis();
-        result.audit_lindley_mismatch =
-            std::max({result.audit_lindley_mismatch,
-                      std::abs(batch_workload.mean_workload_bits -
-                               online_workload.mean_workload_bits),
-                      std::abs(batch_workload.busy_sample_fraction -
-                               online_workload.busy_sample_fraction)});
-      }
-    }
+    // Push audit: every sent probe pushed once, in seq order, with the
+    // gaps and the drain close-out pushed as losses.
+    const double pushed = static_cast<double>(stream.loss.probes());
+    result.audit_loss_mismatch =
+        std::max(result.audit_loss_mismatch,
+                 std::abs(pushed - static_cast<double>(stream.next_seq)));
+    result.audit_summary_mismatch = std::max(
+        result.audit_summary_mismatch,
+        std::abs(pushed - static_cast<double>(stream.loss.losses()) -
+                 static_cast<double>(stream.received)));
+    result.audit_lindley_mismatch += static_cast<double>(stream.late_returns);
   }
   result.capacity_error = median(std::move(capacity_errors));
   return result;

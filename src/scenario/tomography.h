@@ -3,12 +3,16 @@
 // Every ordered pair of generated hosts runs a round-trip probe stream
 // (probe out, echo back), all sharing the fabric and the optional fluid
 // background population — so an H-host mesh drives H*(H-1) concurrent
-// streams through the *streaming* estimators (analysis/streaming.h).  Each
-// stream's bank holds what the run reads and nothing more: a
-// StreamingLossState (loss fraction for the inference and the gauges), a
-// StreamingLindley and a StreamingSummary of the rtts (read only by the
-// audit below).  Each echo return, and each gap of lost seqs before it, is
-// pushed online; no per-stream batch pass runs while the simulation runs.
+// streams through the *streaming* estimators (analysis/streaming.h).  The
+// mesh keeps per-stream state, never per-probe state: each stream's bank
+// is one StreamingLossState (loss fraction for the inference and the
+// gauges) plus its counters and rtt sum, and each rtt is taken from the
+// timestamp the probe itself carries (ProbePayload::source_ts), as NetDyn
+// does, so the sender keeps no table of outstanding probes.  Each echo
+// return, and each gap of lost seqs before it, is pushed online in seq
+// order; a return behind the pushed prefix (late or duplicate) is counted
+// and never pushed.  No per-stream batch pass runs, during or after the
+// run, and memory does not grow with the run's length.
 //
 // After the run, per-link loss and delay are inferred from the end-to-end
 // streaming estimates alone by least squares over the routing matrix
@@ -24,17 +28,20 @@
 // identifiability analysis is MODEL_NOTES section 17); the class sums are
 // what least squares can and does recover, and what the result compares
 // against simulator ground truth (configured per-link drop probabilities;
-// per-link probe sojourns collected by delivery hooks).  A rank-deficient
-// class system falls back to ridge regression (ridge_least_squares).
+// per-link probe sojourns, delivery minus Packet::hop_start, collected by
+// link-local delivery hooks).  A rank-deficient class system falls back to
+// ridge regression (ridge_least_squares).
 //
 // A packet-pair dispersion pass rides along: every pair_stride-th probe
 // slot additionally emits two back-to-back probes on a side flow, and
 // estimate_bottleneck_packet_pair recovers each round trip's bottleneck
-// capacity from their return spacing.
+// capacity from their return spacing.  Its trace, two records per
+// pair_stride probes, is the one structure that grows with run length.
 //
 // tests/scenario/tomography_test.cpp gates inference error against mesh
 // size and probe rate and pins determinism across PDES domain counts;
-// bench/perf_ledger times the 18-host mesh.
+// tests/scenario/tomography_alloc_test.cpp pins heap growth with run
+// length; bench/perf_ledger times the 18-host mesh.
 #pragma once
 
 #include <cstdint>
@@ -80,14 +87,9 @@ struct TomographySpec {
   std::optional<FluidBackgroundConfig> fluid_background;
 
   /// PDES domains (clamped to the generator's partition hints, with the
-  /// same fallbacks as run_topology).  Delay ground truth threads
-  /// per-packet state across links, so its hooks attach only on the
-  /// sequential kernel; loss inference is domain-count-invariant.
+  /// same fallbacks as run_topology).  Delay ground truth is collected on
+  /// the sequential kernel only; loss inference is domain-count-invariant.
   std::size_t domains = 1;
-
-  /// Histogram edge for StreamingLindley (one-pass estimation cannot
-  /// auto-size it; see StreamingLindleyConfig::max).
-  Duration lindley_max = Duration::millis(200);
 
   /// Ridge lambda used when the link-class system is rank deficient.
   double ridge_lambda = 1e-6;
@@ -144,13 +146,15 @@ struct TomographyResult {
   /// Median over streams of the packet-pair bottleneck's relative error.
   double capacity_error = 0.0;
 
-  /// Push audit over every stream: after the run the batch entry points
-  /// (loss_stats, summarize, analyze_workload with the same edge) re-fold
-  /// each retained trace through the same estimator cores, and these are
-  /// the maximum absolute mismatches with the online state.  They are 0.0
-  /// exactly when the mesh pushed every stream in seq order, with every
-  /// gap loss and the post-drain close-out; anything else is a push
-  /// bookkeeping bug.
+  /// Push audit over every stream, from counters.  Each is 0.0 exactly
+  /// when the mesh pushed every sent probe once, in seq order, with every
+  /// gap and the post-drain close-out pushed as a loss; anything else is
+  /// a push bookkeeping bug.
+  ///   loss:    max over streams of |probes pushed - probes sent|;
+  ///   summary: max over streams of |probes pushed - losses - received|;
+  ///   lindley: total returns that arrived behind the pushed prefix (late
+  ///            or duplicate), counted and not pushed.
+  /// The fields keep the names the perf ledger gates them by.
   double audit_loss_mismatch = 0.0;
   double audit_summary_mismatch = 0.0;
   double audit_lindley_mismatch = 0.0;

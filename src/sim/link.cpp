@@ -159,6 +159,7 @@ void Link::enqueue(Packet&& packet) {
     drop(std::move(packet), DropCause::kOverflow);
     return;
   }
+  packet.hop_start = sim_.now();
   backlog_bytes_ += packet.size_bytes;
   queue_.push_back(std::move(packet));
   stats_.max_queue = std::max(stats_.max_queue, queue_.size());

@@ -129,7 +129,8 @@ class Link {
                             kHookCapacity>;
   /// Observation hook invoked at the instant a packet arrives at the far
   /// end (after service + propagation); does not affect forwarding.  Fires
-  /// even on links without a sink (instrumented dead-ends).
+  /// even on links without a sink (instrumented dead-ends).  `at` minus
+  /// the packet's hop_start is its sojourn at this link.
   using DeliveryHook =
       util::InplaceFunction<void(const Packet&, SimTime at), kHookCapacity>;
   /// PDES boundary egress (see sim/pdes.h): called at transmission-complete
@@ -141,7 +142,8 @@ class Link {
 
   Link(Simulator& sim, LinkConfig config, Rng drop_rng);
 
-  /// Hands a packet to the link.  May drop (buffer full or random stage).
+  /// Hands a packet to the link.  May drop (buffer full or random stage);
+  /// an admitted packet's hop_start is stamped with the current time.
   void enqueue(Packet&& packet);
 
   /// Pauses/resumes the transmitter (a frozen gateway: packets queue but

@@ -57,7 +57,11 @@ struct Packet {
   std::int64_t size_bytes = 0;   // wire size
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
-  SimTime created;               // time the packet entered the network
+  /// Time the packet was admitted to the link it is on now, stamped by
+  /// Link::enqueue.  Delivery minus hop_start is the packet's sojourn at
+  /// that link: queueing wait + service + propagation (+ channel/fluid
+  /// extra delay).
+  SimTime hop_start;
 
   std::int64_t size_bits() const { return size_bytes * 8; }
   /// The wire size as a typed quantity (size_bytes itself stays a raw

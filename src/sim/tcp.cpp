@@ -70,7 +70,6 @@ void TcpSink::on_packet(Packet&& p) {
   ack.size_bytes = 40;
   ack.src = node_;
   ack.dst = p.src;
-  ack.created = sim_.now();
   ack.set_tcp({flow.next_expected, /*is_ack=*/true});
   ++acks_sent_;
   net_.send(std::move(ack));
@@ -156,7 +155,6 @@ void TcpSource::send_segment(std::uint64_t seq, bool is_retransmission) {
   segment.size_bytes = config_.segment.count();
   segment.src = src_;
   segment.dst = dst_;
-  segment.created = sim_.now();
   segment.set_tcp({seq, /*is_ack=*/false});
   ++stats_.segments_sent;
   if (is_retransmission) ++stats_.retransmissions;

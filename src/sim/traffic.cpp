@@ -38,7 +38,6 @@ void TrafficSource::emit(ByteSize size) {
   p.size_bytes = size.count();
   p.src = src_;
   p.dst = dst_;
-  p.created = sim_.now();
   ++sent_;
   bytes_ += size.count();
   net_.send(std::move(p));

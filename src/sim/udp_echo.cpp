@@ -73,7 +73,6 @@ void UdpEchoSource::send_next() {
   p.size_bytes = config_.probe_wire.count();
   p.src = source_;
   p.dst = echo_;
-  p.created = sim_.now();
   p.set_probe({next_seq_, record.send_time, Duration::zero(), false});
   ++next_seq_;
   net_.send(std::move(p));
@@ -103,6 +102,12 @@ void UdpEchoSource::on_packet(Packet&& p) {
 }
 
 analysis::ProbeTrace UdpEchoSource::trace() const { return trace_; }
+
+analysis::ProbeTrace UdpEchoSource::take_trace() {
+  analysis::ProbeTrace out = std::move(trace_);
+  trace_.records.clear();
+  return out;
+}
 
 void UdpEchoSource::publish_metrics(obs::MetricsRegistry& registry) const {
   registry.probe_counter("probe.sent",

@@ -69,6 +69,9 @@ class UdpEchoSource {
   /// Builds the trace; call after the run.  Probes still in flight count
   /// as lost, matching how a fixed-length experiment tallies them.
   analysis::ProbeTrace trace() const;
+  /// The same trace moved out rather than copied, for a caller done with
+  /// the source; trace() is empty afterwards.
+  analysis::ProbeTrace take_trace();
 
   std::uint64_t sent_count() const { return next_seq_; }
   std::uint64_t received_count() const { return received_; }

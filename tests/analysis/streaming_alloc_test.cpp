@@ -3,12 +3,11 @@
 // (the event_alloc_test pattern), so it links into its own binary.
 //
 // The contract under test: after construction, push() on the loss and
-// Lindley cores (and the Welford summary the mesh pairs with them)
-// performs zero heap allocations — the constructor-reserved burst
-// histogram and the workload histogram absorb the whole stream.  This is
-// what makes 10^4+ concurrent per-stream estimators viable in one
-// process, and TenThousandConcurrentStreamsAreAllocationFree runs exactly
-// that.
+// Lindley cores (and the Welford summary) performs zero heap
+// allocations — the constructor-reserved burst histogram and the
+// workload histogram absorb the whole stream.  This is what makes 10^4+
+// concurrent per-stream estimators viable in one process, and
+// TenThousandConcurrentStreamsAreAllocationFree runs exactly that.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,10 +72,11 @@ TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
   EXPECT_GT(lindley.analysis().histogram.total(), 0u);
 }
 
-/// The tomography mesh's per-stream bank: loss state, Lindley inversion
-/// and an rtt summary (ms, 0 for a lost probe), pushed as the mesh does.
-struct MeshBank {
-  explicit MeshBank(const StreamingLindleyConfig& config) : lindley(config) {}
+/// A per-stream bank of every streaming core: loss state, Lindley
+/// inversion and an rtt summary (ms, 0 for a lost probe).
+struct StreamBank {
+  explicit StreamBank(const StreamingLindleyConfig& config)
+      : lindley(config) {}
 
   void push(Duration rtt) {
     const bool lost = rtt == Duration::zero();
@@ -98,7 +98,7 @@ TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
   config.probe_wire = ByteSize::bytes(72);
   config.bottleneck = Bandwidth::mbps(1);
   config.max = Duration::millis(200);
-  std::vector<MeshBank> banks;
+  std::vector<StreamBank> banks;
   banks.reserve(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) banks.emplace_back(config);
 
@@ -106,13 +106,13 @@ TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
   Rng rng(1993);
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (std::size_t k = 0; k < kProbesPerStream; ++k) {
-    for (MeshBank& bank : banks) bank.push(synth_rtt(rng));
+    for (StreamBank& bank : banks) bank.push(synth_rtt(rng));
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
 
   std::size_t losses = 0;
-  for (const MeshBank& bank : banks) {
+  for (const StreamBank& bank : banks) {
     ASSERT_EQ(bank.loss.probes(), kProbesPerStream);
     ASSERT_EQ(bank.summary.count(), kProbesPerStream);
     ASSERT_LT(bank.lindley.samples(), kProbesPerStream);

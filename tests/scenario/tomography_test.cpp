@@ -1,6 +1,7 @@
 // run_tomography: inference accuracy against simulator ground truth,
 // determinism (same spec -> same result, including across PDES domain
-// counts for the loss pass), and the mesh-level push audit.
+// counts for the loss pass), and the mesh-level push audit.  Heap growth
+// with run length is tomography_alloc_test's.
 #include "scenario/tomography.h"
 
 #include <gtest/gtest.h>
@@ -11,27 +12,10 @@
 #include <string>
 
 #include "tests/scenario/malformed_fluid_configs.h"
+#include "tests/scenario/tomography_ci_spec.h"
 
 namespace bolot::scenario {
 namespace {
-
-/// Small AS-hierarchy mesh that runs in a few seconds: 8 hosts, 56
-/// round-trip streams over ~30 directed probed links.
-TomographySpec ci_spec() {
-  TomographySpec spec;
-  spec.topology.family = TopologySpec::Family::kAsHierarchy;
-  spec.topology.core_count = 2;
-  spec.topology.stubs_per_core = 2;
-  spec.topology.hosts_per_stub = 2;
-  spec.topology.peer_links = 0;
-  spec.topology.seed = 7;
-  spec.delta = Duration::millis(10);
-  spec.duration = Duration::seconds(40);
-  spec.drop_min = 0.02;
-  spec.drop_max = 0.05;
-  spec.seed = 1993;
-  return spec;
-}
 
 TEST(TomographyTest, LossInferenceWithinTenPercentOfGroundTruth) {
   // The headline acceptance gate against mesh size and probe rate:
@@ -157,9 +141,11 @@ TEST(TomographyTest, PacketPairRecoversBottleneckCapacity) {
 
 TEST(TomographyTest, StreamingMatchesBatchOnSimulatedStreams) {
   const TomographyResult result = run_tomography(ci_spec());
-  // Re-folding each retained trace through the batch entry points must
-  // reproduce the online state exactly: the mesh pushed every stream in
-  // seq order, with every gap loss and the post-drain close-out.
+  // The counter audit: every sent probe was pushed into its stream's loss
+  // state (gaps and the post-drain close-out as losses), the pushed
+  // prefix splits exactly into losses and received returns, and no return
+  // arrived late or twice.  Each counter is exactly 0 when the push
+  // bookkeeping is right.
   EXPECT_EQ(result.audit_loss_mismatch, 0.0);
   EXPECT_EQ(result.audit_summary_mismatch, 0.0);
   EXPECT_EQ(result.audit_lindley_mismatch, 0.0);

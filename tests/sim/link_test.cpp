@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace bolot::sim {
@@ -282,6 +283,62 @@ TEST(LinkTest, BacklogBytesTracksQueue) {
   EXPECT_EQ(link.backlog_bytes(), 584);
   simulator.run_to_completion();
   EXPECT_EQ(link.backlog_bytes(), 0);
+}
+
+// Delay ground truth reads a packet's sojourn at a link as delivery time
+// minus hop_start, so hop_start must be the link's own admission time and
+// the Packet must not grow to carry it.
+static_assert(sizeof(Packet) == 80, "Packet layout changed");
+
+TEST(LinkTest, EnqueueStampsHopStart) {
+  // Three links chained by their sinks, as a node forwards: in zero time.
+  // A burst of three 72 B probes queues at the first link, passes the
+  // faster second link unqueued and queues again at the slower third.
+  Simulator simulator;
+  const Bandwidth rates[] = {Bandwidth::bps(128e3), Bandwidth::bps(256e3),
+                             Bandwidth::bps(64e3)};
+  const Duration propagations[] = {Duration::millis(10), Duration::millis(5),
+                                   Duration::millis(1)};
+  std::vector<std::unique_ptr<Link>> links;
+  for (int k = 0; k < 3; ++k) {
+    LinkConfig config = basic_config();
+    config.rate = rates[k];
+    config.propagation = propagations[k];
+    links.push_back(std::make_unique<Link>(simulator, config, Rng(1)));
+  }
+  links[0]->set_sink([&](Packet&& p) { links[1]->enqueue(std::move(p)); });
+  links[1]->set_sink([&](Packet&& p) { links[2]->enqueue(std::move(p)); });
+
+  // Expected sojourn per hop and packet, as {wait, service, propagation}
+  // in ms: service is 4.5, 2.25 and 9 ms per probe.
+  struct Sojourn {
+    double wait, service, propagation;
+  };
+  const Sojourn expected[3][3] = {
+      {{0, 4.5, 10}, {4.5, 4.5, 10}, {9, 4.5, 10}},      // arrive 0, 0, 0
+      {{0, 2.25, 5}, {0, 2.25, 5}, {0, 2.25, 5}},        // 14.5, 19, 23.5
+      {{0, 9, 1}, {4.5, 9, 1}, {9, 9, 1}},               // 21.75, 26.25, 30.75
+  };
+  int delivered[3] = {0, 0, 0};
+  for (int k = 0; k < 3; ++k) {
+    links[k]->add_delivery_hook([&, k](const Packet& p, SimTime at) {
+      const Sojourn& e = expected[k][p.id];
+      EXPECT_EQ(at - p.hop_start,
+                Duration::millis(e.wait + e.service + e.propagation))
+          << "hop " << k << ", packet " << p.id;
+      ++delivered[k];
+    });
+  }
+
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    Packet p = make_packet(72, i);
+    p.hop_start = Duration::seconds(-7);  // stale: must be overwritten
+    links[0]->enqueue(std::move(p));
+  }
+  simulator.run_to_completion();
+  EXPECT_EQ(delivered[0], 3);
+  EXPECT_EQ(delivered[1], 3);
+  EXPECT_EQ(delivered[2], 3);
 }
 
 TEST(LinkTest, RejectsBadConfig) {

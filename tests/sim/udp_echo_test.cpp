@@ -47,6 +47,27 @@ TEST_F(EchoFixture, RoundTripOnIdlePathIsFixedDelay) {
   }
 }
 
+TEST_F(EchoFixture, TakeTraceMovesTheTraceOut) {
+  EchoHost echo(simulator, net, echo_node);
+  ProbeSourceConfig config;
+  config.delta = Duration::millis(50);
+  config.probe_count = 8;
+  UdpEchoSource source(simulator, net, source_node, echo_node, config);
+  source.start(Duration::zero());
+  simulator.run_until(Duration::seconds(5));
+
+  const auto copy = source.trace();
+  const auto taken = source.take_trace();
+  EXPECT_EQ(taken.delta, copy.delta);
+  ASSERT_EQ(taken.size(), copy.size());
+  for (std::size_t i = 0; i < taken.size(); ++i) {
+    EXPECT_EQ(taken.records[i].seq, copy.records[i].seq);
+    EXPECT_EQ(taken.records[i].rtt, copy.records[i].rtt);
+    EXPECT_EQ(taken.records[i].received, copy.records[i].received);
+  }
+  EXPECT_EQ(source.trace().size(), 0u);
+}
+
 TEST_F(EchoFixture, EchoTimestampIsBetweenSendAndReceive) {
   EchoHost echo(simulator, net, echo_node);
   ProbeSourceConfig config;

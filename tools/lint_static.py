@@ -52,6 +52,17 @@ the unit.
                        one so the [0,1] + NaN rejection cannot be
                        bypassed.
 
+Ownership rules
+---------------
+A field with exactly one writer in src/ may be written nowhere else.
+
+  hop-start-write      `.hop_start =` outside src/sim/link.cpp.
+                       Link::enqueue stamps every admitted packet's
+                       hop_start, and the mesh's delay ground truth
+                       reads delivery - hop_start as the sojourn at that
+                       link; a creator-side stamp is dead code that
+                       suggests otherwise.
+
 The legacy batch-analysis layer (src/analysis) is deliberately outside
 the scope of the raw-unit rules: it is the serialization/estimation
 boundary, where traces and estimators exchange plain scalars by design
@@ -111,6 +122,14 @@ DETERMINISM_RULES = [
      None, "pointer keys order by allocation address; key on a stable id"),
     ("build-timestamp", re.compile(r"__(?:DATE|TIME|TIMESTAMP)__"), None,
      "build timestamps make otherwise identical runs differ"),
+]
+
+# (rule, regex, the one file allowed to match, advice)
+OWNERSHIP_RULES = [
+    ("hop-start-write",
+     re.compile(r"(?:\.|->)\s*hop_start\s*=(?!=)"), "src/sim/link.cpp",
+     "Link::enqueue stamps hop_start on admission; a write anywhere "
+     "else is overwritten before anything reads it"),
 ]
 
 SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
@@ -227,6 +246,10 @@ def scan_lines(rel: str, lines: list[str],
             if not in_restricted_dirs(rel, dirs):
                 continue
             if pattern.search(code):
+                findings.append((rule, lineno, line.strip(), advice))
+        for rule, pattern, owner, advice in OWNERSHIP_RULES:
+            if rel != owner and rel.startswith("src/") \
+                    and pattern.search(code):
                 findings.append((rule, lineno, line.strip(), advice))
         if rel in UNIT_RULE_EXEMPT_FILES:
             continue
@@ -366,6 +389,18 @@ SELF_TEST_CASES = [
      "src/sim/synthetic.cpp",
      "std::map<const Link*, int> order;",
      {"pointer-ordering"}),
+    ("creator-side hop_start stamp is rejected",
+     "src/sim/traffic.cpp",
+     "  p.hop_start = sim_.now();",
+     {"hop-start-write"}),
+    ("the link's own hop_start stamp is fine",
+     "src/sim/link.cpp",
+     "  packet.hop_start = sim_.now();",
+     set()),
+    ("reading hop_start is fine",
+     "src/scenario/synthetic.cpp",
+     "sum += (at - p.hop_start).millis(); ok = p.hop_start == at;",
+     set()),
     ("build timestamp is rejected",
      "src/obs/synthetic.cpp",
      "const char* built = __DATE__;",
