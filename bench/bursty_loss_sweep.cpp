@@ -15,10 +15,8 @@
 // track the target within sampling noise (the channel_test property pins
 // this within 10% over 10^6 probes).
 //
-// Flags: the shared sweep flags (--threads/--seed/--out/--replicates)
-// plus --quick, a short grid for CI smoke runs.
+// Flags: the shared sweep flags (--threads/--seed/--out/--replicates).
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -33,31 +31,18 @@
 int main(int argc, char** argv) {
   using namespace bolot;
 
-  // parse_sweep_cli rejects unknown flags, so --quick is peeled off first.
-  bool quick = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
   runner::SweepCli cli;
   try {
-    cli = runner::parse_sweep_cli(static_cast<int>(args.size()), args.data());
+    cli = runner::parse_sweep_cli(argc, argv);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n"
-              << runner::sweep_cli_usage("bursty_loss_sweep")
-              << "  --quick          short CI-smoke grid\n";
+              << runner::sweep_cli_usage("bursty_loss_sweep");
     return 2;
   }
 
   const double target_ulp = 0.08;
-  const std::vector<double> target_plgs =
-      quick ? std::vector<double>{1, 5} : std::vector<double>{1, 2, 5, 10, 20};
-  const Duration duration =
-      quick ? Duration::minutes(1) : Duration::minutes(20);
+  const std::vector<double> target_plgs = {1, 2, 5, 10, 20};
+  const Duration duration = Duration::minutes(20);
 
   std::vector<runner::RunSpec> specs;
   for (double plg : target_plgs) {

@@ -8,7 +8,6 @@
 // Merit/Mukherjee-style statistics are formed — and recover the cycle
 // from the periodogram.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 
 #include "analysis/spectral.h"
@@ -17,16 +16,8 @@
 #include "sim/udp_echo.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace bolot;
-
-  // --quick: shrink the load cycle and the probe run proportionally (a
-  // 1-minute "day" observed for 6 minutes still spans 6 cycles, enough
-  // for a clean periodogram peak) for CI smoke runs.
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
 
   sim::Simulator simulator;
   sim::Network net(simulator, 11);
@@ -54,8 +45,8 @@ int main(int argc, char** argv) {
 
   // "Diurnal" load: mean 60% of the bottleneck, swinging +-55% of that
   // with a 4-minute period (a scaled-down day).
-  const Duration cycle = quick ? Duration::minutes(1) : Duration::minutes(4);
-  const double run_minutes = quick ? 6.0 : 40.0;
+  const Duration cycle = Duration::minutes(4);
+  const double run_minutes = 40.0;
   sim::ModulatedPoissonConfig cross_config;
   cross_config.packet = ByteSize::bytes(512);
   cross_config.mean_interarrival =

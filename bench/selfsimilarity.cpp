@@ -9,7 +9,6 @@
 // Pareto ON/OFF cross traffic (heavy-tailed, H -> 1) at the same average
 // load — and estimates H from the probe-observed load, showing that the
 // NetDyn methodology could have detected self-similarity.
-#include <cstring>
 #include <iostream>
 
 #include "analysis/selfsimilar.h"
@@ -92,15 +91,8 @@ HurstResult run(double pareto_shape, double minutes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // --quick: a CI-smoke duration.  The H estimates get noisier with a
-  // shorter series, but the exponential-vs-heavy-tail gap the exit code
-  // checks (> 0.1) survives a 6-minute run comfortably.
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const double minutes = quick ? 6.0 : 42.0;
+int main() {
+  const double minutes = 42.0;
 
   std::cout << "Self-similarity of aggregate load: 16 ON/OFF sources, same "
                "mean load,\nexponential vs Pareto(1.2) period lengths ("

@@ -9,7 +9,6 @@
 // characteristic delay sawtooths, and probe loss is lower at equal
 // utilization because the sources *react* to congestion.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 
 #include "analysis/loss.h"
@@ -127,15 +126,8 @@ RunResult run_open_loop(double minutes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // --quick: 2-minute runs and a 2-row grid for CI smoke coverage.  The
-  // qualitative contrast (TCP fills the link at lower probe loss) is
-  // stable well before the 10-minute statistics converge.
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const double minutes = quick ? 2.0 : 10.0;
+int main() {
+  const double minutes = 10.0;
 
   std::cout << "Probe measurements under open-loop vs TCP (closed-loop) "
                "cross traffic\n(128 kb/s bottleneck, delta = 50 ms, "
@@ -156,9 +148,9 @@ int main(int argc, char** argv) {
         .cell(r.note);
   };
   add("open-loop", run_open_loop(minutes));
-  if (!quick) add("tcp x1", run_tcp_loaded(1, minutes));
+  add("tcp x1", run_tcp_loaded(1, minutes));
   add("tcp x2", run_tcp_loaded(2, minutes));
-  if (!quick) add("tcp x4", run_tcp_loaded(4, minutes));
+  add("tcp x4", run_tcp_loaded(4, minutes));
   table.print(std::cout);
   std::cout << "\nexpected: TCP fills the link (high utilization) while its "
                "congestion control\nkeeps probe loss below the open-loop mix "

@@ -29,7 +29,6 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "sim/link.h"
-#include "sim/shaper.h"
 #include "sim/simulator.h"
 #include "sim/tcp.h"
 #include "sim/udp_echo.h"
@@ -209,15 +208,6 @@ inline std::size_t watch_probe_rtt_ms(Sampler& sampler,
                                       const sim::UdpEchoSource& probe) {
   return sampler.add_series("probe.rtt_ms",
                             [&probe] { return probe.last_rtt_ms(); });
-}
-
-/// Shaper queue depth, in packets.
-inline std::size_t watch_shaper_queue(Sampler& sampler,
-                                      const sim::TokenBucketShaper& shaper,
-                                      std::string name) {
-  return sampler.add_series(std::move(name), [&shaper] {
-    return static_cast<double>(shaper.queue_length());
-  });
 }
 
 }  // namespace bolot::obs

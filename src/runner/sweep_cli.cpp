@@ -1,25 +1,11 @@
 #include "runner/sweep_cli.h"
 
-#include <charconv>
 #include <stdexcept>
 #include <string_view>
 
+#include "util/parse_number.h"
+
 namespace bolot::runner {
-
-namespace {
-
-std::uint64_t parse_u64(std::string_view flag, std::string_view text) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    throw std::invalid_argument(std::string(flag) + ": expected an integer, got '" +
-                                std::string(text) + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string sweep_cli_usage(const std::string& program) {
   return "usage: " + program +

@@ -19,6 +19,9 @@ Link::Link(Simulator& sim, LinkConfig config, Rng drop_rng)
   if (config_.buffer_packets == 0) {
     throw std::invalid_argument("Link: buffer must hold at least one packet");
   }
+  if (config_.buffer_packets > kMaxBufferPackets) {
+    throw std::invalid_argument("Link: buffer above kMaxBufferPackets");
+  }
   // The Probability type already pins [0, 1]; a link that drops every
   // packet is additionally rejected here, as before.
   if (config_.random_drop_probability >= Probability::one()) {

@@ -57,6 +57,12 @@ struct RedConfig {
   ByteSize mean_packet = ByteSize::bytes(512);
 };
 
+/// The largest buffer a Link accepts.  The whole buffer is reserved at
+/// construction, so the bound keeps a mistyped K from exhausting memory;
+/// it is the largest K anywhere in the tree (an effectively infinite
+/// buffer for the experiments that want one).
+inline constexpr std::size_t kMaxBufferPackets = 100'000;
+
 struct LinkConfig {
   std::string name;
   Bandwidth rate = Bandwidth::mbps(1);  // transmission rate

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "util/audit.h"
@@ -102,9 +104,17 @@ class RingBuffer {
   }
 
   /// Ensures capacity() >= min_capacity (rounded up to a power of two),
-  /// compacting live elements to the front of the new array.
+  /// compacting live elements to the front of the new array.  Throws
+  /// std::length_error when no power of two in std::size_t reaches
+  /// min_capacity.
   void reserve(std::size_t min_capacity) {
     if (min_capacity <= capacity()) return;
+    constexpr std::size_t kLargestPowerOfTwo =
+        std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+    if (min_capacity > kLargestPowerOfTwo) {
+      throw std::length_error(
+          "RingBuffer: capacity beyond the largest power of two");
+    }
     std::size_t cap = 1;
     while (cap < min_capacity) cap <<= 1;
     auto grown = std::make_unique<T[]>(cap);

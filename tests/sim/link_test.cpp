@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -352,6 +353,15 @@ TEST(LinkTest, RejectsBadConfig) {
   config = basic_config();
   config.random_drop_probability = Probability::one();
   EXPECT_THROW(Link(simulator, config, Rng(1)), std::invalid_argument);
+  // The buffer is reserved up front, so an absurd K is rejected before it
+  // can exhaust memory; the bound itself is accepted.
+  config = basic_config();
+  config.buffer_packets = kMaxBufferPackets + 1;
+  EXPECT_THROW(Link(simulator, config, Rng(1)), std::invalid_argument);
+  config.buffer_packets = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(Link(simulator, config, Rng(1)), std::invalid_argument);
+  config.buffer_packets = kMaxBufferPackets;
+  EXPECT_NO_THROW(Link(simulator, config, Rng(1)));
   // Out-of-range values can no longer reach LinkConfig at all: the checked
   // Probability constructor rejects them at the source.
   EXPECT_THROW(Probability::checked(-0.1), std::invalid_argument);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 namespace bolot::util {
@@ -102,6 +104,18 @@ TEST(RingBufferTest, ClearResetsSizeButKeepsStorage) {
   EXPECT_EQ(ring.capacity(), 8u);
   ring.push_back(int{42});
   EXPECT_EQ(ring.front(), 42);
+}
+
+TEST(RingBufferTest, ReserveBeyondTheLargestPowerOfTwoThrows) {
+  // Rounding such a request up would overflow std::size_t; it must be an
+  // error, not an endless doubling loop, and leave the ring untouched.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  RingBuffer<int> ring(4);
+  ring.push_back(int{7});
+  EXPECT_THROW(ring.reserve(kMax), std::length_error);
+  EXPECT_THROW(ring.reserve(kMax / 2 + 2), std::length_error);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.front(), 7);
 }
 
 }  // namespace

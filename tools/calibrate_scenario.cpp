@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/loss.h"
 #include "scenario/scenarios.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 
 namespace {
@@ -37,12 +39,17 @@ struct GridPoint {
 int main(int argc, char** argv) {
   double minutes = 10.0;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--minutes") == 0 && i + 1 < argc) {
-      minutes = std::strtod(argv[++i], nullptr);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--quick") == 0) {
+        quick = true;
+      } else if (std::strcmp(argv[i], "--minutes") == 0 && i + 1 < argc) {
+        minutes = parse_f64("--minutes", argv[++i]);
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "calibrate_scenario: " << e.what() << "\n";
+    return 2;
   }
   if (quick) minutes = std::min(minutes, 2.0);
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "analysis/trace_io.h"
 #include "scenario/scenarios.h"
 #include "sim/channel.h"
+#include "util/parse_number.h"
 #include "util/time.h"
 
 namespace {
@@ -96,13 +98,14 @@ int main(int argc, char** argv) {
       } else if (flag == "--out") {
         out_path = value();
       } else if (flag == "--bytes") {
-        bytes = std::stoll(value());
+        bytes = static_cast<std::int64_t>(parse_u64(
+            flag, value(), std::numeric_limits<std::int64_t>::max()));
       } else if (flag == "--duration-min") {
-        duration_min = std::stod(value());
+        duration_min = parse_f64(flag, value());
       } else if (flag == "--delta-ms") {
-        delta_ms = std::stod(value());
+        delta_ms = parse_f64(flag, value());
       } else if (flag == "--seed") {
-        seed = std::stoull(value());
+        seed = parse_u64(flag, value());
       } else {
         std::cerr << "unknown flag: " << flag << "\n";
         return usage(argv[0]);

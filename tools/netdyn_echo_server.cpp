@@ -5,14 +5,17 @@
 // Binds the given UDP port (default 4242; 0 picks an ephemeral port and
 // prints it) and echoes every valid 32-byte probe back to its sender
 // after stamping the echo timestamp.  Run this on one machine and point
-// netdyn_probe (or examples/live_probe) at it from another to measure a
-// real path exactly as the paper did.
+// netdyn_probe at it from another to measure a real path exactly as the
+// paper did.
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 
 #include "netdyn/echo_server.h"
 #include "nettime/clock.h"
+#include "util/parse_number.h"
 
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
@@ -24,7 +27,14 @@ int main(int argc, char** argv) {
 
   std::uint16_t port = 4242;
   if (argc >= 2) {
-    port = static_cast<std::uint16_t>(std::strtoul(argv[1], nullptr, 10));
+    try {
+      port = static_cast<std::uint16_t>(
+          parse_u64("port", argv[1], std::numeric_limits<std::uint16_t>::max()));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "netdyn_echo_server: " << e.what() << "\n"
+                << "usage: netdyn_echo_server [port]\n";
+      return 2;
+    }
   }
 
   SystemClock clock;

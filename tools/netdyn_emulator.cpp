@@ -9,10 +9,13 @@
 // Point a prober (or an audio tool) at listen_port and it experiences
 // the INRIA->UMd bottleneck in real time.
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 
 #include "netdyn/emulator.h"
+#include "util/parse_number.h"
 
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
@@ -21,30 +24,37 @@ void handle_signal(int) { g_stop = 1; }
 
 int main(int argc, char** argv) {
   using namespace bolot;
+  const char* const usage =
+      "usage: netdyn_emulator <listen_port> <target_host> <target_port> "
+      "[delay_ms] [rate_bps] [buffer_pkts] [loss]\n";
   if (argc < 4) {
-    std::cerr << "usage: netdyn_emulator <listen_port> <target_host> "
-                 "<target_port> [delay_ms] [rate_bps] [buffer_pkts] "
-                 "[loss]\n";
+    std::cerr << usage;
+    return 2;
+  }
+  constexpr std::uint64_t kMaxPort = std::numeric_limits<std::uint16_t>::max();
+  std::uint16_t listen_port = 0;
+  std::uint16_t target_port = 0;
+  netdyn::PathEmulatorConfig config;
+  try {
+    listen_port = static_cast<std::uint16_t>(
+        parse_u64("listen_port", argv[1], kMaxPort));
+    target_port = static_cast<std::uint16_t>(
+        parse_u64("target_port", argv[3], kMaxPort));
+    if (argc >= 5) {
+      config.one_way_delay = Duration::millis(parse_f64("delay_ms", argv[4]));
+    }
+    if (argc >= 6) config.rate = Bandwidth::bps(parse_f64("rate_bps", argv[5]));
+    if (argc >= 7) config.buffer_packets = parse_u64("buffer_pkts", argv[6]);
+    if (argc >= 8) {
+      config.loss_probability =
+          bolot::Probability::checked(parse_f64("loss", argv[7]));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "netdyn_emulator: " << e.what() << "\n" << usage;
     return 2;
   }
   try {
-    const auto listen_port =
-        static_cast<std::uint16_t>(std::strtoul(argv[1], nullptr, 10));
-    netdyn::PathEmulatorConfig config;
-    config.target = netdyn::make_endpoint(
-        argv[2], static_cast<std::uint16_t>(std::strtoul(argv[3], nullptr, 10)));
-    if (argc >= 5) {
-      config.one_way_delay = Duration::millis(std::strtod(argv[4], nullptr));
-    }
-    if (argc >= 6) config.rate = Bandwidth::bps(std::strtod(argv[5], nullptr));
-    if (argc >= 7) {
-      config.buffer_packets = std::strtoul(argv[6], nullptr, 10);
-    }
-    if (argc >= 8) {
-      config.loss_probability =
-          bolot::Probability::checked(std::strtod(argv[7], nullptr));
-    }
-
+    config.target = netdyn::make_endpoint(argv[2], target_port);
     netdyn::PathEmulator emulator(listen_port, config);
     emulator.start();
     std::signal(SIGINT, handle_signal);

@@ -6,8 +6,11 @@
 // the echo server at host:port, prints the paper's section-4/5 analysis,
 // and optionally saves the raw trace as CSV for offline re-analysis
 // (reload with analysis::load_trace_csv).
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/lindley.h"
 #include "analysis/loss.h"
@@ -16,21 +19,30 @@
 #include "analysis/trace_io.h"
 #include "netdyn/prober.h"
 #include "nettime/clock.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace bolot;
+  const char* const usage =
+      "usage: netdyn_probe <host> <port> [delta_ms] [count] [trace.csv]\n";
   if (argc < 3) {
-    std::cerr << "usage: netdyn_probe <host> <port> [delta_ms] [count] "
-                 "[trace.csv]\n";
+    std::cerr << usage;
     return 2;
   }
   const std::string host = argv[1];
-  const auto port =
-      static_cast<std::uint16_t>(std::strtoul(argv[2], nullptr, 10));
-  const double delta_ms = argc >= 4 ? std::strtod(argv[3], nullptr) : 50.0;
-  const std::uint64_t count =
-      argc >= 5 ? std::strtoull(argv[4], nullptr, 10) : 1000;
+  std::uint16_t port = 0;
+  double delta_ms = 50.0;
+  std::uint64_t count = 1000;
+  try {
+    port = static_cast<std::uint16_t>(
+        parse_u64("port", argv[2], std::numeric_limits<std::uint16_t>::max()));
+    if (argc >= 4) delta_ms = parse_f64("delta_ms", argv[3]);
+    if (argc >= 5) count = parse_u64("count", argv[4]);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "netdyn_probe: " << e.what() << "\n" << usage;
+    return 2;
+  }
 
   try {
     SystemClock clock;

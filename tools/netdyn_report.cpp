@@ -6,24 +6,31 @@
 // prints the full section-4/5 report.  Pass the bottleneck rate in bit/s
 // to force the eq.-6 inversion rate; otherwise the compression-peak
 // estimate is used when available.
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/report.h"
 #include "analysis/trace_io.h"
+#include "util/parse_number.h"
 
 int main(int argc, char** argv) {
   using namespace bolot;
+  const char* const usage = "usage: netdyn_report <trace.csv> [mu_bps]\n";
   if (argc < 2) {
-    std::cerr << "usage: netdyn_report <trace.csv> [mu_bps]\n";
+    std::cerr << usage;
     return 2;
+  }
+  analysis::ReportOptions options;
+  if (argc >= 3) {
+    try {
+      options.bottleneck_bps = parse_f64("mu_bps", argv[2]);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "netdyn_report: " << e.what() << "\n" << usage;
+      return 2;
+    }
   }
   try {
     const analysis::ProbeTrace trace = analysis::load_trace_csv(argv[1]);
-    analysis::ReportOptions options;
-    if (argc >= 3) {
-      options.bottleneck_bps = std::strtod(argv[2], nullptr);
-    }
     std::cout << analysis::full_report(trace, options);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

@@ -6,7 +6,7 @@
 //     --delta-ms <double>        probe interval          (default 50)
 //     --minutes <double>         run length              (default 10)
 //     --seed <uint64>            experiment seed         (default 1993)
-//     --buffer <packets>         bottleneck buffer override
+//     --buffer <packets>         bottleneck buffer override (at most 100000)
 //     --drop <prob>              faulty-interface drop override
 //     --load <scale>             cross-traffic intensity multiplier
 //     --red                      RED at the bottleneck instead of drop-tail
@@ -16,8 +16,8 @@
 // Example — Table 3's delta = 8 ms cell, trace saved for later analysis:
 //   netdyn_sim --delta-ms 8 --csv delta8.csv
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/loss.h"
@@ -25,6 +25,8 @@
 #include "analysis/stats.h"
 #include "analysis/trace_io.h"
 #include "scenario/scenarios.h"
+#include "sim/link.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 
 namespace {
@@ -51,39 +53,42 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error("missing value for " + arg);
       return argv[++i];
     };
-    if (arg == "--scenario") {
-      scenario_name = next_value();
-    } else if (arg == "--delta-ms") {
-      plan.delta = Duration::millis(std::strtod(next_value().c_str(), nullptr));
-    } else if (arg == "--minutes") {
-      plan.duration =
-          Duration::minutes(std::strtod(next_value().c_str(), nullptr));
-    } else if (arg == "--seed") {
-      plan.seed = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--buffer") {
-      overrides.bottleneck_buffer_packets =
-          std::strtoul(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--drop") {
-      const double p = std::strtod(next_value().c_str(), nullptr);
-      if (!(p >= 0.0 && p <= 1.0)) {
-        usage_error("--drop must be a probability in [0, 1]");
+    try {
+      if (arg == "--scenario") {
+        scenario_name = next_value();
+      } else if (arg == "--delta-ms") {
+        plan.delta = Duration::millis(parse_f64(arg, next_value()));
+      } else if (arg == "--minutes") {
+        plan.duration = Duration::minutes(parse_f64(arg, next_value()));
+      } else if (arg == "--seed") {
+        plan.seed = parse_u64(arg, next_value());
+      } else if (arg == "--buffer") {
+        overrides.bottleneck_buffer_packets =
+            parse_u64(arg, next_value(), sim::kMaxBufferPackets);
+      } else if (arg == "--drop") {
+        const double p = parse_f64(arg, next_value());
+        if (!(p >= 0.0 && p <= 1.0)) {
+          usage_error("--drop must be a probability in [0, 1]");
+        }
+        overrides.faulty_interface_drop = bolot::Probability::checked(p);
+      } else if (arg == "--load") {
+        const double scale = parse_f64(arg, next_value());
+        scenario::CrossTraffic cross;
+        cross.session_load *= scale;
+        cross.bulk_load *= scale;
+        cross.interactive_load *= scale;
+        overrides.cross_traffic = cross;
+      } else if (arg == "--red") {
+        overrides.bottleneck_red = sim::RedConfig{};
+      } else if (arg == "--csv") {
+        csv_path = next_value();
+      } else if (arg == "--report") {
+        want_report = true;
+      } else {
+        usage_error("unknown option " + arg);
       }
-      overrides.faulty_interface_drop = bolot::Probability::checked(p);
-    } else if (arg == "--load") {
-      const double scale = std::strtod(next_value().c_str(), nullptr);
-      scenario::CrossTraffic cross;
-      cross.session_load *= scale;
-      cross.bulk_load *= scale;
-      cross.interactive_load *= scale;
-      overrides.cross_traffic = cross;
-    } else if (arg == "--red") {
-      overrides.bottleneck_red = sim::RedConfig{};
-    } else if (arg == "--csv") {
-      csv_path = next_value();
-    } else if (arg == "--report") {
-      want_report = true;
-    } else {
-      usage_error("unknown option " + arg);
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());
     }
   }
   if (plan.delta <= Duration::zero() || plan.duration <= Duration::zero()) {
