@@ -12,6 +12,7 @@ constexpr std::size_t kSeqOffset = 4;
 constexpr std::size_t kSourceOffset = 8;
 constexpr std::size_t kEchoOffset = 14;
 constexpr std::size_t kDestOffset = 20;
+constexpr std::size_t kPaddingOffset = 26;
 }  // namespace
 
 std::array<std::byte, kProbePacketSize> encode_probe(const ProbeMessage& msg) {
@@ -37,6 +38,12 @@ std::array<std::byte, kProbePacketSize> encode_probe(const ProbeMessage& msg) {
 std::optional<ProbeMessage> decode_probe(std::span<const std::byte> datagram) {
   if (datagram.size() != kProbePacketSize) return std::nullopt;
   if (!std::equal(kMagic.begin(), kMagic.end(), datagram.begin())) {
+    return std::nullopt;
+  }
+  // encode_probe zeroes the padding, so any other bytes there mean the
+  // datagram is not one of ours (or was corrupted on the way).
+  if (!std::all_of(datagram.begin() + kPaddingOffset, datagram.end(),
+                   [](std::byte b) { return b == std::byte{0}; })) {
     return std::nullopt;
   }
   ProbeMessage msg;

@@ -35,7 +35,8 @@ struct ProbeMessage {
 /// Serializes into exactly kProbePacketSize bytes.
 std::array<std::byte, kProbePacketSize> encode_probe(const ProbeMessage& msg);
 
-/// Parses a datagram; returns nullopt on wrong size or bad magic.
+/// Parses a datagram; returns nullopt on wrong size, bad magic or non-zero
+/// padding.  Every datagram it accepts re-encodes to the same bytes.
 std::optional<ProbeMessage> decode_probe(std::span<const std::byte> datagram);
 
 /// Overwrites only the echo-timestamp field in a serialized probe, the way

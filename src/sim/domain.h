@@ -1,6 +1,6 @@
 // One shard of a parallel simulation (see sim/pdes.h): a Simulator plus
-// the channels connecting it to its neighbor domains, advanced in bounded
-// batches by whichever worker thread claims it.
+// the channels connecting it to its neighbor domains, advanced in claims
+// of at most kBatchEvents events by whichever worker thread holds it.
 //
 // Synchronization is conservative lookahead without null messages.  Each
 // domain publishes an atomic safe-time S: a promise that no event in this
@@ -11,6 +11,11 @@
 // (S_source + lookahead), its *horizon*.  Handoffs already emitted but
 // not yet visible (ring overflow spill) cap the producer's S instead
 // (SpscChannel::spill_bound_ns), keeping the bound sound.
+//
+// A claim publishes S every kPublishEvents dispatches, not only when it
+// ends, and a claim that reaches its horizon publishes, re-reads the
+// horizon and keeps going if it moved, so two neighbors advance side by
+// side instead of each waiting out the other's claim (MODEL_NOTES §14).
 //
 // Determinism: cross-domain arrivals are merged into the event stream
 // from a staging heap ordered by (arrival time, global link uid, per-link
@@ -35,6 +40,17 @@ namespace bolot::sim {
 
 class ParallelSimulation;
 
+/// Per-domain counters of a sharded run, cumulative over every run_until
+/// call; ParallelSimulation::stats() says which ones are deterministic.
+struct DomainStats {
+  std::uint64_t events = 0;          // events dispatched here
+  std::uint64_t handoffs_in = 0;     // of which cross-domain arrivals
+  std::uint64_t claims = 0;          // advance() calls
+  std::uint64_t stalled_claims = 0;  // claims that dispatched nothing
+  std::uint64_t safe_publishes = 0;  // stores that raised the safe time
+  std::uint64_t ring_spills = 0;     // outbound handoffs that found a ring full
+};
+
 class Domain {
  public:
   static constexpr std::int64_t kNever = SpscChannel::kNever;
@@ -47,7 +63,7 @@ class Domain {
   const Simulator& simulator() const { return sim_; }
 
   /// The domain's published safe time (ns): no event here will execute
-  /// before it.  Monotone; written with release ordering after a batch.
+  /// before it.  Monotone; written with release ordering during a claim.
   std::int64_t safe_ns() const {
     return safe_ns_.load(std::memory_order_acquire);
   }
@@ -79,13 +95,26 @@ class Domain {
   bool try_claim() { return !claimed_.exchange(true, std::memory_order_acquire); }
   void release() { claimed_.store(false, std::memory_order_release); }
 
-  /// Runs up to `max_events` events that are provably safe, then flushes
-  /// outbound spill and publishes a new safe time.  Returns true if the
+  /// Runs up to `max_events` events that are provably safe, publishing a
+  /// new safe time every `publish_every` of them, each time the next event
+  /// reaches the horizon, and once more at the end.  Returns true if the
   /// call made progress (executed events or raised the safe time).
   /// `links_by_uid` maps Handoff::link to the Link whose deliver_remote
   /// runs in this domain.  Caller must hold the claim.
-  bool advance(SimTime end, std::size_t max_events,
+  bool advance(SimTime end, std::size_t max_events, std::size_t publish_every,
                const std::vector<Link*>& links_by_uid);
+
+  /// Reads every source's safe time, then drains its channel into the
+  /// staging heap; returns the horizon min(S_source + lookahead).
+  std::int64_t read_horizon();
+
+  /// Earliest pending local event or staged handoff (kNever if none).
+  std::int64_t next_event_ns() const;
+
+  /// Flushes outbound spill and publishes min(next event, `horizon`,
+  /// spill bounds) if it raises the safe time.  Returns whether every
+  /// outbound handoff is now visible (all spills empty).
+  bool publish(std::int64_t horizon);
 
   Simulator sim_;
   std::vector<Inbound> inbound_;
@@ -97,6 +126,9 @@ class Domain {
   /// meaningful within one ParallelSimulation::run_until call (reset at
   /// entry).  Written under the claim, read by the driver loop.
   std::atomic<bool> done_{false};
+  /// Written under the claim; read by ParallelSimulation::stats() after
+  /// run_until has joined its workers.
+  DomainStats stats_;
 };
 
 }  // namespace bolot::sim

@@ -29,6 +29,7 @@ ParallelSimulation::ThreadDonor& donor_slot() {
 struct DriveState {
   ParallelSimulation* owner = nullptr;
   SimTime end;
+  std::size_t next_home = 1;  // the calling thread's home domain is 0
   std::mutex mutex;
   std::condition_variable cv;
   int active = 0;
@@ -119,19 +120,22 @@ void ParallelSimulation::attach(Network& net,
   attached_ = true;
 }
 
-void ParallelSimulation::drive(SimTime end) {
+void ParallelSimulation::drive(SimTime end, std::size_t home) {
+  const std::size_t n = domains_.size();
   bool all_done = false;
   while (!all_done) {
     bool progress = false;
     all_done = true;
-    for (Domain& d : domains_) {
+    for (std::size_t k = 0; k < n; ++k) {
+      Domain& d = domains_[(home + k) % n];
       if (d.done_.load(std::memory_order_acquire)) continue;
       if (!d.try_claim()) {
         all_done = false;  // another worker owns it; not proven done
         continue;
       }
       if (!d.done_.load(std::memory_order_relaxed)) {
-        progress |= d.advance(end, kBatchEvents, links_by_uid_);
+        progress |=
+            d.advance(end, kBatchEvents, kPublishEvents, links_by_uid_);
       }
       const bool done = d.done_.load(std::memory_order_relaxed);
       d.release();
@@ -156,12 +160,14 @@ void ParallelSimulation::run_until(SimTime end) {
     state->end = end;
     for (std::size_t i = 1; i < domains_.size(); ++i) {
       donor([state] {
+        std::size_t home = 0;
         {
           std::lock_guard<std::mutex> lock(state->mutex);
           if (state->expired) return;
           ++state->active;
+          home = state->next_home++;
         }
-        state->owner->drive(state->end);
+        state->owner->drive(state->end, home);
         {
           std::lock_guard<std::mutex> lock(state->mutex);
           --state->active;
@@ -171,7 +177,7 @@ void ParallelSimulation::run_until(SimTime end) {
     }
   }
 
-  drive(end);
+  drive(end, 0);
 
   if (state) {
     // Late helpers must never touch this object again: mark the state
@@ -191,6 +197,19 @@ std::uint64_t ParallelSimulation::events_dispatched() const {
   std::uint64_t total = 0;
   for (const Domain& d : domains_) total += d.simulator().events_dispatched();
   return total;
+}
+
+std::vector<DomainStats> ParallelSimulation::stats() const {
+  std::vector<DomainStats> out;
+  out.reserve(domains_.size());
+  for (const Domain& d : domains_) {
+    DomainStats s = d.stats_;
+    for (const SpscChannel* chan : d.outbound_) {
+      s.ring_spills += chan->spilled();
+    }
+    out.push_back(s);
+  }
+  return out;
 }
 
 void ParallelSimulation::audit_verify() const {

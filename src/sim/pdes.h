@@ -95,6 +95,14 @@ class ParallelSimulation {
   /// ring's arrival event does sequentially.
   std::uint64_t events_dispatched() const;
 
+  /// Per-domain counters, cumulative over every run_until call; read them
+  /// between calls.  `events` and `handoffs_in` are deterministic: fixed
+  /// by the model and the partition, equal at every worker count, and
+  /// `events` sums to events_dispatched().  `claims`, `stalled_claims`,
+  /// `safe_publishes` and `ring_spills` record how the workers happened
+  /// to interleave and vary from run to run.
+  std::vector<DomainStats> stats() const;
+
   /// Deep-walks every domain's event queue invariants (tests; audit
   /// builds also do this inline every kAuditStride events per domain).
   void audit_verify() const;
@@ -103,12 +111,18 @@ class ParallelSimulation {
   static void set_thread_donor(ThreadDonor donor);
 
  private:
-  /// Events per claim before a domain republishes its safe time and the
-  /// worker moves on.  Large enough to amortize the claim + publish,
-  /// small enough that neighbors' horizons advance promptly.
+  /// Events per claim before the worker releases the domain and moves on,
+  /// so a single worker still round-robins every domain.
   static constexpr std::size_t kBatchEvents = 1024;
+  /// Events between safe-time publishes inside a claim, so a neighbor's
+  /// horizon advances while this domain runs.  On the perf ledger's
+  /// two-domain mesh every value from 16 to 128 ran equally fast, and
+  /// publishing only when the claim ends (1024) lost most of the gain.
+  static constexpr std::size_t kPublishEvents = 64;
 
-  void drive(SimTime end);
+  /// Claims and advances domains until every one is done for `end`,
+  /// scanning from `home` so each worker keeps to its own domain first.
+  void drive(SimTime end, std::size_t home);
 
   std::deque<Domain> domains_;       // deque: Domain is pinned (atomics)
   std::deque<SpscChannel> channels_; // deque: channels are pinned too

@@ -68,7 +68,10 @@ class SpscChannel {
   /// spills into the producer-private overflow (see spill_bound_ns).
   void push(const Handoff& h) {
     flush();
-    if (!spill_.empty() || !try_push_ring(h)) spill_.push_back(h);
+    if (!spill_.empty() || !try_push_ring(h)) {
+      spill_.push_back(h);
+      ++spilled_;
+    }
   }
 
   /// Moves spilled handoffs back into the ring while there is room.
@@ -79,6 +82,9 @@ class SpscChannel {
   }
 
   bool spill_empty() const { return spill_.empty(); }
+
+  /// Handoffs pushed so far that went to the spill instead of the ring.
+  std::uint64_t spilled() const { return spilled_; }
 
   /// Safe-time cap imposed by invisible (spilled) handoffs: the producer
   /// must not advertise a time later than (earliest spilled arrival -
@@ -124,6 +130,7 @@ class SpscChannel {
   std::int64_t lookahead_ns_ = 0;
   /// Producer-private overflow; only the producer thread touches it.
   std::deque<Handoff> spill_;
+  std::uint64_t spilled_ = 0;
   alignas(64) std::atomic<std::size_t> head_{0};  // producer cursor
   alignas(64) std::atomic<std::size_t> tail_{0};  // consumer cursor
 };

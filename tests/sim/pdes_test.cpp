@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,6 +60,7 @@ TEST(SpscChannelTest, OverflowSpillsAndPreservesOrder) {
     chan.push(make_handoff(static_cast<std::int64_t>(100 * i), 0, i, i));
   }
   EXPECT_FALSE(chan.spill_empty());  // 6 handoffs did not fit the ring
+  EXPECT_EQ(chan.spilled(), 6u);
   std::vector<std::uint64_t> ids;
   Handoff h;
   // Consumer drains, producer flushes, repeatedly — the pattern a real
@@ -300,6 +302,19 @@ enum class ChainLoad {
 struct ChainCounters {
   std::uint64_t hop_deliveries = 0;
   std::uint64_t events = 0;
+  std::vector<DomainStats> stats;  // empty on the sequential kernel
+};
+
+struct PinnedChain {
+  const char* name;
+  ChainLoad load;
+  std::uint64_t hop_deliveries;
+  std::uint64_t events;
+};
+
+constexpr PinnedChain kPinnedChains[] = {
+    {"line-rate chain", ChainLoad::kLineRateCbr, 798'544, 1'696'690},
+    {"parking lot", ChainLoad::kParkingLot, 178'109, 395'598},
 };
 
 ChainCounters run_quantized_chain(ChainLoad load, std::size_t domains) {
@@ -365,29 +380,83 @@ ChainCounters run_quantized_chain(ChainLoad load, std::size_t domains) {
   } else {
     seq->run_until(span);
   }
-  return {net.total_delivered(),
-          psim ? psim->events_dispatched() : seq->events_dispatched()};
+  if (psim) {
+    return {net.total_delivered(), psim->events_dispatched(), psim->stats()};
+  }
+  return {net.total_delivered(), seq->events_dispatched(), {}};
 }
 
 TEST(PdesTest, QuantizedChainAndParkingLotCountersMatchAcrossDomainCounts) {
   runner::shared_pool();  // domains borrow the process-wide workers
-  struct Case {
-    const char* name;
-    ChainLoad load;
-    std::uint64_t hop_deliveries;
-    std::uint64_t events;
-  };
-  const Case cases[] = {
-      {"line-rate chain", ChainLoad::kLineRateCbr, 798'544, 1'696'690},
-      {"parking lot", ChainLoad::kParkingLot, 178'109, 395'598},
-  };
-  for (const Case& c : cases) {
+  for (const PinnedChain& c : kPinnedChains) {
     for (const std::size_t domains : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(domains) +
                    " domains");
       const ChainCounters counters = run_quantized_chain(c.load, domains);
       EXPECT_EQ(counters.hop_deliveries, c.hop_deliveries);
       EXPECT_EQ(counters.events, c.events);
+    }
+  }
+}
+
+/// Installs `pool` (or, given nullptr, no pool) as the PDES worker donor.
+void lend_workers(runner::ThreadPool* pool) {
+  if (pool == nullptr) {
+    ParallelSimulation::set_thread_donor({});
+    return;
+  }
+  ParallelSimulation::set_thread_donor(
+      [pool](std::function<void()> job) { pool->submit(std::move(job)); });
+}
+
+TEST(PdesTest, QuantizedChainsInvariantAcrossWorkerCounts) {
+  // The calling thread alone, one lent worker, and the process-wide pool
+  // drive the same sharded runs: the pinned counters hold every way, the
+  // deterministic stats() fields agree field for field, and the domains'
+  // own event counts add up to the kernel's total.
+  runner::ThreadPool& shared = runner::shared_pool();
+  runner::ThreadPool one_worker(1);
+  // However the test exits, the shared pool is the donor again before
+  // one_worker is destroyed, as runner::shared_pool() left it.
+  struct RestoreSharedDonor {
+    ~RestoreSharedDonor() { lend_workers(&runner::shared_pool()); }
+  } restore;
+  const std::pair<const char*, runner::ThreadPool*> ways[] = {
+      {"no donor", nullptr},
+      {"1-worker donor", &one_worker},
+      {"shared pool", &shared},
+  };
+  for (const PinnedChain& c : kPinnedChains) {
+    for (const std::size_t domains : {2u, 4u, 8u}) {
+      std::vector<DomainStats> reference;
+      for (const auto& [way, pool] : ways) {
+        SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(domains) +
+                     " domains, " + way);
+        lend_workers(pool);
+        const ChainCounters counters = run_quantized_chain(c.load, domains);
+        EXPECT_EQ(counters.hop_deliveries, c.hop_deliveries);
+        EXPECT_EQ(counters.events, c.events);
+        ASSERT_EQ(counters.stats.size(), domains);
+        std::uint64_t events = 0;
+        std::uint64_t handoffs = 0;
+        for (const DomainStats& d : counters.stats) {
+          events += d.events;
+          handoffs += d.handoffs_in;
+          EXPECT_GE(d.claims, 1u);
+          EXPECT_LE(d.stalled_claims, d.claims);
+        }
+        EXPECT_EQ(events, counters.events);
+        EXPECT_GT(handoffs, 0u);
+        if (reference.empty()) {
+          reference = counters.stats;
+          continue;
+        }
+        for (std::size_t d = 0; d < domains; ++d) {
+          EXPECT_EQ(counters.stats[d].events, reference[d].events) << d;
+          EXPECT_EQ(counters.stats[d].handoffs_in, reference[d].handoffs_in)
+              << d;
+        }
+      }
     }
   }
 }
