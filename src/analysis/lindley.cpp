@@ -152,49 +152,18 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
 
 BottleneckEstimate estimate_bottleneck_packet_pair(
     const ProbeTrace& trace, const PacketPairOptions& options) {
-  // The cluster cut is med * outlier_factor; below 1.0 it can exclude even
-  // the median spacing itself, leaving an empty cluster (and a division by
-  // zero below).  The negation also rejects NaN.
-  if (!(options.outlier_factor >= 1.0)) {
-    throw std::invalid_argument(
-        "estimate_bottleneck_packet_pair: outlier_factor must be >= 1");
-  }
-  validate_probe_order(trace, "estimate_bottleneck_packet_pair");
-  std::vector<double> spacings_ms;
+  // The index is the seq: the pairs are adjacent records, and
+  // validate_probe_order has already ruled out late and duplicate ones.
   const auto& records = trace.records;
-  for (std::size_t n = 0; n + 1 < records.size(); ++n) {
-    const auto& first = records[n];
-    const auto& second = records[n + 1];
-    if (!first.received || !second.received) continue;
-    if (second.send_time - first.send_time > options.pair_send_gap) continue;
-    const Duration r1 = first.send_time + first.rtt;
-    const Duration r2 = second.send_time + second.rtt;
-    const double spacing = (r2 - r1).millis();
-    if (spacing > 0.0) spacings_ms.push_back(spacing);
+  StreamingPacketPair core(ByteSize::bytes(trace.probe_wire_bytes),
+                           records.size(), options);
+  validate_probe_order(trace, "estimate_bottleneck_packet_pair");
+  for (std::size_t n = 0; n < records.size(); ++n) {
+    if (!records[n].received) continue;
+    core.push(n, records[n].send_time,
+              records[n].send_time + records[n].rtt);
   }
-  if (spacings_ms.empty()) {
-    throw std::invalid_argument(
-        "estimate_bottleneck_packet_pair: no back-to-back pairs received");
-  }
-  std::sort(spacings_ms.begin(), spacings_ms.end());
-  const double med = spacings_ms[spacings_ms.size() / 2];
-  // Centroid of the non-interleaved cluster around the median.
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (double s : spacings_ms) {
-    if (s <= med * options.outlier_factor) {
-      sum += s;
-      ++count;
-    }
-  }
-  BottleneckEstimate estimate;
-  estimate.service_time_ms = sum / static_cast<double>(count);
-  estimate.mu_bps = static_cast<double>(trace.probe_wire_bytes * 8) /
-                    (estimate.service_time_ms * 1e-3);
-  estimate.cluster_samples = count;
-  estimate.cluster_fraction =
-      static_cast<double>(count) / static_cast<double>(spacings_ms.size());
-  return estimate;
+  return core.estimate();
 }
 
 }  // namespace bolot::analysis

@@ -108,6 +108,75 @@ GilbertFit StreamingLossState::gilbert() const {
 }
 
 // ---------------------------------------------------------------------------
+// StreamingPacketPair
+// ---------------------------------------------------------------------------
+
+StreamingPacketPair::StreamingPacketPair(ByteSize probe_wire,
+                                         std::size_t max_pairs,
+                                         const PacketPairOptions& options)
+    : probe_bits_(static_cast<double>(probe_wire.bit_count())),
+      pair_send_gap_(options.pair_send_gap),
+      outlier_factor_(options.outlier_factor) {
+  // The cluster cut is med * outlier_factor; below 1.0 it can exclude
+  // even the median spacing itself, leaving an empty cluster (and a
+  // division by zero in estimate()).  The negation also rejects NaN.
+  if (!(outlier_factor_ >= 1.0)) {
+    throw std::invalid_argument(
+        "StreamingPacketPair: outlier_factor must be >= 1");
+  }
+  spacings_ms_.reserve(max_pairs);
+}
+
+void StreamingPacketPair::push(std::uint64_t seq, Duration send_time,
+                               Duration return_time) {
+  if (have_last_ && seq <= last_seq_) {
+    ++rejected_;
+    return;
+  }
+  if (have_last_ && seq == last_seq_ + 1 &&
+      send_time - last_send_ <= pair_send_gap_) {
+    const double spacing = (return_time - last_return_).millis();
+    if (spacing > 0.0) {
+      if (spacings_ms_.size() == spacings_ms_.capacity()) {
+        throw std::length_error(
+            "StreamingPacketPair::push: more pairs than max_pairs");
+      }
+      spacings_ms_.push_back(spacing);
+    }
+  }
+  have_last_ = true;
+  last_seq_ = seq;
+  last_send_ = send_time;
+  last_return_ = return_time;
+}
+
+BottleneckEstimate StreamingPacketPair::estimate() {
+  if (spacings_ms_.empty()) {
+    throw std::invalid_argument(
+        "StreamingPacketPair::estimate: no back-to-back pairs received");
+  }
+  std::sort(spacings_ms_.begin(), spacings_ms_.end());
+  const double med = spacings_ms_[spacings_ms_.size() / 2];
+  // Centroid of the non-interleaved cluster around the median, summed in
+  // ascending order.
+  double sum = 0.0;
+  std::size_t count = 0;
+  for (const double s : spacings_ms_) {
+    if (s <= med * outlier_factor_) {
+      sum += s;
+      ++count;
+    }
+  }
+  BottleneckEstimate estimate;
+  estimate.service_time_ms = sum / static_cast<double>(count);
+  estimate.mu_bps = probe_bits_ / (estimate.service_time_ms * 1e-3);
+  estimate.cluster_samples = count;
+  estimate.cluster_fraction =
+      static_cast<double>(count) / static_cast<double>(spacings_ms_.size());
+  return estimate;
+}
+
+// ---------------------------------------------------------------------------
 // StreamingLindley
 // ---------------------------------------------------------------------------
 

@@ -15,13 +15,18 @@
 //                          histogram edge (auto-sizing needs a pre-pass
 //                          over g_n that one-pass estimation cannot do)
 //                          and pushes every record into one.
+//   StreamingPacketPair -- packet-pair return spacings, their median and
+//                          cluster centroid.  estimate_bottleneck_packet_pair()
+//                          validates and pushes every received record into
+//                          one, its array index as the seq.
 //
-// The third streaming core, the Welford StreamingSummary behind
+// The fourth streaming core, the Welford StreamingSummary behind
 // summarize(), lives in stats.h.  The per-estimator contract is
 // documented in docs/ESTIMATORS.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/histogram.h"
@@ -79,6 +84,51 @@ class StreamingLossState {
   bool have_prev_ = false;
   bool prev_lost_ = false;
   std::vector<std::size_t> closed_bursts_;  // index k = runs of length k+1
+};
+
+// ---------------------------------------------------------------------------
+// StreamingPacketPair
+// ---------------------------------------------------------------------------
+
+/// Streaming packet-pair dispersion (Keshav 1991).  push() each return in
+/// seq order; a return whose seq directly follows the last pushed one,
+/// sent at most options.pair_send_gap after it, adds its positive return
+/// spacing.  Only the last return and the spacings are kept: one double
+/// per pair, never per probe.  estimate_bottleneck_packet_pair() is a
+/// fold over this class.
+class StreamingPacketPair {
+ public:
+  /// `max_pairs` fixes the spacing capacity: the constructor reserves it
+  /// and push() never allocates; a spacing past it throws
+  /// std::length_error.  Throws std::invalid_argument unless
+  /// options.outlier_factor >= 1.
+  StreamingPacketPair(ByteSize probe_wire, std::size_t max_pairs,
+                      const PacketPairOptions& options = {});
+
+  /// The return of probe `seq`, sent at `send_time`, back at
+  /// `return_time`.  A seq gap breaks the chain (the probes between were
+  /// lost).  A seq at or behind the last pushed one is late or a
+  /// duplicate: it is counted in rejected() and never pushed.
+  void push(std::uint64_t seq, Duration send_time, Duration return_time);
+
+  std::size_t pairs() const { return spacings_ms_.size(); }
+  std::size_t rejected() const { return rejected_; }
+
+  /// The median return spacing and the centroid of the spacings within
+  /// outlier_factor of it.  Throws std::invalid_argument when no pair has
+  /// formed.  Sorts the kept spacings in place; their order is not state.
+  BottleneckEstimate estimate();
+
+ private:
+  std::vector<double> spacings_ms_;
+  double probe_bits_ = 0.0;
+  Duration pair_send_gap_;
+  double outlier_factor_ = 0.0;
+  std::size_t rejected_ = 0;
+  bool have_last_ = false;
+  std::uint64_t last_seq_ = 0;
+  Duration last_send_;
+  Duration last_return_;
 };
 
 // ---------------------------------------------------------------------------

@@ -27,12 +27,18 @@ constexpr Duration kMeshWarmup = Duration::seconds(2);
 constexpr Duration kMeshDrain = Duration::seconds(2);
 
 /// One round-trip probe stream: per-stream state only, nothing per probe.
-/// The loss state is the whole estimator bank (the inference and the
-/// gauges read it); each rtt comes from the probe's own source_ts, as
-/// NetDyn takes it, so the sender keeps no per-probe table.
+/// The loss state is the main flow's estimator bank (the inference and
+/// the gauges read it); each rtt comes from the probe's own source_ts, as
+/// NetDyn takes it, so the sender keeps no per-probe table.  The side
+/// flow's returns stream into one packet-pair estimator, which keeps one
+/// spacing per pair.
 struct Stream {
-  Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes)
-      : src(src_node), dst(dst_node), probe_count(probes) {}
+  Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes,
+         ByteSize probe_wire, std::size_t max_pairs)
+      : src(src_node),
+        dst(dst_node),
+        probe_count(probes),
+        pair(probe_wire, max_pairs) {}
 
   sim::NodeId src;
   sim::NodeId dst;
@@ -40,15 +46,13 @@ struct Stream {
   std::uint64_t next_seq = 0;       // probes sent
   std::uint64_t received = 0;       // returns pushed as received
   std::uint64_t late_returns = 0;   // returns behind the pushed prefix
-  std::uint64_t pair_next_seq = 0;  // records in pair_trace
+  std::uint64_t pair_next_seq = 0;  // pair probes sent
   double rtt_sum_ms = 0.0;
   double mu_true_bps = 0.0;              // min capacity over the round trip
   std::vector<std::uint32_t> round_trip;  // directed link uids
 
-  analysis::StreamingLossState loss;  // pushed in seq order
-  // The packet-pair dispersion pass reads this after the run (two
-  // records per pair_stride probes).
-  analysis::ProbeTrace pair_trace;
+  analysis::StreamingLossState loss;   // pushed in seq order
+  analysis::StreamingPacketPair pair;  // pushed in return order
 
   /// Pushes seqs [loss.probes(), upto) as lost, in order.
   void push_gap_losses(std::uint64_t upto) {
@@ -80,11 +84,14 @@ struct MeshState {
   void record_return(const sim::Packet& p, SimTime now) {
     const std::uint64_t seq = p.probe().seq;
     if (p.flow >= kMeshPairFlowBase) {
+      // Pair returns of one stream keep seq order for the reason main-flow
+      // returns do (see on_return); one out of order is counted by the
+      // estimator and never pushed.
       Stream& stream = streams.at(p.flow - kMeshPairFlowBase);
-      auto& record = stream.pair_trace.records.at(seq);
-      record.received = true;
-      record.rtt = now - record.send_time;
-      record.echo_time = p.probe().echo_ts;
+      if (seq >= stream.pair_next_seq) {
+        throw std::out_of_range("run_tomography: pair return never sent");
+      }
+      stream.pair.push(seq, p.probe().source_ts, now);
       return;
     }
     streams.at(p.flow - kMeshFlowBase).on_return(seq,
@@ -141,10 +148,6 @@ class MeshProbeHost {
     const std::uint32_t flow =
         kMeshPairFlowBase + static_cast<std::uint32_t>(s);
     for (int k = 0; k < 2; ++k) {
-      analysis::ProbeRecord record;
-      record.seq = stream.pair_next_seq;
-      record.send_time = sim_.now();
-      stream.pair_trace.records.push_back(record);
       net_.send(
           make_probe(flow, stream.pair_next_seq, stream.src, stream.dst));
       ++stream.pair_next_seq;
@@ -215,6 +218,16 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument(
         "run_tomography: need 0 <= drop_min <= drop_max < 1");
   }
+  // Pairs are pair_stride * delta apart; at or below the pair send gap
+  // the estimator would chain one pair's second probe to the next pair's
+  // first and keep more spacings than pairs.
+  if (spec.pair_stride > 0 &&
+      !(spec.delta * static_cast<std::int64_t>(spec.pair_stride) >
+        analysis::PacketPairOptions{}.pair_send_gap)) {
+    throw std::invalid_argument(
+        "run_tomography: pair_stride * delta must exceed the packet-pair "
+        "send gap");
+  }
   const TopologyPlan topo = generate_topology(spec.topology);
   if (topo.hosts.size() < 2) {
     throw std::invalid_argument("run_tomography: need at least two hosts");
@@ -269,6 +282,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
+  const std::size_t max_pairs =
+      spec.pair_stride > 0
+          ? static_cast<std::size_t>(probes_per_stream / spec.pair_stride) + 1
+          : 0;
   MeshState mesh;
   mesh.streams.reserve(stream_count);
   for (std::size_t i = 0; i < host_count; ++i) {
@@ -284,15 +301,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         mu = std::min(mu, net.link_at(uid).config().rate.bps());
       }
 
-      Stream stream(src, dst, probes_per_stream);
+      Stream stream(src, dst, probes_per_stream, spec.probe_wire,
+                    max_pairs);
       stream.mu_true_bps = mu;
       stream.round_trip = std::move(round_trip);
-      stream.pair_trace.delta = spec.delta;
-      stream.pair_trace.probe_wire_bytes = spec.probe_wire.count();
-      if (spec.pair_stride > 0) {
-        stream.pair_trace.records.reserve(
-            2 * (probes_per_stream / spec.pair_stride + 1));
-      }
       mesh.streams.push_back(std::move(stream));
     }
   }
@@ -465,7 +477,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
 
   // --- Stream summaries, packet-pair pass, push audit -------------------
   std::vector<double> capacity_errors;
-  for (const Stream& stream : mesh.streams) {
+  for (Stream& stream : mesh.streams) {
     TomographyStreamSummary summary;
     summary.src = stream.src;
     summary.dst = stream.dst;
@@ -478,16 +490,11 @@ TomographyResult run_tomography(const TomographySpec& spec) {
             ? stream.rtt_sum_ms / static_cast<double>(stream.received)
             : 0.0;
     summary.bottleneck_true = Bandwidth::bps(stream.mu_true_bps);
-    if (stream.pair_trace.received_count() >= 2) {
-      try {
-        const analysis::BottleneckEstimate pair =
-            analysis::estimate_bottleneck_packet_pair(stream.pair_trace, {});
-        summary.bottleneck_pair = Bandwidth::bps(pair.mu_bps);
-        capacity_errors.push_back(
-            std::abs(pair.mu_bps - stream.mu_true_bps) / stream.mu_true_bps);
-      } catch (const std::exception&) {
-        // No usable back-to-back pair returned on this stream.
-      }
+    if (stream.pair.pairs() > 0) {  // else no back-to-back pair returned
+      const analysis::BottleneckEstimate pair = stream.pair.estimate();
+      summary.bottleneck_pair = Bandwidth::bps(pair.mu_bps);
+      capacity_errors.push_back(
+          std::abs(pair.mu_bps - stream.mu_true_bps) / stream.mu_true_bps);
     }
     result.stream_summaries.push_back(summary);
 
@@ -502,6 +509,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         std::abs(pushed - static_cast<double>(stream.loss.losses()) -
                  static_cast<double>(stream.received)));
     result.audit_lindley_mismatch += static_cast<double>(stream.late_returns);
+    result.audit_pair_late_returns += stream.pair.rejected();
   }
   result.capacity_error = median(std::move(capacity_errors));
   return result;

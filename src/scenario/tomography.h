@@ -34,9 +34,12 @@
 //
 // A packet-pair dispersion pass rides along: every pair_stride-th probe
 // slot additionally emits two back-to-back probes on a side flow, and
-// estimate_bottleneck_packet_pair recovers each round trip's bottleneck
-// capacity from their return spacing.  Its trace, two records per
-// pair_stride probes, is the one structure that grows with run length.
+// each stream's StreamingPacketPair recovers its round trip's bottleneck
+// capacity from their return spacing.  The side flow's returns are
+// pushed in seq order like the main flow's, the send time again read
+// from the probe's source_ts; the estimator keeps one return spacing per
+// pair (8 B per pair_stride probes), the one state that grows with run
+// length.
 //
 // tests/scenario/tomography_test.cpp gates inference error against mesh
 // size and probe rate and pins determinism across PDES domain counts;
@@ -78,7 +81,9 @@ struct TomographySpec {
   double drop_max = 0.05;
 
   /// Every pair_stride-th probe slot also emits a back-to-back packet
-  /// pair on the side flow (0 disables the dispersion pass).
+  /// pair on the side flow (0 disables the dispersion pass).  When set,
+  /// pair_stride * delta must exceed PacketPairOptions' pair_send_gap, so
+  /// two pairs never chain into one.
   std::size_t pair_stride = 16;
 
   /// Optional fluid background population loading the fabric (all flows
@@ -158,6 +163,10 @@ struct TomographyResult {
   double audit_loss_mismatch = 0.0;
   double audit_summary_mismatch = 0.0;
   double audit_lindley_mismatch = 0.0;
+  /// Pair returns that arrived at or behind their stream's last pushed
+  /// pair seq (late or duplicate), counted and not pushed; 0 exactly when
+  /// every pair return came back in seq order.
+  std::size_t audit_pair_late_returns = 0;
 
   std::uint64_t events = 0;
   std::size_t domains_used = 1;

@@ -2,10 +2,11 @@
 // allocation-free push paths.  Replaces the global operator new/delete
 // (the event_alloc_test pattern), so it links into its own binary.
 //
-// The contract under test: after construction, push() on the loss and
-// Lindley cores (and the Welford summary) performs zero heap
-// allocations — the constructor-reserved burst histogram and the
-// workload histogram absorb the whole stream.  This is what makes 10^4+
+// The contract under test: after construction, push() on the loss,
+// Lindley and packet-pair cores (and the Welford summary) performs zero
+// heap allocations — the constructor-reserved burst histogram, workload
+// histogram and pair-spacing capacity absorb the whole stream, and the
+// packet-pair estimate sorts its spacings in place.  This is what makes 10^4+
 // concurrent per-stream estimators viable in one process, and
 // TenThousandConcurrentStreamsAreAllocationFree runs exactly that.
 #include <gtest/gtest.h>
@@ -48,38 +49,60 @@ Duration synth_rtt(Rng& rng) {
   return Duration::millis(rng.uniform(60.0, 140.0));
 }
 
+/// Pushes probe `seq` into a packet-pair core: pairs sent 0.2 ms apart
+/// every 100 ms, the second returning one 72 B service time (4.5 ms)
+/// behind the first; a lost probe is not pushed.
+void push_pair_probe(StreamingPacketPair& pair, std::uint64_t seq,
+                     bool lost) {
+  if (lost) return;
+  const double base_ms = 100.0 * static_cast<double>(seq / 2);
+  const bool second = seq % 2 == 1;
+  const Duration send = Duration::millis(base_ms + (second ? 0.2 : 0.0));
+  const Duration back =
+      Duration::millis(base_ms + 100.0 + (second ? 4.5 : 0.0));
+  pair.push(seq, send, back);
+}
+
 TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
+  constexpr int kProbes = 100'000;
   StreamingLossState loss;
   StreamingLindleyConfig lindley_config;
   lindley_config.delta = Duration::millis(50);
   lindley_config.probe_wire = ByteSize::bytes(72);
   lindley_config.max = Duration::millis(200);
   StreamingLindley lindley(lindley_config);
+  StreamingPacketPair pair(ByteSize::bytes(72), kProbes / 2);
 
   Rng rng(41);
   const std::uint64_t before =
       g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 100'000; ++i) {
+  for (int i = 0; i < kProbes; ++i) {
     const Duration rtt = synth_rtt(rng);
     loss.push(rtt);
     lindley.push(rtt);
+    push_pair_probe(pair, static_cast<std::uint64_t>(i),
+                    rtt == Duration::zero());
   }
+  const BottleneckEstimate estimate = pair.estimate();
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
 
   // The streams above were real enough to estimate from.
   EXPECT_GT(loss.stats().probes, 0u);
   EXPECT_GT(lindley.analysis().histogram.total(), 0u);
+  EXPECT_GT(pair.pairs(), 0u);
+  EXPECT_NEAR(estimate.service_time_ms, 4.5, 1e-9);
 }
 
 /// A per-stream bank of every streaming core: loss state, Lindley
-/// inversion and an rtt summary (ms, 0 for a lost probe).
+/// inversion, packet pairs and an rtt summary (ms, 0 for a lost probe).
 struct StreamBank {
-  explicit StreamBank(const StreamingLindleyConfig& config)
-      : lindley(config) {}
+  StreamBank(const StreamingLindleyConfig& config, std::size_t max_pairs)
+      : lindley(config), pair(config.probe_wire, max_pairs) {}
 
   void push(Duration rtt) {
     const bool lost = rtt == Duration::zero();
+    push_pair_probe(pair, loss.probes(), lost);
     loss.push_lost(lost);
     lindley.push(rtt);
     summary.push(lost ? 0.0 : rtt.millis());
@@ -87,6 +110,7 @@ struct StreamBank {
 
   StreamingLossState loss;
   StreamingLindley lindley;
+  StreamingPacketPair pair;
   StreamingSummary summary;
 };
 
@@ -100,7 +124,9 @@ TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
   config.max = Duration::millis(200);
   std::vector<StreamBank> banks;
   banks.reserve(kStreams);
-  for (std::size_t s = 0; s < kStreams; ++s) banks.emplace_back(config);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    banks.emplace_back(config, kProbesPerStream / 2);
+  }
 
   // Round-robin: the arrival order of 10^4 live streams analyzed online.
   Rng rng(1993);
@@ -116,6 +142,7 @@ TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
     ASSERT_EQ(bank.loss.probes(), kProbesPerStream);
     ASSERT_EQ(bank.summary.count(), kProbesPerStream);
     ASSERT_LT(bank.lindley.samples(), kProbesPerStream);
+    ASSERT_LE(bank.pair.pairs(), kProbesPerStream / 2);
     losses += bank.loss.losses();
   }
   // synth_rtt loses 5% of probes.

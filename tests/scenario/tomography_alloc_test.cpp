@@ -7,8 +7,8 @@
 // (the rtt comes from the probe's own source_ts, delay truth is
 // link-local), so run_tomography's peak live heap at duration D and at 4D
 // differ by at most a small constant independent of the probe count.  The
-// one retained per-probe structure is the packet-pair trace, two records
-// per pair_stride probes, and its growth is bounded by exactly that.
+// packet-pair pass keeps one return spacing, a double, per pair (one pair
+// per pair_stride probes), and its growth is bounded by exactly that.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "analysis/probe_trace.h"
 #include "scenario/tomography.h"
 #include "tests/scenario/tomography_ci_spec.h"
 
@@ -63,7 +62,7 @@ namespace {
 /// Slack for allocations whose size depends on what the simulated
 /// traffic happened to do rather than on how many probes were sent (a
 /// per-link ring reaching a new high-water mark in the longer run).  Far
-/// below one 40 B record per probe: 56 streams x 600 extra probes.
+/// below one 8 B double per probe: 56 streams x 600 extra probes.
 constexpr std::int64_t kRunLengthSlackBytes = 4096;
 
 /// The ci_spec mesh at duration `seconds` (200 probes per stream per 2 s).
@@ -88,6 +87,7 @@ std::int64_t peak_heap_bytes(const TomographySpec& spec) {
   EXPECT_EQ(result.audit_loss_mismatch, 0.0);
   EXPECT_EQ(result.audit_summary_mismatch, 0.0);
   EXPECT_EQ(result.audit_lindley_mismatch, 0.0);
+  EXPECT_EQ(result.audit_pair_late_returns, 0u);
   return g_peak.load() - before;
 }
 
@@ -98,7 +98,7 @@ TEST(TomographyAllocTest, MainFlowHeapDoesNotGrowWithDuration) {
       << "D: " << short_run << " B, 4D: " << long_run << " B";
 }
 
-TEST(TomographyAllocTest, PairTraceGrowsByTwoRecordsPerStride) {
+TEST(TomographyAllocTest, PairPassGrowsByOneDoublePerPair) {
   constexpr std::size_t kStride = 8;  // divides both probe counts
   const TomographySpec short_spec = mesh(kStride, 2);
   const TomographySpec long_spec = mesh(kStride, 8);
@@ -108,11 +108,11 @@ TEST(TomographyAllocTest, PairTraceGrowsByTwoRecordsPerStride) {
   const auto extra_probes = static_cast<std::int64_t>(
       (long_spec.duration - short_spec.duration) / long_spec.delta);
   const std::int64_t streams = 8 * 7;  // ci_spec: every ordered host pair
-  const std::int64_t pair_records_bound =
-      streams * 2 * extra_probes / static_cast<std::int64_t>(kStride) *
-      static_cast<std::int64_t>(sizeof(analysis::ProbeRecord));
+  const std::int64_t pair_spacings_bound =
+      streams * extra_probes / static_cast<std::int64_t>(kStride) *
+      static_cast<std::int64_t>(sizeof(double));
   EXPECT_GE(long_run, short_run);
-  EXPECT_LE(long_run - short_run, pair_records_bound + kRunLengthSlackBytes)
+  EXPECT_LE(long_run - short_run, pair_spacings_bound + kRunLengthSlackBytes)
       << "D: " << short_run << " B, 4D: " << long_run << " B";
 }
 

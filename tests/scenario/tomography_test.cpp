@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -50,6 +51,7 @@ TEST(TomographyTest, LossInferenceWithinTenPercentOfGroundTruth) {
     EXPECT_EQ(result.audit_loss_mismatch, 0.0);
     EXPECT_EQ(result.audit_summary_mismatch, 0.0);
     EXPECT_EQ(result.audit_lindley_mismatch, 0.0);
+    EXPECT_EQ(result.audit_pair_late_returns, 0u);
     // Every stream actually probed and returned traffic.
     for (const TomographyStreamSummary& s : result.stream_summaries) {
       EXPECT_GT(s.sent, 0u);
@@ -139,16 +141,49 @@ TEST(TomographyTest, PacketPairRecoversBottleneckCapacity) {
   EXPECT_LT(result.capacity_error, 0.10);
 }
 
+/// FNV-1a over the bit patterns of every stream's bottleneck_pair.
+std::uint64_t pair_digest(const TomographyResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325u;
+  for (const TomographyStreamSummary& s : result.stream_summaries) {
+    const auto bits = std::bit_cast<std::uint64_t>(s.bottleneck_pair.bps());
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3u;
+    }
+  }
+  return hash;
+}
+
+TEST(TomographyTest, PacketPairEstimatesArePinned) {
+  // Recorded when the pair pass still ran the batch estimator over a
+  // per-stream trace, so these prove the streaming pass exact: a digest
+  // of every stream's bottleneck_pair bits and the median capacity error,
+  // on the sequential kernel and on 2 PDES domains.
+  constexpr std::uint64_t kPairDigest = 0x00ad7eaa53eecd90u;
+  constexpr double kCapacityError = 0x1.5cf751db94e6bp-49;
+  for (const std::size_t domains : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(domains) + " domains");
+    TomographySpec spec = ci_spec();
+    spec.domains = domains;
+    const TomographyResult result = run_tomography(spec);
+    ASSERT_EQ(result.domains_used, domains);
+    EXPECT_EQ(pair_digest(result), kPairDigest);
+    EXPECT_EQ(result.capacity_error, kCapacityError);
+    EXPECT_EQ(result.audit_pair_late_returns, 0u);
+  }
+}
+
 TEST(TomographyTest, StreamingMatchesBatchOnSimulatedStreams) {
   const TomographyResult result = run_tomography(ci_spec());
   // The counter audit: every sent probe was pushed into its stream's loss
   // state (gaps and the post-drain close-out as losses), the pushed
   // prefix splits exactly into losses and received returns, and no return
-  // arrived late or twice.  Each counter is exactly 0 when the push
-  // bookkeeping is right.
+  // arrived late or twice, on the main flow or the pair side flow.  Each
+  // counter is exactly 0 when the push bookkeeping is right.
   EXPECT_EQ(result.audit_loss_mismatch, 0.0);
   EXPECT_EQ(result.audit_summary_mismatch, 0.0);
   EXPECT_EQ(result.audit_lindley_mismatch, 0.0);
+  EXPECT_EQ(result.audit_pair_late_returns, 0u);
 }
 
 TEST(TomographyTest, DeterministicAcrossRepeatRuns) {
@@ -223,6 +258,10 @@ TEST(TomographyTest, RejectsMalformedSpecs) {
   bad = ci_spec();
   bad.drop_min = 0.5;
   bad.drop_max = 0.1;
+  EXPECT_THROW(run_tomography(bad), std::invalid_argument);
+  bad = ci_spec();
+  bad.delta = Duration::micros(25);
+  bad.pair_stride = 20;  // pairs 500 us apart: chained at the send gap
   EXPECT_THROW(run_tomography(bad), std::invalid_argument);
   bad = ci_spec();
   expect_malformed_fluid_configs_rejected(

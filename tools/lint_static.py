@@ -63,6 +63,18 @@ A field with exactly one writer in src/ may be written nowhere else.
                        link; a creator-side stamp is dead code that
                        suggests otherwise.
 
+Build-flag rules
+----------------
+The pinned outputs must depend on the source, not on how it is compiled.
+
+  fast-math-flag       `-ffast-math`, `-Ofast`,
+                       `-funsafe-math-optimizations` or `-ffp-contract=fast`
+                       in any CMakeLists.txt or *.cmake file.  Each lets
+                       the compiler reassociate or fuse floating-point
+                       arithmetic, so a pinned digit can move with the
+                       compiler or the -march; the tree builds with
+                       -ffp-contract=off instead.
+
 The legacy batch-analysis layer (src/analysis) is deliberately outside
 the scope of the raw-unit rules: it is the serialization/estimation
 boundary, where traces and estimators exchange plain scalars by design
@@ -91,12 +103,15 @@ Allowlist: tools/lint_static_allow.txt, `<path> <rule>` lines, each with
 a trailing comment justifying it.  The lint fails on new findings only;
 allowlisted ones are reported as "allowed", and stale entries fail it.
 
+It scans the sources under src/ and every CMake file of the tree.
+
 Usage:  python3 tools/lint_static.py [--root DIR] [--self-test]
 Exit 0 when clean, 1 on findings, 2 on usage errors.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -132,7 +147,33 @@ OWNERSHIP_RULES = [
      "else is overwritten before anything reads it"),
 ]
 
+# (rule, regex, advice) over CMake files, # comments stripped.
+CMAKE_RULES = [
+    ("fast-math-flag",
+     re.compile(r"(?<![\w-])(?:-ffast-math|-Ofast|-funsafe-math-optimizations"
+                r"|-ffp-contract=fast)(?![\w-])"),
+     "value-changing float flags move pinned bits with the compiler and "
+     "the -march; the tree builds with -ffp-contract=off"),
+]
+
 SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
+
+
+def is_cmake(rel: str) -> bool:
+    return rel.endswith("CMakeLists.txt") or rel.endswith(".cmake")
+
+
+def cmake_files(root: Path) -> list[Path]:
+    """Every CMake file of the tree, minus hidden dirs and build trees."""
+    found: list[Path] = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        here = Path(dirpath)
+        dirnames[:] = sorted(
+            d for d in dirnames
+            if not d.startswith(".")
+            and not (here / d / "CMakeCache.txt").exists())
+        found += [here / f for f in sorted(filenames) if is_cmake(f)]
+    return found
 
 
 def load_allowlist(path: Path) -> set[tuple[str, str]]:
@@ -239,6 +280,13 @@ def scan_lines(rel: str, lines: list[str],
     rule logic, not a copy.
     """
     findings: list[tuple[str, int, str, str]] = []
+    if is_cmake(rel):
+        for lineno, line in enumerate(lines, start=1):
+            code = line.split("#", 1)[0]
+            for rule, pattern, advice in CMAKE_RULES:
+                if pattern.search(code):
+                    findings.append((rule, lineno, line.strip(), advice))
+        return findings
     is_header = rel.endswith((".h", ".hpp"))
     for lineno, line in enumerate(lines, start=1):
         code = strip_comments(line)
@@ -405,6 +453,34 @@ SELF_TEST_CASES = [
      "src/obs/synthetic.cpp",
      "const char* built = __DATE__;",
      {"build-timestamp"}),
+    ("-ffast-math in a CMake file is rejected",
+     "CMakeLists.txt",
+     "add_compile_options(-ffast-math)",
+     {"fast-math-flag"}),
+    ("-Ofast in a build-type flag string is rejected",
+     "src/CMakeLists.txt",
+     'set(CMAKE_CXX_FLAGS_RELEASE "-Ofast -DNDEBUG")',
+     {"fast-math-flag"}),
+    ("-funsafe-math-optimizations on a target is rejected",
+     "bench/perf_ledger/CMakeLists.txt",
+     "target_compile_options(perf_ledger PRIVATE -funsafe-math-optimizations)",
+     {"fast-math-flag"}),
+    ("-ffp-contract=fast in a .cmake module is rejected",
+     "cmake/flags.cmake",
+     'string(APPEND CMAKE_CXX_FLAGS " -ffp-contract=fast")',
+     {"fast-math-flag"}),
+    ("-ffp-contract=off is the fix, not a finding",
+     "CMakeLists.txt",
+     "add_compile_options(-ffp-contract=off)",
+     set()),
+    ("a CMake comment may name the hazard",
+     "CMakeLists.txt",
+     "# never -ffast-math: it moves pinned bits",
+     set()),
+    ("-fno-fast-math is not -ffast-math",
+     "CMakeLists.txt",
+     "add_compile_options(-fno-fast-math)",
+     set()),
 ]
 
 
@@ -457,15 +533,14 @@ def main() -> int:
     # the textual pass skips them so a finding is never double-reported.
     textual_skip = {"raw-unit-param", "raw-unit-member"} if index else set()
 
-    for path in sorted(src.rglob("*")):
-        if (path.suffix not in SOURCE_SUFFIXES
-                or not path.is_file()):
-            continue
+    sources = [path for path in sorted(src.rglob("*"))
+               if path.suffix in SOURCE_SUFFIXES and path.is_file()]
+    for path in sources + cmake_files(root):
         rel = path.relative_to(root).as_posix()
         scanned += 1
         lines = path.read_text(errors="replace").splitlines()
         file_findings = scan_lines(rel, lines, skip_rules=textual_skip)
-        if index and in_unit_scope(rel, UNIT_DIRS) \
+        if index and not is_cmake(rel) and in_unit_scope(rel, UNIT_DIRS) \
                 and rel not in UNIT_RULE_EXEMPT_FILES:
             file_findings += ast_scan(cindex, index, root, path, rel)
         for rule, lineno, text, advice in file_findings:
