@@ -1,22 +1,9 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 namespace bolot::obs {
-
-void Histogram::record(double v) {
-  HistogramCells& c = *cells_;
-  // First edge >= v is the bucket (v <= upper_edges[i]); past-the-end is
-  // the overflow bucket, which counts.back() already is.
-  const auto it =
-      std::lower_bound(c.upper_edges.begin(), c.upper_edges.end(), v);
-  ++c.counts[static_cast<std::size_t>(it - c.upper_edges.begin())];
-  ++c.total;
-  c.sum += v;
-}
 
 const double* MetricsSnapshot::value(std::string_view name) const {
   for (const SnapshotEntry& entry : entries) {
@@ -25,86 +12,21 @@ const double* MetricsSnapshot::value(std::string_view name) const {
   return nullptr;
 }
 
-MetricsRegistry::Instrument& MetricsRegistry::intern(std::string_view name,
-                                                     MetricKind kind,
-                                                     bool is_probe) {
-  const auto it = ids_.find(name);
-  if (it != ids_.end()) {
-    Instrument& existing = instruments_[it->second];
-    if (existing.is_probe || is_probe) {
-      throw std::invalid_argument("MetricsRegistry: probe name reused: " +
-                                  std::string(name));
-    }
-    if (existing.kind != kind) {
-      throw std::invalid_argument("MetricsRegistry: kind mismatch for " +
-                                  std::string(name));
-    }
-    return existing;
+void MetricsRegistry::add(std::string_view name, MetricKind kind,
+                          MetricProbe probe) {
+  if (!names_.emplace(name).second) {
+    throw std::invalid_argument("MetricsRegistry: metric name reused: " +
+                                std::string(name));
   }
-  Instrument& fresh = instruments_.emplace_back();
-  fresh.name = std::string(name);
-  fresh.kind = kind;
-  fresh.is_probe = is_probe;
-  ids_.emplace(fresh.name,
-               static_cast<MetricId>(instruments_.size() - 1));
-  return fresh;
+  instruments_.push_back(Instrument{std::string(name), kind, std::move(probe)});
 }
 
-Counter MetricsRegistry::counter(std::string_view name) {
-  return Counter(&intern(name, MetricKind::kCounter, false).count);
+void MetricsRegistry::probe_counter(std::string_view name, MetricProbe probe) {
+  add(name, MetricKind::kCounter, std::move(probe));
 }
 
-Gauge MetricsRegistry::gauge(std::string_view name) {
-  return Gauge(&intern(name, MetricKind::kGauge, false).value);
-}
-
-Histogram MetricsRegistry::histogram(std::string_view name,
-                                     std::vector<double> upper_edges) {
-  if (upper_edges.empty()) {
-    throw std::invalid_argument("MetricsRegistry: histogram needs edges");
-  }
-  if (!std::is_sorted(upper_edges.begin(), upper_edges.end()) ||
-      std::adjacent_find(upper_edges.begin(), upper_edges.end()) !=
-          upper_edges.end()) {
-    throw std::invalid_argument(
-        "MetricsRegistry: histogram edges must be strictly increasing");
-  }
-  Instrument& inst = intern(name, MetricKind::kHistogram, false);
-  if (inst.hist.counts.empty()) {  // fresh registration
-    inst.hist.upper_edges = std::move(upper_edges);
-    inst.hist.counts.assign(inst.hist.upper_edges.size() + 1, 0);
-  } else if (inst.hist.upper_edges != upper_edges) {
-    throw std::invalid_argument("MetricsRegistry: histogram edges differ for " +
-                                inst.name);
-  }
-  return Histogram(&inst.hist);
-}
-
-MetricId MetricsRegistry::probe_counter(std::string_view name,
-                                        MetricProbe probe) {
-  Instrument& inst = intern(name, MetricKind::kCounter, true);
-  inst.probe = std::move(probe);
-  return id(inst.name);
-}
-
-MetricId MetricsRegistry::probe_gauge(std::string_view name,
-                                      MetricProbe probe) {
-  Instrument& inst = intern(name, MetricKind::kGauge, true);
-  inst.probe = std::move(probe);
-  return id(inst.name);
-}
-
-MetricId MetricsRegistry::id(std::string_view name) const {
-  const auto it = ids_.find(name);
-  if (it == ids_.end()) {
-    throw std::out_of_range("MetricsRegistry: unknown metric " +
-                            std::string(name));
-  }
-  return it->second;
-}
-
-const std::string& MetricsRegistry::name(MetricId id) const {
-  return instruments_.at(id).name;
+void MetricsRegistry::probe_gauge(std::string_view name, MetricProbe probe) {
+  add(name, MetricKind::kGauge, std::move(probe));
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(SimTime at) {
@@ -112,69 +34,9 @@ MetricsSnapshot MetricsRegistry::snapshot(SimTime at) {
   snap.at = at;
   snap.entries.reserve(instruments_.size());
   for (Instrument& inst : instruments_) {
-    SnapshotEntry entry;
-    entry.name = inst.name;
-    entry.kind = inst.kind;
-    switch (inst.kind) {
-      case MetricKind::kCounter:
-        entry.value = inst.is_probe ? inst.probe()
-                                    : static_cast<double>(inst.count);
-        break;
-      case MetricKind::kGauge:
-        entry.value = inst.is_probe ? inst.probe() : inst.value;
-        break;
-      case MetricKind::kHistogram:
-        entry.value = static_cast<double>(inst.hist.total);
-        snap.histograms.emplace_back(inst.name, inst.hist);
-        break;
-    }
-    snap.entries.push_back(std::move(entry));
+    snap.entries.push_back(SnapshotEntry{inst.name, inst.kind, inst.probe()});
   }
   return snap;
-}
-
-MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts) {
-  MetricsSnapshot merged;
-  std::map<std::string, std::size_t, std::less<>> entry_index;
-  std::map<std::string, std::size_t, std::less<>> hist_index;
-  for (const MetricsSnapshot& part : parts) {
-    if (part.at > merged.at) merged.at = part.at;
-    for (const SnapshotEntry& entry : part.entries) {
-      const auto it = entry_index.find(entry.name);
-      if (it == entry_index.end()) {
-        entry_index.emplace(entry.name, merged.entries.size());
-        merged.entries.push_back(entry);
-        continue;
-      }
-      SnapshotEntry& into = merged.entries[it->second];
-      if (into.kind != entry.kind) {
-        throw std::invalid_argument("merge_snapshots: kind mismatch for " +
-                                    entry.name);
-      }
-      // Counters (and histogram totals) accumulate across shards; a gauge
-      // keeps the first shard's level (see the header).
-      if (into.kind != MetricKind::kGauge) into.value += entry.value;
-    }
-    for (const auto& [name, cells] : part.histograms) {
-      const auto it = hist_index.find(name);
-      if (it == hist_index.end()) {
-        hist_index.emplace(name, merged.histograms.size());
-        merged.histograms.emplace_back(name, cells);
-        continue;
-      }
-      HistogramCells& into = merged.histograms[it->second].second;
-      if (into.upper_edges != cells.upper_edges) {
-        throw std::invalid_argument(
-            "merge_snapshots: histogram edge mismatch for " + name);
-      }
-      for (std::size_t i = 0; i < into.counts.size(); ++i) {
-        into.counts[i] += cells.counts[i];
-      }
-      into.total += cells.total;
-      into.sum += cells.sum;
-    }
-  }
-  return merged;
 }
 
 }  // namespace bolot::obs

@@ -1,18 +1,9 @@
-// MetricsRegistry: named counters, gauges, and fixed-bucket histograms
-// with interned string ids (the PacketLog name-interning trick applied to
-// metrics), designed so the simulation hot path never allocates and never
-// touches a string.
-//
-// Two registration styles:
-//
-//   * Owned cells — counter()/gauge()/histogram() return lightweight
-//     handles pointing at storage the registry owns.  inc()/set()/record()
-//     are a pointer write (plus a bucket scan for histograms); the handle
-//     is the only thing a component needs to keep.
-//   * Probes — probe_counter()/probe_gauge() register a closure that is
-//     evaluated only when a snapshot is taken.  This is the zero-hot-cost
-//     style: components that already maintain their stats (LinkStats,
-//     TcpStats, ...) expose them by reference and pay nothing per packet.
+// MetricsRegistry: named counters and gauges, each a probe closure that is
+// evaluated only when a snapshot is taken.  Components that already
+// maintain their stats (LinkStats, TcpStats, ...) register probes over
+// them, so the simulation hot path pays nothing per packet and never
+// touches a string: a run's metrics are read after the fact, from counts
+// the simulation keeps anyway.
 //
 // Snapshots are taken in registration order, so two runs that register
 // the same metrics in the same order serialize byte-identically — the
@@ -24,11 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <functional>
+#include <set>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/inplace_function.h"
@@ -36,14 +26,9 @@
 
 namespace bolot::obs {
 
-/// Dense id assigned in registration order; doubles as the index into the
-/// snapshot's entries.
-using MetricId = std::uint32_t;
-
 enum class MetricKind : std::uint8_t {
-  kCounter,    // monotonic count (packets delivered, drops, ...)
-  kGauge,      // instantaneous level (queue length, cwnd, ...)
-  kHistogram,  // fixed-bucket distribution
+  kCounter,  // monotonic count (packets delivered, drops, ...)
+  kGauge,    // instantaneous level (queue length, cwnd, ...)
 };
 
 /// Inline storage bound for probe closures — the same budget as the link
@@ -51,62 +36,8 @@ enum class MetricKind : std::uint8_t {
 inline constexpr std::size_t kProbeCapacity = 48;
 using MetricProbe = util::InplaceFunction<double(), kProbeCapacity>;
 
-/// Handle to an owned counter cell.  Trivially copyable; valid as long as
-/// the registry lives (cells have stable addresses).
-class Counter {
- public:
-  Counter() = default;
-  void inc(std::uint64_t n = 1) { *cell_ += n; }
-  std::uint64_t value() const { return *cell_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(std::uint64_t* cell) : cell_(cell) {}
-  std::uint64_t* cell_ = nullptr;
-};
-
-/// Handle to an owned gauge cell.
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double v) { *cell_ = v; }
-  void add(double v) { *cell_ += v; }
-  double value() const { return *cell_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(double* cell) : cell_(cell) {}
-  double* cell_ = nullptr;
-};
-
-/// Owned histogram storage: counts per bucket, where bucket i counts
-/// samples v with v <= upper_edges[i] (first matching edge); samples above
-/// the last edge land in the overflow bucket counts.back().
-struct HistogramCells {
-  std::vector<double> upper_edges;
-  std::vector<std::uint64_t> counts;  // upper_edges.size() + 1 (overflow)
-  std::uint64_t total = 0;
-  double sum = 0.0;
-};
-
-/// Handle to an owned histogram.  record() is alloc-free: a lower_bound
-/// over the (small, fixed) edge vector plus three writes.
-class Histogram {
- public:
-  Histogram() = default;
-  void record(double v);
-  const HistogramCells& cells() const { return *cells_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(HistogramCells* cells) : cells_(cells) {}
-  HistogramCells* cells_ = nullptr;
-};
-
-/// One scalar in a snapshot, in registration order.  Counters and probes
-/// are widened to double (every consumer — JSON, runner::Metric — is
-/// double-based); histograms report their total count here and their
-/// buckets in MetricsSnapshot::histograms.
+/// One scalar in a snapshot, in registration order.  Counters are widened
+/// to double (every consumer — JSON, runner::Metric — is double-based).
 struct SnapshotEntry {
   std::string name;
   MetricKind kind = MetricKind::kGauge;
@@ -119,22 +50,11 @@ struct SnapshotEntry {
 struct MetricsSnapshot {
   SimTime at;
   std::vector<SnapshotEntry> entries;  // registration order
-  std::vector<std::pair<std::string, HistogramCells>> histograms;
 
   bool empty() const { return entries.empty(); }
   /// Scalar value by name; nullptr when absent.
   const double* value(std::string_view name) const;
 };
-
-/// Merges per-shard snapshots (e.g. one MetricsRegistry per PDES domain,
-/// each publishing its own links) into a single view: counters and
-/// histogram cells with the same name are summed, gauges keep the first
-/// shard's value (a level like utilization has no meaningful cross-shard
-/// sum — publish shard-unique names when each level matters).  Entry
-/// order is first-appearance order, so equal shard layouts serialize
-/// deterministically.  Histogram edge mismatches for one name throw
-/// std::invalid_argument.  `at` of the result is the max over parts.
-MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
 
 class MetricsRegistry {
  public:
@@ -142,47 +62,29 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers (or re-opens) an owned metric.  Registering an existing
-  /// name with the same kind returns a handle to the same cell, so
-  /// several components may share a counter; a kind mismatch throws
-  /// std::invalid_argument.
-  Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
-  /// `upper_edges` must be non-empty and strictly increasing.
-  Histogram histogram(std::string_view name, std::vector<double> upper_edges);
-
-  /// Registers a closure evaluated at snapshot time.  Probe names must be
-  /// unique (throws std::invalid_argument on any reuse: two closures for
-  /// one name would be ambiguous).
-  MetricId probe_counter(std::string_view name, MetricProbe probe);
-  MetricId probe_gauge(std::string_view name, MetricProbe probe);
+  /// Registers a closure evaluated at snapshot time.  Names are unique:
+  /// any reuse throws std::invalid_argument (two closures for one name
+  /// would be ambiguous).
+  void probe_counter(std::string_view name, MetricProbe probe);
+  void probe_gauge(std::string_view name, MetricProbe probe);
 
   std::size_t size() const { return instruments_.size(); }
-  /// Id for a registered name; throws std::out_of_range when absent.
-  MetricId id(std::string_view name) const;
-  const std::string& name(MetricId id) const;
 
-  /// Evaluates probes and copies every cell, in registration order.
-  /// Non-const because probe closures are mutable callables.
+  /// Evaluates every probe, in registration order.  Non-const because
+  /// probe closures are mutable callables.
   MetricsSnapshot snapshot(SimTime at);
 
  private:
   struct Instrument {
     std::string name;
-    MetricKind kind = MetricKind::kGauge;
-    bool is_probe = false;
-    std::uint64_t count = 0;  // counter cell
-    double value = 0.0;       // gauge cell
-    MetricProbe probe;        // probe closure (is_probe only)
-    HistogramCells hist;      // histogram cells (kHistogram only)
+    MetricKind kind;
+    MetricProbe probe;
   };
 
-  Instrument& intern(std::string_view name, MetricKind kind, bool is_probe);
+  void add(std::string_view name, MetricKind kind, MetricProbe probe);
 
-  /// Deque so cells keep stable addresses as instruments are added (the
-  /// handles are raw pointers into this storage).
-  std::deque<Instrument> instruments_;
-  std::map<std::string, MetricId, std::less<>> ids_;
+  std::vector<Instrument> instruments_;
+  std::set<std::string, std::less<>> names_;
 };
 
 }  // namespace bolot::obs

@@ -61,18 +61,6 @@ std::string format_integer(std::int64_t value) {
   return std::string(buffer, ptr);
 }
 
-const char* kind_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string metrics_to_json(const MetricsSnapshot& snapshot,
@@ -88,32 +76,10 @@ std::string metrics_to_json(const MetricsSnapshot& snapshot,
     out += "    {\"name\": ";
     append_json_string(out, entry.name);
     out += ", \"kind\": \"";
-    out += kind_name(entry.kind);
+    out += entry.kind == MetricKind::kCounter ? "counter" : "gauge";
     out += "\", \"value\": " + format_number(entry.value) + "}";
   }
   out += snapshot.entries.empty() ? "]" : "\n  ]";
-
-  out += ",\n  \"histograms\": [";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const auto& [name, cells] = snapshot.histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    append_json_string(out, name);
-    out += ", \"upper_edges\": [";
-    for (std::size_t e = 0; e < cells.upper_edges.size(); ++e) {
-      if (e != 0) out += ", ";
-      out += format_number(cells.upper_edges[e]);
-    }
-    out += "], \"counts\": [";
-    for (std::size_t c = 0; c < cells.counts.size(); ++c) {
-      if (c != 0) out += ", ";
-      out += format_integer(static_cast<std::int64_t>(cells.counts[c]));
-    }
-    out += "], \"total\": " +
-           format_integer(static_cast<std::int64_t>(cells.total));
-    out += ", \"sum\": " + format_number(cells.sum) + "}";
-  }
-  out += snapshot.histograms.empty() ? "]" : "\n  ]";
 
   out += ",\n  \"series\": [";
   for (std::size_t i = 0; i < series.size(); ++i) {

@@ -24,7 +24,7 @@ std::string format_number(double value);
 void append_json_string(std::string& out, const std::string& s);
 
 /// Pretty-printed JSON document (2-space indent, trailing newline) with
-/// "at_ns", "metrics" (registration order), "histograms", and "series".
+/// "at_ns", "metrics" (registration order) and "series".
 std::string metrics_to_json(const MetricsSnapshot& snapshot,
                             const std::vector<TimeSeries>& series = {});
 

@@ -30,7 +30,6 @@
 #include "obs/timeseries.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
-#include "sim/tcp.h"
 #include "sim/udp_echo.h"
 
 namespace bolot::obs {
@@ -40,16 +39,14 @@ class Sampler {
   using Probe = MetricProbe;
 
   /// `interval` is the initial stride; `budget` the per-series sample cap
-  /// (>= 2) past which decimation halves the series and doubles the
+  /// (even, >= 2) past which decimation halves the series and doubles the
   /// stride.
   Sampler(sim::Simulator& sim, Duration interval, std::size_t budget = 4096)
       : sim_(sim), stride_(interval), budget_(budget) {
     if (interval <= Duration::zero()) {
       throw std::invalid_argument("Sampler: interval must be positive");
     }
-    if (budget < 2) {
-      throw std::invalid_argument("Sampler: budget must be >= 2");
-    }
+    TimeSeries::check_budget("Sampler", budget);
   }
 
   /// Registers a probe evaluated every tick; returns the series index.
@@ -151,14 +148,6 @@ inline std::size_t watch_queue_packets(Sampler& sampler,
       [&link] { return static_cast<double>(link.queue_length()); });
 }
 
-/// Buffered bytes (whole packets, including the one in service).
-inline std::size_t watch_backlog_bytes(Sampler& sampler,
-                                       const sim::Link& link) {
-  return sampler.add_series(
-      link.config().name + ".backlog_bytes",
-      [&link] { return static_cast<double>(link.backlog_bytes()); });
-}
-
 /// Backlog expressed as milliseconds of work at the link rate — the
 /// quantity eq. 6 infers from probe rtts.
 inline std::size_t watch_backlog_work_ms(Sampler& sampler,
@@ -183,23 +172,6 @@ inline std::size_t watch_red_average_queue(Sampler& sampler,
                                            const sim::Link& link) {
   return sampler.add_series(link.config().name + ".red_avg_queue",
                             [&link] { return link.red_average_queue(); });
-}
-
-/// TCP congestion window, in packets.
-inline std::size_t watch_cwnd_packets(Sampler& sampler,
-                                      const sim::TcpSource& tcp,
-                                      std::string name) {
-  return sampler.add_series(std::move(name),
-                            [&tcp] { return tcp.cwnd_packets(); });
-}
-
-/// TCP flight size (segments sent but not yet cumulatively acked).
-inline std::size_t watch_flight_packets(Sampler& sampler,
-                                        const sim::TcpSource& tcp,
-                                        std::string name) {
-  return sampler.add_series(std::move(name), [&tcp] {
-    return static_cast<double>(tcp.flight_segments());
-  });
 }
 
 /// Most recent probe round-trip time, in milliseconds (0 until the first

@@ -21,13 +21,24 @@ namespace bolot::obs {
 
 class TimeSeries {
  public:
-  /// `budget` >= 2: the decimation step must be able to halve the series.
+  /// `budget` must be even and >= 2 (see check_budget).
   TimeSeries(std::string name, std::size_t budget)
       : name_(std::move(name)), budget_(budget) {
-    if (budget_ < 2) {
-      throw std::invalid_argument("TimeSeries: budget must be >= 2");
-    }
+    check_budget("TimeSeries", budget_);
     values_.reserve(budget_);
+  }
+
+  /// Throws std::invalid_argument unless `budget` is even and >= 2.  The
+  /// decimation step must be able to halve the series, and only an even
+  /// budget puts the sample due right after a decimation (old index
+  /// `budget`) on the coarser grid; with an odd one it and every later
+  /// sample would be stamped one old stride late.
+  static void check_budget(const char* who, std::size_t budget) {
+    if (budget < 2 || budget % 2 != 0) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": budget must be even and >= 2, got " +
+                                  std::to_string(budget));
+    }
   }
 
   const std::string& name() const { return name_; }
@@ -65,8 +76,8 @@ class TimeSeries {
 
   /// Keeps the even-indexed samples (in place) and doubles the stride.
   /// Sample k of the result is old sample 2k, so the grid origin is
-  /// unchanged and the next grid point after a full-budget decimation is
-  /// exactly where the next push was due.
+  /// unchanged, and since the budget is even the next grid point after a
+  /// full-budget decimation is exactly where the next push was due.
   void decimate() {
     const std::size_t n = values_.size();
     for (std::size_t i = 1; 2 * i < n; ++i) values_[i] = values_[2 * i];

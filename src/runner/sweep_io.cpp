@@ -79,10 +79,8 @@ std::string sweep_to_json(const SweepResult& sweep,
   std::string out = "{\n  \"sweep\": ";
   append_json_string(out, sweep.name);
   out += ",\n  \"base_seed\": " + std::to_string(sweep.base_seed);
-  if (options.include_threads) {
+  if (options.include_schedule) {
     out += ",\n  \"threads\": " + std::to_string(sweep.threads);
-  }
-  if (options.include_timing) {
     out += ",\n  \"wall_seconds\": " + format_number(sweep.wall_seconds);
   }
   out += ",\n  \"runs\": [";
@@ -101,7 +99,7 @@ std::string sweep_to_json(const SweepResult& sweep,
       out += ",\n      \"metrics\": ";
       append_metric_object(out, run.metrics, "      ");
     }
-    if (options.include_timing) {
+    if (options.include_schedule) {
       out += ",\n      \"wall_seconds\": " + format_number(run.wall_seconds);
     }
     out += "\n    }";
@@ -127,7 +125,7 @@ std::string sweep_to_csv(const SweepResult& sweep,
     out += ',';
     append_csv_field(out, name);
   }
-  if (options.include_timing) out += ",wall_seconds";
+  if (options.include_schedule) out += ",wall_seconds";
   out += '\n';
 
   for (const RunResult& run : sweep.runs) {
@@ -148,7 +146,7 @@ std::string sweep_to_csv(const SweepResult& sweep,
         out += format_number(*value);
       }
     }
-    if (options.include_timing) out += ',' + format_number(run.wall_seconds);
+    if (options.include_schedule) out += ',' + format_number(run.wall_seconds);
     out += '\n';
   }
   return out;

@@ -15,14 +15,13 @@
 namespace bolot::runner {
 
 struct SweepIoOptions {
-  /// Include per-run and whole-sweep wall-clock fields.
-  bool include_timing = true;
-  /// Include the thread-pool size used for the sweep.
-  bool include_threads = true;
+  /// Include the schedule-dependent fields: the thread-pool size and the
+  /// per-run and whole-sweep wall-clock times.
+  bool include_schedule = true;
 
   /// Options for byte-stable artifacts (e.g. the determinism tests):
   /// exclude every schedule-dependent field.
-  static SweepIoOptions deterministic() { return {false, false}; }
+  static SweepIoOptions deterministic() { return {false}; }
 };
 
 /// Pretty-printed JSON document (2-space indent, trailing newline).

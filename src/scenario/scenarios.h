@@ -121,7 +121,8 @@ struct ScenarioOverrides {
   /// and series.  Unset (the default), no observability object is even
   /// constructed, so default outputs are byte-identical.
   std::optional<Duration> obs_sample_interval;
-  /// Per-series sample budget before decimation (see obs::TimeSeries).
+  /// Per-series sample budget before decimation; even (see
+  /// obs::TimeSeries::check_budget).
   std::size_t obs_series_budget = 16384;
   /// Chain only: correlated-loss channel on the *forward* direction of the
   /// bottleneck link (probe direction; the reverse echo path stays ideal

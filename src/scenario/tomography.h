@@ -102,6 +102,7 @@ struct TomographySpec {
   /// When set (and domains == 1), a Sampler records mesh-aggregate gauges
   /// fed by the streaming estimators' online accessors.
   std::optional<Duration> obs_sample_interval;
+  /// Per-series sample budget; even (see obs::TimeSeries::check_budget).
   std::size_t obs_series_budget = 4096;
 };
 

@@ -84,20 +84,6 @@ void Link::add_delivery_hook(DeliveryHook hook) {
   delivery_hooks_[delivery_hook_count_++] = std::move(hook);
 }
 
-void Link::set_drop_hook(DropHook hook) {
-  for (std::uint8_t i = 0; i < drop_hook_count_; ++i) drop_hooks_[i].reset();
-  drop_hook_count_ = 0;
-  add_drop_hook(std::move(hook));
-}
-
-void Link::set_delivery_hook(DeliveryHook hook) {
-  for (std::uint8_t i = 0; i < delivery_hook_count_; ++i) {
-    delivery_hooks_[i].reset();
-  }
-  delivery_hook_count_ = 0;
-  add_delivery_hook(std::move(hook));
-}
-
 void Link::set_random_drop_probability(Probability p) {
   if (p >= Probability::one()) {
     throw std::invalid_argument("Link: drop probability outside [0, 1)");

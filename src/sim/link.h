@@ -169,10 +169,6 @@ class Link {
   void add_drop_hook(DropHook hook);
   void add_delivery_hook(DeliveryHook hook);
 
-  /// Replaces the whole chain with the given hook (empty hook = clear).
-  void set_drop_hook(DropHook hook);
-  void set_delivery_hook(DeliveryHook hook);
-
   /// Marks this link as a PDES domain boundary: packets leaving the
   /// transmitter are handed to `egress` (stamped with their arrival time)
   /// instead of the local flight ring.  The propagation span then lives in

@@ -11,66 +11,16 @@
 namespace bolot::obs {
 namespace {
 
-TEST(MetricsRegistryTest, IdsAreDenseInRegistrationOrder) {
-  MetricsRegistry registry;
-  registry.counter("a");
-  registry.gauge("b");
-  registry.probe_gauge("c", [] { return 1.0; });
-  EXPECT_EQ(registry.id("a"), 0u);
-  EXPECT_EQ(registry.id("b"), 1u);
-  EXPECT_EQ(registry.id("c"), 2u);
-  EXPECT_EQ(registry.name(1), "b");
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_THROW(registry.id("missing"), std::out_of_range);
-}
-
-TEST(MetricsRegistryTest, ReopeningANameSharesTheCell) {
-  MetricsRegistry registry;
-  Counter first = registry.counter("pkts");
-  Counter second = registry.counter("pkts");
-  first.inc(3);
-  second.inc(2);
-  EXPECT_EQ(first.value(), 5u);
-  EXPECT_EQ(registry.size(), 1u);
-
-  Gauge g1 = registry.gauge("depth");
-  Gauge g2 = registry.gauge("depth");
-  g1.set(7.0);
-  EXPECT_EQ(g2.value(), 7.0);
-}
-
 TEST(MetricsRegistryTest, KindMismatchThrows) {
   MetricsRegistry registry;
-  registry.counter("x");
-  EXPECT_THROW(registry.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("x", {1.0}), std::invalid_argument);
-  // Probe names may not be reused at all, even with a matching kind.
-  registry.probe_counter("p", [] { return 0.0; });
-  EXPECT_THROW(registry.probe_counter("p", [] { return 0.0; }),
+  registry.probe_counter("x", [] { return 0.0; });
+  EXPECT_THROW(registry.probe_gauge("x", [] { return 0.0; }),
                std::invalid_argument);
-  EXPECT_THROW(registry.counter("p"), std::invalid_argument);
-}
-
-TEST(MetricsRegistryTest, HistogramBucketEdges) {
-  MetricsRegistry registry;
-  Histogram h = registry.histogram("rtt", {1.0, 2.0, 5.0});
-  // Bucket i counts v <= upper_edges[i]; above the last edge -> overflow.
-  h.record(0.5);   // <= 1
-  h.record(1.0);   // <= 1 (edge is inclusive)
-  h.record(1.5);   // <= 2
-  h.record(5.0);   // <= 5
-  h.record(5.01);  // overflow
-  const HistogramCells& cells = h.cells();
-  ASSERT_EQ(cells.counts.size(), 4u);
-  EXPECT_EQ(cells.counts[0], 2u);
-  EXPECT_EQ(cells.counts[1], 1u);
-  EXPECT_EQ(cells.counts[2], 1u);
-  EXPECT_EQ(cells.counts[3], 1u);
-  EXPECT_EQ(cells.total, 5u);
-  EXPECT_DOUBLE_EQ(cells.sum, 0.5 + 1.0 + 1.5 + 5.0 + 5.01);
-
-  EXPECT_THROW(registry.histogram("bad", {}), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("bad", {2.0, 1.0}), std::invalid_argument);
+  // Names may not be reused at all, even with a matching kind: two
+  // closures for one name would be ambiguous.
+  EXPECT_THROW(registry.probe_counter("x", [] { return 0.0; }),
+               std::invalid_argument);
+  EXPECT_EQ(registry.size(), 1u);
 }
 
 TEST(MetricsRegistryTest, ProbesEvaluateAtSnapshotTime) {
@@ -87,11 +37,12 @@ TEST(MetricsRegistryTest, ProbesEvaluateAtSnapshotTime) {
 
 TEST(MetricsRegistryTest, SnapshotIsInRegistrationOrder) {
   MetricsRegistry registry;
-  Counter c = registry.counter("zeta");
+  double drops = 0.0;
+  registry.probe_counter("zeta", [&drops] { return drops; });
   registry.probe_gauge("alpha", [] { return 2.0; });
-  Histogram h = registry.histogram("mid", {10.0});
-  c.inc(9);
-  h.record(3.0);
+  registry.probe_counter("mid", [] { return 1.0; });
+  drops = 9.0;
+  EXPECT_EQ(registry.size(), 3u);
   MetricsSnapshot snap = registry.snapshot(SimTime());
   ASSERT_EQ(snap.entries.size(), 3u);
   // Lexicographic order would be alpha/mid/zeta; registration order wins.
@@ -99,11 +50,11 @@ TEST(MetricsRegistryTest, SnapshotIsInRegistrationOrder) {
   EXPECT_EQ(snap.entries[0].kind, MetricKind::kCounter);
   EXPECT_EQ(snap.entries[0].value, 9.0);
   EXPECT_EQ(snap.entries[1].name, "alpha");
+  EXPECT_EQ(snap.entries[1].kind, MetricKind::kGauge);
+  EXPECT_EQ(snap.entries[1].value, 2.0);
   EXPECT_EQ(snap.entries[2].name, "mid");
-  EXPECT_EQ(snap.entries[2].kind, MetricKind::kHistogram);
-  EXPECT_EQ(snap.entries[2].value, 1.0);  // histogram scalar = total count
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].first, "mid");
+  EXPECT_EQ(snap.entries[2].kind, MetricKind::kCounter);
+  EXPECT_EQ(snap.entries[2].value, 1.0);
 }
 
 // The determinism contract from the runner inherits to obs: snapshots

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "obs/timeseries.h"
 #include "sim/network.h"
@@ -109,6 +110,48 @@ TEST(SamplerTest, DecimatesAllSeriesTogetherPastBudget) {
     EXPECT_EQ(tick.values()[i], expected[i]) << i;
     EXPECT_EQ(cnst.values()[i], 5.0);
     EXPECT_EQ(tick.time_at(i), Duration::millis(4) * std::int64_t(i));
+  }
+}
+
+TEST(SamplerTest, OddBudgetThrows) {
+  // With an odd budget the sample taken right after a decimation falls
+  // off the coarser grid, so an odd budget is rejected up front, by the
+  // Sampler even before any series exists.
+  sim::Simulator simulator;
+  try {
+    Sampler(simulator, Duration::millis(10), 5);
+    ADD_FAILURE() << "budget 5 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("got 5"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Sampler(simulator, Duration::millis(10), 3),
+               std::invalid_argument);
+  EXPECT_THROW(TimeSeries("s", 7), std::invalid_argument);
+  EXPECT_NO_THROW(Sampler(simulator, Duration::millis(10), 6));
+}
+
+TEST(SamplerTest, EvenBudgetStampsEverySampleAtItsTakenTime) {
+  // A probe that reads the clock: every sample's value is the time it was
+  // taken, which must equal the time its grid position claims.  Budget 6
+  // is even but not a power of two.
+  sim::Simulator simulator;
+  Sampler sampler(simulator, Duration::millis(10), 6);
+  sampler.add_series("now_ns", [&simulator] {
+    return static_cast<double>(simulator.now().count_nanos());
+  });
+  sampler.start(SimTime());
+  simulator.run_until(Duration::seconds(1));
+  sampler.stop();
+  simulator.run_to_completion();
+
+  EXPECT_GE(sampler.stride(), Duration::millis(80));  // >= 3 decimations
+  const TimeSeries& series = sampler.series(0);
+  ASSERT_GE(series.size(), 3u);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(series.values()[i],
+              static_cast<double>(series.time_at(i).count_nanos()))
+        << i;
   }
 }
 

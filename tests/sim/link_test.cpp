@@ -77,7 +77,7 @@ TEST(LinkTest, DropTailWhenBufferFull) {
   int delivered = 0;
   link.set_sink([&](Packet&&) { ++delivered; });
   std::vector<std::uint64_t> dropped;
-  link.set_drop_hook([&](const Packet& p, DropCause cause) {
+  link.add_drop_hook([&](const Packet& p, DropCause cause) {
     EXPECT_EQ(cause, DropCause::kOverflow);
     dropped.push_back(p.id);
   });
@@ -231,13 +231,6 @@ TEST(LinkTest, DeliveryAndDropHooksChainInAttachOrder) {
   link.enqueue(make_packet(72));  // buffer holds 1: tail drop
   simulator.run_to_completion();
   EXPECT_EQ(fired, (std::vector<int>{3, 4, 1, 2}));
-
-  // set_* replaces the whole chain.
-  link.set_delivery_hook([&fired](const Packet&, SimTime) { fired.push_back(5); });
-  fired.clear();
-  link.enqueue(make_packet(72));
-  simulator.run_to_completion();
-  EXPECT_EQ(fired, (std::vector<int>{5}));
 }
 
 TEST(LinkTest, PausedLinkStillDeliversInFlightPackets) {

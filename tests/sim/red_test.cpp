@@ -94,7 +94,7 @@ TEST(RedTest, DropHookReportsRedCause) {
   Link link(simulator, config, Rng(1));
   link.set_sink([](Packet&&) {});
   int red_drops = 0;
-  link.set_drop_hook([&](const Packet&, DropCause cause) {
+  link.add_drop_hook([&](const Packet&, DropCause cause) {
     if (cause == DropCause::kRed) ++red_drops;
   });
   for (int i = 0; i < 10; ++i) link.enqueue(make_packet());
