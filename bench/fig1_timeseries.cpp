@@ -8,9 +8,9 @@
 //   --metrics-out <path>  attach the scenario's metrics registry + sampler
 //                         (interval = delta) and write the snapshot and
 //                         series as JSON (obs/metrics_io.h)
-//   --trace <path>        record wall-clock scopes and sim-time instants
-//                         into a binary trace; convert with
-//                         tools/trace2json.py (requires -DSIM_TRACE=ON)
+//   --trace <path>        record wall-clock scopes into a binary trace;
+//                         convert with tools/trace2json.py (requires
+//                         -DSIM_TRACE=ON)
 #include <iostream>
 #include <string>
 
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_out.empty() && !obs::kTraceEnabled) {
     std::cerr << "--trace requires a build with -DSIM_TRACE=ON "
-                 "(TRACE_SCOPE/SIM_TRACE compile out otherwise)\n";
+                 "(TRACE_SCOPE compiles out otherwise)\n";
     return 2;
   }
 

@@ -93,14 +93,12 @@ ArOrderSelection select_ar_order(std::span<const double> xs,
 
 double ar_r_squared(const ArModel& model, std::span<const double> xs) {
   const auto residuals = ar_residuals(model, xs);
-  const Summary rs = summarize(residuals);
   const Summary ss = summarize(xs);
   if (ss.variance <= 0.0) throw std::invalid_argument("ar_r_squared: constant series");
   // Mean squared residual (not variance) so a biased predictor is penalized.
   double mse = 0.0;
   for (double r : residuals) mse += r * r;
   mse /= static_cast<double>(residuals.size());
-  (void)rs;
   return 1.0 - mse / ss.variance;
 }
 

@@ -8,6 +8,19 @@
 
 namespace bolot::analysis {
 
+namespace {
+
+/// Floor on the CUSUM reference sigma (fraction of |mean|), so a
+/// noiseless training window (an idle simulated path) still yields a
+/// usable detector instead of dividing by zero.
+constexpr double kSigmaFloorFraction = 0.001;
+/// A segmentation split must improve the fit by at least this t-like
+/// statistic (difference of means over pooled standard error).
+constexpr double kMinTStatistic = 6.0;
+constexpr std::size_t kMaxChangepoints = 16;
+
+}  // namespace
+
 CusumResult cusum_detect(std::span<const double> xs,
                          const CusumOptions& options) {
   if (xs.size() < options.training_samples + 2) {
@@ -17,7 +30,7 @@ CusumResult cusum_detect(std::span<const double> xs,
       summarize(xs.subspan(0, options.training_samples));
   const double sigma =
       std::max(reference.stddev,
-               options.sigma_floor_fraction * std::abs(reference.mean) +
+               kSigmaFloorFraction * std::abs(reference.mean) +
                    1e-12);
 
   CusumResult result;
@@ -85,9 +98,9 @@ SplitCandidate best_split(std::span<const double> xs, std::size_t lo,
 void segment_recursive(std::span<const double> xs, std::size_t lo,
                        std::size_t hi, const SegmentationOptions& options,
                        std::vector<std::size_t>& changes) {
-  if (changes.size() >= options.max_changepoints) return;
+  if (changes.size() >= kMaxChangepoints) return;
   const SplitCandidate split = best_split(xs, lo, hi, options.min_segment);
-  if (split.t_statistic < options.min_t_statistic) return;
+  if (split.t_statistic < kMinTStatistic) return;
   changes.push_back(split.index);
   segment_recursive(xs, lo, split.index, options, changes);
   segment_recursive(xs, split.index, hi, options, changes);

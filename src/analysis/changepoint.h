@@ -29,10 +29,6 @@ struct CusumOptions {
   double threshold_sigmas = 8.0;
   /// How many leading samples establish the reference mean/sigma.
   std::size_t training_samples = 100;
-  /// Floor on the reference sigma (fraction of |mean|), so a noiseless
-  /// training window (an idle simulated path) still yields a usable
-  /// detector instead of dividing by zero.
-  double sigma_floor_fraction = 0.001;
 };
 
 struct CusumResult {
@@ -52,10 +48,6 @@ struct SegmentationOptions {
   /// Minimum segment length; splits producing shorter segments are not
   /// considered.
   std::size_t min_segment = 30;
-  /// A split must improve the fit by at least this t-like statistic
-  /// (difference of means over pooled standard error).
-  double min_t_statistic = 6.0;
-  std::size_t max_changepoints = 16;
 };
 
 /// Offline mean-shift segmentation: returns change indices in increasing

@@ -67,8 +67,11 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
   return core.analysis();
 }
 
-BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
-                                       const BottleneckOptions& options) {
+BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
+  // Exact clocks: the modal bin of a histogram this fine, and a peak must
+  // hold this share of the samples below search_hi.
+  constexpr double kBinMs = 0.25;
+  constexpr double kMinPeakMass = 0.02;
   const std::vector<double> samples = workload_samples_ms(trace);
   if (samples.empty()) {
     throw std::invalid_argument("estimate_bottleneck: no consecutive pairs");
@@ -108,14 +111,13 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
   } else {
     // Exact clocks: pure-compression samples coincide at P/mu, so a fine
     // histogram's modal bin nails the cluster.
-    const double bin = std::min(options.bin_ms, 0.25);
     Histogram hist(0.0, search_hi,
                    static_cast<std::size_t>(
-                       std::max(4.0, std::ceil(search_hi / bin))));
+                       std::max(4.0, std::ceil(search_hi / kBinMs))));
     for (double g : samples) {
       if (g > 0.0 && g < search_hi) hist.add(g);
     }
-    const auto peaks = hist.find_peaks(options.min_peak_mass, 2);
+    const auto peaks = hist.find_peaks(kMinPeakMass, 2);
     const HistogramPeak* dominant = nullptr;
     for (const auto& peak : peaks) {
       if (dominant == nullptr || peak.mass > dominant->mass) dominant = &peak;

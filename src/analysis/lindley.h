@@ -82,19 +82,9 @@ struct BottleneckEstimate {
   double cluster_fraction = 0.0;  // share of all g_n samples in the cluster
 };
 
-struct BottleneckOptions {
-  double bin_ms = 1.0;
-  double min_peak_mass = 0.02;
-  /// The cluster is cut at the first local minimum after the first peak,
-  /// but never wider than this many ms past the peak (guards against the
-  /// idle peak merging in at tiny delta).
-  double max_window_ms = 6.0;
-};
-
 /// Throws if no compression cluster exists (e.g. delta so large that
 /// probes never queue together, as in the paper's Fig. 4 regime).
-BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
-                                       const BottleneckOptions& options = {});
+BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace);
 
 /// Packet-pair bottleneck estimation (Keshav 1991; Keshav is acknowledged
 /// in the paper).  Probes sent back to back are forced into adjacent
@@ -103,9 +93,10 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace,
 /// cross traffic to cause it.  Send pairs with
 /// ProbeSourceConfig::interval_sampler alternating a tiny gap and a long
 /// one; this estimator collects the pairs whose send gap is at most
-/// `pair_send_gap` and takes the median return spacing.
+/// kPairSendGap and takes the median return spacing.
+inline constexpr Duration kPairSendGap = Duration::micros(500);
+
 struct PacketPairOptions {
-  Duration pair_send_gap = Duration::micros(500);
   /// Pairs whose return spacing exceeds this multiple of the median are
   /// counted as interleaved (reported via cluster_fraction).  Must be
   /// >= 1.0 so the cluster always contains at least the median spacing.

@@ -10,6 +10,22 @@
 
 namespace bolot::analysis {
 
+namespace {
+
+/// Band half-width around each line: +-1 tick of the paper's 3.906 ms
+/// source clock, which spreads clusters over adjacent ticks.
+constexpr double kToleranceMs = 4.0;
+constexpr double kHistogramBinMs = 1.0;
+/// The compression cluster is searched among rtt_n - rtt_{n+1} values
+/// above this fraction of delta (below it, the mass near 0 from the
+/// diagonal dominates).
+constexpr double kMinInterceptFraction = 0.3;
+/// Minimum fraction of pairs in the modal bin to accept a compression
+/// cluster.
+constexpr double kMinClusterMass = 0.01;
+
+}  // namespace
+
 namespace detail {
 
 TickPair heaviest_adjacent_ticks(std::vector<std::int64_t> keys,
@@ -42,8 +58,7 @@ PhasePlot build_phase_plot(const ProbeTrace& trace) {
   return plot;
 }
 
-PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
-                                 const PhaseAnalysisOptions& options) {
+PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
   const PhasePlot plot = build_phase_plot(trace);
   if (plot.size() == 0) {
     throw std::invalid_argument("analyze_phase_plot: no consecutive pairs");
@@ -56,9 +71,9 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
   for (double v : plot.y) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
 
   // Compression pairs satisfy rtt_n - rtt_{n+1} = delta - P/mu = c > 0.
-  // Collect the positive descents above min_intercept_fraction * delta
+  // Collect the positive descents above kMinInterceptFraction * delta
   // (the mass near 0 belongs to the diagonal).
-  const double d_lo = options.min_intercept_fraction * delta_ms;
+  const double d_lo = kMinInterceptFraction * delta_ms;
   std::vector<double> candidates;
   for (std::size_t i = 0; i < plot.size(); ++i) {
     const double d = plot.x[i] - plot.y[i];
@@ -83,7 +98,7 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
           std::move(keys),
           static_cast<std::int64_t>(std::llround(tick_ms * 1e3)));
       if (static_cast<double>(best.count) >=
-          options.min_cluster_mass * static_cast<double>(plot.size())) {
+          kMinClusterMass * static_cast<double>(plot.size())) {
         const double lo = static_cast<double>(best.key) * 1e-3 - 1e-3;
         const double hi = lo + tick_ms + 2e-3;
         double sum = 0.0;
@@ -103,14 +118,14 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
           d_lo, delta_ms,
           std::max<std::size_t>(
               8, static_cast<std::size_t>((delta_ms - d_lo) /
-                                          options.histogram_bin_ms)));
+                                          kHistogramBinMs)));
       for (double d : candidates) descents.add(d);
       double best_mass = 0.0;
       std::optional<double> modal;
       for (std::size_t bin = 0; bin < descents.bin_count(); ++bin) {
         const double mass = static_cast<double>(descents.count(bin)) /
                             static_cast<double>(plot.size());
-        if (mass > best_mass && mass >= options.min_cluster_mass) {
+        if (mass > best_mass && mass >= kMinClusterMass) {
           best_mass = mass;
           modal = descents.bin_center(bin);
         }
@@ -143,8 +158,8 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
   std::size_t on_diagonal = 0;
   for (std::size_t i = 0; i < plot.size(); ++i) {
     const double d = plot.x[i] - plot.y[i];
-    if (intercept && std::abs(d - *intercept) <= options.tolerance_ms) ++on_line;
-    if (std::abs(d) <= options.tolerance_ms) ++on_diagonal;
+    if (intercept && std::abs(d - *intercept) <= kToleranceMs) ++on_line;
+    if (std::abs(d) <= kToleranceMs) ++on_diagonal;
   }
   result.compression_fraction =
       static_cast<double>(on_line) / static_cast<double>(plot.size());

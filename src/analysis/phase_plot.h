@@ -34,33 +34,17 @@ struct PhaseAnalysis {
   std::optional<double> compression_intercept_ms;
   /// mu-hat in bit/s, derived from the intercept; unset with the above.
   std::optional<double> bottleneck_bps;
-  /// Fraction of phase points within `tolerance_ms` of the compression
-  /// line (the paper's indicator that probes accumulate behind cross
-  /// traffic).
+  /// Fraction of phase points within 4 ms (+-1 tick of the paper's
+  /// 3.906 ms source clock) of the compression line (the paper's
+  /// indicator that probes accumulate behind cross traffic).
   double compression_fraction = 0.0;
-  /// Fraction of points within `tolerance_ms` of the diagonal y = x.
+  /// Fraction of points within the same 4 ms of the diagonal y = x.
   double diagonal_fraction = 0.0;
-};
-
-struct PhaseAnalysisOptions {
-  /// Band half-width around each line.  The default covers +-1 tick of
-  /// the paper's 3.906 ms source clock, which spreads clusters over
-  /// adjacent ticks.
-  double tolerance_ms = 4.0;
-  double histogram_bin_ms = 1.0;
-  /// Compression cluster is searched among rtt_n - rtt_{n+1} values above
-  /// this fraction of delta (below it, the mass near 0 from the diagonal
-  /// dominates).
-  double min_intercept_fraction = 0.3;
-  /// Minimum fraction of pairs in the modal bin to accept a compression
-  /// cluster.
-  double min_cluster_mass = 0.01;
 };
 
 /// Analyzes a trace directly (uses trace.delta and trace.probe_wire_bytes
 /// for the mu-hat computation).
-PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace,
-                                 const PhaseAnalysisOptions& options = {});
+PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace);
 
 namespace detail {
 

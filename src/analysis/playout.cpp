@@ -7,6 +7,13 @@
 
 namespace bolot::analysis {
 
+namespace {
+
+/// Adaptive playout's safety factor on the filtered deviation.
+constexpr double kBeta = 4.0;
+
+}  // namespace
+
 PlayoutResult evaluate_fixed_playout(const ProbeTrace& trace,
                                      double playout_delay_ms) {
   if (trace.records.empty()) {
@@ -65,10 +72,12 @@ PlayoutResult evaluate_adaptive_playout(
   if (options.alpha <= 0.0 || options.alpha >= 1.0 || options.window == 0) {
     throw std::invalid_argument("evaluate_adaptive_playout: bad options");
   }
-  double d_hat = options.initial_delay_ms;
+  // The first received delay seeds the filter; until then the playout
+  // delay is 0.
+  double d_hat = 0.0;
   double v_hat = 0.0;
-  bool initialized = options.initial_delay_ms > 0.0;
-  double playout_delay = d_hat + options.beta * v_hat;
+  bool initialized = false;
+  double playout_delay = 0.0;
 
   std::size_t late = 0;
   std::size_t lost = 0;
@@ -77,8 +86,7 @@ PlayoutResult evaluate_adaptive_playout(
   for (std::size_t n = 0; n < trace.records.size(); ++n) {
     // Window boundary: adopt the current estimate for the next window.
     if (n % options.window == 0) {
-      playout_delay = initialized ? d_hat + options.beta * v_hat
-                                  : options.initial_delay_ms;
+      playout_delay = initialized ? d_hat + kBeta * v_hat : 0.0;
     }
     const auto& record = trace.records[n];
     if (!record.received) {
@@ -90,7 +98,7 @@ PlayoutResult evaluate_adaptive_playout(
       d_hat = delay_ms;
       v_hat = delay_ms / 4.0;
       initialized = true;
-      if (playout_delay <= 0.0) playout_delay = d_hat + options.beta * v_hat;
+      if (playout_delay <= 0.0) playout_delay = d_hat + kBeta * v_hat;
     } else {
       d_hat = options.alpha * d_hat + (1.0 - options.alpha) * delay_ms;
       v_hat = options.alpha * v_hat +

@@ -40,14 +40,13 @@ PlayoutResult evaluate_fixed_playout(const ProbeTrace& trace,
 double size_fixed_playout(const ProbeTrace& trace, double target_gap_fraction);
 
 struct AdaptivePlayoutOptions {
-  double alpha = 0.998;          // exponential filter gain
-  double beta = 4.0;             // safety factor on the deviation
-  std::size_t window = 50;       // packets per (pseudo) talkspurt
-  double initial_delay_ms = 0.0; // starting estimate; 0 = first sample
+  double alpha = 0.998;     // exponential filter gain
+  std::size_t window = 50;  // packets per (pseudo) talkspurt
 };
 
 /// Evaluates the adaptive policy; the playout delay is recomputed at each
-/// window boundary from the filtered delay and deviation.
+/// window boundary as the filtered delay plus 4 filtered deviations.  The
+/// first received delay seeds the filter.
 PlayoutResult evaluate_adaptive_playout(
     const ProbeTrace& trace, const AdaptivePlayoutOptions& options = {});
 

@@ -22,6 +22,11 @@ namespace bolot::analysis {
 
 namespace {
 
+/// Audio-FEC design target (residual loss) for the section-5 block.
+constexpr double kFecTargetResidual = 0.01;
+constexpr int kPlotWidth = 64;
+constexpr int kPlotHeight = 20;
+
 void overview_section(std::ostream& os, const ProbeTrace& trace) {
   os << "== Overview ==\n";
   TextTable table;
@@ -92,8 +97,8 @@ void delay_section(std::ostream& os, const ProbeTrace& trace,
     plot_options.title = "phase plot";
     plot_options.x_label = "rtt_n (ms)";
     plot_options.y_label = "rtt_{n+1} (ms)";
-    plot_options.width = options.plot_width;
-    plot_options.height = options.plot_height;
+    plot_options.width = kPlotWidth;
+    plot_options.height = kPlotHeight;
     scatter_plot(os, plot.x, plot.y, plot_options);
   }
   os << '\n';
@@ -117,7 +122,6 @@ void workload_section(std::ostream& os, const ProbeTrace& trace,
   try {
     WorkloadOptions workload_options;
     workload_options.bottleneck_bps = mu_bps;
-    workload_options.reference_packet_bytes = options.reference_packet_bytes;
     workload_options.bin_ms =
         std::max(1.0, trace.clock_tick.millis() / 2.0);
     const WorkloadAnalysis workload = analyze_workload(trace, workload_options);
@@ -139,7 +143,7 @@ void workload_section(std::ostream& os, const ProbeTrace& trace,
       PlotOptions plot_options;
       plot_options.title = "w_{n+1} - w_n + delta distribution";
       plot_options.x_label = "ms";
-      plot_options.width = options.plot_width;
+      plot_options.width = kPlotWidth;
       histogram_plot(os, workload.histogram.centers(),
                      workload.histogram.densities(), plot_options);
     }
@@ -149,8 +153,7 @@ void workload_section(std::ostream& os, const ProbeTrace& trace,
   os << '\n';
 }
 
-void loss_section(std::ostream& os, const ProbeTrace& trace,
-                  const ReportOptions& options) {
+void loss_section(std::ostream& os, const ProbeTrace& trace) {
   os << "== Loss (section 5) ==\n";
   const auto losses = trace.loss_indicators();
   const LossStats stats = loss_stats(losses);
@@ -175,9 +178,9 @@ void loss_section(std::ostream& os, const ProbeTrace& trace,
     } catch (const std::exception&) {
     }
     const FecPlan plan =
-        design_fec(losses, options.fec_target_residual);
+        design_fec(losses, kFecTargetResidual);
     os << "FEC design for residual <= "
-       << format_double(options.fec_target_residual, 3) << ": ";
+       << format_double(kFecTargetResidual, 3) << ": ";
     if (plan.feasible) {
       os << "k = " << plan.k << " (residual "
          << format_double(plan.residual_loss, 4) << ")\n";
@@ -270,7 +273,7 @@ std::string full_report(const ProbeTrace& trace, const ReportOptions& options) {
   overview_section(os, trace);
   delay_section(os, trace, options);
   workload_section(os, trace, options);
-  loss_section(os, trace, options);
+  loss_section(os, trace);
   structure_section(os, trace);
   if (options.include_models) models_section(os, trace);
   return os.str();

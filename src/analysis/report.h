@@ -15,16 +15,10 @@ struct ReportOptions {
   /// Bottleneck rate for eq.-6 inversion; unset = use the trace's own
   /// estimate_bottleneck() result when one exists.
   std::optional<double> bottleneck_bps;
-  /// Reference cross-traffic packet size for peak labeling.
-  std::int64_t reference_packet_bytes = 512;
   /// Render ASCII phase plot / workload histogram sections.
   bool include_plots = true;
   /// Fit AR / ARMA / constant+gamma models (slower on huge traces).
   bool include_models = true;
-  /// Audio-FEC design target (residual loss) for the section-5 block.
-  double fec_target_residual = 0.01;
-  int plot_width = 64;
-  int plot_height = 20;
 };
 
 /// Renders the full report.  Works on any ProbeTrace (simulated, live, or

@@ -115,7 +115,6 @@ StreamingPacketPair::StreamingPacketPair(ByteSize probe_wire,
                                          std::size_t max_pairs,
                                          const PacketPairOptions& options)
     : probe_bits_(static_cast<double>(probe_wire.bit_count())),
-      pair_send_gap_(options.pair_send_gap),
       outlier_factor_(options.outlier_factor) {
   // The cluster cut is med * outlier_factor; below 1.0 it can exclude
   // even the median spacing itself, leaving an empty cluster (and a
@@ -134,7 +133,7 @@ void StreamingPacketPair::push(std::uint64_t seq, Duration send_time,
     return;
   }
   if (have_last_ && seq == last_seq_ + 1 &&
-      send_time - last_send_ <= pair_send_gap_) {
+      send_time - last_send_ <= kPairSendGap) {
     const double spacing = (return_time - last_return_).millis();
     if (spacing > 0.0) {
       if (spacings_ms_.size() == spacings_ms_.capacity()) {
@@ -182,17 +181,13 @@ BottleneckEstimate StreamingPacketPair::estimate() {
 
 namespace {
 
-/// The typed config in analyze_workload()'s terms; the checks are the
+/// The typed config in analyze_workload()'s terms; the check is the
 /// one-pass estimator's own (the batch can auto-size the edge).
 WorkloadOptions workload_options(const StreamingLindleyConfig& config) {
   if (!(config.max > Duration::zero())) {
     throw std::invalid_argument(
         "StreamingLindley: config.max must be positive (one-pass "
         "estimation cannot auto-size the histogram edge)");
-  }
-  if (!(config.bin > Duration::zero())) {
-    throw std::invalid_argument("StreamingLindley: config.bin must be "
-                                "positive");
   }
   WorkloadOptions options;
   options.bottleneck_bps = config.bottleneck.bps();
@@ -203,6 +198,21 @@ WorkloadOptions workload_options(const StreamingLindleyConfig& config) {
   return options;
 }
 
+/// The histogram's bin count, after the checks the two fields it is
+/// sized from need: a zero bin would turn the count into +inf, whose
+/// conversion to std::size_t is undefined.
+std::size_t workload_bins(const WorkloadOptions& options) {
+  if (!(std::isfinite(options.bin_ms) && options.bin_ms > 0.0)) {
+    throw std::invalid_argument(
+        "StreamingLindley: bin_ms must be finite and positive");
+  }
+  if (!std::isfinite(options.max_ms)) {
+    throw std::invalid_argument("StreamingLindley: max_ms must be finite");
+  }
+  return static_cast<std::size_t>(
+      std::max(8.0, std::ceil(options.max_ms / options.bin_ms)));
+}
+
 }  // namespace
 
 StreamingLindley::StreamingLindley(const StreamingLindleyConfig& config)
@@ -211,9 +221,7 @@ StreamingLindley::StreamingLindley(const StreamingLindleyConfig& config)
 
 StreamingLindley::StreamingLindley(Duration delta, ByteSize probe_wire,
                                    const WorkloadOptions& options)
-    : histogram_(0.0, options.max_ms,
-                 static_cast<std::size_t>(std::max(
-                     8.0, std::ceil(options.max_ms / options.bin_ms)))),
+    : histogram_(0.0, options.max_ms, workload_bins(options)),
       delta_ms_(delta.millis()),
       mu_bits_per_ms_(options.bottleneck_bps * 1e-3),
       probe_bits_(static_cast<double>(probe_wire.bit_count())),

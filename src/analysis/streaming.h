@@ -92,7 +92,7 @@ class StreamingLossState {
 
 /// Streaming packet-pair dispersion (Keshav 1991).  push() each return in
 /// seq order; a return whose seq directly follows the last pushed one,
-/// sent at most options.pair_send_gap after it, adds its positive return
+/// sent at most kPairSendGap after it, adds its positive return
 /// spacing.  Only the last return and the spacings are kept: one double
 /// per pair, never per probe.  estimate_bottleneck_packet_pair() is a
 /// fold over this class.
@@ -122,7 +122,6 @@ class StreamingPacketPair {
  private:
   std::vector<double> spacings_ms_;
   double probe_bits_ = 0.0;
-  Duration pair_send_gap_;
   double outlier_factor_ = 0.0;
   std::size_t rejected_ = 0;
   bool have_last_ = false;
@@ -157,7 +156,9 @@ class StreamingLindley {
   /// analyze_workload()'s parameterization.  `options.max_ms` is the
   /// resolved histogram edge, used as given (a Duration round trip would
   /// round an auto-sized edge to whole nanoseconds and move the bins);
-  /// Histogram throws unless it is positive.
+  /// Histogram throws unless it is positive.  Throws
+  /// std::invalid_argument naming the field when bin_ms is not finite
+  /// and positive, or max_ms is not finite.
   StreamingLindley(Duration delta, ByteSize probe_wire,
                    const WorkloadOptions& options);
 

@@ -8,6 +8,13 @@
 
 namespace bolot::model {
 
+namespace {
+
+/// Cross-traffic packet size batches are split into.
+constexpr BitSize kBatchPacket = BitSize::bits(512 * 8);
+
+}  // namespace
+
 ModelRun run_model(const ModelConfig& config) {
   if (!config.batch_bits) {
     throw std::invalid_argument("run_model: batch_bits distribution required");
@@ -22,8 +29,8 @@ ModelRun run_model(const ModelConfig& config) {
     throw std::invalid_argument("run_model: delta must be positive");
   }
 
-  if (config.buffer_packets == 0 || config.batch_packet <= BitSize::zero()) {
-    throw std::invalid_argument("run_model: buffer/batch packet config");
+  if (config.buffer_packets == 0) {
+    throw std::invalid_argument("run_model: buffer_packets must be positive");
   }
 
   Rng rng(config.seed);
@@ -88,7 +95,7 @@ ModelRun run_model(const ModelConfig& config) {
     while (remaining_bits > 0.5) {
       const double packet_bits =
           std::min(remaining_bits,
-                   static_cast<double>(config.batch_packet.count()));
+                   static_cast<double>(kBatchPacket.count()));
       remaining_bits -= packet_bits;
       if (queue.size() < config.buffer_packets) {
         const double service_s = packet_bits / config.mu.bps();

@@ -35,11 +35,10 @@ struct ModelConfig {
   /// Buffer capacity in packets, counting the one in service — matching a
   /// router's drop-tail queue.  Packet granularity matters: K queued
   /// probes fill the buffer's slots with almost no backlog in bits.
-  std::size_t buffer_packets = 14;
-  /// Batches are split into packets of this size for buffer accounting
-  /// (the cross-traffic packet size; the paper's measurements indicate
+  /// Batches are split into 512-byte packets for buffer accounting (the
+  /// cross-traffic packet size; the paper's measurements indicate
   /// ~488-512 bytes).
-  BitSize batch_packet = BitSize::bits(512 * 8);
+  std::size_t buffer_packets = 14;
   /// Batch arrival phase within the interval: t_n = (n + phase) * delta.
   /// Must be in [0, 1), or negative for a uniformly random phase per
   /// interval (the general position of the paper's t_n).

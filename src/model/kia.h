@@ -42,8 +42,8 @@ double md1_wait_second_moment(double rho, double service_seconds);
 
 /// Path delay of one `probe_wire` packet crossing `hops`, each loaded by
 /// Poisson background of `background_packet` packets.  `max_rho` caps the
-/// per-hop utilization (mirror of the fluid engine's
-/// min_residual_fraction, which keeps oversubscribed hops finite).
+/// per-hop utilization (mirror of the fluid engine's residual-rate floor
+/// of 1 % of capacity, which keeps oversubscribed hops finite).
 KiaDelay kia_path_delay(const std::vector<KiaHop>& hops, ByteSize probe_wire,
                         ByteSize background_packet, double max_rho = 0.99);
 

@@ -159,12 +159,11 @@ inline std::size_t watch_backlog_work_ms(Sampler& sampler,
       });
 }
 
-/// Cumulative transmitter utilization (busy time / elapsed sim time).
-inline std::size_t watch_utilization(Sampler& sampler, const sim::Link& link,
-                                     const sim::Simulator& sim) {
-  return sampler.add_series(
-      link.config().name + ".utilization",
-      [&link, &sim] { return link.stats().utilization(sim.now()); });
+/// Cumulative utilization, fluid share included (sim::Link::utilization).
+inline std::size_t watch_utilization(Sampler& sampler,
+                                     const sim::Link& link) {
+  return sampler.add_series(link.config().name + ".utilization",
+                            [&link] { return link.utilization(); });
 }
 
 /// RED's EWMA average-queue estimate (0 on drop-tail links).

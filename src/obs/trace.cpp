@@ -25,8 +25,6 @@ std::uint32_t current_tid() {
   return tid;
 }
 
-thread_local std::int64_t tl_sim_time_ns = 0;
-
 }  // namespace
 
 struct TraceRecorder::Impl {
@@ -86,13 +84,6 @@ void TraceRecorder::record_scope(std::uint32_t name_id, std::int64_t start_ns,
       {start_ns, dur_ns, name_id, current_tid(), /*type=*/0, {}});
 }
 
-void TraceRecorder::record_instant(std::uint32_t name_id,
-                                   std::int64_t sim_ns) {
-  Impl& im = impl();
-  const std::lock_guard<std::mutex> lock(im.mu);
-  im.records.push_back({sim_ns, 0, name_id, current_tid(), /*type=*/1, {}});
-}
-
 void TraceRecorder::write(const std::string& path) {
   Impl& im = impl();
   active_ = false;
@@ -123,10 +114,6 @@ void TraceRecorder::write(const std::string& path) {
   if (!out) throw std::runtime_error("TraceRecorder: write failed: " + path);
 }
 
-void TraceRecorder::set_sim_time(std::int64_t ns) { tl_sim_time_ns = ns; }
-
-std::int64_t TraceRecorder::sim_time() { return tl_sim_time_ns; }
-
 TraceScope::TraceScope(const char* name) {
   TraceRecorder& recorder = TraceRecorder::instance();
   if (!recorder.active()) return;
@@ -141,15 +128,5 @@ TraceScope::~TraceScope() {
   if (!recorder.active()) return;  // recording stopped mid-scope
   recorder.record_scope(name_id_, start_ns_, recorder.now_ns() - start_ns_);
 }
-
-namespace detail {
-
-void trace_instant(const char* name) {
-  TraceRecorder& recorder = TraceRecorder::instance();
-  if (!recorder.active()) return;
-  recorder.record_instant(recorder.intern(name), TraceRecorder::sim_time());
-}
-
-}  // namespace detail
 
 }  // namespace bolot::obs

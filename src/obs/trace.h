@@ -1,23 +1,20 @@
-// TRACE_SCOPE / SIM_TRACE: profiling scopes and sim-time event marks that
-// compile out of the binary unless the build is configured with
-// -DSIM_TRACE=ON (which defines SIM_TRACE_EVENTS, mirroring the
-// SIM_AUDIT_CHECKS pattern from util/audit.h: the macro arguments are
-// still type-checked in every build via an `if constexpr` discard, but a
-// default build carries no trace code on the hot path).
+// TRACE_SCOPE: wall-clock profiling spans that compile out of the binary
+// unless the build is configured with -DSIM_TRACE=ON (which defines
+// SIM_TRACE_EVENTS, mirroring the SIM_AUDIT_CHECKS pattern from
+// util/audit.h: the macro argument is still type-checked in every build,
+// but a default build carries no trace code on the hot path).
 //
 //   TRACE_SCOPE("name");   RAII wall-clock span: records how long the
 //                          enclosing scope took (profiling the simulator
 //                          itself — run loops, analysis passes).
-//   SIM_TRACE("name");     instant event stamped with the *simulation*
-//                          clock of the event being dispatched (tracking
-//                          what happened inside the simulated world —
-//                          drops, timeouts, retransmits).
+//
+// What happened inside the simulated world (drops, timeouts, probe
+// echoes) is recorded by the components themselves: ProbeTrace,
+// LinkStats and drop hooks, PacketLog, TcpStats.
 //
 // Records go to a process-wide TraceRecorder; TraceRecorder::write() emits
 // a compact binary file ("BTRC") that tools/trace2json.py converts to
-// Chrome trace_event JSON loadable in chrome://tracing or Perfetto.  Wall
-// spans and sim instants appear as two separate "processes" in the viewer
-// because they live on different timelines.
+// Chrome trace_event JSON loadable in chrome://tracing or Perfetto.
 //
 // Name arguments must be string literals (they are interned once per
 // record; the binary stores uint32 ids plus one string table).
@@ -34,15 +31,14 @@ inline constexpr bool kTraceEnabled = true;
 inline constexpr bool kTraceEnabled = false;
 #endif
 
-/// One binary trace record.  ts_ns is wall nanoseconds since recording
-/// started for scopes (type 0), simulation nanoseconds for instants
-/// (type 1).
+/// One binary trace record: a wall-clock span, ts_ns nanoseconds after
+/// recording started.
 struct TraceRecord {
   std::int64_t ts_ns = 0;
-  std::int64_t dur_ns = 0;  // scopes only; 0 for instants
+  std::int64_t dur_ns = 0;
   std::uint32_t name_id = 0;
   std::uint32_t tid = 0;  // dense per-thread id, first-use order
-  std::uint8_t type = 0;  // 0 = wall scope, 1 = sim instant
+  std::uint8_t type = 0;  // 0 = wall scope, the only type written
   std::uint8_t pad[7] = {};
 };
 static_assert(sizeof(TraceRecord) == 32, "trace record layout is part of "
@@ -70,16 +66,9 @@ class TraceRecorder {
   std::uint32_t intern(const char* name);
   void record_scope(std::uint32_t name_id, std::int64_t start_ns,
                     std::int64_t dur_ns);
-  void record_instant(std::uint32_t name_id, std::int64_t sim_ns);
 
   /// Wall nanoseconds since start() (steady clock).
   std::int64_t now_ns() const;
-
-  /// Simulation-clock context for SIM_TRACE, stamped by the Simulator
-  /// dispatch loop in trace builds (thread-local, like the audit
-  /// context).
-  static void set_sim_time(std::int64_t ns);
-  static std::int64_t sim_time();
 
  private:
   TraceRecorder() = default;
@@ -103,10 +92,6 @@ class TraceScope {
   bool armed_ = false;
 };
 
-namespace detail {
-void trace_instant(const char* name);
-}  // namespace detail
-
 }  // namespace bolot::obs
 
 #define BOLOT_TRACE_CAT2(a, b) a##b
@@ -123,12 +108,3 @@ void trace_instant(const char* name);
     (void)sizeof(name);   \
   } while (0)
 #endif
-
-/// Sim-time instant mark; compiled out (argument type-checked, never
-/// evaluated) unless the build defines SIM_TRACE_EVENTS.
-#define SIM_TRACE(name)                            \
-  do {                                             \
-    if constexpr (::bolot::obs::kTraceEnabled) {   \
-      ::bolot::obs::detail::trace_instant(name);   \
-    }                                              \
-  } while (0)

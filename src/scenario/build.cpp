@@ -13,6 +13,10 @@ namespace bolot::scenario::detail {
 
 namespace {
 
+/// Per-series sample budget before decimation; even (see
+/// obs::TimeSeries::check_budget).
+constexpr std::size_t kObsSeriesBudget = 16384;
+
 /// The one PDES domain clamp (see the ScenarioBuild constructor).
 std::size_t clamp_domains(const TopologyPlan& plan, std::size_t requested,
                           bool sampled) {
@@ -290,7 +294,7 @@ ProbedRun::ProbedRun(ScenarioBuild& build, const ProbePlan& plan,
   // No sampler unless asked for: default runs schedule no sample events.
   if (overrides.obs_sample_interval) {
     sampler_.emplace(build.sim_for(src), *overrides.obs_sample_interval,
-                     overrides.obs_series_budget);
+                     kObsSeriesBudget);
   }
 }
 

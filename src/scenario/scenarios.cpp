@@ -14,6 +14,12 @@ namespace bolot::scenario {
 
 namespace {
 
+/// The pace a paced FTP session sustains while on, as a share of the
+/// bottleneck.
+constexpr double kSessionPace = 0.95;
+/// Reverse-direction multiplier on every cross-traffic load.
+constexpr double kReverseScale = 0.35;
+
 /// One of the paper's measured paths: hop i joins route node i to node
 /// i + 1 and carries that direction's LinkConfig (path_plan names it).
 struct PathSpec {
@@ -112,13 +118,13 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
     if (session_bps > 0.0) {
       sim::FtpSessionConfig session;
       session.mean_session = cross.mean_session;
-      session.pace_load = cross.session_pace;
+      session.pace_load = kSessionPace;
       session.bottleneck = mu;
       session.packet = cross.bulk_packet;
       // mean_idle chosen so the long-run average share is session_load:
-      // on_fraction = session_load * scale / session_pace.
+      // on_fraction = session_load * scale / kSessionPace.
       const double on_fraction =
-          std::min(0.95, cross.session_load * scale / cross.session_pace);
+          std::min(0.95, cross.session_load * scale / kSessionPace);
       session.mean_idle =
           cross.mean_session * ((1.0 - on_fraction) / on_fraction);
       sources.push_back(std::make_unique<sim::FtpSessionSource>(
@@ -154,7 +160,7 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
     }
   };
   add_direction(host_up, host_up + 1, 1.0);
-  add_direction(host_up + 1, host_up, cross.reverse_scale);
+  add_direction(host_up + 1, host_up, kReverseScale);
 
   // NetDyn endpoints: source at the head of the chain, echo at the tail.
   detail::ProbedRun run(build, plan, path.clock_tick, 0,
@@ -178,7 +184,7 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
     run.probe().publish_metrics(run.registry());
     obs::watch_queue_packets(*sampler, bneck_fwd);
     obs::watch_backlog_work_ms(*sampler, bneck_fwd);
-    obs::watch_utilization(*sampler, bneck_fwd, build.sim_for(upstream));
+    obs::watch_utilization(*sampler, bneck_fwd);
     if (bneck_fwd.config().red) {
       obs::watch_red_average_queue(*sampler, bneck_fwd);
     }

@@ -50,19 +50,19 @@ struct ProbePlan {
 /// bandwidth so the same structure scales across scenarios.
 struct CrossTraffic {
   /// Paced FTP sessions (ack-clocked transfers filling the bottleneck
-  /// while active): average share of bottleneck bandwidth, and the pace
-  /// they sustain while a session is on.  These create the 0/1/2-packet
-  /// per-interval workloads behind the paper's Fig.-8 peaks.
+  /// while active, at 95 % of it): average share of bottleneck
+  /// bandwidth.  These create the 0/1/2-packet per-interval workloads
+  /// behind the paper's Fig.-8 peaks.
   double session_load = 0.25;
-  double session_pace = 0.95;
   Duration mean_session = Duration::seconds(8);
   /// Open-loop window bursts (slow-start, batch applications): share of
   /// bottleneck bandwidth and mean burst length.  These create the loss
   /// bursts behind Table 3's clp >> ulp at small delta.
   double bulk_load = 0.25;
   double mean_burst_packets = 8.0;
-  double interactive_load = 0.10; // Telnet-like share, forward
-  double reverse_scale = 0.35;    // reverse-direction load multiplier
+  /// Telnet-like share, forward.  The reverse direction carries 0.35
+  /// times each forward load.
+  double interactive_load = 0.10;
   ByteSize bulk_packet = ByteSize::bytes(512);
   ByteSize interactive_packet = ByteSize::bytes(64);
 };
@@ -121,9 +121,6 @@ struct ScenarioOverrides {
   /// and series.  Unset (the default), no observability object is even
   /// constructed, so default outputs are byte-identical.
   std::optional<Duration> obs_sample_interval;
-  /// Per-series sample budget before decimation; even (see
-  /// obs::TimeSeries::check_budget).
-  std::size_t obs_series_budget = 16384;
   /// Chain only: correlated-loss channel on the *forward* direction of the
   /// bottleneck link (probe direction; the reverse echo path stays ideal
   /// so measured loss attributes cleanly to the modeled channel).

@@ -25,6 +25,8 @@ namespace {
 
 constexpr Duration kMeshWarmup = Duration::seconds(2);
 constexpr Duration kMeshDrain = Duration::seconds(2);
+/// Ridge lambda used when the link-class system is rank deficient.
+constexpr double kRidgeLambda = 1e-6;
 
 /// One round-trip probe stream: per-stream state only, nothing per probe.
 /// The loss state is the main flow's estimator bank (the inference and
@@ -128,8 +130,6 @@ class MeshProbeHost {
   void send_next(std::size_t s) {
     Stream& stream = mesh_.streams[s];
     if (stream.next_seq >= stream.probe_count) return;
-    SIM_TRACE("mesh.probe.send");
-
     const std::uint64_t seq = stream.next_seq++;
     net_.send(make_probe(kMeshFlowBase + static_cast<std::uint32_t>(s), seq,
                          stream.src, stream.dst));
@@ -177,7 +177,6 @@ class MeshProbeHost {
       net_.send(std::move(p));
       return;
     }
-    SIM_TRACE("mesh.probe.echo");
     mesh_.record_return(p, sim_.now());
   }
 
@@ -223,7 +222,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   // first and keep more spacings than pairs.
   if (spec.pair_stride > 0 &&
       !(spec.delta * static_cast<std::int64_t>(spec.pair_stride) >
-        analysis::PacketPairOptions{}.pair_send_gap)) {
+        analysis::kPairSendGap)) {
     throw std::invalid_argument(
         "run_tomography: pair_stride * delta must exceed the packet-pair "
         "send gap");
@@ -324,7 +323,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   std::optional<obs::Sampler> sampler;
   if (spec.obs_sample_interval) {  // sampling keeps one simulator
     sampler.emplace(build.sim_for(topo.hosts.front()),
-                    *spec.obs_sample_interval, spec.obs_series_budget);
+                    *spec.obs_sample_interval);
     MeshState* m = &mesh;
     sampler->add_series("mesh.received_total", [m] {
       double total = 0.0;
@@ -440,8 +439,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
       // Rank-deficient class system (or fewer usable streams than
       // classes): ridge keeps the recovery defined.
       result.ridge_used = true;
-      est_loss = analysis::ridge_least_squares(a, b_loss, spec.ridge_lambda);
-      est_delay = analysis::ridge_least_squares(a, b_delay, spec.ridge_lambda);
+      est_loss = analysis::ridge_least_squares(a, b_loss, kRidgeLambda);
+      est_delay = analysis::ridge_least_squares(a, b_delay, kRidgeLambda);
     }
   }
 

@@ -82,8 +82,8 @@ struct TomographySpec {
 
   /// Every pair_stride-th probe slot also emits a back-to-back packet
   /// pair on the side flow (0 disables the dispersion pass).  When set,
-  /// pair_stride * delta must exceed PacketPairOptions' pair_send_gap, so
-  /// two pairs never chain into one.
+  /// pair_stride * delta must exceed analysis::kPairSendGap, so two pairs
+  /// never chain into one.
   std::size_t pair_stride = 16;
 
   /// Optional fluid background population loading the fabric (all flows
@@ -96,14 +96,9 @@ struct TomographySpec {
   /// the sequential kernel only; loss inference is domain-count-invariant.
   std::size_t domains = 1;
 
-  /// Ridge lambda used when the link-class system is rank deficient.
-  double ridge_lambda = 1e-6;
-
   /// When set (and domains == 1), a Sampler records mesh-aggregate gauges
   /// fed by the streaming estimators' online accessors.
   std::optional<Duration> obs_sample_interval;
-  /// Per-series sample budget; even (see obs::TimeSeries::check_budget).
-  std::size_t obs_series_budget = 4096;
 };
 
 /// One probe stream of the mesh (ordered host pair, probed round trip).

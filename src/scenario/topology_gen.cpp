@@ -40,28 +40,42 @@ std::uint64_t double_bits(double v) {
   return bits;
 }
 
-/// Seeded jitter in [1-x, 1+x] from a SplitMix64 stream; pure function of
-/// the draw order, which is fixed by the generation code below.
-Duration jittered(Duration base, double jitter, SplitMix64& stream) {
-  if (jitter <= 0.0) return base;
+/// Link parameters of one tier, shared by both families.
+struct Tier {
+  Bandwidth rate;
+  Duration propagation;
+  std::size_t buffer_packets;
+};
+constexpr Tier kCoreTier{Bandwidth::bps(100e6), Duration::millis(2), 256};
+constexpr Tier kAggregationTier{Bandwidth::bps(40e6), Duration::millis(1),
+                                256};
+constexpr Tier kEdgeTier{Bandwidth::bps(10e6), Duration::micros(200), 64};
+
+/// Seeded multiplicative jitter applied to every propagation delay,
+/// uniform in [1-x, 1+x]; keeps event timestamps off exact ties.
+constexpr double kPropagationJitter = 0.2;
+
+/// `base` jittered by kPropagationJitter from a SplitMix64 stream; pure
+/// function of the draw order, which is fixed by the generation code
+/// below.
+Duration jittered(Duration base, SplitMix64& stream) {
   const double u =
       static_cast<double>(stream.next() >> 11) * 0x1.0p-53;  // [0, 1)
-  const double factor = 1.0 - jitter + 2.0 * jitter * u;
+  const double factor =
+      1.0 - kPropagationJitter + 2.0 * kPropagationJitter * u;
   return Duration::nanos(static_cast<std::int64_t>(
       static_cast<double>(base.count_nanos()) * factor));
 }
 
-/// Appends the duplex edge a <-> b, named after its endpoints, with
-/// `propagation` jittered by the stream's next draw.
-void add_edge(TopologyPlan& plan, const TopologySpec& spec,
-              SplitMix64& stream, std::uint32_t a, std::uint32_t b,
-              Bandwidth rate, Duration propagation,
-              std::size_t buffer_packets) {
+/// Appends the duplex edge a <-> b, named after its endpoints, with the
+/// tier's propagation jittered by the stream's next draw.
+void add_edge(TopologyPlan& plan, SplitMix64& stream, std::uint32_t a,
+              std::uint32_t b, const Tier& tier) {
   sim::LinkConfig link;
   link.name = plan.nodes[a].name + "<->" + plan.nodes[b].name;
-  link.rate = rate;
-  link.propagation = jittered(propagation, spec.propagation_jitter, stream);
-  link.buffer_packets = buffer_packets;
+  link.rate = tier.rate;
+  link.propagation = jittered(tier.propagation, stream);
+  link.buffer_packets = tier.buffer_packets;
   plan.edges.push_back({a, b, std::move(link)});
 }
 
@@ -98,16 +112,14 @@ TopologyPlan generate_fat_tree(const TopologySpec& spec) {
                                   std::to_string(h),
                               p, true});
         plan.hosts.push_back(id);
-        add_edge(plan, spec, stream, pod_edges[p][e], id, spec.edge_rate,
-                 spec.edge_propagation, spec.edge_buffer_packets);
+        add_edge(plan, stream, pod_edges[p][e], id, kEdgeTier);
       }
     }
     // Full bipartite edge <-> aggregation inside the pod.
     for (std::size_t e = 0; e < half; ++e) {
       for (std::size_t a = 0; a < half; ++a) {
-        add_edge(plan, spec, stream, pod_edges[p][e], pod_aggs[p][a],
-                 spec.aggregation_rate, spec.aggregation_propagation,
-                 spec.core_buffer_packets);
+        add_edge(plan, stream, pod_edges[p][e], pod_aggs[p][a],
+                 kAggregationTier);
       }
     }
   }
@@ -121,8 +133,7 @@ TopologyPlan generate_fat_tree(const TopologySpec& spec) {
                                 std::to_string(j),
                             (r * half + j) % k, false});
       for (std::size_t p = 0; p < k; ++p) {
-        add_edge(plan, spec, stream, pod_aggs[p][r], core, spec.core_rate,
-                 spec.core_propagation, spec.core_buffer_packets);
+        add_edge(plan, stream, pod_aggs[p][r], core, kCoreTier);
       }
     }
   }
@@ -148,8 +159,7 @@ TopologyPlan generate_as_hierarchy(const TopologySpec& spec) {
   // Full transit mesh between core routers.
   for (std::size_t i = 0; i < spec.core_count; ++i) {
     for (std::size_t j = i + 1; j < spec.core_count; ++j) {
-      add_edge(plan, spec, stream, cores[i], cores[j], spec.core_rate,
-               spec.core_propagation, spec.core_buffer_packets);
+      add_edge(plan, stream, cores[i], cores[j], kCoreTier);
     }
   }
   // Stub ASes ride in their provider's partition; hosts behind each stub.
@@ -161,15 +171,13 @@ TopologyPlan generate_as_hierarchy(const TopologySpec& spec) {
           "as" + std::to_string(c) + "-stub" + std::to_string(s);
       plan.nodes.push_back({name, c, false});
       stubs.push_back(stub);
-      add_edge(plan, spec, stream, cores[c], stub, spec.aggregation_rate,
-               spec.aggregation_propagation, spec.core_buffer_packets);
+      add_edge(plan, stream, cores[c], stub, kAggregationTier);
       for (std::size_t h = 0; h < spec.hosts_per_stub; ++h) {
         const std::uint32_t host =
             static_cast<std::uint32_t>(plan.nodes.size());
         plan.nodes.push_back({name + "-host" + std::to_string(h), c, true});
         plan.hosts.push_back(host);
-        add_edge(plan, spec, stream, stub, host, spec.edge_rate,
-                 spec.edge_propagation, spec.edge_buffer_packets);
+        add_edge(plan, stream, stub, host, kEdgeTier);
       }
     }
   }
@@ -194,8 +202,7 @@ TopologyPlan generate_as_hierarchy(const TopologySpec& spec) {
     }
     if (duplicate) continue;
     peered.emplace_back(lo, hi);
-    add_edge(plan, spec, stream, lo, hi, spec.aggregation_rate,
-             spec.aggregation_propagation, spec.core_buffer_packets);
+    add_edge(plan, stream, lo, hi, kAggregationTier);
     ++added;
   }
   return plan;

@@ -46,18 +46,8 @@ struct TopologySpec {
   /// Seeded random stub-stub peering shortcuts (0 = strict hierarchy).
   std::size_t peer_links = 2;
 
-  // --- per-tier link parameters (shared by both families) ---
-  Bandwidth core_rate = Bandwidth::bps(100e6);
-  Bandwidth aggregation_rate = Bandwidth::bps(40e6);
-  Bandwidth edge_rate = Bandwidth::bps(10e6);
-  Duration core_propagation = Duration::millis(2);
-  Duration aggregation_propagation = Duration::millis(1);
-  Duration edge_propagation = Duration::micros(200);
-  /// Seeded multiplicative jitter applied to every propagation delay,
-  /// uniform in [1-x, 1+x]; keeps event timestamps off exact ties.
-  double propagation_jitter = 0.2;
-  std::size_t core_buffer_packets = 256;
-  std::size_t edge_buffer_packets = 64;
+  // Both families share fixed per-tier link parameters (core 100 Mb/s,
+  // aggregation 40 Mb/s, edge 10 Mb/s; topology_gen.cpp).
 };
 
 /// Pure-value wiring: everything needed to rebuild the Network, plus the

@@ -125,7 +125,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
     }
     run.probe().publish_metrics(run.registry());
     obs::watch_queue_packets(*sampler, bneck_fwd);
-    obs::watch_utilization(*sampler, bneck_fwd, build.sim_for(probe_src));
+    obs::watch_utilization(*sampler, bneck_fwd);
     obs::watch_probe_rtt_ms(*sampler, run.probe());
   }
 

@@ -32,9 +32,10 @@
 // the generation is bumped whenever a slot is released, so a stale handle
 // (event fired or cancelled, slot possibly reused) is a safe no-op.
 //
-// The hot paths (schedule, pop, the sifts) are defined in this header so
-// they inline into the simulator's dispatch loop; see docs/MODEL_NOTES.md
-// §9 for why eager cancellation and the packed key preserve determinism.
+// The hot paths (schedule, dispatch_top, the sifts) are defined in this
+// header so they inline into the simulator's dispatch loop; see
+// docs/MODEL_NOTES.md §9 for why eager cancellation and the packed key
+// preserve determinism.
 #pragma once
 
 #include <cstddef>
@@ -134,28 +135,6 @@ class EventQueue {
   SimTime next_time() const {
     if (heap_.empty()) throw_empty("EventQueue: next_time on empty");
     return heap_[0].at;
-  }
-
-  struct PoppedEvent {
-    SimTime at;
-    EventFn fn;
-  };
-
-  /// Pops the earliest pending event without running it.  Requires
-  /// !empty().  The caller must advance its clock to `at` *before*
-  /// invoking `fn`, so that the callback schedules relative to the event's
-  /// own time.
-  PoppedEvent pop() {
-    if (heap_.empty()) throw_empty("EventQueue: pop on empty");
-    const std::uint32_t index = slot_of(heap_[0]);
-    SIM_AUDIT(heap_pos_[index] == 0,
-              "EventQueue: root slot %u disagrees with its heap position %u",
-              index, heap_pos_[index]);
-    PoppedEvent popped{heap_[0].at, std::move(slot_at(index).fn)};
-    remove_heap_at(0);
-    release_slot(index);
-    last_popped_ = popped.at;
-    return popped;
   }
 
   /// Dispatches the earliest pending event in place: the closure runs

@@ -8,6 +8,13 @@
 
 namespace bolot::sim {
 
+namespace {
+
+/// Floor on the residual rate, as a fraction of capacity.
+constexpr double kMinResidualFraction = 0.01;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // FluidAggregate
 
@@ -16,11 +23,6 @@ FluidAggregate::FluidAggregate(Simulator& sim, FluidAggregateConfig config,
     : sim_(sim), config_(config), rng_(rng) {
   if (!config_.capacity.is_positive()) {
     throw std::invalid_argument("FluidAggregate: capacity must be positive");
-  }
-  if (config_.min_residual_fraction <= 0.0 ||
-      config_.min_residual_fraction > 1.0) {
-    throw std::invalid_argument(
-        "FluidAggregate: min_residual_fraction outside (0, 1]");
   }
   if (config_.mean_packet <= ByteSize::zero()) {
     throw std::invalid_argument(
@@ -62,7 +64,7 @@ Bandwidth FluidAggregate::fluid_rate() const {
 }
 
 Bandwidth FluidAggregate::residual() const {
-  const double floor_bps = config_.capacity.bps() * config_.min_residual_fraction;
+  const double floor_bps = config_.capacity.bps() * kMinResidualFraction;
   return Bandwidth::bps(
       std::max(floor_bps, config_.capacity.bps() - fluid_rate().bps()));
 }
@@ -98,7 +100,7 @@ Duration FluidAggregate::sample_extra_wait() {
   // both moments gives m = E[W^2] / (2 E[W]) and a = E[W] / m <= 1.
   const double rho =
       std::min(fluid_rate().bps() / config_.capacity.bps(),
-               1.0 - config_.min_residual_fraction);
+               1.0 - kMinResidualFraction);
   if (rho <= 0.0) return Duration::zero();
   const double s = static_cast<double>(config_.mean_packet.bit_count()) /
                    config_.capacity.bps();
@@ -121,7 +123,7 @@ void FluidAggregate::audit_verify() const {
   SIM_CHECK(std::isfinite(base_rate_bps_) && std::isfinite(dynamic_rate_bps_),
             "FluidAggregate: non-finite demand");
   SIM_CHECK(residual().bps() >=
-                config_.capacity.bps() * config_.min_residual_fraction * 0.999,
+                config_.capacity.bps() * kMinResidualFraction * 0.999,
             "FluidAggregate: residual %.3f bps fell through the floor",
             residual().bps());
   SIM_CHECK(fluid_busy_ns_ >= 0.0 && accrued_to_ <= sim_.now(),

@@ -54,10 +54,6 @@ struct FluidAggregateConfig {
   /// Must equal the attached link's rate (Link::attach_fluid checks).
   Bandwidth capacity = Bandwidth::mbps(1);
   FluidQueueModel queue_model = FluidQueueModel::kResidualRate;
-  /// Residual rate never drops below this fraction of capacity, so an
-  /// oversubscribed fluid aggregate slows packets down (a lot) instead of
-  /// stalling the transmitter forever.
-  double min_residual_fraction = 0.01;
   /// Packet size of the displaced traffic, for the kMd1Wait moments.
   ByteSize mean_packet = ByteSize::bytes(512);
 };
@@ -84,7 +80,10 @@ class FluidAggregate {
 
   /// Instantaneous total fluid demand (never negative).
   Bandwidth fluid_rate() const;
-  /// Instantaneous residual capacity packetized traffic is served at.
+  /// Instantaneous residual capacity packetized traffic is served at;
+  /// never below 1 % of capacity, so an oversubscribed fluid aggregate
+  /// slows packets down (a lot) instead of stalling the transmitter
+  /// forever.
   Bandwidth residual() const;
   /// Fraction of capacity the fluid has consumed on time average in
   /// [0, now] — the fluid half of the link utilization gauge.  Returns 0

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/fluid.h"
 
 namespace bolot::sim {
@@ -482,6 +481,12 @@ void Link::audit_verify() const {
   }
 }
 
+double Link::utilization() const {
+  const double packetized = stats_.utilization(sim_.now());
+  if (fluid_ == nullptr) return packetized;
+  return std::min(packetized + fluid_->utilization(sim_.now()), 1.0);
+}
+
 void Link::publish_metrics(obs::MetricsRegistry& registry,
                            const std::string& prefix_arg) const {
   const std::string& prefix = prefix_arg.empty() ? config_.name : prefix_arg;
@@ -508,14 +513,8 @@ void Link::publish_metrics(obs::MetricsRegistry& registry,
                        [this] { return double(backlog_bytes_); });
   registry.probe_gauge(prefix + ".max_queue",
                        [this] { return double(stats_.max_queue); });
-  registry.probe_gauge(prefix + ".utilization", [this] {
-    // Residual-capacity utilization: the fluid share of the wire counts
-    // too, else a fluid-saturated link reads near-zero.  Fluid-free links
-    // evaluate to exactly the old expression.
-    double utilization = stats_.utilization(sim_.now());
-    if (fluid_ != nullptr) utilization += fluid_->utilization(sim_.now());
-    return std::min(utilization, 1.0);
-  });
+  registry.probe_gauge(prefix + ".utilization",
+                       [this] { return utilization(); });
   if (config_.red) {
     registry.probe_gauge(prefix + ".red_avg_queue",
                          [this] { return red_avg_; });
@@ -563,7 +562,6 @@ void Link::publish_metrics(obs::MetricsRegistry& registry,
 }
 
 void Link::drop(Packet&& packet, DropCause cause) {
-  SIM_TRACE("link.drop");
   switch (cause) {
     case DropCause::kOverflow:
       ++stats_.overflow_drops;

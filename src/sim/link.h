@@ -239,6 +239,14 @@ class Link {
   void attach_fluid(FluidAggregate& fluid);
   const FluidAggregate* fluid() const { return fluid_; }
 
+  /// Residual-capacity utilization over [0, now]: stats().utilization,
+  /// plus the attached fluid aggregate's share capped at 1 in total, so
+  /// a fluid-saturated link reads full rather than near-zero.  (A
+  /// service span counts as busy from its start, so the packetized share
+  /// alone can read a little above 1 mid-span.)  The `utilization` gauge
+  /// of publish_metrics and obs::watch_utilization both read it.
+  double utilization() const;
+
   /// Registers this link's observables with a MetricsRegistry, prefixed
   /// with `prefix` ("<prefix>.delivered", "<prefix>.drops_early", ...);
   /// an empty prefix means the link name.  The two directions of a duplex

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include "obs/trace.h"
+
 namespace bolot::sim {
 
 void Simulator::run_until(SimTime end) {

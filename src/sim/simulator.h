@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "util/audit.h"
 #include "util/time.h"
@@ -86,9 +85,6 @@ class Simulator {
     if constexpr (util::kAuditChecksEnabled) {
       util::audit_set_sim_context(now_.count_nanos(), dispatched_);
     }
-    if constexpr (obs::kTraceEnabled) {
-      obs::TraceRecorder::set_sim_time(now_.count_nanos());
-    }
     fn();
     ++dispatched_;
     if constexpr (util::kAuditChecksEnabled) {
@@ -126,11 +122,6 @@ class Simulator {
         // Stamp failure reports with the event being dispatched; the
         // Release hot path never touches the thread-local.
         util::audit_set_sim_context(now_.count_nanos(), dispatched_);
-      }
-      if constexpr (obs::kTraceEnabled) {
-        // SIM_TRACE instants fired from this event read the sim clock
-        // here (same thread-local pattern as the audit context).
-        obs::TraceRecorder::set_sim_time(now_.count_nanos());
       }
     });
     ++dispatched_;

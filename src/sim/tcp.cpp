@@ -6,12 +6,17 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/audit.h"
 
 namespace bolot::sim {
 
 namespace {
+
+constexpr ByteSize kAckWire = ByteSize::bytes(40);  // pure ack wire size
+constexpr Duration kInitialRto = Duration::seconds(1);
+constexpr Duration kMinRto = Duration::millis(200);
+constexpr Duration kMaxRto = Duration::seconds(30);
+constexpr std::uint32_t kDupackThreshold = 3;
 
 /// Window-state sanity, checked (audit builds) everywhere the sliding
 /// window moves: the paper's closed-loop cross traffic is only faithful
@@ -67,7 +72,7 @@ void TcpSink::on_packet(Packet&& p) {
   ack.id = p.id ^ 0x8000000000000000ULL;
   ack.kind = PacketKind::kOther;
   ack.flow = p.flow;
-  ack.size_bytes = 40;
+  ack.size_bytes = kAckWire.count();
   ack.src = node_;
   ack.dst = p.src;
   ack.set_tcp({flow.next_expected, /*is_ack=*/true});
@@ -88,9 +93,9 @@ TcpSource::TcpSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
       rng_(rng),
       config_(config),
       ssthresh_(config.initial_ssthresh_packets),
-      rto_(config.initial_rto) {
-  if (config_.segment <= ByteSize::zero() || config_.ack <= ByteSize::zero()) {
-    throw std::invalid_argument("TcpSource: packet sizes must be positive");
+      rto_(kInitialRto) {
+  if (config_.segment <= ByteSize::zero()) {
+    throw std::invalid_argument("TcpSource: segment size must be positive");
   }
   if (config_.initial_ssthresh_packets < 1.0 ||
       config_.receiver_window_packets < 1.0) {
@@ -186,10 +191,9 @@ void TcpSource::on_ack(std::uint64_t cumulative_ack) {
     // Duplicate ack.  Only trigger fast retransmit for losses past the
     // last recovery point: go-back-N leaves a window of pre-loss
     // segments in flight whose (stale) dupacks must not retrigger it.
-    if (++dupacks_ == config_.dupack_threshold && snd_una_ < snd_nxt_ &&
+    if (++dupacks_ == kDupackThreshold && snd_una_ < snd_nxt_ &&
         snd_una_ >= recover_) {
       ++stats_.fast_retransmits;
-      SIM_TRACE("tcp.fast_retransmit");
       enter_loss_recovery();
     }
     return;
@@ -218,8 +222,7 @@ void TcpSource::on_ack(std::uint64_t cumulative_ack) {
       rttvar_ms_ += (std::abs(err) - rttvar_ms_) / 4.0;
     }
     const double rto_ms = srtt_ms_ + 4.0 * rttvar_ms_;
-    rto_ = std::clamp(Duration::millis(rto_ms), config_.min_rto,
-                      config_.max_rto);
+    rto_ = std::clamp(Duration::millis(rto_ms), kMinRto, kMaxRto);
     stats_.last_srtt_ms = srtt_ms_;
     timed_seq_.reset();
   }
@@ -274,8 +277,7 @@ void TcpSource::on_timeout() {
   if (!running_ || !transfer_active_) return;
   if (snd_una_ == snd_nxt_) return;  // nothing outstanding
   ++stats_.timeouts;
-  SIM_TRACE("tcp.timeout");
-  rto_ = std::min(rto_ * 2, config_.max_rto);  // exponential backoff
+  rto_ = std::min(rto_ * 2, kMaxRto);  // exponential backoff
   enter_loss_recovery();
 }
 

@@ -11,10 +11,11 @@
 // traffic.
 //
 // Implemented: slow start + congestion avoidance (Jacobson), RTO from
-// SRTT + 4*RTTVAR with Karn's rule and exponential backoff, duplicate-ack
-// fast retransmit (Tahoe: retransmit + slow start), cumulative acks,
-// go-back-N recovery, receiver window cap, and an optional finite-
-// transfer model (geometric file sizes separated by idle periods).
+// SRTT + 4*RTTVAR with Karn's rule and exponential backoff (1 s initial,
+// clamped to [200 ms, 30 s]), 3-duplicate-ack fast retransmit (Tahoe:
+// retransmit + slow start), cumulative 40-byte acks, go-back-N recovery,
+// receiver window cap, and an optional finite-transfer model (geometric
+// file sizes separated by idle periods).
 // Not implemented: SACK, delayed acks, Nagle, fast recovery (Reno).
 #pragma once
 
@@ -41,13 +42,8 @@ namespace bolot::sim {
 
 struct TcpConfig {
   ByteSize segment = ByteSize::bytes(512);  // data segment wire size (MSS+hdrs)
-  ByteSize ack = ByteSize::bytes(40);       // pure ack wire size
   double initial_ssthresh_packets = 16.0;
   double receiver_window_packets = 32.0;  // cwnd cap
-  Duration initial_rto = Duration::seconds(1);
-  Duration min_rto = Duration::millis(200);
-  Duration max_rto = Duration::seconds(30);
-  std::uint32_t dupack_threshold = 3;
   /// Finite transfers: geometric file length with this mean (packets),
   /// separated by exponential idle periods.  Unset = one infinite
   /// transfer (a greedy FTP).

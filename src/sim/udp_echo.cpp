@@ -5,9 +5,15 @@
 
 #include "nettime/clock.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace bolot::sim {
+
+namespace {
+
+/// Seed of the Rng an interval_sampler draws from.
+constexpr std::uint64_t kIntervalSeed = 2024;
+
+}  // namespace
 
 EchoHost::EchoHost(Simulator& sim, Network& net, NodeId node)
     : sim_(sim), net_(net), node_(node) {
@@ -32,7 +38,7 @@ UdpEchoSource::UdpEchoSource(Simulator& sim, Network& net, NodeId source,
       source_(source),
       echo_(echo),
       config_(config),
-      interval_rng_(config.interval_seed) {
+      interval_rng_(kIntervalSeed) {
   if (config_.delta <= Duration::zero()) {
     throw std::invalid_argument("UdpEchoSource: delta must be positive");
   }
@@ -60,7 +66,6 @@ void UdpEchoSource::start(SimTime at) { sim_.schedule_at(at, [this] { send_next(
 void UdpEchoSource::send_next() {
   if (next_seq_ >= config_.probe_count) return;
 
-  SIM_TRACE("probe.send");
   analysis::ProbeRecord record;
   record.seq = next_seq_;
   record.send_time = stamp();
@@ -98,7 +103,6 @@ void UdpEchoSource::on_packet(Packet&& p) {
   record.echo_time = p.probe().echo_ts;
   last_rtt_ms_ = record.rtt.millis();
   ++received_;
-  SIM_TRACE("probe.echo");
 }
 
 analysis::ProbeTrace UdpEchoSource::trace() const { return trace_; }

@@ -53,8 +53,8 @@ struct ProbeSourceConfig {
   /// (e.g. a VBR video codec's 15-120 ms frame spacing, section 5's open
   /// question).  `delta` still records the nominal interval for analyses
   /// that assume one; index-based loss metrics remain exact.
+  /// It draws from an Rng seeded with a fixed 2024.
   std::function<Duration(Rng&)> interval_sampler;
-  std::uint64_t interval_seed = 2024;
   std::uint32_t flow = 0xFFFF;                    // probe flow identifier
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "tests/analysis/trace_fixtures.h"
 #include "util/rng.h"
@@ -181,6 +183,29 @@ TEST(AnalyzeWorkloadTest, Validation) {
   EXPECT_THROW(analyze_workload(trace, options), std::invalid_argument);
   EXPECT_THROW(analyze_workload(make_trace(20, {}), {}),
                std::invalid_argument);
+  // A bad bin or edge is a named error, never a plausible histogram (a
+  // zero bin made the bin count +inf, converted to std::size_t).
+  const auto expect_named = [&trace](const WorkloadOptions& bad,
+                                     const std::string& field) {
+    try {
+      analyze_workload(trace, bad);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bin : {-1.0, 0.0, std::nan(""), inf}) {
+    WorkloadOptions bad;
+    bad.bin_ms = bin;
+    expect_named(bad, "bin_ms");
+  }
+  for (const double edge : {std::nan(""), inf}) {
+    WorkloadOptions bad;
+    bad.max_ms = edge;
+    expect_named(bad, "max_ms");
+  }
 }
 
 TEST(AnalyzeWorkloadTest, ReceivedProbeWithZeroRttFormsPairs) {

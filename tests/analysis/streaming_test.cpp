@@ -102,7 +102,7 @@ std::optional<BottleneckEstimate> reference_packet_pair(
     const ProbeRecord& first = records[n];
     const ProbeRecord& second = records[n + 1];
     if (!first.received || !second.received) continue;
-    if (second.send_time - first.send_time > options.pair_send_gap) continue;
+    if (second.send_time - first.send_time > kPairSendGap) continue;
     const double spacing = ((second.send_time + second.rtt) -
                             (first.send_time + first.rtt))
                                .millis();
@@ -130,7 +130,7 @@ std::optional<BottleneckEstimate> reference_packet_pair(
 }
 
 /// One seeded mutation of a packet-pair return stream.  The in-order
-/// trace has pairs (send gaps straddling pair_send_gap), long loss gaps,
+/// trace has pairs (send gaps straddling kPairSendGap), long loss gaps,
 /// and zero and negative return spacings.  The arrival order pushes the
 /// received probes in seq order, with duplicates of pushed returns and
 /// late returns of skipped seqs injected behind the pushed prefix.

@@ -109,7 +109,7 @@ ChainRun run_chain3(bool with_obs) {
     net.link(n1, n2).publish_metrics(registry);
     net.link(n2, n3).publish_metrics(registry);
     watch_queue_packets(sampler, net.link(n0, n1));
-    watch_utilization(sampler, net.link(n0, n1), simulator);
+    watch_utilization(sampler, net.link(n0, n1));
   }
 
   std::uint64_t received = 0;

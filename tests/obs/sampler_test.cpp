@@ -6,6 +6,7 @@
 #include <string>
 
 #include "obs/timeseries.h"
+#include "sim/fluid.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
@@ -196,7 +197,7 @@ TEST(SamplerTest, WatchHelpersTrackComponentState) {
   Sampler sampler(simulator, Duration::micros(500), 4096);
   const std::size_t q_idx = watch_queue_packets(sampler, link);
   const std::size_t w_idx = watch_backlog_work_ms(sampler, link);
-  const std::size_t u_idx = watch_utilization(sampler, link, simulator);
+  const std::size_t u_idx = watch_utilization(sampler, link);
   EXPECT_EQ(sampler.series(q_idx).name(), "ab.queue_pkts");
 
   sim::CbrSource source(simulator, net, a, b, 1, sim::PacketKind::kBulk,
@@ -221,6 +222,39 @@ TEST(SamplerTest, WatchHelpersTrackComponentState) {
   EXPECT_EQ(queue.back(), 1.0);
   EXPECT_DOUBLE_EQ(work.back(), 1.0);
   EXPECT_GT(util.back(), 0.8);
+}
+
+TEST(SamplerTest, UtilizationSeriesEqualsRegistryGaugeOnFluidLink) {
+  // One definition of link utilization: on a link whose only load is a
+  // constant fluid base rate (the transmitter never runs), the
+  // watch_utilization series and the registry's utilization gauge, read
+  // at the same instants, are equal and carry the fluid share.
+  sim::Simulator simulator;
+  sim::LinkConfig config;
+  config.name = "fluid";
+  config.rate = Bandwidth::bps(1e6);
+  sim::Link link(simulator, config, Rng(1));
+  sim::FluidAggregateConfig fluid_config;
+  fluid_config.capacity = config.rate;
+  sim::FluidAggregate fluid(simulator, fluid_config, Rng(2));
+  fluid.add_base_rate(Bandwidth::bps(400e3));
+  link.attach_fluid(fluid);
+  MetricsRegistry registry;
+  link.publish_metrics(registry);
+
+  Sampler sampler(simulator, Duration::millis(1));
+  const std::size_t series_idx = watch_utilization(sampler, link);
+  const std::size_t gauge_idx = sampler.add_series("gauge", [&] {
+    return *registry.snapshot(simulator.now()).value("fluid.utilization");
+  });
+  sampler.start(SimTime());
+  simulator.run_until(Duration::millis(10));
+  sampler.stop();
+
+  const auto& series = sampler.series(series_idx).values();
+  ASSERT_EQ(series.size(), 11u);
+  EXPECT_EQ(series, sampler.series(gauge_idx).values());
+  EXPECT_DOUBLE_EQ(series.back(), 0.4);
 }
 
 }  // namespace

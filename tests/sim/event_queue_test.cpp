@@ -42,11 +42,19 @@ class EventQueueTestPeer {
 
 namespace {
 
+/// Dispatches the earliest pending event, ignoring its time.
+void dispatch(EventQueue& queue) { queue.dispatch_top([](SimTime) {}); }
+
+/// Dispatches until the queue is empty.
+void drain(EventQueue& queue) {
+  while (!queue.empty()) dispatch(queue);
+}
+
 TEST(EventQueueTest, EmptyOnConstruction) {
   EventQueue queue;
   EXPECT_TRUE(queue.empty());
   EXPECT_THROW(queue.next_time(), std::logic_error);
-  EXPECT_THROW(queue.pop(), std::logic_error);
+  EXPECT_THROW(dispatch(queue), std::logic_error);
 }
 
 TEST(EventQueueTest, PopsInTimeOrder) {
@@ -55,10 +63,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   queue.schedule(Duration::millis(30), [&] { order.push_back(3); });
   queue.schedule(Duration::millis(10), [&] { order.push_back(1); });
   queue.schedule(Duration::millis(20), [&] { order.push_back(2); });
-  while (!queue.empty()) {
-    auto event = queue.pop();
-    event.fn();
-  }
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -68,7 +73,7 @@ TEST(EventQueueTest, TiesBreakInSchedulingOrder) {
   for (int i = 0; i < 10; ++i) {
     queue.schedule(Duration::millis(5), [&order, i] { order.push_back(i); });
   }
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -79,7 +84,7 @@ TEST(EventQueueTest, CancelPreventsExecution) {
       queue.schedule(Duration::millis(1), [&fired] { ++fired; });
   queue.schedule(Duration::millis(2), [&fired] { fired += 10; });
   handle.cancel();
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, 10);
 }
 
@@ -88,7 +93,7 @@ TEST(EventQueueTest, CancelIsIdempotentAndSafeAfterFire) {
   int fired = 0;
   EventHandle handle =
       queue.schedule(Duration::millis(1), [&fired] { ++fired; });
-  queue.pop().fn();
+  dispatch(queue);
   handle.cancel();  // no-op after the event fired
   handle.cancel();
   EXPECT_EQ(fired, 1);
@@ -113,7 +118,7 @@ TEST(EventQueueTest, NextTimeSkipsCancelled) {
 TEST(EventQueueTest, RejectsSchedulingIntoThePast) {
   EventQueue queue;
   queue.schedule(Duration::millis(10), [] {});
-  queue.pop().fn();
+  dispatch(queue);
   EXPECT_THROW(queue.schedule(Duration::millis(5), [] {}), std::logic_error);
   // Scheduling exactly at the last popped time is allowed.
   EXPECT_NO_THROW(queue.schedule(Duration::millis(10), [] {}));
@@ -132,7 +137,7 @@ TEST(EventQueueTest, EventsCanScheduleMoreEvents) {
     ++fired;
     queue.schedule(Duration::millis(2), [&] { ++fired; });
   });
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, 2);
 }
 
@@ -145,11 +150,11 @@ TEST(EventQueueTest, FifoOrderSurvivesSlabReuse) {
   for (int i = 0; i < 5; ++i) {
     queue.schedule(Duration::millis(5), [&order, i] { order.push_back(i); });
   }
-  for (int i = 0; i < 5; ++i) queue.pop().fn();
+  for (int i = 0; i < 5; ++i) dispatch(queue);
   for (int i = 5; i < 10; ++i) {
     queue.schedule(Duration::millis(5), [&order, i] { order.push_back(i); });
   }
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -164,7 +169,7 @@ TEST(EventQueueTest, StaleHandleAfterSlotReuseIsNoop) {
   queue.schedule(Duration::millis(2), [&second] { ++second; });
   EXPECT_EQ(queue.slab_capacity(), 1u);  // proves the slot was reused
   stale.cancel();
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
 }
@@ -174,10 +179,10 @@ TEST(EventQueueTest, HandleOfFiredEventCannotCancelSlotSuccessor) {
   int first = 0, second = 0;
   EventHandle fired_handle =
       queue.schedule(Duration::millis(1), [&first] { ++first; });
-  queue.pop().fn();  // fires; slot returns to the free list
+  dispatch(queue);  // fires; slot returns to the free list
   queue.schedule(Duration::millis(2), [&second] { ++second; });
   fired_handle.cancel();  // stale: must not touch the successor
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(first, 1);
   EXPECT_EQ(second, 1);
 }
@@ -190,7 +195,7 @@ TEST(EventQueueTest, CancelDuringDispatchOfSelfIsNoop) {
     ++fired;
     self.cancel();  // own event is already popped; must be a no-op
   });
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(queue.empty());
 }
@@ -204,7 +209,7 @@ TEST(EventQueueTest, CallbackCanCancelPendingEventDuringDispatch) {
     ++fired;
     victim.cancel();
   });
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, 1);
 }
 
@@ -229,12 +234,12 @@ TEST(EventQueueTest, SlabStaysAtHighWaterMarkOfLiveEvents) {
   // 64 live at peak; a million schedule/pop cycles afterwards must not
   // allocate new slots.
   for (int i = 0; i < 64; ++i) queue.schedule(Duration::millis(1), [] {});
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   const std::size_t high_water = queue.slab_capacity();
   EXPECT_EQ(high_water, 64u);
   for (int i = 0; i < 1000000; ++i) {
     queue.schedule(Duration::millis(1), [] {});
-    queue.pop().fn();
+    dispatch(queue);
   }
   EXPECT_EQ(queue.slab_capacity(), high_water);
 }
@@ -257,7 +262,7 @@ TEST(EventQueueTest, EagerCancelPreservesDispatchOrderUnderChurn) {
   while (!queue.empty()) {
     EXPECT_LE(prev, queue.next_time());
     prev = queue.next_time();
-    queue.pop().fn();
+    dispatch(queue);
   }
   std::size_t expected = 0;
   for (int i = 0; i < 100; ++i) {
@@ -291,7 +296,7 @@ TEST(EventQueueTest, RearmReusesSlotWithoutSlabGrowth) {
       queue.reschedule_current(Duration::millis(fired + 1));
     }
   });
-  while (!queue.empty()) queue.dispatch_top([](SimTime) {});
+  drain(queue);
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(queue.slab_capacity(), 1u);
 }
@@ -313,11 +318,11 @@ TEST(EventQueueTest, SecondRearmInOneDispatchThrows) {
       threw = true;
     }
   });
-  queue.dispatch_top([](SimTime) {});
+  dispatch(queue);
   EXPECT_TRUE(threw);
   ASSERT_FALSE(queue.empty());
   EXPECT_EQ(queue.next_time(), Duration::millis(2));
-  queue.dispatch_top([](SimTime) {});
+  dispatch(queue);
 }
 
 TEST(EventQueueTest, HandleCancelsRearmedIncarnation) {
@@ -329,7 +334,7 @@ TEST(EventQueueTest, HandleCancelsRearmedIncarnation) {
     ++fired;
     queue.reschedule_current(Duration::millis(2));
   });
-  queue.dispatch_top([](SimTime) {});
+  dispatch(queue);
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(queue.empty());
   handle.cancel();
@@ -352,7 +357,7 @@ TEST(EventQueueTest, SelfCancelDuringDispatchTopLeavesQueueIntact) {
       order.push_back(3);
     });
   });
-  while (!queue.empty()) queue.dispatch_top([](SimTime) {});
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -373,19 +378,19 @@ TEST(EventQueueTest, RearmSequencesAtTheCallPoint) {
     queue.reschedule_current(Duration::millis(2));  // after 2's schedule
     queue.schedule(Duration::millis(2), [&order] { order.push_back(3); });
   });
-  while (!queue.empty()) queue.dispatch_top([](SimTime) {});
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
 }
 
-TEST(EventQueueTest, PopMovesMoveOnlyCallback) {
+TEST(EventQueueTest, DispatchTopRunsMoveOnlyCallback) {
   EventQueue queue;
   auto payload = std::make_unique<int>(42);
   int seen = 0;
   queue.schedule(Duration::millis(1),
                  [p = std::move(payload), &seen] { seen = *p; });
-  auto event = queue.pop();
-  event.fn();
+  dispatch(queue);
   EXPECT_EQ(seen, 42);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueueTest, DispatchOrderMatchesReferenceUnderTiesAndChurn) {
@@ -539,7 +544,7 @@ TEST(EventQueueTest, LastSequenceNumbersDispatchInOrderThenExhaust) {
   }
   EXPECT_EQ(queue.size(), 3u);  // the failed schedule left no trace
   queue.audit_verify();
-  while (!queue.empty()) queue.dispatch_top([](SimTime) {});
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_NE(rearm_error.find("2^40"), std::string::npos) << rearm_error;
 }
@@ -560,7 +565,7 @@ TEST(EventQueueTest, FullSlabIsANamedError) {
   EventQueueTestPeer::set_slot_count(queue, 0);
   int fired = 0;
   queue.schedule(Duration::millis(1), [&fired] { ++fired; });
-  queue.dispatch_top([](SimTime) {});
+  dispatch(queue);
   EXPECT_EQ(fired, 1);
 }
 

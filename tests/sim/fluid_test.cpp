@@ -26,8 +26,8 @@ TEST(FluidAggregateTest, ResidualRateSubtractsDemandWithFloor) {
   fluid.add_base_rate(Bandwidth::bps(400e3));
   EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 400e3);
   EXPECT_DOUBLE_EQ(fluid.residual().bps(), 600e3);
-  // Oversubscription floors at min_residual_fraction * capacity instead
-  // of stalling the transmitter.
+  // Oversubscription floors at 1 % of capacity instead of stalling the
+  // transmitter.
   fluid.add_base_rate(Bandwidth::bps(2e6));
   EXPECT_DOUBLE_EQ(fluid.residual().bps(), 0.01 * 1e6);
 }

@@ -4,15 +4,9 @@
 Usage: trace2json.py TRACE.btrc [OUT.json]
 
 The output loads in chrome://tracing and in Perfetto (ui.perfetto.dev).
-Two tracks are emitted:
-
-  * pid 1 "wall clock": TRACE_SCOPE records as complete ("X") events,
-    one row per recording thread, timed against the recorder's
-    steady-clock epoch;
-  * pid 2 "sim time": SIM_TRACE records as instant ("i") events placed
-    at the simulated time the event fired, so packet-level causality
-    (drops, retransmits, probe echoes) can be read on the simulation's
-    own clock.
+TRACE_SCOPE records become complete ("X") events of pid 1 "wall clock",
+one row per recording thread, timed against the recorder's steady-clock
+epoch.
 
 Timestamps are nanoseconds in the file; trace_event wants microseconds,
 so values are divided by 1e3 (fractional microseconds are preserved —
@@ -28,7 +22,7 @@ File layout (little-endian, written by obs::TraceRecorder::write):
   repeated 32-byte records:
       i64 ts_ns, i64 dur_ns, u32 name_id, u32 tid, u8 type, u8 pad[7]
 
-type 0 = wall-clock scope, type 1 = sim-time instant.
+type 0 = wall-clock scope, the only type written; any other is an error.
 """
 
 import json
@@ -73,21 +67,15 @@ def to_trace_events(names, records):
     events = [
         {"ph": "M", "pid": 1, "name": "process_name",
          "args": {"name": "wall clock (TRACE_SCOPE)"}},
-        {"ph": "M", "pid": 2, "name": "process_name",
-         "args": {"name": "sim time (SIM_TRACE)"}},
     ]
     for ts_ns, dur_ns, name_id, tid, rtype in records:
+        if rtype != 0:
+            raise ValueError(f"unknown BTRC record type {rtype}")
         name = names[name_id] if name_id < len(names) else f"name#{name_id}"
-        if rtype == 0:
-            events.append({
-                "ph": "X", "pid": 1, "tid": tid, "name": name,
-                "ts": ts_ns / 1e3, "dur": dur_ns / 1e3,
-            })
-        else:
-            events.append({
-                "ph": "i", "pid": 2, "tid": tid, "name": name,
-                "ts": ts_ns / 1e3, "s": "t",
-            })
+        events.append({
+            "ph": "X", "pid": 1, "tid": tid, "name": name,
+            "ts": ts_ns / 1e3, "dur": dur_ns / 1e3,
+        })
     return events
 
 
