@@ -12,8 +12,20 @@
 // high-water marks a schedule -> dispatch cycle performs zero
 // allocations.  Self-re-arming events (a link transmitter clocking
 // back-to-back packets, a periodic source) go one step further:
-// reschedule_current() re-queues the dispatching slot for one heap push,
-// with no slab traffic and no closure construction at all.
+// reschedule_current() re-queues the dispatching slot with no slab
+// traffic and no closure construction at all.
+//
+// Periodic timers (a probe stream re-arming every delta) would otherwise
+// fill the heap with entries every sift walks past.  A re-arm joins a
+// sorted FIFO "lane" instead when the lane is empty or the re-arm's time
+// is not earlier than the lane's newest entry; every other re-arm and
+// every schedule() goes to the heap.
+// A re-arm takes a sequence number above every pending one, so the lane
+// stays sorted by (time, seq) on its own.  Only the lane's earliest entry,
+// its lead, waits in the heap; the rest wait in a ring behind it, and
+// when the lead dispatches the next one takes its place at the root.  The
+// heap root is thus always the earliest pending event, and the dispatch
+// order is exactly that of the heap-only queue.
 //
 // Events at equal timestamps are dispatched in scheduling order (FIFO via
 // a monotonically increasing sequence number), so a simulation is a pure
@@ -23,19 +35,21 @@
 // pending events and 2^40 events scheduled over its lifetime; either
 // limit is a std::length_error, never a silent wrap.
 //
-// Cancellation is eager: cancel() removes the entry from the heap
-// immediately (O(log n) sift via the slot's stored heap position) and
-// recycles the slot through a free list, so cancelled-but-never-popped
-// timers (the TCP retransmit pattern: schedule a far-future RTO, cancel
-// it on every ack) cannot accumulate — live storage stays O(pending
-// events).  An EventHandle identifies its event by {slot, generation};
-// the generation is bumped whenever a slot is released, so a stale handle
+// Cancellation is eager: cancel() removes the entry immediately (an
+// O(log n) sift via the slot's stored heap position, or an O(lane) erase
+// for the rare cancel of an entry in the lane's ring) and recycles the
+// slot through a free list, so cancelled-but-never-popped timers (the TCP
+// retransmit pattern: schedule a far-future RTO, cancel it on every ack)
+// cannot accumulate — live storage stays O(pending events).  Those
+// one-shot timers are schedule()d, so they never enter or block the lane.
+// An EventHandle identifies its event by {slot, generation}; the
+// generation is bumped whenever a slot is released, so a stale handle
 // (event fired or cancelled, slot possibly reused) is a safe no-op.
 //
-// The hot paths (schedule, dispatch_top, the sifts) are defined in this
-// header so they inline into the simulator's dispatch loop; see
-// docs/MODEL_NOTES.md §9 for why eager cancellation and the packed key
-// preserve determinism.
+// The hot paths (schedule, dispatch_top, the sifts, the lane push) are
+// defined in this header so they inline into the simulator's dispatch
+// loop; see docs/MODEL_NOTES.md §9 for why eager cancellation, the packed
+// key and the lane preserve determinism.
 #pragma once
 
 #include <cstddef>
@@ -129,6 +143,7 @@ class EventQueue {
   }
 
   /// True when no live (non-cancelled) event remains.
+  /// (The lane's lead is in the heap whenever the lane is not empty.)
   bool empty() const { return heap_.empty(); }
 
   /// Time of the earliest pending event.  Requires !empty().
@@ -140,8 +155,9 @@ class EventQueue {
   /// Dispatches the earliest pending event in place: the closure runs
   /// from its slot, with no move out and no slab traffic when the
   /// callback re-arms itself (see reschedule_current).  `on_advance(at)`
-  /// runs before the closure so the caller can advance its clock.
-  /// Requires !empty().
+  /// runs before the closure so the caller can advance its clock.  If
+  /// either throws, the event is dropped and the exception propagates
+  /// with the queue intact.  Requires !empty().
   template <typename OnAdvance>
   void dispatch_top(OnAdvance&& on_advance) {
     if (heap_.empty()) throw_empty("EventQueue: dispatch on empty");
@@ -154,31 +170,56 @@ class EventQueue {
               "EventQueue: time runs backwards (%.9f s after %.9f s)",
               at.seconds(), last_popped_.seconds());
     last_popped_ = at;
-    // Root removal, specialised: the tail entry can only sink, so the
-    // sift_up that remove_heap_at() needs for interior removals is dead
-    // weight here.
-    const HeapEntry moved = heap_.back();
-    heap_.pop_back();
+    if (index == lane_lead_ && lane_size_ != 0) {
+      // The lane's next entry succeeds its lead at the root.
+      heap_[0] = lane_pop();
+      lane_lead_ = slot_of(heap_[0]);
+      sift_down(0);
+    } else {
+      if (index == lane_lead_) lane_lead_ = kNone;
+      // Root removal, specialised: the tail entry can only sink, so the
+      // sift_up that remove_heap_at() needs for interior removals is dead
+      // weight here.
+      const HeapEntry moved = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) {
+        heap_[0] = moved;
+        heap_pos_[slot_of(moved)] = 0;
+        sift_down(0);
+      }
+    }
     // The dispatching slot is out of the heap but not yet released; mark
     // it un-queued so a callback cancelling its own handle (the TCP
     // timeout pattern) is a no-op, exactly as when the slot was released
     // before invocation.  A rearm re-establishes the position on push.
     heap_pos_[index] = kNone;
-    if (!heap_.empty()) {
-      heap_[0] = moved;
-      heap_pos_[slot_of(moved)] = 0;
-      sift_down(0);
-    }
     dispatching_ = index;
     rearm_seq_ = kNoRearm;
-    on_advance(at);
-    slot_at(index).fn();
+    try {
+      on_advance(at);
+      slot_at(index).fn();
+    } catch (...) {
+      // Drop the event (and any rearm it made) and leave dispatch mode,
+      // so the queue stays consistent for the caller that catches.
+      release_slot(index);
+      dispatching_ = kNone;
+      rearm_seq_ = kNoRearm;
+      throw;
+    }
     if (rearm_seq_ != kNoRearm) {
       // Re-queue the very closure that just ran, slab untouched.  The
       // sequence number was taken inside the callback, so the dispatch
       // order is exactly that of a fresh schedule() at the same point.
-      heap_.push_back(HeapEntry{rearm_at_, pack_key(rearm_seq_, index)});
-      sift_up(heap_.size() - 1);
+      // That seq is above every pending one, so a time at or past the
+      // lane's newest entry keeps the lane sorted by (at, seq).
+      const HeapEntry entry{rearm_at_, pack_key(rearm_seq_, index)};
+      if (lane_lead_ != kNone && !(rearm_at_ < lane_back_at())) {
+        lane_push(entry);
+      } else {
+        if (lane_lead_ == kNone) lane_lead_ = index;  // opens the lane
+        heap_.push_back(entry);
+        sift_up(heap_.size() - 1);
+      }
     } else {
       release_slot(index);
     }
@@ -190,9 +231,10 @@ class EventQueue {
   /// steady-state fast path for self-re-arming events (link transmitter
   /// and propagation chains, periodic sources): a fresh schedule() of an
   /// identical closure costs slab release + allocation + closure
-  /// construction; a rearm costs one heap push.  At most one rearm per
-  /// dispatch.  The event's handle stays valid and cancels the re-armed
-  /// incarnation.
+  /// construction; a rearm costs one ring append when `at` is not
+  /// earlier than the lane's newest entry, one heap push otherwise.  At
+  /// most one rearm per dispatch.  The event's handle stays valid and
+  /// cancels the re-armed incarnation.
   void reschedule_current(SimTime at) {
     if (dispatching_ == kNone || rearm_seq_ != kNoRearm) throw_bad_rearm();
     if (at < last_popped_) throw_past();
@@ -202,7 +244,7 @@ class EventQueue {
   }
 
   /// Number of live (scheduled, not yet fired or cancelled) events.
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return heap_.size() + lane_size_; }
 
   /// Slots ever allocated.  Grows to the high-water mark of concurrent
   /// live events and then stays flat — eager cancellation means cancelled
@@ -211,9 +253,11 @@ class EventQueue {
   std::size_t slab_capacity() const { return slot_count_; }
 
   /// Deep structural walk, always compiled (the callers are audit-gated):
-  /// verifies the 4-ary heap property and heap_pos_ back-pointers, walks
-  /// the slab free list (no cycles, no slot both free and queued), and
-  /// checks the queued + free + dispatching slot accounting.  O(slots);
+  /// verifies the 4-ary heap property and heap_pos_ back-pointers, the
+  /// lane's lead and its ring's (at, seq) order and kInLane markers,
+  /// walks the slab free list
+  /// (no cycles, no slot both free and queued), and checks the heap +
+  /// lane + free + dispatching slot accounting.  O(slots);
   /// the audit build calls it from the Simulator dispatch loop every
   /// kAuditStride events, tests and the fuzz harness call it directly.
   void audit_verify() const;
@@ -226,6 +270,9 @@ class EventQueue {
   friend class EventQueueTestPeer;
 
   static constexpr std::uint32_t kNone = UINT32_MAX;
+  /// heap_pos_ value of a slot queued in the lane's ring; heap positions
+  /// stay below kMaxSlots, so it can never name one.
+  static constexpr std::uint32_t kInLane = UINT32_MAX - 1;
 
   /// Slots are allocated in fixed-size chunks so they never move: growing
   /// the slab allocates one new chunk instead of reallocating a vector and
@@ -332,6 +379,34 @@ class EventQueue {
     sift_up(heap_pos_[moved_slot]);
   }
 
+  std::uint32_t lane_mask() const {
+    return static_cast<std::uint32_t>(lane_.size() - 1);
+  }
+  /// Time of the lane's newest entry.  Requires lane_lead_ != kNone.
+  SimTime lane_back_at() const {
+    return lane_size_ != 0
+               ? lane_[(lane_head_ + lane_size_ - 1) & lane_mask()].at
+               : heap_[heap_pos_[lane_lead_]].at;
+  }
+
+  /// Appends to the lane's ring; the caller has checked that the lane has
+  /// a lead and stays sorted.
+  void lane_push(const HeapEntry& entry) {
+    if (lane_size_ == lane_.size()) grow_lane();
+    lane_[(lane_head_ + lane_size_) & lane_mask()] = entry;
+    ++lane_size_;
+    heap_pos_[slot_of(entry)] = kInLane;
+  }
+
+  /// Removes the ring's front entry, the lead's successor, for the caller
+  /// to queue in the heap.  Requires lane_size_ != 0.
+  HeapEntry lane_pop() {
+    const HeapEntry entry = lane_[lane_head_];
+    lane_head_ = (lane_head_ + 1) & lane_mask();
+    --lane_size_;
+    return entry;
+  }
+
   /// Returns `index` to the free list and invalidates outstanding handles.
   void release_slot(std::uint32_t index) {
     Slot& slot = slot_at(index);
@@ -344,6 +419,14 @@ class EventQueue {
 
   /// Eagerly removes the event in `slot` if `gen` still matches.
   void cancel(std::uint32_t slot_index, std::uint64_t gen);
+
+  /// Erases the ring entry naming `slot_index` (cold: periodic timers
+  /// are rarely cancelled).
+  void erase_from_lane(std::uint32_t slot_index);
+
+  /// Doubles the lane ring, keeping entry order (cold path; the ring
+  /// never shrinks, so a steady state never allocates).
+  void grow_lane();
 
   /// Appends one chunk of pristine slots (cold path).  Throws
   /// std::length_error once the slab holds kMaxSlots slots.
@@ -369,14 +452,24 @@ class EventQueue {
   // lives apart from the 80-byte Slot that holds the closure.
   std::vector<std::unique_ptr<Slot[]>> chunks_;  // slab; slots never move
   std::uint32_t slot_count_ = 0;                 // slots ever allocated
-  std::vector<std::uint32_t> heap_pos_;  // per-slot; kNone when not queued
+  std::vector<std::uint32_t> heap_pos_;  // per-slot; kNone if not queued,
+                                         // kInLane if in the lane's ring
   std::vector<HeapEntry> heap_;          // 4-ary min-heap
+  // The lane of periodic re-arms, sorted by (at, seq): its lead (earliest
+  // entry, kNone when the lane is empty) is queued in the heap, the
+  // entries behind it in a ring of capacity 0 or a power of two, front at
+  // lane_head_.
+  std::uint32_t lane_lead_ = kNone;
+  std::vector<HeapEntry> lane_;
+  std::uint32_t lane_head_ = 0;
+  std::uint32_t lane_size_ = 0;
   std::uint32_t free_head_ = kNone;
   std::uint64_t next_seq_ = 0;
   SimTime last_popped_;
 
   // Scratch for audit_verify()'s slot-state walk; a member so repeated
-  // audits stay allocation-free once it reaches the slab's size.
+  // audits stay allocation-free, and reserved with the slab in audit
+  // builds (grow_slab) so that even the first audit does not allocate.
   mutable std::vector<std::uint8_t> audit_scratch_;
 
   // In-place dispatch state (dispatch_top / reschedule_current).

@@ -43,8 +43,11 @@ void TokenBucketShaper::offer(Packet&& packet) {
     ++dropped_;
     return;
   }
+  // A non-empty queue already has its head's release pending; moving it
+  // on every offer would push the head's release back indefinitely.
+  const bool was_empty = queue_.empty();
   queue_.push_back(std::move(packet));
-  schedule_release(/*rearm=*/false);
+  if (was_empty) schedule_release(/*rearm=*/false);
 }
 
 void TokenBucketShaper::release_ready() {
@@ -72,12 +75,12 @@ void TokenBucketShaper::schedule_release(bool rearm) {
       Duration::seconds(std::max(0.0, deficit_bytes) * 8.0 /
                         config_.rate.bps()));
   if (rearm) {
-    // release_ready() is dispatching right now; re-arm it in place
-    // (pending_ keeps referring to the live slot).
+    // release_ready() is dispatching right now; re-arm it in place.
     sim_.rearm_in(wait);
   } else {
-    pending_.cancel();
-    pending_ = sim_.schedule_in(wait, [this] { release_ready(); });
+    // Only offer() to an empty queue gets here, and an empty queue has no
+    // release pending.
+    sim_.schedule_in(wait, [this] { release_ready(); });
   }
 }
 

@@ -66,7 +66,6 @@ class TokenBucketShaper {
   /// Held packets; full capacity (queue_packets) is reserved at
   /// construction, so offer() never allocates.
   util::RingBuffer<Packet> queue_;
-  EventHandle pending_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;
 };

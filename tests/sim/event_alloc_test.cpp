@@ -86,5 +86,40 @@ TEST(EventAllocTest, ScheduleCancelCycleIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(EventAllocTest, LaneAndHeapChurnIsAllocationFreeAfterWarmup) {
+  // 300 staggered 10 ms chains (the mesh's probe streams) re-arm into the
+  // lane while one-shot waves and an RTO-style timer churn the heap; once
+  // the lane ring, the heap and the slab have grown, nothing allocates.
+  Simulator simulator;
+  std::uint64_t ticks = 0;
+  std::uint64_t fired = 0;
+  for (int i = 0; i < 300; ++i) {
+    simulator.schedule_in(Duration::micros(1.0 + 33.0 * i),
+                          [&simulator, &ticks] {
+                            ++ticks;
+                            simulator.rearm_in(Duration::millis(10));
+                          });
+  }
+  EventHandle timer;
+  const auto cycle = [&] {
+    for (int i = 0; i < 256; ++i) {
+      simulator.schedule_in(Duration::micros(i % 97), [&fired] { ++fired; });
+    }
+    timer.cancel();
+    timer = simulator.schedule_in(Duration::seconds(30), [&fired] { ++fired; });
+    simulator.run_until(simulator.now() + Duration::millis(10));
+  };
+  for (int round = 0; round < 3; ++round) cycle();  // reach high-water marks
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 10; ++round) cycle();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(fired, 13u * 256u);
+  EXPECT_EQ(ticks, 13u * 300u);
+  EXPECT_EQ(simulator.pending_events(), 301u);
+}
+
 }  // namespace
 }  // namespace bolot::sim

@@ -38,6 +38,24 @@ class EventQueueTestPeer {
   static void set_slot_count(EventQueue& queue, std::uint32_t count) {
     queue.slot_count_ = count;
   }
+  /// Entries in the lane: its lead (queued in the heap) and its ring.
+  static std::size_t lane_size(const EventQueue& queue) {
+    return queue.lane_size_ + (queue.lane_lead_ != EventQueue::kNone ? 1 : 0);
+  }
+  /// True when the lane's lead and an event outside the lane are both
+  /// due at the heap root's time, so only their sequence numbers decide
+  /// which dispatches first.
+  static bool lane_ties_heap(const EventQueue& queue) {
+    if (queue.lane_lead_ == EventQueue::kNone) return false;
+    const SimTime at = queue.heap_[0].at;
+    if (queue.heap_[queue.heap_pos_[queue.lane_lead_]].at != at) return false;
+    if (queue.heap_pos_[queue.lane_lead_] != 0) return true;
+    // The root is the lead; the runner-up is one of the root's children.
+    for (std::size_t i = 1; i <= 4 && i < queue.heap_.size(); ++i) {
+      if (queue.heap_[i].at == at) return true;
+    }
+    return false;
+  }
 };
 
 namespace {
@@ -497,6 +515,242 @@ TEST(EventQueueTest, DispatchOrderMatchesReferenceUnderTiesAndChurn) {
   queue.audit_verify();
   EXPECT_GT(dispatched, 50'000u);
   EXPECT_GT(rearms, 20'000u);
+}
+
+TEST(EventQueueTest, LaneKeepsReferenceOrderUnderPeriodicChainsAndChurn) {
+  // Hundreds of long-period self-re-arming chains (the tomography mesh's
+  // probe streams) alongside short one-shot churn, against a sorted
+  // (at, seq) reference.  Chains are cancelled through their handles
+  // while queued in the lane, one-shots are aimed at a chain's exact next
+  // time so lane and heap tie at one nanosecond, and far-future one-shots
+  // sit in the heap throughout.  The whole structure is audited every
+  // 1000 operations, and from inside a callback every 997 dispatches.
+  using Peer = EventQueueTestPeer;
+  struct Token {
+    std::uint64_t seq = 0;
+    SimTime at;
+    bool live = false;
+    Duration period;               // zero for a one-shot
+    std::size_t chain = SIZE_MAX;  // index in `chains`, if a chain
+    EventHandle handle;
+  };
+  EventQueue queue;
+  Rng rng(0x1A7E5);
+  std::set<std::pair<SimTime, std::uint64_t>> reference;
+  std::uint64_t next_seq = 0;
+  std::vector<Token> tokens;
+  std::vector<std::size_t> chains;  // token index of each running chain
+  SimTime now;
+  std::size_t ops = 0;
+  std::size_t next_audit = 1000;
+  std::size_t dispatched = 0;
+  std::size_t lane_cancels = 0;
+  std::size_t ties = 0;
+  std::size_t max_lane = 0;
+  std::size_t dispatching = SIZE_MAX;
+  std::uint64_t expected_seq = 0;
+  bool draining = false;  // the final drain fires events without churn
+
+  const auto track = [&](std::size_t k, SimTime at) {
+    tokens[k].seq = next_seq++;
+    tokens[k].at = at;
+    tokens[k].live = true;
+    reference.emplace(at, tokens[k].seq);
+  };
+  const auto cancel = [&](std::size_t k) {
+    const std::size_t lane_before = Peer::lane_size(queue);
+    tokens[k].handle.cancel();  // a fired or cancelled token is a no-op
+    if (Peer::lane_size(queue) < lane_before) ++lane_cancels;
+    if (tokens[k].live && k != dispatching) {
+      reference.erase({tokens[k].at, tokens[k].seq});
+      tokens[k].live = false;
+    }
+  };
+  std::function<void(std::size_t)> on_fire;
+  const auto schedule = [&](SimTime at, Duration period, std::size_t chain) {
+    const std::size_t k = tokens.size();
+    tokens.emplace_back();
+    tokens[k].period = period;
+    tokens[k].chain = chain;
+    track(k, at);
+    tokens[k].handle = queue.schedule(at, [&on_fire, k] { on_fire(k); });
+    return k;
+  };
+  const auto start_chain = [&](std::size_t c) {
+    // Most chains share the 10 ms period, so their re-arms append to the
+    // lane; the 7 ms ones usually land before its tail and take the heap.
+    const Duration period =
+        Duration::micros(rng.uniform_int(5) == 0 ? 7000.0 : 10000.0);
+    chains[c] = schedule(
+        now + Duration::micros(static_cast<double>(rng.uniform_int(10000))),
+        period, c);
+  };
+  const auto schedule_one_shot = [&] {
+    const std::uint64_t r = rng.uniform_int(8);
+    if (r == 0) {
+      // Aimed at a chain's next firing: a lane-versus-heap tie.
+      const Token& chain = tokens[chains[rng.uniform_int(chains.size())]];
+      if (chain.live) schedule(chain.at, Duration::zero(), SIZE_MAX);
+    } else if (r == 1 && rng.uniform_int(50) == 0) {
+      // Far future: sits in the heap for the rest of the run.
+      schedule(now + Duration::seconds(1), Duration::zero(), SIZE_MAX);
+    } else {
+      schedule(
+          now + Duration::micros(static_cast<double>(rng.uniform_int(4))),
+          Duration::zero(), SIZE_MAX);
+    }
+  };
+  // A cancelled chain is replaced by a fresh one, so the population stays
+  // at chains.size().  The dispatching chain is left alone: its cancel
+  // would be a no-op.
+  const auto replace_chain = [&](std::size_t c) {
+    if (chains[c] == dispatching) return;
+    cancel(chains[c]);
+    start_chain(c);
+  };
+  const auto cancel_random = [&] {
+    const std::size_t k = rng.uniform_int(tokens.size());
+    const std::size_t c = tokens[k].chain;
+    if (c != SIZE_MAX && chains[c] == k) {
+      replace_chain(c);
+    } else {
+      cancel(k);
+    }
+  };
+  const auto cancel_chain = [&] {
+    replace_chain(rng.uniform_int(chains.size()));
+  };
+  on_fire = [&](std::size_t k) {
+    EXPECT_EQ(tokens[k].seq, expected_seq) << "dispatch " << dispatched;
+    tokens[k].live = false;
+    if (draining) return;
+    dispatching = k;
+    if (dispatched % 997 == 0) queue.audit_verify();  // mid-dispatch state
+    const Duration period = tokens[k].period;
+    bool rearmed = false;
+    if (period > Duration::zero() && rng.uniform_int(100) != 0) {
+      const SimTime at = now + period;
+      queue.reschedule_current(at);
+      track(k, at);
+      rearmed = true;
+    }
+    for (int step = static_cast<int>(rng.uniform_int(3)); step > 0; --step) {
+      ++ops;
+      const std::uint64_t r = rng.uniform_int(64);
+      if (r < 16 && !rearmed && period == Duration::zero()) {
+        const SimTime at =
+            now + Duration::micros(static_cast<double>(rng.uniform_int(4)));
+        queue.reschedule_current(at);
+        track(k, at);
+        rearmed = true;
+      } else if (r < 32) {
+        schedule_one_shot();
+      } else if (r < 62) {
+        cancel_random();
+      } else {
+        cancel_chain();
+      }
+    }
+    dispatching = SIZE_MAX;
+    if (period > Duration::zero() && !rearmed) {
+      start_chain(tokens[k].chain);  // the chain stopped itself
+    }
+  };
+  const auto dispatch = [&] {
+    if (Peer::lane_ties_heap(queue)) ++ties;
+    queue.dispatch_top([&](SimTime at) {
+      ASSERT_FALSE(reference.empty());
+      EXPECT_EQ(at, reference.begin()->first);
+      expected_seq = reference.begin()->second;
+      reference.erase(reference.begin());
+      now = at;
+    });
+    ++dispatched;
+    max_lane = std::max(max_lane, Peer::lane_size(queue));
+  };
+
+  chains.resize(300);
+  for (std::size_t c = 0; c < chains.size(); ++c) start_chain(c);
+  while (ops < 100'000) {
+    ++ops;
+    const std::uint64_t r = rng.uniform_int(100);
+    if (r < 10) {
+      schedule_one_shot();
+    } else if (r < 15) {
+      cancel_random();
+    } else if (r < 16) {
+      cancel_chain();
+    } else {
+      dispatch();
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+    if (!queue.empty()) {
+      ASSERT_EQ(queue.next_time(), reference.begin()->first);
+    }
+    if (ops >= next_audit) {
+      queue.audit_verify();
+      next_audit += 1000;
+    }
+  }
+  // The drain fires every pending event once, without re-arms.
+  draining = true;
+  while (!queue.empty()) dispatch();
+  EXPECT_TRUE(reference.empty());
+  queue.audit_verify();
+  EXPECT_GT(dispatched, 40'000u);
+  EXPECT_GT(max_lane, 200u);
+  EXPECT_GT(lane_cancels, 1'000u);
+  EXPECT_GT(ties, 500u);
+}
+
+TEST(EventQueueTest, FarFutureScheduleDoesNotBlockTheLane) {
+  // An end-of-run stop is schedule()d far ahead and lives in the heap;
+  // periodic chains started after it still re-arm into the lane.
+  using Peer = EventQueueTestPeer;
+  EventQueue queue;
+  SimTime now;
+  queue.schedule(Duration::seconds(1000), [] {});
+  for (int i = 0; i < 8; ++i) {
+    queue.schedule(Duration::millis(i + 1), [&queue, &now] {
+      queue.reschedule_current(now + Duration::millis(10));
+    });
+  }
+  const auto step = [&] {
+    queue.dispatch_top([&now](SimTime at) { now = at; });
+  };
+  for (int i = 0; i < 8; ++i) step();
+  EXPECT_EQ(Peer::lane_size(queue), 8u);
+  for (int i = 0; i < 800; ++i) step();
+  EXPECT_EQ(now, Duration::millis(1008));
+  EXPECT_EQ(queue.size(), 9u);
+  EXPECT_EQ(Peer::lane_size(queue), 8u);  // only the stop is outside it
+  queue.audit_verify();
+}
+
+TEST(EventQueueTest, ThrowingCallbackIsDroppedAndLeavesQueueIntact) {
+  // A callback that throws is dropped, re-arm or not: its slot is free
+  // again, and the queue is out of dispatch mode, so a rearm outside any
+  // callback is rejected as before.
+  EventQueue queue;
+  int fired = 0;
+  queue.schedule(Duration::millis(1),
+                 [] { throw std::runtime_error("callback failed"); });
+  queue.schedule(Duration::millis(2), [&queue] {
+    queue.reschedule_current(Duration::millis(5));
+    throw std::runtime_error("callback failed after its rearm");
+  });
+  queue.schedule(Duration::millis(3), [&fired] { ++fired; });
+  EXPECT_THROW(dispatch(queue), std::runtime_error);
+  EXPECT_THROW(queue.reschedule_current(Duration::millis(4)),
+               std::logic_error);
+  EXPECT_THROW(dispatch(queue), std::runtime_error);
+  EXPECT_EQ(queue.size(), 1u);  // the second event's rearm was discarded
+  queue.audit_verify();
+  queue.schedule(Duration::millis(3), [&fired] { ++fired; });
+  EXPECT_EQ(queue.slab_capacity(), 3u);  // a thrown event's slot, reused
+  drain(queue);
+  EXPECT_EQ(fired, 2);
+  queue.audit_verify();
 }
 
 TEST(EventQueueTest, HeapKeyPacksSeqAboveSlotAtBothLimits) {

@@ -116,6 +116,32 @@ TEST_F(ShaperFixture, TokensRefillDuringIdle) {
   EXPECT_EQ(shaper.forwarded(), 4u);
 }
 
+TEST_F(ShaperFixture, OffersBehindAQueuedPacketDoNotDelayItsRelease) {
+  // 1000 B at 1 Mb/s: the bucket refills one packet every 8 ms.  The first
+  // packet spends the bucket, the second queues and is due at 8 ms.
+  // Offers arriving every 0.9 us until 9.8 ms queue behind it and must
+  // not move that release: with each recomputed wait floored at 1 us,
+  // moving it on every offer would hold it back until the offers stop.
+  ShaperConfig config;
+  config.rate = Bandwidth::bps(1e6);
+  config.bucket = ByteSize::bytes(1000);
+  config.queue_packets = 20000;
+  TokenBucketShaper shaper(simulator, net, config);
+  shaper.offer(make_packet(1000));
+  simulator.schedule_in(Duration::zero(), [&shaper, this] {
+    shaper.offer(make_packet(1000));
+    if (simulator.now() < Duration::millis(9.8)) {
+      simulator.rearm_in(Duration::micros(0.9));
+    }
+  });
+  simulator.run_until(Duration::millis(12));
+  EXPECT_EQ(shaper.dropped(), 0u);
+  EXPECT_EQ(shaper.forwarded(), 2u);
+  ASSERT_EQ(arrivals.size(), 2u);
+  // Released at 8 ms, then 80 us on the wire and 1 us of propagation.
+  EXPECT_NEAR(arrivals[1].millis(), 8.081, 0.002);
+}
+
 TEST_F(ShaperFixture, RejectsBadConfig) {
   ShaperConfig config;
   config.rate = Bandwidth::bps(0.0);
