@@ -29,7 +29,8 @@ std::int64_t parse_int(std::string_view text, const char* what) {
 /// Extracts "<key>=<int>" from a header line.
 std::int64_t header_field(const std::string& line, std::string_view key) {
   const auto pos = line.find(key);
-  if (pos == std::string::npos) {
+  if (pos == std::string::npos || pos + key.size() >= line.size() ||
+      line[pos + key.size()] != '=') {
     throw std::runtime_error("trace csv: missing header field " +
                              std::string(key));
   }
@@ -86,6 +87,21 @@ ProbeTrace read_trace_csv(std::istream& is) {
   trace.delta = Duration::nanos(header_field(line, "delta_ns"));
   trace.probe_wire_bytes = header_field(line, "probe_wire_bytes");
   trace.clock_tick = Duration::nanos(header_field(line, "clock_tick_ns"));
+  // The bounds UdpEchoSource enforces on the traces it produces.
+  if (trace.delta <= Duration::zero()) {
+    throw std::runtime_error("trace csv: delta_ns must be positive, got " +
+                             std::to_string(trace.delta.count_nanos()));
+  }
+  if (trace.probe_wire_bytes <= 0) {
+    throw std::runtime_error(
+        "trace csv: probe_wire_bytes must be positive, got " +
+        std::to_string(trace.probe_wire_bytes));
+  }
+  if (trace.clock_tick.is_negative()) {
+    throw std::runtime_error("trace csv: clock_tick_ns must not be negative, "
+                             "got " +
+                             std::to_string(trace.clock_tick.count_nanos()));
+  }
 
   if (!std::getline(is, line) ||
       line != "seq,send_ns,received,rtt_ns,echo_ns") {

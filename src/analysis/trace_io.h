@@ -25,7 +25,9 @@ void save_trace_csv(const std::string& path, const ProbeTrace& trace);
 
 /// Parses a trace written by write_trace_csv.  Throws std::runtime_error
 /// on malformed input (wrong magic, bad field counts, non-numeric cells,
-/// out-of-order sequence numbers).
+/// out-of-order sequence numbers) and on values no probe source produces:
+/// delta_ns <= 0, probe_wire_bytes <= 0, clock_tick_ns < 0, received
+/// other than 0 or 1, a negative rtt, or a lost probe carrying an rtt.
 ProbeTrace read_trace_csv(std::istream& is);
 ProbeTrace load_trace_csv(const std::string& path);
 

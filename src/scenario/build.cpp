@@ -109,8 +109,6 @@ void reject_foreign_overrides(const ScenarioOverrides& o, bool chain) {
       {o.faulty_interface_drop.has_value(), "faulty_interface_drop", true},
       {o.cross_traffic.has_value(), "cross_traffic", true},
       {o.bottleneck_channel.has_value(), "bottleneck_channel", true},
-      {o.bottleneck_schedule != nullptr, "bottleneck_schedule", true},
-      {o.record_bottleneck_deliveries, "record_bottleneck_deliveries", true},
       {o.topology.has_value(), "topology", false},
       {o.fluid_background.has_value(), "fluid_background", false},
       {o.packetize_radius.has_value(), "packetize_radius", false},

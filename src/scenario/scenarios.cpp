@@ -50,7 +50,6 @@ void apply_overrides(PathSpec& path, const ScenarioOverrides& o) {
   }
   if (o.bottleneck_red) bottleneck.red = o.bottleneck_red;
   if (o.bottleneck_channel) bottleneck.channel = o.bottleneck_channel;
-  if (o.bottleneck_schedule) bottleneck.schedule = o.bottleneck_schedule;
   if (o.faulty_interface_drop) {
     for (const std::size_t h : path.faulty_hops) {
       path.hops[h].random_drop_probability = *o.faulty_interface_drop;
@@ -168,13 +167,6 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
                         overrides);
   sim::Link& bneck_fwd = net.link(upstream, upstream + 1);
   sim::Link& bneck_rev = net.link(upstream + 1, upstream);
-  std::vector<SimTime> bneck_deliveries;
-  if (overrides.record_bottleneck_deliveries) {
-    bneck_fwd.add_delivery_hook(
-        [&bneck_deliveries](const sim::Packet&, SimTime at) {
-          bneck_deliveries.push_back(at);
-        });
-  }
   if (obs::Sampler* sampler = run.sampler()) {
     // Both directions of a duplex link share one config name; publish
     // them under stable direction-qualified prefixes so sweeps can be
@@ -191,7 +183,7 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
     obs::watch_probe_rtt_ms(*sampler, run.probe());
   }
 
-  ScenarioResult result = run.run(
+  return run.run(
       [&] {
         for (auto& source : sources) {
           // Stagger starts so sources do not phase-lock on the first event.
@@ -199,8 +191,6 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
         }
       },
       bneck_fwd, bneck_rev);
-  result.bottleneck_delivery_times = std::move(bneck_deliveries);
-  return result;
 }
 
 PathSpec inria_umd_path() {

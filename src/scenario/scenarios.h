@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -126,15 +125,6 @@ struct ScenarioOverrides {
   /// so measured loss attributes cleanly to the modeled channel).
   /// MODEL_NOTES §13.
   std::optional<sim::MarkovChannelConfig> bottleneck_channel;
-  /// Chain only: trace-driven transmitter on the forward bottleneck
-  /// direction: the recorded delivery opportunities replace the
-  /// constant-rate server.
-  std::shared_ptr<const sim::DeliverySchedule> bottleneck_schedule;
-  /// Chain only: when true, the result carries the arrival time of every
-  /// packet the forward bottleneck link delivered — the raw material for
-  /// recording a DeliverySchedule from a simulated path
-  /// (tools/channel_trace_record).
-  bool record_bottleneck_deliveries = false;
   /// Shard the run across this many PDES domains (sim/pdes.h).  Both kinds
   /// of scenario clamp to their plan's TopologyPlan::partition_count: a
   /// chain's path length (path index = partition hint, so the path is cut
@@ -178,9 +168,6 @@ struct ScenarioResult {
   /// Filled only when ScenarioOverrides::obs_sample_interval is set.
   obs::MetricsSnapshot metrics;
   std::vector<obs::TimeSeries> series;
-  /// Filled only when ScenarioOverrides::record_bottleneck_deliveries is
-  /// set: far-end arrival times on the forward bottleneck link.
-  std::vector<SimTime> bottleneck_delivery_times;
   /// run_topology only: how the background split between the fluid fold
   /// and real packet sources (fluid + packetized == configured flows).
   std::size_t background_flows_fluid = 0;

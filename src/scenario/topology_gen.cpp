@@ -264,7 +264,6 @@ BuiltTopology instantiate_topology(
   for (const TopologyPlan::EdgeSpec& edge : plan.edges) {
     sim::LinkConfig reverse = edge.link;
     reverse.channel.reset();
-    reverse.schedule.reset();
     net.add_link(built.nodes[edge.a], built.nodes[edge.b], edge.link,
                  sim_of(built.node_domain[edge.a]));
     net.add_link(built.nodes[edge.b], built.nodes[edge.a], reverse,

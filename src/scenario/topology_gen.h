@@ -62,9 +62,9 @@ struct TopologyPlan {
   struct EdgeSpec {
     std::uint32_t a = 0, b = 0;  // indices into nodes; instantiated duplex
     /// The a -> b direction.  b -> a gets the same config without the
-    /// channel and the schedule: those model the probe direction only, so
-    /// the echo path stays an ideal constant-rate link and measured loss
-    /// attributes cleanly (MODEL_NOTES §13).
+    /// channel: it models the probe direction only, so the echo path stays
+    /// an ideal link and measured loss attributes cleanly (MODEL_NOTES
+    /// §13).
     sim::LinkConfig link;
   };
 

@@ -1,11 +1,7 @@
 #include "sim/channel.h"
 
 #include <cmath>
-#include <fstream>
-#include <istream>
 #include <numeric>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -152,95 +148,6 @@ void MarkovChannel::audit_verify() const {
               static_cast<unsigned long long>(drops_[i]),
               static_cast<unsigned long long>(packets_[i]));
   }
-}
-
-void DeliverySchedule::validate() const {
-  if (opportunities.empty()) {
-    throw std::invalid_argument("DeliverySchedule: no opportunities");
-  }
-  if (opportunities.front().is_negative()) {
-    throw std::invalid_argument("DeliverySchedule: negative opportunity time");
-  }
-  for (std::size_t i = 1; i < opportunities.size(); ++i) {
-    if (opportunities[i] < opportunities[i - 1]) {
-      throw std::invalid_argument("DeliverySchedule: opportunities unsorted");
-    }
-  }
-  if (period <= opportunities.back()) {
-    throw std::invalid_argument(
-        "DeliverySchedule: period must exceed the last opportunity");
-  }
-  if (bytes_per_opportunity <= 0) {
-    throw std::invalid_argument(
-        "DeliverySchedule: bytes_per_opportunity must be positive");
-  }
-}
-
-DeliverySchedule DeliverySchedule::parse(std::istream& is) {
-  DeliverySchedule schedule;
-  bool have_period = false;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream header(line.substr(1));
-      std::string token;
-      while (header >> token) {
-        if (token.rfind("bytes_per_opportunity=", 0) == 0) {
-          schedule.bytes_per_opportunity =
-              std::stoll(token.substr(token.find('=') + 1));
-        } else if (token.rfind("period_ns=", 0) == 0) {
-          schedule.period =
-              Duration::nanos(std::stoll(token.substr(token.find('=') + 1)));
-          have_period = true;
-        }
-      }
-      continue;
-    }
-    schedule.opportunities.push_back(Duration::nanos(std::stoll(line)));
-  }
-  if (schedule.opportunities.empty()) {
-    throw std::invalid_argument("DeliverySchedule: empty schedule file");
-  }
-  if (!have_period) {
-    // Default period: one mean inter-opportunity gap of silence after the
-    // last opportunity, so the replayed cycle keeps the trace's mean rate.
-    const Duration span =
-        schedule.opportunities.back() - schedule.opportunities.front();
-    Duration gap = schedule.opportunities.size() > 1
-                       ? span / static_cast<std::int64_t>(
-                                    schedule.opportunities.size() - 1)
-                       : Duration::millis(1.0);
-    if (gap.is_zero()) gap = Duration::nanos(1);
-    schedule.period = schedule.opportunities.back() + gap;
-  }
-  schedule.validate();
-  return schedule;
-}
-
-DeliverySchedule DeliverySchedule::load(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    throw std::runtime_error("DeliverySchedule: cannot open " + path);
-  }
-  return parse(file);
-}
-
-void DeliverySchedule::write(std::ostream& os) const {
-  os << "# bolot-schedule v1\n";
-  os << "# bytes_per_opportunity=" << bytes_per_opportunity
-     << " period_ns=" << period.count_nanos() << "\n";
-  for (const Duration& t : opportunities) {
-    os << t.count_nanos() << "\n";
-  }
-}
-
-void DeliverySchedule::save(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("DeliverySchedule: cannot write " + path);
-  }
-  write(file);
 }
 
 }  // namespace bolot::sim

@@ -1,30 +1,23 @@
-// Correlated-loss and trace-driven channel models for the link datapath.
+// Correlated-loss channel model for the link datapath.
 //
 // Bolot's §5 finding is that losses on the 1992 INRIA->UMd path were
 // essentially random (plg ~ 1).  Modern paths (cellular, Wi-Fi) are
 // bursty: losses cluster in time because the underlying channel moves
-// between good and bad states.  Two models cover that regime:
+// between good and bad states.  MarkovChannel covers that regime: an
+// N-state Markov chain advanced once per packet at transmission-complete
+// time, each state carrying a drop probability and an extra-delay
+// distribution.  The 2-state special case with a lossless good state and
+// a lossy bad state is the classic Gilbert-Elliott model, and it is
+// fit-able from a measured loss indicator sequence via
+// analysis::fit_gilbert.
 //
-//   * MarkovChannel — an N-state Markov chain advanced once per packet at
-//     transmission-complete time; each state carries a drop probability
-//     and an extra-delay distribution.  The 2-state special case with a
-//     lossless good state and a lossy bad state is the classic
-//     Gilbert-Elliott model, and it is fit-able from a measured loss
-//     indicator sequence via analysis::fit_gilbert.
-//   * DeliverySchedule — a cellsim-style trace-driven transmitter: the
-//     link's constant-rate server is replaced by a recorded sequence of
-//     variable delivery opportunities (each worth a fixed byte budget),
-//     replayed cyclically and deterministically from a file.
-//
-// Both stages live inside Link (see link.h); this header holds the
-// configuration types, the runtime Markov chain, and the schedule file
-// I/O.  MODEL_NOTES §13 explains why advancing channel state at
-// completion time preserves the PR 3 event-coalescing timing argument.
+// The stage lives inside Link (see link.h); this header holds the
+// configuration type and the runtime chain.  MODEL_NOTES §13 explains why
+// advancing channel state at completion time preserves the
+// event-coalescing timing argument of MODEL_NOTES §10.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "analysis/loss.h"
@@ -140,50 +133,6 @@ class MarkovChannel {
   Rng rng_;
   std::vector<std::uint64_t> packets_;
   std::vector<std::uint64_t> drops_;
-};
-
-/// A trace-driven delivery schedule (cellsim's schedule-from-file):
-/// sorted opportunity times within one cycle of length `period`, replayed
-/// cyclically.  Each opportunity lets the link transmit up to
-/// `bytes_per_opportunity` bytes; unused opportunities (empty queue,
-/// paused link) are wasted, and a partially-served front packet carries
-/// its earned bytes to the next opportunity.
-struct DeliverySchedule {
-  /// Opportunity times within one cycle, non-decreasing, first >= 0,
-  /// last < period.
-  std::vector<Duration> opportunities;
-  /// Cycle length; opportunity k fires at period*(k/n) + opportunities[k%n].
-  Duration period;
-  /// Byte budget earned per opportunity (cellsim's SERVICE_PACKET_SIZE).
-  std::int64_t bytes_per_opportunity = 1514;
-
-  std::size_t size() const { return opportunities.size(); }
-
-  /// Absolute time of the k-th opportunity (k unbounded; wraps cyclically).
-  SimTime at(std::uint64_t k) const {
-    const std::uint64_t n = opportunities.size();
-    return period * static_cast<std::int64_t>(k / n) + opportunities[k % n];
-  }
-
-  /// Throws std::invalid_argument when empty, unsorted, negative, or the
-  /// period does not cover the last opportunity.
-  void validate() const;
-
-  /// Text format, one integer nanosecond timestamp per line:
-  ///
-  ///   # bolot-schedule v1
-  ///   # bytes_per_opportunity=1514 period_ns=60000000000
-  ///   0
-  ///   12000000
-  ///   ...
-  ///
-  /// The period_ns header is optional; when absent the period defaults to
-  /// the last opportunity plus the mean inter-opportunity gap (one mean
-  /// gap of silence before the trace repeats).
-  static DeliverySchedule parse(std::istream& is);
-  static DeliverySchedule load(const std::string& path);
-  void write(std::ostream& os) const;
-  void save(const std::string& path) const;
 };
 
 }  // namespace bolot::sim

@@ -68,8 +68,9 @@ bool Domain::advance(SimTime end, std::size_t max_events,
   // Execute everything provably safe: strictly before the horizon (an
   // upstream event AT the horizon could still emit a handoff arriving
   // exactly there) and at or before end (run_until is end-inclusive, like
-  // the sequential kernel).  Handoff-vs-local timestamp ties dispatch the
-  // handoff first.
+  // the sequential kernel).  A handoff-vs-local timestamp tie dispatches
+  // the earlier-armed one first, the handoff when both were armed at the
+  // same time.
   std::size_t executed = 0;
   while (executed < max_events) {
     const std::int64_t t = next_event_ns();
@@ -84,7 +85,10 @@ bool Domain::advance(SimTime end, std::size_t max_events,
       horizon = moved;
       continue;
     }
-    if (!staged_.empty() && staged_.top().at.count_nanos() == t) {
+    if (!staged_.empty() && staged_.top().at.count_nanos() == t &&
+        !(sim_.pending_events() > 0 &&
+          sim_.next_event_time().count_nanos() == t &&
+          sim_.next_event_armed() < staged_.top().armed)) {
       Handoff h = staged_.top();
       staged_.pop();
       sim_.dispatch_external(h.at, [&] {

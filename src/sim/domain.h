@@ -18,10 +18,12 @@
 // side instead of each waiting out the other's claim (MODEL_NOTES §14).
 //
 // Determinism: cross-domain arrivals are merged into the event stream
-// from a staging heap ordered by (arrival time, global link uid, per-link
-// send stamp), and at a timestamp tie with a local event the handoff goes
-// first.  Both rules depend only on simulation state, never on thread
-// timing, so every run — any thread count, including one — executes the
+// from a staging heap ordered by (arrival time, arm time, global link
+// uid, per-link send stamp).  At a timestamp tie with a local event the
+// one armed earlier goes first, as in the sequential kernel, whose
+// equal-time order is arm order; equal arm times put the handoff first.
+// Every rule depends only on simulation state, never on thread timing,
+// so every run — any thread count, including one — executes the
 // identical event sequence.
 #pragma once
 
@@ -78,12 +80,13 @@ class Domain {
   };
 
   /// Heap order for staged handoffs: earliest arrival first; ties broken
-  /// by global link uid then per-link send stamp.  All three are pure
-  /// simulation state — the merge order is independent of when the
-  /// handoffs became visible.
+  /// by arm time, then global link uid, then per-link send stamp.  All
+  /// four are pure simulation state — the merge order is independent of
+  /// when the handoffs became visible.
   struct StagedAfter {
     bool operator()(const Handoff& a, const Handoff& b) const {
       if (a.at != b.at) return a.at > b.at;
+      if (a.armed != b.armed) return a.armed > b.armed;
       if (a.link != b.link) return a.link > b.link;
       return a.stamp > b.stamp;
     }

@@ -113,9 +113,12 @@ class EventQueue {
   /// Schedules `fn` (anything invocable as void()) at absolute time `at`.
   /// `at` must not precede the time of the most recently popped event.
   /// The closure is constructed directly into its slot — no intermediate
-  /// EventFn moves, no allocation once the slab has warmed up.
+  /// EventFn moves, no allocation once the slab has warmed up.  `armed`
+  /// is the caller's clock when it schedules (see next_armed()):
+  /// Simulator always passes now().  The zero default is for queue-level
+  /// tests, which never merge cross-domain arrivals.
   template <typename F>
-  EventHandle schedule(SimTime at, F&& fn) {
+  EventHandle schedule(SimTime at, F&& fn, SimTime armed = {}) {
     if (at < last_popped_) throw_past();
     if (next_seq_ >= kMaxSeq) throw_seq_exhausted();
     std::uint32_t index;
@@ -129,7 +132,7 @@ class EventQueue {
     }
     Slot& slot = slot_at(index);
     slot.fn = std::forward<F>(fn);
-    slot.next_free = kNone;
+    slot.armed_ns = armed.count_nanos();
     SIM_AUDIT(static_cast<bool>(slot.fn),
               "EventQueue: slot %u holds no closure after construction",
               index);
@@ -150,6 +153,15 @@ class EventQueue {
   SimTime next_time() const {
     if (heap_.empty()) throw_empty("EventQueue: next_time on empty");
     return heap_[0].at;
+  }
+
+  /// Clock reading at which the earliest pending event was scheduled or
+  /// last re-armed.  Equal-time events dispatch in that order (earlier
+  /// arm, smaller seq), which is what lets the parallel kernel merge a
+  /// cross-domain arrival into it.  Requires !empty().
+  SimTime next_armed() const {
+    if (heap_.empty()) throw_empty("EventQueue: next_armed on empty");
+    return Duration::nanos(slot_at(slot_of(heap_[0])).armed_ns);
   }
 
   /// Dispatches the earliest pending event in place: the closure runs
@@ -211,7 +223,9 @@ class EventQueue {
       // sequence number was taken inside the callback, so the dispatch
       // order is exactly that of a fresh schedule() at the same point.
       // That seq is above every pending one, so a time at or past the
-      // lane's newest entry keeps the lane sorted by (at, seq).
+      // lane's newest entry keeps the lane sorted by (at, seq).  The
+      // callback re-armed it at this dispatch's time.
+      slot_at(index).armed_ns = at.count_nanos();
       const HeapEntry entry{rearm_at_, pack_key(rearm_seq_, index)};
       if (lane_lead_ != kNone && !(rearm_at_ < lane_back_at())) {
         lane_push(entry);
@@ -300,7 +314,13 @@ class EventQueue {
 
   struct Slot {
     std::uint64_t gen = 0;  // bumped on release; stale handles miss
-    std::uint32_t next_free = kNone;
+    // A free slot links to the next free one; a queued or dispatching
+    // one keeps the clock it was armed at (next_armed).  Each is read
+    // only in its own state, so the two share the link's padded word.
+    union {
+      std::uint32_t next_free = kNone;
+      std::int64_t armed_ns;
+    };
     EventFn fn;
   };
 

@@ -41,10 +41,6 @@ Link::Link(Simulator& sim, LinkConfig config, Rng drop_rng)
     // configured: channel-free links keep their exact pre-channel streams.
     channel_.emplace(*config_.channel, drop_rng_.split());
   }
-  if (config_.schedule) {
-    config_.schedule->validate();
-    schedule_ = config_.schedule.get();
-  }
   // The buffer bound is the high-water mark by construction, so the queue
   // ring never grows after this.  The flight ring starts small and reaches
   // its own high-water mark (propagation / service time) within the first
@@ -55,10 +51,6 @@ Link::Link(Simulator& sim, LinkConfig config, Rng drop_rng)
 void Link::attach_fluid(FluidAggregate& fluid) {
   if (fluid_ != nullptr) {
     throw std::logic_error("Link: fluid aggregate already attached");
-  }
-  if (schedule_ != nullptr) {
-    throw std::invalid_argument(
-        "Link: fluid demand on a trace-driven transmitter is undefined");
   }
   if (fluid.config().capacity != config_.rate) {
     throw std::invalid_argument(
@@ -151,7 +143,7 @@ void Link::enqueue(Packet&& packet) {
   backlog_bytes_ += packet.size_bytes;
   queue_.push_back(std::move(packet));
   stats_.max_queue = std::max(stats_.max_queue, queue_.size());
-  if (!busy_ && !paused_) start_transmitter(/*rearm=*/false);
+  if (!busy_ && !paused_) start_front_transmission(/*rearm=*/false);
   audit_conservation();
 }
 
@@ -167,17 +159,9 @@ void Link::resume() {
   if (!paused_) return;
   paused_ = false;
   if (!busy_ && !queue_.empty()) {
-    start_transmitter(/*rearm=*/false);
+    start_front_transmission(/*rearm=*/false);
   } else if (queue_.empty()) {
     idle_since_ = sim_.now();  // reopen the serviceable-idle span
-  }
-}
-
-void Link::start_transmitter(bool rearm) {
-  if (schedule_) {
-    arm_opportunity(rearm);
-  } else {
-    start_front_transmission(rearm);
   }
 }
 
@@ -230,14 +214,17 @@ void Link::complete_front() {
     // channel, not the flight ring.  Arrival-time math (including the
     // channel/fluid-stage FIFO clamp) is identical to the local path
     // below, so the receiving domain sees the same timestamps the
-    // sequential kernel would have produced.
+    // sequential kernel would have produced.  So is the arm time: the
+    // flight ring arms an arrival now when no earlier one is pending,
+    // else when its predecessor arrives.
+    const SimTime armed = std::max(sim_.now(), last_flight_arrival_);
     SimTime arrive = sim_.now() + config_.propagation;
     if (variable_delay) {
       arrive += extra;
       if (arrive < last_flight_arrival_) arrive = last_flight_arrival_;
-      last_flight_arrival_ = arrive;
     }
-    remote_egress_(arrive, std::move(done));
+    last_flight_arrival_ = arrive;
+    remote_egress_(arrive, armed, std::move(done));
   } else if (sink_ || delivery_hook_count_ > 0) {
     // Hand off to the propagation stage: constant delay means FIFO order,
     // so one ring + one outstanding arrival event replaces a per-packet
@@ -267,67 +254,6 @@ void Link::on_transmission_complete() {
     start_front_transmission(/*rearm=*/true);
   } else if (queue_.empty() && !paused_) {
     idle_since_ = sim_.now();  // queue just went serviceable-idle
-  }
-  if (!flight_.empty() && !arrival_armed_) arm_arrival(/*rearm=*/false);
-  audit_conservation();
-}
-
-void Link::arm_opportunity(bool rearm) {
-  // Opportunities that passed while the link idled are gone — the radio
-  // had those slots whether or not we had data (cellsim semantics).  Jump
-  // whole replay cycles first so a long idle span costs O(schedule), not
-  // O(missed opportunities).
-  const SimTime now = sim_.now();
-  SimTime at = schedule_->at(schedule_next_);
-  if (at < now) {
-    const std::int64_t period_ns = schedule_->period.count_nanos();
-    const std::int64_t cycles = (now - at).count_nanos() / period_ns;
-    if (cycles > 0) {
-      const std::uint64_t jump =
-          static_cast<std::uint64_t>(cycles) * schedule_->size();
-      schedule_next_ += jump;
-      stats_.wasted_opportunities += jump;
-      at = schedule_->at(schedule_next_);
-    }
-    while (at < now) {
-      ++schedule_next_;
-      ++stats_.wasted_opportunities;
-      at = schedule_->at(schedule_next_);
-    }
-  }
-  busy_ = true;
-  if (rearm) {
-    sim_.rearm_at(at);
-  } else {
-    sim_.schedule_at(at, [this] { on_opportunity(); });
-  }
-}
-
-void Link::on_opportunity() {
-  ++schedule_next_;
-  if (paused_) {
-    // A frozen gateway wastes the slot; resume() re-arms the replay.
-    ++stats_.wasted_opportunities;
-    busy_ = false;
-    return;
-  }
-  schedule_credit_bytes_ += schedule_->bytes_per_opportunity;
-  while (!queue_.empty() &&
-         queue_.front().size_bytes <= schedule_credit_bytes_) {
-    schedule_credit_bytes_ -= queue_.front().size_bytes;
-    complete_front();
-  }
-  if (queue_.empty()) {
-    // Leftover credit does not bank across idle spans: an opportunity is
-    // only worth something while there is data to send.
-    schedule_credit_bytes_ = 0;
-    busy_ = false;
-    idle_since_ = sim_.now();
-  } else {
-    // Same seq-claim discipline as the constant-rate path: the next
-    // opportunity's rearm takes its sequence number before the arrival
-    // schedule below.
-    arm_opportunity(/*rearm=*/true);
   }
   if (!flight_.empty() && !arrival_armed_) arm_arrival(/*rearm=*/false);
   audit_conservation();
@@ -465,20 +391,6 @@ void Link::audit_verify() const {
                 config_.name.c_str());
     }
   }
-
-  // Trace-driven transmitter: earned credit is spent eagerly on whole
-  // packets, so it can never go negative, and it is zeroed whenever the
-  // queue drains (credit never banks across idle spans).
-  if (schedule_) {
-    SIM_CHECK(schedule_credit_bytes_ >= 0,
-              "Link %s: negative delivery credit %lld",
-              config_.name.c_str(),
-              static_cast<long long>(schedule_credit_bytes_));
-    SIM_CHECK(!queue_.empty() || schedule_credit_bytes_ == 0,
-              "Link %s: %lld B credit banked across an idle span",
-              config_.name.c_str(),
-              static_cast<long long>(schedule_credit_bytes_));
-  }
 }
 
 double Link::utilization() const {
@@ -541,11 +453,6 @@ void Link::publish_metrics(obs::MetricsRegistry& registry,
         return total > 0.0 ? double(channel_->state_packets(i)) / total : 0.0;
       });
     }
-  }
-  if (schedule_) {
-    registry.probe_counter(prefix + ".wasted_opportunities", [this] {
-      return double(stats_.wasted_opportunities);
-    });
   }
   if (fluid_ != nullptr) {
     // Fluid demand and what it leaves for packetized traffic.  Appended

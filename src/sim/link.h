@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -77,11 +76,6 @@ struct LinkConfig {
   /// (Gilbert-Elliott and general N-state Markov chains; MODEL_NOTES §13).
   /// Unset = ideal channel, and the fast path is untouched.
   std::optional<MarkovChannelConfig> channel;
-  /// Trace-driven transmitter: when set, the constant-rate server is
-  /// replaced by the recorded delivery opportunities (rate_bps is then
-  /// ignored).  Shared so a sweep can replay one loaded trace across many
-  /// links without copying it.
-  std::shared_ptr<const DeliverySchedule> schedule;
 };
 
 enum class DropCause : std::uint8_t {
@@ -100,15 +94,7 @@ struct LinkStats {
   std::uint64_t channel_drops = 0;   // Markov channel-stage drops
   std::int64_t bytes_delivered = 0;
   std::size_t max_queue = 0;         // high-water mark incl. in service
-  /// Cumulative transmitter busy time.  Constant-rate mode only: a
-  /// trace-driven transmitter has no service spans, so `busy` stays zero
-  /// there (utilization reads 0).
-  Duration busy;
-  /// Trace-driven mode only: delivery opportunities that fired with an
-  /// empty or paused queue and transmitted nothing (cellsim's wasted
-  /// opportunities).  Opportunities skipped while the link idled count
-  /// too — the radio had the slot either way.
-  std::uint64_t wasted_opportunities = 0;
+  Duration busy;                     // cumulative transmitter busy time
 
   std::uint64_t total_drops() const {
     return overflow_drops + random_drops + red_drops + channel_drops;
@@ -140,11 +126,13 @@ class Link {
   using DeliveryHook =
       util::InplaceFunction<void(const Packet&, SimTime at), kHookCapacity>;
   /// PDES boundary egress (see sim/pdes.h): called at transmission-complete
-  /// time with the packet and its computed far-end arrival time, instead of
-  /// pushing onto the local flight ring.  The receiving domain later feeds
-  /// the packet back through deliver_remote().
+  /// time with the packet, its computed far-end arrival time and the time
+  /// the flight ring would have armed that arrival, instead of pushing onto
+  /// the local flight ring.  The receiving domain later feeds the packet
+  /// back through deliver_remote().
   using RemoteEgress =
-      util::InplaceFunction<void(SimTime arrive, Packet&&), kHookCapacity>;
+      util::InplaceFunction<void(SimTime arrive, SimTime armed, Packet&&),
+                            kHookCapacity>;
 
   Link(Simulator& sim, LinkConfig config, Rng drop_rng);
 
@@ -228,14 +216,13 @@ class Link {
   const MarkovChannel* channel() const {
     return channel_ ? &*channel_ : nullptr;
   }
-  bool trace_driven() const { return schedule_ != nullptr; }
 
   /// Attaches a fluid aggregate (sim/fluid.h): the transmitter serves
   /// packets against the aggregate's time-varying residual rate (or, in
   /// kMd1Wait mode, adds its sampled queueing delay).  The aggregate must
   /// be driven by this link's Simulator (same PDES domain), its capacity
-  /// must equal rate_bps, and trace-driven links cannot take one.  Call
-  /// before traffic flows; links without one are byte-for-byte untouched.
+  /// must equal rate_bps.  Call before traffic flows; links without one
+  /// are byte-for-byte untouched.
   void attach_fluid(FluidAggregate& fluid);
   const FluidAggregate* fluid() const { return fluid_; }
 
@@ -286,24 +273,16 @@ class Link {
     Packet packet;
   };
 
-  /// Dispatches to the configured transmitter: constant-rate service
-  /// (start_front_transmission) or the trace-driven opportunity replay
-  /// (arm_opportunity).  Callers must have checked !busy_ && !paused_ and
-  /// a non-empty queue.
-  void start_transmitter(bool rearm);
-  /// `rearm` is true only when called from the completion callback
-  /// itself, where the event slot can be reused (Simulator::rearm_in).
+  /// Starts serving queue_.front().  Callers must have checked !busy_ &&
+  /// !paused_ and a non-empty queue.  `rearm` is true only when called
+  /// from the completion callback itself, where the event slot can be
+  /// reused (Simulator::rearm_in).
   void start_front_transmission(bool rearm);
   void on_transmission_complete();
   /// Retires queue_.front() through the channel stage: delivered packets
   /// move to the flight ring (with any channel extra delay, FIFO-clamped),
-  /// channel-dropped ones take the drop path.  Shared by the constant-rate
-  /// completion event and the trace-driven opportunity drain.
+  /// channel-dropped ones take the drop path.
   void complete_front();
-  /// Trace-driven transmitter: schedules the next delivery opportunity at
-  /// or after now (earlier ones are wasted), marking the link busy.
-  void arm_opportunity(bool rearm);
-  void on_opportunity();
   /// Schedules the single outstanding arrival event for flight_.front();
   /// `rearm` is true only when called from the arrival callback itself.
   void arm_arrival(bool rearm);
@@ -318,21 +297,13 @@ class Link {
   /// split from drop_rng_ at construction *only in that case*, so
   /// channel-free links draw the exact pre-channel random streams.
   std::optional<MarkovChannel> channel_;
-  /// Borrowed from config_.schedule (non-null iff trace-driven).
-  const DeliverySchedule* schedule_ = nullptr;
   /// Borrowed fluid demand aggregate (attach_fluid); null on the pure
   /// packet path, which then compiles to the exact pre-fluid behavior.
   FluidAggregate* fluid_ = nullptr;
-  /// Index of the next delivery opportunity to consider (monotone;
-  /// wraps through the schedule cyclically via DeliverySchedule::at).
-  std::uint64_t schedule_next_ = 0;
-  /// Bytes earned by past opportunities but not yet spent on the front
-  /// packet (cellsim's partial-packet carry).  Reset when the queue
-  /// drains: credit never accrues while there is nothing to send.
-  std::int64_t schedule_credit_bytes_ = 0;
-  /// Latest arrival time pushed to flight_; channel / fluid-wait extra
-  /// delay is clamped to this so the in-flight ring stays FIFO (only
-  /// maintained, and only needed, when channel_ or fluid_ is engaged).
+  /// Latest arrival time pushed to flight_ or handed to remote_egress_;
+  /// channel / fluid-wait extra delay is clamped to this so the in-flight
+  /// ring stays FIFO.  Maintained on the local path only when channel_ or
+  /// fluid_ is engaged, always on the remote path.
   SimTime last_flight_arrival_;
   Sink sink_;
   RemoteEgress remote_egress_;

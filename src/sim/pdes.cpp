@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -34,6 +35,17 @@ struct DriveState {
   std::condition_variable cv;
   int active = 0;
   bool expired = false;
+  /// Raised by the first driver that throws; every drive loop checks it.
+  std::atomic<bool> stop{false};
+  std::exception_ptr error;  // the first exception thrown; under mutex
+
+  void fail(std::exception_ptr e) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!error) error = std::move(e);
+    }
+    stop.store(true, std::memory_order_release);
+  }
 };
 
 }  // namespace
@@ -113,17 +125,19 @@ void ParallelSimulation::attach(Network& net,
     SpscChannel* chan = pair_channel[sd * n_domains + td];
     net.link_at(i).set_remote_egress(
         [chan, uid = static_cast<std::uint32_t>(i),
-         stamp = std::uint64_t{0}](SimTime at, Packet&& p) mutable {
-          chan->push(Handoff{at, uid, stamp++, std::move(p)});
+         stamp = std::uint64_t{0}](SimTime at, SimTime armed,
+                                   Packet&& p) mutable {
+          chan->push(Handoff{at, armed, uid, stamp++, std::move(p)});
         });
   }
   attached_ = true;
 }
 
-void ParallelSimulation::drive(SimTime end, std::size_t home) {
+void ParallelSimulation::drive(SimTime end, std::size_t home,
+                               const std::atomic<bool>& stop) {
   const std::size_t n = domains_.size();
   bool all_done = false;
-  while (!all_done) {
+  while (!all_done && !stop.load(std::memory_order_acquire)) {
     bool progress = false;
     all_done = true;
     for (std::size_t k = 0; k < n; ++k) {
@@ -134,8 +148,13 @@ void ParallelSimulation::drive(SimTime end, std::size_t home) {
         continue;
       }
       if (!d.done_.load(std::memory_order_relaxed)) {
-        progress |=
-            d.advance(end, kBatchEvents, kPublishEvents, links_by_uid_);
+        try {
+          progress |=
+              d.advance(end, kBatchEvents, kPublishEvents, links_by_uid_);
+        } catch (...) {
+          d.release();
+          throw;
+        }
       }
       const bool done = d.done_.load(std::memory_order_relaxed);
       d.release();
@@ -153,11 +172,10 @@ void ParallelSimulation::run_until(SimTime end) {
     std::lock_guard<std::mutex> lock(donor_mutex());
     donor = donor_slot();
   }
-  std::shared_ptr<DriveState> state;
+  const auto state = std::make_shared<DriveState>();
+  state->owner = this;
+  state->end = end;
   if (donor && domains_.size() > 1) {
-    state = std::make_shared<DriveState>();
-    state->owner = this;
-    state->end = end;
     for (std::size_t i = 1; i < domains_.size(); ++i) {
       donor([state] {
         std::size_t home = 0;
@@ -167,7 +185,11 @@ void ParallelSimulation::run_until(SimTime end) {
           ++state->active;
           home = state->next_home++;
         }
-        state->owner->drive(state->end, home);
+        try {
+          state->owner->drive(state->end, home, state->stop);
+        } catch (...) {
+          state->fail(std::current_exception());
+        }
         {
           std::lock_guard<std::mutex> lock(state->mutex);
           --state->active;
@@ -177,16 +199,23 @@ void ParallelSimulation::run_until(SimTime end) {
     }
   }
 
-  drive(end, 0);
+  try {
+    drive(end, 0, state->stop);
+  } catch (...) {
+    state->fail(std::current_exception());
+  }
 
-  if (state) {
-    // Late helpers must never touch this object again: mark the state
-    // expired (jobs not yet started bail out) and wait out the ones
-    // already inside drive().
+  // Late helpers must never touch this object again, even when a driver
+  // threw: mark the state expired (jobs not yet started bail out) and
+  // wait out the ones already inside drive().
+  std::exception_ptr error;
+  {
     std::unique_lock<std::mutex> lock(state->mutex);
     state->expired = true;
     state->cv.wait(lock, [&] { return state->active == 0; });
+    error = state->error;
   }
+  if (error) std::rethrow_exception(error);
 
   // Match Simulator::run_until's tail: an idle domain still reports
   // now() == end.

@@ -16,7 +16,7 @@
 // domain, and every cut edge must be a link with positive propagation
 // delay — attach() rejects zero-lookahead cuts.  Within those rules the
 // sharded run is deterministic for any worker count: domain.h explains
-// the (at, link uid, send stamp) merge order and the safe-time protocol.
+// the arm-time merge order and the safe-time protocol.
 //
 // Worker threads come from an optional process-wide donor (installed by
 // runner::shared_pool(), so the sim layer never depends on the runner);
@@ -24,6 +24,7 @@
 // domain itself and the run still completes, just without speedup.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -86,7 +87,10 @@ class ParallelSimulation {
   /// Advances every domain to `end` (inclusive, like
   /// Simulator::run_until); on return all domain clocks read `end` and
   /// all cross-domain traffic due at or before `end` has been delivered.
-  /// Callable repeatedly with increasing `end` (slice stepping).
+  /// Callable repeatedly with increasing `end` (slice stepping).  An
+  /// exception thrown by an event callback on any thread stops every
+  /// worker and is rethrown here once they are all out of the domains;
+  /// the throwing event is dropped, and a later call resumes the run.
   void run_until(SimTime end);
 
   /// Total events dispatched across all domains.  Matches the sequential
@@ -120,9 +124,11 @@ class ParallelSimulation {
   /// publishing only when the claim ends (1024) lost most of the gain.
   static constexpr std::size_t kPublishEvents = 64;
 
-  /// Claims and advances domains until every one is done for `end`,
-  /// scanning from `home` so each worker keeps to its own domain first.
-  void drive(SimTime end, std::size_t home);
+  /// Claims and advances domains until every one is done for `end` or
+  /// `stop` is raised, scanning from `home` so each worker keeps to its
+  /// own domain first.  A throwing domain is released before the
+  /// exception leaves.
+  void drive(SimTime end, std::size_t home, const std::atomic<bool>& stop);
 
   std::deque<Domain> domains_;       // deque: Domain is pinned (atomics)
   std::deque<SpscChannel> channels_; // deque: channels are pinned too

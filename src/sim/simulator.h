@@ -24,14 +24,14 @@ class Simulator {
     if (delay.is_negative()) {
       throw std::invalid_argument("Simulator: negative delay");
     }
-    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+    return queue_.schedule(now_ + delay, std::forward<F>(fn), now_);
   }
 
   /// Schedules `fn` at absolute time `at` (at >= now()).
   template <typename F>
   EventHandle schedule_at(SimTime at, F&& fn) {
     if (at < now_) throw std::invalid_argument("Simulator: time in the past");
-    return queue_.schedule(at, std::forward<F>(fn));
+    return queue_.schedule(at, std::forward<F>(fn), now_);
   }
 
   /// From within an event callback only: re-arms the currently dispatching
@@ -67,6 +67,9 @@ class Simulator {
 
   /// Time of the earliest pending event.  Requires pending_events() > 0.
   SimTime next_event_time() const { return queue_.next_time(); }
+  /// now() when the earliest pending event was armed (EventQueue::
+  /// next_armed).  Requires pending_events() > 0.
+  SimTime next_event_armed() const { return queue_.next_armed(); }
 
   /// Dispatches exactly one pending event (the earliest).
   void dispatch_next() { dispatch_one(); }

@@ -1,9 +1,10 @@
 // Single-producer single-consumer handoff channel for the PDES kernel
 // (sim/pdes.h): one channel per ordered pair of domains connected by at
 // least one cut link.  Carries packets that finished transmission in the
-// sending domain, stamped with their far-end arrival time, a global link
-// uid, and a per-link send sequence number — the receiving domain merges
-// handoffs into its event stream in (at, link, stamp) order so delivery
+// sending domain, stamped with their far-end arrival time, the time the
+// sequential kernel would have armed that arrival, a global link uid, and
+// a per-link send sequence number — the receiving domain merges handoffs
+// into its event stream in (at, armed, link, stamp) order so delivery
 // order never depends on thread scheduling.
 //
 // The ring is lock-free and fixed-capacity; the producer NEVER blocks
@@ -34,6 +35,7 @@ namespace bolot::sim {
 /// plain stores/loads with no construction protocol.
 struct Handoff {
   SimTime at;           // arrival time at the receiving end
+  SimTime armed;        // when the sequential kernel would arm the arrival
   std::uint32_t link;   // global link uid (Network link index)
   std::uint64_t stamp;  // per-link send sequence (FIFO tiebreak at equal at)
   Packet packet;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -326,12 +325,6 @@ TEST(RunTopologyTest, RejectsChainOverrides) {
          o.bottleneck_channel = sim::MarkovChannelConfig::gilbert_elliott(
              Probability::checked(0.1), Probability::checked(0.5));
        }},
-      {"bottleneck_schedule",
-       [](ScenarioOverrides& o) {
-         o.bottleneck_schedule = std::make_shared<sim::DeliverySchedule>();
-       }},
-      {"record_bottleneck_deliveries",
-       [](ScenarioOverrides& o) { o.record_bottleneck_deliveries = true; }},
   };
   for (const auto& [field, set] : fields) {
     ScenarioOverrides overrides = small_fabric(1, 1);

@@ -1,9 +1,9 @@
 // Randomized audit fuzz: ~50 seeded random topologies (1-5 hops, mixed
 // drop-tail/RED queues, faulty-interface stages, Markov loss channels
-// (Gilbert-Elliott and random 3-state chains with delay jitter),
-// trace-driven transmitters, UDP probes + closed-loop TCP + open-loop
-// cross traffic) driven with every deep invariant walk enabled, with each
-// topology run twice from the same seed.
+// (Gilbert-Elliott and random 3-state chains with delay jitter), UDP
+// probes + closed-loop TCP + open-loop cross traffic) driven with every
+// deep invariant walk enabled, with each topology run twice from the same
+// seed.
 //
 // The test asserts three distinct properties the figures depend on:
 //
@@ -129,14 +129,11 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
   for (std::size_t i = 0; i < hops; ++i) {
     LinkConfig cfg;
     cfg.name = "hop" + std::to_string(i);
-    // Continuous rate draw: round-number rates make serialization times
-    // exactly-round nanosecond counts, so two INDEPENDENT packets can
-    // meet at one node on the same nanosecond.  The sequential kernel
-    // orders such non-causal ties by event arm order, the parallel
-    // kernel by (link, stamp) — both deterministic, but not guaranteed
-    // equal (see sim/pdes.h).  Continuous rates make independent ties
-    // measure-zero, which is also the honest model: real links do not
-    // run at exact multiples of 128 kb/s.
+    // Continuous rate draw: real links do not run at exact multiples of
+    // 128 kb/s.  Same-nanosecond ties still happen (a TCP segment's
+    // completion meets the next segment's arrival in one of these
+    // topologies), and the parallel kernel must order them as the
+    // sequential one does: by arm time (MODEL_NOTES §14).
     cfg.rate = Bandwidth::bps(128e3 * rng.uniform(1.0, 17.0));
     cfg.propagation = Duration::millis(1.0 + rng.uniform(0.0, 15.0));
     cfg.buffer_packets = 4 + rng.uniform_int(28);
@@ -182,22 +179,6 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
         channel.initial_state = rng.uniform_int(3);
         cfg.channel = std::move(channel);
       }
-    } else if (rng.chance(0.2)) {
-      // Trace-driven transmitter replacing the constant-rate server on
-      // both directions of this hop.
-      auto schedule = std::make_shared<DeliverySchedule>();
-      const double period_ms = 6.0 + rng.uniform(0.0, 6.0);
-      const std::size_t slots = 4 + rng.uniform_int(8);
-      for (std::size_t s = 0; s < slots; ++s) {
-        schedule->opportunities.push_back(
-            Duration::millis(rng.uniform(0.0, period_ms * 0.95)));
-      }
-      std::sort(schedule->opportunities.begin(),
-                schedule->opportunities.end());
-      schedule->period = Duration::millis(period_ms);
-      schedule->bytes_per_opportunity =
-          600 + static_cast<std::int64_t>(rng.uniform_int(1200));
-      cfg.schedule = std::move(schedule);
     }
     audited.push_back(&net.add_duplex_link(path[i], path[i + 1], cfg,
                                            sim_of(i), sim_of(i + 1)));
@@ -325,7 +306,6 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
     digest.mix(stats.random_drops);
     digest.mix(stats.red_drops);
     digest.mix(stats.channel_drops);
-    digest.mix(stats.wasted_opportunities);
     digest.mix(static_cast<std::uint64_t>(stats.bytes_delivered));
     digest.mix(stats.max_queue);
     digest.mix_time(stats.busy);

@@ -4,8 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -300,224 +298,12 @@ TEST(ChannelLinkTest, ChannelFreeLinkUnchanged) {
   Simulator simulator;
   Link link(simulator, basic_config(), Rng(1));
   EXPECT_EQ(link.channel(), nullptr);
-  EXPECT_FALSE(link.trace_driven());
 }
 
-TEST(DeliveryScheduleTest, AtWrapsCyclically) {
-  DeliverySchedule schedule;
-  schedule.opportunities = {Duration::zero(), Duration::millis(3),
-                            Duration::millis(7)};
-  schedule.period = Duration::millis(10);
-  schedule.validate();
-  EXPECT_EQ(schedule.at(0), Duration::zero());
-  EXPECT_EQ(schedule.at(2), Duration::millis(7));
-  EXPECT_EQ(schedule.at(3), Duration::millis(10));   // cycle 1 begins
-  EXPECT_EQ(schedule.at(7), Duration::millis(23));   // 2*10 + 3
-  EXPECT_EQ(schedule.at(300), Duration::millis(1000));
-}
-
-TEST(DeliveryScheduleTest, ValidateRejectsMalformed) {
-  DeliverySchedule schedule;
-  EXPECT_THROW(schedule.validate(), std::invalid_argument);  // empty
-
-  schedule.opportunities = {Duration::millis(5), Duration::millis(3)};
-  schedule.period = Duration::millis(10);
-  EXPECT_THROW(schedule.validate(), std::invalid_argument);  // unsorted
-
-  schedule.opportunities = {Duration::millis(-1), Duration::millis(3)};
-  EXPECT_THROW(schedule.validate(), std::invalid_argument);  // negative
-
-  schedule.opportunities = {Duration::millis(3), Duration::millis(10)};
-  EXPECT_THROW(schedule.validate(), std::invalid_argument);  // period <= last
-
-  schedule.opportunities = {Duration::millis(3)};
-  schedule.bytes_per_opportunity = 0;
-  EXPECT_THROW(schedule.validate(), std::invalid_argument);
-}
-
-TEST(DeliveryScheduleTest, FileFormatRoundTrips) {
-  DeliverySchedule schedule;
-  schedule.opportunities = {Duration::zero(), Duration::millis(2.5),
-                            Duration::millis(9)};
-  schedule.period = Duration::millis(12);
-  schedule.bytes_per_opportunity = 600;
-
-  std::stringstream file;
-  schedule.write(file);
-  const DeliverySchedule parsed = DeliverySchedule::parse(file);
-  EXPECT_EQ(parsed.opportunities, schedule.opportunities);
-  EXPECT_EQ(parsed.period, schedule.period);
-  EXPECT_EQ(parsed.bytes_per_opportunity, schedule.bytes_per_opportunity);
-
-  // A second write of the parsed schedule is byte-identical.
-  std::stringstream first, second;
-  schedule.write(first);
-  parsed.write(second);
-  EXPECT_EQ(first.str(), second.str());
-}
-
-TEST(DeliveryScheduleTest, ParseDefaultsPeriodToMeanGap) {
-  std::stringstream file;
-  file << "# bolot-schedule v1\n2000000\n4000000\n6000000\n";
-  const DeliverySchedule parsed = DeliverySchedule::parse(file);
-  ASSERT_EQ(parsed.size(), 3u);
-  // Mean inter-opportunity gap is 2 ms: period = last + 2 ms.
-  EXPECT_EQ(parsed.period, Duration::millis(8));
-  EXPECT_EQ(parsed.bytes_per_opportunity, 1514);
-
-  std::stringstream empty;
-  empty << "# bolot-schedule v1\n";
-  EXPECT_THROW(DeliverySchedule::parse(empty), std::invalid_argument);
-}
-
-std::shared_ptr<const DeliverySchedule> every_millisecond(
-    std::int64_t bytes_per_opportunity) {
-  auto schedule = std::make_shared<DeliverySchedule>();
-  schedule->opportunities = {Duration::zero()};
-  schedule->period = Duration::millis(1);
-  schedule->bytes_per_opportunity = bytes_per_opportunity;
-  return schedule;
-}
-
-TEST(TraceDrivenLinkTest, ServesAtOpportunityTimes) {
-  Simulator simulator;
-  LinkConfig config = basic_config();
-  config.schedule = every_millisecond(1514);
-  Link link(simulator, config, Rng(1));
-  EXPECT_TRUE(link.trace_driven());
-  std::vector<Duration> arrivals;
-  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
-  link.enqueue(make_packet(1514, 0));
-  link.enqueue(make_packet(1514, 1));
-  simulator.run_to_completion();
-  // One packet per opportunity (t = 0 and t = 1 ms), plus propagation.
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], Duration::millis(10));
-  EXPECT_EQ(arrivals[1], Duration::millis(11));
-  link.audit_verify();
-}
-
-TEST(TraceDrivenLinkTest, CreditCarriesWithinBusyPeriodAndResetsWhenIdle) {
-  Simulator simulator;
-  LinkConfig config = basic_config();
-  config.propagation = Duration::zero();
-  config.schedule = every_millisecond(600);
-  Link link(simulator, config, Rng(1));
-  std::vector<Duration> arrivals;
-  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
-
-  // 1000 B at 600 B/opportunity: needs two opportunities.  Enqueued at
-  // t = 0.5 ms, the t = 0 slot is already gone (wasted), so the packet is
-  // served at t = 2 ms, leaving 200 B of credit.
-  simulator.schedule_in(Duration::millis(0.5),
-                        [&link] { link.enqueue(make_packet(1000, 0)); });
-  // The queue drains at 2 ms, so the leftover credit must be discarded: a
-  // 700 B packet enqueued at 2.5 ms needs two fresh opportunities (600 at
-  // 3 ms is short; 1200 at 4 ms serves it).  If credit banked across the
-  // idle span, 600 + 200 at 3 ms would serve it a slot early.
-  simulator.schedule_in(Duration::millis(2.5),
-                        [&link] { link.enqueue(make_packet(700, 1)); });
-  simulator.run_to_completion();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], Duration::millis(2));
-  EXPECT_EQ(arrivals[1], Duration::millis(4));
-  EXPECT_EQ(link.stats().wasted_opportunities, 1u);
-  link.audit_verify();
-}
-
-TEST(TraceDrivenLinkTest, LongIdleSkipsWholeCyclesAndCountsWaste) {
-  Simulator simulator;
-  LinkConfig config = basic_config();
-  config.propagation = Duration::zero();
-  config.schedule = every_millisecond(1514);
-  Link link(simulator, config, Rng(1));
-  std::vector<Duration> arrivals;
-  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
-
-  link.enqueue(make_packet(72, 0));  // served at the t = 0 opportunity
-  simulator.schedule_in(Duration::millis(10.5),
-                        [&link] { link.enqueue(make_packet(72, 1)); });
-  simulator.run_to_completion();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], Duration::zero());
-  // Opportunities 1..10 (1 ms .. 10 ms) passed while idle; the next one
-  // the replay can use is t = 11 ms.
-  EXPECT_EQ(arrivals[1], Duration::millis(11));
-  EXPECT_EQ(link.stats().wasted_opportunities, 10u);
-  link.audit_verify();
-}
-
-TEST(TraceDrivenLinkTest, PausedLinkWastesOpportunities) {
-  Simulator simulator;
-  LinkConfig config = basic_config();
-  config.propagation = Duration::zero();
-  config.schedule = every_millisecond(1514);
-  Link link(simulator, config, Rng(1));
-  std::vector<Duration> arrivals;
-  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
-
-  link.pause();
-  link.enqueue(make_packet(72, 0));
-  simulator.schedule_in(Duration::millis(3.5), [&link] { link.resume(); });
-  simulator.run_to_completion();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0], Duration::millis(4));
-  link.audit_verify();
-}
-
-/// One deterministic trace-driven run: a seeded random packet feed
-/// through a scheduled link, returning every arrival time.
-std::vector<Duration> trace_driven_replay(std::uint64_t seed) {
-  Simulator simulator;
-  LinkConfig config;
-  config.rate = Bandwidth::bps(128e3);
-  config.propagation = Duration::millis(10);
-  config.buffer_packets = 8;
-  config.schedule = every_millisecond(600);
-  config.channel = MarkovChannelConfig::from_loss_targets(Probability::checked(0.1), 3.0);
-  Link link(simulator, config, Rng(seed));
-  std::vector<Duration> arrivals;
-  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
-
-  Rng feed_rng(seed ^ 0x5DEECE66DULL);
-  std::uint64_t sent = 0;
-  std::function<void()> feed = [&] {
-    link.enqueue(
-        make_packet(64 + static_cast<std::int64_t>(feed_rng.uniform_int(900)),
-                    sent));
-    if (++sent < 2000) {
-      simulator.schedule_in(
-          Duration::millis(0.2 + feed_rng.uniform(0.0, 1.5)), feed);
-    }
-  };
-  feed();
-  simulator.run_to_completion();
-  link.audit_verify();
-  return arrivals;
-}
-
-TEST(TraceDrivenLinkTest, ReplayIsByteIdenticalAcrossRuns) {
-  const std::vector<Duration> first = trace_driven_replay(77);
-  const std::vector<Duration> second = trace_driven_replay(77);
-  ASSERT_GT(first.size(), 100u);
-  EXPECT_EQ(first, second);
-  // A different seed must actually change the run (the feed and the
-  // channel are live, not constants).
-  EXPECT_NE(first, trace_driven_replay(78));
-}
-
-TEST(TraceDrivenLinkTest, SweepArtifactsIdenticalAcrossThreadCounts) {
-  // The whole-scenario version of the replay property: a sweep over
-  // channel + trace-driven bottleneck overrides serializes to the same
+TEST(ChannelLinkTest, SweepArtifactsIdenticalAcrossThreadCounts) {
+  // A sweep over bottleneck channel overrides serializes to the same
   // deterministic artifact no matter the pool size (the sweep runner's
-  // bit-identical contract extended to the new datapath stages).
-  auto schedule = std::make_shared<DeliverySchedule>();
-  for (int i = 0; i < 10; ++i) {
-    schedule->opportunities.push_back(Duration::millis(5.0 * i));
-  }
-  schedule->period = Duration::millis(50);
-  schedule->bytes_per_opportunity = 1514;
-
+  // bit-identical contract extended to the channel stage).
   std::vector<runner::RunSpec> specs;
   for (double plg : {1.0, 2.0, 5.0, 10.0}) {
     runner::RunSpec spec;
@@ -525,7 +311,7 @@ TEST(TraceDrivenLinkTest, SweepArtifactsIdenticalAcrossThreadCounts) {
     spec.params = {{"target_plg", plg}};
     specs.push_back(std::move(spec));
   }
-  const auto job = [&schedule](const runner::RunContext& ctx) {
+  const auto job = [](const runner::RunContext& ctx) {
     scenario::ProbePlan plan;
     plan.delta = Duration::millis(20);
     plan.duration = Duration::seconds(10);
@@ -533,7 +319,6 @@ TEST(TraceDrivenLinkTest, SweepArtifactsIdenticalAcrossThreadCounts) {
     scenario::ScenarioOverrides overrides;
     overrides.bottleneck_channel =
         MarkovChannelConfig::from_loss_targets(Probability::checked(0.05), ctx.param("target_plg"));
-    overrides.bottleneck_schedule = schedule;
     return runner::scenario_metrics(scenario::run_inria_umd(plan, overrides));
   };
 

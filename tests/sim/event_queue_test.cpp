@@ -343,6 +343,35 @@ TEST(EventQueueTest, SecondRearmInOneDispatchThrows) {
   dispatch(queue);
 }
 
+TEST(EventQueueTest, NextArmedIsTheScheduleOrRearmClock) {
+  // The arm time shares the slot's free-list link, so it must survive
+  // queueing, be replaced by a rearm's dispatch time, and be rewritten
+  // when a freed slot is handed out again.
+  EventQueue queue;
+  EXPECT_THROW(queue.next_armed(), std::logic_error);
+  queue.schedule(Duration::millis(5), [] {}, Duration::millis(2));
+  bool rearmed = false;
+  queue.schedule(
+      Duration::millis(1),
+      [&queue, &rearmed] {
+        if (!rearmed) queue.reschedule_current(Duration::millis(3));
+        rearmed = true;
+      },
+      Duration::millis(0));
+  EXPECT_EQ(queue.next_armed(), Duration::millis(0));
+  dispatch(queue);  // 1 ms: re-arms itself for 3 ms
+  EXPECT_EQ(queue.next_time(), Duration::millis(3));
+  EXPECT_EQ(queue.next_armed(), Duration::millis(1));
+  dispatch(queue);  // 3 ms: released to the free list
+  EXPECT_EQ(queue.next_armed(), Duration::millis(2));
+  queue.schedule(Duration::millis(4), [] {}, Duration::millis(3));
+  EXPECT_EQ(queue.slab_capacity(), 2u);  // the freed slot was reused
+  EXPECT_EQ(queue.next_armed(), Duration::millis(3));
+  queue.audit_verify();
+  drain(queue);
+  queue.audit_verify();
+}
+
 TEST(EventQueueTest, HandleCancelsRearmedIncarnation) {
   // A rearm keeps the slot and generation, so the handle from the
   // original schedule() must still control the re-armed event.

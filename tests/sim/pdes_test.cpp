@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -114,23 +115,27 @@ TEST(PdesTest, AttachRejectsBadPartition) {
 }
 
 TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
-  // A trace-driven transmitter can retire several packets in one
-  // opportunity, so they cross the cut with the SAME arrival nanosecond;
-  // the per-link send stamp must keep them FIFO at the receiver.
+  // The channel stage's FIFO clamp can hold a packet back onto its
+  // predecessor's arrival time, so two packets cross the cut with the
+  // SAME arrival nanosecond; the per-link send stamp must keep them FIFO
+  // at the receiver.  The 2-state chain alternates every packet: the
+  // first (state 0) gets 20 ms of extra delay and arrives at 8 + 2 + 20 =
+  // 30 ms, the second (state 1) none and is clamped from 18 ms to 30 ms.
   ParallelSimulation psim(2);
   Network net(psim.simulator(0), 7);
   const NodeId a = net.add_node("a");
   const NodeId b = net.add_node("b");
-  auto schedule = std::make_shared<DeliverySchedule>();
-  schedule->opportunities = {Duration::millis(1)};
-  schedule->period = Duration::millis(10);
-  schedule->bytes_per_opportunity = 3000;  // both 1000-byte packets at once
+  MarkovChannelConfig channel;
+  channel.states = {ChannelState{Probability::zero(), Duration::millis(20), {}},
+                    ChannelState{}};
+  channel.transitions = {0.0, 1.0, 1.0, 0.0};
+  channel.initial_state = 1;  // the first advance moves to state 0
   LinkConfig config;
   config.name = "a->b";
-  config.rate = Bandwidth::bps(1e6);  // ignored (trace-driven)
+  config.rate = Bandwidth::bps(1e6);  // 8 ms per 1000-byte packet
   config.propagation = Duration::millis(2);
   config.buffer_packets = 8;
-  config.schedule = schedule;
+  config.channel = channel;
   Link& link = net.add_link(a, b, config, psim.simulator(0));
   std::vector<std::pair<std::int64_t, std::uint64_t>> arrivals;
   link.add_delivery_hook([&arrivals](const Packet& p, SimTime at) {
@@ -147,11 +152,76 @@ TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
     p.id = 2;
     link.enqueue(Packet(p));
   });
-  psim.run_until(Duration::millis(20));
+  psim.run_until(Duration::millis(50));
   ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0].first, Duration::millis(30).count_nanos());
   EXPECT_EQ(arrivals[0].first, arrivals[1].first);  // same nanosecond
   EXPECT_EQ(arrivals[0].second, 1u);                // send order kept
   EXPECT_EQ(arrivals[1].second, 2u);
+}
+
+/// Dispatch order at b of a packet arriving over a->b at 10 ms (armed at
+/// its 8 ms transmission-complete) and a local event at b due at 10 ms,
+/// armed at `local_armed` (zero: scheduled before the run; else by an
+/// event at that time).  `domains` == 0 runs the sequential kernel, 2
+/// cuts a->b.
+std::string tie_order(std::size_t domains, Duration local_armed) {
+  std::optional<ParallelSimulation> psim;
+  std::optional<Simulator> seq;
+  if (domains > 0) {
+    psim.emplace(domains);
+  } else {
+    seq.emplace();
+  }
+  Simulator& sim_a = psim ? psim->simulator(0) : *seq;
+  Simulator& sim_b = psim ? psim->simulator(1) : *seq;
+  Network net(sim_a, 7);
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  LinkConfig config;
+  config.name = "a->b";
+  config.rate = Bandwidth::bps(1e6);  // 8 ms per 1000-byte packet
+  config.propagation = Duration::millis(2);
+  Link& link = net.add_link(a, b, config, sim_a);
+  std::string order;
+  link.add_delivery_hook(
+      [&order](const Packet&, SimTime) { order += "arrival "; });
+  if (psim) {
+    psim->attach(net, {0, 1});
+  } else {
+    net.compute_routes();
+  }
+  const SimTime due = Duration::millis(10);
+  if (local_armed.is_zero()) {
+    sim_b.schedule_at(due, [&order] { order += "local "; });
+  } else {
+    sim_b.schedule_at(local_armed, [&sim_b, &order, due] {
+      sim_b.schedule_at(due, [&order] { order += "local "; });
+    });
+  }
+  sim_a.schedule_at(Duration::zero(), [&link, a, b] {
+    Packet p;
+    p.size_bytes = 1000;
+    p.src = a;
+    p.dst = b;
+    link.enqueue(std::move(p));
+  });
+  if (psim) {
+    psim->run_until(Duration::millis(20));
+  } else {
+    seq->run_until(Duration::millis(20));
+  }
+  return order;
+}
+
+TEST(PdesTest, EqualTimestampTiesDispatchInArmOrder) {
+  // The sequential kernel runs equal-time events in the order they were
+  // armed; merging a cross-domain arrival with a local event must do the
+  // same, whichever of the two was armed first.
+  EXPECT_EQ(tie_order(0, Duration::zero()), "local arrival ");
+  EXPECT_EQ(tie_order(2, Duration::zero()), "local arrival ");
+  EXPECT_EQ(tie_order(0, Duration::millis(9)), "arrival local ");
+  EXPECT_EQ(tie_order(2, Duration::millis(9)), "arrival local ");
 }
 
 // ---------------------------------------------------------------------
@@ -461,18 +531,58 @@ TEST(PdesTest, QuantizedChainsInvariantAcrossWorkerCounts) {
   }
 }
 
-/// A trace-driven transmitter serving about `rate`: ten unevenly spaced
-/// opportunities per 10 ms cycle, each worth 1 ms of service.
-std::shared_ptr<const DeliverySchedule> schedule_near(Bandwidth rate) {
-  auto schedule = std::make_shared<DeliverySchedule>();
-  for (std::int64_t i = 0; i < 10; ++i) {
-    schedule->opportunities.push_back(
-        Duration::micros(1000 * i + 137 * (i % 3)));
+TEST(PdesTest, ThrowingCallbackStopsTheRunAndLeavesItResumable) {
+  // A callback that throws in either domain, with the calling thread
+  // alone or with a lent worker: run_until stops every driver, rethrows
+  // the callback's exception on the calling thread, and leaves no domain
+  // claimed, so the next run_until completes.
+  runner::ThreadPool one_worker(1);
+  struct RestoreSharedDonor {
+    ~RestoreSharedDonor() { lend_workers(&runner::shared_pool()); }
+  } restore;
+  const std::pair<const char*, runner::ThreadPool*> ways[] = {
+      {"no donor", nullptr},
+      {"1-worker donor", &one_worker},
+  };
+  for (const auto& [way, pool] : ways) {
+    for (const std::size_t thrower : {0u, 1u}) {
+      SCOPED_TRACE(std::string(way) + ", throw in domain " +
+                   std::to_string(thrower));
+      lend_workers(pool);
+      ParallelSimulation psim(2);
+      Network net(psim.simulator(0), 11);
+      const NodeId a = net.add_node("a");
+      const NodeId b = net.add_node("b");
+      LinkConfig config;
+      config.name = "a<->b";
+      config.rate = Bandwidth::bps(1e6);
+      config.propagation = Duration::millis(1);
+      net.add_duplex_link(a, b, config, psim.simulator(0),
+                          psim.simulator(1));
+      Rng rng(5);
+      PoissonSource ab(psim.simulator(0), net, a, b, 1, PacketKind::kBulk,
+                       rng.split(), Duration::micros(700),
+                       ByteSize::bytes(100));
+      PoissonSource ba(psim.simulator(1), net, b, a, 2, PacketKind::kBulk,
+                       rng.split(), Duration::micros(900),
+                       ByteSize::bytes(100));
+      psim.attach(net, {0, 1});
+      ab.start(Duration::zero());
+      ba.start(Duration::zero());
+      psim.simulator(thrower).schedule_at(Duration::millis(5), [] {
+        throw std::runtime_error("callback failed");
+      });
+      try {
+        psim.run_until(Duration::millis(10));
+        ADD_FAILURE() << "run_until swallowed the callback's exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "callback failed");
+      }
+      EXPECT_NO_THROW(psim.run_until(Duration::millis(20)));
+      EXPECT_EQ(psim.simulator(0).now(), Duration::millis(20));
+      EXPECT_EQ(psim.simulator(1).now(), Duration::millis(20));
+    }
   }
-  schedule->period = Duration::millis(10);
-  schedule->bytes_per_opportunity =
-      static_cast<std::int64_t>(rate.bps() / 8000.0);
-  return schedule;
 }
 
 void expect_same_stats(const LinkStats& a, const LinkStats& b) {
@@ -507,21 +617,23 @@ void expect_same_run(const scenario::ScenarioResult& a,
 
 TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
   // Every paper path x every bottleneck discipline, the forward-only
-  // channel and schedule included: a sharded run is the sequential run
-  // (one known exception, below).
+  // channel included: a sharded run is the sequential run.  INRIA->UMd
+  // with RED is the case that needs the arm-time tie order: probes leave
+  // the 128 kb/s bottleneck compressed 4.5 ms apart, so each echo reaches
+  // Ithaca the nanosecond the previous echo's reverse-direction service
+  // ends, and RED reads the queue length at that instant.
   using Run = scenario::ScenarioResult (*)(const scenario::ProbePlan&,
                                            const scenario::ScenarioOverrides&);
-  const std::tuple<const char*, Run, Bandwidth> paths[] = {
-      {"inria_umd", scenario::run_inria_umd, scenario::kInriaUmdBottleneck},
-      {"umd_pitt", scenario::run_umd_pitt, scenario::kUmdPittBottleneck},
-      {"inria_europe", scenario::run_inria_europe,
-       scenario::kInriaEuropeBottleneck},
+  const std::pair<const char*, Run> paths[] = {
+      {"inria_umd", scenario::run_inria_umd},
+      {"umd_pitt", scenario::run_umd_pitt},
+      {"inria_europe", scenario::run_inria_europe},
   };
-  using Discipline = void (*)(scenario::ScenarioOverrides&, Bandwidth);
+  using Discipline = void (*)(scenario::ScenarioOverrides&);
   const std::pair<const char*, Discipline> disciplines[] = {
-      {"drop-tail", [](scenario::ScenarioOverrides&, Bandwidth) {}},
+      {"drop-tail", [](scenario::ScenarioOverrides&) {}},
       {"red",
-       [](scenario::ScenarioOverrides& o, Bandwidth) {
+       [](scenario::ScenarioOverrides& o) {
          RedConfig red;
          red.min_threshold = 2.0;
          red.max_threshold = 10.0;
@@ -530,24 +642,20 @@ TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
          o.bottleneck_red = red;
        }},
       {"gilbert-elliott",
-       [](scenario::ScenarioOverrides& o, Bandwidth) {
+       [](scenario::ScenarioOverrides& o) {
          o.bottleneck_channel = MarkovChannelConfig::gilbert_elliott(
              Probability::checked(0.02), Probability::checked(0.3));
-       }},
-      {"schedule",
-       [](scenario::ScenarioOverrides& o, Bandwidth rate) {
-         o.bottleneck_schedule = schedule_near(rate);
        }},
   };
   scenario::ProbePlan plan;
   plan.delta = Duration::millis(20);
   plan.duration = Duration::seconds(3);
   plan.seed = 1993;
-  for (const auto& [path, run, rate] : paths) {
+  for (const auto& [path, run] : paths) {
     for (const auto& [discipline, configure] : disciplines) {
       const std::string label = std::string(path) + " " + discipline;
       scenario::ScenarioOverrides overrides;
-      configure(overrides, rate);
+      configure(overrides);
       const scenario::ScenarioResult sequential = run(plan, overrides);
       ASSERT_EQ(sequential.domains_used, 1u) << label;
       ASSERT_GT(sequential.trace.received_count(), 0u) << label;
@@ -556,19 +664,6 @@ TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
         overrides.domains = domains;
         const scenario::ScenarioResult sharded = run(plan, overrides);
         EXPECT_EQ(sharded.domains_used, domains);
-        if (label == "inria_umd red") {
-          // Known divergence, pinned so a kernel fix flips it.  Probes
-          // leave the 128 kb/s bottleneck compressed 4.5 ms apart, so each
-          // echo reaches Ithaca the nanosecond the previous echo's
-          // reverse-direction service ends.  The sequential kernel orders
-          // those two events by seq; ParallelSimulation dispatches the
-          // cross-domain arrival first (domain.cpp); and RED, unlike
-          // drop-tail, reads the queue length at that instant.  The
-          // sharded run itself stays deterministic.
-          EXPECT_NE(sharded.events, sequential.events);
-          EXPECT_EQ(run(plan, overrides).events, sharded.events);
-          continue;
-        }
         expect_same_run(sharded, sequential);
       }
     }
