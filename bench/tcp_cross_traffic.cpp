@@ -54,7 +54,8 @@ RunResult run_tcp_loaded(int tcp_flows, double minutes) {
   bottleneck.rate = Bandwidth::bps(128e3);
   bottleneck.propagation = Duration::millis(52);
   bottleneck.buffer_packets = 14;
-  net.add_duplex_link(left, right, bottleneck);
+  const sim::Link& bottleneck_link =
+      net.add_duplex_link(left, right, bottleneck);
 
   // TCP hosts hang off the bottleneck routers.
   std::vector<std::unique_ptr<sim::TcpSource>> sources;
@@ -97,7 +98,7 @@ RunResult run_tcp_loaded(int tcp_flows, double minutes) {
   const auto trace = probes.trace();
   result.loss = analysis::loss_stats(trace);
   result.phase = analysis::analyze_phase_plot(trace);
-  result.utilization = net.link(left, right).stats().utilization(end);
+  result.utilization = bottleneck_link.stats().utilization(end);
   result.mean_rtt_ms = analysis::summarize(trace.rtt_ms_received()).mean;
   std::uint64_t retransmissions = 0;
   for (const auto& source : sources) {

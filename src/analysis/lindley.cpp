@@ -10,21 +10,6 @@
 
 namespace bolot::analysis {
 
-std::vector<double> lindley_waits(std::span<const double> service,
-                                  std::span<const double> interarrival,
-                                  double initial_wait) {
-  if (service.empty()) return {};
-  if (interarrival.size() + 1 < service.size()) {
-    throw std::invalid_argument("lindley_waits: too few interarrival gaps");
-  }
-  std::vector<double> waits(service.size());
-  waits[0] = std::max(0.0, initial_wait);
-  for (std::size_t n = 0; n + 1 < service.size(); ++n) {
-    waits[n + 1] = std::max(0.0, waits[n] + service[n] - interarrival[n]);
-  }
-  return waits;
-}
-
 std::vector<double> workload_samples_ms(const ProbeTrace& trace) {
   validate_probe_order(trace, "workload_samples_ms");
   std::vector<double> samples;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "analysis/histogram.h"
@@ -18,15 +17,6 @@
 #include "util/time.h"
 
 namespace bolot::analysis {
-
-/// w_{n+1} = max(0, w_n + y_n - x_n): waiting times for a single-server
-/// FIFO queue given service times y and interarrival times x (x[n] is the
-/// gap between customers n and n+1).  w_0 = initial_wait.
-/// Sizes: y.size() == x.size() + 1 is allowed (last service unused for
-/// waits); we require x.size() >= y.size() - 1 and return y.size() waits.
-std::vector<double> lindley_waits(std::span<const double> service,
-                                  std::span<const double> interarrival,
-                                  double initial_wait = 0.0);
 
 /// The g_n = rtt_{n+1} - rtt_n + delta samples (milliseconds) over pairs of
 /// consecutively received probes.  By eq. (6) these are the per-interval

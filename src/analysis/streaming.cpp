@@ -181,23 +181,6 @@ BottleneckEstimate StreamingPacketPair::estimate() {
 
 namespace {
 
-/// The typed config in analyze_workload()'s terms; the check is the
-/// one-pass estimator's own (the batch can auto-size the edge).
-WorkloadOptions workload_options(const StreamingLindleyConfig& config) {
-  if (!(config.max > Duration::zero())) {
-    throw std::invalid_argument(
-        "StreamingLindley: config.max must be positive (one-pass "
-        "estimation cannot auto-size the histogram edge)");
-  }
-  WorkloadOptions options;
-  options.bottleneck_bps = config.bottleneck.bps();
-  options.bin_ms = config.bin.millis();
-  options.max_ms = config.max.millis();
-  options.min_peak_mass = config.min_peak_mass;
-  options.reference_packet_bytes = config.reference_packet.count();
-  return options;
-}
-
 /// The histogram's bin count, after the checks the two fields it is
 /// sized from need: a zero bin would turn the count into +inf, whose
 /// conversion to std::size_t is undefined.
@@ -214,10 +197,6 @@ std::size_t workload_bins(const WorkloadOptions& options) {
 }
 
 }  // namespace
-
-StreamingLindley::StreamingLindley(const StreamingLindleyConfig& config)
-    : StreamingLindley(config.delta, config.probe_wire,
-                       workload_options(config)) {}
 
 StreamingLindley::StreamingLindley(Duration delta, ByteSize probe_wire,
                                    const WorkloadOptions& options)

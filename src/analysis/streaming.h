@@ -134,31 +134,16 @@ class StreamingPacketPair {
 // StreamingLindley
 // ---------------------------------------------------------------------------
 
-struct StreamingLindleyConfig {
-  Duration delta;                               // probe spacing
-  ByteSize probe_wire;                          // P at the bottleneck
-  Bandwidth bottleneck = Bandwidth::kbps(128);  // mu used to invert eq. (6)
-  Duration bin = Duration::millis(1);
-  /// Histogram upper edge.  analyze_workload() can auto-size this from
-  /// max(g_n) with a pre-pass; a one-pass estimator cannot, so it is
-  /// required here (constructor throws when zero).
-  Duration max;
-  double min_peak_mass = 0.01;
-  /// Reference cross-traffic packet for labeling peaks.
-  ByteSize reference_packet = ByteSize::bytes(512);
-};
-
 /// Streaming eq.-(6) workload inversion: g_n = rtt_{n+1} - rtt_n + delta
 /// over consecutively received probes, histogrammed online.
 class StreamingLindley {
  public:
-  explicit StreamingLindley(const StreamingLindleyConfig& config);
   /// analyze_workload()'s parameterization.  `options.max_ms` is the
   /// resolved histogram edge, used as given (a Duration round trip would
-  /// round an auto-sized edge to whole nanoseconds and move the bins);
-  /// Histogram throws unless it is positive.  Throws
-  /// std::invalid_argument naming the field when bin_ms is not finite
-  /// and positive, or max_ms is not finite.
+  /// round an auto-sized edge to whole nanoseconds and move the bins); a
+  /// one-pass estimator cannot auto-size it, so Histogram throws unless it
+  /// is positive.  Throws std::invalid_argument naming the field when
+  /// bin_ms is not finite and positive, or max_ms is not finite.
   StreamingLindley(Duration delta, ByteSize probe_wire,
                    const WorkloadOptions& options);
 

@@ -110,31 +110,6 @@ ModelRun run_model(const ModelConfig& config) {
   return run;
 }
 
-BatchBitsDistribution bulk_interactive_mix(Probability bulk_probability,
-                                           double mean_bulk_packets,
-                                           ByteSize bulk_packet,
-                                           Probability interactive_probability,
-                                           ByteSize interactive) {
-  if (bulk_probability.value() + interactive_probability.value() > 1.0) {
-    throw std::invalid_argument("bulk_interactive_mix: bad probabilities");
-  }
-  if (mean_bulk_packets < 1.0) {
-    throw std::invalid_argument("bulk_interactive_mix: mean packets < 1");
-  }
-  return [=](Rng& rng) -> double {
-    const double u = rng.uniform();
-    if (u < bulk_probability.value()) {
-      const auto packets = rng.geometric(1.0 / mean_bulk_packets);
-      return static_cast<double>(packets) *
-             static_cast<double>(bulk_packet.bit_count());
-    }
-    if (u < bulk_probability.value() + interactive_probability.value()) {
-      return static_cast<double>(interactive.bit_count());
-    }
-    return 0.0;
-  };
-}
-
 BatchBitsDistribution empirical_batches(std::vector<double> sample_bits) {
   if (sample_bits.empty()) {
     throw std::invalid_argument("empirical_batches: empty sample");

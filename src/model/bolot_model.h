@@ -59,16 +59,6 @@ struct ModelRun {
 /// Runs the recursion for config.probe_count probes.
 ModelRun run_model(const ModelConfig& config);
 
-/// Presets for the batch distribution.
-/// Paper's inferred mix: with probability p_bulk a burst of `packets`
-/// FTP-size packets (geometric, mean), otherwise a small Telnet packet or
-/// nothing.
-BatchBitsDistribution bulk_interactive_mix(Probability bulk_probability,
-                                           double mean_bulk_packets,
-                                           ByteSize bulk_packet,
-                                           Probability interactive_probability,
-                                           ByteSize interactive);
-
 /// Resamples batches from an empirical sample (e.g. the output of
 /// analysis::analyze_workload applied to a measured trace), closing the
 /// loop the paper describes: "we derive the batch size distribution from

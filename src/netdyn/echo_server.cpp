@@ -9,8 +9,6 @@ namespace bolot::netdyn {
 EchoServer::EchoServer(std::uint16_t port, const Clock& clock)
     : socket_(port), clock_(clock) {}
 
-EchoServer::~EchoServer() { stop(); }
-
 std::uint16_t EchoServer::port() const { return socket_.local_port(); }
 
 bool EchoServer::poll_once(Duration timeout) {
@@ -23,20 +21,6 @@ bool EchoServer::poll_once(Duration timeout) {
   socket_.send_to(buffer, received->from);
   echoed_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void EchoServer::start() {
-  if (running_.exchange(true)) return;
-  worker_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      poll_once(Duration::millis(50));
-    }
-  });
-}
-
-void EchoServer::stop() {
-  if (!running_.exchange(false)) return;
-  if (worker_.joinable()) worker_.join();
 }
 
 }  // namespace bolot::netdyn

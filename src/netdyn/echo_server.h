@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "netdyn/udp_socket.h"
 #include "nettime/clock.h"
@@ -16,9 +15,9 @@ namespace bolot::netdyn {
 class EchoServer {
  public:
   /// Binds to `port` (0 = ephemeral; query with port()).  `clock` must
-  /// outlive the server.
+  /// outlive the server.  The caller runs the echo loop: poll_once() in
+  /// a loop of its own.
   EchoServer(std::uint16_t port, const Clock& clock);
-  ~EchoServer();
 
   EchoServer(const EchoServer&) = delete;
   EchoServer& operator=(const EchoServer&) = delete;
@@ -29,18 +28,12 @@ class EchoServer {
   /// true if a probe was echoed.  Non-probe datagrams are dropped.
   bool poll_once(Duration timeout);
 
-  /// Starts a background echo loop; stopped by the destructor or stop().
-  void start();
-  void stop();
-
   std::uint64_t echoed_count() const { return echoed_.load(); }
 
  private:
   UdpSocket socket_;
   const Clock& clock_;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> echoed_{0};
-  std::thread worker_;
 };
 
 }  // namespace bolot::netdyn

@@ -8,11 +8,11 @@
 // prober at the emulator instead of the echo server and it measures a
 // transatlantic-1992 path on loopback:
 //
-//   EchoServer echo(0, clock);                 echo.start();
-//   PathEmulatorConfig cfg;                    // 128 kb/s, 52 ms, ...
-//   cfg.target = loopback(echo.port());
-//   PathEmulator wan(0, cfg);                  wan.start();
-//   Prober(clock, {...}).run(loopback(wan.port()));
+//   EchoServer echo(0, clock);     // poll_once() in a loop of its own
+//   PathEmulatorConfig cfg;        // 128 kb/s, 52 ms, ...
+//   cfg.target = make_endpoint("127.0.0.1", echo.port());
+//   PathEmulator wan(0, cfg);      wan.start();
+//   Prober(clock, {...}).run(make_endpoint("127.0.0.1", wan.port()));
 //
 // Single-flow by design (like the experiment): replies go to the last
 // client seen.  Both directions get their own rate limiter and queue.

@@ -55,8 +55,6 @@ Endpoint make_endpoint(const std::string& dotted_quad, std::uint16_t port) {
   return Endpoint{addr.s_addr, port};
 }
 
-Endpoint loopback(std::uint16_t port) { return make_endpoint("127.0.0.1", port); }
-
 UdpSocket::UdpSocket(std::uint16_t local_port) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw_errno("socket");
@@ -73,17 +71,6 @@ UdpSocket::UdpSocket(std::uint16_t local_port) {
 }
 
 UdpSocket::~UdpSocket() { close_fd(); }
-
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
-
-UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
-  if (this != &other) {
-    close_fd();
-    fd_ = std::exchange(other.fd_, -1);
-  }
-  return *this;
-}
 
 void UdpSocket::close_fd() noexcept {
   if (fd_ >= 0) {

@@ -22,17 +22,14 @@ struct Endpoint {
 /// Parses "a.b.c.d" (throws std::invalid_argument on malformed input).
 Endpoint make_endpoint(const std::string& dotted_quad, std::uint16_t port);
 
-/// Loopback shorthand.
-Endpoint loopback(std::uint16_t port);
-
 class UdpSocket {
  public:
   /// Creates and binds to the given local port (0 = ephemeral).
   explicit UdpSocket(std::uint16_t local_port = 0);
   ~UdpSocket();
 
-  UdpSocket(UdpSocket&& other) noexcept;
-  UdpSocket& operator=(UdpSocket&& other) noexcept;
+  UdpSocket(UdpSocket&&) = delete;
+  UdpSocket& operator=(UdpSocket&&) = delete;
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;
 

@@ -14,16 +14,7 @@ Duration SystemClock::now() const {
                          ts.tv_nsec);
 }
 
-QuantizedClock::QuantizedClock(const Clock& base, Duration tick)
-    : base_(base), tick_(tick) {
-  if (tick <= Duration::zero()) {
-    throw std::invalid_argument("QuantizedClock: tick must be positive");
-  }
-}
-
-Duration QuantizedClock::now() const { return quantize(base_.now(), tick_); }
-
-Duration QuantizedClock::quantize(Duration t, Duration tick) {
+Duration quantize(Duration t, Duration tick) {
   const std::int64_t ticks = t.count_nanos() / tick.count_nanos();
   return Duration::nanos(ticks * tick.count_nanos());
 }

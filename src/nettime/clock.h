@@ -2,8 +2,7 @@
 //
 // The paper's source host was a DECstation 5000 with a 3.906 ms clock
 // resolution, which produces the visible banding in its phase plots
-// (Figs. 5-6).  QuantizedClock reproduces that behaviour on top of any
-// underlying clock.
+// (Figs. 5-6).  quantize() reproduces that behaviour on any reading.
 #pragma once
 
 #include <memory>
@@ -36,24 +35,10 @@ class ManualClock final : public Clock {
   Duration current_;
 };
 
-/// Floors readings of an underlying clock to a multiple of `tick`,
-/// emulating a coarse hardware clock such as the paper's DECstation 5000
-/// (tick = 3.906 ms) or the UMd host (tick ~ 3 ms).
-class QuantizedClock final : public Clock {
- public:
-  /// `base` must outlive this object.
-  QuantizedClock(const Clock& base, Duration tick);
-
-  Duration now() const override;
-  Duration tick() const { return tick_; }
-
-  /// Quantization as a pure function, usable on already-recorded samples.
-  static Duration quantize(Duration t, Duration tick);
-
- private:
-  const Clock& base_;
-  Duration tick_;
-};
+/// Floors a reading `t` to a multiple of `tick` (> 0), as a coarse
+/// hardware clock such as the paper's DECstation 5000 (tick = 3.906 ms)
+/// or the UMd host (tick ~ 3 ms) reports it.
+Duration quantize(Duration t, Duration tick);
 
 /// The paper's DECstation 5000 clock tick.
 inline constexpr Duration kDecstationTick = Duration::micros(3906.0);

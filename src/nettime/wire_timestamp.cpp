@@ -28,10 +28,4 @@ Duration decode_wire_timestamp(
   return Duration::nanos(static_cast<std::int64_t>(u) * 1000);
 }
 
-std::array<std::byte, kWireTimestampSize> to_wire_timestamp(Duration t) {
-  std::array<std::byte, kWireTimestampSize> buf{};
-  encode_wire_timestamp(t, buf);
-  return buf;
-}
-
 }  // namespace bolot

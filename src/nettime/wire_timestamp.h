@@ -4,7 +4,6 @@
 // epoch.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -21,8 +20,5 @@ void encode_wire_timestamp(Duration t, std::span<std::byte, kWireTimestampSize> 
 
 /// Decodes 6 big-endian bytes into a Duration (microsecond resolution).
 Duration decode_wire_timestamp(std::span<const std::byte, kWireTimestampSize> in);
-
-/// Round-trip convenience for tests.
-std::array<std::byte, kWireTimestampSize> to_wire_timestamp(Duration t);
 
 }  // namespace bolot

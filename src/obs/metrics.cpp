@@ -5,13 +5,6 @@
 
 namespace bolot::obs {
 
-const double* MetricsSnapshot::value(std::string_view name) const {
-  for (const SnapshotEntry& entry : entries) {
-    if (entry.name == name) return &entry.value;
-  }
-  return nullptr;
-}
-
 void MetricsRegistry::add(std::string_view name, MetricKind kind,
                           MetricProbe probe) {
   if (!names_.emplace(name).second) {

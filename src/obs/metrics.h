@@ -52,8 +52,6 @@ struct MetricsSnapshot {
   std::vector<SnapshotEntry> entries;  // registration order
 
   bool empty() const { return entries.empty(); }
-  /// Scalar value by name; nullptr when absent.
-  const double* value(std::string_view name) const;
 };
 
 class MetricsRegistry {

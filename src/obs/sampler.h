@@ -63,7 +63,7 @@ class Sampler {
   /// Begins sampling at absolute time `at` (the first sample is taken at
   /// `at` itself).  Runs until stop() — the self-re-arming event keeps
   /// the queue non-empty, so bound the run with run_until or call stop()
-  /// before run_to_completion.
+  /// before draining the queue.
   void start(SimTime at) {
     if (running_) return;
     started_ = true;

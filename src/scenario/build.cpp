@@ -89,7 +89,7 @@ sim::ProbeSourceConfig probe_config(const ProbePlan& plan,
   config.delta = plan.delta;
   config.probe_wire = plan.probe_wire;
   config.probe_count = plan.probe_count();
-  if (clock_tick > Duration::zero()) config.clock_tick = clock_tick;
+  if (clock_tick != Duration::zero()) config.clock_tick = clock_tick;
   return config;
 }
 

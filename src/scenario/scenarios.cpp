@@ -100,7 +100,6 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
                               overrides.obs_sample_interval.has_value(),
                               plan.seed);
   sim::Network& net = build.net();
-  const sim::NodeId upstream = static_cast<sim::NodeId>(path.bottleneck_hop);
   const sim::NodeId host_up = static_cast<sim::NodeId>(path.names.size());
   const Bandwidth mu = path.hops[path.bottleneck_hop].rate;
   const Bandwidth access_rate = topo.edges.back().link.rate;
@@ -165,8 +164,10 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
   detail::ProbedRun run(build, plan, path.clock_tick, 0,
                         static_cast<sim::NodeId>(path.names.size() - 1),
                         overrides);
-  sim::Link& bneck_fwd = net.link(upstream, upstream + 1);
-  sim::Link& bneck_rev = net.link(upstream + 1, upstream);
+  // Hop h is plan edge h, which instantiate_topology adds as the links
+  // 2h (forward) and 2h + 1 (reverse).
+  sim::Link& bneck_fwd = net.link_at(2 * path.bottleneck_hop);
+  sim::Link& bneck_rev = net.link_at(2 * path.bottleneck_hop + 1);
   if (obs::Sampler* sampler = run.sampler()) {
     // Both directions of a duplex link share one config name; publish
     // them under stable direction-qualified prefixes so sweeps can be

@@ -110,7 +110,8 @@ struct ScenarioOverrides {
   /// Chain only: replaces the path's default cross-traffic mix.
   std::optional<CrossTraffic> cross_traffic;
   /// Clock quantization at the source host; nullopt keeps the scenario's
-  /// historically accurate tick, Duration::zero() disables quantization.
+  /// historically accurate tick, Duration::zero() disables quantization,
+  /// and a negative tick throws std::invalid_argument.
   std::optional<Duration> clock_tick;
   /// Observability: when set, the run attaches a MetricsRegistry and a
   /// Sampler at this interval — the bottleneck link (both directions) and

@@ -111,9 +111,9 @@ ScenarioResult run_topology(const ProbePlan& plan,
       bneck_uid = uid;
     }
   }
+  // instantiate_topology adds each edge as the link pair 2e, 2e + 1.
   sim::Link& bneck_fwd = net.link_at(bneck_uid);
-  sim::Link& bneck_rev =
-      net.link(net.link_target(bneck_uid), net.link_source(bneck_uid));
+  sim::Link& bneck_rev = net.link_at(bneck_uid ^ 1u);
 
   if (obs::Sampler* sampler = run.sampler()) {
     // Every forward hop of the probed path publishes under a stable

@@ -61,16 +61,6 @@ MarkovChannelConfig MarkovChannelConfig::gilbert_elliott(
   return config;
 }
 
-MarkovChannelConfig MarkovChannelConfig::from_gilbert_fit(
-    const analysis::GilbertFit& fit) {
-  if (fit.degenerate) {
-    bad_config("cannot build a channel from a degenerate Gilbert fit "
-               "(the measured sequence never left one state)");
-  }
-  return gilbert_elliott(Probability::checked(fit.p),
-                         Probability::checked(fit.q));
-}
-
 MarkovChannelConfig MarkovChannelConfig::from_loss_targets(
     Probability ulp, double plg, Duration bad_extra_delay) {
   if (ulp.is_zero() || ulp >= Probability::one()) {

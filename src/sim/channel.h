@@ -7,9 +7,9 @@
 // N-state Markov chain advanced once per packet at transmission-complete
 // time, each state carrying a drop probability and an extra-delay
 // distribution.  The 2-state special case with a lossless good state and
-// a lossy bad state is the classic Gilbert-Elliott model, and it is
-// fit-able from a measured loss indicator sequence via
-// analysis::fit_gilbert.
+// a lossy bad state is the classic Gilbert-Elliott model, whose (p, q)
+// analysis::fit_gilbert estimates from a measured loss indicator
+// sequence.
 //
 // The stage lives inside Link (see link.h); this header holds the
 // configuration type and the runtime chain.  MODEL_NOTES §13 explains why
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/loss.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
@@ -71,16 +70,6 @@ struct MarkovChannelConfig {
       Probability good_drop = Probability::zero(),
       Probability bad_drop = Probability::one(),
       Duration bad_extra_delay = {});
-
-  /// Builds the loss-only Gilbert-Elliott channel matching a fit from a
-  /// measured loss-indicator sequence (analysis::fit_gilbert): the
-  /// channel reproduces the fit's p/q transition structure with
-  /// drop probability 1 in the bad state, so the loss process seen by a
-  /// probe-only link is distributed exactly like
-  /// analysis::generate_gilbert(fit, ...).  Throws on a degenerate fit
-  /// (see GilbertFit::degenerate) — an unidentifiable chain cannot
-  /// parameterize a channel.
-  static MarkovChannelConfig from_gilbert_fit(const analysis::GilbertFit& fit);
 
   /// Solves for the Gilbert-Elliott (p, q) hitting a target unconditional
   /// loss probability and packet loss gap (plg = mean loss-run length,

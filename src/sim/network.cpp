@@ -20,17 +20,6 @@ const std::string& Network::node_name(NodeId id) const {
   return nodes_.at(id).name;
 }
 
-NodeId Network::find_node(const std::string& name) const {
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].name == name) return id;
-  }
-  throw std::out_of_range("Network: no node named " + name);
-}
-
-Link& Network::add_link(NodeId a, NodeId b, const LinkConfig& config) {
-  return add_link(a, b, config, sim_);
-}
-
 Link& Network::add_link(NodeId a, NodeId b, const LinkConfig& config,
                         Simulator& sim) {
   if (a >= nodes_.size() || b >= nodes_.size() || a == b) {
@@ -54,27 +43,6 @@ Link& Network::add_duplex_link(NodeId a, NodeId b, const LinkConfig& config,
   Link& forward_link = add_link(a, b, config, fwd_sim);
   add_link(b, a, config, rev_sim);
   return forward_link;
-}
-
-std::int32_t Network::link_index(NodeId a, NodeId b) const {
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].from == a && links_[i].to == b) {
-      return static_cast<std::int32_t>(i);
-    }
-  }
-  return -1;
-}
-
-Link& Network::link(NodeId a, NodeId b) {
-  const std::int32_t i = link_index(a, b);
-  if (i < 0) throw std::out_of_range("Network: no such link");
-  return *links_[static_cast<std::size_t>(i)].link;
-}
-
-const Link& Network::link(NodeId a, NodeId b) const {
-  const std::int32_t i = link_index(a, b);
-  if (i < 0) throw std::out_of_range("Network: no such link");
-  return *links_[static_cast<std::size_t>(i)].link;
 }
 
 void Network::set_receiver(NodeId node, Receiver receiver) {
@@ -176,23 +144,14 @@ std::vector<std::uint32_t> Network::route_links(NodeId src, NodeId dst) const {
 }
 
 void Network::set_link_down(NodeId a, NodeId b) {
-  const std::int32_t i = link_index(a, b);
-  if (i < 0) throw std::out_of_range("Network: no such link");
-  links_[static_cast<std::size_t>(i)].up = false;
-  compute_routes();
-}
-
-void Network::set_link_up(NodeId a, NodeId b) {
-  const std::int32_t i = link_index(a, b);
-  if (i < 0) throw std::out_of_range("Network: no such link");
-  links_[static_cast<std::size_t>(i)].up = true;
-  compute_routes();
-}
-
-bool Network::link_is_up(NodeId a, NodeId b) const {
-  const std::int32_t i = link_index(a, b);
-  if (i < 0) throw std::out_of_range("Network: no such link");
-  return links_[static_cast<std::size_t>(i)].up;
+  for (auto& dl : links_) {
+    if (dl.from == a && dl.to == b) {
+      dl.up = false;
+      compute_routes();
+      return;
+    }
+  }
+  throw std::out_of_range("Network: no such link");
 }
 
 std::uint64_t Network::total_overflow_drops() const {

@@ -39,23 +39,21 @@ class Network {
   NodeId add_node(std::string name);
   std::size_t node_count() const { return nodes_.size(); }
   const std::string& node_name(NodeId id) const;
-  NodeId find_node(const std::string& name) const;  // throws if absent
 
   /// Adds a pair of directed links (a->b and b->a) with the same
   /// configuration; returns the a->b link.  Links may be added only before
   /// the first send (routes are computed lazily and then frozen).
   Link& add_duplex_link(NodeId a, NodeId b, const LinkConfig& config);
 
-  /// Adds a single directed link a->b (for asymmetric paths).
-  Link& add_link(NodeId a, NodeId b, const LinkConfig& config);
-
-  /// PDES variants: bind the link's events to an explicit Simulator (the
-  /// one driving the domain that owns node `a`) instead of the Network's
-  /// construction-time simulator.  RNG stream order is unchanged — links
-  /// split from rng_ in add order either way — so a sharded build draws
-  /// exactly the streams a sequential build of the same topology does.
+  /// Adds a single directed link a->b whose events run on `sim`: the
+  /// Network's own simulator, or under PDES the one driving the domain
+  /// that owns node `a`.  RNG stream order is unchanged — links split
+  /// from rng_ in add order either way — so a sharded build draws exactly
+  /// the streams a sequential build of the same topology does.
   Link& add_link(NodeId a, NodeId b, const LinkConfig& config,
                  Simulator& sim);
+  /// The PDES variant of add_duplex_link: each direction on its own
+  /// simulator.
   Link& add_duplex_link(NodeId a, NodeId b, const LinkConfig& config,
                         Simulator& fwd_sim, Simulator& rev_sim);
 
@@ -65,10 +63,6 @@ class Network {
   Link& link_at(std::size_t i) { return *links_.at(i).link; }
   NodeId link_source(std::size_t i) const { return links_.at(i).from; }
   NodeId link_target(std::size_t i) const { return links_.at(i).to; }
-
-  /// The directed link a->b.  Throws if absent.
-  Link& link(NodeId a, NodeId b);
-  const Link& link(NodeId a, NodeId b) const;
 
   /// Registers the application-level receiver for packets addressed to
   /// `node`.  At most one receiver per node.
@@ -88,12 +82,10 @@ class Network {
   /// first send.
   void compute_routes();
 
-  /// Administratively downs/ups the directed link a->b and recomputes
-  /// routes (a converged routing update; packets already on the link
-  /// still arrive).  Throws if the link does not exist.
+  /// Administratively downs the directed link a->b and recomputes routes
+  /// (a converged routing update; packets already on the link still
+  /// arrive).  Throws if the link does not exist.
   void set_link_down(NodeId a, NodeId b);
-  void set_link_up(NodeId a, NodeId b);
-  bool link_is_up(NodeId a, NodeId b) const;
 
   /// Sum of drops over all links, split by cause.
   std::uint64_t total_overflow_drops() const;
@@ -121,7 +113,6 @@ class Network {
 
   void deliver(NodeId at, Packet&& packet);
   void forward(NodeId at, Packet&& packet);
-  std::int32_t link_index(NodeId a, NodeId b) const;
 
   Simulator& sim_;
   Rng rng_;

@@ -24,8 +24,6 @@ enum class PacketKind : std::uint8_t {
   kOther,
 };
 
-const char* to_string(PacketKind kind);
-
 /// Extra fields carried only by NetDyn probes: the sequence number and the
 /// three timestamp fields of the measurement tool's wire format.  Trivial
 /// (no member initializers) so it can live in Packet's payload union;

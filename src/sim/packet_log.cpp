@@ -1,7 +1,6 @@
 #include "sim/packet_log.h"
 
 #include <algorithm>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -61,13 +60,6 @@ std::uint32_t PacketLog::intern_link(const std::string& name) {
   return static_cast<std::uint32_t>(link_names_.size() - 1);
 }
 
-const std::string& PacketLog::link_name(std::uint32_t id) const {
-  if (id >= link_names_.size()) {
-    throw std::out_of_range("PacketLog: unknown link id");
-  }
-  return link_names_[id];
-}
-
 void PacketLog::record(PacketEvent event) {
   if (events_.size() < capacity_) {
     events_.push_back(event);
@@ -90,55 +82,6 @@ void PacketLog::normalize() const {
 const std::vector<PacketEvent>& PacketLog::events() const {
   normalize();
   return events_;
-}
-
-std::vector<PacketEvent> PacketLog::for_flow(std::uint32_t flow) const {
-  std::vector<PacketEvent> out;
-  for (const auto& event : events()) {
-    if (event.flow == flow) out.push_back(event);
-  }
-  return out;
-}
-
-std::vector<PacketEvent> PacketLog::drops_between(SimTime from,
-                                                  SimTime to) const {
-  std::vector<PacketEvent> out;
-  for (const auto& event : events()) {
-    if (event.kind != PacketEventKind::kDropped) continue;
-    if (event.at >= from && event.at < to) out.push_back(event);
-  }
-  return out;
-}
-
-void PacketLog::write_csv(std::ostream& os) const {
-  os << "at_ns,event,cause,link,packet_id,flow,kind,bytes\n";
-  for (const auto& event : events()) {
-    os << event.at.count_nanos() << ','
-       << (event.kind == PacketEventKind::kDelivered ? "delivered" : "dropped")
-       << ',';
-    if (event.kind == PacketEventKind::kDropped) {
-      switch (event.cause) {
-        case DropCause::kOverflow:
-          os << "overflow";
-          break;
-        case DropCause::kRandom:
-          os << "random";
-          break;
-        case DropCause::kRed:
-          os << "red";
-          break;
-        case DropCause::kChannel:
-          os << "channel";
-          break;
-      }
-    } else {
-      os << '-';
-    }
-    os << ',' << link_names_[event.link_id] << ',' << event.packet_id << ','
-       << event.flow
-       << ',' << to_string(event.packet_kind) << ',' << event.size_bytes
-       << '\n';
-  }
 }
 
 }  // namespace bolot::sim

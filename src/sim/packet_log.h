@@ -1,7 +1,7 @@
 // Per-packet event logging for the simulator: a tcpdump for the virtual
 // network.  Attach a PacketLog to links to record departures and drops
-// with timestamps, then dump to CSV for external analysis or query it in
-// tests ("which flow lost packets during the burst at t = 3 s?").
+// with timestamps, then read events() ("which flow lost packets during the
+// burst at t = 3 s?").
 //
 // Delivery events hook the link delivery hook, drop events the drop hook;
 // both chain to whatever was installed before, so logging composes with
@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@ struct PacketEvent {
   SimTime at;
   PacketEventKind kind = PacketEventKind::kDelivered;
   DropCause cause = DropCause::kOverflow;  // meaningful for kDropped
-  std::uint32_t link_id = 0;  // interned LinkConfig::name; see link_name()
+  std::uint32_t link_id = 0;  // interned LinkConfig::name; see link_names()
   std::uint64_t packet_id = 0;
   std::uint32_t flow = 0;
   PacketKind packet_kind = PacketKind::kOther;
@@ -55,22 +54,9 @@ class PacketLog {
   const std::vector<PacketEvent>& events() const;
   std::uint64_t evicted() const { return evicted_; }
 
-  /// Resolves an interned PacketEvent::link_id back to the link's name.
-  /// Throws std::out_of_range for ids this log never issued.
-  const std::string& link_name(std::uint32_t id) const;
-
   /// Interned names in id order (id == index).  One entry per attached
   /// link name; events store the 4-byte id instead of a std::string copy.
   const std::vector<std::string>& link_names() const { return link_names_; }
-
-  /// Events matching a flow (in time order).
-  std::vector<PacketEvent> for_flow(std::uint32_t flow) const;
-
-  /// Drops in [from, to).
-  std::vector<PacketEvent> drops_between(SimTime from, SimTime to) const;
-
-  /// CSV: at_ns,event,cause,link,packet_id,flow,kind,bytes
-  void write_csv(std::ostream& os) const;
 
  private:
   void record(PacketEvent event);

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace bolot::sim {
 
 TokenBucketShaper::TokenBucketShaper(Simulator& sim, Network& net,
@@ -82,18 +80,6 @@ void TokenBucketShaper::schedule_release(bool rearm) {
     // release pending.
     sim_.schedule_in(wait, [this] { release_ready(); });
   }
-}
-
-void TokenBucketShaper::publish_metrics(obs::MetricsRegistry& registry,
-                                        const std::string& prefix) const {
-  registry.probe_counter(prefix + ".forwarded",
-                         [this] { return double(forwarded_); });
-  registry.probe_counter(prefix + ".dropped",
-                         [this] { return double(dropped_); });
-  registry.probe_gauge(prefix + ".queue_pkts",
-                       [this] { return double(queue_.size()); });
-  registry.probe_gauge(prefix + ".tokens_bytes",
-                       [this] { return tokens_bytes_; });
 }
 
 }  // namespace bolot::sim

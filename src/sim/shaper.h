@@ -11,17 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/network.h"
 #include "sim/packet.h"
 #include "sim/simulator.h"
 #include "util/ring_buffer.h"
 #include "util/units.h"
-
-namespace bolot::obs {
-class MetricsRegistry;
-}  // namespace bolot::obs
 
 namespace bolot::sim {
 
@@ -46,11 +41,6 @@ class TokenBucketShaper {
   /// Fractional tokens: the bucket refills continuously, so this is a
   /// double, not a ByteSize.
   double tokens_bytes() const { return tokens_bytes_; }
-
-  /// Registers shaper observables ("<prefix>.forwarded", ".dropped",
-  /// ".queue_pkts", ".tokens_bytes") as snapshot-time probes.
-  void publish_metrics(obs::MetricsRegistry& registry,
-                       const std::string& prefix) const;
 
  private:
   void refill_to_now();

@@ -14,9 +14,4 @@ void Simulator::run_until(SimTime end) {
   if (now_ < end) now_ = end;
 }
 
-void Simulator::run_to_completion() {
-  TRACE_SCOPE("sim.run_to_completion");
-  while (!queue_.empty()) dispatch_one();
-}
-
 }  // namespace bolot::sim

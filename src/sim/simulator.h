@@ -56,9 +56,6 @@ class Simulator {
   /// `end`; the clock is left at min(end, last event time).
   void run_until(SimTime end);
 
-  /// Runs until the event queue is empty.
-  void run_to_completion();
-
   // --- PDES domain stepping (see sim/pdes.h) ---------------------------
   // A Domain merges this queue with cross-domain handoffs, so it needs
   // one-event-at-a-time control plus a way to dispatch an arrival that

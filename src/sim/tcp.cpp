@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/audit.h"
 
 namespace bolot::sim {
@@ -110,17 +109,10 @@ TcpSource::TcpSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
 void TcpSource::start(SimTime at) {
   if (running_) return;
   running_ = true;
-  idle_timer_ = sim_.schedule_at(at, [this] { begin_transfer(); });
-}
-
-void TcpSource::stop() {
-  running_ = false;
-  timer_.cancel();
-  idle_timer_.cancel();
+  sim_.schedule_at(at, [this] { begin_transfer(); });
 }
 
 void TcpSource::begin_transfer() {
-  if (!running_) return;
   transfer_active_ = true;
   if (config_.mean_file_packets) {
     const auto packets = rng_.geometric(1.0 / *config_.mean_file_packets);
@@ -136,7 +128,7 @@ void TcpSource::begin_transfer() {
 }
 
 void TcpSource::try_send() {
-  if (!running_ || !transfer_active_) return;
+  if (!transfer_active_) return;
   audit_window("try_send", snd_una_, snd_nxt_, cwnd_, ssthresh_, config_);
   const double window = std::min(cwnd_, config_.receiver_window_packets);
   const auto window_packets = static_cast<std::uint64_t>(window);
@@ -186,7 +178,6 @@ void TcpSource::on_packet(Packet&& p) {
 }
 
 void TcpSource::on_ack(std::uint64_t cumulative_ack) {
-  if (!running_) return;
   if (cumulative_ack <= snd_una_) {
     // Duplicate ack.  Only trigger fast retransmit for losses past the
     // last recovery point: go-back-N leaves a window of pre-loss
@@ -247,8 +238,8 @@ void TcpSource::on_ack(std::uint64_t cumulative_ack) {
       // Transfer complete: idle, then start the next file.
       transfer_active_ = false;
       ++stats_.transfers_completed;
-      idle_timer_ = sim_.schedule_in(rng_.exponential_time(config_.mean_idle),
-                                     [this] { begin_transfer(); });
+      sim_.schedule_in(rng_.exponential_time(config_.mean_idle),
+                       [this] { begin_transfer(); });
       return;
     }
   } else {
@@ -274,33 +265,11 @@ void TcpSource::enter_loss_recovery() {
 }
 
 void TcpSource::on_timeout() {
-  if (!running_ || !transfer_active_) return;
+  if (!transfer_active_) return;
   if (snd_una_ == snd_nxt_) return;  // nothing outstanding
   ++stats_.timeouts;
   rto_ = std::min(rto_ * 2, kMaxRto);  // exponential backoff
   enter_loss_recovery();
-}
-
-void TcpSource::publish_metrics(obs::MetricsRegistry& registry,
-                                const std::string& prefix) const {
-  registry.probe_counter(prefix + ".segments_sent",
-                         [this] { return double(stats_.segments_sent); });
-  registry.probe_counter(prefix + ".segments_acked",
-                         [this] { return double(stats_.segments_acked); });
-  registry.probe_counter(prefix + ".retransmissions",
-                         [this] { return double(stats_.retransmissions); });
-  registry.probe_counter(prefix + ".timeouts",
-                         [this] { return double(stats_.timeouts); });
-  registry.probe_counter(prefix + ".fast_retransmits",
-                         [this] { return double(stats_.fast_retransmits); });
-  registry.probe_gauge(prefix + ".cwnd_pkts", [this] { return cwnd_; });
-  registry.probe_gauge(prefix + ".flight_pkts",
-                       [this] { return double(snd_nxt_ - snd_una_); });
-  registry.probe_gauge(prefix + ".ssthresh_pkts",
-                       [this] { return ssthresh_; });
-  registry.probe_gauge(prefix + ".srtt_ms", [this] { return srtt_ms_; });
-  registry.probe_gauge(prefix + ".rto_ms",
-                       [this] { return rto_.millis(); });
 }
 
 }  // namespace bolot::sim

@@ -23,7 +23,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 
 #include "util/inplace_function.h"
 
@@ -33,10 +32,6 @@
 #include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
-
-namespace bolot::obs {
-class MetricsRegistry;
-}  // namespace bolot::obs
 
 namespace bolot::sim {
 
@@ -97,7 +92,6 @@ class TcpSource {
             std::uint32_t flow, Rng rng, TcpConfig config);
 
   void start(SimTime at);
-  void stop();
 
   /// Observation hook: called at every ack arrival (after processing),
   /// with the arrival time and the cumulative ack value.  Used by the
@@ -113,12 +107,6 @@ class TcpSource {
   /// Segments sent but not yet cumulatively acked (snd_nxt - snd_una).
   std::uint64_t flight_segments() const { return snd_nxt_ - snd_una_; }
   Duration current_rto() const { return rto_; }
-
-  /// Registers window/RTT/retransmission observables under `prefix`
-  /// (e.g. "tcp.ftp1") as snapshot-time probes; the ack path pays
-  /// nothing.
-  void publish_metrics(obs::MetricsRegistry& registry,
-                       const std::string& prefix) const;
 
  private:
   void begin_transfer();
@@ -163,7 +151,6 @@ class TcpSource {
   SimTime timed_sent_at_;
 
   EventHandle timer_;
-  EventHandle idle_timer_;
   AckHook ack_hook_;
 };
 

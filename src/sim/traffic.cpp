@@ -22,12 +22,7 @@ TrafficSource::TrafficSource(Simulator& sim, Network& net, NodeId src,
 void TrafficSource::start(SimTime at) {
   if (running_) return;
   running_ = true;
-  pending_ = sim_.schedule_at(at, [this] { step(); });
-}
-
-void TrafficSource::stop() {
-  running_ = false;
-  pending_.cancel();
+  sim_.schedule_at(at, [this] { step(); });
 }
 
 void TrafficSource::emit(ByteSize size) {
@@ -44,27 +39,9 @@ void TrafficSource::emit(ByteSize size) {
 }
 
 void TrafficSource::schedule_step(Duration delay) {
-  if (!running_) return;
   // step() only ever runs from its own scheduled event, so the next step
-  // can re-arm that event in place; pending_ keeps referring to the live
-  // slot (same generation), so stop() still cancels it.
+  // can re-arm that event in place.
   sim_.rearm_in(delay);
-}
-
-CbrSource::CbrSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
-                     std::uint32_t flow, PacketKind kind, Rng rng,
-                     Duration interval, ByteSize packet)
-    : TrafficSource(sim, net, src, dst, flow, kind, rng),
-      interval_(interval),
-      packet_(packet) {
-  if (interval <= Duration::zero()) {
-    throw std::invalid_argument("CbrSource: interval must be positive");
-  }
-}
-
-void CbrSource::step() {
-  emit(packet_);
-  schedule_step(interval_);
 }
 
 PoissonSource::PoissonSource(Simulator& sim, Network& net, NodeId src,
@@ -139,29 +116,6 @@ void FtpSessionSource::step() {
     in_session_ = false;
     schedule_step(rng().exponential_time(config_.mean_idle));
   }
-}
-
-VbrVideoSource::VbrVideoSource(Simulator& sim, Network& net, NodeId src,
-                               NodeId dst, std::uint32_t flow, PacketKind kind,
-                               Rng rng, VbrVideoConfig config)
-    : TrafficSource(sim, net, src, dst, flow, kind, rng), config_(config) {
-  if (config_.min_interval <= Duration::zero() ||
-      config_.max_interval < config_.min_interval) {
-    throw std::invalid_argument("VbrVideoSource: bad interval range");
-  }
-  if (config_.min_packet <= ByteSize::zero() ||
-      config_.max_packet < config_.min_packet) {
-    throw std::invalid_argument("VbrVideoSource: bad size range");
-  }
-}
-
-void VbrVideoSource::step() {
-  const auto size = static_cast<std::int64_t>(
-      rng().uniform(static_cast<double>(config_.min_packet.count()),
-                    static_cast<double>(config_.max_packet.count()) + 1.0));
-  emit(std::min(ByteSize::bytes(size), config_.max_packet));
-  schedule_step(Duration::millis(rng().uniform(config_.min_interval.millis(),
-                                               config_.max_interval.millis())));
 }
 
 ModulatedPoissonSource::ModulatedPoissonSource(Simulator& sim, Network& net,

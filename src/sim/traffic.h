@@ -17,7 +17,7 @@
 
 namespace bolot::sim {
 
-/// Base for all generators: owns identity, id assignment and start/stop.
+/// Base for all generators: owns identity, id assignment and start.
 class TrafficSource {
  public:
   TrafficSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
@@ -27,10 +27,9 @@ class TrafficSource {
   TrafficSource(const TrafficSource&) = delete;
   TrafficSource& operator=(const TrafficSource&) = delete;
 
-  /// Begins emitting at absolute time `at` (>= now).
+  /// Begins emitting at absolute time `at` (>= now); emission runs for
+  /// the rest of the simulation.
   void start(SimTime at);
-  /// Stops emitting; pending scheduled emissions are cancelled.
-  void stop();
 
   std::uint64_t packets_sent() const { return sent_; }
   std::int64_t bytes_sent() const { return bytes_; }
@@ -47,7 +46,6 @@ class TrafficSource {
 
   Simulator& sim() { return sim_; }
   Rng& rng() { return rng_; }
-  bool running() const { return running_; }
 
  private:
   Simulator& sim_;
@@ -57,23 +55,8 @@ class TrafficSource {
   PacketKind kind_;
   Rng rng_;
   bool running_ = false;
-  EventHandle pending_;
   std::uint64_t sent_ = 0;
   std::int64_t bytes_ = 0;
-};
-
-/// Constant-bit-rate: one fixed-size packet every `interval`.
-class CbrSource final : public TrafficSource {
- public:
-  CbrSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
-            std::uint32_t flow, PacketKind kind, Rng rng, Duration interval,
-            ByteSize packet);
-
- private:
-  void step() override;
-
-  Duration interval_;
-  ByteSize packet_;
 };
 
 /// Poisson arrivals of fixed-size packets; models interactive (Telnet)
@@ -142,29 +125,6 @@ class FtpSessionSource final : public TrafficSource {
   Duration pace_interval_;
   bool in_session_ = false;
   SimTime session_until_;
-};
-
-/// Variable-bit-rate video (section 5: the IVS software codec "generates
-/// variable-size packets at intervals ranging from 15 to 120 ms", driven
-/// by picture format and detected motion).  Modeled as uniform intervals
-/// and uniform packet sizes over configurable ranges.
-struct VbrVideoConfig {
-  Duration min_interval = Duration::millis(15);
-  Duration max_interval = Duration::millis(120);
-  ByteSize min_packet = ByteSize::bytes(200);
-  ByteSize max_packet = ByteSize::bytes(1400);
-};
-
-class VbrVideoSource final : public TrafficSource {
- public:
-  VbrVideoSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
-                 std::uint32_t flow, PacketKind kind, Rng rng,
-                 VbrVideoConfig config);
-
- private:
-  void step() override;
-
-  VbrVideoConfig config_;
 };
 
 /// Poisson arrivals whose rate is modulated sinusoidally — the "base

@@ -45,6 +45,9 @@ UdpEchoSource::UdpEchoSource(Simulator& sim, Network& net, NodeId source,
   if (config_.probe_wire <= ByteSize::zero()) {
     throw std::invalid_argument("UdpEchoSource: probe size must be positive");
   }
+  if (config_.clock_tick && *config_.clock_tick <= Duration::zero()) {
+    throw std::invalid_argument("UdpEchoSource: clock_tick must be positive");
+  }
   trace_.delta = config_.delta;
   trace_.probe_wire_bytes = config_.probe_wire.count();
   trace_.clock_tick = config_.clock_tick.value_or(Duration::zero());
@@ -56,7 +59,7 @@ UdpEchoSource::UdpEchoSource(Simulator& sim, Network& net, NodeId source,
 Duration UdpEchoSource::stamp() const {
   const Duration now = sim_.now();
   if (config_.clock_tick) {
-    return QuantizedClock::quantize(now, *config_.clock_tick);
+    return quantize(now, *config_.clock_tick);
   }
   return now;
 }

@@ -48,6 +48,7 @@ struct ProbeSourceConfig {
   std::uint64_t probe_count = 12000;              // 10 min at 50 ms
   /// When set, send/receive timestamps are floored to a multiple of this
   /// tick (e.g. kDecstationTick), as a coarse host clock would report.
+  /// The tick must be positive; the constructor throws otherwise.
   std::optional<Duration> clock_tick;
   /// When set, overrides the fixed delta with per-probe random intervals
   /// (e.g. a VBR video codec's 15-120 ms frame spacing, section 5's open

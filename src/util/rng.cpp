@@ -1,7 +1,6 @@
 #include "util/rng.h"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace bolot {
@@ -96,16 +95,6 @@ std::uint64_t Rng::geometric(double p) {
     u = uniform();
   } while (u == 0.0);
   return 1 + static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
-}
-
-double Rng::normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 == 0.0);
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 Duration Rng::exponential_time(Duration mean) {

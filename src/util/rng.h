@@ -70,8 +70,6 @@ class Rng {
   double pareto(double alpha, double xm);
   /// Geometric on {1, 2, ...} with success probability p in (0, 1].
   std::uint64_t geometric(double p);
-  /// Standard normal via Box-Muller (no cached spare; stateless per call).
-  double normal(double mean, double stddev);
 
   /// Exponentially distributed time span with the given mean.
   Duration exponential_time(Duration mean);

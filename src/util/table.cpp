@@ -58,25 +58,4 @@ void TextTable::print(std::ostream& os) const {
   }
 }
 
-void TextTable::write_csv(std::ostream& os) const {
-  for (const auto& row : rows_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) os << ',';
-      const bool needs_quotes =
-          row[i].find_first_of(",\"\n") != std::string::npos;
-      if (needs_quotes) {
-        os << '"';
-        for (char c : row[i]) {
-          if (c == '"') os << '"';
-          os << c;
-        }
-        os << '"';
-      } else {
-        os << row[i];
-      }
-    }
-    os << '\n';
-  }
-}
-
 }  // namespace bolot

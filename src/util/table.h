@@ -27,9 +27,6 @@ class TextTable {
   /// Renders with aligned columns and a rule under the first row.
   void print(std::ostream& os) const;
 
-  /// Renders as RFC-4180-ish CSV (cells containing commas are quoted).
-  void write_csv(std::ostream& os) const;
-
  private:
   std::vector<std::vector<std::string>> rows_;
 };

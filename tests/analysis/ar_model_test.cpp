@@ -6,6 +6,7 @@
 
 #include "analysis/stats.h"
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -15,7 +16,7 @@ std::vector<double> ar1_series(double phi, double noise, std::size_t n,
   Rng rng(seed);
   std::vector<double> xs = {mean};
   for (std::size_t i = 1; i < n; ++i) {
-    xs.push_back(mean + phi * (xs.back() - mean) + rng.normal(0.0, noise));
+    xs.push_back(mean + phi * (xs.back() - mean) + normal(rng, 0.0, noise));
   }
   return xs;
 }
@@ -34,7 +35,7 @@ TEST(FitArTest, RecoversAr2Coefficients) {
   std::vector<double> xs = {0.0, 0.0};
   for (int i = 2; i < 200000; ++i) {
     const double x = 0.5 * xs[xs.size() - 1] + 0.3 * xs[xs.size() - 2] +
-                     rng.normal(0.0, 1.0);
+                     normal(rng, 0.0, 1.0);
     xs.push_back(x);
   }
   const ArModel model = fit_ar(xs, 2);
@@ -95,7 +96,7 @@ TEST(ArRSquaredTest, StrongAr1IsPredictable) {
 TEST(ArRSquaredTest, WhiteNoiseIsNotPredictable) {
   Rng rng(17);
   std::vector<double> xs;
-  for (int i = 0; i < 50000; ++i) xs.push_back(rng.normal(0, 1));
+  for (int i = 0; i < 50000; ++i) xs.push_back(normal(rng, 0, 1));
   const ArModel model = fit_ar(xs, 2);
   EXPECT_NEAR(ar_r_squared(model, xs), 0.0, 0.02);
 }
@@ -105,7 +106,7 @@ TEST(SelectArOrderTest, PrefersTrueOrderForAr2) {
   std::vector<double> xs = {0.0, 0.0};
   for (int i = 2; i < 100000; ++i) {
     xs.push_back(0.5 * xs[xs.size() - 1] + 0.3 * xs[xs.size() - 2] +
-                 rng.normal(0.0, 1.0));
+                 normal(rng, 0.0, 1.0));
   }
   const ArOrderSelection selection = select_ar_order(xs, 6);
   EXPECT_EQ(selection.best_order, 2u);

@@ -7,6 +7,7 @@
 #include "analysis/ar_model.h"
 #include "analysis/stats.h"
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -22,7 +23,7 @@ std::vector<double> arma_series(const std::vector<double>& ar,
   e.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
     double value = mean;
-    const double noise = rng.normal(0.0, 1.0);
+    const double noise = normal(rng, 0.0, 1.0);
     for (std::size_t i = 0; i < ar.size() && i < t; ++i) {
       value += ar[i] * (xs[t - 1 - i] - mean);
     }

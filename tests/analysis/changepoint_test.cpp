@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -13,7 +14,7 @@ std::vector<double> step_series(double before, double after,
   Rng rng(seed);
   std::vector<double> xs;
   for (std::size_t i = 0; i < total; ++i) {
-    xs.push_back((i < change_at ? before : after) + rng.normal(0.0, noise));
+    xs.push_back((i < change_at ? before : after) + normal(rng, 0.0, noise));
   }
   return xs;
 }
@@ -49,7 +50,7 @@ TEST(CusumTest, DetectsDownwardShift) {
 TEST(CusumTest, NoAlarmOnStationaryNoise) {
   Rng rng(7);
   std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) xs.push_back(100.0 + rng.normal(0.0, 3.0));
+  for (int i = 0; i < 5000; ++i) xs.push_back(100.0 + normal(rng, 0.0, 3.0));
   const auto result = cusum_detect(xs, strict_options());
   EXPECT_FALSE(result.alarm_index.has_value());
 }
@@ -92,7 +93,7 @@ TEST(SegmentationTest, FindsMultipleShifts) {
   const double levels[] = {100.0, 140.0, 90.0, 120.0};
   for (int segment = 0; segment < 4; ++segment) {
     for (int i = 0; i < 300; ++i) {
-      xs.push_back(levels[segment] + rng.normal(0.0, 3.0));
+      xs.push_back(levels[segment] + normal(rng, 0.0, 3.0));
     }
   }
   const auto changes = segment_mean_shifts(xs);
@@ -105,7 +106,7 @@ TEST(SegmentationTest, FindsMultipleShifts) {
 TEST(SegmentationTest, NoFalseSplitsOnNoise) {
   Rng rng(17);
   std::vector<double> xs;
-  for (int i = 0; i < 3000; ++i) xs.push_back(100.0 + rng.normal(0.0, 5.0));
+  for (int i = 0; i < 3000; ++i) xs.push_back(100.0 + normal(rng, 0.0, 5.0));
   EXPECT_TRUE(segment_mean_shifts(xs).empty());
 }
 

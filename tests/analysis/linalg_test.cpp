@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -94,7 +95,7 @@ TEST(LeastSquaresTest, RecoversCoefficientsUnderNoise) {
     design.at(i, 0) = 1.0;
     design.at(i, 1) = a;
     design.at(i, 2) = b;
-    y[i] = 4.0 - 2.0 * a + 0.5 * b + rng.normal(0.0, 0.3);
+    y[i] = 4.0 - 2.0 * a + 0.5 * b + normal(rng, 0.0, 0.3);
   }
   const auto beta = least_squares(design, y);
   EXPECT_NEAR(beta[0], 4.0, 0.02);

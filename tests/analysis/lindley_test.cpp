@@ -14,58 +14,6 @@ namespace {
 
 using testing::make_trace;
 
-TEST(LindleyWaitsTest, EmptyAndSingle) {
-  EXPECT_TRUE(lindley_waits({}, {}).empty());
-  const std::vector<double> service = {3.0};
-  const auto waits = lindley_waits(service, {});
-  ASSERT_EQ(waits.size(), 1u);
-  EXPECT_EQ(waits[0], 0.0);
-}
-
-TEST(LindleyWaitsTest, DeterministicRecursion) {
-  // w_{n+1} = max(0, w_n + y_n - x_n).
-  const std::vector<double> service = {4.0, 4.0, 4.0, 4.0};
-  const std::vector<double> gaps = {2.0, 10.0, 3.0};
-  const auto waits = lindley_waits(service, gaps);
-  ASSERT_EQ(waits.size(), 4u);
-  EXPECT_EQ(waits[0], 0.0);
-  EXPECT_EQ(waits[1], 2.0);  // 0 + 4 - 2
-  EXPECT_EQ(waits[2], 0.0);  // 2 + 4 - 10 -> clamp
-  EXPECT_EQ(waits[3], 1.0);  // 0 + 4 - 3
-}
-
-TEST(LindleyWaitsTest, InitialWaitPropagates) {
-  const std::vector<double> service = {1.0, 1.0};
-  const std::vector<double> gaps = {0.5};
-  const auto waits = lindley_waits(service, gaps, 10.0);
-  EXPECT_EQ(waits[0], 10.0);
-  EXPECT_EQ(waits[1], 10.5);
-}
-
-TEST(LindleyWaitsTest, NegativeInitialWaitClamped) {
-  const std::vector<double> service = {1.0};
-  EXPECT_EQ(lindley_waits(service, {}, -3.0)[0], 0.0);
-}
-
-TEST(LindleyWaitsTest, StableQueueStaysBounded) {
-  Rng rng(5);
-  std::vector<double> service, gaps;
-  for (int i = 0; i < 100000; ++i) service.push_back(rng.exponential(0.5));
-  for (int i = 0; i < 99999; ++i) gaps.push_back(rng.exponential(1.0));
-  const auto waits = lindley_waits(service, gaps);
-  // M/M/1 at rho = 0.5: mean wait = rho/(mu(1-rho)) with mu=2 -> 0.5.
-  double mean = 0.0;
-  for (double w : waits) mean += w;
-  mean /= static_cast<double>(waits.size());
-  EXPECT_NEAR(mean, 0.5, 0.1);
-}
-
-TEST(LindleyWaitsTest, Validation) {
-  const std::vector<double> service = {1.0, 1.0, 1.0};
-  const std::vector<double> gaps = {1.0};  // too few
-  EXPECT_THROW(lindley_waits(service, gaps), std::invalid_argument);
-}
-
 TEST(WorkloadSamplesTest, ComputesGFromConsecutiveReceived) {
   // g_n = rtt_{n+1} - rtt_n + delta.
   const auto trace = make_trace(20, {150.0, 145.0, std::nullopt, 160.0, 190.0});

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -13,7 +14,7 @@ std::vector<double> white_noise(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> xs;
   xs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) xs.push_back(rng.normal(0.0, 1.0));
+  for (std::size_t i = 0; i < n; ++i) xs.push_back(normal(rng, 0.0, 1.0));
   return xs;
 }
 

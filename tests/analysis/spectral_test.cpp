@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -53,7 +54,7 @@ TEST(FftTest, ParsevalHolds) {
   std::vector<std::complex<double>> data(128);
   double time_energy = 0.0;
   for (auto& value : data) {
-    value = {rng.normal(0, 1), 0.0};
+    value = {normal(rng, 0, 1), 0.0};
     time_energy += std::norm(value);
   }
   fft(data);
@@ -101,7 +102,7 @@ TEST(PeriodogramTest, DiurnalCycleDetection) {
   for (int i = 0; i < 2048; ++i) {
     xs.push_back(100.0 +
                  30.0 * std::sin(2.0 * std::numbers::pi * i / period) +
-                 rng.normal(0.0, 5.0));
+                 normal(rng, 0.0, 5.0));
   }
   const double f = dominant_frequency(xs);
   EXPECT_NEAR(1.0 / f, period, 16.0);

@@ -8,6 +8,7 @@
 
 #include "tests/analysis/trace_fixtures.h"
 #include "util/rng.h"
+#include "tests/util/normal.h"
 
 namespace bolot::analysis {
 namespace {
@@ -53,7 +54,7 @@ TEST(SummarizeTest, MillionSampleStreamIsPinned) {
   std::vector<double> xs;
   StreamingSummary streaming;
   for (std::size_t i = 0; i < 1'000'000; ++i) {
-    xs.push_back(1e6 + rng.normal(0.0, 3.0));
+    xs.push_back(1e6 + normal(rng, 0.0, 3.0));
     streaming.push(xs.back());
   }
   const Summary s = summarize(xs);
@@ -102,7 +103,7 @@ TEST(AutocorrelationTest, Lag0IsOne) {
 TEST(AutocorrelationTest, WhiteNoiseDecorrelates) {
   Rng rng(5);
   std::vector<double> xs;
-  for (int i = 0; i < 20000; ++i) xs.push_back(rng.normal(0.0, 1.0));
+  for (int i = 0; i < 20000; ++i) xs.push_back(normal(rng, 0.0, 1.0));
   const auto acf = autocorrelation(xs, 3);
   for (std::size_t lag = 1; lag <= 3; ++lag) {
     EXPECT_NEAR(acf[lag], 0.0, 0.03) << lag;
@@ -114,7 +115,7 @@ TEST(AutocorrelationTest, Ar1ProcessHasGeometricAcf) {
   Rng rng(7);
   std::vector<double> xs = {0.0};
   for (int i = 1; i < 50000; ++i) {
-    xs.push_back(0.8 * xs.back() + rng.normal(0.0, 1.0));
+    xs.push_back(0.8 * xs.back() + normal(rng, 0.0, 1.0));
   }
   const auto acf = autocorrelation(xs, 3);
   EXPECT_NEAR(acf[1], 0.8, 0.02);
@@ -130,7 +131,7 @@ TEST(AutocorrelationTest, MillionSampleArStreamIsPinned) {
   xs.reserve(testing::kMillionSamples);
   double x = 0.0;
   for (std::size_t i = 0; i < testing::kMillionSamples; ++i) {
-    x = 0.8 * x + rng.normal(0.0, 1.0);
+    x = 0.8 * x + normal(rng, 0.0, 1.0);
     xs.push_back(120.0 + x);
   }
   const std::vector<double> acf = autocorrelation(xs, 64);
@@ -170,8 +171,8 @@ TEST(PearsonTest, IndependentSamplesNearZero) {
   Rng rng(11);
   std::vector<double> xs, ys;
   for (int i = 0; i < 20000; ++i) {
-    xs.push_back(rng.normal(0, 1));
-    ys.push_back(rng.normal(0, 1));
+    xs.push_back(normal(rng, 0, 1));
+    ys.push_back(normal(rng, 0, 1));
   }
   EXPECT_NEAR(pearson(xs, ys), 0.0, 0.03);
 }

@@ -66,11 +66,10 @@ void push_pair_probe(StreamingPacketPair& pair, std::uint64_t seq,
 TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
   constexpr int kProbes = 100'000;
   StreamingLossState loss;
-  StreamingLindleyConfig lindley_config;
-  lindley_config.delta = Duration::millis(50);
-  lindley_config.probe_wire = ByteSize::bytes(72);
-  lindley_config.max = Duration::millis(200);
-  StreamingLindley lindley(lindley_config);
+  WorkloadOptions lindley_options;
+  lindley_options.max_ms = 200.0;
+  StreamingLindley lindley(Duration::millis(50), ByteSize::bytes(72),
+                           lindley_options);
   StreamingPacketPair pair(ByteSize::bytes(72), kProbes / 2);
 
   Rng rng(41);
@@ -97,8 +96,9 @@ TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
 /// A per-stream bank of every streaming core: loss state, Lindley
 /// inversion, packet pairs and an rtt summary (ms, 0 for a lost probe).
 struct StreamBank {
-  StreamBank(const StreamingLindleyConfig& config, std::size_t max_pairs)
-      : lindley(config), pair(config.probe_wire, max_pairs) {}
+  StreamBank(Duration delta, ByteSize probe_wire,
+             const WorkloadOptions& options, std::size_t max_pairs)
+      : lindley(delta, probe_wire, options), pair(probe_wire, max_pairs) {}
 
   void push(Duration rtt) {
     const bool lost = rtt == Duration::zero();
@@ -117,15 +117,14 @@ struct StreamBank {
 TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
   constexpr std::size_t kStreams = 10'000;
   constexpr std::size_t kProbesPerStream = 100;
-  StreamingLindleyConfig config;
-  config.delta = Duration::millis(20);
-  config.probe_wire = ByteSize::bytes(72);
-  config.bottleneck = Bandwidth::mbps(1);
-  config.max = Duration::millis(200);
+  WorkloadOptions options;
+  options.bottleneck_bps = 1e6;
+  options.max_ms = 200.0;
   std::vector<StreamBank> banks;
   banks.reserve(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) {
-    banks.emplace_back(config, kProbesPerStream / 2);
+    banks.emplace_back(Duration::millis(20), ByteSize::bytes(72), options,
+                       kProbesPerStream / 2);
   }
 
   // Round-robin: the arrival order of 10^4 live streams analyzed online.

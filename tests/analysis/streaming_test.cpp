@@ -273,11 +273,10 @@ TEST(StreamingPacketPairTest, RejectsOutlierFactorBelowOne) {
 TEST(StreamingLindleyTest, OnlineAccessorsMatchBatchAtPrefixes) {
   const double delta_ms = 20.0;
   const auto rtts = random_rtt_stream(13, 2000, 0.1, 8.0, 0.0);
-  StreamingLindleyConfig config;
-  config.delta = Duration::millis(delta_ms);
-  config.probe_wire = ByteSize::bytes(72);
-  config.max = Duration::millis(100);
-  StreamingLindley streaming(config);
+  WorkloadOptions options;
+  options.max_ms = 100.0;
+  StreamingLindley streaming(Duration::millis(delta_ms), ByteSize::bytes(72),
+                             options);
 
   std::vector<std::optional<double>> prefix;
   for (const auto& r : rtts) {
@@ -285,8 +284,6 @@ TEST(StreamingLindleyTest, OnlineAccessorsMatchBatchAtPrefixes) {
     streaming.push(r ? Duration::millis(*r) : Duration::zero());
   }
   const ProbeTrace trace = stream_trace(prefix, delta_ms, 0.0);
-  WorkloadOptions options;
-  options.max_ms = config.max.millis();
   const WorkloadAnalysis batch = analyze_workload(trace, options);
   EXPECT_EQ(streaming.mean_workload_bits(), batch.mean_workload_bits);
   EXPECT_EQ(streaming.busy_sample_fraction(), batch.busy_sample_fraction);
@@ -294,19 +291,18 @@ TEST(StreamingLindleyTest, OnlineAccessorsMatchBatchAtPrefixes) {
 }
 
 TEST(StreamingLindleyTest, RequiresExplicitHistogramEdge) {
-  StreamingLindleyConfig config;
-  config.delta = Duration::millis(50);
-  config.probe_wire = ByteSize::bytes(72);
-  config.max = Duration::zero();  // batch would auto-size; streaming cannot
-  EXPECT_THROW(StreamingLindley{config}, std::invalid_argument);
+  WorkloadOptions options;
+  options.max_ms = 0.0;  // batch would auto-size; streaming cannot
+  EXPECT_THROW(
+      StreamingLindley(Duration::millis(50), ByteSize::bytes(72), options),
+      std::invalid_argument);
 }
 
 TEST(StreamingLindleyTest, NoPairsThrowsLikeBatch) {
-  StreamingLindleyConfig config;
-  config.delta = Duration::millis(50);
-  config.probe_wire = ByteSize::bytes(72);
-  config.max = Duration::millis(100);
-  StreamingLindley streaming(config);
+  WorkloadOptions options;
+  options.max_ms = 100.0;
+  StreamingLindley streaming(Duration::millis(50), ByteSize::bytes(72),
+                             options);
   streaming.push(Duration::millis(80));
   streaming.push(Duration::zero());  // loss breaks the only pair
   streaming.push(Duration::millis(90));

@@ -30,7 +30,7 @@ TEST_P(ConservationSweep, LinkConservesPackets) {
   config.propagation = Duration::millis(knobs.uniform(0.1, 50.0));
   config.buffer_packets = 1 + knobs.uniform_int(40);
   config.random_drop_probability = Probability::checked(knobs.uniform(0.0, 0.05));
-  net.add_duplex_link(a, b, config);
+  const sim::Link& link = net.add_duplex_link(a, b, config);
 
   // A burst mix sized to stress the buffer.
   std::vector<std::unique_ptr<sim::TrafficSource>> sources;
@@ -50,9 +50,7 @@ TEST_P(ConservationSweep, LinkConservesPackets) {
   net.set_receiver(b, [&](sim::Packet&&) { ++delivered; });
   for (auto& source : sources) source->start(Duration::zero());
   simulator.run_until(Duration::seconds(30));
-  for (auto& source : sources) source->stop();
 
-  const sim::Link& link = net.link(a, b);
   const auto& stats = link.stats();
   std::uint64_t sent = 0;
   for (const auto& source : sources) sent += source->packets_sent();

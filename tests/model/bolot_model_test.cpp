@@ -12,6 +12,22 @@
 namespace bolot::model {
 namespace {
 
+/// The paper's inferred cross-traffic mix as a batch distribution: with
+/// probability `bulk` a burst of 512-byte FTP packets (geometric length,
+/// mean `mean_bulk_packets`), else with probability `interactive` one
+/// 64-byte Telnet packet, else nothing.
+BatchBitsDistribution ftp_telnet_mix(double bulk, double mean_bulk_packets,
+                                     double interactive) {
+  return [=](Rng& rng) {
+    const double u = rng.uniform();
+    if (u < bulk) {
+      return static_cast<double>(rng.geometric(1.0 / mean_bulk_packets)) *
+             512.0 * 8.0;
+    }
+    return u < bulk + interactive ? 64.0 * 8.0 : 0.0;
+  };
+}
+
 ModelConfig base_config() {
   ModelConfig config;
   config.mu = Bandwidth::bps(128e3);
@@ -72,9 +88,7 @@ TEST(RunModelTest, CompressionEmergesFromTheRecursion) {
   // compression phenomenon".  Occasional multi-packet batches create
   // busy periods in which consecutive probes drain back to back.
   ModelConfig config = base_config();
-  config.batch_bits =
-      bulk_interactive_mix(Probability::checked(0.10), 6.0, ByteSize::bytes(512),
-                           Probability::checked(0.30), ByteSize::bytes(64));
+  config.batch_bits = ftp_telnet_mix(0.10, 6.0, 0.30);
   config.seed = 7;
   const ModelRun run = run_model(config);
   const auto phase = analysis::analyze_phase_plot(run.trace);
@@ -86,8 +100,7 @@ TEST(RunModelTest, CompressionEmergesFromTheRecursion) {
 
 TEST(RunModelTest, BottleneckEstimatorRecoversMuFromModelTrace) {
   ModelConfig config = base_config();
-  config.batch_bits = bulk_interactive_mix(Probability::checked(0.10), 6.0, ByteSize::bytes(512),
-                           Probability::checked(0.30), ByteSize::bytes(64));
+  config.batch_bits = ftp_telnet_mix(0.10, 6.0, 0.30);
   const ModelRun run = run_model(config);
   const auto estimate = analysis::estimate_bottleneck(run.trace);
   EXPECT_NEAR(estimate.mu_bps, 128e3, 15e3);
@@ -95,8 +108,7 @@ TEST(RunModelTest, BottleneckEstimatorRecoversMuFromModelTrace) {
 
 TEST(RunModelTest, LightLoadLossesAreRare) {
   ModelConfig config = base_config();
-  config.batch_bits = bulk_interactive_mix(Probability::checked(0.02), 2.0, ByteSize::bytes(512),
-                           Probability::checked(0.10), ByteSize::bytes(64));
+  config.batch_bits = ftp_telnet_mix(0.02, 2.0, 0.10);
   const ModelRun run = run_model(config);
   const auto loss = analysis::loss_stats(run.trace);
   EXPECT_LT(loss.ulp, 0.01);
@@ -104,8 +116,7 @@ TEST(RunModelTest, LightLoadLossesAreRare) {
 
 TEST(RunModelTest, DeterministicForFixedSeed) {
   ModelConfig config = base_config();
-  config.batch_bits = bulk_interactive_mix(Probability::checked(0.1), 4.0, ByteSize::bytes(512),
-                           Probability::checked(0.2), ByteSize::bytes(64));
+  config.batch_bits = ftp_telnet_mix(0.1, 4.0, 0.2);
   config.seed = 99;
   const ModelRun a = run_model(config);
   const ModelRun b = run_model(config);
@@ -119,8 +130,7 @@ TEST(RunModelTest, DeterministicForFixedSeed) {
 TEST(RunModelTest, RandomPhaseStillConserved) {
   ModelConfig config = base_config();
   config.batch_phase = -1.0;  // uniform random
-  config.batch_bits = bulk_interactive_mix(Probability::checked(0.1), 4.0, ByteSize::bytes(512),
-                           Probability::checked(0.2), ByteSize::bytes(64));
+  config.batch_bits = ftp_telnet_mix(0.1, 4.0, 0.2);
   const ModelRun run = run_model(config);
   EXPECT_EQ(run.trace.size(), config.probe_count);
   EXPECT_EQ(run.batches_bits.size(), config.probe_count);
@@ -140,37 +150,6 @@ TEST(RunModelTest, Validation) {
   config.batch_bits = [](Rng&) { return 0.0; };
   config.buffer_packets = 0;
   EXPECT_THROW(run_model(config), std::invalid_argument);
-}
-
-TEST(BulkInteractiveMixTest, ProbabilitiesAndSizes) {
-  auto dist = bulk_interactive_mix(Probability::checked(0.2), 4.0, ByteSize::bytes(512),
-                           Probability::checked(0.3), ByteSize::bytes(64));
-  Rng rng(5);
-  int bulk = 0, interactive = 0, idle = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    const double bits = dist(rng);
-    if (bits == 0.0) {
-      ++idle;
-    } else if (bits == 64.0 * 8.0) {
-      ++interactive;
-    } else {
-      ++bulk;
-      EXPECT_EQ(std::fmod(bits, 512.0 * 8.0), 0.0);
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(bulk) / n, 0.2, 0.01);
-  EXPECT_NEAR(static_cast<double>(interactive) / n, 0.3, 0.01);
-  EXPECT_NEAR(static_cast<double>(idle) / n, 0.5, 0.01);
-}
-
-TEST(BulkInteractiveMixTest, Validation) {
-  EXPECT_THROW(bulk_interactive_mix(Probability::checked(0.7), 4.0, ByteSize::bytes(512),
-                           Probability::checked(0.5), ByteSize::bytes(64)),
-               std::invalid_argument);
-  EXPECT_THROW(bulk_interactive_mix(Probability::checked(0.2), 0.5, ByteSize::bytes(512),
-                           Probability::checked(0.3), ByteSize::bytes(64)),
-               std::invalid_argument);
 }
 
 TEST(EmpiricalBatchesTest, ResamplesFromSample) {

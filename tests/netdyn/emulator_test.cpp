@@ -10,6 +10,7 @@
 #include "netdyn/echo_server.h"
 #include "netdyn/prober.h"
 #include "nettime/clock.h"
+#include "tests/netdyn/echo_loop.h"
 
 namespace bolot::netdyn {
 namespace {
@@ -17,10 +18,10 @@ namespace {
 TEST(PathEmulatorTest, AddsConfiguredPropagationDelay) {
   SystemClock clock;
   EchoServer echo(0, clock);
-  echo.start();
+  const std::jthread echoing = echo_loop(echo);
 
   PathEmulatorConfig config;
-  config.target = loopback(echo.port());
+  config.target = make_endpoint("127.0.0.1", echo.port());
   config.one_way_delay = Duration::millis(30);
   config.rate = Bandwidth::bps(0.0);  // isolate the propagation component
   PathEmulator wan(0, config);
@@ -31,7 +32,7 @@ TEST(PathEmulatorTest, AddsConfiguredPropagationDelay) {
   probe_config.probe_count = 30;
   probe_config.drain = Duration::millis(300);
   Prober prober(clock, probe_config);
-  const auto trace = prober.run(loopback(wan.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", wan.port()));
 
   ASSERT_GT(trace.received_count(), 25u);
   const auto rtts = trace.rtt_ms_received();
@@ -43,10 +44,10 @@ TEST(PathEmulatorTest, AddsConfiguredPropagationDelay) {
 TEST(PathEmulatorTest, RandomLossNearConfiguredRate) {
   SystemClock clock;
   EchoServer echo(0, clock);
-  echo.start();
+  const std::jthread echoing = echo_loop(echo);
 
   PathEmulatorConfig config;
-  config.target = loopback(echo.port());
+  config.target = make_endpoint("127.0.0.1", echo.port());
   config.one_way_delay = Duration::millis(1);
   config.rate = Bandwidth::bps(0.0);
   config.loss_probability =
@@ -60,7 +61,7 @@ TEST(PathEmulatorTest, RandomLossNearConfiguredRate) {
   probe_config.probe_count = 400;
   probe_config.drain = Duration::millis(200);
   Prober prober(clock, probe_config);
-  const auto trace = prober.run(loopback(wan.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", wan.port()));
 
   const double loss = analysis::loss_stats(trace).ulp;
   EXPECT_NEAR(loss, 1.0 - 0.75 * 0.75, 0.08);
@@ -69,10 +70,10 @@ TEST(PathEmulatorTest, RandomLossNearConfiguredRate) {
 TEST(PathEmulatorTest, RateLimitSerializesBackToBackProbes) {
   SystemClock clock;
   EchoServer echo(0, clock);
-  echo.start();
+  const std::jthread echoing = echo_loop(echo);
 
   PathEmulatorConfig config;
-  config.target = loopback(echo.port());
+  config.target = make_endpoint("127.0.0.1", echo.port());
   config.one_way_delay = Duration::millis(2);
   config.rate = Bandwidth::bps(128e3);  // 32 B datagram -> 2 ms per traversal
   config.buffer_packets = 50;
@@ -85,7 +86,7 @@ TEST(PathEmulatorTest, RateLimitSerializesBackToBackProbes) {
   probe_config.probe_count = 60;
   probe_config.drain = Duration::millis(800);
   Prober prober(clock, probe_config);
-  const auto trace = prober.run(loopback(wan.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", wan.port()));
 
   ASSERT_GT(trace.received_count(), 30u);
   const auto rtts = trace.rtt_ms_received();
@@ -98,10 +99,10 @@ TEST(PathEmulatorTest, RateLimitSerializesBackToBackProbes) {
 TEST(PathEmulatorTest, OverflowDropsWhenBufferTiny) {
   SystemClock clock;
   EchoServer echo(0, clock);
-  echo.start();
+  const std::jthread echoing = echo_loop(echo);
 
   PathEmulatorConfig config;
-  config.target = loopback(echo.port());
+  config.target = make_endpoint("127.0.0.1", echo.port());
   config.one_way_delay = Duration::millis(1);
   config.rate = Bandwidth::bps(64e3);
   config.buffer_packets = 2;
@@ -113,7 +114,7 @@ TEST(PathEmulatorTest, OverflowDropsWhenBufferTiny) {
   probe_config.probe_count = 100;
   probe_config.drain = Duration::millis(500);
   Prober prober(clock, probe_config);
-  const auto trace = prober.run(loopback(wan.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", wan.port()));
 
   EXPECT_GT(trace.lost_count(), 10u);
   EXPECT_GT(wan.stats().overflow_drops, 10u);
@@ -131,7 +132,7 @@ TEST(PathEmulatorTest, ConfigValidation) {
 
 TEST(PathEmulatorTest, StartStopIdempotent) {
   PathEmulatorConfig config;
-  config.target = loopback(9);  // never used
+  config.target = make_endpoint("127.0.0.1", 9);  // never used
   PathEmulator wan(0, config);
   wan.start();
   wan.start();

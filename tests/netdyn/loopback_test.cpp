@@ -11,21 +11,33 @@
 #include "netdyn/echo_server.h"
 #include "netdyn/prober.h"
 #include "nettime/clock.h"
+#include "tests/netdyn/echo_loop.h"
 
 namespace bolot::netdyn {
 namespace {
 
+/// Floors a base clock's readings to `tick`, as a coarse host clock does.
+class CoarseClock final : public Clock {
+ public:
+  CoarseClock(const Clock& base, Duration tick) : base_(base), tick_(tick) {}
+  Duration now() const override { return quantize(base_.now(), tick_); }
+
+ private:
+  const Clock& base_;
+  Duration tick_;
+};
+
 TEST(LoopbackIntegrationTest, AllProbesEchoWithPlausibleRtts) {
   SystemClock clock;
   EchoServer server(0, clock);
-  server.start();
+  const std::jthread echoing = echo_loop(server);
 
   ProberConfig config;
   config.delta = Duration::millis(2);
   config.probe_count = 100;
   config.drain = Duration::millis(300);
   Prober prober(clock, config);
-  const auto trace = prober.run(loopback(server.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", server.port()));
 
   ASSERT_EQ(trace.size(), 100u);
   // Loopback does not drop; allow a little slack for scheduler hiccups.
@@ -46,14 +58,14 @@ TEST(LoopbackIntegrationTest, AllProbesEchoWithPlausibleRtts) {
 TEST(LoopbackIntegrationTest, SendTimesRespectDelta) {
   SystemClock clock;
   EchoServer server(0, clock);
-  server.start();
+  const std::jthread echoing = echo_loop(server);
 
   ProberConfig config;
   config.delta = Duration::millis(5);
   config.probe_count = 40;
   config.drain = Duration::millis(100);
   Prober prober(clock, config);
-  const auto trace = prober.run(loopback(server.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", server.port()));
 
   ASSERT_EQ(trace.size(), 40u);
   // Send spacing: nominal 5 ms; the scheduler can only stretch it.
@@ -82,7 +94,8 @@ TEST(LoopbackIntegrationTest, ProbesToNowhereAreAllLost) {
   Prober prober(clock, config);
   // An ephemeral port nobody listens on: everything times out.
   UdpSocket placeholder(0);  // reserve a port, never read from it
-  const auto trace = prober.run(loopback(placeholder.local_port()));
+  const auto trace =
+      prober.run(make_endpoint("127.0.0.1", placeholder.local_port()));
   EXPECT_EQ(trace.received_count(), 0u);
   EXPECT_EQ(analysis::loss_stats(trace).ulp, 1.0);
 }
@@ -90,13 +103,14 @@ TEST(LoopbackIntegrationTest, ProbesToNowhereAreAllLost) {
 TEST(LoopbackIntegrationTest, ProberRunsOnce) {
   SystemClock clock;
   EchoServer server(0, clock);
-  server.start();
+  const std::jthread echoing = echo_loop(server);
   ProberConfig config;
   config.probe_count = 1;
   config.drain = Duration::millis(50);
   Prober prober(clock, config);
-  prober.run(loopback(server.port()));
-  EXPECT_THROW(prober.run(loopback(server.port())), std::logic_error);
+  prober.run(make_endpoint("127.0.0.1", server.port()));
+  EXPECT_THROW(prober.run(make_endpoint("127.0.0.1", server.port())),
+               std::logic_error);
 }
 
 TEST(ProberTest, RejectsProbeCountBeyondWireSequenceSpace) {
@@ -113,15 +127,15 @@ TEST(LoopbackIntegrationTest, QuantizedClockProducesCoarseRtts) {
   // rtts must be multiples of the tick, reproducing the banding the
   // paper attributes to its source host.
   SystemClock base;
-  QuantizedClock clock(base, Duration::millis(2));
+  CoarseClock clock(base, Duration::millis(2));
   EchoServer server(0, base);
-  server.start();
+  const std::jthread echoing = echo_loop(server);
   ProberConfig config;
   config.delta = Duration::millis(3);
   config.probe_count = 30;
   config.drain = Duration::millis(200);
   Prober prober(clock, config);
-  const auto trace = prober.run(loopback(server.port()));
+  const auto trace = prober.run(make_endpoint("127.0.0.1", server.port()));
   for (const auto& record : trace.records) {
     if (!record.received) continue;
     EXPECT_EQ(record.rtt.count_nanos() % Duration::millis(2).count_nanos(), 0)
@@ -141,18 +155,9 @@ TEST(EchoServerTest, IgnoresNonProbeDatagrams) {
   UdpSocket sender(0);
   const char junk[] = "this is not a probe";
   sender.send_to(std::as_bytes(std::span(junk, sizeof junk)),
-                 loopback(server.port()));
+                 make_endpoint("127.0.0.1", server.port()));
   EXPECT_FALSE(server.poll_once(Duration::millis(200)));
   EXPECT_EQ(server.echoed_count(), 0u);
-}
-
-TEST(EchoServerTest, StartStopIsIdempotent) {
-  SystemClock clock;
-  EchoServer server(0, clock);
-  server.start();
-  server.start();
-  server.stop();
-  server.stop();
 }
 
 }  // namespace

@@ -12,7 +12,6 @@ TEST(EndpointTest, ParseAndFormat) {
   const Endpoint ep = make_endpoint("127.0.0.1", 9000);
   EXPECT_EQ(ep.port, 9000);
   EXPECT_EQ(ep.to_string(), "127.0.0.1:9000");
-  EXPECT_EQ(loopback(80).to_string(), "127.0.0.1:80");
 }
 
 TEST(EndpointTest, RejectsMalformedAddress) {
@@ -38,7 +37,7 @@ TEST(UdpSocketTest, LoopbackRoundTrip) {
   UdpSocket receiver(0);
   const char payload[] = "netdyn";
   sender.send_to(std::as_bytes(std::span(payload, sizeof payload)),
-                 loopback(receiver.local_port()));
+                 make_endpoint("127.0.0.1", receiver.local_port()));
   std::array<std::byte, 64> buffer{};
   const auto received = receiver.receive(buffer, Duration::seconds(2));
   ASSERT_TRUE(received.has_value());
@@ -51,7 +50,8 @@ TEST(UdpSocketTest, ReplyReachesOriginalSender) {
   UdpSocket a(0);
   UdpSocket b(0);
   const char ping[] = "ping";
-  a.send_to(std::as_bytes(std::span(ping, 4)), loopback(b.local_port()));
+  a.send_to(std::as_bytes(std::span(ping, 4)),
+            make_endpoint("127.0.0.1", b.local_port()));
   std::array<std::byte, 64> buffer{};
   const auto at_b = b.receive(buffer, Duration::seconds(2));
   ASSERT_TRUE(at_b.has_value());
@@ -59,13 +59,6 @@ TEST(UdpSocketTest, ReplyReachesOriginalSender) {
   const auto back_at_a = a.receive(buffer, Duration::seconds(2));
   ASSERT_TRUE(back_at_a.has_value());
   EXPECT_EQ(back_at_a->size, 4u);
-}
-
-TEST(UdpSocketTest, MoveTransfersOwnership) {
-  UdpSocket original(0);
-  const std::uint16_t port = original.local_port();
-  UdpSocket moved(std::move(original));
-  EXPECT_EQ(moved.local_port(), port);
 }
 
 TEST(UdpSocketTest, BindingSamePortTwiceFails) {

@@ -2,25 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace bolot {
 namespace {
 
 TEST(WireTimestampTest, RoundTripsMicrosecondValues) {
   for (const double ms : {0.0, 1.0, 3.906, 140.0, 5000.0, 1e7}) {
     const Duration t = Duration::millis(ms);
-    const auto wire = to_wire_timestamp(t);
+    std::array<std::byte, kWireTimestampSize> wire{};
+    encode_wire_timestamp(t, wire);
     EXPECT_EQ(decode_wire_timestamp(wire), t) << ms;
   }
 }
 
 TEST(WireTimestampTest, TruncatesSubMicrosecond) {
-  const Duration t = Duration::nanos(1500);  // 1.5 us
-  const auto wire = to_wire_timestamp(t);
+  std::array<std::byte, kWireTimestampSize> wire{};
+  encode_wire_timestamp(Duration::nanos(1500), wire);  // 1.5 us
   EXPECT_EQ(decode_wire_timestamp(wire), Duration::micros(1));
 }
 
 TEST(WireTimestampTest, EncodesBigEndian) {
-  const auto wire = to_wire_timestamp(Duration::micros(0x0102030405));
+  std::array<std::byte, kWireTimestampSize> wire{};
+  encode_wire_timestamp(Duration::micros(0x0102030405), wire);
   EXPECT_EQ(wire[0], std::byte{0x00});
   EXPECT_EQ(wire[1], std::byte{0x01});
   EXPECT_EQ(wire[2], std::byte{0x02});
@@ -31,15 +35,17 @@ TEST(WireTimestampTest, EncodesBigEndian) {
 
 TEST(WireTimestampTest, MaxRepresentableValue) {
   const std::int64_t max_us = (std::int64_t{1} << 48) - 1;
-  const Duration t = Duration::nanos(max_us * 1000);  // exact, no double
-  const auto wire = to_wire_timestamp(t);
+  std::array<std::byte, kWireTimestampSize> wire{};
+  encode_wire_timestamp(Duration::nanos(max_us * 1000), wire);  // exact
   EXPECT_EQ(decode_wire_timestamp(wire).count_nanos(), max_us * 1000);
 }
 
 TEST(WireTimestampTest, RejectsOutOfRange) {
-  EXPECT_THROW(to_wire_timestamp(Duration::micros(-1.0)), std::out_of_range);
+  std::array<std::byte, kWireTimestampSize> wire{};
+  EXPECT_THROW(encode_wire_timestamp(Duration::micros(-1.0), wire),
+               std::out_of_range);
   const double too_big_us = static_cast<double>(std::int64_t{1} << 48);
-  EXPECT_THROW(to_wire_timestamp(Duration::micros(too_big_us)),
+  EXPECT_THROW(encode_wire_timestamp(Duration::micros(too_big_us), wire),
                std::out_of_range);
 }
 

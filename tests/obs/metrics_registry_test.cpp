@@ -7,6 +7,7 @@
 
 #include "runner/sweep.h"
 #include "scenario/scenarios.h"
+#include "tests/obs/find_metric.h"
 
 namespace bolot::obs {
 namespace {
@@ -29,10 +30,10 @@ TEST(MetricsRegistryTest, ProbesEvaluateAtSnapshotTime) {
   registry.probe_gauge("level", [&level] { return level; });
   level = 42.0;  // changed after registration, before snapshot
   MetricsSnapshot snap = registry.snapshot(Duration::seconds(3));
-  ASSERT_NE(snap.value("level"), nullptr);
-  EXPECT_EQ(*snap.value("level"), 42.0);
+  ASSERT_NE(find_metric(snap, "level"), nullptr);
+  EXPECT_EQ(*find_metric(snap, "level"), 42.0);
   EXPECT_EQ(snap.at, Duration::seconds(3));
-  EXPECT_EQ(snap.value("missing"), nullptr);
+  EXPECT_EQ(find_metric(snap, "missing"), nullptr);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsInRegistrationOrder) {

@@ -25,6 +25,7 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -68,7 +69,7 @@ TEST(ObsOverheadTest, SamplerSteadyStateIsAllocationFree) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
   sampler.stop();
-  simulator.run_to_completion();
+  sim::drain(simulator);
   EXPECT_EQ(after - before, 0u);
   EXPECT_GT(sampler.stride(), Duration::micros(100));  // decimated at least once
   EXPECT_EQ(sampler.series(0).size(), sampler.series(1).size());
@@ -96,35 +97,35 @@ ChainRun run_chain3(bool with_obs) {
   config.propagation = Duration::micros(10);
   config.buffer_packets = 64;
   config.name = "hop0";
-  net.add_link(n0, n1, config);
+  sim::Link& hop0 = net.add_link(n0, n1, config, simulator);
   config.name = "hop1";
-  net.add_link(n1, n2, config);
+  sim::Link& hop1 = net.add_link(n1, n2, config, simulator);
   config.name = "hop2";
-  net.add_link(n2, n3, config);
+  sim::Link& hop2 = net.add_link(n2, n3, config, simulator);
 
   MetricsRegistry registry;
   Sampler sampler(simulator, Duration::millis(1), 2048);
   if (with_obs) {
-    net.link(n0, n1).publish_metrics(registry);
-    net.link(n1, n2).publish_metrics(registry);
-    net.link(n2, n3).publish_metrics(registry);
-    watch_queue_packets(sampler, net.link(n0, n1));
-    watch_utilization(sampler, net.link(n0, n1));
+    hop0.publish_metrics(registry);
+    hop1.publish_metrics(registry);
+    hop2.publish_metrics(registry);
+    watch_queue_packets(sampler, hop0);
+    watch_utilization(sampler, hop0);
   }
 
   std::uint64_t received = 0;
   net.set_receiver(n3, [&received](sim::Packet&&) { ++received; });
   sim::CbrSource source(simulator, net, n0, n3, 1, sim::PacketKind::kBulk,
-                        Rng(11), Duration::micros(4), ByteSize::bytes(512));
+                        Duration::micros(4), ByteSize::bytes(512),
+                        /*last=*/Duration::seconds(1));
   net.compute_routes();
   source.start(SimTime());
   if (with_obs) sampler.start(SimTime());
 
   const auto start = std::chrono::steady_clock::now();
   simulator.run_until(Duration::seconds(1));
-  source.stop();
   sampler.stop();
-  simulator.run_to_completion();
+  sim::drain(simulator);
   ChainRun run;
   run.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

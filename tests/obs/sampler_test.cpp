@@ -10,6 +10,8 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
+#include "tests/sim/sim_fixtures.h"
+#include "tests/obs/find_metric.h"
 
 namespace bolot::obs {
 namespace {
@@ -66,7 +68,7 @@ TEST(SamplerTest, RecordsUniformlySpacedSamples) {
   simulator.schedule_at(Duration::millis(145), [&level] { level = 7.0; });
   simulator.run_until(Duration::millis(200));
   sampler.stop();
-  simulator.run_to_completion();
+  sim::drain(simulator);
 
   const TimeSeries& series = sampler.series(idx);
   // Samples at 100,110,...,200 ms inclusive.
@@ -89,7 +91,7 @@ TEST(SamplerTest, DecimatesAllSeriesTogetherPastBudget) {
   sampler.start(SimTime());
   simulator.run_until(Duration::millis(20));  // 21 grid points > 2x budget
   sampler.stop();
-  simulator.run_to_completion();
+  sim::drain(simulator);
 
   // 8 samples fill the budget; decimation at sample 9 halves to 4 and
   // doubles the stride to 2 ms; the second fill + decimation leaves the
@@ -144,7 +146,7 @@ TEST(SamplerTest, EvenBudgetStampsEverySampleAtItsTakenTime) {
   sampler.start(SimTime());
   simulator.run_until(Duration::seconds(1));
   sampler.stop();
-  simulator.run_to_completion();
+  sim::drain(simulator);
 
   EXPECT_GE(sampler.stride(), Duration::millis(80));  // >= 3 decimations
   const TimeSeries& series = sampler.series(0);
@@ -177,7 +179,7 @@ TEST(SamplerTest, StopHaltsSampling) {
   simulator.run_until(Duration::millis(5));
   sampler.stop();
   const std::size_t at_stop = sampler.size();
-  simulator.run_to_completion();  // terminates: no self-re-arming event left
+  sim::drain(simulator);  // terminates: no self-re-arming event left
   EXPECT_EQ(sampler.size(), at_stop);
   EXPECT_FALSE(sampler.running());
 }
@@ -192,7 +194,7 @@ TEST(SamplerTest, WatchHelpersTrackComponentState) {
   config.rate = Bandwidth::bps(8e6);  // 1000-byte packet = 1 ms service
   config.propagation = Duration::millis(1);
   config.buffer_packets = 64;
-  sim::Link& link = net.add_link(a, b, config);
+  sim::Link& link = net.add_link(a, b, config, simulator);
 
   Sampler sampler(simulator, Duration::micros(500), 4096);
   const std::size_t q_idx = watch_queue_packets(sampler, link);
@@ -201,14 +203,14 @@ TEST(SamplerTest, WatchHelpersTrackComponentState) {
   EXPECT_EQ(sampler.series(q_idx).name(), "ab.queue_pkts");
 
   sim::CbrSource source(simulator, net, a, b, 1, sim::PacketKind::kBulk,
-                        Rng(9), Duration::millis(1), ByteSize::bytes(1000));
+                        Duration::millis(1), ByteSize::bytes(1000),
+                        /*last=*/Duration::millis(10));
   net.compute_routes();
   source.start(SimTime());
   sampler.start(SimTime());
   simulator.run_until(Duration::millis(10));
   sampler.stop();
-  source.stop();
-  simulator.run_to_completion();
+  sim::drain(simulator);
 
   // CBR at exactly the service rate: past the first packet the queue has
   // one packet in service, i.e. 1 packet / 1 ms of work, utilization -> 1.
@@ -245,7 +247,8 @@ TEST(SamplerTest, UtilizationSeriesEqualsRegistryGaugeOnFluidLink) {
   Sampler sampler(simulator, Duration::millis(1));
   const std::size_t series_idx = watch_utilization(sampler, link);
   const std::size_t gauge_idx = sampler.add_series("gauge", [&] {
-    return *registry.snapshot(simulator.now()).value("fluid.utilization");
+    return *find_metric(registry.snapshot(simulator.now()),
+                        "fluid.utilization");
   });
   sampler.start(SimTime());
   simulator.run_until(Duration::millis(10));

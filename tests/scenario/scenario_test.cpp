@@ -76,6 +76,19 @@ TEST(InriaUmdTest, ClockTickOverrideDisablesQuantization) {
   EXPECT_EQ(result.trace.clock_tick, Duration::zero());
 }
 
+TEST(InriaUmdTest, NegativeClockTickOverrideIsRejected) {
+  // Zero means an exact clock; a negative tick is an error, not "exact".
+  ScenarioOverrides overrides;
+  overrides.clock_tick = Duration::millis(-1);
+  try {
+    run_inria_umd(quick_plan(50, 0.1), overrides);
+    ADD_FAILURE() << "a negative clock_tick was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("clock_tick"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(InriaUmdTest, DeterministicForFixedSeed) {
   const auto a = run_inria_umd(quick_plan(50, 0.5));
   const auto b = run_inria_umd(quick_plan(50, 0.5));

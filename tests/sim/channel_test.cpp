@@ -13,6 +13,7 @@
 #include "scenario/scenarios.h"
 #include "sim/link.h"
 #include "util/rng.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
 namespace {
@@ -106,24 +107,6 @@ TEST(MarkovChannelConfigTest, FromLossTargetsSolvesPAndQ) {
                std::invalid_argument);
 }
 
-TEST(MarkovChannelConfigTest, FromGilbertFitMapsAndRejectsDegenerate) {
-  analysis::GilbertFit fit;
-  fit.p = 0.02;
-  fit.q = 0.3;
-  const auto config = MarkovChannelConfig::from_gilbert_fit(fit);
-  EXPECT_DOUBLE_EQ(config.transition(0, 1), 0.02);
-  EXPECT_DOUBLE_EQ(config.transition(1, 0), 0.3);
-  EXPECT_DOUBLE_EQ(config.states[1].drop_probability.value(), 1.0);
-
-  // An all-lost measured sequence fits degenerate (the chain never left
-  // the bad state); such a fit cannot parameterize a channel.
-  const analysis::GilbertFit all_lost =
-      analysis::fit_gilbert(std::vector<std::uint8_t>{1, 1, 1, 1});
-  ASSERT_TRUE(all_lost.degenerate);
-  EXPECT_THROW(MarkovChannelConfig::from_gilbert_fit(all_lost),
-               std::invalid_argument);
-}
-
 TEST(MarkovChannelTest, AdvanceAccountingAndAudit) {
   MarkovChannel channel(MarkovChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0),
                         Rng(7));
@@ -188,7 +171,7 @@ std::vector<std::uint8_t> channel_link_losses(const MarkovChannelConfig& channel
     if (++next < n) simulator.schedule_in(Duration::millis(0.006), feed);
   };
   feed();
-  simulator.run_to_completion();
+  drain(simulator);
 
   link.audit_verify();
   const LinkStats& stats = link.stats();
@@ -212,8 +195,10 @@ TEST(ChannelLinkTest, GilbertChannelMatchesGenerateGilbertEndToEnd) {
   truth.p = 0.03;
   truth.q = 0.4;
   const std::uint64_t n = 400000;
-  const auto via_link =
-      channel_link_losses(MarkovChannelConfig::from_gilbert_fit(truth), n, 53);
+  const auto via_link = channel_link_losses(
+      MarkovChannelConfig::gilbert_elliott(Probability::checked(truth.p),
+                                           Probability::checked(truth.q)),
+      n, 53);
   Rng rng(47);
   const auto via_generator = analysis::generate_gilbert(truth, n, rng);
 
@@ -259,7 +244,7 @@ TEST(ChannelLinkTest, BadStateExtraDelayAddsToPropagation) {
   std::vector<Duration> arrivals;
   link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
   link.enqueue(make_packet(72));  // service 4.5 ms + 10 ms propagation
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], Duration::millis(19.5));
   EXPECT_EQ(link.stats().channel_drops, 0u);
@@ -285,7 +270,7 @@ TEST(ChannelLinkTest, JitterPreservesFifoOrder) {
     arrivals.push_back(simulator.now());
   });
   for (std::uint64_t i = 0; i < 50; ++i) link.enqueue(make_packet(72, i));
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(ids.size(), 50u);
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(ids[i], i);
   for (std::size_t i = 1; i < arrivals.size(); ++i) {

@@ -20,6 +20,7 @@
 #include "sim/packet_log.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -56,16 +57,15 @@ TEST(DatapathAllocTest, ForwardedPacketsCostZeroAllocationsAtSteadyState) {
   config.rate = Bandwidth::bps(1.024e9);  // 512 B = 4 us service
   config.propagation = Duration::millis(1);
   config.buffer_packets = 64;
-  net.add_link(n0, n1, config);
-  net.add_link(n1, n2, config);
-  net.add_link(n2, n3, config);
+  Link& hop0 = net.add_link(n0, n1, config, simulator);
+  Link& hop1 = net.add_link(n1, n2, config, simulator);
+  Link& hop2 = net.add_link(n2, n3, config, simulator);
   net.compute_routes();
 
   // Full observer chain on every hop.
   PacketLog log(256);
   std::uint64_t drops = 0;
-  for (Link* link :
-       {&net.link(n0, n1), &net.link(n1, n2), &net.link(n2, n3)}) {
+  for (Link* link : {&hop0, &hop1, &hop2}) {
     log.attach(simulator, *link);
     link->add_drop_hook([&drops](const Packet&, DropCause) { ++drops; });
   }
@@ -75,7 +75,7 @@ TEST(DatapathAllocTest, ForwardedPacketsCostZeroAllocationsAtSteadyState) {
 
   // Exactly line rate: every link stays busy, nothing drops.
   CbrSource source(simulator, net, n0, n3, /*flow=*/1, PacketKind::kBulk,
-                   Rng(7), Duration::micros(4), /*packet=*/ByteSize::bytes(512));
+                   Duration::micros(4), /*packet=*/ByteSize::bytes(512));
   source.start(Duration::zero());
 
   // Warm-up: rings, slab, and the log ring reach their high-water marks

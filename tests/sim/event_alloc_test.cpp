@@ -17,6 +17,7 @@
 #include <new>
 
 #include "sim/simulator.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -49,7 +50,7 @@ TEST(EventAllocTest, ScheduleDispatchCycleIsAllocationFreeAfterWarmup) {
     for (int i = 0; i < 1024; ++i) {
       simulator.schedule_in(Duration::micros(i % 97), [&fired] { ++fired; });
     }
-    simulator.run_to_completion();
+    drain(simulator);
   };
   for (int round = 0; round < 3; ++round) wave();  // reach high-water marks
 
@@ -82,7 +83,7 @@ TEST(EventAllocTest, ScheduleCancelCycleIsAllocationFreeAfterWarmup) {
 
   EXPECT_EQ(after - before, 0u);
   timer.cancel();
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(fired, 0);
 }
 

@@ -9,6 +9,8 @@
 #include "obs/metrics.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
+#include "tests/sim/sim_fixtures.h"
+#include "tests/obs/find_metric.h"
 
 namespace bolot::sim {
 namespace {
@@ -188,7 +190,7 @@ TEST(FluidLinkTest, PacketsServeAtResidualRate) {
   Packet p;
   p.size_bytes = 500;  // 4 ms at 1 Mb/s -> 8 ms at the residual 500 kb/s
   link.enqueue(std::move(p));
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], Duration::millis(18));
   link.audit_verify();
@@ -231,16 +233,16 @@ TEST(FluidLinkTest, UtilizationGaugeReportsResidualCapacityView) {
   simulator.run_until(Duration::seconds(1));
 
   const obs::MetricsSnapshot snap = registry.snapshot(simulator.now());
-  const double* utilization = snap.value("lnk.utilization");
+  const double* utilization = obs::find_metric(snap, "lnk.utilization");
   ASSERT_NE(utilization, nullptr);
   EXPECT_NEAR(*utilization, 0.6 + 0.01, 1e-6);
-  const double* fluid_rate = snap.value("lnk.fluid_rate_bps");
+  const double* fluid_rate = obs::find_metric(snap, "lnk.fluid_rate_bps");
   ASSERT_NE(fluid_rate, nullptr);
   EXPECT_DOUBLE_EQ(*fluid_rate, 600e3);
-  const double* residual = snap.value("lnk.residual_bps");
+  const double* residual = obs::find_metric(snap, "lnk.residual_bps");
   ASSERT_NE(residual, nullptr);
   EXPECT_DOUBLE_EQ(*residual, 400e3);
-  const double* fluid_util = snap.value("lnk.fluid_utilization");
+  const double* fluid_util = obs::find_metric(snap, "lnk.fluid_utilization");
   ASSERT_NE(fluid_util, nullptr);
   EXPECT_NEAR(*fluid_util, 0.6, 1e-9);
 }
@@ -255,9 +257,9 @@ TEST(FluidLinkTest, FluidFreeLinkPublishesNoFluidGauges) {
   obs::MetricsRegistry registry;
   link.publish_metrics(registry, "lnk");
   const obs::MetricsSnapshot snap = registry.snapshot(simulator.now());
-  EXPECT_EQ(snap.value("lnk.fluid_rate_bps"), nullptr);
-  EXPECT_EQ(snap.value("lnk.residual_bps"), nullptr);
-  EXPECT_EQ(snap.value("lnk.fluid_utilization"), nullptr);
+  EXPECT_EQ(obs::find_metric(snap, "lnk.fluid_rate_bps"), nullptr);
+  EXPECT_EQ(obs::find_metric(snap, "lnk.residual_bps"), nullptr);
+  EXPECT_EQ(obs::find_metric(snap, "lnk.fluid_utilization"), nullptr);
   ASSERT_FALSE(snap.entries.empty());
   EXPECT_EQ(snap.entries.back().name, "lnk.utilization");
 }
@@ -285,11 +287,11 @@ TEST(FluidLinkTest, UtilizationGaugesReadZeroBeforeTimeAdvances) {
   link.publish_metrics(registry, "lnk");
 
   const obs::MetricsSnapshot snap = registry.snapshot(simulator.now());
-  const double* utilization = snap.value("lnk.utilization");
+  const double* utilization = obs::find_metric(snap, "lnk.utilization");
   ASSERT_NE(utilization, nullptr);
   EXPECT_FALSE(std::isnan(*utilization));
   EXPECT_EQ(*utilization, 0.0);
-  const double* fluid_util = snap.value("lnk.fluid_utilization");
+  const double* fluid_util = obs::find_metric(snap, "lnk.fluid_utilization");
   ASSERT_NE(fluid_util, nullptr);
   EXPECT_FALSE(std::isnan(*fluid_util));
   EXPECT_EQ(*fluid_util, 0.0);

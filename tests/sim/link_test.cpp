@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "tests/sim/sim_fixtures.h"
+
 namespace bolot::sim {
 namespace {
 
@@ -31,7 +33,7 @@ TEST(LinkTest, DeliversAfterServicePlusPropagation) {
   link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
 
   link.enqueue(make_packet(72));  // service 4.5 ms at 128 kb/s
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], Duration::millis(14.5));
 }
@@ -49,7 +51,7 @@ TEST(LinkTest, FifoOrderPreserved) {
   std::vector<std::uint64_t> ids;
   link.set_sink([&](Packet&& p) { ids.push_back(p.id); });
   for (std::uint64_t i = 0; i < 4; ++i) link.enqueue(make_packet(100, i));
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }
 
@@ -63,7 +65,7 @@ TEST(LinkTest, BackToBackDeparturesSpacedByServiceTime) {
   link.enqueue(make_packet(72));
   link.enqueue(make_packet(72));
   link.enqueue(make_packet(72));
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[1] - arrivals[0], Duration::millis(4.5));
   EXPECT_EQ(arrivals[2] - arrivals[1], Duration::millis(4.5));
@@ -82,7 +84,7 @@ TEST(LinkTest, DropTailWhenBufferFull) {
     dropped.push_back(p.id);
   });
   for (std::uint64_t i = 0; i < 5; ++i) link.enqueue(make_packet(100, i));
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(dropped, (std::vector<std::uint64_t>{2, 3, 4}));
   EXPECT_EQ(link.stats().overflow_drops, 3u);
@@ -100,7 +102,7 @@ TEST(LinkTest, BufferCountsPacketInService) {
   link.enqueue(make_packet(100));  // in service
   link.enqueue(make_packet(100));  // no room: dropped
   EXPECT_EQ(link.queue_length(), 1u);
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(link.stats().overflow_drops, 1u);
 }
@@ -116,7 +118,7 @@ TEST(LinkTest, SpaceFreesAsPacketsDepart) {
   // Enqueue after the first finishes service (100 B = 6.25 ms).
   simulator.schedule_in(Duration::millis(7),
                         [&] { link.enqueue(make_packet(100)); });
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(link.stats().overflow_drops, 0u);
 }
@@ -133,7 +135,7 @@ TEST(LinkTest, RandomDropStageLossRate) {
   link.set_sink([&](Packet&&) { ++delivered; });
   const int n = 100000;
   for (int i = 0; i < n; ++i) link.enqueue(make_packet(72));
-  simulator.run_to_completion();
+  drain(simulator);
   const double loss_rate =
       static_cast<double>(link.stats().random_drops) / n;
   EXPECT_NEAR(loss_rate, 0.03, 0.004);
@@ -146,7 +148,7 @@ TEST(LinkTest, UtilizationAndBytesAccounting) {
   Link link(simulator, basic_config(), Rng(1));
   link.set_sink([](Packet&&) {});
   link.enqueue(make_packet(512));  // 32 ms of service
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(link.stats().bytes_delivered, 512);
   EXPECT_DOUBLE_EQ(link.stats().busy.millis(), 32.0);
   EXPECT_NEAR(link.stats().utilization(Duration::millis(64)), 0.5, 1e-9);
@@ -158,7 +160,7 @@ TEST(LinkTest, MaxQueueHighWaterMark) {
   link.set_sink([](Packet&&) {});
   for (int i = 0; i < 3; ++i) link.enqueue(make_packet(100));
   EXPECT_EQ(link.stats().max_queue, 3u);
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(link.stats().max_queue, 3u);
 }
 
@@ -176,7 +178,7 @@ TEST(LinkTest, PauseHoldsQueueUntilResume) {
   EXPECT_EQ(link.queue_length(), 2u);
 
   simulator.schedule_in(Duration::zero(), [&link] { link.resume(); });
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 2u);
   // Service starts at resume (t = 100): 4.5 + 10 prop, then +4.5.
   EXPECT_EQ(arrivals[0], Duration::millis(114.5));
@@ -195,7 +197,7 @@ TEST(LinkTest, PauseMidServiceLetsCurrentPacketFinish) {
   // First delivered (was in service), second held.
   ASSERT_EQ(arrivals.size(), 1u);
   simulator.schedule_in(Duration::zero(), [&link] { link.resume(); });
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(arrivals.size(), 2u);
 }
 
@@ -209,7 +211,7 @@ TEST(LinkTest, DeliveryHookFiresWithoutSink) {
       [&deliveries](const Packet&, SimTime at) { deliveries.push_back(at); });
 
   link.enqueue(make_packet(72));  // service 4.5 ms + 10 ms propagation
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries[0], Duration::millis(14.5));
   EXPECT_EQ(link.stats().delivered, 1u);
@@ -229,7 +231,7 @@ TEST(LinkTest, DeliveryAndDropHooksChainInAttachOrder) {
 
   link.enqueue(make_packet(72));
   link.enqueue(make_packet(72));  // buffer holds 1: tail drop
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(fired, (std::vector<int>{3, 4, 1, 2}));
 }
 
@@ -254,7 +256,7 @@ TEST(LinkTest, PausedLinkStillDeliversInFlightPackets) {
   EXPECT_EQ(link.queue_length(), 1u);  // second packet held at the pause
 
   simulator.schedule_in(Duration::zero(), [&link] { link.resume(); });
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1], Duration::millis(304.5));  // 200 + 4.5 + 100
 }
@@ -275,7 +277,7 @@ TEST(LinkTest, BacklogBytesTracksQueue) {
   link.enqueue(make_packet(512));
   link.enqueue(make_packet(72));
   EXPECT_EQ(link.backlog_bytes(), 584);
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(link.backlog_bytes(), 0);
 }
 
@@ -329,7 +331,7 @@ TEST(LinkTest, EnqueueStampsHopStart) {
     p.hop_start = Duration::seconds(-7);  // stale: must be overwritten
     links[0]->enqueue(std::move(p));
   }
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(delivered[0], 3);
   EXPECT_EQ(delivered[1], 3);
   EXPECT_EQ(delivered[2], 3);

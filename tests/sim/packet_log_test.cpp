@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 
 #include "sim/network.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
 namespace {
@@ -18,7 +19,8 @@ struct LogFixture : public ::testing::Test {
     config.rate = Bandwidth::bps(128e3);
     config.propagation = Duration::millis(5);
     config.buffer_packets = 2;
-    net.add_duplex_link(a, b, config);
+    ab = &net.add_duplex_link(a, b, config);
+    ba = &net.link_at(1);
     net.compute_routes();
   }
 
@@ -36,28 +38,30 @@ struct LogFixture : public ::testing::Test {
   Simulator simulator;
   Network net;
   NodeId a = 0, b = 0;
+  Link* ab = nullptr;
+  Link* ba = nullptr;
 };
 
 TEST_F(LogFixture, RecordsDeliveriesWithTimestamps) {
   PacketLog log;
-  log.attach(simulator, net.link(a, b));
+  log.attach(simulator, *ab);
   send(1, 100);
-  simulator.run_to_completion();
+  drain(simulator);
   const auto& events = log.events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, PacketEventKind::kDelivered);
   EXPECT_EQ(events[0].packet_id, 100u);
   EXPECT_EQ(events[0].flow, 1u);
-  EXPECT_EQ(log.link_name(events[0].link_id), "a->b");
+  EXPECT_EQ(log.link_names().at(events[0].link_id), "a->b");
   // 512 B at 128 kb/s = 32 ms service + 5 ms propagation.
   EXPECT_EQ(events[0].at, Duration::millis(37));
 }
 
 TEST_F(LogFixture, RecordsDropsWithCauseAndTime) {
   PacketLog log;
-  log.attach(simulator, net.link(a, b));
+  log.attach(simulator, *ab);
   for (std::uint64_t i = 0; i < 4; ++i) send(1, i);
-  simulator.run_to_completion();
+  drain(simulator);
   const auto& events = log.events();
   // Buffer 2: two delivered, two dropped.
   std::size_t delivered = 0, dropped = 0;
@@ -73,49 +77,21 @@ TEST_F(LogFixture, RecordsDropsWithCauseAndTime) {
   EXPECT_EQ(dropped, 2u);
 }
 
-TEST_F(LogFixture, FlowFilterAndDropWindow) {
-  PacketLog log;
-  log.attach(simulator, net.link(a, b));
-  send(1, 1);
-  send(2, 2);
-  send(2, 3);  // dropped (buffer 2)
-  simulator.run_to_completion();
-  EXPECT_EQ(log.for_flow(1).size(), 1u);
-  EXPECT_EQ(log.for_flow(2).size(), 2u);
-  const auto drops =
-      log.drops_between(Duration::zero(), Duration::seconds(1));
-  ASSERT_EQ(drops.size(), 1u);
-  EXPECT_EQ(drops[0].packet_id, 3u);
-}
-
 TEST_F(LogFixture, RingEvictsOldest) {
   PacketLog log(2);
-  log.attach(simulator, net.link(a, b));
+  log.attach(simulator, *ab);
   // Space sends so nothing queues: 3 deliveries through a 2-slot ring.
   for (std::uint64_t i = 0; i < 3; ++i) {
     simulator.schedule_in(Duration::millis(100.0 * i),
                           [this, i] { send(1, i); });
   }
-  simulator.run_to_completion();
+  drain(simulator);
   const auto& events = log.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(log.evicted(), 1u);
   // Oldest (id 0) evicted; order preserved.
   EXPECT_EQ(events[0].packet_id, 1u);
   EXPECT_EQ(events[1].packet_id, 2u);
-}
-
-TEST_F(LogFixture, CsvDump) {
-  PacketLog log;
-  log.attach(simulator, net.link(a, b));
-  send(7, 42);
-  simulator.run_to_completion();
-  std::ostringstream os;
-  log.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("at_ns,event,cause,link,packet_id,flow,kind,bytes"),
-            std::string::npos);
-  EXPECT_NE(csv.find("delivered,-,a->b,42,7,bulk,512"), std::string::npos);
 }
 
 /// Hook chaining: the log and a counting drop hook on one link, attached
@@ -127,15 +103,18 @@ void expect_log_and_hook_see_both_drops(LogFixture& f, bool log_first) {
   const auto count_overflow = [&overflow](const Packet&, DropCause cause) {
     if (cause == DropCause::kOverflow) ++overflow;
   };
-  Link& link = f.net.link(f.a, f.b);
+  Link& link = *f.ab;
   if (log_first) log.attach(f.simulator, link);
   link.add_drop_hook(count_overflow);
   if (!log_first) log.attach(f.simulator, link);
   for (std::uint64_t i = 0; i < 4; ++i) f.send(1, i);
-  f.simulator.run_to_completion();
+  drain(f.simulator);
   EXPECT_EQ(overflow, 2u);
-  EXPECT_EQ(log.drops_between(Duration::zero(), Duration::seconds(1)).size(),
-            2u);
+  EXPECT_EQ(std::count_if(log.events().begin(), log.events().end(),
+                          [](const PacketEvent& event) {
+                            return event.kind == PacketEventKind::kDropped;
+                          }),
+            2);
 }
 
 TEST_F(LogFixture, ComposesWithDropHookFirst) {
@@ -154,17 +133,15 @@ TEST_F(LogFixture, InternsLinkNamesOncePerName) {
   PacketLog log;
   // Both directions of the duplex link share the configured name, so the
   // side table holds a single entry and every event carries a 4-byte id.
-  log.attach(simulator, net.link(a, b));
-  log.attach(simulator, net.link(b, a));
+  log.attach(simulator, *ab);
+  log.attach(simulator, *ba);
   ASSERT_EQ(log.link_names().size(), 1u);
   EXPECT_EQ(log.link_names()[0], "a->b");
   send(1, 5);
-  simulator.run_to_completion();
+  drain(simulator);
   const auto& events = log.events();
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events[0].link_id, 0u);
-  EXPECT_EQ(log.link_name(0), "a->b");
-  EXPECT_THROW(log.link_name(1), std::out_of_range);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "sim/spsc_channel.h"
 #include "sim/traffic.h"
 #include "util/rng.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
 namespace {
@@ -282,12 +283,14 @@ ChainTrace run_chain_case(std::size_t domains, Duration slice = {}) {
                         PacketKind::kInteractive, rng.split(),
                         Duration::micros(5233.7), ByteSize::bytes(200));
 
+  // Hop h is the link pair 2h (forward) and 2h + 1 (reverse): trace the
+  // forward direction's last hop and the reverse direction's last hop.
   ChainTrace trace;
-  net.link(nodes[2], nodes[3])
+  net.link_at(4)
       .add_delivery_hook([&trace](const Packet& p, SimTime at) {
         trace.fwd.emplace_back(at.count_nanos(), p.id, p.flow);
       });
-  net.link(nodes[1], nodes[0])
+  net.link_at(1)
       .add_delivery_hook([&trace](const Packet& p, SimTime at) {
         trace.rev.emplace_back(at.count_nanos(), p.id, p.flow);
       });
@@ -420,11 +423,10 @@ ChainCounters run_quantized_chain(ChainLoad load, std::size_t domains) {
   if (load == ChainLoad::kLineRateCbr) {
     sources.push_back(std::make_unique<CbrSource>(
         sim_of(0), net, nodes.front(), nodes.back(), 1, PacketKind::kBulk,
-        Rng(11), Duration::micros(40), ByteSize::bytes(512)));
+        Duration::micros(40), ByteSize::bytes(512)));
     sources.push_back(std::make_unique<CbrSource>(
         sim_of(kNodes - 1), net, nodes.back(), nodes.front(), 2,
-        PacketKind::kBulk, Rng(13), Duration::micros(40),
-        ByteSize::bytes(512)));
+        PacketKind::kBulk, Duration::micros(40), ByteSize::bytes(512)));
   } else {
     // Each flow at 1/10 of line rate: the last hop carries eight (~80%).
     Rng rng(29);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sim/link.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
 namespace {
@@ -36,7 +37,7 @@ TEST(RedTest, NoDropsBelowMinThreshold) {
     simulator.schedule_in(Duration::millis(40.0 * i),
                           [&] { link.enqueue(make_packet()); });
   }
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(link.stats().red_drops, 0u);
   EXPECT_EQ(link.stats().overflow_drops, 0u);
 }
@@ -51,7 +52,7 @@ TEST(RedTest, EarlyDropsBeforeBufferFills) {
     simulator.schedule_in(Duration::millis(16.0 * i),
                           [&] { link.enqueue(make_packet()); });
   }
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_GT(link.stats().red_drops, 20u);
   // RED kept the instantaneous queue away from the hard limit.
   EXPECT_LT(link.stats().max_queue, 30u);
@@ -68,7 +69,7 @@ TEST(RedTest, ForcedDropAboveMaxThreshold) {
   for (int i = 0; i < 20; ++i) link.enqueue(make_packet());
   EXPECT_GE(link.stats().red_drops, 20u - 13u);
   EXPECT_LE(link.queue_length(), 13u);  // 12 admitted at <max_th, +1 slack
-  simulator.run_to_completion();
+  drain(simulator);
 }
 
 TEST(RedTest, AverageTracksQueue) {
@@ -82,7 +83,7 @@ TEST(RedTest, AverageTracksQueue) {
   link.enqueue(make_packet());
   // avg after two arrivals with w=0.5: 0*0.5+0.5*0=0, then 0.5*0+0.5*1=0.5.
   EXPECT_NEAR(link.red_average_queue(), 0.5, 1e-12);
-  simulator.run_to_completion();
+  drain(simulator);
 }
 
 TEST(RedTest, DropHookReportsRedCause) {
@@ -99,7 +100,7 @@ TEST(RedTest, DropHookReportsRedCause) {
   });
   for (int i = 0; i < 10; ++i) link.enqueue(make_packet());
   EXPECT_GT(red_drops, 0);
-  simulator.run_to_completion();
+  drain(simulator);
 }
 
 TEST(RedTest, IdleTimeDecaysAverage) {
@@ -123,12 +124,12 @@ TEST(RedTest, IdleTimeDecaysAverage) {
 
   // Drain completely, then sit idle for 10 seconds (~312 service slots at
   // 32 ms per 512-byte packet): the decayed average must be ~0.
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(link.queue_length(), 0u);
   const std::uint64_t drops_before = link.stats().red_drops;
   simulator.schedule_in(Duration::seconds(10),
                         [&] { link.enqueue(make_packet()); });
-  simulator.run_to_completion();
+  drain(simulator);
 
   // Pre-fix the average survives the idle period at ~0.8*avg (one EWMA
   // step), which is still above max_threshold, so the packet is force-
@@ -149,13 +150,13 @@ TEST(RedTest, IdleDecayIsCumulativeAcrossProbes) {
   Link link(simulator, config, Rng(1));
   link.set_sink([](Packet&&) {});
   for (int i = 0; i < 12; ++i) link.enqueue(make_packet());
-  simulator.run_to_completion();
+  drain(simulator);
   const double avg_after_burst = link.red_average_queue();
   ASSERT_GT(avg_after_burst, 0.0);
 
   simulator.schedule_in(Duration::seconds(2),
                         [&] { link.enqueue(make_packet()); });
-  simulator.run_to_completion();
+  drain(simulator);
   const double avg_after_gap = link.red_average_queue();
   EXPECT_LT(avg_after_gap, avg_after_burst);
   EXPECT_GT(avg_after_gap, 0.0);
@@ -165,7 +166,7 @@ TEST(RedTest, IdleDecayIsCumulativeAcrossProbes) {
   // single-span decay (+1 packet-service slot between the probes).
   simulator.schedule_in(Duration::seconds(2),
                         [&] { link.enqueue(make_packet()); });
-  simulator.run_to_completion();
+  drain(simulator);
   const Duration slot = link.service_time(config.red->mean_packet);
   const double slots_per_gap = Duration::seconds(2) / slot;
   const double per_gap_decay =
@@ -187,19 +188,19 @@ TEST(RedTest, PausedSpansDoNotCountAsIdleTime) {
   link.set_sink([](Packet&&) {});
 
   for (int i = 0; i < 12; ++i) link.enqueue(make_packet());
-  simulator.run_to_completion();  // drained at 12 * 32 ms = 384 ms
+  drain(simulator);  // drained at 12 * 32 ms = 384 ms
   ASSERT_EQ(link.queue_length(), 0u);
   const double avg_after_burst = link.red_average_queue();
   ASSERT_GT(avg_after_burst, 0.0);
   // The queue goes serviceable-idle when the last *service* completes
-  // (12 x 32 ms); now() after run_to_completion is one propagation later.
+  // (12 x 32 ms); now() after the drain is one propagation later.
   const Duration drained_at = Duration::millis(12 * 32.0);
 
   simulator.schedule_at(Duration::seconds(1), [&link] { link.pause(); });
   simulator.schedule_at(Duration::seconds(2), [&link] { link.resume(); });
   simulator.schedule_at(Duration::seconds(3),
                         [&link] { link.enqueue(make_packet()); });
-  simulator.run_to_completion();
+  drain(simulator);
 
   // Serviceable idle: [drain, pause) + [resume, probe) — the paused
   // second is excluded.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/network.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
 namespace {
@@ -46,7 +47,7 @@ TEST_F(ShaperFixture, BurstWithinBucketPassesImmediately) {
   for (int i = 0; i < 4; ++i) shaper.offer(make_packet());
   EXPECT_EQ(shaper.forwarded(), 4u);
   EXPECT_EQ(shaper.queue_length(), 0u);
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(arrivals.size(), 4u);
 }
 
@@ -58,7 +59,7 @@ TEST_F(ShaperFixture, ExcessIsPacedAtTokenRate) {
   for (int i = 0; i < 4; ++i) shaper.offer(make_packet());
   EXPECT_EQ(shaper.forwarded(), 1u);  // bucket covered one packet
   EXPECT_EQ(shaper.queue_length(), 3u);
-  simulator.run_to_completion();
+  drain(simulator);
   ASSERT_EQ(arrivals.size(), 4u);
   // Releases at ~0, 32, 64, 96 ms.
   EXPECT_NEAR((arrivals[1] - arrivals[0]).millis(), 32.0, 0.1);
@@ -77,7 +78,7 @@ TEST_F(ShaperFixture, LongRunRateMatchesConfiguredRate) {
     simulator.schedule_in(Duration::millis(8.0 * i),
                           [&shaper, this] { shaper.offer(make_packet()); });
   }
-  simulator.run_to_completion();
+  drain(simulator);
   // Delivered bytes / active time ~ 256 kb/s (the tail drains after the
   // offered load stops; measure over the actual delivery span).
   const double span_s =
@@ -96,7 +97,7 @@ TEST_F(ShaperFixture, TailDropWhenShaperQueueFull) {
   EXPECT_EQ(shaper.forwarded(), 1u);
   EXPECT_EQ(shaper.queue_length(), 2u);
   EXPECT_EQ(shaper.dropped(), 3u);
-  simulator.run_to_completion();
+  drain(simulator);
 }
 
 TEST_F(ShaperFixture, TokensRefillDuringIdle) {
@@ -112,7 +113,7 @@ TEST_F(ShaperFixture, TokensRefillDuringIdle) {
     shaper.offer(make_packet());
     EXPECT_EQ(shaper.queue_length(), 0u);
   });
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(shaper.forwarded(), 4u);
 }
 

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "tests/sim/sim_fixtures.h"
+
 namespace bolot::sim {
 namespace {
 
@@ -69,7 +71,7 @@ TEST(SimulatorTest, RunToCompletionDrainsEverything) {
     if (++fired < 100) simulator.schedule_in(Duration::millis(1), chain);
   };
   simulator.schedule_in(Duration::millis(1), chain);
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(simulator.now(), Duration::millis(100));
   EXPECT_EQ(simulator.events_dispatched(), 100u);
@@ -123,7 +125,7 @@ TEST(SimulatorTest, PendingEventsCountsLiveEventsOnly) {
   EXPECT_EQ(simulator.pending_events(), 2u);  // eager: gone immediately
   simulator.run_until(Duration::millis(2));
   EXPECT_EQ(simulator.pending_events(), 1u);
-  simulator.run_to_completion();
+  drain(simulator);
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 

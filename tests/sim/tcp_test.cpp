@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "tests/sim/sim_fixtures.h"
+
 namespace bolot::sim {
 namespace {
 
@@ -40,7 +42,6 @@ TEST_F(TcpFixture, TransfersCompleteAndAllDataIsAcked) {
   TcpSource source(simulator, net, src, dst, 1, Rng(3), config);
   source.start(Duration::zero());
   simulator.run_until(Duration::seconds(120));
-  source.stop();
 
   EXPECT_GT(source.stats().transfers_completed, 5u);
   EXPECT_GT(source.stats().segments_acked, 100u);
@@ -143,7 +144,7 @@ TEST_F(TcpFixture, SinkReassemblesOutOfOrderArrivals) {
   send_data(0);
   send_data(2);
   send_data(1);
-  simulator.run_to_completion();
+  drain(simulator);
   // Cumulative acks: 1 (after seq 0), 1 (dup for gap), 3 (gap filled).
   ASSERT_EQ(acks.size(), 3u);
   EXPECT_EQ(acks[0], 1u);

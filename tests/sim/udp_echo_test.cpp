@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nettime/clock.h"
 #include "sim/traffic.h"
+#include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
 namespace {
@@ -101,6 +104,23 @@ TEST_F(EchoFixture, QuantizedClockFloorsTimestamps) {
   }
 }
 
+TEST_F(EchoFixture, RejectsNonPositiveClockTick) {
+  // A zero tick would divide by zero at the first stamp, and a negative
+  // one is no clock resolution at all; both are rejected up front.
+  ProbeSourceConfig config;
+  config.probe_count = 3;
+  for (const Duration tick : {Duration::zero(), Duration::millis(-4)}) {
+    config.clock_tick = tick;
+    try {
+      UdpEchoSource source(simulator, net, source_node, echo_node, config);
+      ADD_FAILURE() << "clock_tick " << tick.to_string() << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("clock_tick"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(EchoFixture, ProbeStillInFlightCountsAsLost) {
   EchoHost echo(simulator, net, echo_node);
   ProbeSourceConfig config;
@@ -124,7 +144,8 @@ TEST_F(EchoFixture, CrossTrafficAtEchoNodeIsNotEchoed) {
   source.start(Duration::zero());
   // Bulk traffic addressed to the echo host itself.
   CbrSource cross(simulator, net, source_node, echo_node, 2,
-                  PacketKind::kBulk, Rng(1), Duration::millis(20), ByteSize::bytes(512));
+                  PacketKind::kBulk, Duration::millis(20),
+                  ByteSize::bytes(512));
   cross.start(Duration::zero());
   simulator.run_until(Duration::seconds(2));
   EXPECT_EQ(echo.echoed_count(), 1u);  // only the probe came back
@@ -139,7 +160,8 @@ TEST_F(EchoFixture, ProbesDelayedByQueueingShowHigherRtt) {
   source.start(Duration::zero());
   // Saturating cross traffic over the first link, same direction.
   CbrSource cross(simulator, net, source_node, echo_node, 2,
-                  PacketKind::kBulk, Rng(1), Duration::millis(30), ByteSize::bytes(512));
+                  PacketKind::kBulk, Duration::millis(30),
+                  ByteSize::bytes(512));
   cross.start(Duration::zero());
   simulator.run_until(Duration::seconds(10));
   const auto trace = source.trace();

@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "tests/util/normal.h"
+
 namespace bolot {
 namespace {
 
@@ -129,7 +131,7 @@ TEST(RngTest, NormalMoments) {
   double sum = 0.0, sq = 0.0;
   const int n = 200000;
   for (int i = 0; i < n; ++i) {
-    const double x = rng.normal(10.0, 2.0);
+    const double x = normal(rng, 10.0, 2.0);
     sum += x;
     sq += x * x;
   }

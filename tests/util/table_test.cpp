@@ -37,15 +37,6 @@ TEST(TextTableTest, CellOnEmptyTableStartsRow) {
   EXPECT_EQ(table.row_count(), 1u);
 }
 
-TEST(TextTableTest, CsvQuotesSpecialCells) {
-  TextTable table;
-  table.row({"name", "note"});
-  table.row({"a,b", "say \"hi\""});
-  std::ostringstream os;
-  table.write_csv(os);
-  EXPECT_EQ(os.str(), "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n");
-}
-
 TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(3.0, 0), "3");

@@ -36,9 +36,9 @@ the unit.
                        is exactly what units.h replaces.
   raw-unit-member      a header in src/sim or src/scenario declares a raw
                        scalar field with a _bps/_bytes suffix.  The two
-                       seeded exceptions (Packet::size_bytes and the
-                       packet-log record that mirrors it) are wire-format
-                       endpoints whose layout is part of the trace ABI.
+                       seeded exceptions are Packet::size_bytes, the
+                       wire-format endpoint of the datapath slab, and the
+                       packet-log record that copies it verbatim.
   narrowing-unit-cast  a static_cast of a unit accessor (.bps(),
                        .count(), .bit_count(), .value()) to a narrower
                        arithmetic type anywhere in src/.  Narrowing a
@@ -81,9 +81,10 @@ boundary, where traces and estimators exchange plain scalars by design
 (LindleyOptions::bottleneck_bps, BottleneckEstimate::mu_bps,
 ProbeTrace::probe_wire_bytes).
 The *streaming* estimator layer (src/analysis/streaming.{h,cpp}) is the
-exception: it was written against the typed units (StreamingLindleyConfig
-takes Bandwidth / ByteSize / Duration), so it is enrolled in the
-raw-unit rules via UNIT_FILES and must stay typed.  Extending the typed
+exception: it was written against the typed units (the StreamingLindley
+and StreamingPacketPair constructors take their probe spacing and size
+as Duration / ByteSize beside the batch WorkloadOptions), so it is
+enrolled in the raw-unit rules via UNIT_FILES and must stay typed.  Extending the typed
 layer across the rest of the batch boundary is future work; when it
 happens, those names move into the allowlist here.
 
