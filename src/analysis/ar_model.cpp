@@ -53,19 +53,6 @@ ArModel fit_ar(std::span<const double> xs, std::size_t p) {
   return model;
 }
 
-std::vector<double> ar_residuals(const ArModel& model,
-                                 std::span<const double> xs) {
-  const std::size_t p = model.order();
-  if (xs.size() <= p) throw std::invalid_argument("ar_residuals: series too short");
-  std::vector<double> residuals;
-  residuals.reserve(xs.size() - p);
-  for (std::size_t t = p; t < xs.size(); ++t) {
-    const double forecast = model.predict_next(xs.subspan(t - p, p));
-    residuals.push_back(xs[t] - forecast);
-  }
-  return residuals;
-}
-
 ArOrderSelection select_ar_order(std::span<const double> xs,
                                  std::size_t max_order) {
   if (max_order == 0) {
@@ -92,13 +79,19 @@ ArOrderSelection select_ar_order(std::span<const double> xs,
 }
 
 double ar_r_squared(const ArModel& model, std::span<const double> xs) {
-  const auto residuals = ar_residuals(model, xs);
-  const Summary ss = summarize(xs);
-  if (ss.variance <= 0.0) throw std::invalid_argument("ar_r_squared: constant series");
+  const std::size_t p = model.order();
+  if (xs.size() <= p) {
+    throw std::invalid_argument("ar_r_squared: series too short");
+  }
   // Mean squared residual (not variance) so a biased predictor is penalized.
   double mse = 0.0;
-  for (double r : residuals) mse += r * r;
-  mse /= static_cast<double>(residuals.size());
+  for (std::size_t t = p; t < xs.size(); ++t) {
+    const double residual = xs[t] - model.predict_next(xs.subspan(t - p, p));
+    mse += residual * residual;
+  }
+  const Summary ss = summarize(xs);
+  if (ss.variance <= 0.0) throw std::invalid_argument("ar_r_squared: constant series");
+  mse /= static_cast<double>(xs.size() - p);
   return 1.0 - mse / ss.variance;
 }
 

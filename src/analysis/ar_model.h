@@ -29,12 +29,10 @@ struct ArModel {
 /// Throws on empty/constant series or p >= series length.
 ArModel fit_ar(std::span<const double> xs, std::size_t p);
 
-/// One-step-ahead prediction errors over the series (starting at index p).
-std::vector<double> ar_residuals(const ArModel& model,
-                                 std::span<const double> xs);
-
 /// Fraction of variance explained by one-step AR prediction:
-/// 1 - var(residuals) / var(series).
+/// 1 - mse(residuals) / var(series), where the residuals are the
+/// one-step-ahead prediction errors from index p on, folded as they are
+/// computed.  Throws when the series is no longer than p, or constant.
 double ar_r_squared(const ArModel& model, std::span<const double> xs);
 
 /// Akaike-information-criterion order selection: fits AR(1)..AR(max_order)

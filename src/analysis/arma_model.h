@@ -32,16 +32,17 @@ struct ArmaModel {
 
 /// Fits ARMA(p, q) by Hannan-Rissanen.  p + q must be >= 1 and the series
 /// comfortably longer than the long-AR stage order (throws otherwise, as
-/// does a numerically singular regression).
+/// does a numerically singular regression).  The regression rows feed
+/// NormalEquations as they are formed, so the fit holds O((p + q)^2)
+/// state beyond the series.
 ArmaModel fit_arma(std::span<const double> xs, std::size_t p, std::size_t q);
 
-/// One-step-ahead prediction errors (innovation filtering over the whole
-/// series; the first max(p, q) values are burn-in and are excluded).
-std::vector<double> arma_residuals(const ArmaModel& model,
-                                   std::span<const double> xs);
-
 /// 1 - mse(residuals) / var(series): fraction of variance explained by
-/// one-step ARMA prediction.
+/// one-step ARMA prediction.  The residuals are the one-step-ahead
+/// prediction errors of innovation filtering over the whole series, the
+/// first max(p, q) excluded as burn-in; they are folded as they are
+/// computed.  Throws when the series is no longer than the burn-in, or
+/// constant.
 double arma_r_squared(const ArmaModel& model, std::span<const double> xs);
 
 }  // namespace bolot::analysis

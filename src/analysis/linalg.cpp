@@ -46,63 +46,63 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
   return x;
 }
 
-std::vector<double> least_squares(const Matrix& x, std::span<const double> y) {
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-  if (y.size() != n) throw std::invalid_argument("least_squares: y size");
-  if (n < p) throw std::invalid_argument("least_squares: underdetermined");
-
-  // Normal equations: (X^T X) beta = X^T y.
-  Matrix xtx(p, p);
-  std::vector<double> xty(p, 0.0);
-  for (std::size_t row = 0; row < n; ++row) {
-    for (std::size_t i = 0; i < p; ++i) {
-      const double xi = x.at(row, i);
-      xty[i] += xi * y[row];
-      for (std::size_t j = i; j < p; ++j) {
-        xtx.at(i, j) += xi * x.at(row, j);
-      }
-    }
-  }
+void NormalEquations::add_row(std::span<const double> x, double y) {
+  const std::size_t p = cols();
+  if (x.size() != p) throw std::invalid_argument("NormalEquations: row size");
   for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      xtx.at(i, j) = xtx.at(j, i);
+    const double xi = x[i];
+    xty_[i] += xi * y;
+    for (std::size_t j = i; j < p; ++j) {
+      xtx_.at(i, j) += xi * x[j];
     }
   }
-  return solve_linear(std::move(xtx), std::move(xty));
 }
 
-std::vector<double> ridge_least_squares(const Matrix& x,
-                                        std::span<const double> y,
-                                        double lambda) {
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-  if (y.size() != n) {
-    throw std::invalid_argument("ridge_least_squares: y size");
-  }
-  if (!(lambda > 0.0)) {  // the negation also rejects NaN
-    throw std::invalid_argument("ridge_least_squares: lambda must be > 0");
-  }
-
-  // Normal equations: (X^T X + lambda I) beta = X^T y.
-  Matrix xtx(p, p);
-  std::vector<double> xty(p, 0.0);
-  for (std::size_t row = 0; row < n; ++row) {
-    for (std::size_t i = 0; i < p; ++i) {
-      const double xi = x.at(row, i);
-      xty[i] += xi * y[row];
-      for (std::size_t j = i; j < p; ++j) {
-        xtx.at(i, j) += xi * x.at(row, j);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < p; ++i) {
+std::vector<double> NormalEquations::solve(double lambda) const {
+  Matrix xtx = xtx_;
+  for (std::size_t i = 0; i < cols(); ++i) {
+    // X^T X's diagonal is a sum of squares, never -0.0, so lambda = 0
+    // leaves it bit for bit.
     xtx.at(i, i) += lambda;
     for (std::size_t j = 0; j < i; ++j) {
       xtx.at(i, j) = xtx.at(j, i);
     }
   }
-  return solve_linear(std::move(xtx), std::move(xty));
+  return solve_linear(std::move(xtx), xty_);
+}
+
+namespace {
+
+NormalEquations accumulate(const Matrix& x, std::span<const double> y) {
+  NormalEquations normal(x.cols());
+  for (std::size_t row = 0; row < x.rows(); ++row) {
+    normal.add_row(x.row(row), y[row]);
+  }
+  return normal;
+}
+
+}  // namespace
+
+std::vector<double> least_squares(const Matrix& x, std::span<const double> y) {
+  if (y.size() != x.rows()) {
+    throw std::invalid_argument("least_squares: y size");
+  }
+  if (x.rows() < x.cols()) {
+    throw std::invalid_argument("least_squares: underdetermined");
+  }
+  return accumulate(x, y).solve();
+}
+
+std::vector<double> ridge_least_squares(const Matrix& x,
+                                        std::span<const double> y,
+                                        double lambda) {
+  if (y.size() != x.rows()) {
+    throw std::invalid_argument("ridge_least_squares: y size");
+  }
+  if (!(lambda > 0.0)) {  // the negation also rejects NaN
+    throw std::invalid_argument("ridge_least_squares: lambda must be > 0");
+  }
+  return accumulate(x, y).solve(lambda);
 }
 
 }  // namespace bolot::analysis

@@ -10,16 +10,27 @@
 
 namespace bolot::analysis {
 
-std::vector<double> workload_samples_ms(const ProbeTrace& trace) {
-  validate_probe_order(trace, "workload_samples_ms");
-  std::vector<double> samples;
+namespace {
+
+/// analyze_workload and estimate_bottleneck report an unordered trace
+/// under the name of the g_n walk they share.
+constexpr const char* kSamplesCaller = "workload_samples_ms";
+
+/// Calls visit(g_n) for every g_n = rtt_{n+1} - rtt_n + delta, in order.
+template <typename Visit>
+void for_each_workload_sample(const ProbeTrace& trace, Visit&& visit) {
   const double delta_ms = trace.delta.millis();
-  const auto& records = trace.records;
-  for (std::size_t n = 0; n + 1 < records.size(); ++n) {
-    if (!records[n].received || !records[n + 1].received) continue;
-    samples.push_back(records[n + 1].rtt.millis() - records[n].rtt.millis() +
-                      delta_ms);
-  }
+  for_each_received_pair(trace, [&](double rtt_n, double rtt_next) {
+    visit(rtt_next - rtt_n + delta_ms);
+  });
+}
+
+}  // namespace
+
+std::vector<double> workload_samples_ms(const ProbeTrace& trace) {
+  validate_probe_order(trace, kSamplesCaller);
+  std::vector<double> samples;
+  for_each_workload_sample(trace, [&samples](double g) { samples.push_back(g); });
   return samples;
 }
 
@@ -30,14 +41,18 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
   }
   // Pre-pass: validates the order, rejects a pairless trace, and sizes
   // the auto edge, which a one-pass core cannot do.
-  const std::vector<double> samples = workload_samples_ms(trace);
-  if (samples.empty()) {
+  validate_probe_order(trace, kSamplesCaller);
+  std::size_t samples = 0;
+  double max_g = 0.0;
+  for_each_workload_sample(trace, [&](double g) {
+    ++samples;
+    max_g = std::max(max_g, g);
+  });
+  if (samples == 0) {
     throw std::invalid_argument("analyze_workload: no consecutive pairs");
   }
   WorkloadOptions sized = options;
   if (sized.max_ms <= 0.0) {
-    double max_g = 0.0;
-    for (double g : samples) max_g = std::max(max_g, g);
     sized.max_ms = std::max(max_g * 1.05, trace.delta.millis() * 2.0);
   }
   StreamingLindley core(trace.delta, ByteSize::bytes(trace.probe_wire_bytes),
@@ -57,15 +72,21 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
   // hold this share of the samples below search_hi.
   constexpr double kBinMs = 0.25;
   constexpr double kMinPeakMass = 0.02;
-  const std::vector<double> samples = workload_samples_ms(trace);
-  if (samples.empty()) {
-    throw std::invalid_argument("estimate_bottleneck: no consecutive pairs");
-  }
+  validate_probe_order(trace, kSamplesCaller);
   const double delta_ms = trace.delta.millis();
   const double tick_ms = trace.clock_tick.millis();
   // The compression cluster must sit clearly left of the idle peak at
   // delta.
   const double search_hi = 0.75 * delta_ms;
+  std::size_t samples = 0;
+  std::size_t below_search_hi = 0;
+  for_each_workload_sample(trace, [&](double g) {
+    ++samples;
+    if (g > 0.0 && g < search_hi) ++below_search_hi;
+  });
+  if (samples == 0) {
+    throw std::invalid_argument("estimate_bottleneck: no consecutive pairs");
+  }
 
   double lower = 0.0;
   double upper = 0.0;
@@ -77,17 +98,18 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
     // combined count and average just those samples — this stays robust
     // as delta grows and interleaving becomes common.  The values are
     // discrete, so they are counted at microsecond resolution, not binned.
-    std::vector<std::int64_t> keys;
-    for (double g : samples) {
-      if (g > 0.0 && g < search_hi) {
-        keys.push_back(static_cast<std::int64_t>(std::llround(g * 1e3)));
-      }
-    }
-    if (keys.empty()) {
+    if (below_search_hi == 0) {
       throw std::runtime_error(
           "estimate_bottleneck: no compression cluster (delta too large or "
           "path uncongested)");
     }
+    std::vector<std::int64_t> keys;
+    keys.reserve(below_search_hi);
+    for_each_workload_sample(trace, [&](double g) {
+      if (g > 0.0 && g < search_hi) {
+        keys.push_back(static_cast<std::int64_t>(std::llround(g * 1e3)));
+      }
+    });
     const auto tick_us = static_cast<std::int64_t>(std::llround(tick_ms * 1e3));
     const detail::TickPair best =
         detail::heaviest_adjacent_ticks(std::move(keys), tick_us);
@@ -99,9 +121,9 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
     Histogram hist(0.0, search_hi,
                    static_cast<std::size_t>(
                        std::max(4.0, std::ceil(search_hi / kBinMs))));
-    for (double g : samples) {
+    for_each_workload_sample(trace, [&](double g) {
       if (g > 0.0 && g < search_hi) hist.add(g);
-    }
+    });
     const auto peaks = hist.find_peaks(kMinPeakMass, 2);
     const HistogramPeak* dominant = nullptr;
     for (const auto& peak : peaks) {
@@ -118,12 +140,12 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
 
   double sum = 0.0;
   std::size_t count = 0;
-  for (double g : samples) {
+  for_each_workload_sample(trace, [&](double g) {
     if (g > lower && g <= upper) {
       sum += g;
       ++count;
     }
-  }
+  });
   if (count == 0) {
     throw std::runtime_error("estimate_bottleneck: empty cluster");
   }
@@ -133,7 +155,7 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
                     (estimate.service_time_ms * 1e-3);
   estimate.cluster_samples = count;
   estimate.cluster_fraction =
-      static_cast<double>(count) / static_cast<double>(samples.size());
+      static_cast<double>(count) / static_cast<double>(samples);
   return estimate;
 }
 

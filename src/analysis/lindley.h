@@ -73,7 +73,9 @@ struct BottleneckEstimate {
 };
 
 /// Throws if no compression cluster exists (e.g. delta so large that
-/// probes never queue together, as in the paper's Fig. 4 regime).
+/// probes never queue together, as in the paper's Fig. 4 regime).  Folds
+/// over the g_n without storing them; on quantized clocks it holds one
+/// key per g_n below the search edge.
 BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace);
 
 /// Packet-pair bottleneck estimation (Keshav 1991; Keshav is acknowledged

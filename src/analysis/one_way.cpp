@@ -1,51 +1,48 @@
 #include "analysis/one_way.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace bolot::analysis {
 
-std::vector<OneWaySample> one_way_samples(const ProbeTrace& trace) {
-  std::vector<OneWaySample> samples;
+namespace {
+
+/// Calls visit(outbound_ms, return_ms) for every received record that
+/// carries an echo timestamp, in trace order.
+template <typename Visit>
+void for_each_one_way_sample(const ProbeTrace& trace, Visit&& visit) {
   for (const auto& record : trace.records) {
     if (!record.received) continue;
     if (record.echo_time <= record.send_time) continue;  // no echo stamp
-    OneWaySample sample;
-    sample.seq = record.seq;
-    sample.outbound_ms = (record.echo_time - record.send_time).millis();
-    sample.return_ms =
-        (record.send_time + record.rtt - record.echo_time).millis();
-    samples.push_back(sample);
+    visit((record.echo_time - record.send_time).millis(),
+          (record.send_time + record.rtt - record.echo_time).millis());
   }
-  return samples;
 }
 
+}  // namespace
+
 OneWayAnalysis analyze_one_way(const ProbeTrace& trace) {
-  const auto samples = one_way_samples(trace);
-  if (samples.empty()) {
+  StreamingSummary outbound, back;
+  for_each_one_way_sample(trace, [&](double out_ms, double back_ms) {
+    outbound.push(out_ms);
+    back.push(back_ms);
+  });
+  if (outbound.count() == 0) {
     throw std::invalid_argument(
         "analyze_one_way: trace carries no echo timestamps");
   }
-  std::vector<double> outbound, back;
-  outbound.reserve(samples.size());
-  back.reserve(samples.size());
-  for (const auto& sample : samples) {
-    outbound.push_back(sample.outbound_ms);
-    back.push_back(sample.return_ms);
-  }
 
   OneWayAnalysis analysis;
-  analysis.outbound = summarize(outbound);
-  analysis.return_leg = summarize(back);
+  analysis.outbound = outbound.summary();
+  analysis.return_leg = back.summary();
 
   // Offset-free queueing components: subtract the per-direction minimum.
-  std::vector<double> outbound_q = outbound;
-  std::vector<double> back_q = back;
-  for (double& v : outbound_q) v -= analysis.outbound.min;
-  for (double& v : back_q) v -= analysis.return_leg.min;
-  analysis.outbound_queueing = summarize(outbound_q);
-  analysis.return_queueing = summarize(back_q);
+  StreamingSummary outbound_q, back_q;
+  for_each_one_way_sample(trace, [&](double out_ms, double back_ms) {
+    outbound_q.push(out_ms - analysis.outbound.min);
+    back_q.push(back_ms - analysis.return_leg.min);
+  });
+  analysis.outbound_queueing = outbound_q.summary();
+  analysis.return_queueing = back_q.summary();
 
   const double total =
       analysis.outbound_queueing.mean + analysis.return_queueing.mean;

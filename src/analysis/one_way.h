@@ -14,23 +14,10 @@
 // crossed an empty path), leaving one-way queueing delay variations.
 #pragma once
 
-#include <vector>
-
 #include "analysis/probe_trace.h"
 #include "analysis/stats.h"
 
 namespace bolot::analysis {
-
-struct OneWaySample {
-  std::uint64_t seq = 0;
-  double outbound_ms = 0.0;  // source -> echo host (includes clock offset
-                             // when clocks are unsynchronized)
-  double return_ms = 0.0;    // echo host -> source
-};
-
-/// Extracts per-probe one-way delays from received records that carry an
-/// echo timestamp.  Returns an empty vector if none do.
-std::vector<OneWaySample> one_way_samples(const ProbeTrace& trace);
 
 struct OneWayAnalysis {
   Summary outbound;  // raw one-way values (offset included if any)
@@ -44,7 +31,8 @@ struct OneWayAnalysis {
   double outbound_queueing_share = 0.5;
 };
 
-/// Throws std::invalid_argument if the trace has no echo timestamps.
+/// Folds over the received records that carry an echo timestamp (two
+/// passes, O(1) state).  Throws std::invalid_argument if none does.
 OneWayAnalysis analyze_one_way(const ProbeTrace& trace);
 
 }  // namespace bolot::analysis

@@ -48,41 +48,66 @@ TickPair heaviest_adjacent_ticks(std::vector<std::int64_t> keys,
 
 PhasePlot build_phase_plot(const ProbeTrace& trace) {
   validate_probe_order(trace, "build_phase_plot");
+  std::size_t pairs = 0;
+  for_each_received_pair(trace, [&pairs](double, double) { ++pairs; });
   PhasePlot plot;
-  const auto& records = trace.records;
-  for (std::size_t n = 0; n + 1 < records.size(); ++n) {
-    if (!records[n].received || !records[n + 1].received) continue;
-    plot.x.push_back(records[n].rtt.millis());
-    plot.y.push_back(records[n + 1].rtt.millis());
-  }
+  plot.x.reserve(pairs);
+  plot.y.reserve(pairs);
+  for_each_received_pair(trace, [&plot](double x, double y) {
+    plot.x.push_back(x);
+    plot.y.push_back(y);
+  });
   return plot;
 }
 
 PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
-  const PhasePlot plot = build_phase_plot(trace);
-  if (plot.size() == 0) {
-    throw std::invalid_argument("analyze_phase_plot: no consecutive pairs");
-  }
+  validate_probe_order(trace, "analyze_phase_plot");
   const double delta_ms = trace.delta.millis();
+  // Compression pairs satisfy rtt_n - rtt_{n+1} = delta - P/mu = c > 0.
+  // The candidates are the positive descents above
+  // kMinInterceptFraction * delta (the mass near 0 belongs to the
+  // diagonal).
+  const double d_lo = kMinInterceptFraction * delta_ms;
+  const auto for_each_candidate = [&](auto&& visit) {
+    for_each_received_pair(trace, [&](double x, double y) {
+      const double d = x - y;
+      if (d > d_lo) visit(d);
+    });
+  };
 
   PhaseAnalysis result;
   result.fixed_delay_ms = std::numeric_limits<double>::infinity();
-  for (double v : plot.x) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
-  for (double v : plot.y) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
-
-  // Compression pairs satisfy rtt_n - rtt_{n+1} = delta - P/mu = c > 0.
-  // Collect the positive descents above kMinInterceptFraction * delta
-  // (the mass near 0 belongs to the diagonal).
-  const double d_lo = kMinInterceptFraction * delta_ms;
-  std::vector<double> candidates;
-  for (std::size_t i = 0; i < plot.size(); ++i) {
-    const double d = plot.x[i] - plot.y[i];
-    if (d > d_lo) candidates.push_back(d);
+  std::size_t pairs = 0;
+  std::size_t candidates = 0;
+  std::size_t on_diagonal = 0;
+  for_each_received_pair(trace, [&](double x, double y) {
+    ++pairs;
+    result.fixed_delay_ms = std::min({result.fixed_delay_ms, x, y});
+    const double d = x - y;
+    if (d > d_lo) ++candidates;
+    if (std::abs(d) <= kToleranceMs) ++on_diagonal;
+  });
+  if (pairs == 0) {
+    throw std::invalid_argument("analyze_phase_plot: no consecutive pairs");
   }
+
+  // Mean of the candidates that `in_cluster` accepts; unset if none does.
+  const auto centroid = [&](auto&& in_cluster) -> std::optional<double> {
+    double sum = 0.0;
+    std::size_t count = 0;
+    for_each_candidate([&](double d) {
+      if (in_cluster(d)) {
+        sum += d;
+        ++count;
+      }
+    });
+    if (count == 0) return std::nullopt;
+    return sum / static_cast<double>(count);
+  };
 
   std::optional<double> intercept;
   const double tick_ms = trace.clock_tick.millis();
-  if (!candidates.empty()) {
+  if (candidates > 0) {
     if (tick_ms > 0.0) {
       // Quantized clocks make descents discrete (multiples of the tick);
       // the true intercept's mass splits over exactly two adjacent tick
@@ -90,26 +115,18 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
       // samples — the centroid over both quantization images is
       // unbiased.
       std::vector<std::int64_t> keys;
-      keys.reserve(candidates.size());
-      for (double d : candidates) {
+      keys.reserve(candidates);
+      for_each_candidate([&keys](double d) {
         keys.push_back(static_cast<std::int64_t>(std::llround(d * 1e3)));
-      }
+      });
       const detail::TickPair best = detail::heaviest_adjacent_ticks(
           std::move(keys),
           static_cast<std::int64_t>(std::llround(tick_ms * 1e3)));
       if (static_cast<double>(best.count) >=
-          kMinClusterMass * static_cast<double>(plot.size())) {
+          kMinClusterMass * static_cast<double>(pairs)) {
         const double lo = static_cast<double>(best.key) * 1e-3 - 1e-3;
         const double hi = lo + tick_ms + 2e-3;
-        double sum = 0.0;
-        std::size_t count = 0;
-        for (double d : candidates) {
-          if (d > lo && d <= hi) {
-            sum += d;
-            ++count;
-          }
-        }
-        if (count > 0) intercept = sum / static_cast<double>(count);
+        intercept = centroid([&](double d) { return d > lo && d <= hi; });
       }
     } else {
       // Exact clocks: modal bin of a fine histogram, then the centroid of
@@ -119,31 +136,26 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
           std::max<std::size_t>(
               8, static_cast<std::size_t>((delta_ms - d_lo) /
                                           kHistogramBinMs)));
-      for (double d : candidates) descents.add(d);
+      for_each_candidate([&descents](double d) { descents.add(d); });
       double best_mass = 0.0;
       std::optional<double> modal;
       for (std::size_t bin = 0; bin < descents.bin_count(); ++bin) {
         const double mass = static_cast<double>(descents.count(bin)) /
-                            static_cast<double>(plot.size());
+                            static_cast<double>(pairs);
         if (mass > best_mass && mass >= kMinClusterMass) {
           best_mass = mass;
           modal = descents.bin_center(bin);
         }
       }
       if (modal) {
-        double sum = 0.0;
-        std::size_t count = 0;
-        for (double d : candidates) {
-          if (std::abs(d - *modal) <= descents.bin_width()) {
-            sum += d;
-            ++count;
-          }
-        }
-        if (count > 0) intercept = sum / static_cast<double>(count);
+        intercept = centroid([&](double d) {
+          return std::abs(d - *modal) <= descents.bin_width();
+        });
       }
     }
   }
 
+  std::size_t on_line = 0;
   if (intercept) {
     result.compression_intercept_ms = *intercept;
     const double service_ms = delta_ms - *intercept;  // P/mu
@@ -151,20 +163,15 @@ PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
       result.bottleneck_bps =
           static_cast<double>(trace.probe_wire_bytes * 8) / (service_ms * 1e-3);
     }
-  }
-
-  // Band memberships.
-  std::size_t on_line = 0;
-  std::size_t on_diagonal = 0;
-  for (std::size_t i = 0; i < plot.size(); ++i) {
-    const double d = plot.x[i] - plot.y[i];
-    if (intercept && std::abs(d - *intercept) <= kToleranceMs) ++on_line;
-    if (std::abs(d) <= kToleranceMs) ++on_diagonal;
+    for_each_received_pair(trace, [&](double x, double y) {
+      const double d = x - y;
+      if (std::abs(d - *intercept) <= kToleranceMs) ++on_line;
+    });
   }
   result.compression_fraction =
-      static_cast<double>(on_line) / static_cast<double>(plot.size());
+      static_cast<double>(on_line) / static_cast<double>(pairs);
   result.diagonal_fraction =
-      static_cast<double>(on_diagonal) / static_cast<double>(plot.size());
+      static_cast<double>(on_diagonal) / static_cast<double>(pairs);
   return result;
 }
 

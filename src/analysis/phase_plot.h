@@ -25,6 +25,7 @@ struct PhasePlot {
   std::size_t size() const { return x.size(); }
 };
 
+/// Exactly sized: counts the pairs, then fills them.
 PhasePlot build_phase_plot(const ProbeTrace& trace);
 
 struct PhaseAnalysis {
@@ -43,7 +44,9 @@ struct PhaseAnalysis {
 };
 
 /// Analyzes a trace directly (uses trace.delta and trace.probe_wire_bytes
-/// for the mu-hat computation).
+/// for the mu-hat computation).  Folds over the record pairs without
+/// building the PhasePlot; on quantized clocks it holds one key per
+/// compression candidate.
 PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace);
 
 namespace detail {

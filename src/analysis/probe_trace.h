@@ -47,14 +47,28 @@ struct ProbeTrace {
 
 /// Throws std::invalid_argument unless `trace.records` is in strictly
 /// increasing seq order (no duplicates, no reordering).  Every estimator
-/// built on consecutive-pair semantics (loss_stats, workload_samples_ms
-/// and its callers, build_phase_plot, reorder_stats,
-/// loss_delay_correlation) calls this at entry: a shuffled or
-/// duplicate-seq trace silently fabricates pairs that never happened on
-/// the wire, which is worse than failing loudly.  Order-insensitive
-/// per-record estimators (one_way_samples) deliberately skip it; the
-/// per-estimator contract is documented in docs/ESTIMATORS.md.
-/// `caller` names the estimator in the exception message.
+/// built on consecutive-pair semantics (loss_stats, workload_samples_ms,
+/// analyze_workload, estimate_bottleneck, build_phase_plot,
+/// analyze_phase_plot, reorder_stats, loss_delay_correlation) calls this
+/// at entry: a shuffled or duplicate-seq trace silently fabricates pairs
+/// that never happened on the wire, which is worse than failing loudly.
+/// Order-insensitive per-record estimators (analyze_one_way) deliberately
+/// skip it; the per-estimator contract is documented in
+/// docs/ESTIMATORS.md.  `caller` names the estimator in the exception
+/// message.
 void validate_probe_order(const ProbeTrace& trace, const char* caller);
+
+/// Calls visit(rtt_n, rtt_{n+1}), both in ms, for every pair of
+/// consecutively received probes, in trace order; a lost probe breaks the
+/// pair.  The one pair walk behind the phase plot and the eq.-6 samples,
+/// so an estimator can fold over the pairs without storing them.
+template <typename Visit>
+void for_each_received_pair(const ProbeTrace& trace, Visit&& visit) {
+  const auto& records = trace.records;
+  for (std::size_t n = 0; n + 1 < records.size(); ++n) {
+    if (!records[n].received || !records[n + 1].received) continue;
+    visit(records[n].rtt.millis(), records[n + 1].rtt.millis());
+  }
+}
 
 }  // namespace bolot::analysis

@@ -1,7 +1,6 @@
 #include "analysis/reorder.h"
 
 #include <stdexcept>
-#include <vector>
 
 #include "analysis/stats.h"
 
@@ -29,23 +28,15 @@ ReorderStats reorder_stats(const ProbeTrace& trace) {
 double loss_delay_correlation(const ProbeTrace& trace) {
   validate_probe_order(trace, "loss_delay_correlation");
   // Pair each probe (from the second onward) with the rtt of the nearest
-  // received probe before it.
-  std::vector<double> loss_indicator;
-  std::vector<double> preceding_rtt;
-  double last_rtt_ms = -1.0;
-  for (const auto& record : trace.records) {
-    if (last_rtt_ms >= 0.0) {
-      loss_indicator.push_back(record.received ? 0.0 : 1.0);
-      preceding_rtt.push_back(last_rtt_ms);
+  // received probe before it.  pearson_of() rejects the degenerate cases
+  // (no pairs, all-lost, no-loss, constant rtt) by throwing.
+  return pearson_of([&trace](auto&& visit) {
+    double last_rtt_ms = -1.0;
+    for (const auto& record : trace.records) {
+      if (last_rtt_ms >= 0.0) visit(record.received ? 0.0 : 1.0, last_rtt_ms);
+      if (record.received) last_rtt_ms = record.rtt.millis();
     }
-    if (record.received) last_rtt_ms = record.rtt.millis();
-  }
-  if (loss_indicator.empty()) {
-    throw std::invalid_argument("loss_delay_correlation: no usable pairs");
-  }
-  // pearson() validates the degenerate cases (all-lost, no-loss, constant
-  // rtt) by throwing.
-  return pearson(loss_indicator, preceding_rtt);
+  });
 }
 
 }  // namespace bolot::analysis

@@ -31,6 +31,8 @@ ReorderStats reorder_stats(const ProbeTrace& trace);
 /// the nearest received probe before n.  Positive values mean losses
 /// cluster in high-delay (congested) periods.  Throws when the trace has
 /// no losses, no receptions, or constant rtts (correlation undefined).
+/// pearson() over the (loss, preceding rtt) columns, folded over the
+/// records by pearson_of() without storing them.
 double loss_delay_correlation(const ProbeTrace& trace);
 
 }  // namespace bolot::analysis

@@ -1,8 +1,12 @@
 #include "analysis/report.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "analysis/ar_model.h"
 #include "analysis/arma_model.h"
@@ -24,6 +28,9 @@ namespace {
 
 /// Audio-FEC design target (residual loss) for the section-5 block.
 constexpr double kFecTargetResidual = 0.01;
+/// A compression cluster thinner than this share of the g_n samples is
+/// not trusted for mu-hat.
+constexpr double kTrustedClusterFraction = 0.02;
 constexpr int kPlotWidth = 64;
 constexpr int kPlotHeight = 20;
 
@@ -42,18 +49,28 @@ void overview_section(std::ostream& os, const ProbeTrace& trace) {
 }
 
 void delay_section(std::ostream& os, const ProbeTrace& trace,
+                   std::span<const double> rtts,
+                   const std::optional<BottleneckEstimate>& bottleneck,
                    const ReportOptions& options) {
-  const auto rtts = trace.rtt_ms_received();
   os << "== Delay (section 4) ==\n";
   if (rtts.empty()) {
     os << "no probes received; nothing to report\n\n";
     return;
   }
   const Summary s = summarize(rtts);
+  double median_ms = 0.0;
+  double p95_ms = 0.0;
+  {
+    // One sorted copy for both quantiles, released before the plot.
+    std::vector<double> sorted(rtts.begin(), rtts.end());
+    std::sort(sorted.begin(), sorted.end());
+    median_ms = sorted_quantile(sorted, 0.5);
+    p95_ms = sorted_quantile(sorted, 0.95);
+  }
   TextTable table;
   table.row({"min rtt (ms, ~D)", format_double(s.min, 3)});
-  table.row({"median rtt (ms)", format_double(median(rtts), 3)});
-  table.row({"p95 rtt (ms)", format_double(quantile(rtts, 0.95), 3)});
+  table.row({"median rtt (ms)", format_double(median_ms, 3)});
+  table.row({"p95 rtt (ms)", format_double(p95_ms, 3)});
   table.row({"max rtt (ms)", format_double(s.max, 3)});
   table.row({"std dev (ms)", format_double(s.stddev, 3)});
   if (rtts.size() >= 2) {
@@ -78,17 +95,15 @@ void delay_section(std::ostream& os, const ProbeTrace& trace,
     os << "phase geometry: not enough consecutive pairs\n";
   }
 
-  try {
-    const BottleneckEstimate mu = estimate_bottleneck(trace);
-    if (mu.cluster_fraction >= 0.02) {
-      os << "bottleneck mu-hat: " << format_double(mu.mu_bps / 1e3, 1)
-         << " kb/s (service " << format_double(mu.service_time_ms, 2)
-         << " ms, cluster " << format_double(mu.cluster_fraction, 3) << ")\n";
-    } else {
-      os << "bottleneck mu-hat: compression cluster too thin to trust\n";
-    }
-  } catch (const std::exception&) {
+  if (!bottleneck) {
     os << "bottleneck mu-hat: no compression cluster at this delta\n";
+  } else if (bottleneck->cluster_fraction >= kTrustedClusterFraction) {
+    os << "bottleneck mu-hat: " << format_double(bottleneck->mu_bps / 1e3, 1)
+       << " kb/s (service " << format_double(bottleneck->service_time_ms, 2)
+       << " ms, cluster " << format_double(bottleneck->cluster_fraction, 3)
+       << ")\n";
+  } else {
+    os << "bottleneck mu-hat: compression cluster too thin to trust\n";
   }
 
   if (options.include_plots && rtts.size() >= 4) {
@@ -105,15 +120,13 @@ void delay_section(std::ostream& os, const ProbeTrace& trace,
 }
 
 void workload_section(std::ostream& os, const ProbeTrace& trace,
+                      const std::optional<BottleneckEstimate>& bottleneck,
                       const ReportOptions& options) {
   os << "== Cross-traffic workload (eq. 6) ==\n";
   double mu_bps = options.bottleneck_bps.value_or(0.0);
-  if (mu_bps <= 0.0) {
-    try {
-      const BottleneckEstimate estimate = estimate_bottleneck(trace);
-      if (estimate.cluster_fraction >= 0.02) mu_bps = estimate.mu_bps;
-    } catch (const std::exception&) {
-    }
+  if (mu_bps <= 0.0 && bottleneck &&
+      bottleneck->cluster_fraction >= kTrustedClusterFraction) {
+    mu_bps = bottleneck->mu_bps;
   }
   if (mu_bps <= 0.0) {
     os << "no bottleneck rate available (pass one in ReportOptions)\n\n";
@@ -218,9 +231,8 @@ void structure_section(std::ostream& os, const ProbeTrace& trace) {
   os << '\n';
 }
 
-void models_section(std::ostream& os, const ProbeTrace& trace) {
+void models_section(std::ostream& os, std::span<const double> rtts) {
   os << "== Models (section 3 program) ==\n";
-  const auto rtts = trace.rtt_ms_received();
   if (rtts.size() < 200) {
     os << "series too short for model fitting\n\n";
     return;
@@ -269,13 +281,24 @@ std::string full_report(const ProbeTrace& trace, const ReportOptions& options) {
   if (trace.records.empty()) {
     throw std::invalid_argument("full_report: empty trace");
   }
+  // The one rtt vector the report holds, shared by the delay and model
+  // sections.  The other sections fold over trace.records; the loss
+  // section alone keeps a per-probe column, of 1-byte indicators.
+  const std::vector<double> rtts = trace.rtt_ms_received();
+  // The delay section prints mu-hat and the workload section inverts
+  // eq. 6 with it; both read this one estimate.
+  std::optional<BottleneckEstimate> bottleneck;
+  try {
+    bottleneck = estimate_bottleneck(trace);
+  } catch (const std::exception&) {
+  }
   std::ostringstream os;
   overview_section(os, trace);
-  delay_section(os, trace, options);
-  workload_section(os, trace, options);
+  delay_section(os, trace, rtts, bottleneck, options);
+  workload_section(os, trace, bottleneck, options);
   loss_section(os, trace);
   structure_section(os, trace);
-  if (options.include_models) models_section(os, trace);
+  if (options.include_models) models_section(os, rtts);
   return os.str();
 }
 

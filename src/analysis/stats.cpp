@@ -44,10 +44,14 @@ Summary summarize(std::span<const double> xs) {
 }
 
 double quantile(std::span<const double> xs, double q) {
-  if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q not in [0,1]");
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
+  return sorted_quantile(sorted, q);
+}
+
+double sorted_quantile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) throw std::invalid_argument("quantile: empty sample");
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q not in [0,1]");
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
@@ -80,18 +84,9 @@ std::vector<double> autocorrelation(std::span<const double> xs,
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size()) throw std::invalid_argument("pearson: size mismatch");
-  if (xs.empty()) throw std::invalid_argument("pearson: empty sample");
-  const Summary sx = summarize(xs);
-  const Summary sy = summarize(ys);
-  if (sx.stddev <= 0.0 || sy.stddev <= 0.0) {
-    throw std::invalid_argument("pearson: zero-variance sample");
-  }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sum += (xs[i] - sx.mean) * (ys[i] - sy.mean);
-  }
-  const double n = static_cast<double>(xs.size());
-  return sum / ((n - 1.0) * sx.stddev * sy.stddev);
+  return pearson_of([&](auto&& visit) {
+    for (std::size_t i = 0; i < xs.size(); ++i) visit(xs[i], ys[i]);
+  });
 }
 
 }  // namespace bolot::analysis

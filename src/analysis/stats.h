@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace bolot::analysis {
@@ -45,6 +46,10 @@ Summary summarize(std::span<const double> xs);
 /// Throws on empty input or q outside [0,1].
 double quantile(std::span<const double> xs, double q);
 
+/// quantile() of a sample already sorted ascending, so that several
+/// quantiles can share one sort.  Throws like quantile().
+double sorted_quantile(std::span<const double> sorted, double q);
+
 /// Median convenience wrapper.
 double median(std::span<const double> xs);
 
@@ -56,5 +61,31 @@ std::vector<double> autocorrelation(std::span<const double> xs,
 /// Pearson correlation of two equal-length samples; throws on mismatch,
 /// empty input, or zero variance.
 double pearson(std::span<const double> xs, std::span<const double> ys);
+
+/// pearson() over the (x, y) pairs that for_each_pair(visit) passes to
+/// visit, in order, without storing them: two passes, the Welford
+/// summaries and then the co-moment about their means.  The one Pearson
+/// recurrence: pearson() folds its columns through it, and
+/// loss_delay_correlation folds a trace.  Throws like pearson().
+template <typename ForEachPair>
+double pearson_of(ForEachPair&& for_each_pair) {
+  StreamingSummary x_fold, y_fold;
+  for_each_pair([&](double x, double y) {
+    x_fold.push(x);
+    y_fold.push(y);
+  });
+  if (x_fold.count() == 0) throw std::invalid_argument("pearson: empty sample");
+  const Summary sx = x_fold.summary();
+  const Summary sy = y_fold.summary();
+  if (sx.stddev <= 0.0 || sy.stddev <= 0.0) {
+    throw std::invalid_argument("pearson: zero-variance sample");
+  }
+  double sum = 0.0;
+  for_each_pair([&](double x, double y) {
+    sum += (x - sx.mean) * (y - sy.mean);
+  });
+  const double n = static_cast<double>(sx.count);
+  return sum / ((n - 1.0) * sx.stddev * sy.stddev);
+}
 
 }  // namespace bolot::analysis

@@ -6,6 +6,7 @@
 
 #include "analysis/stats.h"
 #include "util/rng.h"
+#include "tests/analysis/vector_oracles.h"
 #include "tests/util/normal.h"
 
 namespace bolot::analysis {
@@ -77,13 +78,26 @@ TEST(PredictNextTest, RequiresEnoughHistory) {
 TEST(ArResidualsTest, WhiteNoiseResidualsForCorrectModel) {
   const auto xs = ar1_series(0.8, 1.0, 50000, 11);
   const ArModel model = fit_ar(xs, 1);
-  const auto residuals = ar_residuals(model, xs);
+  const auto residuals = oracle::ar_residuals(model, xs);
   ASSERT_EQ(residuals.size(), xs.size() - 1);
   // Residuals of the true model are the innovations: variance ~ 1, acf ~ 0.
   const Summary s = summarize(residuals);
   EXPECT_NEAR(s.variance, 1.0, 0.05);
   const auto acf = autocorrelation(residuals, 1);
   EXPECT_NEAR(acf[1], 0.0, 0.02);
+  // ar_r_squared folds exactly these residuals: mse ~ 1 against the
+  // series variance 1 / (1 - phi^2).
+  EXPECT_EQ(ar_r_squared(model, xs), oracle::ar_r_squared(model, xs));
+  EXPECT_NEAR(ar_r_squared(model, xs), 0.64, 0.03);
+}
+
+TEST(ArRSquaredTest, RejectsShortOrConstantSeries) {
+  ArModel model;
+  model.coefficients = {0.5, 0.25};
+  const std::vector<double> short_series = {1.0, 2.0};
+  EXPECT_THROW(ar_r_squared(model, short_series), std::invalid_argument);
+  const std::vector<double> flat(10, 3.0);
+  EXPECT_THROW(ar_r_squared(model, flat), std::invalid_argument);
 }
 
 TEST(ArRSquaredTest, StrongAr1IsPredictable) {

@@ -7,6 +7,7 @@
 #include "analysis/ar_model.h"
 #include "analysis/stats.h"
 #include "util/rng.h"
+#include "tests/analysis/vector_oracles.h"
 #include "tests/util/normal.h"
 
 namespace bolot::analysis {
@@ -81,12 +82,24 @@ TEST(ArmaResidualsTest, TrueModelLeavesWhiteResiduals) {
   truth.ar = {0.6};
   truth.ma = {0.4};
   truth.mean = 0.0;
-  const auto residuals = arma_residuals(truth, xs);
+  const auto residuals = oracle::arma_residuals(truth, xs);
   const Summary s = summarize(residuals);
   EXPECT_NEAR(s.variance, 1.0, 0.05);
   const auto acf = autocorrelation(residuals, 2);
   EXPECT_NEAR(acf[1], 0.0, 0.02);
   EXPECT_NEAR(acf[2], 0.0, 0.02);
+  // arma_r_squared folds exactly these residuals.
+  EXPECT_EQ(arma_r_squared(truth, xs), oracle::arma_r_squared(truth, xs));
+}
+
+TEST(ArmaRSquaredTest, RejectsShortOrConstantSeries) {
+  ArmaModel model;
+  model.ar = {0.5, 0.2};
+  model.ma = {0.3};
+  const std::vector<double> short_series = {1.0, 2.0};
+  EXPECT_THROW(arma_r_squared(model, short_series), std::invalid_argument);
+  const std::vector<double> flat(10, 3.0);
+  EXPECT_THROW(arma_r_squared(model, flat), std::invalid_argument);
 }
 
 TEST(ArmaRSquaredTest, BeatsPureArOnMaProcess) {

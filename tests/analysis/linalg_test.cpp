@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "tests/analysis/vector_oracles.h"
 #include "tests/util/normal.h"
 
 namespace bolot::analysis {
@@ -101,6 +102,53 @@ TEST(LeastSquaresTest, RecoversCoefficientsUnderNoise) {
   EXPECT_NEAR(beta[0], 4.0, 0.02);
   EXPECT_NEAR(beta[1], -2.0, 0.02);
   EXPECT_NEAR(beta[2], 0.5, 0.02);
+}
+
+TEST(LeastSquaresTest, BothSolversMatchTheirOwnNormalEquationsLoop) {
+  // Both solvers now share one row accumulator; each must still return,
+  // bit for bit, what its own X^T X / X^T y loop returned.
+  Rng rng(31);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 50 + static_cast<std::size_t>(trial) * 37;
+    const std::size_t p = 1 + static_cast<std::size_t>(trial) % 4;
+    Matrix design(n, p);
+    std::vector<double> y(n);
+    for (std::size_t row = 0; row < n; ++row) {
+      for (std::size_t col = 0; col < p; ++col) {
+        design.at(row, col) = rng.uniform(-3.0, 3.0);
+      }
+      y[row] = rng.uniform(-10.0, 10.0);
+    }
+    const auto ols = least_squares(design, y);
+    const auto ols_loop = oracle::least_squares_loop(design, y);
+    const auto ridge = ridge_least_squares(design, y, 1e-6);
+    const auto ridge_loop = oracle::least_squares_loop(design, y, 1e-6);
+    ASSERT_EQ(ols.size(), p);
+    ASSERT_EQ(ridge.size(), p);
+    for (std::size_t i = 0; i < p; ++i) {
+      EXPECT_EQ(ols[i], ols_loop[i]) << "trial " << trial << " coef " << i;
+      EXPECT_EQ(ridge[i], ridge_loop[i]) << "trial " << trial << " coef " << i;
+    }
+  }
+}
+
+TEST(NormalEquationsTest, RowsFedDirectlyEqualTheMatrixSolve) {
+  // y = 1 - x + 0.5 x^2 on a grid: the rows fed one at a time solve to
+  // the same coefficients as the stored design.
+  Matrix design(9, 3);
+  std::vector<double> y(9);
+  NormalEquations normal(3);
+  for (std::size_t i = 0; i < 9; ++i) {
+    const double x = static_cast<double>(i) - 4.0;
+    const std::vector<double> row = {1.0, x, x * x};
+    for (std::size_t c = 0; c < 3; ++c) design.at(i, c) = row[c];
+    y[i] = 1.0 - x + 0.5 * x * x;
+    normal.add_row(row, y[i]);
+  }
+  EXPECT_EQ(normal.solve(), least_squares(design, y));
+  EXPECT_EQ(normal.solve(0.5), ridge_least_squares(design, y, 0.5));
+  const std::vector<double> wrong_width = {1.0, 2.0};
+  EXPECT_THROW(normal.add_row(wrong_width, 0.0), std::invalid_argument);
 }
 
 TEST(LeastSquaresTest, RejectsUnderdetermined) {

@@ -25,20 +25,26 @@ ProbeTrace asymmetric_trace(const std::vector<std::pair<double, double>>& legs,
 
 TEST(OneWayTest, SamplesDecomposeRtt) {
   const auto trace = asymmetric_trace({{70.0, 75.0}, {80.0, 72.0}});
-  const auto samples = one_way_samples(trace);
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_NEAR(samples[0].outbound_ms, 70.0, 1e-9);
-  EXPECT_NEAR(samples[0].return_ms, 75.0, 1e-9);
-  EXPECT_NEAR(samples[1].outbound_ms, 80.0, 1e-9);
-  EXPECT_NEAR(samples[1].return_ms, 72.0, 1e-9);
+  const OneWayAnalysis analysis = analyze_one_way(trace);
+  ASSERT_EQ(analysis.outbound.count, 2u);
+  EXPECT_NEAR(analysis.outbound.min, 70.0, 1e-9);
+  EXPECT_NEAR(analysis.outbound.max, 80.0, 1e-9);
+  EXPECT_NEAR(analysis.return_leg.min, 72.0, 1e-9);
+  EXPECT_NEAR(analysis.return_leg.max, 75.0, 1e-9);
+  // Queueing above each leg's minimum: outbound {0, 10}, return {3, 0}.
+  EXPECT_NEAR(analysis.outbound_queueing.mean, 5.0, 1e-9);
+  EXPECT_NEAR(analysis.return_queueing.mean, 1.5, 1e-9);
+  EXPECT_NEAR(analysis.outbound_queueing_share, 5.0 / 6.5, 1e-12);
 }
 
 TEST(OneWayTest, SkipsLostAndUnstampedRecords) {
-  auto trace = asymmetric_trace({{70.0, 75.0}, {80.0, 72.0}});
+  auto trace = asymmetric_trace({{70.0, 75.0}, {80.0, 72.0}, {90.0, 60.0}});
   trace.records[1].echo_time = Duration::zero();  // no echo stamp
-  const auto samples = one_way_samples(trace);
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].seq, 0u);
+  trace.records[2].received = false;              // lost
+  const OneWayAnalysis analysis = analyze_one_way(trace);
+  ASSERT_EQ(analysis.outbound.count, 1u);
+  EXPECT_NEAR(analysis.outbound.mean, 70.0, 1e-9);
+  EXPECT_NEAR(analysis.return_leg.mean, 75.0, 1e-9);
 }
 
 TEST(OneWayTest, DetectsForwardPathCongestion) {
