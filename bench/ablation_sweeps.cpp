@@ -12,6 +12,7 @@
 // five run on the parallel sweep runner: --threads N distributes the runs,
 // and --out DIR exports one BENCH_ablation_*.{json,csv} pair per ablation.
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/lindley.h"
@@ -260,6 +261,10 @@ void sweep_probe_size() {
 int main(int argc, char** argv) {
   try {
     g_cli = runner::parse_sweep_cli(argc, argv);
+    if (g_cli.replicates != 1) {
+      throw std::invalid_argument(
+          "--replicates: ablation_sweeps runs one replicate per cell");
+    }
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n"
               << runner::sweep_cli_usage("ablation_sweeps");

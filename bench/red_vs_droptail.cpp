@@ -12,6 +12,7 @@
 // parallel sweep runner (--threads N; --out DIR exports
 // BENCH_red_vs_droptail.{json,csv}).
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "runner/sweep.h"
@@ -25,6 +26,10 @@ int main(int argc, char** argv) {
   runner::SweepCli cli;
   try {
     cli = runner::parse_sweep_cli(argc, argv);
+    if (cli.replicates != 1) {
+      throw std::invalid_argument(
+          "--replicates: red_vs_droptail runs one replicate per cell");
+    }
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n"
               << runner::sweep_cli_usage("red_vs_droptail");

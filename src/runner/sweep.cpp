@@ -1,7 +1,6 @@
 #include "runner/sweep.h"
 
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "analysis/loss.h"
@@ -59,15 +58,9 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
   sweep.base_seed = options.base_seed;
   sweep.runs.resize(specs.size());
 
-  // threads == 0 (the default) fans out on the process-wide shared pool —
-  // reused across sweeps, and the same workers PDES domains borrow — via
-  // a TaskGroup, which scopes completion and errors to this sweep.  An
-  // explicit thread count gets a private pool and runs exactly that many
-  // jobs at once (benches use threads=1 for undisturbed timing).
-  std::optional<ThreadPool> own_pool;
-  if (options.threads != 0) own_pool.emplace(options.threads);
-  ThreadPool& pool = own_pool ? *own_pool : shared_pool();
-  TaskGroup group(pool);
+  // One pool per sweep; `threads` bounds the jobs that run at once (0 =
+  // hardware concurrency; benches use 1 for undisturbed timing).
+  ThreadPool pool(options.threads);
   sweep.threads = pool.thread_count();
   // Result-slot write-once discipline: slot i is written by exactly one
   // job, exactly once.  Each counter has a single writer (its own job),
@@ -75,9 +68,7 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
   // after the pool's completion barrier has published every write.
   std::vector<std::uint8_t> slot_writes(specs.size(), 0);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    // Each task owns result slot i exclusively, so no synchronization
-    // beyond the pool's completion barrier is needed.
-    group.submit([&, i] {
+    pool.submit([&, i] {
       ++slot_writes[i];
       RunResult& run = sweep.runs[i];
       run.index = i;
@@ -98,10 +89,7 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
       run.wall_seconds = elapsed_seconds(run_start);
     });
   }
-  // TaskGroup::wait runs queued jobs on this thread; on a private pool
-  // that would be one job more than `threads`, so wait on the pool itself.
-  if (own_pool) own_pool->wait_idle();
-  group.wait();
+  pool.wait_idle();
   for (std::size_t i = 0; i < slot_writes.size(); ++i) {
     SIM_CHECK(slot_writes[i] == 1,
               "run_sweep(%s): result slot %zu written %u times (seed "

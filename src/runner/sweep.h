@@ -80,7 +80,8 @@ struct SweepResult {
 
 struct SweepOptions {
   std::string name = "sweep";
-  /// Jobs that run at once; 0 = the shared pool (hardware concurrency).
+  /// Jobs that run at once: the size of the sweep's own pool; 0 =
+  /// hardware concurrency (at least 1).
   std::size_t threads = 0;
   std::uint64_t base_seed = 1993;
 };
@@ -90,7 +91,8 @@ struct SweepOptions {
 /// continues).
 using SweepJob = std::function<std::vector<Metric>(const RunContext&)>;
 
-/// Runs one job per spec on a fixed-size pool; blocks until all finish.
+/// Runs one job per spec on a pool of `options.threads` workers built for
+/// this call; blocks until all finish.
 SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
                       const SweepOptions& options = {});
 

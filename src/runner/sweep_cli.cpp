@@ -30,13 +30,15 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      cli.threads = static_cast<std::size_t>(parse_u64(arg, value()));
+      cli.threads = static_cast<std::size_t>(
+          parse_u64(arg, value(), kMaxSweepThreads));
     } else if (arg == "--seed") {
       cli.base_seed = parse_u64(arg, value());
     } else if (arg == "--out") {
       cli.out_dir = std::string(value());
     } else if (arg == "--replicates") {
-      cli.replicates = static_cast<std::size_t>(parse_u64(arg, value()));
+      cli.replicates = static_cast<std::size_t>(
+          parse_u64(arg, value(), kMaxReplicates));
       if (cli.replicates == 0) {
         throw std::invalid_argument("--replicates: must be >= 1");
       }

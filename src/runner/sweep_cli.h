@@ -18,6 +18,12 @@
 
 namespace bolot::runner {
 
+/// Upper bounds of --threads and --replicates: a larger value is a usage
+/// error, not a pool whose thread vector cannot be reserved or a spec
+/// grid that grows until memory runs out.
+inline constexpr std::size_t kMaxSweepThreads = 1024;
+inline constexpr std::size_t kMaxReplicates = 10000;
+
 struct SweepCli {
   std::size_t threads = 1;
   std::uint64_t base_seed = 1993;

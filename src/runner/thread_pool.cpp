@@ -1,10 +1,8 @@
 #include "runner/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "sim/pdes.h"
 #include "util/audit.h"
 
 namespace bolot::runner {
@@ -61,103 +59,19 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    run_job(std::move(job));
-  }
-}
-
-void ThreadPool::run_job(std::function<void()> job) {
-  // A throwing job must not unwind through the worker (std::terminate);
-  // record the first failure for wait_idle() to surface and keep
-  // serving the queue so sibling jobs still complete.
-  std::exception_ptr error;
-  try {
-    job();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error && !first_error_) first_error_ = std::move(error);
-    --in_flight_;
-    if (in_flight_ == 0) all_done_.notify_all();
-  }
-}
-
-bool ThreadPool::try_run_one() {
-  std::function<void()> job;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (queue_.empty()) return false;
-    job = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  run_job(std::move(job));
-  return true;
-}
-
-ThreadPool& shared_pool() {
-  static ThreadPool* pool = [] {
-    auto* p = new ThreadPool(0);  // leaked: must outlive every static user
-    // Sharded simulations anywhere in the process (including inside sweep
-    // jobs running on this very pool) borrow its workers for their
-    // domains; a donated job that finds its run already over is a no-op.
-    sim::ParallelSimulation::set_thread_donor(
-        [p](std::function<void()> job) { p->submit(std::move(job)); });
-    return p;
-  }();
-  return *pool;
-}
-
-void TaskGroup::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++in_flight_;
-  }
-  pool_.submit([this, job = std::move(job)] {
+    // A throwing job must not unwind through the worker (std::terminate);
+    // record the first failure for wait_idle() to surface and keep
+    // serving the queue so sibling jobs still complete.
     std::exception_ptr error;
     try {
       job();
     } catch (...) {
       error = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (error && !first_error_) first_error_ = std::move(error);
-      --in_flight_;
-      if (in_flight_ == 0) done_.notify_all();
-    }
-  });
-}
-
-void TaskGroup::wait() {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (in_flight_ == 0) break;
-    }
-    // Help drain the pool: our own unstarted jobs may be behind other
-    // users' jobs in the shared queue, and every worker may be parked
-    // inside a nested wait of its own.  Only sleep once the queue is
-    // empty — at that point our remaining jobs are running on workers
-    // and will signal done_.
-    if (!pool_.try_run_one()) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      done_.wait_for(lock, std::chrono::milliseconds(1),
-                     [this] { return in_flight_ == 0; });
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (first_error_) {
-    std::rethrow_exception(std::exchange(first_error_, nullptr));
-  }
-}
-
-TaskGroup::~TaskGroup() {
-  try {
-    wait();
-  } catch (...) {
-    // Errors are reported by an explicit wait(); the destructor only
-    // guarantees no job outlives the group.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error && !first_error_) first_error_ = std::move(error);
+    --in_flight_;
+    if (in_flight_ == 0) all_done_.notify_all();
   }
 }
 

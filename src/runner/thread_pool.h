@@ -6,6 +6,10 @@
 // about under TSan/ASan.  Determinism of sweep results does not depend on
 // the pool at all — each job derives its randomness from its run index —
 // so any scheduling order is acceptable.
+//
+// run_sweep builds one pool per sweep.  A sharded simulation gets worker
+// threads only from a pool its caller lends explicitly through
+// sim::ParallelSimulation::set_thread_donor.
 #pragma once
 
 #include <condition_variable>
@@ -41,17 +45,8 @@ class ThreadPool {
   /// throwing job never takes down its worker thread or the process).
   void wait_idle();
 
-  /// Runs one queued job on the calling thread, if any is waiting.
-  /// Returns whether a job ran.  This is the work-helping primitive that
-  /// lets a thread blocked on a TaskGroup drain the shared pool instead
-  /// of deadlocking when every worker is busy with *its* jobs' children.
-  bool try_run_one();
-
  private:
   void worker_loop();
-  /// Runs `job` with the pool's error discipline (first exception is
-  /// recorded, in_flight_ decremented, all_done_ signalled).
-  void run_job(std::function<void()> job);
 
   std::mutex mutex_;
   std::condition_variable work_ready_;
@@ -64,44 +59,6 @@ class ThreadPool {
   /// worker_loop and took the whole process down via std::terminate.
   std::exception_ptr first_error_;
   std::vector<std::thread> workers_;
-};
-
-/// The process-wide pool shared by sweep fan-out and PDES domain workers
-/// (hardware_concurrency threads, created on first use, never destroyed
-/// before exit).  First call also installs the pool as the
-/// sim::ParallelSimulation thread donor, so sharded runs inside sweep
-/// jobs borrow the same workers instead of spawning their own.
-ThreadPool& shared_pool();
-
-/// A caller's view of its own jobs on a (possibly shared) ThreadPool:
-/// submit() forwards to the pool but tracks completion and errors per
-/// group, so wait() returns when *this group's* jobs are done even while
-/// other users keep the pool busy.  wait() work-helps (ThreadPool::
-/// try_run_one) instead of sleeping while pool jobs are queued, which
-/// makes nested groups — a sweep job that itself runs a sharded
-/// simulation — deadlock-free on any pool size.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-  /// Waits for stragglers; errors are swallowed here (call wait() to
-  /// observe them — the destructor must not throw).
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void submit(std::function<void()> job);
-
-  /// Blocks until every job submitted through this group has finished;
-  /// rethrows the group's first job exception, if any.
-  void wait();
-
- private:
-  ThreadPool& pool_;
-  std::mutex mutex_;
-  std::condition_variable done_;
-  std::size_t in_flight_ = 0;
-  std::exception_ptr first_error_;
 };
 
 }  // namespace bolot::runner

@@ -18,8 +18,9 @@
 // sharded run is deterministic for any worker count: domain.h explains
 // the arm-time merge order and the safe-time protocol.
 //
-// Worker threads come from an optional process-wide donor (installed by
-// runner::shared_pool(), so the sim layer never depends on the runner);
+// Worker threads come only from an optional process-wide donor that the
+// caller installs with set_thread_donor, typically lending a
+// runner::ThreadPool it owns (the sim layer never depends on the runner);
 // with no donor — or a one-thread pool — the calling thread drives every
 // domain itself and the run still completes, just without speedup.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -132,8 +133,12 @@ TEST(SweepRunnerTest, SimulationSweepDeterministicAcrossThreadCounts) {
 
 TEST(SweepRunnerTest, ThreadsBoundsConcurrentlyRunningJobs) {
   // A timing sweep at threads = 1 must run one job at a time: no job may
-  // run on the waiting thread beside the pool's workers.
-  for (const std::size_t threads : {1u, 2u}) {
+  // run on the waiting thread beside the pool's workers.  threads = 0
+  // sizes the pool to the hardware.
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const std::size_t threads : {0u, 1u, 2u}) {
+    const std::size_t expected = threads == 0 ? hardware : threads;
     std::atomic<std::size_t> running{0};
     std::atomic<std::size_t> high_water{0};
     const SweepJob job = [&](const RunContext&) -> std::vector<Metric> {
@@ -147,8 +152,10 @@ TEST(SweepRunnerTest, ThreadsBoundsConcurrentlyRunningJobs) {
     };
     SweepOptions options;
     options.threads = threads;
-    run_sweep(numbered_specs(8), job, options);
-    EXPECT_EQ(high_water.load(), threads) << threads << " threads";
+    const SweepResult sweep =
+        run_sweep(numbered_specs(4 * expected), job, options);
+    EXPECT_EQ(sweep.threads, expected) << threads << " threads";
+    EXPECT_EQ(high_water.load(), expected) << threads << " threads";
   }
 }
 

@@ -12,8 +12,10 @@
 #include <iterator>
 #include <string>
 
+#include "runner/thread_pool.h"
 #include "tests/scenario/malformed_fluid_configs.h"
 #include "tests/scenario/tomography_ci_spec.h"
+#include "tests/sim/lent_workers.h"
 
 namespace bolot::scenario {
 namespace {
@@ -207,9 +209,14 @@ TEST(TomographyTest, LossInferenceInvariantAcrossPdesDomainCounts) {
   spec.duration = Duration::seconds(10);
   const TomographyResult one = run_tomography(spec);
   spec.domains = 2;
+  // A lent worker drives the second domain, so the sharded run really
+  // crosses threads (the TSan CI job runs this case).
+  runner::ThreadPool worker(1);
+  sim::LentWorkers lent(&worker);
   const TomographyResult two = run_tomography(spec);
   ASSERT_EQ(one.domains_used, 1u);
   ASSERT_EQ(two.domains_used, 2u);
+  EXPECT_GT(lent.jobs(), 0u);
   // The PDES kernel's identical-event-stream contract carries through the
   // whole mesh: same returns, same streaming estimates, same inference.
   ASSERT_EQ(one.streams, two.streams);
@@ -284,8 +291,11 @@ TEST(TomographyTest, FluidBackgroundLoadsTheMeshDeterministically) {
   const TomographyResult loaded = run_tomography(spec);
   const TomographyResult again = run_tomography(spec);
   spec.domains = 2;
+  runner::ThreadPool worker(1);
+  sim::LentWorkers lent(&worker);  // the second domain runs on a worker
   const TomographyResult sharded = run_tomography(spec);
   ASSERT_EQ(sharded.domains_used, 2u);
+  EXPECT_GT(lent.jobs(), 0u);
 
   ASSERT_EQ(loaded.streams, idle.streams);
   ASSERT_EQ(again.streams, loaded.streams);

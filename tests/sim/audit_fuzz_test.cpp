@@ -48,6 +48,7 @@
 #include "sim/udp_echo.h"
 #include "util/audit.h"
 #include "util/rng.h"
+#include "tests/sim/lent_workers.h"
 
 namespace bolot::sim {
 namespace {
@@ -353,11 +354,13 @@ TEST_F(AuditFuzzTest, ShardedRunsMatchSequentialDigestsExactly) {
   // Every fuzz topology again, but this time the sequential digest is
   // the reference for the parallel kernel at 2, 4, and 8 domains (8
   // usually exceeds the path length, leaving some domains empty — that
-  // degenerate case must hold too).  Worker threads are donated by the
-  // process-wide pool when the host has any; either way the claim is
-  // the same: the event stream is a function of the seed, not of the
-  // domain count or thread schedule.
-  runner::shared_pool();
+  // degenerate case must hold too).  Worker threads come from a lent
+  // pool of hardware-concurrency workers, so domains cross threads when
+  // the host has cores to spare; either way the claim is the same: the
+  // event stream is a function of the seed, not of the domain count or
+  // thread schedule.
+  runner::ThreadPool pool(0);
+  LentWorkers lent(&pool);
   constexpr std::uint64_t kTopologies = 50;
   for (std::uint64_t i = 0; i < kTopologies; ++i) {
     const std::uint64_t seed = derive_stream_seed(0xB010793ULL, i);
@@ -507,7 +510,8 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
 }
 
 TEST_F(AuditFuzzTest, GeneratedFluidFabricsShardInvariantAcrossDomains) {
-  runner::shared_pool();
+  runner::ThreadPool pool(0);
+  LentWorkers lent(&pool);  // domains borrow the lent workers
   constexpr std::uint64_t kFabrics = 6;
   for (std::uint64_t i = 0; i < kFabrics; ++i) {
     const std::uint64_t seed = derive_stream_seed(0xFA88ULL, i);

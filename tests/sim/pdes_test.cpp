@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -21,6 +20,7 @@
 #include "sim/spsc_channel.h"
 #include "sim/traffic.h"
 #include "util/rng.h"
+#include "tests/sim/lent_workers.h"
 #include "tests/sim/sim_fixtures.h"
 
 namespace bolot::sim {
@@ -351,10 +351,11 @@ TEST(PdesTest, SliceSteppingMatchesSingleShot) {
 }
 
 TEST(PdesTest, RepeatedShardedRunsIdenticalWithWorkerThreads) {
-  // Borrow the process-wide pool (as production sweeps do) so domain
-  // driving really crosses threads where the host has them; the result
-  // must not depend on scheduling either way.
-  runner::shared_pool();
+  // Lend a pool of hardware-concurrency workers so domain driving really
+  // crosses threads where the host has them; the result must not depend
+  // on scheduling either way.
+  runner::ThreadPool pool(0);
+  LentWorkers lent(&pool);
   const ChainTrace first = run_chain_case(4);
   const ChainTrace second = run_chain_case(4);
   EXPECT_TRUE(first == second);
@@ -459,7 +460,8 @@ ChainCounters run_quantized_chain(ChainLoad load, std::size_t domains) {
 }
 
 TEST(PdesTest, QuantizedChainAndParkingLotCountersMatchAcrossDomainCounts) {
-  runner::shared_pool();  // domains borrow the process-wide workers
+  runner::ThreadPool pool(0);
+  LentWorkers lent(&pool);  // domains borrow the lent workers
   for (const PinnedChain& c : kPinnedChains) {
     for (const std::size_t domains : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(domains) +
@@ -471,32 +473,19 @@ TEST(PdesTest, QuantizedChainAndParkingLotCountersMatchAcrossDomainCounts) {
   }
 }
 
-/// Installs `pool` (or, given nullptr, no pool) as the PDES worker donor.
-void lend_workers(runner::ThreadPool* pool) {
-  if (pool == nullptr) {
-    ParallelSimulation::set_thread_donor({});
-    return;
-  }
-  ParallelSimulation::set_thread_donor(
-      [pool](std::function<void()> job) { pool->submit(std::move(job)); });
-}
-
 TEST(PdesTest, QuantizedChainsInvariantAcrossWorkerCounts) {
-  // The calling thread alone, one lent worker, and the process-wide pool
-  // drive the same sharded runs: the pinned counters hold every way, the
-  // deterministic stats() fields agree field for field, and the domains'
-  // own event counts add up to the kernel's total.
-  runner::ThreadPool& shared = runner::shared_pool();
+  // The calling thread alone, one lent worker, and a lent pool of
+  // hardware-concurrency workers drive the same sharded runs: the pinned
+  // counters hold every way, the deterministic stats() fields agree field
+  // for field, and the domains' own event counts add up to the kernel's
+  // total.
   runner::ThreadPool one_worker(1);
-  // However the test exits, the shared pool is the donor again before
-  // one_worker is destroyed, as runner::shared_pool() left it.
-  struct RestoreSharedDonor {
-    ~RestoreSharedDonor() { lend_workers(&runner::shared_pool()); }
-  } restore;
+  runner::ThreadPool all_cores(0);
+  LentWorkers lent;
   const std::pair<const char*, runner::ThreadPool*> ways[] = {
       {"no donor", nullptr},
       {"1-worker donor", &one_worker},
-      {"shared pool", &shared},
+      {"hardware-concurrency pool", &all_cores},
   };
   for (const PinnedChain& c : kPinnedChains) {
     for (const std::size_t domains : {2u, 4u, 8u}) {
@@ -504,7 +493,7 @@ TEST(PdesTest, QuantizedChainsInvariantAcrossWorkerCounts) {
       for (const auto& [way, pool] : ways) {
         SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(domains) +
                      " domains, " + way);
-        lend_workers(pool);
+        lent.lend(pool);
         const ChainCounters counters = run_quantized_chain(c.load, domains);
         EXPECT_EQ(counters.hop_deliveries, c.hop_deliveries);
         EXPECT_EQ(counters.events, c.events);
@@ -539,9 +528,7 @@ TEST(PdesTest, ThrowingCallbackStopsTheRunAndLeavesItResumable) {
   // the callback's exception on the calling thread, and leaves no domain
   // claimed, so the next run_until completes.
   runner::ThreadPool one_worker(1);
-  struct RestoreSharedDonor {
-    ~RestoreSharedDonor() { lend_workers(&runner::shared_pool()); }
-  } restore;
+  LentWorkers lent;
   const std::pair<const char*, runner::ThreadPool*> ways[] = {
       {"no donor", nullptr},
       {"1-worker donor", &one_worker},
@@ -550,7 +537,7 @@ TEST(PdesTest, ThrowingCallbackStopsTheRunAndLeavesItResumable) {
     for (const std::size_t thrower : {0u, 1u}) {
       SCOPED_TRACE(std::string(way) + ", throw in domain " +
                    std::to_string(thrower));
-      lend_workers(pool);
+      lent.lend(pool);
       ParallelSimulation psim(2);
       Network net(psim.simulator(0), 11);
       const NodeId a = net.add_node("a");
@@ -653,6 +640,8 @@ TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
   plan.delta = Duration::millis(20);
   plan.duration = Duration::seconds(3);
   plan.seed = 1993;
+  runner::ThreadPool pool(0);
+  LentWorkers lent(&pool);  // sharded runs cross threads where cores allow
   for (const auto& [path, run] : paths) {
     for (const auto& [discipline, configure] : disciplines) {
       const std::string label = std::string(path) + " " + discipline;
