@@ -10,7 +10,7 @@
 //
 // Each ablation is an independent grid of 10-minute simulations, so all
 // five run on the parallel sweep runner: --threads N distributes the runs,
-// and --out DIR exports one BENCH_ablation_*.{json,csv} pair per ablation.
+// and --out DIR exports one BENCH_ablation_*.json per ablation.
 #include <iostream>
 #include <stdexcept>
 #include <vector>
@@ -75,10 +75,10 @@ void sweep_buffer() {
                      {{"buffer_packets", static_cast<double>(k)}}});
   }
   const auto sweep = run_ablation(
-      "ablation_buffer", specs, [](const runner::RunContext& ctx) {
+      "ablation_buffer", specs, [](const runner::RunSpec& spec) {
         scenario::ScenarioOverrides ov;
         ov.bottleneck_buffer_packets =
-            static_cast<std::size_t>(ctx.param("buffer_packets"));
+            static_cast<std::size_t>(spec.param("buffer_packets"));
         return run_point(ov, 50.0);
       });
   TextTable table;
@@ -104,8 +104,8 @@ void sweep_cross_load() {
         {"load=" + format_double(scale, 2), {{"load_scale", scale}}});
   }
   const auto sweep = run_ablation(
-      "ablation_cross_load", specs, [](const runner::RunContext& ctx) {
-        const double scale = ctx.param("load_scale");
+      "ablation_cross_load", specs, [](const runner::RunSpec& spec) {
+        const double scale = spec.param("load_scale");
         scenario::ScenarioOverrides ov;
         scenario::CrossTraffic cross;
         cross.session_load *= scale;
@@ -145,9 +145,10 @@ void sweep_faulty_drop() {
         {"drop=" + format_double(drop, 3), {{"faulty_drop", drop}}});
   }
   const auto sweep = run_ablation(
-      "ablation_faulty_drop", specs, [](const runner::RunContext& ctx) {
+      "ablation_faulty_drop", specs, [](const runner::RunSpec& spec) {
         scenario::ScenarioOverrides ov;
-        ov.faulty_interface_drop = Probability::checked(ctx.param("faulty_drop"));
+        ov.faulty_interface_drop =
+            Probability::checked(spec.param("faulty_drop"));
         return run_point(ov, 200.0);
       });
   TextTable table;
@@ -178,13 +179,13 @@ void sweep_composition() {
                       {"total_load", total}}});
   }
   const auto sweep = run_ablation(
-      "ablation_composition", specs, [](const runner::RunContext& ctx) {
+      "ablation_composition", specs, [](const runner::RunSpec& spec) {
         scenario::ScenarioOverrides ov;
         scenario::CrossTraffic cross;
         cross.session_load =
-            ctx.param("total_load") * ctx.param("session_share");
+            spec.param("total_load") * spec.param("session_share");
         cross.bulk_load =
-            ctx.param("total_load") * (1.0 - ctx.param("session_share"));
+            spec.param("total_load") * (1.0 - spec.param("session_share"));
         ov.cross_traffic = cross;
         return run_point(ov, 50.0);
       });
@@ -214,12 +215,12 @@ void sweep_probe_size() {
                      {{"probe_bytes", static_cast<double>(bytes)}}});
   }
   const auto sweep = run_ablation(
-      "ablation_probe_size", specs, [](const runner::RunContext& ctx) {
+      "ablation_probe_size", specs, [](const runner::RunSpec& spec) {
         scenario::ProbePlan plan;
         plan.delta = Duration::millis(50);
         plan.duration = Duration::minutes(10);
         plan.probe_wire = ByteSize::bytes(
-            static_cast<std::int64_t>(ctx.param("probe_bytes")));
+            static_cast<std::int64_t>(spec.param("probe_bytes")));
         plan.seed = g_cli.base_seed;
         const auto result = scenario::run_inria_umd(plan);
         auto metrics = runner::scenario_metrics(result);
@@ -261,10 +262,6 @@ void sweep_probe_size() {
 int main(int argc, char** argv) {
   try {
     g_cli = runner::parse_sweep_cli(argc, argv);
-    if (g_cli.replicates != 1) {
-      throw std::invalid_argument(
-          "--replicates: ablation_sweeps runs one replicate per cell");
-    }
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n"
               << runner::sweep_cli_usage("ablation_sweeps");

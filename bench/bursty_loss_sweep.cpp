@@ -15,8 +15,7 @@
 // track the target within sampling noise (the channel_test property pins
 // this within 10% over 10^6 probes).
 //
-// Flags: the shared sweep flags (--threads/--seed/--out/--replicates).
-#include <cmath>
+// Flags: the shared sweep flags (--threads/--seed/--out).
 #include <iostream>
 #include <vector>
 
@@ -46,15 +45,8 @@ int main(int argc, char** argv) {
 
   std::vector<runner::RunSpec> specs;
   for (double plg : target_plgs) {
-    for (std::size_t rep = 0; rep < cli.replicates; ++rep) {
-      runner::RunSpec spec;
-      spec.label = "plg=" + format_double(plg, 0);
-      if (cli.replicates > 1) spec.label += "/" + std::to_string(rep);
-      spec.params = {{"target_plg", plg},
-                     {"target_ulp", target_ulp},
-                     {"replicate", static_cast<double>(rep)}};
-      specs.push_back(std::move(spec));
-    }
+    specs.push_back({"plg=" + format_double(plg, 0),
+                     {{"target_plg", plg}, {"target_ulp", target_ulp}}});
   }
 
   runner::SweepOptions options;
@@ -64,16 +56,17 @@ int main(int argc, char** argv) {
 
   const runner::SweepResult sweep = runner::run_sweep(
       specs,
-      [&](const runner::RunContext& ctx) {
+      [&](const runner::RunSpec& spec) {
         scenario::ProbePlan plan;
         plan.delta = Duration::millis(20);
         plan.duration = duration;
-        plan.seed = cli.replicates > 1 ? ctx.seed : cli.base_seed;
+        plan.seed = cli.base_seed;
 
         scenario::ScenarioOverrides overrides;
-        overrides.bottleneck_channel = sim::MarkovChannelConfig::
-            from_loss_targets(bolot::Probability::checked(ctx.param("target_ulp")),
-                              ctx.param("target_plg"));
+        overrides.bottleneck_channel =
+            sim::MarkovChannelConfig::from_loss_targets(
+                Probability::checked(spec.param("target_ulp")),
+                spec.param("target_plg"));
         // Isolate the channel: no competing traffic, no faulty interfaces,
         // and a buffer deep enough that probes never overflow.
         scenario::CrossTraffic no_cross;
@@ -138,7 +131,7 @@ int main(int argc, char** argv) {
   if (!cli.out_dir.empty()) {
     try {
       const std::string path = runner::write_sweep_artifacts(sweep, cli.out_dir);
-      std::cout << "\nartifacts: " << path << " (+ .csv)\n";
+      std::cout << "\nartifacts: " << path << "\n";
     } catch (const std::exception& e) {
       std::cerr << e.what() << "\n";
       return 1;

@@ -11,6 +11,7 @@
 //   --trace <path>        record wall-clock scopes into a binary trace;
 //                         convert with tools/trace2json.py (requires
 //                         -DSIM_TRACE=ON)
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -82,7 +83,12 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   if (!metrics_out.empty()) {
-    obs::write_metrics_json(metrics_out, result.metrics, result.series);
+    try {
+      obs::write_metrics_json(metrics_out, result.metrics, result.series);
+    } catch (const std::exception& e) {
+      std::cerr << e.what() << "\n";
+      return 1;
+    }
     std::cout << "\nWrote metrics to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {

@@ -10,6 +10,7 @@
 //
 // With --metrics-out <path>, the bottleneck's metric snapshot and the
 // sampled series are also written as JSON (see obs/metrics_io.h).
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -136,8 +137,13 @@ int main(int argc, char** argv) {
                "an artifact.\n";
 
   if (!metrics_out.empty()) {
-    obs::write_metrics_json(metrics_out, registry.snapshot(simulator.now()),
-                            sampler.snapshot());
+    try {
+      obs::write_metrics_json(metrics_out, registry.snapshot(simulator.now()),
+                              sampler.snapshot());
+    } catch (const std::exception& e) {
+      std::cerr << e.what() << "\n";
+      return 1;
+    }
     std::cout << "\nWrote metrics to " << metrics_out << "\n";
   }
   return correlation > 0.7 ? 0 : 1;

@@ -10,9 +10,8 @@
 //
 // The six (delta, queue) cells are independent simulations and run on the
 // parallel sweep runner (--threads N; --out DIR exports
-// BENCH_red_vs_droptail.{json,csv}).
+// BENCH_red_vs_droptail.json).
 #include <iostream>
-#include <stdexcept>
 #include <vector>
 
 #include "runner/sweep.h"
@@ -26,10 +25,6 @@ int main(int argc, char** argv) {
   runner::SweepCli cli;
   try {
     cli = runner::parse_sweep_cli(argc, argv);
-    if (cli.replicates != 1) {
-      throw std::invalid_argument(
-          "--replicates: red_vs_droptail runs one replicate per cell");
-    }
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n"
               << runner::sweep_cli_usage("red_vs_droptail");
@@ -55,14 +50,14 @@ int main(int argc, char** argv) {
 
   const runner::SweepResult sweep = runner::run_sweep(
       specs,
-      [&](const runner::RunContext& ctx) {
+      [&](const runner::RunSpec& spec) {
         scenario::ProbePlan plan;
-        plan.delta = Duration::millis(ctx.param("delta_ms"));
+        plan.delta = Duration::millis(spec.param("delta_ms"));
         plan.duration = Duration::minutes(10);
         plan.seed = cli.base_seed;  // fixed across cells, as the serial
                                     // bench did, so rows stay comparable
         scenario::ScenarioOverrides overrides;
-        if (ctx.param("red") != 0.0) {
+        if (spec.param("red") != 0.0) {
           sim::RedConfig red;
           red.min_threshold = 3.0;
           red.max_threshold = 11.0;
@@ -105,7 +100,7 @@ int main(int argc, char** argv) {
     try {
       const std::string path =
           runner::write_sweep_artifacts(sweep, cli.out_dir);
-      std::cout << "\nartifacts: " << path << " (+ .csv)\n";
+      std::cout << "\nartifacts: " << path << "\n";
     } catch (const std::exception& e) {
       std::cerr << e.what() << "\n";
       return 1;

@@ -15,11 +15,8 @@
 //
 // The six delta points are independent simulations, so they run on the
 // parallel sweep runner: --threads N distributes them over N workers with
-// identical results for any N (see runner/sweep.h), --out DIR exports the
-// machine-readable BENCH_table3_loss_sweep.{json,csv} trajectory, and
-// --replicates R reruns every delta R times on distinct derived seed
-// streams and prints mean +- standard error per delta.
-#include <cmath>
+// identical results for any N (see runner/sweep.h), and --out DIR exports
+// the machine-readable BENCH_table3_loss_sweep.json trajectory.
 #include <iostream>
 #include <vector>
 
@@ -43,14 +40,8 @@ int main(int argc, char** argv) {
   const double deltas_ms[] = {8, 20, 50, 100, 200, 500};
   std::vector<runner::RunSpec> specs;
   for (double delta_ms : deltas_ms) {
-    for (std::size_t rep = 0; rep < cli.replicates; ++rep) {
-      runner::RunSpec spec;
-      spec.label = "delta=" + format_double(delta_ms, 0);
-      if (cli.replicates > 1) spec.label += "/" + std::to_string(rep);
-      spec.params = {{"delta_ms", delta_ms},
-                     {"replicate", static_cast<double>(rep)}};
-      specs.push_back(std::move(spec));
-    }
+    specs.push_back(
+        {"delta=" + format_double(delta_ms, 0), {{"delta_ms", delta_ms}}});
   }
 
   runner::SweepOptions options;
@@ -60,14 +51,12 @@ int main(int argc, char** argv) {
 
   const runner::SweepResult sweep = runner::run_sweep(
       specs,
-      [&](const runner::RunContext& ctx) {
+      [&](const runner::RunSpec& spec) {
         scenario::ProbePlan plan;
-        plan.delta = Duration::millis(ctx.param("delta_ms"));
+        plan.delta = Duration::millis(spec.param("delta_ms"));
         plan.duration = Duration::minutes(10);
-        // Single-replicate sweeps keep the historical fixed seed so the
-        // printed table matches the pre-runner serial bench; replicated
-        // sweeps give every run its own derived stream.
-        plan.seed = cli.replicates > 1 ? ctx.seed : cli.base_seed;
+        plan.seed = cli.base_seed;  // fixed across deltas, as the serial
+                                    // bench did, so rows stay comparable
         const auto result = scenario::run_inria_umd(plan);
         auto metrics = runner::scenario_metrics(result);
         metrics.push_back(
@@ -79,57 +68,21 @@ int main(int argc, char** argv) {
       options);
 
   TextTable table;
-  if (cli.replicates == 1) {
-    table.row({"delta(ms)", "ulp", "clp", "plg", "mean_burst", "probes",
-               "probe_load"});
-    for (const runner::RunResult& run : sweep.runs) {
-      if (run.failed) {
-        std::cerr << run.label << ": " << run.error << "\n";
-        return 1;
-      }
-      table.row({});
-      table.cell(format_double(run.param("delta_ms"), 0))
-          .cell(*run.metric("ulp"), 3)
-          .cell(*run.metric("clp"), 3)
-          .cell(*run.metric("plg"), 2)
-          .cell(*run.metric("mean_burst"), 2)
-          .cell(static_cast<std::int64_t>(*run.metric("probes")))
-          .cell(*run.metric("probe_load"), 3);
+  table.row({"delta(ms)", "ulp", "clp", "plg", "mean_burst", "probes",
+             "probe_load"});
+  for (const runner::RunResult& run : sweep.runs) {
+    if (run.failed) {
+      std::cerr << run.label << ": " << run.error << "\n";
+      return 1;
     }
-  } else {
-    // Aggregate over replicates: mean and standard error per delta.
-    table.row({"delta(ms)", "ulp", "se", "clp", "se", "plg", "runs"});
-    for (double delta_ms : deltas_ms) {
-      double ulp_sum = 0, ulp_sq = 0, clp_sum = 0, clp_sq = 0, plg_sum = 0;
-      std::size_t n = 0;
-      for (const runner::RunResult& run : sweep.runs) {
-        if (run.failed || run.param("delta_ms") != delta_ms) continue;
-        const double ulp = *run.metric("ulp");
-        const double clp = *run.metric("clp");
-        ulp_sum += ulp;
-        ulp_sq += ulp * ulp;
-        clp_sum += clp;
-        clp_sq += clp * clp;
-        plg_sum += *run.metric("plg");
-        ++n;
-      }
-      if (n == 0) continue;
-      const double dn = static_cast<double>(n);
-      const auto stderr_of = [dn](double sum, double sq) {
-        if (dn < 2.0) return 0.0;
-        const double var =
-            std::max(0.0, (sq - sum * sum / dn) / (dn - 1.0));
-        return std::sqrt(var / dn);
-      };
-      table.row({});
-      table.cell(format_double(delta_ms, 0))
-          .cell(ulp_sum / dn, 3)
-          .cell(stderr_of(ulp_sum, ulp_sq), 3)
-          .cell(clp_sum / dn, 3)
-          .cell(stderr_of(clp_sum, clp_sq), 3)
-          .cell(plg_sum / dn, 2)
-          .cell(static_cast<std::int64_t>(n));
-    }
+    table.row({});
+    table.cell(format_double(run.param("delta_ms"), 0))
+        .cell(*run.metric("ulp"), 3)
+        .cell(*run.metric("clp"), 3)
+        .cell(*run.metric("plg"), 2)
+        .cell(*run.metric("mean_burst"), 2)
+        .cell(static_cast<std::int64_t>(*run.metric("probes")))
+        .cell(*run.metric("probe_load"), 3);
   }
   std::cout << "Table 3: probe loss vs probe interval (INRIA -> UMd)\n\n";
   table.print(std::cout);
@@ -141,7 +94,7 @@ int main(int argc, char** argv) {
     try {
       const std::string path =
           runner::write_sweep_artifacts(sweep, cli.out_dir);
-      std::cout << "\nartifacts: " << path << " (+ .csv)\n";
+      std::cout << "\nartifacts: " << path << "\n";
     } catch (const std::exception& e) {
       std::cerr << e.what() << "\n";
       return 1;

@@ -45,8 +45,8 @@ struct SnapshotEntry {
 };
 
 /// A standalone copy of every registered metric at one sim time.  Owns
-/// its strings, so it outlives the registry (the runner aggregates
-/// snapshots across replicates).
+/// its strings, so it outlives the registry (a sweep job returns it, via
+/// runner::scenario_metrics, after its simulation is gone).
 struct MetricsSnapshot {
   SimTime at;
   std::vector<SnapshotEntry> entries;  // registration order

@@ -1,25 +1,13 @@
 #include "runner/sweep.h"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "analysis/loss.h"
 #include "analysis/stats.h"
 #include "runner/thread_pool.h"
 #include "util/audit.h"
-#include "util/rng.h"
 
 namespace bolot::runner {
-
-namespace {
-
-double elapsed_seconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
-}  // namespace
 
 const double* find_metric(const std::vector<Metric>& metrics,
                           const std::string& name) {
@@ -51,7 +39,6 @@ double RunResult::param(const std::string& name) const {
 SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
                       const SweepOptions& options) {
   if (!job) throw std::invalid_argument("run_sweep: null job");
-  const auto sweep_start = std::chrono::steady_clock::now();
 
   SweepResult sweep;
   sweep.name = options.name;
@@ -59,9 +46,8 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
   sweep.runs.resize(specs.size());
 
   // One pool per sweep; `threads` bounds the jobs that run at once (0 =
-  // hardware concurrency; benches use 1 for undisturbed timing).
+  // hardware concurrency; the benches default to 1).
   ThreadPool pool(options.threads);
-  sweep.threads = pool.thread_count();
   // Result-slot write-once discipline: slot i is written by exactly one
   // job, exactly once.  Each counter has a single writer (its own job),
   // so the increment needs no synchronization; the final SIM_CHECK runs
@@ -73,12 +59,9 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
       RunResult& run = sweep.runs[i];
       run.index = i;
       run.label = specs[i].label;
-      run.seed = derive_stream_seed(options.base_seed, i);
       run.params = specs[i].params;
-      RunContext context{i, run.seed, &specs[i]};
-      const auto run_start = std::chrono::steady_clock::now();
       try {
-        run.metrics = job(context);
+        run.metrics = job(specs[i]);
       } catch (const std::exception& e) {
         run.failed = true;
         run.error = e.what();
@@ -86,20 +69,16 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs, const SweepJob& job,
         run.failed = true;
         run.error = "unknown exception";
       }
-      run.wall_seconds = elapsed_seconds(run_start);
     });
   }
   pool.wait_idle();
   for (std::size_t i = 0; i < slot_writes.size(); ++i) {
     SIM_CHECK(slot_writes[i] == 1,
-              "run_sweep(%s): result slot %zu written %u times (seed "
-              "stream %llu) — runs are no longer independent",
-              options.name.c_str(), i, slot_writes[i],
-              static_cast<unsigned long long>(
-                  derive_stream_seed(options.base_seed, i)));
+              "run_sweep(%s): result slot %zu (%s) written %u times — runs "
+              "are no longer independent",
+              options.name.c_str(), i, specs[i].label.c_str(),
+              slot_writes[i]);
   }
-
-  sweep.wall_seconds = elapsed_seconds(sweep_start);
   return sweep;
 }
 

@@ -3,12 +3,11 @@
 //
 // Every benchmark in bench/ is a sweep — dozens of independent 10-minute
 // simulations over a grid of (delta, buffer, load, ...) — which is
-// embarrassingly parallel.  The runner's contract is that results are
-// *bit-identical regardless of thread count or schedule*: run k always
-// receives seed derive_stream_seed(base_seed, k), each job writes only
-// its own result slot, and results are returned in spec order.  Wall-clock
-// fields are the only schedule-dependent outputs and can be excluded from
-// serialization (see sweep_io.h) when byte-stable artifacts are needed.
+// embarrassingly parallel.  The runner's contract is that a sweep's result
+// is a pure function of its specs, its job and base_seed, bit-identical
+// regardless of thread count or schedule: each job sees only its own
+// spec, writes only its own result slot, and results are returned in spec
+// order.  The runner reads no clock; run timing lives in bench/perf_ledger.
 #pragma once
 
 #include <cstddef>
@@ -42,24 +41,12 @@ struct RunSpec {
   double param(const std::string& name) const;
 };
 
-/// What a job sees: its position in the grid, its derived seed, and its
-/// spec.  `seed` depends only on (base_seed, index), never on scheduling.
-struct RunContext {
-  std::size_t index = 0;
-  std::uint64_t seed = 0;
-  const RunSpec* spec = nullptr;
-
-  double param(const std::string& name) const { return spec->param(name); }
-};
-
 /// Per-run record collected by the runner.
 struct RunResult {
   std::size_t index = 0;
   std::string label;
-  std::uint64_t seed = 0;
   std::vector<Metric> params;   // copied from the spec
   std::vector<Metric> metrics;  // returned by the job
-  double wall_seconds = 0.0;    // job wall clock (schedule-dependent)
   bool failed = false;
   std::string error;  // exception message when failed
 
@@ -73,9 +60,7 @@ struct RunResult {
 struct SweepResult {
   std::string name;
   std::uint64_t base_seed = 0;
-  std::size_t threads = 0;      // pool size actually used
   std::vector<RunResult> runs;  // in spec order, one per spec
-  double wall_seconds = 0.0;    // whole-sweep wall clock
 };
 
 struct SweepOptions {
@@ -83,13 +68,16 @@ struct SweepOptions {
   /// Jobs that run at once: the size of the sweep's own pool; 0 =
   /// hardware concurrency (at least 1).
   std::size_t threads = 0;
+  /// The seed every run of the sweep uses.  The job applies it (the
+  /// runner hands out no per-run seeds); the runner records it so the
+  /// artifact says what ran.
   std::uint64_t base_seed = 1993;
 };
 
-/// A job maps a run context to its metrics.  Jobs run concurrently and
+/// A job maps a run's spec to its metrics.  Jobs run concurrently and
 /// must not share mutable state; throwing marks the run failed (the sweep
 /// continues).
-using SweepJob = std::function<std::vector<Metric>(const RunContext&)>;
+using SweepJob = std::function<std::vector<Metric>(const RunSpec&)>;
 
 /// Runs one job per spec on a pool of `options.threads` workers built for
 /// this call; blocks until all finish.

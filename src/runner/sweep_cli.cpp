@@ -9,14 +9,11 @@ namespace bolot::runner {
 
 std::string sweep_cli_usage(const std::string& program) {
   return "usage: " + program +
-         " [--threads N] [--seed S] [--out DIR] [--replicates R]\n"
-         "  --threads N     worker threads, 0 = hardware concurrency "
+         " [--threads N] [--seed S] [--out DIR]\n"
+         "  --threads N  worker threads, 0 = hardware concurrency "
          "(default 1)\n"
-         "  --seed S        base seed for per-run seed streams (default "
-         "1993)\n"
-         "  --out DIR       write BENCH_<sweep>.json/.csv artifacts to DIR\n"
-         "  --replicates R  runs per grid point with distinct seeds "
-         "(default 1)\n";
+         "  --seed S     the seed every run uses (default 1993)\n"
+         "  --out DIR    write BENCH_<sweep>.json artifacts to DIR\n";
 }
 
 SweepCli parse_sweep_cli(int argc, char** argv) {
@@ -36,12 +33,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
       cli.base_seed = parse_u64(arg, value());
     } else if (arg == "--out") {
       cli.out_dir = std::string(value());
-    } else if (arg == "--replicates") {
-      cli.replicates = static_cast<std::size_t>(
-          parse_u64(arg, value(), kMaxReplicates));
-      if (cli.replicates == 0) {
-        throw std::invalid_argument("--replicates: must be >= 1");
-      }
     } else {
       throw std::invalid_argument("unknown flag '" + std::string(arg) + "'");
     }

@@ -5,11 +5,9 @@
 //                    so default output stays reproducible run-to-run on
 //                    loaded machines, and identical to the pre-runner
 //                    serial benches)
-//   --seed S         base seed for the sweep (default 1993, the value the
-//                    serial benches hard-coded)
-//   --out DIR        write BENCH_<sweep>.json / .csv artifacts into DIR
-//   --replicates R   repeat each grid point R times with distinct derived
-//                    seeds (benches that support it aggregate mean/stderr)
+//   --seed S         the seed every run of the sweep uses (default 1993,
+//                    the value the serial benches hard-coded)
+//   --out DIR        write BENCH_<sweep>.json artifacts into DIR
 #pragma once
 
 #include <cstddef>
@@ -18,17 +16,14 @@
 
 namespace bolot::runner {
 
-/// Upper bounds of --threads and --replicates: a larger value is a usage
-/// error, not a pool whose thread vector cannot be reserved or a spec
-/// grid that grows until memory runs out.
+/// Upper bound of --threads: a larger value is a usage error, not a pool
+/// whose thread vector cannot be reserved.
 inline constexpr std::size_t kMaxSweepThreads = 1024;
-inline constexpr std::size_t kMaxReplicates = 10000;
 
 struct SweepCli {
   std::size_t threads = 1;
   std::uint64_t base_seed = 1993;
   std::string out_dir;  // empty = no artifacts
-  std::size_t replicates = 1;
 };
 
 /// Usage text for the flags above (benches print it on parse failure).

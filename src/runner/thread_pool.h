@@ -4,8 +4,8 @@
 // under a mutex.  Sweep jobs are seconds-long simulations, so queue
 // contention is irrelevant, and the simple structure is easy to reason
 // about under TSan/ASan.  Determinism of sweep results does not depend on
-// the pool at all — each job derives its randomness from its run index —
-// so any scheduling order is acceptable.
+// the pool at all — each job's result depends only on its own spec — so
+// any scheduling order is acceptable.
 //
 // run_sweep builds one pool per sweep.  A sharded simulation gets worker
 // threads only from a pool its caller lends explicitly through

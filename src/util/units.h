@@ -1,6 +1,6 @@
 // Compile-time dimensional analysis for the quantities the paper mixes in
-// every formula: bandwidths (bits/s), sizes (bytes vs bits), event rates
-// (1/s) and probabilities ([0, 1]).
+// every formula: bandwidths (bits/s), sizes (bytes vs bits) and
+// probabilities ([0, 1]).
 //
 // Only time was strongly typed before this header (util/time.h Duration);
 // everything else travelled as bare `double rate_bps` / `int64 bytes`
@@ -220,44 +220,6 @@ class Bandwidth {
   double bps_ = 0.0;
 };
 
-/// An event rate (packets/s, probes/s, ...), distinct from Bandwidth so
-/// "events per second" and "bits per second" cannot be mixed.
-class Rate {
- public:
-  constexpr Rate() = default;
-  /// Explicit; pinned by tests/compile_fail/rate_implicit_double.cc.
-  constexpr explicit Rate(double per_second) : per_second_(per_second) {}
-
-  static constexpr Rate per_second(double v) { return Rate(v); }
-  static constexpr Rate zero() { return Rate(0.0); }
-
-  constexpr double count_per_second() const { return per_second_; }
-  constexpr bool is_positive() const { return per_second_ > 0.0; }
-
-  /// Mean spacing between events; throws on a non-positive rate.
-  constexpr Duration period() const {
-    if (per_second_ <= 0.0) {
-      throw std::invalid_argument("Rate::period: rate must be positive");
-    }
-    return Duration::seconds(1.0 / per_second_);
-  }
-
-  friend constexpr auto operator<=>(Rate, Rate) = default;
-  friend constexpr Rate operator+(Rate a, Rate b) {
-    return Rate(a.per_second_ + b.per_second_);
-  }
-  friend constexpr Rate operator*(Rate a, double k) {
-    return Rate(a.per_second_ * k);
-  }
-  friend constexpr Rate operator*(double k, Rate a) { return a * k; }
-  friend constexpr double operator/(Rate a, Rate b) {
-    return a.per_second_ / b.per_second_;
-  }
-
- private:
-  double per_second_ = 0.0;
-};
-
 /// A probability, checked into [0, 1] at construction (a NaN fails the
 /// range comparison and is rejected too).  The check runs at every
 /// construction — probabilities are built at configuration time, never on
@@ -303,12 +265,10 @@ class Probability {
 static_assert(sizeof(ByteSize) == sizeof(std::int64_t));
 static_assert(sizeof(BitSize) == sizeof(std::int64_t));
 static_assert(sizeof(Bandwidth) == sizeof(double));
-static_assert(sizeof(Rate) == sizeof(double));
 static_assert(sizeof(Probability) == sizeof(double));
 static_assert(std::is_trivially_copyable_v<ByteSize> &&
               std::is_trivially_copyable_v<BitSize> &&
               std::is_trivially_copyable_v<Bandwidth> &&
-              std::is_trivially_copyable_v<Rate> &&
               std::is_trivially_copyable_v<Probability>);
 static_assert(std::is_trivially_destructible_v<ByteSize> &&
               std::is_trivially_destructible_v<Bandwidth> &&
@@ -316,83 +276,6 @@ static_assert(std::is_trivially_destructible_v<ByteSize> &&
 static_assert(std::is_standard_layout_v<ByteSize> &&
               std::is_standard_layout_v<BitSize> &&
               std::is_standard_layout_v<Bandwidth> &&
-              std::is_standard_layout_v<Rate> &&
               std::is_standard_layout_v<Probability>);
-
-/// User-defined literals: `using namespace bolot::literals;` then
-/// `64_KiB`, `1.5_Mbps`, `10_ms`, `512_B`, `50_pps`.
-namespace literals {
-
-constexpr ByteSize operator""_B(unsigned long long n) {
-  return ByteSize::bytes(static_cast<std::int64_t>(n));
-}
-constexpr ByteSize operator""_KiB(unsigned long long n) {
-  return ByteSize::bytes(static_cast<std::int64_t>(n) * 1024);
-}
-constexpr ByteSize operator""_MiB(unsigned long long n) {
-  return ByteSize::bytes(static_cast<std::int64_t>(n) * 1024 * 1024);
-}
-constexpr BitSize operator""_bit(unsigned long long n) {
-  return BitSize::bits(static_cast<std::int64_t>(n));
-}
-
-constexpr Bandwidth operator""_bps(unsigned long long n) {
-  return Bandwidth::bps(static_cast<double>(n));
-}
-constexpr Bandwidth operator""_bps(long double v) {
-  return Bandwidth::bps(static_cast<double>(v));
-}
-constexpr Bandwidth operator""_kbps(unsigned long long n) {
-  return Bandwidth::kbps(static_cast<double>(n));
-}
-constexpr Bandwidth operator""_kbps(long double v) {
-  return Bandwidth::kbps(static_cast<double>(v));
-}
-constexpr Bandwidth operator""_Mbps(unsigned long long n) {
-  return Bandwidth::mbps(static_cast<double>(n));
-}
-constexpr Bandwidth operator""_Mbps(long double v) {
-  return Bandwidth::mbps(static_cast<double>(v));
-}
-constexpr Bandwidth operator""_Gbps(unsigned long long n) {
-  return Bandwidth::gbps(static_cast<double>(n));
-}
-constexpr Bandwidth operator""_Gbps(long double v) {
-  return Bandwidth::gbps(static_cast<double>(v));
-}
-
-constexpr Rate operator""_pps(unsigned long long n) {
-  return Rate::per_second(static_cast<double>(n));
-}
-constexpr Rate operator""_pps(long double v) {
-  return Rate::per_second(static_cast<double>(v));
-}
-constexpr Rate operator""_Hz(unsigned long long n) {
-  return Rate::per_second(static_cast<double>(n));
-}
-
-constexpr Duration operator""_ns(unsigned long long n) {
-  return Duration::nanos(static_cast<std::int64_t>(n));
-}
-constexpr Duration operator""_us(unsigned long long n) {
-  return Duration::micros(static_cast<double>(n));
-}
-constexpr Duration operator""_us(long double v) {
-  return Duration::micros(static_cast<double>(v));
-}
-constexpr Duration operator""_ms(unsigned long long n) {
-  return Duration::millis(static_cast<double>(n));
-}
-constexpr Duration operator""_ms(long double v) {
-  return Duration::millis(static_cast<double>(v));
-}
-constexpr Duration operator""_s(unsigned long long n) {
-  return Duration::seconds(static_cast<double>(n));
-}
-constexpr Duration operator""_s(long double v) {
-  return Duration::seconds(static_cast<double>(v));
-}
-
-}  // namespace literals
 
 }  // namespace bolot

@@ -2,10 +2,14 @@
 # only when each exits 0 and every artifact is strict JSON.  This is the
 # non-finite-metric regression: inf/nan must serialize as null, never as
 # a bare token a JSON parser rejects, and control bytes in names must be
-# escaped (the writers emit no raw control byte but newline).
+# escaped (the writers emit no raw control byte but newline).  It also
+# holds the sweep runner's contract at the program level: a sweep bench
+# run at 1 and at 2 threads writes byte-identical artifacts, and a sweep
+# writes its BENCH_<name>.json and nothing beside it.
 #
-#   cmake -DBURSTY_LOSS_SWEEP=<exe> -DFIG1_TIMESERIES=<exe>
-#         -DQUEUE_OCCUPANCY=<exe> -DOUT_DIR=<dir> -P check_json.cmake
+#   cmake -DBURSTY_LOSS_SWEEP=<exe> -DRED_VS_DROPTAIL=<exe>
+#         -DFIG1_TIMESERIES=<exe> -DQUEUE_OCCUPANCY=<exe> -DOUT_DIR=<dir>
+#         -P check_json.cmake
 function(run)
   execute_process(COMMAND ${ARGN} OUTPUT_QUIET RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
@@ -18,11 +22,26 @@ file(MAKE_DIRECTORY ${OUT_DIR})
 run(${BURSTY_LOSS_SWEEP} --out ${OUT_DIR})
 run(${FIG1_TIMESERIES} --metrics-out ${OUT_DIR}/METRICS_fig1.json)
 run(${QUEUE_OCCUPANCY} --metrics-out ${OUT_DIR}/METRICS_queue.json)
+run(${RED_VS_DROPTAIL} --threads 1 --out ${OUT_DIR}/threads1)
+run(${RED_VS_DROPTAIL} --threads 2 --out ${OUT_DIR}/threads2)
 
-file(GLOB artifacts ${OUT_DIR}/*.json)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+  ${OUT_DIR}/threads1/BENCH_red_vs_droptail.json
+  ${OUT_DIR}/threads2/BENCH_red_vs_droptail.json
+  RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+  message(FATAL_ERROR "BENCH_red_vs_droptail.json differs between "
+                      "--threads 1 and --threads 2 (or is missing)")
+endif()
+file(GLOB_RECURSE csv ${OUT_DIR}/BENCH_*.csv)
+if(csv)
+  message(FATAL_ERROR "a sweep wrote more than its JSON artifact: ${csv}")
+endif()
+
+file(GLOB_RECURSE artifacts ${OUT_DIR}/*.json)
 list(LENGTH artifacts count)
-if(count LESS 3)
-  message(FATAL_ERROR "expected at least 3 JSON artifacts in ${OUT_DIR}, "
+if(count LESS 5)
+  message(FATAL_ERROR "expected at least 5 JSON artifacts in ${OUT_DIR}, "
                       "found ${count}")
 endif()
 foreach(artifact IN LISTS artifacts)

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runner/sweep.h"
+#include "runner/sweep_io.h"
 #include "scenario/scenarios.h"
 #include "tests/obs/find_metric.h"
 
@@ -65,17 +68,17 @@ TEST(MetricsRegistryTest, SnapshotsAreIdenticalAcrossSweepThreadCounts) {
   plan.delta = Duration::millis(50);
   plan.duration = Duration::seconds(20);
 
-  const auto job = [&plan](const runner::RunContext& ctx) {
+  const auto job = [&plan](const runner::RunSpec& spec) {
     scenario::ProbePlan p = plan;
-    p.seed = ctx.seed;
+    p.seed = static_cast<std::uint64_t>(spec.param("seed"));
     scenario::ScenarioOverrides overrides;
     overrides.obs_sample_interval = p.delta;
     return runner::scenario_metrics(scenario::run_inria_umd(p, overrides));
   };
-  std::vector<runner::RunSpec> specs(3);
-  specs[0].label = "r0";
-  specs[1].label = "r1";
-  specs[2].label = "r2";
+  std::vector<runner::RunSpec> specs;
+  for (int i = 0; i < 3; ++i) {
+    specs.push_back({"r" + std::to_string(i), {{"seed", 1993.0 + i}}});
+  }
 
   runner::SweepOptions one;
   one.threads = 1;
@@ -84,16 +87,11 @@ TEST(MetricsRegistryTest, SnapshotsAreIdenticalAcrossSweepThreadCounts) {
   const runner::SweepResult serial = runner::run_sweep(specs, job, one);
   const runner::SweepResult parallel = runner::run_sweep(specs, job, four);
 
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    const auto& a = serial.runs[i].metrics;
-    const auto& b = parallel.runs[i].metrics;
-    ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(runner::sweep_to_json(serial), runner::sweep_to_json(parallel));
+  for (const runner::RunResult& run : serial.runs) {
     bool saw_obs = false;
-    for (std::size_t m = 0; m < a.size(); ++m) {
-      EXPECT_EQ(a[m].name, b[m].name);
-      EXPECT_EQ(a[m].value, b[m].value) << a[m].name;
-      saw_obs = saw_obs || a[m].name.rfind("obs.", 0) == 0;
+    for (const runner::Metric& metric : run.metrics) {
+      saw_obs = saw_obs || metric.name.rfind("obs.", 0) == 0;
     }
     EXPECT_TRUE(saw_obs);  // the snapshot actually flowed into the metrics
   }

@@ -1,6 +1,5 @@
 // parse_sweep_cli: the flags every sweep bench shares, their defaults, and
-// the named errors for bad values, including the bounds on --threads and
-// --replicates.
+// the named errors for bad values, including the bound on --threads.
 #include "runner/sweep_cli.h"
 
 #include <gtest/gtest.h>
@@ -38,34 +37,25 @@ TEST(SweepCliTest, DefaultsReproduceTheSerialBenches) {
   EXPECT_EQ(cli.threads, 1u);
   EXPECT_EQ(cli.base_seed, 1993u);
   EXPECT_EQ(cli.out_dir, "");
-  EXPECT_EQ(cli.replicates, 1u);
 }
 
 TEST(SweepCliTest, ParsesEveryFlag) {
-  const SweepCli cli = parse({"--threads", "0", "--seed", "7", "--out",
-                              "artifacts", "--replicates", "3"});
+  const SweepCli cli =
+      parse({"--threads", "0", "--seed", "7", "--out", "artifacts"});
   EXPECT_EQ(cli.threads, 0u);
   EXPECT_EQ(cli.base_seed, 7u);
   EXPECT_EQ(cli.out_dir, "artifacts");
-  EXPECT_EQ(cli.replicates, 3u);
 }
 
-TEST(SweepCliTest, ThreadsAndReplicatesAreBounded) {
+TEST(SweepCliTest, ThreadsAreBounded) {
   const std::string max_threads = std::to_string(kMaxSweepThreads);
-  const std::string max_replicates = std::to_string(kMaxReplicates);
   EXPECT_EQ(parse({"--threads", max_threads}).threads, kMaxSweepThreads);
-  EXPECT_EQ(parse({"--replicates", max_replicates}).replicates,
-            kMaxReplicates);
   EXPECT_EQ(error_of({"--threads", "18446744073709551615"}),
             "--threads: '18446744073709551615' is out of range (at most " +
                 max_threads + ")");
   EXPECT_EQ(error_of({"--threads", std::to_string(kMaxSweepThreads + 1)}),
             "--threads: '" + std::to_string(kMaxSweepThreads + 1) +
                 "' is out of range (at most " + max_threads + ")");
-  EXPECT_EQ(error_of({"--replicates", std::to_string(kMaxReplicates + 1)}),
-            "--replicates: '" + std::to_string(kMaxReplicates + 1) +
-                "' is out of range (at most " + max_replicates + ")");
-  EXPECT_EQ(error_of({"--replicates", "0"}), "--replicates: must be >= 1");
 }
 
 TEST(SweepCliTest, NamesUnknownFlagsMissingValuesAndBadNumbers) {

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -15,25 +16,19 @@ SweepResult sample_sweep() {
   SweepResult sweep;
   sweep.name = "sample";
   sweep.base_seed = 1993;
-  sweep.threads = 4;
-  sweep.wall_seconds = 1.5;
 
   RunResult a;
   a.index = 0;
   a.label = "delta=8";
-  a.seed = 111;
   a.params = {{"delta_ms", 8.0}};
   a.metrics = {{"ulp", 0.25}, {"clp", 0.5}};
-  a.wall_seconds = 0.75;
   sweep.runs.push_back(a);
 
   RunResult b;
   b.index = 1;
   b.label = "weird \"label\", with comma";
-  b.seed = 222;
   b.params = {{"delta_ms", 20.0}, {"extra", 1.0}};
-  b.metrics = {{"ulp", 0.125}};  // no clp: CSV cell must be blank
-  b.wall_seconds = 0.25;
+  b.metrics = {{"ulp", 0.125}};
   sweep.runs.push_back(b);
   return sweep;
 }
@@ -41,38 +36,17 @@ SweepResult sample_sweep() {
 TEST(SweepIoTest, JsonCarriesFieldsAndEscapes) {
   const std::string json = sweep_to_json(sample_sweep());
   EXPECT_NE(json.find("\"sweep\": \"sample\""), std::string::npos);
-  EXPECT_NE(json.find("\"base_seed\": 1993"), std::string::npos);
-  EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"wall_seconds\": 1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"ulp\": 0.25"), std::string::npos);
-  EXPECT_NE(json.find("\"delta_ms\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"base_seed\": 1993,\n  \"runs\": ["),
+            std::string::npos);
+  // Each run is index, label, params, metrics, in that order, and nothing
+  // else.
+  EXPECT_NE(json.find("\"index\": 0,\n      \"label\": \"delta=8\",\n"
+                      "      \"params\": {\n        \"delta_ms\": 8\n      },\n"
+                      "      \"metrics\": {\n        \"ulp\": 0.25,\n"
+                      "        \"clp\": 0.5\n      }\n    }"),
+            std::string::npos);
   // The quote inside the label must be escaped.
   EXPECT_NE(json.find("weird \\\"label\\\", with comma"), std::string::npos);
-}
-
-TEST(SweepIoTest, DeterministicOptionsOmitScheduleDependentFields) {
-  const std::string json =
-      sweep_to_json(sample_sweep(), SweepIoOptions::deterministic());
-  EXPECT_EQ(json.find("threads"), std::string::npos);
-  EXPECT_EQ(json.find("wall_seconds"), std::string::npos);
-  const std::string csv =
-      sweep_to_csv(sample_sweep(), SweepIoOptions::deterministic());
-  EXPECT_EQ(csv.find("wall_seconds"), std::string::npos);
-}
-
-TEST(SweepIoTest, CsvUnionColumnsAndQuoting) {
-  const std::string csv = sweep_to_csv(sample_sweep());
-  std::istringstream lines(csv);
-  std::string header, row0, row1;
-  std::getline(lines, header);
-  std::getline(lines, row0);
-  std::getline(lines, row1);
-  EXPECT_EQ(header,
-            "index,label,seed,failed,delta_ms,extra,ulp,clp,wall_seconds");
-  EXPECT_EQ(row0, "0,delta=8,111,0,8,,0.25,0.5,0.75");
-  // Quoted label (embedded quote doubled), blank cell for the missing clp.
-  EXPECT_EQ(row1,
-            "1,\"weird \"\"label\"\", with comma\",222,0,20,1,0.125,,0.25");
 }
 
 TEST(SweepIoTest, FailedRunSerializesError) {
@@ -81,17 +55,14 @@ TEST(SweepIoTest, FailedRunSerializesError) {
   sweep.runs[1].error = "boom";
   const std::string json = sweep_to_json(sweep);
   EXPECT_NE(json.find("\"error\": \"boom\""), std::string::npos);
-  const std::string csv = sweep_to_csv(sweep);
-  EXPECT_NE(csv.find(",1,20,"), std::string::npos);  // failed flag set
 }
 
 TEST(SweepIoTest, EmptySweepIsValid) {
   SweepResult sweep;
   sweep.name = "empty";
   const std::string json = sweep_to_json(sweep);
-  EXPECT_NE(json.find("\"runs\": []"), std::string::npos);
-  EXPECT_EQ(sweep_to_csv(sweep, SweepIoOptions::deterministic()),
-            "index,label,seed,failed\n");
+  EXPECT_EQ(json, "{\n  \"sweep\": \"empty\",\n  \"base_seed\": 0,\n"
+                  "  \"runs\": []\n}\n");
 }
 
 TEST(SweepIoTest, NonFiniteMetricsSerializeAsJsonNull) {
@@ -120,15 +91,10 @@ TEST(SweepIoTest, NonFiniteMetricsSerializeAsJsonNull) {
   EXPECT_EQ(json.find("nan"), std::string::npos);
   // Finite neighbors are untouched.
   EXPECT_NE(json.find("\"clp\": 1"), std::string::npos);
-
-  const std::string csv = sweep_to_csv(sweep, SweepIoOptions::deterministic());
-  EXPECT_EQ(csv.find("inf"), std::string::npos);
-  EXPECT_EQ(csv.find("nan"), std::string::npos);
-  EXPECT_NE(csv.find(",null"), std::string::npos);
 }
 
 TEST(SweepIoTest, NonFiniteSweepRoundTripsThroughArtifacts) {
-  // End-to-end shape of the original failure: write the artifact pair for
+  // End-to-end shape of the original failure: write the artifact for
   // a sweep whose metrics include inf, and check the file on disk carries
   // the null (what CI's `python -m json.tool` pass validates).
   namespace fs = std::filesystem;
@@ -149,14 +115,16 @@ TEST(SweepIoTest, NonFiniteSweepRoundTripsThroughArtifacts) {
 }
 
 TEST(SweepIoTest, WriteArtifactsCreatesJsonAndCsv) {
+  // The JSON artifact is written, and no CSV (or anything else) beside it.
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "bolot_sweep_io_test" / "nested";
   fs::remove_all(dir.parent_path());
   const std::string json_path = write_sweep_artifacts(sample_sweep(), dir);
-  EXPECT_TRUE(fs::exists(dir / "BENCH_sample.json"));
-  EXPECT_TRUE(fs::exists(dir / "BENCH_sample.csv"));
   EXPECT_EQ(json_path, (dir / "BENCH_sample.json").string());
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator()),
+            1);
   std::ifstream in(json_path);
   std::stringstream body;
   body << in.rdbuf();

@@ -26,8 +26,8 @@ Determinism rules
 Unit rules
 ----------
 New code in the unit-typed layers must traffic in Bandwidth / ByteSize /
-BitSize / Rate / Probability, not in raw scalars with a suffix naming
-the unit.
+BitSize / Probability, not in raw scalars with a suffix naming the
+unit.
 
   raw-unit-param       a function signature in src/sim or src/scenario
                        declares `double <name>_bps` or an integer

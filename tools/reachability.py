@@ -17,7 +17,12 @@ tools/reachability_allow.txt lists its qualified name.
 Out of reach: a template instantiation (a `<` before the parameter list)
 is skipped, because a program links only the instantiations it uses; and
 header-only inline code is never emitted where nothing calls it, so an
-unused inline function is invisible to this scan.  A file-local helper
+unused inline function is invisible to this scan.  To find those by
+hand, build the programs and the ledger as above with
+`-fkeep-inline-functions` added to the compile flags, so that every
+inline function a header defines is emitted in its own section, and diff
+the programs' symbols against those of the `src/` objects: an inline
+function that no program keeps has no caller.  A file-local helper
 (anonymous namespace) is reported only when it is all that its object
 leaves unreached; next to an unreached or allowlisted function of its
 own file, it is taken to be that function's helper.
