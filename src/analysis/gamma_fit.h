@@ -17,9 +17,6 @@ struct ConstantPlusGamma {
   double shape = 0.0;     // gamma k
   double scale = 0.0;     // gamma theta
 
-  double mean() const { return constant + shape * scale; }
-  double variance() const { return shape * scale * scale; }
-
   /// CDF of the fitted model at x (regularized lower incomplete gamma).
   double cdf(double x) const;
 };

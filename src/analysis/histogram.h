@@ -27,9 +27,6 @@ class Histogram {
 
   std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::uint64_t total() const { return total_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
 
   double bin_width() const;
   double bin_center(std::size_t bin) const;

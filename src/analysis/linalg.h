@@ -19,9 +19,6 @@ class Matrix {
   std::size_t cols() const { return cols_; }
 
   double& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  double at(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
   std::span<const double> row(std::size_t r) const {
     return {data_.data() + r * cols_, cols_};
   }

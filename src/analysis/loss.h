@@ -60,7 +60,7 @@ LossStats loss_stats(const ProbeTrace& trace);
 
 /// Two-state Gilbert model fit: p = P(lost_{n+1} | ok_n),
 /// q = P(ok_{n+1} | lost_n).  Stationary loss rate = p / (p + q) and
-/// clp = 1 - q; both are exposed for cross-checking against LossStats.
+/// clp = 1 - q, for cross-checking against LossStats.
 ///
 /// Edge case: a sequence that never leaves one state gives no evidence
 /// about the other state's transition rate, so the chain is not
@@ -80,7 +80,6 @@ struct GilbertFit {
   double stationary_loss() const {
     return (p + q) > 0.0 ? p / (p + q) : 0.0;
   }
-  double conditional_loss() const { return 1.0 - q; }
 };
 
 /// A fold over StreamingLossState; throws below two samples.

@@ -27,7 +27,6 @@ class StreamingSummary {
   void push(double x);
 
   std::size_t count() const { return count_; }
-  double mean() const { return mean_; }
   double variance() const;  // unbiased (n-1) when count > 1, else 0
   Summary summary() const;
 

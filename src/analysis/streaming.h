@@ -41,20 +41,19 @@ namespace bolot::analysis {
 // StreamingLossState
 // ---------------------------------------------------------------------------
 
-/// Streaming ulp / clp / plg (paper section 5) and the Gilbert fit.  push()
-/// one probe outcome at a time in sequence order; stats() snapshots the
-/// LossStats of the pushed prefix, including the still-open trailing loss
-/// run.  loss_stats() and fit_gilbert() are folds over this class.
+/// Streaming ulp / clp / plg (paper section 5) and the Gilbert fit.
+/// push_lost() one probe outcome at a time in sequence order; stats()
+/// snapshots the LossStats of the pushed prefix, including the still-open
+/// trailing loss run.  loss_stats() and fit_gilbert() are folds over this
+/// class.
 class StreamingLossState {
  public:
   /// `burst_capacity` reserves the burst-length histogram; a loss run
   /// longer than every previous run *and* the reservation grows the
-  /// vector (the only allocation push() can ever perform — sized so it
-  /// never happens in realistic traces).
+  /// vector (the only allocation push_lost() can ever perform — sized so
+  /// it never happens in realistic traces).
   explicit StreamingLossState(std::size_t burst_capacity = 64);
 
-  /// The paper's convention: a zero rtt marks a lost probe.
-  void push(Duration rtt) { push_lost(rtt == Duration::zero()); }
   void push_lost(bool lost);
 
   std::size_t probes() const { return probes_; }
@@ -151,17 +150,7 @@ class StreamingLindley {
   /// consecutive pair exactly as in workload_samples_ms().
   void push_received(Duration rtt);
   void push_lost() { have_prev_ = false; }
-  /// The paper's convention: a zero rtt marks a lost probe.
-  void push(Duration rtt) {
-    if (rtt == Duration::zero()) {
-      push_lost();
-    } else {
-      push_received(rtt);
-    }
-  }
 
-  std::size_t samples() const { return samples_; }
-  const Histogram& histogram() const { return histogram_; }
   /// Online accessors (obs Sampler probes): the analysis() fields over
   /// the pushed prefix.
   double mean_workload_bits() const;

@@ -10,22 +10,30 @@ namespace bolot::netdyn {
 
 namespace {
 constexpr std::size_t kMaxDatagram = 2048;
+
+// Runs in the member initializer of config_, before either socket binds.
+PathEmulatorConfig validated(const PathEmulatorConfig& config) {
+  if (config.one_way_delay < Duration::zero()) {
+    throw std::invalid_argument(
+        "PathEmulator: one_way_delay must not be negative");
+  }
+  if (config.rate < Bandwidth::zero() ||
+      config.loss_probability >= Probability::one()) {
+    throw std::invalid_argument("PathEmulator: bad configuration");
+  }
+  if (config.rate.is_positive() && config.buffer_packets == 0) {
+    throw std::invalid_argument("PathEmulator: buffer must be positive");
+  }
+  return config;
+}
 }  // namespace
 
 PathEmulator::PathEmulator(std::uint16_t listen_port,
                            PathEmulatorConfig config)
-    : config_(config),
+    : config_(validated(config)),
       client_side_(listen_port),
       upstream_side_(0),
-      rng_(config.seed) {
-  if (config_.rate < Bandwidth::zero() ||
-      config_.loss_probability >= Probability::one()) {
-    throw std::invalid_argument("PathEmulator: bad configuration");
-  }
-  if (config_.rate.is_positive() && config_.buffer_packets == 0) {
-    throw std::invalid_argument("PathEmulator: buffer must be positive");
-  }
-}
+      rng_(config.seed) {}
 
 PathEmulator::~PathEmulator() { stop(); }
 

@@ -24,17 +24,6 @@ class SystemClock final : public Clock {
   Duration now() const override;
 };
 
-/// A manually advanced clock for tests and simulation-backed measurement.
-class ManualClock final : public Clock {
- public:
-  Duration now() const override { return current_; }
-  void advance(Duration delta) { current_ += delta; }
-  void set(Duration t) { current_ = t; }
-
- private:
-  Duration current_;
-};
-
 /// Floors a reading `t` to a multiple of `tick` (> 0), as a coarse
 /// hardware clock such as the paper's DECstation 5000 (tick = 3.906 ms)
 /// or the UMd host (tick ~ 3 ms) reports it.

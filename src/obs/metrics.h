@@ -50,8 +50,6 @@ struct SnapshotEntry {
 struct MetricsSnapshot {
   SimTime at;
   std::vector<SnapshotEntry> entries;  // registration order
-
-  bool empty() const { return entries.empty(); }
 };
 
 class MetricsRegistry {
@@ -65,8 +63,6 @@ class MetricsRegistry {
   /// would be ambiguous).
   void probe_counter(std::string_view name, MetricProbe probe);
   void probe_gauge(std::string_view name, MetricProbe probe);
-
-  std::size_t size() const { return instruments_.size(); }
 
   /// Evaluates every probe, in registration order.  Non-const because
   /// probe closures are mutable callables.

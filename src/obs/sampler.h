@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,24 +76,8 @@ class Sampler {
     pending_.cancel();
   }
 
-  bool running() const { return running_; }
-  /// Current (post-decimation) stride between samples.
-  Duration stride() const { return stride_; }
-  std::size_t series_count() const { return entries_.size(); }
-  /// Samples recorded per series so far (all series stay aligned).
-  std::size_t size() const {
-    return entries_.empty() ? 0 : entries_.front().series.size();
-  }
-
   const TimeSeries& series(std::size_t index) const {
     return entries_.at(index).series;
-  }
-  /// Series by name; nullptr when absent.
-  const TimeSeries* series_by_name(std::string_view name) const {
-    for (const Entry& e : entries_) {
-      if (e.series.name() == name) return &e.series;
-    }
-    return nullptr;
   }
 
   /// Standalone copies of every series (for ScenarioResult / JSON export).

@@ -42,17 +42,11 @@ class TimeSeries {
   }
 
   const std::string& name() const { return name_; }
-  std::size_t budget() const { return budget_; }
   SimTime start() const { return start_; }
   Duration stride() const { return stride_; }
   std::size_t size() const { return values_.size(); }
   bool full() const { return values_.size() >= budget_; }
   const std::vector<double>& values() const { return values_; }
-
-  /// Time of sample `i`.
-  SimTime time_at(std::size_t i) const {
-    return start_ + stride_ * static_cast<std::int64_t>(i);
-  }
 
   /// Clears the series and fixes its grid.  `stride` must be positive.
   void reset(SimTime start, Duration stride) {

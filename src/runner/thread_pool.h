@@ -33,8 +33,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
-
   /// Enqueues a job.  Calling this after the destructor has begun is a
   /// checked error (SIM_CHECK), not silent undefined behavior.
   void submit(std::function<void()> job);

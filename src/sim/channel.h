@@ -51,10 +51,6 @@ struct MarkovChannelConfig {
   std::vector<double> transitions;
   std::size_t initial_state = 0;
 
-  std::size_t state_count() const { return states.size(); }
-  double transition(std::size_t from, std::size_t to) const {
-    return transitions[from * states.size() + to];
-  }
 
   /// Throws std::invalid_argument on a malformed config (no states,
   /// wrong matrix size, probabilities outside [0,1], rows not summing
@@ -100,7 +96,6 @@ class MarkovChannel {
 
   std::size_t state() const { return state_; }
   std::size_t state_count() const { return states_.size(); }
-  const ChannelState& state_config(std::size_t i) const { return states_[i]; }
   /// Packets that advanced the chain while it sat in state i.
   std::uint64_t state_packets(std::size_t i) const { return packets_[i]; }
   /// Packets dropped by state i.

@@ -64,12 +64,6 @@ class Domain {
   Simulator& simulator() { return sim_; }
   const Simulator& simulator() const { return sim_; }
 
-  /// The domain's published safe time (ns): no event here will execute
-  /// before it.  Monotone; written with release ordering during a claim.
-  std::int64_t safe_ns() const {
-    return safe_ns_.load(std::memory_order_acquire);
-  }
-
  private:
   friend class ParallelSimulation;
 

@@ -165,8 +165,6 @@ class FluidFlow {
   /// Begins the rate process at absolute time `at`.
   void start(SimTime at);
 
-  Bandwidth rate() const { return Bandwidth::bps(rate_bps_); }
-  std::size_t state() const { return state_; }
   std::uint64_t edges() const { return edges_; }
 
   void audit_verify() const;

@@ -148,7 +148,6 @@ class Link {
   /// "dramatic delay increase every 90 seconds" example).
   void pause();
   void resume();
-  bool paused() const { return paused_; }
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
@@ -167,7 +166,6 @@ class Link {
   void set_remote_egress(RemoteEgress egress) {
     remote_egress_ = std::move(egress);
   }
-  bool has_remote_egress() const { return bool(remote_egress_); }
 
   /// Receiving-domain half of a boundary link: runs the delivery hooks and
   /// the sink for a packet that crossed via the remote egress.  Must be
@@ -193,9 +191,6 @@ class Link {
   /// Bytes currently buffered (whole packets, including the one in
   /// service at its full size — a slight overestimate mid-transmission).
   std::int64_t backlog_bytes() const { return backlog_bytes_; }
-  bool busy() const { return busy_; }
-  /// Packets past the transmitter, still propagating toward the far end.
-  std::size_t in_flight() const { return flight_.size(); }
 
   /// Time to clock one packet of `size` onto the wire.  Memoized on the
   /// last size seen: fixed-size flows (probes, CBR, TCP segments) pay the
@@ -211,12 +206,6 @@ class Link {
   /// Current RED average queue estimate (0 when RED is off); for tests.
   double red_average_queue() const { return red_avg_; }
 
-  /// The runtime channel model, when one is configured (for tests and the
-  /// audit harness; scenario code reads loss structure from the stats).
-  const MarkovChannel* channel() const {
-    return channel_ ? &*channel_ : nullptr;
-  }
-
   /// Attaches a fluid aggregate (sim/fluid.h): the transmitter serves
   /// packets against the aggregate's time-varying residual rate (or, in
   /// kMd1Wait mode, adds its sampled queueing delay).  The aggregate must
@@ -224,7 +213,6 @@ class Link {
   /// must equal rate_bps.  Call before traffic flows; links without one
   /// are byte-for-byte untouched.
   void attach_fluid(FluidAggregate& fluid);
-  const FluidAggregate* fluid() const { return fluid_; }
 
   /// Residual-capacity utilization over [0, now]: stats().utilization,
   /// plus the attached fluid aggregate's share capped at 1 in total, so

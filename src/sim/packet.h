@@ -61,7 +61,6 @@ struct Packet {
   /// extra delay).
   SimTime hop_start;
 
-  std::int64_t size_bits() const { return size_bytes * 8; }
   /// The wire size as a typed quantity (size_bytes itself stays a raw
   /// field so the struct remains an aggregate of scalars; see MODEL_NOTES
   /// §16 on which boundaries stay raw).
@@ -87,10 +86,6 @@ struct Packet {
     audit_tag(Payload::kTcp);
     return tcp_;
   }
-  const TcpSegmentInfo& tcp() const {
-    audit_tag(Payload::kTcp);
-    return tcp_;
-  }
 
   void set_probe(const ProbePayload& probe) {
     payload_ = Payload::kProbe;
@@ -100,7 +95,6 @@ struct Packet {
     payload_ = Payload::kTcp;
     tcp_ = tcp;
   }
-  void clear_payload() { payload_ = Payload::kNone; }
 
  private:
   enum class Payload : std::uint8_t { kNone, kProbe, kTcp };

@@ -26,7 +26,7 @@ struct PacketEvent {
   SimTime at;
   PacketEventKind kind = PacketEventKind::kDelivered;
   DropCause cause = DropCause::kOverflow;  // meaningful for kDropped
-  std::uint32_t link_id = 0;  // interned LinkConfig::name; see link_names()
+  std::uint32_t link_id = 0;  // interned LinkConfig::name, in attach order
   std::uint64_t packet_id = 0;
   std::uint32_t flow = 0;
   PacketKind packet_kind = PacketKind::kOther;
@@ -53,10 +53,6 @@ class PacketLog {
 
   const std::vector<PacketEvent>& events() const;
   std::uint64_t evicted() const { return evicted_; }
-
-  /// Interned names in id order (id == index).  One entry per attached
-  /// link name; events store the 4-byte id instead of a std::string copy.
-  const std::vector<std::string>& link_names() const { return link_names_; }
 
  private:
   void record(PacketEvent event);

@@ -71,7 +71,6 @@ class ParallelSimulation {
 
   explicit ParallelSimulation(std::size_t domains);
 
-  std::size_t domain_count() const { return domains_.size(); }
   Simulator& simulator(std::size_t domain) {
     return domains_.at(domain).simulator();
   }

@@ -37,10 +37,6 @@ class TokenBucketShaper {
 
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t dropped() const { return dropped_; }
-  std::size_t queue_length() const { return queue_.size(); }
-  /// Fractional tokens: the bucket refills continuously, so this is a
-  /// double, not a ByteSize.
-  double tokens_bytes() const { return tokens_bytes_; }
 
  private:
   void refill_to_now();

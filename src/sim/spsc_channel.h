@@ -62,7 +62,6 @@ class SpscChannel {
   void set_lookahead(Duration lookahead) {
     lookahead_ns_ = lookahead.count_nanos();
   }
-  std::int64_t lookahead_ns() const { return lookahead_ns_; }
 
   // ---- producer side ----------------------------------------------------
 
@@ -115,8 +114,6 @@ class SpscChannel {
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
-
-  std::size_t capacity() const { return mask_ + 1; }
 
  private:
   bool try_push_ring(const Handoff& h) {

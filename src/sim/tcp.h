@@ -103,10 +103,6 @@ class TcpSource {
   void set_ack_hook(AckHook hook) { ack_hook_ = std::move(hook); }
 
   const TcpStats& stats() const { return stats_; }
-  double cwnd_packets() const { return cwnd_; }
-  /// Segments sent but not yet cumulatively acked (snd_nxt - snd_una).
-  std::uint64_t flight_segments() const { return snd_nxt_ - snd_una_; }
-  Duration current_rto() const { return rto_; }
 
  private:
   void begin_transfer();

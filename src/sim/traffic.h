@@ -33,7 +33,6 @@ class TrafficSource {
 
   std::uint64_t packets_sent() const { return sent_; }
   std::int64_t bytes_sent() const { return bytes_; }
-  std::uint32_t flow() const { return flow_; }
 
  protected:
   /// Emits one packet of `size` now.

@@ -74,8 +74,6 @@ class UdpEchoSource {
   /// the source; trace() is empty afterwards.
   analysis::ProbeTrace take_trace();
 
-  std::uint64_t sent_count() const { return next_seq_; }
-  std::uint64_t received_count() const { return received_; }
   /// RTT of the most recently returned echo, in milliseconds through the
   /// (maybe coarse) source clock; 0 until the first echo arrives.
   double last_rtt_ms() const { return last_rtt_ms_; }

@@ -43,18 +43,12 @@ std::uint64_t derive_stream_seed(std::uint64_t base_seed,
 /// Xoshiro256** with convenience distributions used by the traffic models.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Derive an independent child generator (for per-source streams).
   Rng split();
 
   std::uint64_t next_u64();
-  std::uint64_t operator()() { return next_u64(); }
-
-  static constexpr std::uint64_t min() { return 0; }
-  static constexpr std::uint64_t max() { return UINT64_MAX; }
 
   /// Uniform in [0, 1).
   double uniform();

@@ -22,8 +22,6 @@ class TextTable {
   TextTable& cell(double value, int precision = 3);
   TextTable& cell(std::int64_t value);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with aligned columns and a rule under the first row.
   void print(std::ostream& os) const;
 

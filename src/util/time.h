@@ -35,7 +35,6 @@ class Duration {
   static constexpr Duration minutes(double m) { return seconds(m * 60.0); }
 
   static constexpr Duration zero() { return Duration(0); }
-  static constexpr Duration max() { return Duration(INT64_MAX); }
 
   constexpr std::int64_t count_nanos() const { return ns_; }
   constexpr double micros() const { return static_cast<double>(ns_) * 1e-3; }
@@ -53,13 +52,8 @@ class Duration {
   friend constexpr Duration operator-(Duration a, Duration b) {
     return Duration(a.ns_ - b.ns_);
   }
-  constexpr Duration operator-() const { return Duration(-ns_); }
   constexpr Duration& operator+=(Duration other) {
     ns_ += other.ns_;
-    return *this;
-  }
-  constexpr Duration& operator-=(Duration other) {
-    ns_ -= other.ns_;
     return *this;
   }
   template <typename T>

@@ -12,8 +12,8 @@
 //   * there is no arithmetic across dimensions (`Bandwidth + ByteSize`
 //     does not compile), only the physically meaningful operations
 //     (`Bandwidth::transmission_time(ByteSize) -> Duration`);
-//   * ByteSize <-> BitSize conversion exists but is explicit and checked
-//     (bits -> bytes throws unless divisible by 8).
+//   * a ByteSize widens to a BitSize only through the named, exact
+//     BitSize::of; neither size converts to the other implicitly.
 //
 // Every negative-compilation guarantee is regression-pinned by
 // tests/compile_fail/ (each `explicit` keyword and conversion rule has a
@@ -34,9 +34,6 @@
 
 namespace bolot {
 
-class BitSize;
-class ByteSize;
-
 /// A size in whole bytes (wire sizes: payload + headers).  Value-semantic,
 /// totally ordered, no implicit construction from raw integers.
 class ByteSize {
@@ -54,38 +51,7 @@ class ByteSize {
   /// Bandwidth::transmission_time instead).
   constexpr std::int64_t bit_count() const { return bytes_ * 8; }
 
-  /// Explicit, exact widening conversion; the narrowing direction lives on
-  /// BitSize and is checked.  Pinned by
-  /// tests/compile_fail/bytesize_where_bitsize.cc.
-  constexpr explicit operator BitSize() const;
-
-  constexpr bool is_zero() const { return bytes_ == 0; }
   friend constexpr auto operator<=>(ByteSize, ByteSize) = default;
-
-  friend constexpr ByteSize operator+(ByteSize a, ByteSize b) {
-    return ByteSize(a.bytes_ + b.bytes_);
-  }
-  friend constexpr ByteSize operator-(ByteSize a, ByteSize b) {
-    return ByteSize(a.bytes_ - b.bytes_);
-  }
-  constexpr ByteSize& operator+=(ByteSize other) {
-    bytes_ += other.bytes_;
-    return *this;
-  }
-  constexpr ByteSize& operator-=(ByteSize other) {
-    bytes_ -= other.bytes_;
-    return *this;
-  }
-  friend constexpr ByteSize operator*(ByteSize a, std::int64_t k) {
-    return ByteSize(a.bytes_ * k);
-  }
-  friend constexpr ByteSize operator*(std::int64_t k, ByteSize a) {
-    return a * k;
-  }
-  /// How many packets of size `b` fit in `a` (integer quotient).
-  friend constexpr std::int64_t operator/(ByteSize a, ByteSize b) {
-    return a.bytes_ / b.bytes_;
-  }
 
  private:
   std::int64_t bytes_ = 0;
@@ -93,7 +59,9 @@ class ByteSize {
 
 /// A size in bits.  Exists so formulas that are naturally in bits (the
 /// paper's P, the model's batch sizes) can say so in their types; mixing
-/// it up with ByteSize is a compile error, and converting is explicit.
+/// it up with ByteSize is a compile error (pinned by
+/// tests/compile_fail/bitsize_where_bytesize.cc and
+/// bytesize_where_bitsize.cc), and widening bytes is the named BitSize::of.
 class BitSize {
  public:
   constexpr BitSize() = default;
@@ -107,44 +75,11 @@ class BitSize {
 
   constexpr std::int64_t count() const { return bits_; }
 
-  /// Checked narrowing: throws unless the bit count is a whole number of
-  /// bytes.  Explicit — passing a BitSize where a ByteSize is required
-  /// must not compile (pinned by
-  /// tests/compile_fail/bitsize_where_bytesize.cc).
-  constexpr explicit operator ByteSize() const {
-    if (bits_ % 8 != 0) {
-      throw std::invalid_argument(
-          "BitSize: not a whole number of bytes");
-    }
-    return ByteSize(bits_ / 8);
-  }
-  constexpr ByteSize to_bytes() const { return ByteSize(*this); }
-
-  constexpr bool is_zero() const { return bits_ == 0; }
   friend constexpr auto operator<=>(BitSize, BitSize) = default;
-
-  friend constexpr BitSize operator+(BitSize a, BitSize b) {
-    return BitSize(a.bits_ + b.bits_);
-  }
-  friend constexpr BitSize operator-(BitSize a, BitSize b) {
-    return BitSize(a.bits_ - b.bits_);
-  }
-  constexpr BitSize& operator+=(BitSize other) {
-    bits_ += other.bits_;
-    return *this;
-  }
-  friend constexpr BitSize operator*(BitSize a, std::int64_t k) {
-    return BitSize(a.bits_ * k);
-  }
-  friend constexpr BitSize operator*(std::int64_t k, BitSize a) {
-    return a * k;
-  }
 
  private:
   std::int64_t bits_ = 0;
 };
-
-constexpr ByteSize::operator BitSize() const { return BitSize(bytes_ * 8); }
 
 /// A transmission rate in bits per second, stored as the same double the
 /// raw `rate_bps` fields held, so every formula reading `.bps()` computes
@@ -163,12 +98,10 @@ class Bandwidth {
   static constexpr Bandwidth bps(double v) { return Bandwidth(v); }
   static constexpr Bandwidth kbps(double v) { return Bandwidth(v * 1e3); }
   static constexpr Bandwidth mbps(double v) { return Bandwidth(v * 1e6); }
-  static constexpr Bandwidth gbps(double v) { return Bandwidth(v * 1e9); }
   static constexpr Bandwidth zero() { return Bandwidth(0.0); }
 
   constexpr double bps() const { return bps_; }
   constexpr bool is_positive() const { return bps_ > 0.0; }
-  constexpr bool is_zero() const { return bps_ == 0.0; }
 
   /// Time to serialize `size` onto this wire, rounded to the nearest
   /// nanosecond — the exact computation of the legacy
@@ -189,31 +122,8 @@ class Bandwidth {
 
   friend constexpr auto operator<=>(Bandwidth, Bandwidth) = default;
 
-  friend constexpr Bandwidth operator+(Bandwidth a, Bandwidth b) {
-    return Bandwidth(a.bps_ + b.bps_);
-  }
-  friend constexpr Bandwidth operator-(Bandwidth a, Bandwidth b) {
-    return Bandwidth(a.bps_ - b.bps_);
-  }
-  constexpr Bandwidth operator-() const { return Bandwidth(-bps_); }
-  constexpr Bandwidth& operator+=(Bandwidth other) {
-    bps_ += other.bps_;
-    return *this;
-  }
-  constexpr Bandwidth& operator-=(Bandwidth other) {
-    bps_ -= other.bps_;
-    return *this;
-  }
   friend constexpr Bandwidth operator*(Bandwidth a, double k) {
     return Bandwidth(a.bps_ * k);
-  }
-  friend constexpr Bandwidth operator*(double k, Bandwidth a) { return a * k; }
-  friend constexpr Bandwidth operator/(Bandwidth a, double k) {
-    return Bandwidth(a.bps_ / k);
-  }
-  /// Dimensionless ratio, e.g. a utilization rho = demand / capacity.
-  friend constexpr double operator/(Bandwidth a, Bandwidth b) {
-    return a.bps_ / b.bps_;
   }
 
  private:
@@ -249,8 +159,6 @@ class Probability {
 
   /// 1 - p, exact for the representable endpoints.
   constexpr Probability complement() const { return Probability(1.0 - p_); }
-  /// p / (1 - p); +inf at p == 1.
-  constexpr double odds() const { return p_ / (1.0 - p_); }
 
   friend constexpr auto operator<=>(Probability, Probability) = default;
 

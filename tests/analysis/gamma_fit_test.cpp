@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "analysis/stats.h"
 
 #include "util/rng.h"
 
@@ -43,12 +46,14 @@ TEST(RegularizedGammaPTest, Validation) {
 }
 
 TEST(ConstantPlusGammaTest, MomentsRoundTrip) {
-  ConstantPlusGamma fit;
-  fit.constant = 140.0;
-  fit.shape = 2.0;
-  fit.scale = 10.0;
-  EXPECT_DOUBLE_EQ(fit.mean(), 160.0);
-  EXPECT_DOUBLE_EQ(fit.variance(), 200.0);
+  // The method-of-moments fit reproduces the sample's mean (constant +
+  // k*theta) and variance (k*theta^2).
+  const std::vector<double> xs = {140.0, 150.0, 160.0, 190.0};
+  const Summary s = summarize(xs);
+  const ConstantPlusGamma fit = fit_constant_plus_gamma(xs);
+  EXPECT_EQ(fit.constant, 140.0);
+  EXPECT_NEAR(fit.constant + fit.shape * fit.scale, s.mean, 1e-9);
+  EXPECT_NEAR(fit.shape * fit.scale * fit.scale, s.variance, 1e-9);
   EXPECT_EQ(fit.cdf(139.0), 0.0);
   EXPECT_NEAR(fit.cdf(1e6), 1.0, 1e-9);
 }
@@ -68,7 +73,8 @@ TEST(FitConstantPlusGammaTest, RecoversParameters) {
   EXPECT_NEAR(fit.constant, constant, 1.0);
   EXPECT_NEAR(fit.shape, shape, 0.35);
   EXPECT_NEAR(fit.scale, scale, 1.0);
-  EXPECT_NEAR(fit.mean(), constant + shape * scale, 0.5);
+  EXPECT_NEAR(fit.constant + fit.shape * fit.scale, constant + shape * scale,
+              0.5);
 }
 
 TEST(FitConstantPlusGammaTest, Validation) {

@@ -23,7 +23,7 @@ TEST(HistogramTest, AddRoutesToCorrectBin) {
   EXPECT_EQ(h.count(0), 2u);
   EXPECT_EQ(h.count(1), 1u);
   EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
+  EXPECT_EQ(h.densities()[0], 0.5);  // of the four samples
 }
 
 TEST(HistogramTest, UnderflowAndOverflow) {
@@ -31,10 +31,16 @@ TEST(HistogramTest, UnderflowAndOverflow) {
   h.add(-1.0);
   h.add(10.0);  // hi edge is exclusive
   h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
   for (std::size_t i = 0; i < h.bin_count(); ++i) EXPECT_EQ(h.count(i), 0u);
+  for (const double d : h.densities()) EXPECT_EQ(d, 0.0);
+  // One in-range sample: the densities are over in-range samples only,
+  // while a peak's mass counts the three out-of-range ones too.
+  h.add(5.0);
+  EXPECT_EQ(h.count(2), 1u);
+  EXPECT_EQ(h.densities()[2], 1.0);
+  const auto peaks = h.find_peaks(0.0);
+  ASSERT_EQ(peaks.size(), 1u);
+  EXPECT_EQ(peaks[0].mass, 0.25);
 }
 
 TEST(HistogramTest, DensitiesSumToOneOverInRange) {

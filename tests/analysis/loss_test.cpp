@@ -159,14 +159,14 @@ TEST(GilbertFitTest, RecoversTransitionProbabilities) {
   EXPECT_NEAR(fit.p, 0.02, 0.003);
   EXPECT_NEAR(fit.q, 0.3, 0.01);
   EXPECT_NEAR(fit.stationary_loss(), 0.02 / 0.32, 0.01);
-  EXPECT_NEAR(fit.conditional_loss(), 0.7, 0.01);
+  EXPECT_NEAR(1.0 - fit.q, 0.7, 0.01);
 }
 
 TEST(GilbertFitTest, ConsistentWithLossStats) {
   const auto losses = pattern(".xx..x.xx.");
   const GilbertFit fit = fit_gilbert(losses);
   const auto s = loss_stats(losses);
-  EXPECT_NEAR(fit.conditional_loss(), s.clp, 1e-12);
+  EXPECT_NEAR(1.0 - fit.q, s.clp, 1e-12);
 }
 
 TEST(GilbertFitTest, Validation) {
@@ -182,7 +182,7 @@ TEST(GilbertFitTest, AllLostIsDegenerateWithFullStationaryLoss) {
   EXPECT_EQ(fit.p, 1.0);
   EXPECT_EQ(fit.q, 0.0);
   EXPECT_EQ(fit.stationary_loss(), 1.0);
-  EXPECT_EQ(fit.conditional_loss(), 1.0);
+  EXPECT_EQ(1.0 - fit.q, 1.0);
 }
 
 TEST(GilbertFitTest, NoLossesIsDegenerateWithZeroStationaryLoss) {
@@ -248,7 +248,7 @@ TEST(GilbertFitTest, FitGenerateFitRecoversParametersAtMillionScale) {
   const auto stats = loss_stats(regenerated);
   EXPECT_NEAR(stats.ulp, fit.stationary_loss(),
               0.05 * fit.stationary_loss());
-  EXPECT_NEAR(stats.clp, fit.conditional_loss(), 0.01);
+  EXPECT_NEAR(stats.clp, 1.0 - fit.q, 0.01);
   EXPECT_NEAR(stats.mean_burst_length, 1.0 / fit.q, 0.05 / fit.q);
 }
 
@@ -344,7 +344,7 @@ TEST(GenerateGilbertTest, RoundTripsThroughFit) {
   EXPECT_NEAR(fitted.q, truth.q, 0.01);
   const auto stats = loss_stats(losses);
   EXPECT_NEAR(stats.ulp, truth.stationary_loss(), 0.005);
-  EXPECT_NEAR(stats.clp, truth.conditional_loss(), 0.01);
+  EXPECT_NEAR(stats.clp, 1.0 - truth.q, 0.01);
 }
 
 TEST(GenerateGilbertTest, DegenerateModels) {

@@ -49,6 +49,15 @@ Duration synth_rtt(Rng& rng) {
   return Duration::millis(rng.uniform(60.0, 140.0));
 }
 
+/// Pushes one probe into a Lindley core; a zero rtt marks a lost probe.
+void push_lindley(StreamingLindley& lindley, Duration rtt) {
+  if (rtt == Duration::zero()) {
+    lindley.push_lost();
+  } else {
+    lindley.push_received(rtt);
+  }
+}
+
 /// Pushes probe `seq` into a packet-pair core: pairs sent 0.2 ms apart
 /// every 100 ms, the second returning one 72 B service time (4.5 ms)
 /// behind the first; a lost probe is not pushed.
@@ -77,8 +86,8 @@ TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
       g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < kProbes; ++i) {
     const Duration rtt = synth_rtt(rng);
-    loss.push(rtt);
-    lindley.push(rtt);
+    loss.push_lost(rtt == Duration::zero());
+    push_lindley(lindley, rtt);
     push_pair_probe(pair, static_cast<std::uint64_t>(i),
                     rtt == Duration::zero());
   }
@@ -88,7 +97,7 @@ TEST(StreamingAllocTest, PushPathsAreAllocationFree) {
 
   // The streams above were real enough to estimate from.
   EXPECT_GT(loss.stats().probes, 0u);
-  EXPECT_GT(lindley.analysis().histogram.total(), 0u);
+  EXPECT_NO_THROW(lindley.analysis());  // throws before the first pair
   EXPECT_GT(pair.pairs(), 0u);
   EXPECT_NEAR(estimate.service_time_ms, 4.5, 1e-9);
 }
@@ -104,7 +113,7 @@ struct StreamBank {
     const bool lost = rtt == Duration::zero();
     push_pair_probe(pair, loss.probes(), lost);
     loss.push_lost(lost);
-    lindley.push(rtt);
+    push_lindley(lindley, rtt);
     summary.push(lost ? 0.0 : rtt.millis());
   }
 
@@ -140,7 +149,12 @@ TEST(StreamingAllocTest, TenThousandConcurrentStreamsAreAllocationFree) {
   for (const StreamBank& bank : banks) {
     ASSERT_EQ(bank.loss.probes(), kProbesPerStream);
     ASSERT_EQ(bank.summary.count(), kProbesPerStream);
-    ASSERT_LT(bank.lindley.samples(), kProbesPerStream);
+    std::uint64_t pairs = 0;
+    const Histogram histogram = bank.lindley.analysis().histogram;
+    for (std::size_t i = 0; i < histogram.bin_count(); ++i) {
+      pairs += histogram.count(i);
+    }
+    ASSERT_LT(pairs, kProbesPerStream);
     ASSERT_LE(bank.pair.pairs(), kProbesPerStream / 2);
     losses += bank.loss.losses();
   }

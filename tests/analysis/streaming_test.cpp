@@ -165,7 +165,7 @@ MutatedReturns mutate_returns(std::uint64_t seed) {
       // time, or inflated by an interleaved cross packet.
       const std::uint64_t kind = rng.uniform_int(4);
       back += kind == 0   ? Duration::zero()
-              : kind == 1 ? -Duration::millis(rng.uniform(0.0, 2.0))
+              : kind == 1 ? Duration::millis(-rng.uniform(0.0, 2.0))
               : kind == 2 ? Duration::millis(4.5)
                           : Duration::millis(rng.uniform(5.0, 40.0));
     } else {
@@ -281,13 +281,21 @@ TEST(StreamingLindleyTest, OnlineAccessorsMatchBatchAtPrefixes) {
   std::vector<std::optional<double>> prefix;
   for (const auto& r : rtts) {
     prefix.push_back(r);
-    streaming.push(r ? Duration::millis(*r) : Duration::zero());
+    if (r) {
+      streaming.push_received(Duration::millis(*r));
+    } else {
+      streaming.push_lost();
+    }
   }
   const ProbeTrace trace = stream_trace(prefix, delta_ms, 0.0);
   const WorkloadAnalysis batch = analyze_workload(trace, options);
   EXPECT_EQ(streaming.mean_workload_bits(), batch.mean_workload_bits);
   EXPECT_EQ(streaming.busy_sample_fraction(), batch.busy_sample_fraction);
-  EXPECT_EQ(streaming.samples(), workload_samples_ms(trace).size());
+  const Histogram online = streaming.analysis().histogram;
+  ASSERT_EQ(online.bin_count(), batch.histogram.bin_count());
+  for (std::size_t i = 0; i < online.bin_count(); ++i) {
+    EXPECT_EQ(online.count(i), batch.histogram.count(i)) << "bin " << i;
+  }
 }
 
 TEST(StreamingLindleyTest, RequiresExplicitHistogramEdge) {
@@ -303,9 +311,9 @@ TEST(StreamingLindleyTest, NoPairsThrowsLikeBatch) {
   options.max_ms = 100.0;
   StreamingLindley streaming(Duration::millis(50), ByteSize::bytes(72),
                              options);
-  streaming.push(Duration::millis(80));
-  streaming.push(Duration::zero());  // loss breaks the only pair
-  streaming.push(Duration::millis(90));
+  streaming.push_received(Duration::millis(80));
+  streaming.push_lost();  // loss breaks the only pair
+  streaming.push_received(Duration::millis(90));
   EXPECT_THROW(streaming.analysis(), std::invalid_argument);
 }
 

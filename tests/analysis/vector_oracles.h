@@ -321,10 +321,10 @@ inline std::vector<double> least_squares_loop(const Matrix& x,
   std::vector<double> xty(p, 0.0);
   for (std::size_t row = 0; row < n; ++row) {
     for (std::size_t i = 0; i < p; ++i) {
-      const double xi = x.at(row, i);
+      const double xi = x.row(row)[i];
       xty[i] += xi * y[row];
       for (std::size_t j = i; j < p; ++j) {
-        xtx.at(i, j) += xi * x.at(row, j);
+        xtx.at(i, j) += xi * x.row(row)[j];
       }
     }
   }

@@ -1,5 +1,5 @@
 // Guard pinned: no operator+(Bandwidth, ByteSize) exists — units.h defines
-// arithmetic only within a dimension, so adding a rate to a size is a
+// no arithmetic across dimensions, so adding a rate to a size is a
 // compile error instead of a silently meaningless double.
 #include "util/units.h"
 
@@ -8,12 +8,11 @@ using namespace bolot;
 int main() {
   const Bandwidth rate = Bandwidth::kbps(128);
   const ByteSize packet = ByteSize::bytes(512);
-  // Positive control: same-dimension arithmetic compiles.
-  const Bandwidth doubled = rate + rate;
-  const ByteSize two = packet + packet;
+  // Positive control: scaling a rate compiles.
+  const Bandwidth doubled = rate * 2.0;
 #ifdef COMPILE_FAIL
   auto nonsense = rate + packet;
   (void)nonsense;
 #endif
-  return doubled.bps() > 0.0 && two.count() > 0 ? 0 : 1;
+  return doubled.bps() > 0.0 && packet.count() > 0 ? 0 : 1;
 }

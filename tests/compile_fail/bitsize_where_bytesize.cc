@@ -1,6 +1,6 @@
-// Guard pinned: the `explicit` on BitSize's conversion operator to
-// ByteSize.  A function taking ByteSize must not accept a BitSize without
-// a visible (and checked — bits % 8) conversion at the call site.
+// Guard pinned: BitSize does not convert to ByteSize.  A function taking
+// ByteSize must not accept a BitSize; the call site spells out the byte
+// count it means.
 #include "util/units.h"
 
 using namespace bolot;
@@ -11,8 +11,8 @@ std::int64_t takes_bytes(ByteSize size) { return size.count(); }
 
 int main() {
   const BitSize wire = BitSize::bits(576);
-  // Positive control: the explicit conversion compiles.
-  const std::int64_t ok = takes_bytes(static_cast<ByteSize>(wire));
+  // Positive control: a ByteSize built from the bit count compiles.
+  const std::int64_t ok = takes_bytes(ByteSize::bytes(wire.count() / 8));
 #ifdef COMPILE_FAIL
   const std::int64_t bad = takes_bytes(wire);
   (void)bad;

@@ -1,5 +1,5 @@
-// Guard pinned: the `explicit` on ByteSize's conversion operator to
-// BitSize (the widening direction is exact but still must be spelled out).
+// Guard pinned: ByteSize does not convert to BitSize (the widening is
+// exact but still must be spelled out, as BitSize::of).
 #include "util/units.h"
 
 using namespace bolot;

@@ -128,6 +128,13 @@ TEST(PathEmulatorTest, ConfigValidation) {
   config.rate = Bandwidth::bps(128e3);
   config.buffer_packets = 0;
   EXPECT_THROW(PathEmulator(0, config), std::invalid_argument);
+  // A negative delay is rejected before either socket binds: the port is
+  // taken, so a bind first would throw std::system_error instead.
+  const UdpSocket taken(0);
+  config = PathEmulatorConfig{};
+  config.one_way_delay = Duration::millis(-5);
+  EXPECT_THROW(PathEmulator(taken.local_port(), config),
+               std::invalid_argument);
 }
 
 TEST(PathEmulatorTest, StartStopIdempotent) {

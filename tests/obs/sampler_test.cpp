@@ -16,14 +16,19 @@
 namespace bolot::obs {
 namespace {
 
+/// Time of sample `i` on a series' grid.
+SimTime time_at(const TimeSeries& series, std::size_t i) {
+  return series.start() + series.stride() * static_cast<std::int64_t>(i);
+}
+
 TEST(TimeSeriesTest, GridAndPush) {
   TimeSeries series("s", 4);
   series.reset(Duration::seconds(1), Duration::millis(10));
   series.push(1.0);
   series.push(2.0);
   EXPECT_EQ(series.size(), 2u);
-  EXPECT_EQ(series.time_at(0), Duration::seconds(1));
-  EXPECT_EQ(series.time_at(1), Duration::seconds(1) + Duration::millis(10));
+  EXPECT_EQ(time_at(series, 0), Duration::seconds(1));
+  EXPECT_EQ(time_at(series, 1), Duration::seconds(1) + Duration::millis(10));
   EXPECT_THROW(TimeSeries("tiny", 1), std::invalid_argument);
   EXPECT_THROW(series.reset(SimTime(), Duration::zero()),
                std::invalid_argument);
@@ -42,10 +47,10 @@ TEST(TimeSeriesTest, DecimateKeepsEvenSamplesAndDoublesStride) {
   EXPECT_EQ(series.values()[2], 4.0);
   EXPECT_EQ(series.values()[3], 6.0);
   EXPECT_EQ(series.stride(), Duration::millis(10));
-  EXPECT_EQ(series.time_at(3), Duration::millis(30));
+  EXPECT_EQ(time_at(series, 3), Duration::millis(30));
   // Sample 8 was due at t=40ms = time_at(4) on the coarser grid: the next
   // push lands exactly where the pre-decimation cadence put it.
-  EXPECT_EQ(series.time_at(4), Duration::millis(40));
+  EXPECT_EQ(time_at(series, 4), Duration::millis(40));
   EXPECT_FALSE(series.full());  // decimation frees half the budget
 }
 
@@ -78,8 +83,7 @@ TEST(SamplerTest, RecordsUniformlySpacedSamples) {
   EXPECT_EQ(series.values()[4], 0.0);   // t = 140 ms
   EXPECT_EQ(series.values()[5], 7.0);   // t = 150 ms
   EXPECT_EQ(series.values()[10], 7.0);  // t = 200 ms
-  EXPECT_EQ(sampler.series_by_name("level"), &series);
-  EXPECT_EQ(sampler.series_by_name("nope"), nullptr);
+  EXPECT_EQ(series.name(), "level");
 }
 
 TEST(SamplerTest, DecimatesAllSeriesTogetherPastBudget) {
@@ -96,7 +100,7 @@ TEST(SamplerTest, DecimatesAllSeriesTogetherPastBudget) {
   // 8 samples fill the budget; decimation at sample 9 halves to 4 and
   // doubles the stride to 2 ms; the second fill + decimation leaves the
   // series on a 4 ms grid.
-  EXPECT_EQ(sampler.stride(), Duration::millis(4));
+  EXPECT_EQ(sampler.series(1).stride(), Duration::millis(4));
   const TimeSeries& tick = sampler.series(0);
   const TimeSeries& cnst = sampler.series(1);
   ASSERT_EQ(tick.size(), cnst.size());
@@ -112,7 +116,7 @@ TEST(SamplerTest, DecimatesAllSeriesTogetherPastBudget) {
   for (std::size_t i = 0; i < tick.size(); ++i) {
     EXPECT_EQ(tick.values()[i], expected[i]) << i;
     EXPECT_EQ(cnst.values()[i], 5.0);
-    EXPECT_EQ(tick.time_at(i), Duration::millis(4) * std::int64_t(i));
+    EXPECT_EQ(time_at(tick, i), Duration::millis(4) * std::int64_t(i));
   }
 }
 
@@ -148,12 +152,13 @@ TEST(SamplerTest, EvenBudgetStampsEverySampleAtItsTakenTime) {
   sampler.stop();
   sim::drain(simulator);
 
-  EXPECT_GE(sampler.stride(), Duration::millis(80));  // >= 3 decimations
+  // At least three decimations.
+  EXPECT_GE(sampler.series(0).stride(), Duration::millis(80));
   const TimeSeries& series = sampler.series(0);
   ASSERT_GE(series.size(), 3u);
   for (std::size_t i = 0; i < series.size(); ++i) {
     EXPECT_EQ(series.values()[i],
-              static_cast<double>(series.time_at(i).count_nanos()))
+              static_cast<double>(time_at(series, i).count_nanos()))
         << i;
   }
 }
@@ -178,10 +183,9 @@ TEST(SamplerTest, StopHaltsSampling) {
   sampler.start(SimTime());
   simulator.run_until(Duration::millis(5));
   sampler.stop();
-  const std::size_t at_stop = sampler.size();
+  const std::size_t at_stop = sampler.series(0).size();
   sim::drain(simulator);  // terminates: no self-re-arming event left
-  EXPECT_EQ(sampler.size(), at_stop);
-  EXPECT_FALSE(sampler.running());
+  EXPECT_EQ(sampler.series(0).size(), at_stop);
 }
 
 TEST(SamplerTest, WatchHelpersTrackComponentState) {

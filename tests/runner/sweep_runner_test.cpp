@@ -42,7 +42,6 @@ std::vector<Metric> hash_job(const RunSpec& spec) {
 
 TEST(ThreadPoolTest, RunsEverySubmittedJob) {
   ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
     pool.submit([&counter] { ++counter; });

@@ -271,7 +271,7 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
 
   FuzzOutcome outcome;
   outcome.events = psim ? psim->events_dispatched() : sim.events_dispatched();
-  outcome.probes_received = probe.received_count();
+  outcome.probes_received = probe.trace().received_count();
 
   Digest digest;
   const analysis::ProbeTrace trace = probe.trace();
@@ -380,6 +380,8 @@ TEST_F(AuditFuzzTest, ShardedRunsMatchSequentialDigestsExactly) {
       EXPECT_EQ(sharded.hop_deliveries, sequential.hop_deliveries);
     }
   }
+  // The sharded runs really handed domains to the lent pool's threads.
+  EXPECT_GT(lent.jobs(), 0u);
 }
 
 /// One generated fabric (scenario/topology_gen.h) with fluid-served links
@@ -482,7 +484,7 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
 
   FuzzOutcome outcome;
   outcome.events = psim ? psim->events_dispatched() : seq->events_dispatched();
-  outcome.probes_received = probe.received_count();
+  outcome.probes_received = probe.trace().received_count();
   Digest digest;
   const analysis::ProbeTrace trace = probe.trace();
   digest.mix(trace.records.size());
@@ -535,6 +537,7 @@ TEST_F(AuditFuzzTest, GeneratedFluidFabricsShardInvariantAcrossDomains) {
       EXPECT_EQ(sharded.events, sequential.events);
     }
   }
+  EXPECT_GT(lent.jobs(), 0u);
 }
 
 TEST_F(AuditFuzzTest, CorruptedInvariantIsReportedWithContext) {

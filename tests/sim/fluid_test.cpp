@@ -144,7 +144,7 @@ TEST(FluidFlowTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
     auto& edges = replica == 0 ? edges_a : edges_b;
     for (int step = 1; step <= 20; ++step) {
       simulator.run_until(Duration::millis(25 * step));
-      rates.push_back(flow.rate().bps());
+      rates.push_back(fluid.fluid_rate().bps());  // the one flow's rate
       edges.push_back(flow.edges());
     }
   }

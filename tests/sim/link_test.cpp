@@ -252,7 +252,6 @@ TEST(LinkTest, PausedLinkStillDeliversInFlightPackets) {
   simulator.run_until(Duration::millis(200));
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], Duration::millis(104.5));
-  EXPECT_TRUE(link.paused());
   EXPECT_EQ(link.queue_length(), 1u);  // second packet held at the pause
 
   simulator.schedule_in(Duration::zero(), [&link] { link.resume(); });
@@ -264,9 +263,13 @@ TEST(LinkTest, PausedLinkStillDeliversInFlightPackets) {
 TEST(LinkTest, ResumeWithoutPauseIsNoOp) {
   Simulator simulator;
   Link link(simulator, basic_config(), Rng(1));
-  EXPECT_FALSE(link.paused());
+  std::vector<Duration> arrivals;
+  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
   link.resume();
-  EXPECT_FALSE(link.paused());
+  link.enqueue(make_packet(72));  // served at once, not held
+  drain(simulator);
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0], Duration::millis(4.5) + basic_config().propagation);
 }
 
 TEST(LinkTest, BacklogBytesTracksQueue) {

@@ -74,7 +74,7 @@ TEST(TcpSlowStartTest, WindowDoublesEachRttOnAFatPath) {
   std::vector<double> cwnd_samples;
   for (int k = 1; k <= 4; ++k) {
     simulator.run_until(Duration::millis(45.0 * k));
-    cwnd_samples.push_back(source.cwnd_packets());
+    cwnd_samples.push_back(source.stats().last_cwnd_packets);
   }
   // Exponential growth: each rtt roughly doubles the window.
   EXPECT_GT(cwnd_samples[1], cwnd_samples[0] * 1.5);

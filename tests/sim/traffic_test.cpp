@@ -248,10 +248,16 @@ TEST_F(TrafficFixture, ModulatedPoissonValidation) {
 TEST_F(TrafficFixture, PacketIdsAreUniquePerSource) {
   CbrSource source(simulator, net, src, dst, 7, PacketKind::kOther,
                    Duration::millis(1), ByteSize::bytes(72));
+  std::vector<std::uint64_t> ids;
+  net.set_receiver(dst, [&ids](Packet&& p) {
+    EXPECT_EQ(p.flow, 7u);
+    ids.push_back(p.id);
+  });
   source.start(Duration::zero());
   simulator.run_until(Duration::millis(100));
-  EXPECT_EQ(source.flow(), 7u);
   EXPECT_GT(source.packets_sent(), 50u);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
   EXPECT_EQ(source.bytes_sent(),
             static_cast<std::int64_t>(source.packets_sent()) * 72);
 }

@@ -10,9 +10,10 @@
 // scenario/scenarios.{h,cpp} were chosen; rerun it after changing the
 // traffic models.
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/loss.h"
@@ -34,22 +35,32 @@ struct GridPoint {
   std::vector<double> clp;
 };
 
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << "calibrate_scenario: " << message
+            << " (see the header comment)\n";
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   double minutes = 10.0;
   bool quick = false;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
-        quick = true;
-      } else if (std::strcmp(argv[i], "--minutes") == 0 && i + 1 < argc) {
-        minutes = parse_f64("--minutes", argv[++i]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--minutes") {
+      if (i + 1 >= argc) usage_error("missing value for " + arg);
+      try {
+        minutes = parse_f64(arg, argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        usage_error(e.what());
       }
+      if (!(minutes > 0.0)) usage_error("--minutes must be positive");
+    } else {
+      usage_error("unknown option " + arg);
     }
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "calibrate_scenario: " << e.what() << "\n";
-    return 2;
   }
   if (quick) minutes = std::min(minutes, 2.0);
 

@@ -88,18 +88,6 @@ enrolled in the raw-unit rules via UNIT_FILES and must stay typed.  Extending th
 layer across the rest of the batch boundary is future work; when it
 happens, those names move into the allowlist here.
 
-Engines
--------
-When python3-clang (libclang) is importable AND its shared library
-loads, the raw-unit-param / raw-unit-member rules run as an AST pass:
-parameters and fields are resolved from clang cursors, so formatting
-cannot produce false positives or negatives.  Otherwise a regex engine
-with the same rule names runs; it is the engine CI exercises and the
-self-test validates, so both paths are load-bearing.  The
-narrowing-unit-cast and unchecked-probability rules are textual in both
-modes (a cast's value category is visible in the token stream; the AST
-adds nothing for them).
-
 Allowlist: tools/lint_static_allow.txt, `<path> <rule>` lines, each with
 a trailing comment justifying it.  The lint fails on new findings only;
 allowlisted ones are reported as "allowed", and stale entries fail it.
@@ -272,8 +260,7 @@ UNIT_RULES = [
 UNIT_RULE_EXEMPT_FILES = {"src/util/units.h"}
 
 
-def scan_lines(rel: str, lines: list[str],
-               skip_rules: set[str] = frozenset()) -> list[tuple[str, int, str, str]]:
+def scan_lines(rel: str, lines: list[str]) -> list[tuple[str, int, str, str]]:
     """Apply every textual rule to one file's lines.
 
     Returns (rule, lineno, stripped-line, advice) tuples.  Shared by the
@@ -303,59 +290,12 @@ def scan_lines(rel: str, lines: list[str],
         if rel in UNIT_RULE_EXEMPT_FILES:
             continue
         for rule, pattern, dirs, header_only, advice in UNIT_RULES:
-            if rule in skip_rules:
-                continue
             if not in_unit_scope(rel, dirs):
                 continue
             if header_only and not is_header:
                 continue
             if pattern.search(code):
                 findings.append((rule, lineno, line.strip(), advice))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Optional AST engine (libclang).  Replaces the two declaration rules with
-# cursor walks; the textual rules still run alongside.
-# ---------------------------------------------------------------------------
-
-def try_libclang():
-    try:
-        from clang import cindex  # type: ignore
-        index = cindex.Index.create()
-        return cindex, index
-    except Exception:
-        return None, None
-
-
-def ast_scan(cindex, index, root: Path, path: Path,
-             rel: str) -> list[tuple[str, int, str, str]]:
-    """AST pass for raw-unit-param / raw-unit-member on one file."""
-    findings: list[tuple[str, int, str, str]] = []
-    args = ["-std=c++20", f"-I{root / 'src'}", "-x", "c++"]
-    tu = index.parse(str(path), args=args)
-    K = cindex.CursorKind
-    for cursor in tu.cursor.walk_preorder():
-        loc = cursor.location
-        if loc.file is None or Path(loc.file.name).resolve() != path.resolve():
-            continue
-        name = cursor.spelling or ""
-        raw_scalar = cursor.type.get_canonical().kind.name in (
-            "DOUBLE", "FLOAT", "INT", "UINT", "LONG", "ULONG", "LONGLONG",
-            "ULONGLONG", "SHORT", "USHORT",
-        )
-        if not raw_scalar:
-            continue
-        if cursor.kind == K.PARM_DECL and (
-                name.endswith("_bps") or name.endswith("_bytes")):
-            findings.append((
-                "raw-unit-param", loc.line, f"parameter '{name}'",
-                "pass Bandwidth / ByteSize / BitSize (src/util/units.h)"))
-        elif cursor.kind == K.FIELD_DECL and (
-                name.endswith("_bps") or name.endswith("_bytes")):
-            findings.append((
-                "raw-unit-member", loc.line, f"field '{name}'",
-                "store Bandwidth / ByteSize / BitSize"))
     return findings
 
 
@@ -528,23 +468,13 @@ def main() -> int:
     allowed_hits: list[str] = []
     scanned = 0
 
-    cindex, index = try_libclang()
-    engine = "libclang AST + regex" if index else "regex"
-    # With the AST engine, the two declaration rules come from cursors;
-    # the textual pass skips them so a finding is never double-reported.
-    textual_skip = {"raw-unit-param", "raw-unit-member"} if index else set()
-
     sources = [path for path in sorted(src.rglob("*"))
                if path.suffix in SOURCE_SUFFIXES and path.is_file()]
     for path in sources + cmake_files(root):
         rel = path.relative_to(root).as_posix()
         scanned += 1
         lines = path.read_text(errors="replace").splitlines()
-        file_findings = scan_lines(rel, lines, skip_rules=textual_skip)
-        if index and not is_cmake(rel) and in_unit_scope(rel, UNIT_DIRS) \
-                and rel not in UNIT_RULE_EXEMPT_FILES:
-            file_findings += ast_scan(cindex, index, root, path, rel)
-        for rule, lineno, text, advice in file_findings:
+        for rule, lineno, text, advice in scan_lines(rel, lines):
             where = f"{rel}:{lineno}: [{rule}] {text}"
             if (rel, rule) in allowed:
                 used_allow.add((rel, rule))
@@ -559,7 +489,7 @@ def main() -> int:
         print(f"stale allowlist entry (no longer matches): {rel} {rule}")
 
     if findings:
-        print(f"\nlint_static ({engine}): {len(findings)} finding(s) in "
+        print(f"\nlint_static: {len(findings)} finding(s) in "
               f"{scanned} files:\n", file=sys.stderr)
         for finding in findings:
             print(finding, file=sys.stderr)
@@ -568,7 +498,7 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    print(f"lint_static ({engine}): clean ({scanned} files, "
+    print(f"lint_static: clean ({scanned} files, "
           f"{len(allowed_hits)} allowlisted)")
     return 1 if stale else 0
 

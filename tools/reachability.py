@@ -5,27 +5,37 @@ The programs are the executables of the top-level build's bench/,
 examples/ and tools/ directories, plus bench/perf_ledger's driver, which
 builds as a project of its own.  Configure both trees with
 
-    -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections -fdata-sections"
+    -DCMAKE_CXX_FLAGS="-O0 -fno-inline -ffunction-sections -fdata-sections
+                       -fkeep-inline-functions"
     -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections"
 
-so that no function is inlined into its caller and the linker keeps only
-the sections a program reaches.  The scan takes `nm -C --defined-only` of
-every object under TOP_BUILD/src, subtracts the union of the programs'
-symbols, and reports each `bolot::` function that is left, unless
-tools/reachability_allow.txt lists its qualified name.
+so that no function is inlined into its caller, every inline function a
+header defines is emitted in its own section even where nothing calls
+it, and the linker keeps only the sections a program reaches.  The scan
+takes `nm -C --defined-only` of every object under TOP_BUILD/src,
+subtracts the union of the programs' symbols, and reports each `bolot::`
+function that is left, unless tools/reachability_allow.txt lists its
+qualified name.
 
-Out of reach: a template instantiation (a `<` before the parameter list)
-is skipped, because a program links only the instantiations it uses; and
-header-only inline code is never emitted where nothing calls it, so an
-unused inline function is invisible to this scan.  To find those by
-hand, build the programs and the ledger as above with
-`-fkeep-inline-functions` added to the compile flags, so that every
-inline function a header defines is emitted in its own section, and diff
-the programs' symbols against those of the `src/` objects: an inline
-function that no program keeps has no caller.  A file-local helper
-(anonymous namespace) is reported only when it is all that its object
-leaves unreached; next to an unreached or allowlisted function of its
-own file, it is taken to be that function's helper.
+Skipped, because no one wrote them as functions of their own:
+- a template instantiation (a `<` before the parameter list), since a
+  program links only the instantiations it uses;
+- a constructor or destructor that is not a strong global (`T`)
+  symbol.  The compiler writes implicit ones (a result struct's default,
+  copy and move constructors) as weak symbols, or as local ones inside
+  an anonymous namespace, and keeps them wherever a kept inline function
+  uses them.  A user-written out-of-line constructor is a `T` symbol and
+  is still reported; one written inline in a header is weak as well, so
+  it goes unscanned;
+- a captureless lambda's static invoker `_FUN` and its conversion to a
+  function pointer.  The closure type declares both implicitly, and
+  `-fkeep-inline-functions` emits them even where no program converts
+  the lambda; the lambda's body, its `operator()`, is still scanned.
+
+A file-local helper (anonymous namespace) is reported only when it is
+all that its object leaves unreached; next to an unreached or
+allowlisted function of its own file, it is taken to be that function's
+helper.
 
 Allowlist: one qualified name per line (`bolot::sim::Link::audit_verify`,
 no parameter list, so it covers every overload and the lambdas inside),
@@ -47,7 +57,7 @@ import tempfile
 from pathlib import Path
 
 REQUIRED_CXX_FLAGS = ("-O0", "-fno-inline", "-ffunction-sections",
-                      "-fdata-sections")
+                      "-fdata-sections", "-fkeep-inline-functions")
 REQUIRED_LINK_FLAG = "-Wl,--gc-sections"
 PROGRAM_DIRS = ("bench", "examples", "tools")
 LEDGER_PROGRAM = "perf_ledger"
@@ -57,6 +67,10 @@ LOCAL = "(anonymous namespace)"
 # `operator()`, and the anonymous namespace.
 PLAIN_SPELLINGS = re.compile(
     r"operator(<=>|<<=|<<|<=|<|\(\))|" + re.escape(LOCAL))
+# A closure type's implicit members: the static invoker of a captureless
+# lambda and its conversion to a function pointer (`operator()` has no
+# space after `operator`, so the lambda's body does not match).
+LAMBDA_IMPLICIT = re.compile(r"\}::(?:_FUN\(|operator )")
 
 
 def split_symbol(symbol: str) -> tuple[str, bool]:
@@ -77,14 +91,23 @@ def split_symbol(symbol: str) -> tuple[str, bool]:
     return symbol if name is None else name, templated
 
 
-def text_symbols(path: Path) -> set[str]:
+def is_special_member(name: str) -> bool:
+    """Whether a qualified name (`ns::Class::Class`, `ns::Class::~Class`)
+    is a constructor or destructor."""
+    scope, _, member = name.rpartition("::")
+    return bool(scope) and (member.startswith("~")
+                            or scope.rpartition("::")[2] == member)
+
+
+def text_symbols(path: Path) -> dict[str, str]:
+    """Demangled symbol -> its nm type letter, for the text symbols."""
     out = subprocess.run(["nm", "-C", "--defined-only", str(path)],
                          check=True, capture_output=True, text=True).stdout
-    symbols = set()
+    symbols = {}
     for line in out.splitlines():
         parts = line.split(" ", 2)
         if len(parts) == 3 and parts[1] in TEXT_TYPES:
-            symbols.add(parts[2])
+            symbols[parts[2]] = parts[1]
     return symbols
 
 
@@ -102,14 +125,19 @@ def unreached(objects: list[Path], programs: list[Path]) -> dict[str, set]:
     unreached function the scan already names."""
     linked: set[str] = set()
     for program in programs:
-        linked |= text_symbols(program)
+        linked |= text_symbols(program).keys()
     found: dict[str, set] = {}
     for obj in objects:
         names: dict[str, set] = {}
-        for symbol in text_symbols(obj) - linked:
+        for symbol, kind in text_symbols(obj).items():
+            if symbol in linked or LAMBDA_IMPLICIT.search(symbol):
+                continue
             name, templated = split_symbol(symbol)
-            if name.startswith("bolot::") and not templated:
-                names.setdefault(name, set()).add(symbol)
+            if not name.startswith("bolot::") or templated:
+                continue
+            if kind != "T" and is_special_member(name):
+                continue
+            names.setdefault(name, set()).add(symbol)
         public = {n: s for n, s in names.items() if LOCAL not in n}
         for name, symbols in (public or names).items():
             found.setdefault(name, set()).update(symbols)
@@ -179,20 +207,39 @@ def scan(top: Path, ledger: Path, allow_path: Path) -> int:
 
 
 SELF_TEST_LIB = """
+#include <vector>
 namespace bolot {
+struct Holder {  // its constructor and destructor are compiler-written
+  std::vector<int> values;
+};
+struct Planted {
+  Planted();
+  int value = 0;
+};
+Planted::Planted() : value(3) {}
+inline int planted_inline(int x) { return x - 1; }
 int used(int x) { return x + 1; }
-int planted(int x) { return x * 2; }
+int planted(int x) {
+  Holder holder;
+  holder.values.push_back(x);
+  return static_cast<int>(holder.values.size());
+}
 }  // namespace bolot
 """
 SELF_TEST_MAIN = """
 namespace bolot { int used(int x); }
 int main() { return bolot::used(-1); }
 """
+SELF_TEST_EXPECTED = {"bolot::planted", "bolot::planted_inline",
+                      "bolot::Planted::Planted"}
 
 
 def self_test() -> int:
-    """A library of two functions and a main that calls one of them: the
-    scan must report exactly the other."""
+    """A library and a main that calls one of its functions: the scan must
+    report the uncalled function, the uncalled inline function and the
+    uncalled out-of-line constructor, and not the compiler-written
+    constructor and destructor of Holder that the uncalled function
+    uses."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "lib.cpp").write_text(SELF_TEST_LIB)
@@ -205,12 +252,15 @@ def self_test() -> int:
                            check=True)
         subprocess.run([cxx, REQUIRED_LINK_FLAG, str(main_obj), str(obj),
                         "-o", str(program)], check=True)
+        holder = {s for s in text_symbols(obj) if "Holder::" in s}
         found = unreached([obj], [program])
-    if set(found) != {"bolot::planted"}:
-        print(f"SELF-TEST FAIL: expected only bolot::planted unreached, "
-              f"got {sorted(found)}", file=sys.stderr)
+    if len(holder) < 2 or set(found) != SELF_TEST_EXPECTED:
+        print(f"SELF-TEST FAIL: expected {sorted(SELF_TEST_EXPECTED)} "
+              f"unreached beside two emitted Holder members, got "
+              f"{sorted(found)} and {sorted(holder)}", file=sys.stderr)
         return 1
-    print("reachability --self-test: the planted function is reported")
+    print("reachability --self-test: the planted functions are reported, "
+          "the compiler-written ones are not")
     return 0
 
 
@@ -222,7 +272,7 @@ def main() -> int:
     parser.add_argument("ledger_build", nargs="?", type=Path,
                         help="the bench/perf_ledger build directory")
     parser.add_argument("--self-test", action="store_true",
-                        help="plant an unused function and expect a report")
+                        help="plant unused functions and expect a report")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
