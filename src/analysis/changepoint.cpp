@@ -18,6 +18,8 @@ constexpr double kSigmaFloorFraction = 0.001;
 /// statistic (difference of means over pooled standard error).
 constexpr double kMinTStatistic = 6.0;
 constexpr std::size_t kMaxChangepoints = 16;
+/// Minimum segment length of a segmentation split.
+constexpr std::size_t kMinSegment = 30;
 
 }  // namespace
 
@@ -62,12 +64,12 @@ struct SplitCandidate {
 };
 
 /// Best mean-shift split of xs[lo, hi): maximizes the two-sample t-like
-/// statistic across all cut points respecting min_segment.
+/// statistic across all cut points respecting kMinSegment.
 SplitCandidate best_split(std::span<const double> xs, std::size_t lo,
-                          std::size_t hi, std::size_t min_segment) {
+                          std::size_t hi) {
   SplitCandidate best;
   const std::size_t n = hi - lo;
-  if (n < 2 * min_segment) return best;
+  if (n < 2 * kMinSegment) return best;
 
   // Prefix sums for O(1) segment means/variances.
   std::vector<double> sum(n + 1, 0.0), sum_sq(n + 1, 0.0);
@@ -75,7 +77,7 @@ SplitCandidate best_split(std::span<const double> xs, std::size_t lo,
     sum[i + 1] = sum[i] + xs[lo + i];
     sum_sq[i + 1] = sum_sq[i] + xs[lo + i] * xs[lo + i];
   }
-  for (std::size_t cut = min_segment; cut + min_segment <= n; ++cut) {
+  for (std::size_t cut = kMinSegment; cut + kMinSegment <= n; ++cut) {
     const double n_left = static_cast<double>(cut);
     const double n_right = static_cast<double>(n - cut);
     const double mean_left = sum[cut] / n_left;
@@ -96,26 +98,21 @@ SplitCandidate best_split(std::span<const double> xs, std::size_t lo,
 }
 
 void segment_recursive(std::span<const double> xs, std::size_t lo,
-                       std::size_t hi, const SegmentationOptions& options,
-                       std::vector<std::size_t>& changes) {
+                       std::size_t hi, std::vector<std::size_t>& changes) {
   if (changes.size() >= kMaxChangepoints) return;
-  const SplitCandidate split = best_split(xs, lo, hi, options.min_segment);
+  const SplitCandidate split = best_split(xs, lo, hi);
   if (split.t_statistic < kMinTStatistic) return;
   changes.push_back(split.index);
-  segment_recursive(xs, lo, split.index, options, changes);
-  segment_recursive(xs, split.index, hi, options, changes);
+  segment_recursive(xs, lo, split.index, changes);
+  segment_recursive(xs, split.index, hi, changes);
 }
 
 }  // namespace
 
-std::vector<std::size_t> segment_mean_shifts(
-    std::span<const double> xs, const SegmentationOptions& options) {
-  if (options.min_segment == 0) {
-    throw std::invalid_argument("segment_mean_shifts: min_segment == 0");
-  }
+std::vector<std::size_t> segment_mean_shifts(std::span<const double> xs) {
   std::vector<std::size_t> changes;
-  if (xs.size() >= 2 * options.min_segment) {
-    segment_recursive(xs, 0, xs.size(), options, changes);
+  if (xs.size() >= 2 * kMinSegment) {
+    segment_recursive(xs, 0, xs.size(), changes);
   }
   std::sort(changes.begin(), changes.end());
   return changes;

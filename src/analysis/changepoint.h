@@ -44,15 +44,9 @@ struct CusumResult {
 CusumResult cusum_detect(std::span<const double> xs,
                          const CusumOptions& options = {});
 
-struct SegmentationOptions {
-  /// Minimum segment length; splits producing shorter segments are not
-  /// considered.
-  std::size_t min_segment = 30;
-};
-
 /// Offline mean-shift segmentation: returns change indices in increasing
-/// order (each index is the first sample of a new segment).
-std::vector<std::size_t> segment_mean_shifts(
-    std::span<const double> xs, const SegmentationOptions& options = {});
+/// order (each index is the first sample of a new segment).  Splits that
+/// would leave a segment shorter than 30 samples are not considered.
+std::vector<std::size_t> segment_mean_shifts(std::span<const double> xs);
 
 }  // namespace bolot::analysis

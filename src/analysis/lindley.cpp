@@ -159,13 +159,12 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
   return estimate;
 }
 
-BottleneckEstimate estimate_bottleneck_packet_pair(
-    const ProbeTrace& trace, const PacketPairOptions& options) {
+BottleneckEstimate estimate_bottleneck_packet_pair(const ProbeTrace& trace) {
   // The index is the seq: the pairs are adjacent records, and
   // validate_probe_order has already ruled out late and duplicate ones.
   const auto& records = trace.records;
   StreamingPacketPair core(ByteSize::bytes(trace.probe_wire_bytes),
-                           records.size(), options);
+                           records.size());
   validate_probe_order(trace, "estimate_bottleneck_packet_pair");
   for (std::size_t n = 0; n < records.size(); ++n) {
     if (!records[n].received) continue;

@@ -8,7 +8,6 @@
 // equals rtt_{n+1} - rtt_n + delta (D and P/mu cancel in the difference).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -48,9 +47,6 @@ struct WorkloadOptions {
   double bin_ms = 1.0;
   double max_ms = 0.0;             // histogram upper edge; 0 -> auto
   double min_peak_mass = 0.01;
-  /// Reference cross-traffic packet size for labeling peaks (the paper
-  /// identifies ~488-byte FTP packets).
-  std::int64_t reference_packet_bytes = 512;
 };
 
 /// Builds the Fig.-8/9 distribution and decodes its peaks: a fold over
@@ -88,16 +84,10 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace);
 /// kPairSendGap and takes the median return spacing.
 inline constexpr Duration kPairSendGap = Duration::micros(500);
 
-struct PacketPairOptions {
-  /// Pairs whose return spacing exceeds this multiple of the median are
-  /// counted as interleaved (reported via cluster_fraction).  Must be
-  /// >= 1.0 so the cluster always contains at least the median spacing.
-  double outlier_factor = 1.5;
-};
-
-/// Throws std::invalid_argument when no back-to-back pair was received or
-/// when options.outlier_factor < 1.0.
-BottleneckEstimate estimate_bottleneck_packet_pair(
-    const ProbeTrace& trace, const PacketPairOptions& options = {});
+/// Pairs whose return spacing exceeds 1.5 x the median are counted as
+/// interleaved (reported via cluster_fraction); the cluster always holds
+/// at least the median spacing.  Throws std::invalid_argument when no
+/// back-to-back pair was received.
+BottleneckEstimate estimate_bottleneck_packet_pair(const ProbeTrace& trace);
 
 }  // namespace bolot::analysis

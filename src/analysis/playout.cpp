@@ -9,8 +9,11 @@ namespace bolot::analysis {
 
 namespace {
 
-/// Adaptive playout's safety factor on the filtered deviation.
+/// Adaptive playout's exponential filter gain, its safety factor on the
+/// filtered deviation, and its packets per (pseudo) talkspurt.
+constexpr double kAlpha = 0.998;
 constexpr double kBeta = 4.0;
+constexpr std::size_t kWindow = 50;
 
 }  // namespace
 
@@ -64,13 +67,9 @@ double size_fixed_playout(const ProbeTrace& trace,
   return delays[keep - 1];  // all received delays <= this are on time
 }
 
-PlayoutResult evaluate_adaptive_playout(
-    const ProbeTrace& trace, const AdaptivePlayoutOptions& options) {
+PlayoutResult evaluate_adaptive_playout(const ProbeTrace& trace) {
   if (trace.records.empty()) {
     throw std::invalid_argument("evaluate_adaptive_playout: empty trace");
-  }
-  if (options.alpha <= 0.0 || options.alpha >= 1.0 || options.window == 0) {
-    throw std::invalid_argument("evaluate_adaptive_playout: bad options");
   }
   // The first received delay seeds the filter; until then the playout
   // delay is 0.
@@ -85,7 +84,7 @@ PlayoutResult evaluate_adaptive_playout(
   std::size_t delay_count = 0;
   for (std::size_t n = 0; n < trace.records.size(); ++n) {
     // Window boundary: adopt the current estimate for the next window.
-    if (n % options.window == 0) {
+    if (n % kWindow == 0) {
       playout_delay = initialized ? d_hat + kBeta * v_hat : 0.0;
     }
     const auto& record = trace.records[n];
@@ -100,9 +99,8 @@ PlayoutResult evaluate_adaptive_playout(
       initialized = true;
       if (playout_delay <= 0.0) playout_delay = d_hat + kBeta * v_hat;
     } else {
-      d_hat = options.alpha * d_hat + (1.0 - options.alpha) * delay_ms;
-      v_hat = options.alpha * v_hat +
-              (1.0 - options.alpha) * std::abs(delay_ms - d_hat);
+      d_hat = kAlpha * d_hat + (1.0 - kAlpha) * delay_ms;
+      v_hat = kAlpha * v_hat + (1.0 - kAlpha) * std::abs(delay_ms - d_hat);
     }
     if (delay_ms > playout_delay) ++late;
     delay_sum += playout_delay;

@@ -16,8 +16,6 @@
 //     updated per talkspurt (here: per window of packets).
 #pragma once
 
-#include <cstddef>
-
 #include "analysis/probe_trace.h"
 
 namespace bolot::analysis {
@@ -39,15 +37,10 @@ PlayoutResult evaluate_fixed_playout(const ProbeTrace& trace,
 /// exceeds it).
 double size_fixed_playout(const ProbeTrace& trace, double target_gap_fraction);
 
-struct AdaptivePlayoutOptions {
-  double alpha = 0.998;     // exponential filter gain
-  std::size_t window = 50;  // packets per (pseudo) talkspurt
-};
-
-/// Evaluates the adaptive policy; the playout delay is recomputed at each
-/// window boundary as the filtered delay plus 4 filtered deviations.  The
-/// first received delay seeds the filter.
-PlayoutResult evaluate_adaptive_playout(
-    const ProbeTrace& trace, const AdaptivePlayoutOptions& options = {});
+/// Evaluates the adaptive policy with filter gain a = 0.998; the playout
+/// delay is recomputed every 50 packets (one pseudo talkspurt) as the
+/// filtered delay plus 4 filtered deviations.  The first received delay
+/// seeds the filter.  Throws std::invalid_argument for an empty trace.
+PlayoutResult evaluate_adaptive_playout(const ProbeTrace& trace);
 
 }  // namespace bolot::analysis

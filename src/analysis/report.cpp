@@ -50,8 +50,7 @@ void overview_section(std::ostream& os, const ProbeTrace& trace) {
 
 void delay_section(std::ostream& os, const ProbeTrace& trace,
                    std::span<const double> rtts,
-                   const std::optional<BottleneckEstimate>& bottleneck,
-                   const ReportOptions& options) {
+                   const std::optional<BottleneckEstimate>& bottleneck) {
   os << "== Delay (section 4) ==\n";
   if (rtts.empty()) {
     os << "no probes received; nothing to report\n\n";
@@ -106,7 +105,7 @@ void delay_section(std::ostream& os, const ProbeTrace& trace,
     os << "bottleneck mu-hat: compression cluster too thin to trust\n";
   }
 
-  if (options.include_plots && rtts.size() >= 4) {
+  if (rtts.size() >= 4) {
     const PhasePlot plot = build_phase_plot(trace);
     PlotOptions plot_options;
     plot_options.title = "phase plot";
@@ -152,14 +151,12 @@ void workload_section(std::ostream& os, const ProbeTrace& trace,
                                    : std::string("-"));
     }
     peaks.print(os);
-    if (options.include_plots) {
-      PlotOptions plot_options;
-      plot_options.title = "w_{n+1} - w_n + delta distribution";
-      plot_options.x_label = "ms";
-      plot_options.width = kPlotWidth;
-      histogram_plot(os, workload.histogram.centers(),
-                     workload.histogram.densities(), plot_options);
-    }
+    PlotOptions plot_options;
+    plot_options.title = "w_{n+1} - w_n + delta distribution";
+    plot_options.x_label = "ms";
+    plot_options.width = kPlotWidth;
+    histogram_plot(os, workload.histogram.centers(),
+                   workload.histogram.densities(), plot_options);
   } catch (const std::exception& error) {
     os << "workload analysis unavailable: " << error.what() << "\n";
   }
@@ -281,6 +278,12 @@ std::string full_report(const ProbeTrace& trace, const ReportOptions& options) {
   if (trace.records.empty()) {
     throw std::invalid_argument("full_report: empty trace");
   }
+  if (options.bottleneck_bps &&
+      !(std::isfinite(*options.bottleneck_bps) &&
+        *options.bottleneck_bps > 0.0)) {
+    throw std::invalid_argument(
+        "full_report: bottleneck_bps must be finite and positive");
+  }
   // The one rtt vector the report holds, shared by the delay and model
   // sections.  The other sections fold over trace.records; the loss
   // section alone keeps a per-probe column, of 1-byte indicators.
@@ -294,11 +297,11 @@ std::string full_report(const ProbeTrace& trace, const ReportOptions& options) {
   }
   std::ostringstream os;
   overview_section(os, trace);
-  delay_section(os, trace, rtts, bottleneck, options);
+  delay_section(os, trace, rtts, bottleneck);
   workload_section(os, trace, bottleneck, options);
   loss_section(os, trace);
   structure_section(os, trace);
-  if (options.include_models) models_section(os, rtts);
+  models_section(os, rtts);
   return os.str();
 }
 

@@ -15,16 +15,14 @@ struct ReportOptions {
   /// Bottleneck rate for eq.-6 inversion; unset = use the trace's own
   /// estimate_bottleneck() result when one exists.
   std::optional<double> bottleneck_bps;
-  /// Render ASCII phase plot / workload histogram sections.
-  bool include_plots = true;
-  /// Fit AR / ARMA / constant+gamma models (slower on huge traces).
-  bool include_models = true;
 };
 
-/// Renders the full report.  Works on any ProbeTrace (simulated, live, or
-/// loaded from CSV); sections that need data the trace lacks (echo
-/// timestamps, losses, a compression cluster) state so instead of
-/// failing.  Throws std::invalid_argument only for an empty trace.
+/// Renders the full report, ASCII phase plot, workload histogram and
+/// AR / ARMA / constant+gamma models included.  Works on any ProbeTrace
+/// (simulated, live, or loaded from CSV); sections that need data the
+/// trace lacks (echo timestamps, losses, a compression cluster) state so
+/// instead of failing.  Throws std::invalid_argument for an empty trace
+/// and for a bottleneck_bps that is set but not finite and positive.
 std::string full_report(const ProbeTrace& trace,
                         const ReportOptions& options = {});
 

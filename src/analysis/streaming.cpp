@@ -7,6 +7,17 @@
 
 namespace bolot::analysis {
 
+namespace {
+
+/// The packet-pair cluster cut, as a multiple of the median spacing: at
+/// least 1, so the cluster always holds the median.
+constexpr double kOutlierFactor = 1.5;
+/// Reference cross-traffic packet for labeling workload peaks (the paper
+/// identifies ~488-byte FTP packets): 512 bytes.
+constexpr double kReferencePacketBits = 512 * 8;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // StreamingLossState
 // ---------------------------------------------------------------------------
@@ -112,17 +123,8 @@ GilbertFit StreamingLossState::gilbert() const {
 // ---------------------------------------------------------------------------
 
 StreamingPacketPair::StreamingPacketPair(ByteSize probe_wire,
-                                         std::size_t max_pairs,
-                                         const PacketPairOptions& options)
-    : probe_bits_(static_cast<double>(probe_wire.bit_count())),
-      outlier_factor_(options.outlier_factor) {
-  // The cluster cut is med * outlier_factor; below 1.0 it can exclude
-  // even the median spacing itself, leaving an empty cluster (and a
-  // division by zero in estimate()).  The negation also rejects NaN.
-  if (!(outlier_factor_ >= 1.0)) {
-    throw std::invalid_argument(
-        "StreamingPacketPair: outlier_factor must be >= 1");
-  }
+                                         std::size_t max_pairs)
+    : probe_bits_(static_cast<double>(probe_wire.bit_count())) {
   spacings_ms_.reserve(max_pairs);
 }
 
@@ -161,7 +163,7 @@ BottleneckEstimate StreamingPacketPair::estimate() {
   double sum = 0.0;
   std::size_t count = 0;
   for (const double s : spacings_ms_) {
-    if (s <= med * outlier_factor_) {
+    if (s <= med * kOutlierFactor) {
       sum += s;
       ++count;
     }
@@ -204,8 +206,6 @@ StreamingLindley::StreamingLindley(Duration delta, ByteSize probe_wire,
       delta_ms_(delta.millis()),
       mu_bits_per_ms_(options.bottleneck_bps * 1e-3),
       probe_bits_(static_cast<double>(probe_wire.bit_count())),
-      reference_bits_(
-          static_cast<double>(options.reference_packet_bytes * 8)),
       min_peak_mass_(options.min_peak_mass) {
   if (options.bottleneck_bps <= 0.0) {
     throw std::invalid_argument("StreamingLindley: mu must be positive");
@@ -263,7 +263,7 @@ WorkloadAnalysis StreamingLindley::analysis() const {
     const bool is_idle = std::abs(peak.center - delta_ms_) <= half_bin;
     // Every other peak is labeled as k reference packets.
     if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
-      wp.cross_packets = wp.workload_bits / reference_bits_;
+      wp.cross_packets = wp.workload_bits / kReferencePacketBits;
     }
     result.peaks.push_back(wp);
   }

@@ -99,10 +99,8 @@ class StreamingPacketPair {
  public:
   /// `max_pairs` fixes the spacing capacity: the constructor reserves it
   /// and push() never allocates; a spacing past it throws
-  /// std::length_error.  Throws std::invalid_argument unless
-  /// options.outlier_factor >= 1.
-  StreamingPacketPair(ByteSize probe_wire, std::size_t max_pairs,
-                      const PacketPairOptions& options = {});
+  /// std::length_error.
+  StreamingPacketPair(ByteSize probe_wire, std::size_t max_pairs);
 
   /// The return of probe `seq`, sent at `send_time`, back at
   /// `return_time`.  A seq gap breaks the chain (the probes between were
@@ -114,14 +112,13 @@ class StreamingPacketPair {
   std::size_t rejected() const { return rejected_; }
 
   /// The median return spacing and the centroid of the spacings within
-  /// outlier_factor of it.  Throws std::invalid_argument when no pair has
+  /// 1.5 x of it.  Throws std::invalid_argument when no pair has
   /// formed.  Sorts the kept spacings in place; their order is not state.
   BottleneckEstimate estimate();
 
  private:
   std::vector<double> spacings_ms_;
   double probe_bits_ = 0.0;
-  double outlier_factor_ = 0.0;
   std::size_t rejected_ = 0;
   bool have_last_ = false;
   std::uint64_t last_seq_ = 0;
@@ -166,7 +163,6 @@ class StreamingLindley {
   double delta_ms_ = 0.0;
   double mu_bits_per_ms_ = 0.0;
   double probe_bits_ = 0.0;
-  double reference_bits_ = 0.0;
   double min_peak_mass_ = 0.0;
   std::size_t samples_ = 0;
   std::size_t busy_ = 0;

@@ -16,6 +16,9 @@ namespace {
 /// Per-series sample budget before decimation; even (see
 /// obs::TimeSeries::check_budget).
 constexpr std::size_t kObsSeriesBudget = 16384;
+/// Packet size of background traffic: the packetized zone's Poisson
+/// sources and the M/D/1 moments of the fluid links' displaced traffic.
+constexpr ByteSize kBackgroundPacket = ByteSize::bytes(512);
 
 /// The one PDES domain clamp (see the ScenarioBuild constructor).
 std::size_t clamp_domains(const TopologyPlan& plan, std::size_t requested,
@@ -39,18 +42,12 @@ std::size_t clamp_domains(const TopologyPlan& plan, std::size_t requested,
 /// the downstream range checks and reach every aggregate as a plausible
 /// wrong answer.
 void validate(const FluidBackgroundConfig& c) {
-  const double peak = c.flow_peak.bps();
   const std::pair<bool, const char*> checks[] = {
       {c.duty >= 0.0 && c.duty <= 1.0, "duty outside [0, 1]"},
       {c.max_link_load > 0.0 && c.max_link_load <= 1.0,
        "max_link_load outside (0, 1]"},
-      {std::isfinite(peak) && peak >= 0.0,
-       "flow_peak must be finite and non-negative"},
-      {c.mean_packet > ByteSize::zero(), "mean_packet must be positive"},
       {c.envelope_states != 1,
        "envelope_states must be 0 (unmodulated) or at least 2"},
-      {c.envelope_swing >= 0.0 && c.envelope_swing < 1.0,
-       "envelope_swing outside [0, 1)"},
   };
   for (const auto& [ok, what] : checks) {
     if (!ok) {
@@ -102,7 +99,6 @@ void reject_foreign_overrides(const ScenarioOverrides& o, bool chain) {
     bool chain_only;
   };
   const Field fields[] = {
-      {o.bottleneck_rate.has_value(), "bottleneck_rate", true},
       {o.bottleneck_buffer_packets.has_value(), "bottleneck_buffer_packets",
        true},
       {o.bottleneck_red.has_value(), "bottleneck_red", true},
@@ -190,29 +186,24 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
 
   // Unit peaks would load link i at duty per crossing over its capacity;
   // scale so the busiest link carries max_link_load.
-  double peak = config.flow_peak.bps();
-  if (peak <= 0.0) {
-    const std::vector<double> unit_demand =
-        repeated_sums(config.duty, crossings);
-    double worst = 0.0;
-    for (std::size_t i = 0; i < links; ++i) {
-      if (unit_demand[i] > 0.0) {
-        worst = std::max(worst,
-                         unit_demand[i] / net.link_at(i).config().rate.bps());
-      }
+  const std::vector<double> unit_demand =
+      repeated_sums(config.duty, crossings);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < links; ++i) {
+    if (unit_demand[i] > 0.0) {
+      worst = std::max(worst,
+                       unit_demand[i] / net.link_at(i).config().rate.bps());
     }
-    peak = worst > 0.0 ? config.max_link_load / worst : 0.0;
   }
+  const double peak = worst > 0.0 ? config.max_link_load / worst : 0.0;
 
   // A fluid flow folds to its mean rate with peak and duty each held at
   // float precision; every link it crosses gets that one addend.
   const float fluid_peak = static_cast<float>(peak);
   if (!std::isfinite(fluid_peak)) {
     throw std::invalid_argument(
-        config.flow_peak.is_positive()
-            ? "FluidBackgroundConfig: flow_peak exceeds float range"
-            : "FluidBackgroundConfig: duty calibrates a flow peak past "
-              "float range");
+        "FluidBackgroundConfig: duty calibrates a flow peak past float "
+        "range");
   }
   const double flow_demand = static_cast<double>(fluid_peak) *
                              static_cast<double>(static_cast<float>(config.duty));
@@ -226,7 +217,7 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
   const double mean_flow_bps = peak * config.duty;
   if (packetized_ > 0 && mean_flow_bps > 0.0) {
     const double packet_bits =
-        static_cast<double>(config.mean_packet.bit_count());
+        static_cast<double>(kBackgroundPacket.bit_count());
     sources_.reserve(packetized_);
     std::uint32_t next_flow = 1;
     stream = SplitMix64(pair_seed);
@@ -237,7 +228,7 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
       sources_.push_back(std::make_unique<sim::PoissonSource>(
           build.sim_for(src), net, src, topo.hosts[p % hosts], next_flow++,
           sim::PacketKind::kBulk, packet_rng_.split(),
-          Duration::seconds(packet_bits / mean_flow_bps), config.mean_packet));
+          Duration::seconds(packet_bits / mean_flow_bps), kBackgroundPacket));
     }
   }
 
@@ -254,16 +245,14 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
     sim::FluidAggregateConfig aggregate;
     aggregate.capacity = link.config().rate;
     aggregate.queue_model = config.queue_model;
-    aggregate.mean_packet = config.mean_packet;
+    aggregate.mean_packet = kBackgroundPacket;
     aggregates_[i] = std::make_unique<sim::FluidAggregate>(
         link_sim, aggregate, Rng(derive_stream_seed(config.seed ^ 0xF1u, i)));
     link.attach_fluid(*aggregates_[i]);
     if (config.envelope_states >= 2) {
       envelopes_.push_back(std::make_unique<sim::FluidFlow>(
-          link_sim,
-          sim::FluidFlowConfig::envelope(demand, config.envelope_states,
-                                         config.envelope_swing,
-                                         config.envelope_mean_holding),
+          link_sim, demand, config.envelope_states,
+          config.envelope_mean_holding,
           Rng(derive_stream_seed(config.seed ^ 0xE2u, i))));
       envelopes_.back()->attach(*aggregates_[i]);
     } else {

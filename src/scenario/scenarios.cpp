@@ -44,7 +44,6 @@ sim::LinkConfig hop(Bandwidth rate, Duration propagation,
 
 void apply_overrides(PathSpec& path, const ScenarioOverrides& o) {
   sim::LinkConfig& bottleneck = path.hops[path.bottleneck_hop];
-  if (o.bottleneck_rate) bottleneck.rate = *o.bottleneck_rate;
   if (o.bottleneck_buffer_packets) {
     bottleneck.buffer_packets = *o.bottleneck_buffer_packets;
   }
@@ -213,24 +212,13 @@ PathSpec inria_umd_path() {
           /*bottleneck_hop=*/3,
           /*faulty_hops=*/{6, 7},
           kDecstationTick,  // DECstation 5000
-          CrossTraffic{}};
+          kInriaUmdCrossTraffic};
 }
 
 PathSpec umd_pitt_path() {
   // The T3 backbone is fast; the Pittsburgh campus Ethernet is the
   // bottleneck ("very likely that the bottleneck bandwidth is much higher
   // than ... 128 kb/s").  Fixed RTT ~ 25 ms.
-  //
-  // Campus-Ethernet cross traffic: full-MTU packets and larger bursts
-  // (many concurrent flows share the 10 Mb/s segment), so probes queue
-  // for several ms and the delta = 8 ms compression line of Fig. 5
-  // appears.
-  const CrossTraffic cross{.session_load = 0.22,
-                           .bulk_load = 0.45,
-                           .mean_burst_packets = 30.0,
-                           .interactive_load = 0.08,
-                           .bulk_packet = ByteSize::bytes(1500),
-                           .interactive_packet = ByteSize::bytes(128)};
   return {umd_pitt_route_names(),
           {
               hop(Bandwidth::bps(10e6), Duration::millis(0.2), 100),  // lena -> avw1hub
@@ -250,20 +238,12 @@ PathSpec umd_pitt_path() {
           /*bottleneck_hop=*/11,
           /*faulty_hops=*/{10},
           kUmdPittClockTick,
-          cross};
+          kUmdPittCrossTraffic};
 }
 
 PathSpec inria_europe_path() {
   // Six hops inside Europe; the 2 Mb/s national backbone segment is the
   // bottleneck.  Fixed RTT ~ 45 ms.
-  //
-  // European mid-speed path: the same traffic families at intermediate
-  // intensity (the bottleneck is 16x faster than the transatlantic link,
-  // packets are the same sizes).
-  const CrossTraffic cross{.session_load = 0.30,
-                           .bulk_load = 0.30,
-                           .mean_burst_packets = 12.0,
-                           .interactive_load = 0.08};
   return {inria_europe_route_names(),
           {
               hop(Bandwidth::bps(10e6), Duration::millis(0.3), 100),  // tom -> t8-gw
@@ -275,7 +255,7 @@ PathSpec inria_europe_path() {
           /*bottleneck_hop=*/2,
           /*faulty_hops=*/{3},
           kDecstationTick,  // same INRIA source host
-          cross};
+          kInriaEuropeCrossTraffic};
 }
 
 }  // namespace

@@ -73,24 +73,23 @@ struct CrossTraffic {
 /// flows that touch the zone become real packet sources.
 struct FluidBackgroundConfig {
   std::size_t flows = 10000;
-  /// On/off shape of each flow: peak rate and fraction of time on.  Only
-  /// the mean (peak x duty) is modeled, so the cycle length is not a knob.
-  /// A zero flow_peak auto-calibrates the peak so the busiest link
-  /// carries `max_link_load` of its capacity in mean background demand.
-  Bandwidth flow_peak = Bandwidth::zero();
+  /// On/off shape of each flow: the fraction of time on.  Only the mean
+  /// (peak x duty) is modeled, so the cycle length is not a knob, and the
+  /// peak is calibrated so the busiest link carries `max_link_load` of
+  /// its capacity in mean background demand.
   double duty = 0.5;
   double max_link_load = 0.5;
   /// How fluid-served links model queueing (see sim::FluidQueueModel):
   /// kResidualRate drains probes at the residual capacity; kMd1Wait adds
-  /// a sampled M/D/1 wait that also matches delay variance.
+  /// a sampled M/D/1 wait of 512-byte displaced packets that also
+  /// matches delay variance.
   sim::FluidQueueModel queue_model = sim::FluidQueueModel::kResidualRate;
-  ByteSize mean_packet = ByteSize::bytes(512);
   /// Optional K-state envelope modulation of each fluid link's aggregate
-  /// demand (0 = constant mean demand).  The envelope is the only event
-  /// source a fluid link has: O(1) per link, independent of flow count.
+  /// demand (0 = constant mean demand), swinging +-50 % around the mean.
+  /// The envelope is the only event source a fluid link has: O(1) per
+  /// link, independent of flow count.
   std::size_t envelope_states = 0;
   Duration envelope_mean_holding = Duration::seconds(2);
-  double envelope_swing = 0.5;
   std::uint64_t seed = 0xF10D;
 };
 
@@ -99,8 +98,7 @@ struct FluidBackgroundConfig {
 /// rejects it; the run_topology-only knobs at the end are rejected by the
 /// chain scenarios.  Both throw std::invalid_argument naming the field.
 struct ScenarioOverrides {
-  /// Chain only: the bottleneck hop's rate and buffer.
-  std::optional<Bandwidth> bottleneck_rate;
+  /// Chain only: the bottleneck hop's buffer.
   std::optional<std::size_t> bottleneck_buffer_packets;
   /// Chain only: RED at the bottleneck (both directions) instead of
   /// drop-tail.
@@ -223,6 +221,27 @@ inline constexpr Bandwidth kInriaUmdBottleneck = Bandwidth::kbps(128);
 inline constexpr Duration kInriaUmdFixedRtt = Duration::millis(140);
 inline constexpr Bandwidth kUmdPittBottleneck = Bandwidth::mbps(10);
 inline constexpr Duration kUmdPittClockTick = Duration::millis(3);
+/// Each path's default cross-traffic mix.  The INRIA-UMd path runs
+/// CrossTraffic's defaults.  The Pittsburgh campus Ethernet carries full-MTU
+/// packets and larger bursts (many concurrent flows share the 10 Mb/s
+/// segment), so probes queue for several ms and the delta = 8 ms
+/// compression line of Fig. 5 appears.  The European mid-speed path
+/// carries the same traffic families at intermediate intensity (the
+/// bottleneck is 16x faster than the transatlantic link, packets are the
+/// same sizes).
+inline constexpr CrossTraffic kInriaUmdCrossTraffic{};
+inline constexpr CrossTraffic kUmdPittCrossTraffic{
+    .session_load = 0.22,
+    .bulk_load = 0.45,
+    .mean_burst_packets = 30.0,
+    .interactive_load = 0.08,
+    .bulk_packet = ByteSize::bytes(1500),
+    .interactive_packet = ByteSize::bytes(128)};
+inline constexpr CrossTraffic kInriaEuropeCrossTraffic{
+    .session_load = 0.30,
+    .bulk_load = 0.30,
+    .mean_burst_packets = 12.0,
+    .interactive_load = 0.08};
 inline constexpr Bandwidth kInriaEuropeBottleneck = Bandwidth::mbps(2);
 
 }  // namespace bolot::scenario

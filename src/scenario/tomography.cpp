@@ -33,8 +33,10 @@ constexpr double kRidgeLambda = 1e-6;
 /// the gauges read it); each rtt comes from the probe's own source_ts, as
 /// NetDyn takes it, so the sender keeps no per-probe table.  The side
 /// flow's returns stream into one packet-pair estimator, which keeps one
-/// spacing per pair.
-struct Stream {
+/// spacing per pair.  Cache-line aligned: no two streams share a line,
+/// and the 256-byte stride keeps `streams[s]` on the per-probe path a
+/// shift.
+struct alignas(64) Stream {
   Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes,
          ByteSize probe_wire, std::size_t max_pairs)
       : src(src_node),

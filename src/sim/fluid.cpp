@@ -133,68 +133,33 @@ void FluidAggregate::audit_verify() const {
 // ---------------------------------------------------------------------------
 // FluidFlow
 
-FluidFlowConfig FluidFlowConfig::envelope(Bandwidth peak_rate,
-                                          std::size_t states, double swing,
-                                          Duration mean_holding) {
+FluidFlow::FluidFlow(Simulator& sim, Bandwidth mean_rate, std::size_t states,
+                     Duration mean_holding, Rng rng)
+    : sim_(sim), mean_rate_(mean_rate), rng_(rng) {
+  // State i's rate is the mean x (1 + kEnvelopeSwing u_i), u_i in [-1, 1].
+  constexpr double kEnvelopeSwing = 0.5;
   if (states < 2) {
-    throw std::invalid_argument("FluidFlowConfig::envelope: need >= 2 states");
+    throw std::invalid_argument("FluidFlow: need >= 2 states");
   }
-  if (swing < 0.0 || swing >= 1.0) {
-    throw std::invalid_argument(
-        "FluidFlowConfig::envelope: swing outside [0, 1)");
+  if (mean_rate < Bandwidth::zero()) {
+    throw std::invalid_argument("FluidFlow: negative mean rate");
   }
-  FluidFlowConfig config;
-  config.peak_rate = peak_rate;
-  config.state_rate_fraction.resize(states);
-  config.mean_holding.assign(states, mean_holding);
-  config.transition.assign(states * states, 0.0);
+  if (mean_holding <= Duration::zero()) {
+    throw std::invalid_argument("FluidFlow: non-positive holding time");
+  }
+  state_rate_fraction_.resize(states);
+  mean_holding_.assign(states, mean_holding);
+  transition_.assign(states * states, 0.0);
   for (std::size_t i = 0; i < states; ++i) {
-    const double u = states == 1
-                         ? 0.0
-                         : 2.0 * static_cast<double>(i) /
-                                   static_cast<double>(states - 1) -
-                               1.0;
-    config.state_rate_fraction[i] = 1.0 + swing * u;
+    const double u =
+        2.0 * static_cast<double>(i) / static_cast<double>(states - 1) - 1.0;
+    state_rate_fraction_[i] = 1.0 + kEnvelopeSwing * u;
     // Uniform jumps to every other state: the stationary distribution is
     // uniform, so the stationary mean fraction is exactly 1.0.
     for (std::size_t j = 0; j < states; ++j) {
       if (j != i) {
-        config.transition[i * states + j] =
-            1.0 / static_cast<double>(states - 1);
+        transition_[i * states + j] = 1.0 / static_cast<double>(states - 1);
       }
-    }
-  }
-  return config;
-}
-
-FluidFlow::FluidFlow(Simulator& sim, FluidFlowConfig config, Rng rng)
-    : sim_(sim), config_(std::move(config)), rng_(rng) {
-  if (config_.peak_rate < Bandwidth::zero()) {
-    throw std::invalid_argument("FluidFlow: negative peak rate");
-  }
-  if (config_.modulated()) {
-    const std::size_t k = config_.state_count();
-    if (config_.mean_holding.size() != k ||
-        config_.transition.size() != k * k || config_.initial_state >= k) {
-      throw std::invalid_argument("FluidFlow: malformed modulation");
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      if (config_.mean_holding[i] <= Duration::zero()) {
-        throw std::invalid_argument("FluidFlow: non-positive holding time");
-      }
-      double row = 0.0;
-      for (std::size_t j = 0; j < k; ++j) row += config_.transition[i * k + j];
-      if (std::abs(row - 1.0) > 1e-9) {
-        throw std::invalid_argument("FluidFlow: transition row must sum to 1");
-      }
-    }
-  } else {
-    if (config_.duty < 0.0 || config_.duty > 1.0) {
-      throw std::invalid_argument("FluidFlow: duty outside [0, 1]");
-    }
-    if (config_.period < Duration::zero() ||
-        config_.phase < Duration::zero()) {
-      throw std::invalid_argument("FluidFlow: negative period or phase");
     }
   }
 }
@@ -219,58 +184,30 @@ void FluidFlow::set_rate(double bps) {
 void FluidFlow::start(SimTime at) {
   if (started_) throw std::logic_error("FluidFlow: started twice");
   started_ = true;
-  if (config_.modulated()) {
-    state_ = config_.initial_state;
-    sim_.schedule_at(at, [this] {
-      set_rate(config_.peak_rate.bps() *
-               config_.state_rate_fraction[state_]);
-      on_transition(/*rearm=*/false);
-    });
-    return;
-  }
-  if (config_.period.is_zero() || config_.duty >= 1.0) {
-    // Constant-rate flow: one edge, no recurring events.
-    sim_.schedule_at(at + config_.phase,
-                     [this] { set_rate(config_.peak_rate.bps()); });
-    return;
-  }
-  if (config_.duty <= 0.0) return;  // never on
-  // One self-flipping edge event: rearm_in re-fires this same closure, so
-  // the flip lives in the closure, not in two alternating callbacks.
-  sim_.schedule_at(at + config_.phase, [this] {
-    on_ = !on_;
-    set_rate(on_ ? config_.peak_rate.bps() : 0.0);
-    on_onoff_edge();
+  sim_.schedule_at(at, [this] {
+    set_rate(mean_rate_.bps() * state_rate_fraction_[state_]);
+    on_transition(/*rearm=*/false);
   });
-}
-
-void FluidFlow::on_onoff_edge() {
-  // Called from within the edge event with the *new* on_ already applied:
-  // schedule the opposite edge.  rearm_in reuses the dispatching slot, so
-  // a deterministic on/off flow costs exactly one live event forever.
-  const Duration on_span = config_.period * config_.duty;
-  const Duration off_span = config_.period - on_span;
-  sim_.rearm_in(on_ ? on_span : off_span);
 }
 
 void FluidFlow::on_transition(bool rearm) {
   // Hold in the current state, then jump.  The holding draw happens at
   // entry so the trajectory is a pure function of the rng stream.
-  const Duration hold = rng_.exponential_time(config_.mean_holding[state_]);
+  const Duration hold = rng_.exponential_time(mean_holding_[state_]);
   const auto jump = [this] {
-    const std::size_t k = config_.state_count();
+    const std::size_t k = state_rate_fraction_.size();
     const double u = rng_.uniform();
     double cumulative = 0.0;
     std::size_t next = k - 1;  // guard against rounding at u ~ 1
     for (std::size_t j = 0; j < k; ++j) {
-      cumulative += config_.transition[state_ * k + j];
+      cumulative += transition_[state_ * k + j];
       if (u < cumulative) {
         next = j;
         break;
       }
     }
     state_ = next;
-    set_rate(config_.peak_rate.bps() * config_.state_rate_fraction[state_]);
+    set_rate(mean_rate_.bps() * state_rate_fraction_[state_]);
     on_transition(/*rearm=*/true);
   };
   if (rearm) {
@@ -283,7 +220,7 @@ void FluidFlow::on_transition(bool rearm) {
 void FluidFlow::audit_verify() const {
   SIM_CHECK(rate_bps_ >= 0.0 && std::isfinite(rate_bps_),
             "FluidFlow: rate %.3f bps out of range", rate_bps_);
-  SIM_CHECK(!config_.modulated() || state_ < config_.state_count(),
+  SIM_CHECK(state_ < state_rate_fraction_.size(),
             "FluidFlow: state %zu out of range", state_);
 }
 

@@ -10,10 +10,10 @@
 //     subtracts the demand from its service capacity, so packetized probes
 //     see a time-varying residual rate, while fluid-vs-fluid contention
 //     resolves analytically with zero events per fluid "packet".
-//   * FluidFlow — an event-driven piecewise-constant rate process
-//     (deterministic on/off, or an MMPP-style K-state modulated chain)
-//     feeding one or more same-domain aggregates.  Cost: O(1) events per
-//     rate edge, independent of the rate itself.
+//   * FluidFlow — an event-driven piecewise-constant rate process (an
+//     MMPP-style K-state modulated chain) feeding one or more same-domain
+//     aggregates.  Cost: O(1) events per rate edge, independent of the
+//     rate itself.
 //
 // The 10^5..10^6 background flows themselves are never stored: the
 // scenario layer (scenario/build.h) folds their on/off structure to its
@@ -120,49 +120,29 @@ class FluidAggregate {
   SimTime accrued_to_;
 };
 
-/// Configuration of one event-driven fluid rate process.
-struct FluidFlowConfig {
-  Bandwidth peak_rate = Bandwidth::mbps(1);
-  /// Deterministic on/off: ON for duty*period, OFF for the rest, first ON
-  /// edge `phase` after start.  Zero period = constant at peak_rate
-  /// from start on (no events).
-  Duration period;
-  double duty = 1.0;
-  Duration phase;
-  /// MMPP-style modulation: when non-empty, the flow is a K-state chain
-  /// emitting peak_rate * state_rate_fraction[k] in state k, holding
-  /// exponential(mean_holding[k]) and jumping by the row-stochastic
-  /// `transition` matrix (row-major K x K, zero diagonal).  Overrides the
-  /// on/off fields.
-  std::vector<double> state_rate_fraction;
-  std::vector<Duration> mean_holding;
-  std::vector<double> transition;
-  std::size_t initial_state = 0;
-
-  bool modulated() const { return !state_rate_fraction.empty(); }
-  std::size_t state_count() const { return state_rate_fraction.size(); }
-
-  /// An evenly spread K-state envelope around a mean of 1.0: fractions in
-  /// [1-swing, 1+swing], uniform transitions, common holding time.  The
-  /// stationary mean rate is exactly peak_rate.
-  static FluidFlowConfig envelope(Bandwidth peak_rate, std::size_t states,
-                                  double swing, Duration mean_holding);
-};
-
-/// One piecewise-constant rate process driving same-domain aggregates.
-/// Rate trajectories are pure functions of (config, rng seed): replicas
-/// constructed with the same seed in different domains emit identical
-/// trajectories, which is how fluid demand crosses PDES cuts without
-/// messages (the trajectory IS the notification; MODEL_NOTES §15).
+/// One piecewise-constant rate process driving same-domain aggregates:
+/// a K-state envelope (MMPP-style modulation) around `mean_rate`.  State
+/// k emits mean_rate x (1 + 0.5 u_k), with u_k evenly spread over
+/// [-1, 1]; each state holds exponential(mean_holding) and then jumps
+/// uniformly to one of the other states, so the stationary distribution
+/// is uniform and the stationary mean rate is exactly mean_rate.  The
+/// chain starts in state 0, the lowest rate.  The constructor throws
+/// std::invalid_argument for fewer than 2 states, a negative rate or a
+/// non-positive holding time.
+/// Rate trajectories are pure functions of (arguments, rng seed):
+/// replicas constructed with the same seed in different domains emit
+/// identical trajectories, which is how fluid demand crosses PDES cuts
+/// without messages (the trajectory IS the notification; MODEL_NOTES §15).
 class FluidFlow {
  public:
-  FluidFlow(Simulator& sim, FluidFlowConfig config, Rng rng);
+  FluidFlow(Simulator& sim, Bandwidth mean_rate, std::size_t states,
+            Duration mean_holding, Rng rng);
 
   /// Adds a destination aggregate; must be called before start(), and the
   /// aggregate must be driven by the same Simulator (same PDES domain).
   void attach(FluidAggregate& aggregate);
 
-  /// Begins the rate process at absolute time `at`.
+  /// Begins the rate process, in state 0, at absolute time `at`.
   void start(SimTime at);
 
   std::uint64_t edges() const { return edges_; }
@@ -171,16 +151,19 @@ class FluidFlow {
 
  private:
   void set_rate(double bps);
-  void on_onoff_edge();
   void on_transition(bool rearm);
 
   Simulator& sim_;
-  FluidFlowConfig config_;
+  Bandwidth mean_rate_;
+  /// The chain as per-state tables: rate fraction, holding time and the
+  /// row-major K x K jump matrix.
+  std::vector<double> state_rate_fraction_;
+  std::vector<Duration> mean_holding_;
+  std::vector<double> transition_;
   Rng rng_;
   std::vector<FluidAggregate*> aggregates_;
   double rate_bps_ = 0.0;
   std::size_t state_ = 0;
-  bool on_ = false;
   std::uint64_t edges_ = 0;
   bool started_ = false;
 };

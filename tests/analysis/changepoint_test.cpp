@@ -111,21 +111,20 @@ TEST(SegmentationTest, NoFalseSplitsOnNoise) {
 }
 
 TEST(SegmentationTest, RespectsMinSegment) {
-  // A blip shorter than min_segment must not produce change points.
+  // A blip shorter than the 30-sample minimum segment must not produce
+  // change points.
   auto xs = step_series(100.0, 100.0, 0, 500, 1.0, 19);
   for (std::size_t i = 240; i < 250; ++i) xs[i] = 200.0;
-  SegmentationOptions options;
-  options.min_segment = 50;
-  const auto changes = segment_mean_shifts(xs, options);
-  EXPECT_TRUE(changes.empty());
+  EXPECT_TRUE(segment_mean_shifts(xs).empty());
 }
 
 TEST(SegmentationTest, ShortSeriesYieldsNothing) {
   const std::vector<double> xs(20, 1.0);
   EXPECT_TRUE(segment_mean_shifts(xs).empty());
-  SegmentationOptions options;
-  options.min_segment = 0;
-  EXPECT_THROW(segment_mean_shifts(xs, options), std::invalid_argument);
+  // 59 samples cannot hold two 30-sample segments, however clear the
+  // step between them.
+  const auto step = step_series(100.0, 200.0, 29, 59, 1.0, 23);
+  EXPECT_TRUE(segment_mean_shifts(step).empty());
 }
 
 }  // namespace

@@ -336,20 +336,34 @@ TEST(PacketPairTest, RobustToInterleavedCrossTraffic) {
 }
 
 TEST(PacketPairTest, RejectsOutlierFactorBelowOne) {
-  // Regression: outlier_factor < 1 can exclude even the median spacing
-  // from the cluster, making the centroid a 0/0 division.
-  const auto trace = packet_pair_trace(4.5, 0.0, 3);
-  PacketPairOptions options;
-  options.outlier_factor = 0.5;
-  EXPECT_THROW(estimate_bottleneck_packet_pair(trace, options),
-               std::invalid_argument);
-  options.outlier_factor = std::nan("");
-  EXPECT_THROW(estimate_bottleneck_packet_pair(trace, options),
-               std::invalid_argument);
-  // The boundary value keeps at least the median in the cluster.
-  options.outlier_factor = 1.0;
-  const auto estimate = estimate_bottleneck_packet_pair(trace, options);
-  EXPECT_GT(estimate.cluster_samples, 0u);
+  // The cluster cut sits at 1.5 x the median spacing, never below it: the
+  // median is always in the cluster, a spacing at the cut is kept, and
+  // one past it counts as interleaved.
+  ProbeTrace trace;
+  trace.delta = Duration::millis(50);
+  trace.probe_wire_bytes = 72;
+  std::uint64_t seq = 0;
+  for (const std::int64_t spacing_us : {4000, 4000, 4000, 6000, 6100}) {
+    const Duration base = Duration::millis(100) * static_cast<double>(seq);
+    ProbeRecord first;
+    first.seq = seq++;
+    first.send_time = base;
+    first.received = true;
+    first.rtt = Duration::millis(150);
+    trace.records.push_back(first);
+    ProbeRecord second;
+    second.seq = seq++;
+    second.send_time = base + Duration::micros(200);
+    second.received = true;
+    // Returns spacing_us after the first probe.
+    second.rtt = first.rtt + Duration::nanos(spacing_us * 1000) -
+                 Duration::micros(200);
+    trace.records.push_back(second);
+  }
+  const auto estimate = estimate_bottleneck_packet_pair(trace);
+  EXPECT_EQ(estimate.cluster_samples, 4u);
+  EXPECT_EQ(estimate.service_time_ms, 4.5);
+  EXPECT_EQ(estimate.cluster_fraction, 0.8);
 }
 
 TEST(PacketPairTest, IgnoresWideSendGaps) {

@@ -110,8 +110,7 @@ TEST(ValidateProbeOrderTest, PairwiseEstimatorsRejectUnsortedTraces) {
   EXPECT_THROW(workload_samples_ms(trace), std::invalid_argument);
   EXPECT_THROW(analyze_workload(trace, {}), std::invalid_argument);
   EXPECT_THROW(estimate_bottleneck(trace), std::invalid_argument);
-  EXPECT_THROW(estimate_bottleneck_packet_pair(trace, {}),
-               std::invalid_argument);
+  EXPECT_THROW(estimate_bottleneck_packet_pair(trace), std::invalid_argument);
   EXPECT_THROW(build_phase_plot(trace), std::invalid_argument);
   EXPECT_THROW(analyze_phase_plot(trace), std::invalid_argument);
   EXPECT_THROW(reorder_stats(trace), std::invalid_argument);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "scenario/scenarios.h"
 #include "tests/analysis/trace_fixtures.h"
 
@@ -56,16 +60,36 @@ TEST(FullReportTest, AllLostTraceMentionsReachability) {
 }
 
 TEST(FullReportTest, PlotsCanBeDisabled) {
+  // There is no switch: the phase plot and the models section are
+  // always rendered.
   scenario::ProbePlan plan;
   plan.delta = Duration::millis(50);
   plan.duration = Duration::minutes(1);
   const auto result = scenario::run_inria_umd(plan);
-  ReportOptions options;
-  options.include_plots = false;
-  options.include_models = false;
-  const std::string report = full_report(result.trace, options);
-  EXPECT_EQ(report.find("[y: rtt_{n+1}"), std::string::npos);
-  EXPECT_EQ(report.find("== Models"), std::string::npos);
+  const std::string report = full_report(result.trace);
+  EXPECT_NE(report.find("[y: rtt_{n+1}"), std::string::npos);
+  EXPECT_NE(report.find("== Models"), std::string::npos);
+  EXPECT_NE(report.find("AR(1): phi = "), std::string::npos);
+}
+
+TEST(FullReportTest, RejectsNonPositiveOrNonFiniteBottleneckRate) {
+  // A forced rate that is set must be usable, never silently replaced
+  // by the trace's own estimate or used as NaN.
+  const auto trace = make_trace(50, {100.0, 101.0, 102.0});
+  for (const double mu : {0.0, -5.0, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(mu);
+    ReportOptions options;
+    options.bottleneck_bps = mu;
+    try {
+      full_report(trace, options);
+      ADD_FAILURE() << "bottleneck_bps " << mu << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bottleneck_bps"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FullReportTest, ForcedBottleneckRateIsUsed) {

@@ -92,10 +92,10 @@ void expect_estimates_equal(const BottleneckEstimate& got,
 /// oracle independent of StreamingPacketPair (which the batch entry point
 /// folds over): adjacent received records sent within the pair gap keep
 /// their positive return spacing; then the median and the centroid of
-/// the spacings within outlier_factor of it.  nullopt when no pair formed.
+/// the spacings within 1.5 x of it.  nullopt when no pair formed.
 std::optional<BottleneckEstimate> reference_packet_pair(
     const ProbeTrace& trace) {
-  const PacketPairOptions options;
+  constexpr double kOutlierFactor = 1.5;
   std::vector<double> spacings;
   const auto& records = trace.records;
   for (std::size_t n = 0; n + 1 < records.size(); ++n) {
@@ -114,7 +114,7 @@ std::optional<BottleneckEstimate> reference_packet_pair(
   double sum = 0.0;
   std::size_t count = 0;
   for (const double spacing : spacings) {
-    if (spacing <= med * options.outlier_factor) {
+    if (spacing <= med * kOutlierFactor) {
       sum += spacing;
       ++count;
     }
@@ -258,12 +258,22 @@ TEST(StreamingPacketPairTest, KeepsOnlyPositiveSpacingsWithinTheSendGap) {
 }
 
 TEST(StreamingPacketPairTest, RejectsOutlierFactorBelowOne) {
-  PacketPairOptions options;
-  options.outlier_factor = 0.99;
-  EXPECT_THROW(StreamingPacketPair(ByteSize::bytes(72), 8, options),
-               std::invalid_argument);
-  StreamingPacketPair empty(ByteSize::bytes(72), 8);
-  EXPECT_THROW(empty.estimate(), std::invalid_argument);
+  // The cut is 1.5 x the median, never below it: the median spacing is
+  // always in the cluster, 6 ms (at the cut) is kept, 6.1 ms is not.
+  StreamingPacketPair streaming(ByteSize::bytes(72), 8);
+  EXPECT_THROW(streaming.estimate(), std::invalid_argument);
+  const auto us = [](std::int64_t v) { return Duration::nanos(v * 1000); };
+  std::uint64_t seq = 0;
+  for (const std::int64_t spacing_us : {4000, 6100, 4000, 6000, 4000}) {
+    const Duration base = us(100'000) * static_cast<double>(seq);
+    streaming.push(seq++, base, base + us(150'000));
+    streaming.push(seq++, base + us(200), base + us(150'000 + spacing_us));
+  }
+  ASSERT_EQ(streaming.pairs(), 5u);
+  const BottleneckEstimate estimate = streaming.estimate();
+  EXPECT_EQ(estimate.cluster_samples, 4u);
+  EXPECT_EQ(estimate.service_time_ms, 4.5);
+  EXPECT_EQ(estimate.cluster_fraction, 0.8);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@
 namespace bolot::scenario {
 namespace {
 
+/// The displaced packet size a fluid link's kMd1Wait moments use (the
+/// background's fixed 512 bytes, MODEL_NOTES §15).
+constexpr ByteSize kBackgroundPacket = ByteSize::bytes(512);
+
 struct TraceMoments {
   double mean_ms = 0.0;
   double jitter_ms = 0.0;
@@ -45,10 +49,11 @@ ScenarioOverrides fabric_overrides(sim::FluidQueueModel queue_model) {
   overrides.topology = spec;
   FluidBackgroundConfig background;
   background.flows = 2000;
-  background.duty = 1.0;  // constant mean demand: the M/D/1 assumption
+  // Only each link's mean demand is modelled, whatever the duty; the
+  // M/D/1 waits assume Poisson arrivals at that mean.
+  background.duty = 1.0;
   background.max_link_load = 0.5;
   background.queue_model = queue_model;
-  background.mean_packet = ByteSize::bytes(512);
   overrides.fluid_background = background;
   return overrides;
 }
@@ -68,9 +73,8 @@ TEST(FluidValidationTest, HybridMatchesKiaMeanAndJitterOnFatTree) {
   for (const ScenarioResult::ProbeHop& hop : result.probe_hops) {
     hops.push_back({hop.capacity, hop.fluid, hop.propagation});
   }
-  const model::KiaDelay predicted = model::kia_path_delay(
-      hops, plan.probe_wire,
-      overrides.fluid_background->mean_packet);
+  const model::KiaDelay predicted =
+      model::kia_path_delay(hops, plan.probe_wire, kBackgroundPacket);
   const TraceMoments measured = moments(result.trace);
 
   EXPECT_NEAR(measured.mean_ms, predicted.mean_seconds * 1e3,

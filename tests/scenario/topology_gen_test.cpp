@@ -239,11 +239,9 @@ TEST(RunTopologyTest, FluidEventCountIsFlatInFlowCount) {
 /// count x addend rounds differently from the repeated one (at duty 0.5
 /// every partial sum is exact, and the two agree).
 ScenarioOverrides pinned_fabric(std::size_t flows,
-                                std::optional<std::size_t> radius,
-                                Bandwidth peak) {
+                                std::optional<std::size_t> radius) {
   ScenarioOverrides overrides = small_fabric(1, radius);
   overrides.fluid_background->flows = flows;
-  overrides.fluid_background->flow_peak = peak;
   overrides.fluid_background->duty = 0.3;
   overrides.fluid_background->envelope_states = 0;
   return overrides;
@@ -265,7 +263,7 @@ void expect_probe_hop_fluid(const ScenarioResult& result,
 
 TEST(RunTopologyTest, CalibratedFluidDemandIsPinned) {
   const ScenarioResult result = run_topology(
-      pinned_plan(), pinned_fabric(100000, std::nullopt, Bandwidth::zero()));
+      pinned_plan(), pinned_fabric(100000, std::nullopt));
   EXPECT_EQ(result.background_flows_fluid, 100000u);
   EXPECT_EQ(result.background_flows_packetized, 0u);
   expect_probe_hop_fluid(
@@ -277,16 +275,18 @@ TEST(RunTopologyTest, CalibratedFluidDemandIsPinned) {
 }
 
 TEST(RunTopologyTest, ExplicitPeakFluidDemandIsPinned) {
-  const ScenarioResult result = run_topology(
-      pinned_plan(), pinned_fabric(10000, std::nullopt, Bandwidth::kbps(300)));
+  // The peak is always calibrated from max_link_load: a second flow
+  // count pins that calibration and the fold at another population.
+  const ScenarioResult result =
+      run_topology(pinned_plan(), pinned_fabric(10000, std::nullopt));
   EXPECT_EQ(result.background_flows_fluid, 10000u);
   EXPECT_EQ(result.background_flows_packetized, 0u);
   expect_probe_hop_fluid(
       result,
-      {0x1.a6f94119fb8p+25, 0x1.9cac89131dbp+26, 0x1.5ee038e9eadp+27,
-       0x1.554348e3823p+27, 0x1.8c89ad085bc8p+26, 0x1.9bfcc112a88p+25,
-       0x1.9d5c511392ep+25, 0x1.988dd9105e9p+26, 0x1.53e3b8e297dp+27,
-       0x1.5074d0e04dep+27, 0x1.784820fadacp+26, 0x1.930f990cb51p+25});
+      {0x1.b3ea35a29c23p+21, 0x1.a94cd16b888aep+22, 0x1.699c7821130ccp+23,
+       0x1.5fb43cba7838cp+23, 0x1.98ab92487260dp+22, 0x1.a897a89b0fc5p+21,
+       0x1.aa01fa3c0150cp+21, 0x1.a50ddc88b3e7ap+22, 0x1.5e49eb1986accp+23,
+       0x1.5ac01f072acecp+23, 0x1.83cb5e4287938p+22, 0x1.9f649604edb8ap+21});
 }
 
 TEST(RunTopologyTest, PacketizedSplitIsPinned) {
@@ -294,7 +294,7 @@ TEST(RunTopologyTest, PacketizedSplitIsPinned) {
   // and the packet sources' flow ids and rng splits (through the event
   // and delivery counts), are what this pins.
   const ScenarioResult result = run_topology(
-      pinned_plan(), pinned_fabric(2000, 1, Bandwidth::zero()));
+      pinned_plan(), pinned_fabric(2000, 1));
   EXPECT_EQ(result.background_flows_fluid, 242u);
   EXPECT_EQ(result.background_flows_packetized, 1758u);
   EXPECT_EQ(result.events, 1226061u);
@@ -308,8 +308,6 @@ TEST(RunTopologyTest, RejectsChainOverrides) {
   // ignored field.
   using Set = void (*)(ScenarioOverrides&);
   const std::pair<const char*, Set> fields[] = {
-      {"bottleneck_rate",
-       [](ScenarioOverrides& o) { o.bottleneck_rate = Bandwidth::mbps(1); }},
       {"bottleneck_buffer_packets",
        [](ScenarioOverrides& o) { o.bottleneck_buffer_packets = 8; }},
       {"bottleneck_red",

@@ -443,9 +443,7 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
       aggregates.back()->add_base_rate(Bandwidth::bps(demand));
     } else {
       envelopes.push_back(std::make_unique<FluidFlow>(
-          link_sim,
-          FluidFlowConfig::envelope(Bandwidth::bps(demand), 3, 0.5,
-                                    Duration::millis(120)),
+          link_sim, Bandwidth::bps(demand), 3, Duration::millis(120),
           Rng(derive_stream_seed(seed ^ 0xE2u, uid))));
       envelopes.back()->attach(*aggregates.back());
     }

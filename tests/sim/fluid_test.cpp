@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -89,55 +90,59 @@ TEST(FluidAggregateTest, Md1WaitMatchesPollaczekKhinchineMoments) {
 }
 
 TEST(FluidFlowTest, OnOffEdgesToggleAggregateDemand) {
+  // A two-state envelope swinging +-50 % around 300 kb/s: every jump
+  // leaves its state for the other, so each edge toggles the aggregate's
+  // demand between 150 and 450 kb/s, starting low at the start edge.
   Simulator simulator;
   FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(1));
-  FluidFlowConfig config;
-  config.peak_rate = Bandwidth::bps(300e3);
-  config.period = Duration::seconds(1);
-  config.duty = 0.25;
-  config.phase = Duration::millis(100);
-  FluidFlow flow(simulator, config, Rng(2));
+  FluidFlow flow(simulator, Bandwidth::bps(300e3), 2, Duration::millis(100),
+                 Rng(2));
   flow.attach(fluid);
   flow.start(Duration::zero());
 
-  simulator.run_until(Duration::millis(50));  // before the first ON edge
-  EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 0.0);
-  simulator.run_until(Duration::millis(200));  // ON: [0.1 s, 0.35 s)
-  EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 300e3);
-  simulator.run_until(Duration::millis(500));  // OFF again
-  EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 0.0);
-  simulator.run_until(Duration::millis(1200));  // next cycle's ON span
-  EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 300e3);
-  EXPECT_EQ(flow.edges(), 3u);
+  for (int step = 0; step <= 200; ++step) {
+    simulator.run_until(Duration::millis(10 * step));
+    ASSERT_GE(flow.edges(), 1u);
+    EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(),
+                     flow.edges() % 2 == 1 ? 150e3 : 450e3)
+        << "at " << 10 * step << " ms";
+    EXPECT_EQ(fluid.rate_changes(), flow.edges());
+  }
+  EXPECT_GT(flow.edges(), 3u);
   flow.audit_verify();
 }
 
 TEST(FluidFlowTest, ConstantFlowCostsNoEvents) {
+  // Constant demand is not a FluidFlow: it is the aggregate's base rate,
+  // which schedules nothing.  A one-state flow would be that constant,
+  // so it is a named error.
   Simulator simulator;
   FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(1));
-  FluidFlowConfig config;
-  config.peak_rate = Bandwidth::bps(250e3);  // period zero = constant from start
-  FluidFlow flow(simulator, config, Rng(2));
-  flow.attach(fluid);
-  flow.start(Duration::zero());
+  fluid.add_base_rate(Bandwidth::bps(250e3));
   simulator.run_until(Duration::seconds(5));
   EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 250e3);
-  EXPECT_LE(simulator.events_dispatched(), 1u);  // the single start edge
+  EXPECT_EQ(simulator.events_dispatched(), 0u);
+  try {
+    FluidFlow flow(simulator, Bandwidth::bps(250e3), 1, Duration::seconds(1),
+                   Rng(2));
+    ADD_FAILURE() << "a one-state flow was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "FluidFlow: need >= 2 states");
+  }
 }
 
 TEST(FluidFlowTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
-  // The PDES contract: a replica constructed with the same (config, seed)
-  // in another domain emits the identical trajectory, so fluid demand
-  // crosses cuts without messages.
-  FluidFlowConfig config = FluidFlowConfig::envelope(
-      /*peak_rate=*/Bandwidth::mbps(1), /*states=*/4, /*swing=*/0.5,
-      /*mean_holding=*/Duration::millis(50));
+  // The PDES contract: a replica constructed with the same (arguments,
+  // seed) in another domain emits the identical trajectory, so fluid
+  // demand crosses cuts without messages.
   std::vector<double> rates_a, rates_b;
   std::vector<std::uint64_t> edges_a, edges_b;
   for (int replica = 0; replica < 2; ++replica) {
     Simulator simulator;
     FluidAggregate fluid(simulator, aggregate_config(10e6), Rng(1));
-    FluidFlow flow(simulator, config, Rng(0xFEED));
+    FluidFlow flow(simulator, /*mean_rate=*/Bandwidth::mbps(1),
+                   /*states=*/4, /*mean_holding=*/Duration::millis(50),
+                   Rng(0xFEED));
     flow.attach(fluid);
     flow.start(Duration::zero());
     auto& rates = replica == 0 ? rates_a : rates_b;
@@ -154,24 +159,26 @@ TEST(FluidFlowTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
 }
 
 TEST(FluidFlowTest, EnvelopeConfigHasStationaryMeanAtPeak) {
-  const FluidFlowConfig config =
-      FluidFlowConfig::envelope(Bandwidth::mbps(1), 5, 0.4, Duration::seconds(1));
-  ASSERT_EQ(config.state_count(), 5u);
-  double mean_fraction = 0.0;
-  for (const double f : config.state_rate_fraction) mean_fraction += f;
-  mean_fraction /= static_cast<double>(config.state_count());
-  // Uniform transitions + common holding time -> uniform stationary
-  // distribution, so the arithmetic mean of the fractions is the
-  // stationary mean rate.
-  EXPECT_NEAR(mean_fraction, 1.0, 1e-12);
-  for (std::size_t row = 0; row < 5; ++row) {
-    double sum = 0.0;
-    for (std::size_t col = 0; col < 5; ++col) {
-      sum += config.transition[row * 5 + col];
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(config.transition[row * 5 + row], 0.0);
+  // Five states swinging +-50 % around 1 Mb/s: the rates are 0.5, 0.75,
+  // 1, 1.25 and 1.5 Mb/s, and uniform jumps with a common holding time
+  // make the stationary distribution uniform, so the time-average demand
+  // is the mean rate.
+  Simulator simulator;
+  FluidAggregate fluid(simulator, aggregate_config(10e6), Rng(1));
+  FluidFlow flow(simulator, Bandwidth::mbps(1), 5, Duration::millis(1),
+                 Rng(7));
+  flow.attach(fluid);
+  flow.start(Duration::zero());
+  std::set<double> rates;
+  for (int step = 1; step <= 100'000; ++step) {
+    simulator.run_until(Duration::millis(step));
+    rates.insert(fluid.fluid_rate().bps());
   }
+  EXPECT_EQ(rates, (std::set<double>{0.5e6, 0.75e6, 1e6, 1.25e6, 1.5e6}));
+  EXPECT_GT(flow.edges(), 50'000u);
+  // Utilization is the time-average demand over the 10 Mb/s capacity.
+  EXPECT_NEAR(fluid.utilization(simulator.now()), 0.1, 0.001);
+  flow.audit_verify();
 }
 
 TEST(FluidLinkTest, PacketsServeAtResidualRate) {

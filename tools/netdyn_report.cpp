@@ -4,8 +4,9 @@
 //
 // Loads a CSV written by netdyn_probe (or analysis::save_trace_csv) and
 // prints the full section-4/5 report.  Pass the bottleneck rate in bit/s
-// to force the eq.-6 inversion rate; otherwise the compression-peak
-// estimate is used when available.
+// (finite and positive) to force the eq.-6 inversion rate; otherwise the
+// compression-peak estimate is used when available.
+#include <cmath>
 #include <iostream>
 #include <stdexcept>
 
@@ -22,12 +23,19 @@ int main(int argc, char** argv) {
   }
   analysis::ReportOptions options;
   if (argc >= 3) {
+    double mu_bps = 0.0;
     try {
-      options.bottleneck_bps = parse_f64("mu_bps", argv[2]);
+      mu_bps = parse_f64("mu_bps", argv[2]);
     } catch (const std::invalid_argument& e) {
       std::cerr << "netdyn_report: " << e.what() << "\n" << usage;
       return 2;
     }
+    if (!(std::isfinite(mu_bps) && mu_bps > 0.0)) {
+      std::cerr << "netdyn_report: mu_bps must be finite and positive\n"
+                << usage;
+      return 2;
+    }
+    options.bottleneck_bps = mu_bps;
   }
   try {
     const analysis::ProbeTrace trace = analysis::load_trace_csv(argv[1]);

@@ -8,7 +8,7 @@
 //     --seed <uint64>            experiment seed         (default 1993)
 //     --buffer <packets>         bottleneck buffer override (at most 100000)
 //     --drop <prob>              faulty-interface drop override
-//     --load <scale>             cross-traffic intensity multiplier
+//     --load <scale>             multiplier on the scenario's cross-traffic loads
 //     --red                      RED at the bottleneck instead of drop-tail
 //     --csv <path>               save the raw trace
 //     --report                   print the full analysis report
@@ -17,6 +17,7 @@
 //   netdyn_sim --delta-ms 8 --csv delta8.csv
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -44,6 +45,7 @@ int main(int argc, char** argv) {
   std::string scenario_name = "inria-umd";
   scenario::ProbePlan plan;
   scenario::ScenarioOverrides overrides;
+  std::optional<double> load_scale;
   std::string csv_path;
   bool want_report = false;
 
@@ -72,12 +74,7 @@ int main(int argc, char** argv) {
         }
         overrides.faulty_interface_drop = bolot::Probability::checked(p);
       } else if (arg == "--load") {
-        const double scale = parse_f64(arg, next_value());
-        scenario::CrossTraffic cross;
-        cross.session_load *= scale;
-        cross.bulk_load *= scale;
-        cross.interactive_load *= scale;
-        overrides.cross_traffic = cross;
+        load_scale = parse_f64(arg, next_value());
       } else if (arg == "--red") {
         overrides.bottleneck_red = sim::RedConfig{};
       } else if (arg == "--csv") {
@@ -95,19 +92,30 @@ int main(int argc, char** argv) {
     usage_error("delta and minutes must be positive");
   }
 
+  // --load scales the chosen path's own mix, whatever the flag order.
+  decltype(&scenario::run_inria_umd) run = nullptr;
+  scenario::CrossTraffic cross;
+  if (scenario_name == "inria-umd") {
+    run = scenario::run_inria_umd;
+    cross = scenario::kInriaUmdCrossTraffic;
+  } else if (scenario_name == "umd-pitt") {
+    run = scenario::run_umd_pitt;
+    cross = scenario::kUmdPittCrossTraffic;
+  } else if (scenario_name == "inria-europe") {
+    run = scenario::run_inria_europe;
+    cross = scenario::kInriaEuropeCrossTraffic;
+  } else {
+    usage_error("unknown scenario " + scenario_name);
+  }
+  if (load_scale) {
+    cross.session_load *= *load_scale;
+    cross.bulk_load *= *load_scale;
+    cross.interactive_load *= *load_scale;
+    overrides.cross_traffic = cross;
+  }
+
   try {
-    scenario::ScenarioResult result = [&] {
-      if (scenario_name == "inria-umd") {
-        return scenario::run_inria_umd(plan, overrides);
-      }
-      if (scenario_name == "umd-pitt") {
-        return scenario::run_umd_pitt(plan, overrides);
-      }
-      if (scenario_name == "inria-europe") {
-        return scenario::run_inria_europe(plan, overrides);
-      }
-      usage_error("unknown scenario " + scenario_name);
-    }();
+    const scenario::ScenarioResult result = run(plan, overrides);
 
     std::cout << "scenario " << scenario_name << ", delta "
               << plan.delta.to_string() << ", " << result.trace.size()
