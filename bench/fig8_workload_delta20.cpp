@@ -30,7 +30,6 @@ int main() {
   options.bottleneck_bps = scenario::kInriaUmdBottleneck.bps();
   options.bin_ms = 2.0;
   options.max_ms = 90.0;
-  options.min_peak_mass = 0.01;
   const analysis::WorkloadAnalysis workload =
       analysis::analyze_workload(result.trace, options);
 

@@ -25,7 +25,6 @@ bolot::analysis::WorkloadAnalysis run_one(double delta_ms, double max_ms) {
   options.bottleneck_bps = scenario::kInriaUmdBottleneck.bps();
   options.bin_ms = 2.0;
   options.max_ms = max_ms;
-  options.min_peak_mass = 0.01;
   return analysis::analyze_workload(result.trace, options);
 }
 

@@ -40,7 +40,9 @@ HurstResult run(double pareto_shape, double minutes) {
   bottleneck_config.buffer_packets = 100000;
   sim::Link& bottleneck = net.add_duplex_link(left, right, bottleneck_config);
 
-  // 16 ON/OFF sources at ~3.2% of the link each (~51% aggregate).
+  // 16 ON/OFF sources, each sending 512 B every 10 ms while on (410 kb/s)
+  // and on a quarter of the time: ~0.1% of the link each, ~1.6% (about
+  // 1.6 Mb/s) in aggregate.
   std::vector<std::unique_ptr<sim::TrafficSource>> sources;
   Rng rng(89);
   std::vector<sim::NodeId> hosts;
@@ -66,8 +68,9 @@ HurstResult run(double pareto_shape, double minutes) {
     source->start(Duration::millis(rng.uniform(0.0, 500.0)));
   }
 
-  // Log every delivery, then bucket the arrival counts into 100 ms
-  // windows — the aggregate load series of Leland et al.
+  // Log every delivery (about 1 M per run, a quarter of the log's
+  // capacity), then bucket the arrival counts into 100 ms windows — the
+  // aggregate load series of Leland et al.
   sim::PacketLog log(1 << 22);
   log.attach(simulator, bottleneck);
   simulator.run_until(Duration::minutes(minutes));

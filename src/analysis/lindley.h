@@ -46,7 +46,6 @@ struct WorkloadOptions {
   double bottleneck_bps = 128e3;   // mu used to invert eq. (6)
   double bin_ms = 1.0;
   double max_ms = 0.0;             // histogram upper edge; 0 -> auto
-  double min_peak_mass = 0.01;
 };
 
 /// Builds the Fig.-8/9 distribution and decodes its peaks: a fold over

@@ -15,6 +15,8 @@ constexpr double kOutlierFactor = 1.5;
 /// Reference cross-traffic packet for labeling workload peaks (the paper
 /// identifies ~488-byte FTP packets): 512 bytes.
 constexpr double kReferencePacketBits = 512 * 8;
+/// A workload peak holds at least this share of the g_n samples.
+constexpr double kMinPeakMass = 0.01;
 
 }  // namespace
 
@@ -205,8 +207,7 @@ StreamingLindley::StreamingLindley(Duration delta, ByteSize probe_wire,
     : histogram_(0.0, options.max_ms, workload_bins(options)),
       delta_ms_(delta.millis()),
       mu_bits_per_ms_(options.bottleneck_bps * 1e-3),
-      probe_bits_(static_cast<double>(probe_wire.bit_count())),
-      min_peak_mass_(options.min_peak_mass) {
+      probe_bits_(static_cast<double>(probe_wire.bit_count())) {
   if (options.bottleneck_bps <= 0.0) {
     throw std::invalid_argument("StreamingLindley: mu must be positive");
   }
@@ -252,7 +253,7 @@ WorkloadAnalysis StreamingLindley::analysis() const {
   // it; a full bin's tolerance would swallow the adjacent-bin peaks too.
   const double half_bin = 0.5 * result.histogram.bin_width();
   for (const HistogramPeak& peak :
-       result.histogram.find_peaks(min_peak_mass_, 2)) {
+       result.histogram.find_peaks(kMinPeakMass, 2)) {
     WorkloadPeak wp;
     wp.position_ms = peak.center;
     wp.mass = peak.mass;

@@ -163,7 +163,6 @@ class StreamingLindley {
   double delta_ms_ = 0.0;
   double mu_bits_per_ms_ = 0.0;
   double probe_bits_ = 0.0;
-  double min_peak_mass_ = 0.0;
   std::size_t samples_ = 0;
   std::size_t busy_ = 0;
   double busy_bits_sum_ = 0.0;

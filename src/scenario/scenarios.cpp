@@ -1,7 +1,9 @@
 #include "scenario/scenarios.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "nettime/clock.h"
@@ -58,6 +60,23 @@ void apply_overrides(PathSpec& path, const ScenarioOverrides& o) {
   if (o.cross_traffic) path.cross = *o.cross_traffic;
 }
 
+/// A negative load would build no source, exactly like a zero one, so it
+/// is rejected rather than run as "no traffic".
+void check_cross_loads(const CrossTraffic& cross) {
+  const std::pair<double, const char*> loads[] = {
+      {cross.session_load,
+       "chain scenario: cross_traffic.session_load must be finite and >= 0"},
+      {cross.bulk_load,
+       "chain scenario: cross_traffic.bulk_load must be finite and >= 0"},
+      {cross.interactive_load,
+       "chain scenario: cross_traffic.interactive_load must be finite and "
+       ">= 0"},
+  };
+  for (const auto& [load, error] : loads) {
+    if (!std::isfinite(load) || load < 0.0) throw std::invalid_argument(error);
+  }
+}
+
 /// The path as a plan.  Path node i has partition hint i, so the PDES
 /// clamp cuts the path into contiguous blocks.  Two cross-traffic hosts
 /// hang off the bottleneck's routers via fast access links, so their
@@ -94,6 +113,7 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
   TRACE_SCOPE("scenario.run_chain");
   detail::reject_foreign_overrides(overrides, /*chain=*/true);
   apply_overrides(path, overrides);
+  check_cross_loads(path.cross);
   const TopologyPlan topo = path_plan(path);
   detail::ScenarioBuild build(topo, overrides.domains,
                               overrides.obs_sample_interval.has_value(),

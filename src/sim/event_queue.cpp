@@ -1,64 +1,8 @@
 #include "sim/event_queue.h"
 
-#include <mutex>
 #include <stdexcept>
 
 namespace bolot::sim {
-
-namespace {
-
-std::mutex& pool_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-/// Upper bound on retained chunks; beyond this, surplus chunks are freed
-/// so a one-off giant simulation cannot pin its slab forever.
-constexpr std::size_t kMaxPooledChunks = 256;  // 256 * 20 KiB = 5 MiB
-
-}  // namespace
-
-std::vector<std::unique_ptr<EventQueue::Slot[]>>& EventQueue::chunk_pool() {
-  static std::vector<std::unique_ptr<Slot[]>> pool;
-  return pool;
-}
-
-EventQueue::~EventQueue() {
-  // Return slots to their pristine state (drop live closures, zero the
-  // generation counters) so a recycled chunk is indistinguishable from a
-  // freshly allocated one, then hand the chunks to the pool.
-  for (auto& chunk : chunks_) {
-    for (std::uint32_t i = 0; i <= kChunkMask; ++i) {
-      chunk[i].fn.reset();
-      chunk[i].gen = 0;
-      chunk[i].next_free = kNone;
-    }
-  }
-  recycle_chunks(chunks_);
-}
-
-std::unique_ptr<EventQueue::Slot[]> EventQueue::acquire_chunk() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex());
-    auto& pool = chunk_pool();
-    if (!pool.empty()) {
-      auto chunk = std::move(pool.back());
-      pool.pop_back();
-      return chunk;
-    }
-  }
-  return std::make_unique<Slot[]>(kChunkMask + 1);
-}
-
-void EventQueue::recycle_chunks(std::vector<std::unique_ptr<Slot[]>>& chunks) {
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  auto& pool = chunk_pool();
-  for (auto& chunk : chunks) {
-    if (pool.size() >= kMaxPooledChunks) break;  // surplus is simply freed
-    pool.push_back(std::move(chunk));
-  }
-  chunks.clear();
-}
 
 void EventQueue::cancel(std::uint32_t slot_index, std::uint64_t gen) {
   if (slot_index >= slot_count_) return;
@@ -119,7 +63,7 @@ void EventQueue::grow_slab() {
         "EventQueue: slab full at 2^24 concurrently pending events (the "
         "heap key's slot field)");
   }
-  chunks_.emplace_back(acquire_chunk());
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkMask + 1));
   // Size audit_verify()'s scratch with the slab: the audit build's first
   // walk may fall inside a steady state that must not allocate.
   if constexpr (util::kAuditChecksEnabled) {

@@ -105,7 +105,6 @@ class EventHandle {
 class EventQueue {
  public:
   EventQueue() = default;
-  ~EventQueue();
   // Handles and the simulator hold back-pointers; pin the queue in place.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -451,16 +450,6 @@ class EventQueue {
   /// Appends one chunk of pristine slots (cold path).  Throws
   /// std::length_error once the slab holds kMaxSlots slots.
   void grow_slab();
-
-  // Chunks are recycled through a process-wide pool rather than freed:
-  // short-lived simulators (one per sweep point in the runner) would
-  // otherwise hand their slab pages back to the kernel on every
-  // destruction and fault them all in again on the next run.  The pool
-  // keeps the pages warm; it is mutex-guarded but only touched when a
-  // slab grows or a queue dies, never on the event hot path.
-  static std::vector<std::unique_ptr<Slot[]>>& chunk_pool();
-  static std::unique_ptr<Slot[]> acquire_chunk();
-  static void recycle_chunks(std::vector<std::unique_ptr<Slot[]>>& chunks);
 
   [[noreturn]] static void throw_past();
   [[noreturn]] static void throw_empty(const char* what);

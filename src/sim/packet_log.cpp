@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 namespace bolot::sim {
 
@@ -61,27 +61,11 @@ std::uint32_t PacketLog::intern_link(const std::string& name) {
 }
 
 void PacketLog::record(PacketEvent event) {
-  if (events_.size() < capacity_) {
-    events_.push_back(event);
-    return;
+  if (events_.size() == capacity_) {
+    throw std::length_error("PacketLog: full at its capacity of " +
+                            std::to_string(capacity_) + " events");
   }
-  events_[next_] = event;
-  next_ = (next_ + 1) % capacity_;
-  wrapped_ = true;
-  ++evicted_;
-}
-
-void PacketLog::normalize() const {
-  if (!wrapped_ || next_ == 0) return;
-  std::rotate(events_.begin(),
-              events_.begin() + static_cast<std::ptrdiff_t>(next_),
-              events_.end());
-  next_ = 0;
-}
-
-const std::vector<PacketEvent>& PacketLog::events() const {
-  normalize();
-  return events_;
+  events_.push_back(event);
 }
 
 }  // namespace bolot::sim

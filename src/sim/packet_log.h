@@ -1,7 +1,9 @@
 // Per-packet event logging for the simulator: a tcpdump for the virtual
 // network.  Attach a PacketLog to links to record departures and drops
 // with timestamps, then read events() ("which flow lost packets during the
-// burst at t = 3 s?").
+// burst at t = 3 s?").  The log is bounded: it holds at most its capacity
+// of events and throws when one more arrives, so a caller never reads a
+// series with its start silently cut off.
 //
 // Delivery events hook the link delivery hook, drop events the drop hook;
 // both chain to whatever was installed before, so logging composes with
@@ -35,8 +37,8 @@ struct PacketEvent {
 
 class PacketLog {
  public:
-  /// `capacity` bounds memory: once full, the oldest events are evicted
-  /// (ring semantics), and `evicted()` counts them.
+  /// `capacity` bounds memory: recording one event past it throws
+  /// std::length_error rather than hand back a truncated series.
   explicit PacketLog(std::size_t capacity = 1 << 20);
 
   /// Instruments `link`, chaining after any drop/delivery hooks already
@@ -51,22 +53,17 @@ class PacketLog {
   void attach_drops(Simulator& sim, Link& link);
   void attach_deliveries(Link& link);
 
-  const std::vector<PacketEvent>& events() const;
-  std::uint64_t evicted() const { return evicted_; }
+  /// Every recorded event, in record order.
+  const std::vector<PacketEvent>& events() const { return events_; }
 
  private:
   void record(PacketEvent event);
   /// Returns the id for `name`, adding it to the side table if new.
   std::uint32_t intern_link(const std::string& name);
-  /// Rebuilds events_ in chronological order if the ring has wrapped.
-  void normalize() const;
 
   std::vector<std::string> link_names_;  // id -> name
   std::size_t capacity_;
-  mutable std::vector<PacketEvent> events_;
-  mutable std::size_t next_ = 0;  // ring cursor once at capacity
-  mutable bool wrapped_ = false;
-  std::uint64_t evicted_ = 0;
+  std::vector<PacketEvent> events_;
 };
 
 }  // namespace bolot::sim

@@ -33,7 +33,6 @@ void TokenBucketShaper::offer(Packet&& packet) {
   if (queue_.empty() &&
       tokens_bytes_ >= static_cast<double>(packet.size_bytes)) {
     tokens_bytes_ -= static_cast<double>(packet.size_bytes);
-    ++forwarded_;
     net_.send(std::move(packet));
     return;
   }
@@ -57,7 +56,6 @@ void TokenBucketShaper::release_ready() {
              static_cast<double>(queue_.front().size_bytes)) {
     Packet packet = queue_.pop_front();
     tokens_bytes_ -= static_cast<double>(packet.size_bytes);
-    ++forwarded_;
     net_.send(std::move(packet));
   }
   if (!queue_.empty()) schedule_release(/*rearm=*/true);

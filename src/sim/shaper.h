@@ -35,7 +35,6 @@ class TokenBucketShaper {
   /// shaper queue is full.
   void offer(Packet&& packet);
 
-  std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t dropped() const { return dropped_; }
 
  private:
@@ -52,7 +51,6 @@ class TokenBucketShaper {
   /// Held packets; full capacity (queue_packets) is reserved at
   /// construction, so offer() never allocates.
   util::RingBuffer<Packet> queue_;
-  std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

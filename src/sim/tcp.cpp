@@ -54,7 +54,6 @@ TcpSink::TcpSink(Simulator& sim, Network& net, NodeId node)
 
 void TcpSink::on_packet(Packet&& p) {
   if (!p.has_tcp() || p.tcp().is_ack) return;  // not a data segment
-  ++received_;
   FlowState& flow = flows_[p.flow];
   const std::uint64_t seq = p.tcp().seq;
   if (seq == flow.next_expected) {
@@ -75,7 +74,6 @@ void TcpSink::on_packet(Packet&& p) {
   ack.src = node_;
   ack.dst = p.src;
   ack.set_tcp({flow.next_expected, /*is_ack=*/true});
-  ++acks_sent_;
   net_.send(std::move(ack));
 }
 

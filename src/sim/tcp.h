@@ -65,17 +65,12 @@ class TcpSink {
  public:
   TcpSink(Simulator& sim, Network& net, NodeId node);
 
-  std::uint64_t segments_received() const { return received_; }
-  std::uint64_t acks_sent() const { return acks_sent_; }
-
  private:
   void on_packet(Packet&& p);
 
   Simulator& sim_;
   Network& net_;
   NodeId node_;
-  std::uint64_t received_ = 0;
-  std::uint64_t acks_sent_ = 0;
   // Per-flow reassembly state: next expected seq + out-of-order buffer.
   struct FlowState {
     std::uint64_t next_expected = 0;

@@ -197,6 +197,37 @@ TEST(ChainScenarioTest, RejectsRunTopologyOverrides) {
   }
 }
 
+TEST(ChainScenarioTest, RejectsNegativeOrNonFiniteCrossTrafficLoads) {
+  // A negative load would build no source, the run of a zero load; each
+  // bad load is a named error instead.
+  const std::pair<const char*, double CrossTraffic::*> fields[] = {
+      {"session_load", &CrossTraffic::session_load},
+      {"bulk_load", &CrossTraffic::bulk_load},
+      {"interactive_load", &CrossTraffic::interactive_load},
+  };
+  for (const auto& [field, load] : fields) {
+    for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+      ScenarioOverrides overrides;
+      overrides.cross_traffic = kUmdPittCrossTraffic;
+      (*overrides.cross_traffic).*load = bad;
+      try {
+        run_umd_pitt(quick_plan(20, 0.1), overrides);
+        ADD_FAILURE() << field << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), std::string("chain scenario: cross_traffic.") +
+                                field + " must be finite and >= 0");
+      }
+    }
+  }
+  // Zero stays legal: no source of that family.
+  ScenarioOverrides overrides;
+  overrides.cross_traffic = CrossTraffic{};
+  overrides.cross_traffic->session_load = 0.0;
+  overrides.cross_traffic->bulk_load = 0.0;
+  overrides.cross_traffic->interactive_load = 0.0;
+  EXPECT_NO_THROW(run_umd_pitt(quick_plan(20, 0.1), overrides));
+}
+
 TEST(ChainScenarioTest, InriaUmdCountersArePinned) {
   // The paper's Table-1 path under its default probe + bulk + interactive
   // mix at delta = 20 ms: one simulated second, then the full 10 minutes.

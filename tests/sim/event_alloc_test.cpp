@@ -9,7 +9,8 @@
 // schedule -> dispatch cycle and a schedule -> cancel cycle perform zero
 // heap allocations.  This is what the InplaceFunction + slab design buys
 // over the std::function/shared_ptr implementation, which allocated three
-// times per dispatched event.
+// times per dispatched event.  The frees are counted too: a simulator that
+// dies hands back every block it allocated, slab chunks included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -35,10 +42,10 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace bolot::sim {
 namespace {
@@ -120,6 +127,29 @@ TEST(EventAllocTest, LaneAndHeapChurnIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(fired, 13u * 256u);
   EXPECT_EQ(ticks, 13u * 300u);
   EXPECT_EQ(simulator.pending_events(), 301u);
+}
+
+TEST(EventAllocTest, DestroyedQueueFreesItsSlab) {
+  // 50,000 pending events, more than any case above, need 196 slab
+  // chunks.  Everything the simulator allocated, chunks included, goes
+  // back to the allocator when it dies.
+  const std::uint64_t allocs_before =
+      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t frees_before = g_frees.load(std::memory_order_relaxed);
+  {
+    Simulator simulator;
+    int fired = 0;
+    for (int i = 0; i < 50000; ++i) {
+      simulator.schedule_in(Duration::micros(i), [&fired] { ++fired; });
+    }
+    EXPECT_EQ(simulator.pending_events(), 50000u);
+  }
+  const std::uint64_t allocs = g_allocations.load(std::memory_order_relaxed) -
+                               allocs_before;
+  const std::uint64_t frees =
+      g_frees.load(std::memory_order_relaxed) - frees_before;
+  EXPECT_GE(allocs, 196u);
+  EXPECT_EQ(frees, allocs);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "sim/network.h"
 #include "tests/sim/sim_fixtures.h"
@@ -77,21 +78,19 @@ TEST_F(LogFixture, RecordsDropsWithCauseAndTime) {
   EXPECT_EQ(dropped, 2u);
 }
 
-TEST_F(LogFixture, RingEvictsOldest) {
+TEST_F(LogFixture, RecordPastCapacityThrows) {
   PacketLog log(2);
   log.attach(simulator, *ab);
-  // Space sends so nothing queues: 3 deliveries through a 2-slot ring.
+  // Space sends so nothing queues: the third delivery finds the log full.
   for (std::uint64_t i = 0; i < 3; ++i) {
     simulator.schedule_in(Duration::millis(100.0 * i),
                           [this, i] { send(1, i); });
   }
-  drain(simulator);
+  EXPECT_THROW(drain(simulator), std::length_error);
   const auto& events = log.events();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(log.evicted(), 1u);
-  // Oldest (id 0) evicted; order preserved.
-  EXPECT_EQ(events[0].packet_id, 1u);
-  EXPECT_EQ(events[1].packet_id, 2u);
+  EXPECT_EQ(events[0].packet_id, 0u);
+  EXPECT_EQ(events[1].packet_id, 1u);
 }
 
 /// Hook chaining: the log and a counting drop hook on one link, attached

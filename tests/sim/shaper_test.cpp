@@ -16,7 +16,7 @@ struct ShaperFixture : public ::testing::Test {
     config.rate = Bandwidth::bps(100e6);
     config.propagation = Duration::micros(1);
     config.buffer_packets = 100000;
-    net.add_duplex_link(src, dst, config);
+    hop = &net.add_duplex_link(src, dst, config);
     net.set_receiver(dst, [this](Packet&& p) {
       arrivals.push_back(simulator.now());
       bytes += p.size_bytes;
@@ -35,6 +35,7 @@ struct ShaperFixture : public ::testing::Test {
   Simulator simulator;
   Network net;
   NodeId src = 0, dst = 0;
+  Link* hop = nullptr;  // src -> dst: offered counts what the shaper sends
   std::vector<Duration> arrivals;
   std::int64_t bytes = 0;
 };
@@ -45,7 +46,7 @@ TEST_F(ShaperFixture, BurstWithinBucketPassesImmediately) {
   config.bucket = ByteSize::bytes(2048);  // 4 x 512 B
   TokenBucketShaper shaper(simulator, net, config);
   for (int i = 0; i < 4; ++i) shaper.offer(make_packet());
-  EXPECT_EQ(shaper.forwarded(), 4u);  // none queued
+  EXPECT_EQ(hop->stats().offered, 4u);  // none queued
   drain(simulator);
   EXPECT_EQ(arrivals.size(), 4u);
 }
@@ -56,7 +57,7 @@ TEST_F(ShaperFixture, ExcessIsPacedAtTokenRate) {
   config.bucket = ByteSize::bytes(512);
   TokenBucketShaper shaper(simulator, net, config);
   for (int i = 0; i < 4; ++i) shaper.offer(make_packet());
-  EXPECT_EQ(shaper.forwarded(), 1u);  // bucket covered one packet
+  EXPECT_EQ(hop->stats().offered, 1u);  // bucket covered one packet
   EXPECT_EQ(shaper.dropped(), 0u);    // the other three queue
   drain(simulator);
   ASSERT_EQ(arrivals.size(), 4u);
@@ -93,7 +94,7 @@ TEST_F(ShaperFixture, TailDropWhenShaperQueueFull) {
   config.queue_packets = 2;
   TokenBucketShaper shaper(simulator, net, config);
   for (int i = 0; i < 6; ++i) shaper.offer(make_packet());
-  EXPECT_EQ(shaper.forwarded(), 1u);
+  EXPECT_EQ(hop->stats().offered, 1u);
   EXPECT_EQ(shaper.dropped(), 3u);  // two of the six queue
   drain(simulator);
 }
@@ -109,10 +110,10 @@ TEST_F(ShaperFixture, TokensRefillDuringIdle) {
   simulator.schedule_in(Duration::millis(64), [&shaper, this] {
     shaper.offer(make_packet());
     shaper.offer(make_packet());
-    EXPECT_EQ(shaper.forwarded(), 4u);  // both released at once
+    EXPECT_EQ(hop->stats().offered, 4u);  // both released at once
   });
   drain(simulator);
-  EXPECT_EQ(shaper.forwarded(), 4u);
+  EXPECT_EQ(hop->stats().offered, 4u);
 }
 
 TEST_F(ShaperFixture, OffersBehindAQueuedPacketDoNotDelayItsRelease) {
@@ -135,7 +136,7 @@ TEST_F(ShaperFixture, OffersBehindAQueuedPacketDoNotDelayItsRelease) {
   });
   simulator.run_until(Duration::millis(12));
   EXPECT_EQ(shaper.dropped(), 0u);
-  EXPECT_EQ(shaper.forwarded(), 2u);
+  EXPECT_EQ(hop->stats().offered, 2u);
   ASSERT_EQ(arrivals.size(), 2u);
   // Released at 8 ms, then 80 us on the wire and 1 us of propagation.
   EXPECT_NEAR(arrivals[1].millis(), 8.081, 0.002);

@@ -45,9 +45,11 @@ TEST_F(TcpFixture, TransfersCompleteAndAllDataIsAcked) {
 
   EXPECT_GT(source.stats().transfers_completed, 5u);
   EXPECT_GT(source.stats().segments_acked, 100u);
-  EXPECT_GT(sink.segments_received(), 0u);
-  // Conservation: every unique segment acked was received at least once.
-  EXPECT_LE(source.stats().segments_acked, sink.segments_received());
+  // Conservation: every unique segment acked was received at least once,
+  // i.e. delivered by the data direction's last hop.
+  const std::uint64_t received = bottleneck->stats().delivered;
+  EXPECT_GT(received, 0u);
+  EXPECT_LE(source.stats().segments_acked, received);
 }
 
 TEST(TcpSlowStartTest, WindowDoublesEachRttOnAFatPath) {

@@ -15,6 +15,7 @@
 //
 // Example — Table 3's delta = 8 ms cell, trace saved for later analysis:
 //   netdyn_sim --delta-ms 8 --csv delta8.csv
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -75,6 +76,9 @@ int main(int argc, char** argv) {
         overrides.faulty_interface_drop = bolot::Probability::checked(p);
       } else if (arg == "--load") {
         load_scale = parse_f64(arg, next_value());
+        if (!(*load_scale >= 0.0 && std::isfinite(*load_scale))) {
+          usage_error("--load must be finite and >= 0");
+        }
       } else if (arg == "--red") {
         overrides.bottleneck_red = sim::RedConfig{};
       } else if (arg == "--csv") {
