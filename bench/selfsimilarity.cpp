@@ -13,7 +13,7 @@
 
 #include "analysis/selfsimilar.h"
 #include "analysis/stats.h"
-#include "sim/packet_log.h"
+#include "sim/network.h"
 #include "sim/traffic.h"
 #include "util/table.h"
 
@@ -31,8 +31,8 @@ HurstResult run(double pareto_shape, double minutes) {
   sim::Network net(simulator, 83);
   const auto left = net.add_node("left");
   const auto right = net.add_node("right");
-  // A fast, deep link: deliveries track arrivals, so the logged event
-  // stream is the aggregate arrival process itself (no queue smoothing).
+  // A fast, deep link: deliveries track arrivals, so the delivery stream
+  // is the aggregate arrival process itself (no queue smoothing).
   sim::LinkConfig bottleneck_config;
   bottleneck_config.name = "aggregate";
   bottleneck_config.rate = Bandwidth::bps(100e6);
@@ -68,21 +68,24 @@ HurstResult run(double pareto_shape, double minutes) {
     source->start(Duration::millis(rng.uniform(0.0, 500.0)));
   }
 
-  // Log every delivery (about 1 M per run, a quarter of the log's
-  // capacity), then bucket the arrival counts into 100 ms windows — the
-  // aggregate load series of Leland et al.
-  sim::PacketLog log(1 << 22);
-  log.attach(simulator, bottleneck);
-  simulator.run_until(Duration::minutes(minutes));
-
-  const double window_ms = 100.0;
+  // Count every packet the link sees (about 1 M per run) into 100 ms
+  // windows — the aggregate load series of Leland et al.  A delivery
+  // counts when it arrives and a drop, should the buffer ever fill, when
+  // it falls: both are offered load.
+  constexpr double kWindowMs = 100.0;
   std::vector<double> counts(
-      static_cast<std::size_t>(minutes * 60.0 * 1000.0 / window_ms), 0.0);
-  for (const auto& event : log.events()) {
-    const auto bucket =
-        static_cast<std::size_t>(event.at.millis() / window_ms);
+      static_cast<std::size_t>(minutes * 60.0 * 1000.0 / kWindowMs), 0.0);
+  const auto count = [&counts](SimTime at) {
+    const auto bucket = static_cast<std::size_t>(at.millis() / kWindowMs);
     if (bucket < counts.size()) counts[bucket] += 1.0;
-  }
+  };
+  bottleneck.add_delivery_hook(
+      [&count](const sim::Packet&, SimTime at) { count(at); });
+  bottleneck.add_drop_hook([&count, &simulator](const sim::Packet&,
+                                                sim::DropCause) {
+    count(simulator.now());
+  });
+  simulator.run_until(Duration::minutes(minutes));
   // Drop warmup and tail windows.
   const std::vector<double> series(counts.begin() + 50, counts.end() - 50);
 

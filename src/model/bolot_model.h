@@ -5,9 +5,10 @@
 // (one packet of P bits every delta) and a batch-deterministic "Internet
 // stream": between probe arrivals n and n+1 a random batch of b_n bits
 // arrives at time t_n = n*delta + f*delta.  Waiting times follow from two
-// applications of Lindley's recurrence, exactly as derived in section 4;
-// this is also the "batch size distribution is general" model section 6
-// reports as under analysis.
+// applications of Lindley's recurrence, exactly as derived in section 4,
+// evaluated on model::FifoServer in integer nanoseconds; this is also the
+// "batch size distribution is general" model section 6 reports as under
+// analysis.
 //
 // The evaluator produces a ProbeTrace so every analysis routine (phase
 // plots, eq.-6 inversion, loss metrics) runs unchanged on model output —
@@ -50,9 +51,6 @@ struct ModelConfig {
 
 struct ModelRun {
   analysis::ProbeTrace trace;      // rtt_n with the 0-for-lost convention
-  std::vector<double> waits_ms;    // w_n for accepted probes (diagnostics)
-  std::vector<double> batches_bits;  // the b_n actually drawn
-  std::uint64_t probes_lost = 0;
   std::uint64_t batch_bits_dropped = 0;  // cross-traffic clipped at buffer
 };
 

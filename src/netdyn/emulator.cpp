@@ -17,12 +17,11 @@ PathEmulatorConfig validated(const PathEmulatorConfig& config) {
     throw std::invalid_argument(
         "PathEmulator: one_way_delay must not be negative");
   }
-  if (config.rate < Bandwidth::zero() ||
-      config.loss_probability >= Probability::one()) {
-    throw std::invalid_argument("PathEmulator: bad configuration");
+  if (config.rate < Bandwidth::zero()) {
+    throw std::invalid_argument("PathEmulator: rate must not be negative");
   }
-  if (config.rate.is_positive() && config.buffer_packets == 0) {
-    throw std::invalid_argument("PathEmulator: buffer must be positive");
+  if (config.loss_probability >= Probability::one()) {
+    throw std::invalid_argument("PathEmulator: loss_probability must be < 1");
   }
   return config;
 }
@@ -31,6 +30,8 @@ PathEmulatorConfig validated(const PathEmulatorConfig& config) {
 PathEmulator::PathEmulator(std::uint16_t listen_port,
                            PathEmulatorConfig config)
     : config_(validated(config)),
+      servers_{model::FifoServer(config_.buffer_packets),
+               model::FifoServer(config_.buffer_packets)},
       client_side_(listen_port),
       upstream_side_(0),
       rng_(config.seed) {}
@@ -57,69 +58,63 @@ PathEmulatorStats PathEmulator::stats() const {
   return out;
 }
 
-void PathEmulator::admit(bool to_target, std::vector<std::byte> payload,
-                         Duration now) {
+void PathEmulator::admit(std::size_t direction,
+                         std::vector<std::byte> payload, Duration now) {
   if (!config_.loss_probability.is_zero() &&
       rng_.chance(config_.loss_probability.value())) {
     random_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Duration depart = now;
-  if (config_.rate.is_positive()) {
-    Duration& busy_until = busy_until_[to_target ? 0 : 1];
-    const Duration service = transmission_time(
-        static_cast<std::int64_t>(payload.size()) * 8, config_.rate.bps());
-    const Duration start = std::max(now, busy_until);
-    // Drop-tail: the backlog ahead of this packet, in packets, is the
-    // queued service time over this packet's service time.
-    const double backlog_packets = (start - now) / service;
-    if (backlog_packets >= static_cast<double>(config_.buffer_packets)) {
-      overflow_drops_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    busy_until = start + service;
-    depart = busy_until;
+  const Duration service =
+      config_.rate.is_positive()
+          ? transmission_time(static_cast<std::int64_t>(payload.size()) * 8,
+                              config_.rate.bps())
+          : Duration::zero();
+  const auto departure = servers_[direction].admit(now, service);
+  if (!departure) {
+    overflow_drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  heap_.push(Pending{depart + config_.one_way_delay, next_seq_++, to_target,
-                     std::move(payload)});
+  pending_[direction].push_back(
+      Pending{*departure + config_.one_way_delay, std::move(payload)});
 }
 
-void PathEmulator::flush_due(Duration now) {
-  while (!heap_.empty() && heap_.top().due <= now) {
-    const Pending& pending = heap_.top();
-    if (pending.to_target) {
-      upstream_side_.send_to(pending.payload, config_.target);
-      forwarded_.fetch_add(1, std::memory_order_relaxed);
-    } else if (last_client_) {
-      client_side_.send_to(pending.payload, *last_client_);
-      forwarded_.fetch_add(1, std::memory_order_relaxed);
+Duration PathEmulator::flush_due(Duration now) {
+  Duration wait = Duration::millis(20);
+  for (std::size_t direction : {kToTarget, kToClient}) {
+    std::deque<Pending>& queue = pending_[direction];
+    while (!queue.empty() && queue.front().due <= now) {
+      if (direction == kToTarget) {
+        upstream_side_.send_to(queue.front().payload, config_.target);
+        forwarded_.fetch_add(1, std::memory_order_relaxed);
+      } else if (last_client_) {
+        client_side_.send_to(queue.front().payload, *last_client_);
+        forwarded_.fetch_add(1, std::memory_order_relaxed);
+      }
+      queue.pop_front();
     }
-    heap_.pop();
+    if (!queue.empty()) wait = std::min(wait, queue.front().due - now);
   }
+  return wait;
 }
 
 void PathEmulator::worker() {
   SystemClock clock;
   std::array<std::byte, kMaxDatagram> buffer{};
   while (running_.load(std::memory_order_relaxed)) {
-    const Duration now = clock.now();
-    flush_due(now);
-    Duration timeout = Duration::millis(20);
-    if (!heap_.empty()) {
-      timeout = std::clamp(heap_.top().due - now, Duration::zero(), timeout);
-    }
+    const Duration timeout = flush_due(clock.now());
     // Alternate polls across the two sockets within the timeout budget.
     const auto from_client = client_side_.receive(buffer, timeout / 2);
     if (from_client) {
       last_client_ = from_client->from;
-      admit(/*to_target=*/true,
+      admit(kToTarget,
             std::vector<std::byte>(buffer.begin(),
                                    buffer.begin() + from_client->size),
             clock.now());
     }
     const auto from_target = upstream_side_.receive(buffer, timeout / 2);
     if (from_target) {
-      admit(/*to_target=*/false,
+      admit(kToClient,
             std::vector<std::byte>(buffer.begin(),
                                    buffer.begin() + from_target->size),
             clock.now());

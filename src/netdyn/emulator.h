@@ -3,10 +3,10 @@
 //
 // PathEmulator listens on a UDP port and relays datagrams to a target
 // (and replies back to the most recent client), imposing the Fig.-3 path
-// model in *wall-clock* time: one-way propagation delay, a serialization
-// rate with a finite drop-tail queue, and random loss.  Point the real
-// prober at the emulator instead of the echo server and it measures a
-// transatlantic-1992 path on loopback:
+// model in *wall-clock* time: one-way delay, a serialization rate with a
+// drop-tail buffer of K packets counting the one in service, and random
+// loss.  Point the real prober at the emulator instead of the echo server
+// and it measures a transatlantic-1992 path on loopback:
 //
 //   EchoServer echo(0, clock);     // poll_once() in a loop of its own
 //   PathEmulatorConfig cfg;        // 128 kb/s, 52 ms, ...
@@ -18,13 +18,15 @@
 // client seen.  Both directions get their own rate limiter and queue.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <vector>
 
+#include "model/fifo_server.h"
 #include "netdyn/udp_socket.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -36,7 +38,7 @@ struct PathEmulatorConfig {
   Endpoint target;                       // upstream destination
   Duration one_way_delay = Duration::millis(52);
   Bandwidth rate = Bandwidth::kbps(128);  // zero = no serialization delay
-  std::size_t buffer_packets = 14;        // per direction, when rate-limited
+  std::size_t buffer_packets = 14;        // K per direction, at least 1
   Probability loss_probability = Probability::zero();  // per traversal/dir
   std::uint64_t seed = 1;
 };
@@ -67,33 +69,32 @@ class PathEmulator {
  private:
   struct Pending {
     Duration due;
-    std::uint64_t seq;  // FIFO tie-break
-    bool to_target;
     std::vector<std::byte> payload;
-    bool operator>(const Pending& other) const {
-      if (due != other.due) return due > other.due;
-      return seq > other.seq;
-    }
   };
 
+  // Direction indices into servers_ and pending_.
+  static constexpr std::size_t kToTarget = 0, kToClient = 1;
+
   void worker();
-  /// Applies loss/rate/delay and queues the datagram; direction state is
-  /// chosen by `to_target`.
-  void admit(bool to_target, std::vector<std::byte> payload, Duration now);
-  void flush_due(Duration now);
+  /// Applies loss/rate/delay and queues the datagram in `direction`.
+  void admit(std::size_t direction, std::vector<std::byte> payload,
+             Duration now);
+  /// Sends what is due by `now`; returns how long the worker may wait for
+  /// input before the next datagram is due (at most 20 ms).
+  Duration flush_due(Duration now);
 
   PathEmulatorConfig config_;
+  // One Fig.-3 server per direction, in monotonic wall-clock time; built
+  // before the sockets bind, so a zero buffer throws first.
+  std::array<model::FifoServer, 2> servers_;
   UdpSocket client_side_;   // clients talk to this
   UdpSocket upstream_side_; // we talk to the target from this
   std::optional<Endpoint> last_client_;
   Rng rng_;
 
-  // Per-direction virtual transmitter state (wall-clock Durations from the
-  // monotonic clock).
-  Duration busy_until_[2];
-
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap_;
-  std::uint64_t next_seq_ = 0;
+  // Datagrams in flight per direction: departures are monotone and the
+  // delay constant, so due times never decrease and the front goes next.
+  std::array<std::deque<Pending>, 2> pending_;
 
   std::atomic<bool> running_{false};
   std::thread thread_;

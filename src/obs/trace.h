@@ -10,7 +10,7 @@
 //
 // What happened inside the simulated world (drops, timeouts, probe
 // echoes) is recorded by the components themselves: ProbeTrace,
-// LinkStats and drop hooks, PacketLog, TcpStats.
+// LinkStats and drop/delivery hooks, TcpStats.
 //
 // Records go to a process-wide TraceRecorder; TraceRecorder::write() emits
 // a compact binary file ("BTRC") that tools/trace2json.py converts to

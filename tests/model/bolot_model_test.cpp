@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analysis/lindley.h"
 #include "analysis/loss.h"
@@ -28,6 +29,17 @@ BatchBitsDistribution ftp_telnet_mix(double bulk, double mean_bulk_packets,
   };
 }
 
+/// Waiting times w_n = rtt_n - D - P/mu of the received probes, in ms.
+std::vector<double> waits_ms(const ModelRun& run, const ModelConfig& config) {
+  const Duration fixed =
+      config.fixed_rtt + config.mu.transmission_time(config.probe);
+  std::vector<double> waits;
+  for (const auto& record : run.trace.records) {
+    if (record.received) waits.push_back((record.rtt - fixed).millis());
+  }
+  return waits;
+}
+
 ModelConfig base_config() {
   ModelConfig config;
   config.mu = Bandwidth::bps(128e3);
@@ -44,7 +56,7 @@ TEST(RunModelTest, NoCrossTrafficGivesConstantMinimalRtt) {
   ModelConfig config = base_config();
   config.batch_bits = [](Rng&) { return 0.0; };
   const ModelRun run = run_model(config);
-  EXPECT_EQ(run.probes_lost, 0u);
+  EXPECT_EQ(run.trace.lost_count(), 0u);
   EXPECT_EQ(run.trace.received_count(), config.probe_count);
   // Every probe: rtt = D + P/mu (no queueing).
   const Duration expected = Duration::millis(140.0 + 4.5);
@@ -66,12 +78,16 @@ TEST(RunModelTest, LindleyRecursionMatchesHandComputation) {
   // then idles until the batch lands at t = 10 ms, so probe 1 finds
   // 32 - 10 = 22 ms of backlog.  From then on the server never idles and
   // waits grow by (P + b)/mu - delta = 16.5 ms per interval.
-  ASSERT_GE(run.waits_ms.size(), 4u);
-  EXPECT_NEAR(run.waits_ms[0], 0.0, 1e-9);
-  EXPECT_NEAR(run.waits_ms[1], 22.0, 1e-9);
-  EXPECT_NEAR(run.waits_ms[2], 38.5, 1e-9);
-  EXPECT_NEAR(run.waits_ms[3], 55.0, 1e-9);
-  EXPECT_GT(run.probes_lost, 0u);
+  // Integer time makes the hand values exact.
+  const auto& records = run.trace.records;
+  const Duration fixed = Duration::millis(140.0 + 4.5);
+  ASSERT_TRUE(records[0].received && records[1].received &&
+              records[2].received && records[3].received);
+  EXPECT_EQ(records[0].rtt, fixed);
+  EXPECT_EQ(records[1].rtt, fixed + Duration::millis(22));
+  EXPECT_EQ(records[2].rtt, fixed + Duration::millis(38.5));
+  EXPECT_EQ(records[3].rtt, fixed + Duration::millis(55));
+  EXPECT_GT(run.trace.lost_count(), 0u);
 }
 
 TEST(RunModelTest, OverloadedQueueDropsProbesAndCross) {
@@ -79,7 +95,7 @@ TEST(RunModelTest, OverloadedQueueDropsProbesAndCross) {
   // Two FTP packets per interval: heavily overloaded.
   config.batch_bits = [](Rng&) { return 2.0 * 512.0 * 8.0; };
   const ModelRun run = run_model(config);
-  EXPECT_GT(run.probes_lost, config.probe_count / 2);
+  EXPECT_GT(run.trace.lost_count(), config.probe_count / 2);
   EXPECT_GT(run.batch_bits_dropped, 0u);
 }
 
@@ -133,7 +149,6 @@ TEST(RunModelTest, RandomPhaseStillConserved) {
   config.batch_bits = ftp_telnet_mix(0.1, 4.0, 0.2);
   const ModelRun run = run_model(config);
   EXPECT_EQ(run.trace.size(), config.probe_count);
-  EXPECT_EQ(run.batches_bits.size(), config.probe_count);
 }
 
 TEST(RunModelTest, Validation) {
@@ -149,6 +164,14 @@ TEST(RunModelTest, Validation) {
   config = base_config();
   config.batch_bits = [](Rng&) { return 0.0; };
   config.buffer_packets = 0;
+  EXPECT_THROW(run_model(config), std::invalid_argument);
+  config = base_config();
+  config.batch_bits = [](Rng&) { return 0.0; };
+  config.delta = Duration::zero();
+  EXPECT_THROW(run_model(config), std::invalid_argument);
+  config = base_config();
+  config.batch_bits = [](Rng&) { return 0.0; };
+  config.probe = BitSize::zero();
   EXPECT_THROW(run_model(config), std::invalid_argument);
 }
 
@@ -176,7 +199,7 @@ TEST_P(LoadSweep, MeanWaitMonotoneInLoad) {
       return rng.exponential(batch_bits);
     };
     const ModelRun run = run_model(config);
-    return analysis::summarize(run.waits_ms).mean;
+    return analysis::summarize(waits_ms(run, config)).mean;
   };
   EXPECT_LT(run_at(GetParam()), run_at(GetParam() + 0.2));
 }

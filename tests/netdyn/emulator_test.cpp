@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "analysis/loss.h"
 #include "analysis/stats.h"
 #include "netdyn/echo_server.h"
@@ -120,9 +124,37 @@ TEST(PathEmulatorTest, OverflowDropsWhenBufferTiny) {
   EXPECT_GT(wan.stats().overflow_drops, 10u);
 }
 
+TEST(PathEmulatorTest, BufferCountsThePacketInService) {
+  // 800 b/s: each 100-byte datagram takes 1 s of service, so a burst
+  // arrives well inside the first one's service.  K = 2 holds the packet
+  // in service and one waiting; the other three of five overflow.
+  const UdpSocket sink;
+  PathEmulatorConfig config;
+  config.target = make_endpoint("127.0.0.1", sink.local_port());
+  config.rate = Bandwidth::bps(800);
+  config.buffer_packets = 2;
+  PathEmulator wan(0, config);
+  wan.start();
+
+  UdpSocket client;
+  const std::vector<std::byte> datagram(100);
+  const Endpoint emulator = make_endpoint("127.0.0.1", wan.port());
+  for (int i = 0; i < 5; ++i) client.send_to(datagram, emulator);
+  // Wait until the three drops are counted, or long enough for the burst
+  // to have been read whatever the count.
+  for (int poll = 0; poll < 50 && wan.stats().overflow_drops < 3; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(wan.stats().overflow_drops, 3u);
+}
+
 TEST(PathEmulatorTest, ConfigValidation) {
   PathEmulatorConfig config;
   config.loss_probability = Probability::one();
+  EXPECT_THROW(PathEmulator(0, config), std::invalid_argument);
+  config = PathEmulatorConfig{};
+  config.rate = Bandwidth::bps(-1.0);
   EXPECT_THROW(PathEmulator(0, config), std::invalid_argument);
   config = PathEmulatorConfig{};
   config.rate = Bandwidth::bps(128e3);

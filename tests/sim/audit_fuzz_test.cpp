@@ -5,7 +5,7 @@
 // deep invariant walk enabled, with each topology run twice from the same
 // seed.
 //
-// The test asserts three distinct properties the figures depend on:
+// The test asserts four distinct properties the figures depend on:
 //
 //   1. Invariants hold everywhere the generator can reach — the event
 //      queue's heap/slab discipline, per-link packet conservation, and
@@ -21,6 +21,11 @@
 //      digest as the sequential kernel — the conservative-lookahead
 //      protocol claims the event stream is identical, and this is where
 //      that claim meets fifty random datapaths.
+//   4. Independence from the datapath's own arithmetic: every audited
+//      link without a channel is replayed through the paper's Fig.-3
+//      server (model::FifoServer), and its departures and overflow drops
+//      must equal the link's to the nanosecond.  Self-comparison cannot
+//      see a datapath that is wrong the same way every run; this can.
 //
 // Audit failures surface as thrown exceptions (a throwing handler is
 // installed), so a corrupted invariant fails the test with the formatted
@@ -29,18 +34,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "model/fifo_server.h"
 #include "runner/thread_pool.h"
 #include "scenario/topology_gen.h"
 #include "sim/channel.h"
 #include "sim/fluid.h"
 #include "sim/network.h"
-#include "sim/packet_log.h"
+#include "tests/sim/packet_log.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "sim/tcp.h"
@@ -85,11 +92,98 @@ class Digest {
   std::uint64_t hash_ = 14695981039346656037ULL;
 };
 
+/// What the per-link Fig.-3 oracle saw over one run's audited links.
+struct OracleTally {
+  std::uint64_t links = 0;
+  std::uint64_t arrivals = 0;  // arrivals replayed
+  std::uint64_t ties = 0;      // arrivals at the instant of a departure
+  std::string mismatch;        // the first link that disagreed, if any
+};
+
+/// Replays one drop-tail link's arrivals through model::FifoServer and
+/// returns where the link and the server first disagree ("" if nowhere).
+/// The arrivals come from the link's logs: an admitted packet arrived at
+/// its hop_start and departed at its delivery minus the propagation
+/// delay; a dropped one arrived when it fell.  Random and RED drops are
+/// inputs (the server never sees them); an admitted packet must get the
+/// link's departure and an overflow drop must find K packets held.
+///
+/// The drop records' `offered` count places each drop among the link's
+/// arrivals, and the admitted packets fill the other places in FIFO
+/// order.  Where an arrival ties a departure to the nanosecond, the
+/// server frees the slot (its `<=` rule); the kernel does so only if the
+/// completion event dispatched first, and a drop's `sent` count says
+/// which.  An admitted packet needs no such record: the kernel admitted
+/// it, so the freer `<=` rule must too.  The first admitted packet still
+/// in flight when the run ends stops the replay, since later drops may
+/// have found it held.
+std::string replay_fifo(const Link& link, const PacketLog& deliveries,
+                        const PacketLog& drops, OracleTally& tally) {
+  ++tally.links;
+  const LinkConfig& config = link.config();
+  model::FifoServer server(config.buffer_packets);
+  std::vector<Duration> departures;  // the server's, in FIFO order
+  const std::vector<PacketEvent>& delivered = deliveries.events();
+  const std::vector<PacketEvent>& dropped = drops.events();
+  std::size_t next_delivery = 0;
+  std::size_t next_drop = 0;
+  SimTime last_arrival;
+  for (std::uint64_t n = 1; n <= link.stats().offered; ++n) {
+    const bool is_drop =
+        next_drop < dropped.size() && dropped[next_drop].offered == n;
+    if (!is_drop && next_delivery == delivered.size()) break;
+    const PacketEvent& event =
+        is_drop ? dropped[next_drop++] : delivered[next_delivery++];
+    const SimTime arrival = is_drop ? event.at : event.hop_start;
+    const std::string where = config.name + " at " +
+                              std::to_string(arrival.count_nanos()) + " ns: ";
+    if (arrival < last_arrival) return where + "arrivals out of order";
+    last_arrival = arrival;
+    ++tally.arrivals;
+    // Departures before the arrival, and those at or before it.
+    const auto gone_before = static_cast<std::size_t>(
+        std::lower_bound(departures.begin(), departures.end(), arrival) -
+        departures.begin());
+    const auto gone = static_cast<std::size_t>(
+        std::upper_bound(departures.begin(), departures.end(), arrival) -
+        departures.begin());
+    if (gone != gone_before) ++tally.ties;
+    const Duration service =
+        config.rate.transmission_time(ByteSize::bytes(event.size_bytes));
+    if (!is_drop) {
+      const Duration departure = event.at - config.propagation;
+      const auto model = server.admit(arrival, service);
+      if (model != departure) {
+        return where + "link departs at " +
+               std::to_string(departure.count_nanos()) + " ns, server " +
+               (model ? std::to_string(model->count_nanos()) + " ns"
+                      : std::string("drops"));
+      }
+      departures.push_back(departure);
+      continue;
+    }
+    if (event.sent != gone && event.sent != gone_before) {
+      return where + "link has sent " + std::to_string(event.sent) +
+             " packets, server " + std::to_string(gone);
+    }
+    if (event.cause != DropCause::kOverflow) continue;
+    // At a tie where the arrival dispatched first, the departing packet
+    // still holds its slot, so the server's `<=` rule does not apply.
+    const bool full = event.sent == gone
+                          ? !server.admit(arrival, service).has_value()
+                          : departures.size() - gone_before ==
+                                config.buffer_packets;
+    if (!full) return where + "link overflows, server admits";
+  }
+  return "";
+}
+
 struct FuzzOutcome {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
   std::uint64_t probes_received = 0;
   std::uint64_t hop_deliveries = 0;
+  OracleTally oracle;
 };
 
 /// Builds and runs one random topology.  Everything random derives from
@@ -299,6 +393,12 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
     mix_log(*delivery_logs[i]);
     mix_log(*drop_logs[i]);
   }
+  for (std::size_t i = 0; i < audited.size(); ++i) {
+    if (audited[i]->config().channel) continue;
+    const std::string mismatch = replay_fifo(*audited[i], *delivery_logs[i],
+                                             *drop_logs[i], outcome.oracle);
+    if (outcome.oracle.mismatch.empty()) outcome.oracle.mismatch = mismatch;
+  }
   for (const Link* link : audited) {
     const LinkStats& stats = link->stats();
     digest.mix(stats.offered);
@@ -327,6 +427,7 @@ TEST_F(AuditFuzzTest, FiftyRandomTopologiesHoldInvariantsAndReplayExactly) {
   constexpr std::uint64_t kTopologies = 50;
   std::uint64_t total_probes = 0;
   std::uint64_t total_hops = 0;
+  OracleTally oracle;
   for (std::uint64_t i = 0; i < kTopologies; ++i) {
     const std::uint64_t seed = derive_stream_seed(0xB010793ULL, i);
     SCOPED_TRACE("topology " + std::to_string(i) + " seed " +
@@ -339,9 +440,17 @@ TEST_F(AuditFuzzTest, FiftyRandomTopologiesHoldInvariantsAndReplayExactly) {
         << "same-seed runs diverged: " << first.events << " vs "
         << second.events << " events";
     EXPECT_EQ(first.events, second.events);
+    EXPECT_EQ(first.oracle.mismatch, "");
     total_probes += first.probes_received;
     total_hops += first.hop_deliveries;
+    oracle.links += first.oracle.links;
+    oracle.arrivals += first.oracle.arrivals;
+    oracle.ties += first.oracle.ties;
   }
+  std::cout << "Fig.-3 oracle: " << oracle.arrivals << " arrivals on "
+            << oracle.links << " links, " << oracle.ties
+            << " at the instant of a departure\n";
+  EXPECT_GT(oracle.arrivals, 100u * kTopologies);
   // The generator must actually exercise the datapath: a wiring bug that
   // silently dropped all traffic would make every digest trivially equal.
   EXPECT_GT(total_probes, kTopologies);
@@ -376,6 +485,8 @@ TEST_F(AuditFuzzTest, ShardedRunsMatchSequentialDigestsExactly) {
       EXPECT_EQ(sharded.events, sequential.events);
       EXPECT_EQ(sharded.probes_received, sequential.probes_received);
       EXPECT_EQ(sharded.hop_deliveries, sequential.hop_deliveries);
+      EXPECT_EQ(sharded.oracle.mismatch, "");
+      EXPECT_EQ(sharded.oracle.arrivals, sequential.oracle.arrivals);
     }
   }
   // The sharded runs really handed domains to the lent pool's threads.
@@ -534,6 +645,45 @@ TEST_F(AuditFuzzTest, GeneratedFluidFabricsShardInvariantAcrossDomains) {
     }
   }
   EXPECT_GT(lent.jobs(), 0u);
+}
+
+TEST_F(AuditFuzzTest, OracleTakesTheKernelOrderAtATie) {
+  // K = 1 and 1 ms of service: B arrives exactly when A departs.  Armed
+  // before A's completion, B's arrival dispatches first and finds A still
+  // held; armed after it, B finds the slot free.  The oracle must replay
+  // both orders, and both are ties.
+  for (const bool arrival_first : {true, false}) {
+    SCOPED_TRACE(arrival_first ? "arrival first" : "completion first");
+    Simulator sim;
+    LinkConfig config;
+    config.name = "tie";
+    config.rate = Bandwidth::bps(512 * 8 * 1000.0);
+    config.propagation = Duration::millis(1);
+    config.buffer_packets = 1;
+    Link link(sim, config, Rng(1));
+    PacketLog deliveries;
+    PacketLog drops;
+    deliveries.attach_deliveries(link);
+    drops.attach_drops(sim, link);
+    const auto send = [&link] {
+      Packet packet;
+      packet.size_bytes = 512;
+      link.enqueue(std::move(packet));
+    };
+    const Duration tie = Duration::millis(1);
+    if (arrival_first) sim.schedule_at(tie, send);
+    sim.schedule_at(Duration::zero(), [&] {
+      send();  // arms A's completion
+      if (!arrival_first) sim.schedule_at(tie, send);
+    });
+    sim.run_until(Duration::millis(10));
+    EXPECT_EQ(link.stats().overflow_drops, arrival_first ? 1u : 0u);
+
+    OracleTally tally;
+    EXPECT_EQ(replay_fifo(link, deliveries, drops, tally), "");
+    EXPECT_EQ(tally.arrivals, 2u);
+    EXPECT_EQ(tally.ties, 1u);
+  }
 }
 
 TEST_F(AuditFuzzTest, CorruptedInvariantIsReportedWithContext) {

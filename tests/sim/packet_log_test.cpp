@@ -1,4 +1,4 @@
-#include "sim/packet_log.h"
+#include "tests/sim/packet_log.h"
 
 #include <gtest/gtest.h>
 
