@@ -2,8 +2,8 @@
 // plg ~ 1 ("losses are essentially random") even at small delta, so the
 // ulp/clp/plg machinery of section 5 was only ever exercised near the
 // random end.  Modern cellular and Wi-Fi paths are bursty (plg >> 1).
-// This bench drives the INRIA->UMd scenario through a Gilbert-Elliott
-// MarkovChannel at the bottleneck, sweeping the target loss gap across
+// This bench drives the INRIA->UMd scenario through a GilbertChannel
+// at the bottleneck, sweeping the target loss gap across
 // {1, 2, 5, 10, 20} at fixed ~8% stationary loss, and re-runs the whole
 // section-5 analysis chain on each cell: ulp/clp/plg, both loss-gap
 // estimators and their agreement, the Wald-Wolfowitz runs test, and the
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
 
         scenario::ScenarioOverrides overrides;
         overrides.bottleneck_channel =
-            sim::MarkovChannelConfig::from_loss_targets(
+            sim::GilbertChannelConfig::from_loss_targets(
                 Probability::checked(spec.param("target_ulp")),
                 spec.param("target_plg"));
         // Isolate the channel: no competing traffic, no faulty interfaces,

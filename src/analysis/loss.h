@@ -68,7 +68,7 @@ LossStats loss_stats(const ProbeTrace& trace);
 /// clamps the free parameter so stationary_loss() matches the empirical
 /// loss rate: all-lost => p = 1, q = 0 (stationary 1.0, not the old
 /// buggy 0.0); all-ok => p = 0, q = 1 (stationary 0.0).  Downstream
-/// consumers that need a real chain (e.g. a sim::MarkovChannelConfig
+/// consumers that need a real chain (e.g. a sim::GilbertChannelConfig
 /// built from the fit's p and q) must reject degenerate fits rather than
 /// simulate from a guessed parameter.
 struct GilbertFit {

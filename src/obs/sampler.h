@@ -149,13 +149,6 @@ inline std::size_t watch_utilization(Sampler& sampler,
                             [&link] { return link.utilization(); });
 }
 
-/// RED's EWMA average-queue estimate (0 on drop-tail links).
-inline std::size_t watch_red_average_queue(Sampler& sampler,
-                                           const sim::Link& link) {
-  return sampler.add_series(link.config().name + ".red_avg_queue",
-                            [&link] { return link.red_average_queue(); });
-}
-
 /// Most recent probe round-trip time, in milliseconds (0 until the first
 /// echo returns).
 inline std::size_t watch_probe_rtt_ms(Sampler& sampler,

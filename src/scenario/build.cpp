@@ -105,6 +105,7 @@ void reject_foreign_overrides(const ScenarioOverrides& o, bool chain) {
       {o.faulty_interface_drop.has_value(), "faulty_interface_drop", true},
       {o.cross_traffic.has_value(), "cross_traffic", true},
       {o.bottleneck_channel.has_value(), "bottleneck_channel", true},
+      {o.obs_sample_interval.has_value(), "obs_sample_interval", true},
       {o.topology.has_value(), "topology", false},
       {o.fluid_background.has_value(), "fluid_background", false},
       {o.packetize_radius.has_value(), "packetize_radius", false},

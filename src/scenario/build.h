@@ -120,7 +120,8 @@ class FluidBackground {
 
 /// The NetDyn measurement run_chain and run_topology share: an echo host
 /// at `dst`, a UdpEchoSource at `src`, and — when obs_sample_interval is
-/// set — a MetricsRegistry and a Sampler the caller wires up.
+/// set, which only a chain allows — a MetricsRegistry and a Sampler the
+/// caller wires up.
 class ProbedRun {
  public:
   /// Warm-up before the probe run so background traffic reaches steady

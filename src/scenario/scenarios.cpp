@@ -197,9 +197,6 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
     obs::watch_queue_packets(*sampler, bneck_fwd);
     obs::watch_backlog_work_ms(*sampler, bneck_fwd);
     obs::watch_utilization(*sampler, bneck_fwd);
-    if (bneck_fwd.config().red) {
-      obs::watch_red_average_queue(*sampler, bneck_fwd);
-    }
     obs::watch_probe_rtt_ms(*sampler, run.probe());
   }
 

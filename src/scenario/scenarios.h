@@ -111,19 +111,19 @@ struct ScenarioOverrides {
   /// historically accurate tick, Duration::zero() disables quantization,
   /// and a negative tick throws std::invalid_argument.
   std::optional<Duration> clock_tick;
-  /// Observability: when set, the run attaches a MetricsRegistry and a
-  /// Sampler at this interval — the bottleneck link (both directions) and
-  /// the probe source publish metrics, and the standard series (queue
-  /// packets, backlog work, utilization, RED average queue when RED is
-  /// on, probe rtt) are recorded — and the result carries the snapshot
-  /// and series.  Unset (the default), no observability object is even
-  /// constructed, so default outputs are byte-identical.
+  /// Chain only: observability.  When set, the run attaches a
+  /// MetricsRegistry and a Sampler at this interval — the bottleneck link
+  /// (both directions) and the probe source publish metrics, and the
+  /// standard series (queue packets, backlog work, utilization, probe
+  /// rtt) are recorded — and the result carries the snapshot and series.
+  /// Unset (the default), no observability object is even constructed,
+  /// so default outputs are byte-identical.
   std::optional<Duration> obs_sample_interval;
-  /// Chain only: correlated-loss channel on the *forward* direction of the
+  /// Chain only: Gilbert loss channel on the *forward* direction of the
   /// bottleneck link (probe direction; the reverse echo path stays ideal
   /// so measured loss attributes cleanly to the modeled channel).
   /// MODEL_NOTES §13.
-  std::optional<sim::MarkovChannelConfig> bottleneck_channel;
+  std::optional<sim::GilbertChannelConfig> bottleneck_channel;
   /// Shard the run across this many PDES domains (sim/pdes.h).  Both kinds
   /// of scenario clamp to their plan's TopologyPlan::partition_count: a
   /// chain's path length (path index = partition hint, so the path is cut

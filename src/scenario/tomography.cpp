@@ -15,7 +15,6 @@
 #include "analysis/lindley.h"
 #include "analysis/linalg.h"
 #include "analysis/streaming.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "scenario/build.h"
 
@@ -234,8 +233,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument("run_tomography: need at least two hosts");
   }
 
-  detail::ScenarioBuild build(topo, spec.domains,
-                              spec.obs_sample_interval.has_value(), spec.seed);
+  detail::ScenarioBuild build(topo, spec.domains, /*sampled=*/false,
+                              spec.seed);
   sim::Network& net = build.net();
 
   // --- Loss ground truth: seeded per-directed-link drop probabilities ---
@@ -321,43 +320,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     host_of[node] = hosts.back().get();
   }
 
-  // --- Observability: mesh-aggregate gauges off the online accessors ----
-  std::optional<obs::Sampler> sampler;
-  if (spec.obs_sample_interval) {  // sampling keeps one simulator
-    sampler.emplace(build.sim_for(topo.hosts.front()),
-                    *spec.obs_sample_interval);
-    MeshState* m = &mesh;
-    sampler->add_series("mesh.received_total", [m] {
-      double total = 0.0;
-      for (const Stream& s : m->streams) {
-        total += static_cast<double>(s.received);
-      }
-      return total;
-    });
-    sampler->add_series("mesh.loss_fraction_mean", [m] {
-      double sum = 0.0;
-      std::size_t active = 0;
-      for (const Stream& s : m->streams) {
-        if (s.loss.probes() > 0) {
-          sum += s.loss.loss_fraction();
-          ++active;
-        }
-      }
-      return active > 0 ? sum / static_cast<double>(active) : 0.0;
-    });
-    sampler->add_series("mesh.rtt_ms_mean", [m] {
-      double sum = 0.0;
-      std::size_t active = 0;
-      for (const Stream& s : m->streams) {
-        if (s.received > 0) {
-          sum += s.rtt_sum_ms / static_cast<double>(s.received);
-          ++active;
-        }
-      }
-      return active > 0 ? sum / static_cast<double>(active) : 0.0;
-    });
-  }
-
   build.finish();
   if (background) background->start();
   // Staggered starts spread the mesh's send instants across one delta so
@@ -369,11 +331,9 @@ TomographyResult run_tomography(const TomographySpec& spec) {
                         static_cast<std::int64_t>(stream_count));
     host_of.at(mesh.streams[s].src)->start_stream(s, kMeshWarmup + stagger);
   }
-  if (sampler) sampler->start(kMeshWarmup);
 
   const Duration end = kMeshWarmup + spec.duration + kMeshDrain;
   build.run_until(end);
-  if (sampler) sampler->stop();
 
   // Probes sent but never returned are lost; close every stream's push
   // prefix so the loss state covers every sent probe.
@@ -389,7 +349,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   result.delay_truth_collected = collect_delay;
   result.simulated = end;
   result.events = build.events();
-  if (sampler) result.series = sampler->snapshot();
 
   // Routing matrix columns (per directed link crossed by any stream), then
   // identical columns merged into identifiable classes.

@@ -51,7 +51,6 @@
 #include <optional>
 #include <vector>
 
-#include "obs/timeseries.h"
 #include "scenario/scenarios.h"
 #include "scenario/topology_gen.h"
 #include "util/time.h"
@@ -95,10 +94,6 @@ struct TomographySpec {
   /// same fallbacks as run_topology).  Delay ground truth is collected on
   /// the sequential kernel only; loss inference is domain-count-invariant.
   std::size_t domains = 1;
-
-  /// When set (and domains == 1), a Sampler records mesh-aggregate gauges
-  /// fed by the streaming estimators' online accessors.
-  std::optional<Duration> obs_sample_interval;
 };
 
 /// One probe stream of the mesh (ordered host pair, probed round trip).
@@ -167,8 +162,6 @@ struct TomographyResult {
   std::uint64_t events = 0;
   std::size_t domains_used = 1;
   Duration simulated;
-  /// Filled when TomographySpec::obs_sample_interval was set.
-  std::vector<obs::TimeSeries> series;
 };
 
 /// Runs the mesh and the inference.  Deterministic: a spec maps to one

@@ -9,10 +9,8 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "scenario/build.h"
 
@@ -64,8 +62,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (topo.hosts.size() < 2) {
     throw std::invalid_argument("run_topology: need at least two hosts");
   }
-  detail::ScenarioBuild build(topo, overrides.domains,
-                              overrides.obs_sample_interval.has_value(),
+  detail::ScenarioBuild build(topo, overrides.domains, /*sampled=*/false,
                               plan.seed);
   sim::Network& net = build.net();
 
@@ -114,20 +111,6 @@ ScenarioResult run_topology(const ProbePlan& plan,
   // instantiate_topology adds each edge as the link pair 2e, 2e + 1.
   sim::Link& bneck_fwd = net.link_at(bneck_uid);
   sim::Link& bneck_rev = net.link_at(bneck_uid ^ 1u);
-
-  if (obs::Sampler* sampler = run.sampler()) {
-    // Every forward hop of the probed path publishes under a stable
-    // prefix; fluid-served hops add their fluid gauges automatically
-    // (Link::publish_metrics).
-    for (std::size_t h = 0; h < probe_fwd.size(); ++h) {
-      net.link_at(probe_fwd[h])
-          .publish_metrics(run.registry(), "path.hop" + std::to_string(h));
-    }
-    run.probe().publish_metrics(run.registry());
-    obs::watch_queue_packets(*sampler, bneck_fwd);
-    obs::watch_utilization(*sampler, bneck_fwd);
-    obs::watch_probe_rtt_ms(*sampler, run.probe());
-  }
 
   ScenarioResult result =
       run.run([&] { background.start(); }, bneck_fwd, bneck_rev);

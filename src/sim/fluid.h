@@ -20,7 +20,7 @@
 // mean (law of large numbers) into each link's aggregate at set-up, from
 // per-host-pair flow counts: zero events and zero bytes per flow.
 //
-// RNG discipline follows MarkovChannel: a link splits nothing and draws
+// RNG discipline follows GilbertChannel: a link splits nothing and draws
 // nothing unless a fluid stage is attached, so fluid-free runs schedule
 // the exact same events and draw the exact same streams as before.
 #pragma once

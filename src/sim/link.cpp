@@ -187,42 +187,35 @@ void Link::start_front_transmission(bool rearm) {
 void Link::complete_front() {
   Packet& done = queue_.front();
   backlog_bytes_ -= done.size_bytes;
-  Duration extra;
-  if (channel_) {
+  if (channel_ && channel_->advance()) {
     // The chain advances once per packet at the instant the transmitter
-    // finishes with it (MODEL_NOTES §13): drops and extra delay are
-    // decided here, after service, never perturbing queueing itself.
-    const MarkovChannel::Verdict verdict = channel_->advance();
-    if (verdict.drop) {
-      drop(std::move(done), DropCause::kChannel);
-      queue_.drop_front();
-      return;
-    }
-    extra = verdict.extra_delay;
+    // finishes with it (MODEL_NOTES §13): the loss is decided here, after
+    // service, never perturbing queueing itself.
+    drop(std::move(done), DropCause::kChannel);
+    queue_.drop_front();
+    return;
   }
-  if (fluid_ != nullptr) {
-    // kMd1Wait queueing delay of the displaced fluid traffic (zero, and
-    // no rng draw, in kResidualRate mode).  Like the channel stage it is
-    // decided at transmission-complete time, after the server.
-    extra += fluid_->sample_extra_wait();
-  }
-  const bool variable_delay = channel_.has_value() || fluid_ != nullptr;
   ++stats_.delivered;
   stats_.bytes_delivered += done.size_bytes;
+  SimTime arrive = sim_.now() + config_.propagation;
+  if (fluid_ != nullptr) {
+    // kMd1Wait queueing delay of the displaced fluid traffic (zero, and
+    // no rng draw, in kResidualRate mode), decided at transmission-complete
+    // time, after the server.  A sampled wait could reorder arrivals;
+    // clamp to the latest arrival already handed on so the single-event
+    // flight ring stays FIFO (a link does not reorder — late packets
+    // delay their successors; MODEL_NOTES §15).
+    arrive += fluid_->sample_extra_wait();
+    if (arrive < last_flight_arrival_) arrive = last_flight_arrival_;
+  }
   if (remote_egress_) {
     // Domain boundary: the propagation span is carried by the cross-domain
     // channel, not the flight ring.  Arrival-time math (including the
-    // channel/fluid-stage FIFO clamp) is identical to the local path
-    // below, so the receiving domain sees the same timestamps the
-    // sequential kernel would have produced.  So is the arm time: the
-    // flight ring arms an arrival now when no earlier one is pending,
-    // else when its predecessor arrives.
+    // fluid-wait FIFO clamp) is the local path's, so the receiving domain
+    // sees the same timestamps the sequential kernel would have produced.
+    // So is the arm time: the flight ring arms an arrival now when no
+    // earlier one is pending, else when its predecessor arrives.
     const SimTime armed = std::max(sim_.now(), last_flight_arrival_);
-    SimTime arrive = sim_.now() + config_.propagation;
-    if (variable_delay) {
-      arrive += extra;
-      if (arrive < last_flight_arrival_) arrive = last_flight_arrival_;
-    }
     last_flight_arrival_ = arrive;
     remote_egress_(arrive, armed, std::move(done));
   } else if (sink_ || delivery_hook_count_ > 0) {
@@ -230,15 +223,7 @@ void Link::complete_front() {
     // so one ring + one outstanding arrival event replaces a per-packet
     // closure (MODEL_NOTES §10).  Moving straight from the queue slot
     // into the flight slot touches each Packet once.
-    SimTime arrive = sim_.now() + config_.propagation;
-    if (variable_delay) {
-      // Variable extra delay could reorder arrivals; clamp to the latest
-      // in-flight arrival so the single-event flight ring stays FIFO
-      // (a link does not reorder — late packets delay their successors).
-      arrive += extra;
-      if (arrive < last_flight_arrival_) arrive = last_flight_arrival_;
-      last_flight_arrival_ = arrive;
-    }
+    if (fluid_ != nullptr) last_flight_arrival_ = arrive;
     flight_.push_back({arrive, std::move(done)});
   }
   queue_.drop_front();
@@ -356,11 +341,9 @@ void Link::audit_verify() const {
             flight_.size());
 
   // Channel-stage conservation: every packet the transmitter finished
-  // advanced the chain exactly once, so the per-state occupancy counters
-  // must sum to delivered + channel drops, and the per-state drop
-  // counters to the link's channel-drop stat.
+  // advanced the chain exactly once, and the bad state dropped exactly
+  // the packets it saw.
   if (channel_) {
-    channel_->audit_verify();
     SIM_CHECK(channel_->total_packets() ==
                   stats_.delivered + stats_.channel_drops,
               "Link %s: channel advanced %llu times for %llu completions",
@@ -368,26 +351,21 @@ void Link::audit_verify() const {
               static_cast<unsigned long long>(channel_->total_packets()),
               static_cast<unsigned long long>(stats_.delivered +
                                               stats_.channel_drops));
-    SIM_CHECK(channel_->total_drops() == stats_.channel_drops,
-              "Link %s: channel states dropped %llu, link counted %llu",
+    SIM_CHECK(channel_->state_packets(1) == stats_.channel_drops,
+              "Link %s: channel bad state saw %llu packets, link counted "
+              "%llu channel drops",
               config_.name.c_str(),
-              static_cast<unsigned long long>(channel_->total_drops()),
+              static_cast<unsigned long long>(channel_->state_packets(1)),
               static_cast<unsigned long long>(stats_.channel_drops));
-    if (!flight_.empty()) {
-      SIM_CHECK(flight_[flight_.size() - 1].arrive_at <= last_flight_arrival_,
-                "Link %s: FIFO clamp watermark behind the flight ring",
-                config_.name.c_str());
-    }
   }
 
   // Fluid stage: the aggregate's own invariants, plus the FIFO clamp
-  // watermark the sampled waits share with the channel stage.
+  // watermark the sampled waits are held to.
   if (fluid_ != nullptr) {
     fluid_->audit_verify();
     if (!flight_.empty()) {
       SIM_CHECK(flight_[flight_.size() - 1].arrive_at <= last_flight_arrival_,
-                "Link %s: FIFO clamp watermark behind the flight ring "
-                "(fluid stage)",
+                "Link %s: FIFO clamp watermark behind the flight ring",
                 config_.name.c_str());
     }
   }
@@ -427,26 +405,22 @@ void Link::publish_metrics(obs::MetricsRegistry& registry,
                        [this] { return double(stats_.max_queue); });
   registry.probe_gauge(prefix + ".utilization",
                        [this] { return utilization(); });
-  if (config_.red) {
-    registry.probe_gauge(prefix + ".red_avg_queue",
-                         [this] { return red_avg_; });
-  }
   if (channel_) {
-    // Per-state occupancy and drop structure of the channel chain:
-    // "<prefix>.channel.s<i>.*" — occupancy is the fraction of served
-    // packets that advanced the chain while it sat in state i, so a
-    // Gilbert-Elliott channel's s1 occupancy estimates its stationary
-    // bad-state probability p/(p+q).
+    // Per-state occupancy and drop structure of the Gilbert chain:
+    // "<prefix>.channel.s<i>.*", s0 good and s1 bad.  Occupancy is the
+    // fraction of served packets that advanced the chain into state i, so
+    // s1's estimates the stationary loss p/(p+q).  The good state drops
+    // nothing and the bad state drops every packet it sees.
     registry.probe_gauge(prefix + ".channel.state",
                          [this] { return double(channel_->state()); });
-    for (std::size_t i = 0; i < channel_->state_count(); ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       const std::string state_prefix =
           prefix + ".channel.s" + std::to_string(i);
       registry.probe_counter(state_prefix + ".packets", [this, i] {
         return double(channel_->state_packets(i));
       });
       registry.probe_counter(state_prefix + ".drops", [this, i] {
-        return double(channel_->state_drops(i));
+        return i == 0 ? 0.0 : double(channel_->state_packets(i));
       });
       registry.probe_gauge(state_prefix + ".occupancy", [this, i] {
         const double total = double(channel_->total_packets());

@@ -72,17 +72,17 @@ struct LinkConfig {
   /// misconfiguration, not a channel).
   Probability random_drop_probability;
   std::optional<RedConfig> red;         // unset = pure drop-tail
-  /// Correlated loss/delay channel applied at transmission-complete time
-  /// (Gilbert-Elliott and general N-state Markov chains; MODEL_NOTES §13).
-  /// Unset = ideal channel, and the fast path is untouched.
-  std::optional<MarkovChannelConfig> channel;
+  /// Gilbert loss channel applied at transmission-complete time
+  /// (MODEL_NOTES §13).  Unset = ideal channel, and the fast path is
+  /// untouched.
+  std::optional<GilbertChannelConfig> channel;
 };
 
 enum class DropCause : std::uint8_t {
   kOverflow,  // buffer full (drop-tail)
   kRandom,    // faulty-interface stage
   kRed,       // RED early drop
-  kChannel,   // Markov channel-model stage
+  kChannel,   // Gilbert channel stage
 };
 
 struct LinkStats {
@@ -91,7 +91,7 @@ struct LinkStats {
   std::uint64_t overflow_drops = 0;  // buffer-full drops
   std::uint64_t random_drops = 0;    // faulty-interface drops
   std::uint64_t red_drops = 0;       // RED early drops
-  std::uint64_t channel_drops = 0;   // Markov channel-stage drops
+  std::uint64_t channel_drops = 0;   // Gilbert channel-stage drops
   std::int64_t bytes_delivered = 0;
   std::size_t max_queue = 0;         // high-water mark incl. in service
   Duration busy;                     // cumulative transmitter busy time
@@ -203,9 +203,6 @@ class Link {
     return service_memo_;
   }
 
-  /// Current RED average queue estimate (0 when RED is off); for tests.
-  double red_average_queue() const { return red_avg_; }
-
   /// Attaches a fluid aggregate (sim/fluid.h): the transmitter serves
   /// packets against the aggregate's time-varying residual rate (or, in
   /// kMd1Wait mode, adds its sampled queueing delay).  The aggregate must
@@ -239,6 +236,10 @@ class Link {
   void audit_verify() const;
 
  private:
+  // RED's tests read the average-queue estimate through this peer; no
+  // program reads it.
+  friend class RedTestPeer;
+
   /// The conservation identity, checked at the datapath's drain points in
   /// audit builds: every packet handed to enqueue() is exactly one of
   /// delivered (past the transmitter), dropped, or still queued.  A
@@ -268,7 +269,7 @@ class Link {
   void start_front_transmission(bool rearm);
   void on_transmission_complete();
   /// Retires queue_.front() through the channel stage: delivered packets
-  /// move to the flight ring (with any channel extra delay, FIFO-clamped),
+  /// move to the flight ring (with any fluid wait, FIFO-clamped),
   /// channel-dropped ones take the drop path.
   void complete_front();
   /// Schedules the single outstanding arrival event for flight_.front();
@@ -284,14 +285,14 @@ class Link {
   /// Channel model, engaged only when config_.channel is set.  Its rng is
   /// split from drop_rng_ at construction *only in that case*, so
   /// channel-free links draw the exact pre-channel random streams.
-  std::optional<MarkovChannel> channel_;
+  std::optional<GilbertChannel> channel_;
   /// Borrowed fluid demand aggregate (attach_fluid); null on the pure
   /// packet path, which then compiles to the exact pre-fluid behavior.
   FluidAggregate* fluid_ = nullptr;
   /// Latest arrival time pushed to flight_ or handed to remote_egress_;
-  /// channel / fluid-wait extra delay is clamped to this so the in-flight
-  /// ring stays FIFO.  Maintained on the local path only when channel_ or
-  /// fluid_ is engaged, always on the remote path.
+  /// a fluid-wait arrival is clamped to this so the in-flight ring stays
+  /// FIFO.  Maintained on the local path only when fluid_ is engaged,
+  /// always on the remote path.
   SimTime last_flight_arrival_;
   Sink sink_;
   RemoteEgress remote_egress_;

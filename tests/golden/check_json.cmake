@@ -5,11 +5,13 @@
 # escaped (the writers emit no raw control byte but newline).  It also
 # holds the sweep runner's contract at the program level: a sweep bench
 # run at 1 and at 2 threads writes byte-identical artifacts, and a sweep
-# writes its BENCH_<name>.json and nothing beside it.
+# writes its BENCH_<name>.json and nothing beside it.  The bursty-loss
+# sweep's artifact, with its per-state channel metrics, must also equal
+# the committed BURSTY_LOSS_PIN byte for byte.
 #
-#   cmake -DBURSTY_LOSS_SWEEP=<exe> -DRED_VS_DROPTAIL=<exe>
-#         -DFIG1_TIMESERIES=<exe> -DQUEUE_OCCUPANCY=<exe> -DOUT_DIR=<dir>
-#         -P check_json.cmake
+#   cmake -DBURSTY_LOSS_SWEEP=<exe> -DBURSTY_LOSS_PIN=<json>
+#         -DRED_VS_DROPTAIL=<exe> -DFIG1_TIMESERIES=<exe>
+#         -DQUEUE_OCCUPANCY=<exe> -DOUT_DIR=<dir> -P check_json.cmake
 function(run)
   execute_process(COMMAND ${ARGN} OUTPUT_QUIET RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
@@ -32,6 +34,13 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT differ EQUAL 0)
   message(FATAL_ERROR "BENCH_red_vs_droptail.json differs between "
                       "--threads 1 and --threads 2 (or is missing)")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+  ${OUT_DIR}/BENCH_bursty_loss_sweep.json ${BURSTY_LOSS_PIN}
+  RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+  message(FATAL_ERROR "BENCH_bursty_loss_sweep.json differs from "
+                      "${BURSTY_LOSS_PIN} (or is missing)")
 endif()
 file(GLOB_RECURSE csv ${OUT_DIR}/BENCH_*.csv)
 if(csv)

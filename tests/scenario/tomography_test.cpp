@@ -238,23 +238,6 @@ TEST(TomographyTest, LossInferenceInvariantAcrossPdesDomainCounts) {
   EXPECT_FALSE(two.delay_truth_collected);
 }
 
-TEST(TomographyTest, ObsSeriesRecordMeshGauges) {
-  TomographySpec spec = ci_spec();
-  spec.duration = Duration::seconds(10);
-  spec.obs_sample_interval = Duration::millis(500);
-  const TomographyResult result = run_tomography(spec);
-  ASSERT_EQ(result.series.size(), 3u);
-  EXPECT_EQ(result.series[0].name(), "mesh.received_total");
-  EXPECT_GT(result.series[0].size(), 0u);
-  // Monotone counter; the final sample sums every stream's returns.
-  const auto& received = result.series[0];
-  EXPECT_GT(received.values().back(), 0.0);
-  // Loss gauge lives strictly inside (0, 1) once probing is underway.
-  const auto& loss = result.series[1];
-  EXPECT_GT(loss.values().back(), 0.0);
-  EXPECT_LT(loss.values().back(), 0.5);
-}
-
 TEST(TomographyTest, RejectsMalformedSpecs) {
   TomographySpec bad = ci_spec();
   bad.delta = Duration::zero();

@@ -303,9 +303,9 @@ TEST(RunTopologyTest, PacketizedSplitIsPinned) {
 }
 
 TEST(RunTopologyTest, RejectsChainOverrides) {
-  // A generated fabric has no designated bottleneck hop, faulty cards or
-  // cross-traffic hosts: each chain knob is a named error, not a silently
-  // ignored field.
+  // A generated fabric has no designated bottleneck hop, faulty cards,
+  // cross-traffic hosts or sampler: each chain knob is a named error, not
+  // a silently ignored field.
   using Set = void (*)(ScenarioOverrides&);
   const std::pair<const char*, Set> fields[] = {
       {"bottleneck_buffer_packets",
@@ -320,8 +320,12 @@ TEST(RunTopologyTest, RejectsChainOverrides) {
        [](ScenarioOverrides& o) { o.cross_traffic = CrossTraffic{}; }},
       {"bottleneck_channel",
        [](ScenarioOverrides& o) {
-         o.bottleneck_channel = sim::MarkovChannelConfig::gilbert_elliott(
-             Probability::checked(0.1), Probability::checked(0.5));
+         o.bottleneck_channel = sim::GilbertChannelConfig{
+             Probability::checked(0.1), Probability::checked(0.5)};
+       }},
+      {"obs_sample_interval",
+       [](ScenarioOverrides& o) {
+         o.obs_sample_interval = Duration::millis(100);
        }},
   };
   for (const auto& [field, set] : fields) {

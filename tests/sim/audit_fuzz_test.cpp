@@ -1,7 +1,6 @@
 // Randomized audit fuzz: ~50 seeded random topologies (1-5 hops, mixed
-// drop-tail/RED queues, faulty-interface stages, Markov loss channels
-// (Gilbert-Elliott and random 3-state chains with delay jitter), UDP
-// probes + closed-loop TCP + open-loop cross traffic) driven with every
+// drop-tail/RED queues, faulty-interface stages, Gilbert loss channels,
+// UDP probes + closed-loop TCP + open-loop cross traffic) driven with every
 // deep invariant walk enabled, with each topology run twice from the same
 // seed.
 //
@@ -22,9 +21,9 @@
 //      protocol claims the event stream is identical, and this is where
 //      that claim meets fifty random datapaths.
 //   4. Independence from the datapath's own arithmetic: every audited
-//      link without a channel is replayed through the paper's Fig.-3
-//      server (model::FifoServer), and its departures and overflow drops
-//      must equal the link's to the nanosecond.  Self-comparison cannot
+//      link is replayed through the paper's Fig.-3 server
+//      (model::FifoServer), and its departures and overflow drops must
+//      equal the link's to the nanosecond.  Self-comparison cannot
 //      see a datapath that is wrong the same way every run; this can.
 //
 // Audit failures surface as thrown exceptions (a throwing handler is
@@ -33,8 +32,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -97,6 +98,9 @@ struct OracleTally {
   std::uint64_t links = 0;
   std::uint64_t arrivals = 0;  // arrivals replayed
   std::uint64_t ties = 0;      // arrivals at the instant of a departure
+  std::uint64_t channel_links = 0;     // links with a Gilbert channel
+  std::uint64_t channel_arrivals = 0;  // arrivals replayed on those links
+  std::uint64_t channel_drops = 0;     // channel drops replayed
   std::string mismatch;        // the first link that disagreed, if any
 };
 
@@ -104,11 +108,13 @@ struct OracleTally {
 /// returns where the link and the server first disagree ("" if nowhere).
 /// The arrivals come from the link's logs: an admitted packet arrived at
 /// its hop_start and departed at its delivery minus the propagation
-/// delay; a dropped one arrived when it fell.  Random and RED drops are
-/// inputs (the server never sees them); an admitted packet must get the
-/// link's departure and an overflow drop must find K packets held.
+/// delay, or, if the channel lost it, at its drop (the channel decides
+/// as the packet leaves the transmitter); a refused one arrived when it
+/// fell.  Random and RED drops are inputs (the server never sees them);
+/// an admitted packet must get the link's departure and an overflow drop
+/// must find K packets held.
 ///
-/// The drop records' `offered` count places each drop among the link's
+/// The refused drops' `offered` count places each among the link's
 /// arrivals, and the admitted packets fill the other places in FIFO
 /// order.  Where an arrival ties a departure to the nanosecond, the
 /// server frees the slot (its `<=` rule); the kernel does so only if the
@@ -121,25 +127,48 @@ std::string replay_fifo(const Link& link, const PacketLog& deliveries,
                         const PacketLog& drops, OracleTally& tally) {
   ++tally.links;
   const LinkConfig& config = link.config();
+  if (config.channel) ++tally.channel_links;
+  // Admitted packets in FIFO (departure) order, each with `at` set to its
+  // departure: the deliveries merged with the channel drops.
+  std::vector<PacketEvent> admitted;
+  std::vector<PacketEvent> refused;
+  for (PacketEvent event : deliveries.events()) {
+    event.at = event.at - config.propagation;
+    admitted.push_back(event);
+  }
+  const auto delivered_end = static_cast<std::ptrdiff_t>(admitted.size());
+  for (const PacketEvent& event : drops.events()) {
+    (event.cause == DropCause::kChannel ? admitted : refused).push_back(event);
+  }
+  std::inplace_merge(
+      admitted.begin(), admitted.begin() + delivered_end, admitted.end(),
+      [](const PacketEvent& a, const PacketEvent& b) { return a.at < b.at; });
+  if (deliveries.events().size() < link.stats().delivered) {
+    // A packet still in flight has left no record, so a channel drop
+    // after the last delivery may belong behind it: stop there.
+    while (!admitted.empty() &&
+           admitted.back().kind != PacketEventKind::kDelivered) {
+      admitted.pop_back();
+    }
+  }
   model::FifoServer server(config.buffer_packets);
   std::vector<Duration> departures;  // the server's, in FIFO order
-  const std::vector<PacketEvent>& delivered = deliveries.events();
-  const std::vector<PacketEvent>& dropped = drops.events();
-  std::size_t next_delivery = 0;
-  std::size_t next_drop = 0;
+  std::size_t next_admitted = 0;
+  std::size_t next_refused = 0;
   SimTime last_arrival;
   for (std::uint64_t n = 1; n <= link.stats().offered; ++n) {
-    const bool is_drop =
-        next_drop < dropped.size() && dropped[next_drop].offered == n;
-    if (!is_drop && next_delivery == delivered.size()) break;
+    const bool is_refused = next_refused < refused.size() &&
+                            refused[next_refused].offered == n;
+    if (!is_refused && next_admitted == admitted.size()) break;
     const PacketEvent& event =
-        is_drop ? dropped[next_drop++] : delivered[next_delivery++];
-    const SimTime arrival = is_drop ? event.at : event.hop_start;
+        is_refused ? refused[next_refused++] : admitted[next_admitted++];
+    const SimTime arrival = is_refused ? event.at : event.hop_start;
     const std::string where = config.name + " at " +
                               std::to_string(arrival.count_nanos()) + " ns: ";
     if (arrival < last_arrival) return where + "arrivals out of order";
     last_arrival = arrival;
     ++tally.arrivals;
+    if (config.channel) ++tally.channel_arrivals;
     // Departures before the arrival, and those at or before it.
     const auto gone_before = static_cast<std::size_t>(
         std::lower_bound(departures.begin(), departures.end(), arrival) -
@@ -150,16 +179,20 @@ std::string replay_fifo(const Link& link, const PacketLog& deliveries,
     if (gone != gone_before) ++tally.ties;
     const Duration service =
         config.rate.transmission_time(ByteSize::bytes(event.size_bytes));
-    if (!is_drop) {
-      const Duration departure = event.at - config.propagation;
+    if (!is_refused) {
+      if (event.kind == PacketEventKind::kDropped) {
+        ++tally.channel_drops;
+        // Dropped at its departure, after its own arrival.
+        if (event.offered < n) return where + "channel drop before arrival";
+      }
       const auto model = server.admit(arrival, service);
-      if (model != departure) {
+      if (model != event.at) {
         return where + "link departs at " +
-               std::to_string(departure.count_nanos()) + " ns, server " +
+               std::to_string(event.at.count_nanos()) + " ns, server " +
                (model ? std::to_string(model->count_nanos()) + " ns"
                       : std::string("drops"));
       }
-      departures.push_back(departure);
+      departures.push_back(event.at);
       continue;
     }
     if (event.sent != gone && event.sent != gone_before) {
@@ -245,35 +278,9 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
       cfg.red = red;
     }
     if (rng.chance(0.25)) {
-      // Correlated-loss channel, half Gilbert-Elliott, half a random
-      // 3-state chain with per-state extra delay and jitter.
-      if (rng.chance(0.5)) {
-        cfg.channel = MarkovChannelConfig::gilbert_elliott(
-            Probability::checked(0.005 + 0.1 * rng.uniform()),
-            Probability::checked(0.1 + 0.5 * rng.uniform()),
-            /*good_drop=*/Probability::zero(),
-            /*bad_drop=*/Probability::checked(0.3 + 0.7 * rng.uniform()),
-            Duration::millis(rng.uniform(0.0, 4.0)));
-      } else {
-        MarkovChannelConfig channel;
-        for (int s = 0; s < 3; ++s) {
-          ChannelState state;
-          state.drop_probability = Probability::checked(rng.uniform(0.0, 0.6));
-          state.extra_delay = Duration::millis(rng.uniform(0.0, 2.0));
-          if (rng.chance(0.5)) {
-            state.extra_delay_jitter = Duration::millis(rng.uniform(0.0, 2.0));
-          }
-          channel.states.push_back(state);
-        }
-        for (int row = 0; row < 3; ++row) {
-          double weights[3];
-          double sum = 0.0;
-          for (double& w : weights) sum += (w = 0.05 + rng.uniform());
-          for (double w : weights) channel.transitions.push_back(w / sum);
-        }
-        channel.initial_state = rng.uniform_int(3);
-        cfg.channel = std::move(channel);
-      }
+      cfg.channel = GilbertChannelConfig{
+          Probability::checked(0.005 + 0.1 * rng.uniform()),
+          Probability::checked(0.1 + 0.5 * rng.uniform())};
     }
     audited.push_back(&net.add_duplex_link(path[i], path[i + 1], cfg,
                                            sim_of(i), sim_of(i + 1)));
@@ -394,7 +401,6 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
     mix_log(*drop_logs[i]);
   }
   for (std::size_t i = 0; i < audited.size(); ++i) {
-    if (audited[i]->config().channel) continue;
     const std::string mismatch = replay_fifo(*audited[i], *delivery_logs[i],
                                              *drop_logs[i], outcome.oracle);
     if (outcome.oracle.mismatch.empty()) outcome.oracle.mismatch = mismatch;
@@ -446,11 +452,18 @@ TEST_F(AuditFuzzTest, FiftyRandomTopologiesHoldInvariantsAndReplayExactly) {
     oracle.links += first.oracle.links;
     oracle.arrivals += first.oracle.arrivals;
     oracle.ties += first.oracle.ties;
+    oracle.channel_links += first.oracle.channel_links;
+    oracle.channel_arrivals += first.oracle.channel_arrivals;
+    oracle.channel_drops += first.oracle.channel_drops;
   }
   std::cout << "Fig.-3 oracle: " << oracle.arrivals << " arrivals on "
             << oracle.links << " links, " << oracle.ties
-            << " at the instant of a departure\n";
+            << " at the instant of a departure; " << oracle.channel_arrivals
+            << " arrivals and " << oracle.channel_drops
+            << " channel drops on " << oracle.channel_links
+            << " channel links\n";
   EXPECT_GT(oracle.arrivals, 100u * kTopologies);
+  EXPECT_GT(oracle.channel_drops, 0u);
   // The generator must actually exercise the datapath: a wiring bug that
   // silently dropped all traffic would make every digest trivially equal.
   EXPECT_GT(total_probes, kTopologies);
@@ -469,6 +482,7 @@ TEST_F(AuditFuzzTest, ShardedRunsMatchSequentialDigestsExactly) {
   runner::ThreadPool pool(0);
   LentWorkers lent(&pool);
   constexpr std::uint64_t kTopologies = 50;
+  std::map<std::size_t, OracleTally> oracle;  // by domain count
   for (std::uint64_t i = 0; i < kTopologies; ++i) {
     const std::uint64_t seed = derive_stream_seed(0xB010793ULL, i);
     SCOPED_TRACE("topology " + std::to_string(i) + " seed " +
@@ -487,7 +501,17 @@ TEST_F(AuditFuzzTest, ShardedRunsMatchSequentialDigestsExactly) {
       EXPECT_EQ(sharded.hop_deliveries, sequential.hop_deliveries);
       EXPECT_EQ(sharded.oracle.mismatch, "");
       EXPECT_EQ(sharded.oracle.arrivals, sequential.oracle.arrivals);
+      EXPECT_EQ(sharded.oracle.channel_arrivals,
+                sequential.oracle.channel_arrivals);
+      EXPECT_EQ(sharded.oracle.channel_drops, sequential.oracle.channel_drops);
+      oracle[domains].channel_links += sharded.oracle.channel_links;
+      oracle[domains].channel_arrivals += sharded.oracle.channel_arrivals;
     }
+  }
+  for (const auto& [domains, tally] : oracle) {
+    std::cout << "Fig.-3 oracle at " << domains << " domains: "
+              << tally.channel_arrivals << " arrivals on "
+              << tally.channel_links << " channel links\n";
   }
   // The sharded runs really handed domains to the lent pool's threads.
   EXPECT_GT(lent.jobs(), 0u);

@@ -5,12 +5,14 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/loss.h"
 #include "runner/sweep.h"
 #include "runner/sweep_io.h"
 #include "scenario/scenarios.h"
+#include "sim/fluid.h"
 #include "sim/link.h"
 #include "util/rng.h"
 #include "tests/sim/sim_fixtures.h"
@@ -25,12 +27,6 @@ Packet make_packet(std::int64_t bytes, std::uint64_t id = 0) {
   return p;
 }
 
-/// Row-major entry (from, to) of a chain's transition matrix.
-double transition(const MarkovChannelConfig& config, std::size_t from,
-                  std::size_t to) {
-  return config.transitions[from * config.states.size() + to];
-}
-
 LinkConfig basic_config() {
   LinkConfig config;
   config.rate = Bandwidth::bps(128e3);
@@ -40,117 +36,98 @@ LinkConfig basic_config() {
 }
 
 TEST(MarkovChannelConfigTest, ValidateRejectsMalformedConfigs) {
-  MarkovChannelConfig config;
-  EXPECT_THROW(config.validate(), std::invalid_argument);  // no states
-
-  config = MarkovChannelConfig::gilbert_elliott(Probability::checked(0.1),
-                                                Probability::checked(0.4));
-  config.transitions.pop_back();  // wrong matrix size
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = MarkovChannelConfig::gilbert_elliott(Probability::checked(0.1),
-                                                Probability::checked(0.4));
-  config.transitions = {0.5, 0.4, 0.4, 0.6};  // row 0 sums to 0.9
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = MarkovChannelConfig::gilbert_elliott(Probability::checked(0.1),
-                                                Probability::checked(0.4));
-  config.transitions[0] = -0.1;
-  config.transitions[1] = 1.1;  // entries outside [0, 1]
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = MarkovChannelConfig::gilbert_elliott(Probability::checked(0.1),
-                                                Probability::checked(0.4));
-  config.initial_state = 2;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  // Out-of-range drop probabilities are unrepresentable now: the checked
-  // Probability constructor rejects them before a state can hold one.
+  // p and q outside [0, 1] are unrepresentable: the checked Probability
+  // constructor rejects them before a config can hold one.
   EXPECT_THROW(Probability::checked(1.5), std::invalid_argument);
+  EXPECT_THROW(Probability::checked(-0.1), std::invalid_argument);
 
-  config = MarkovChannelConfig::gilbert_elliott(Probability::checked(0.1),
-                                                Probability::checked(0.4));
-  config.states[0].extra_delay = Duration::millis(-1);
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  // from_loss_targets names each target it cannot meet.
+  const auto error = [](Probability ulp, double plg) {
+    try {
+      GilbertChannelConfig::from_loss_targets(ulp, plg);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string prefix = "GilbertChannelConfig: target ";
+  EXPECT_EQ(error(Probability::checked(0.0), 5.0),
+            prefix + "ulp must be in (0, 1)");
+  EXPECT_EQ(error(Probability::checked(1.0), 5.0),
+            prefix + "ulp must be in (0, 1)");
+  EXPECT_EQ(error(Probability::checked(0.08), 0.5),
+            prefix + "plg must be >= 1");
+  // ulp = 0.9, plg = 1 -> p = 9.
+  EXPECT_EQ(error(Probability::checked(0.9), 1.0),
+            prefix + "(ulp, plg) pair is infeasible: p > 1");
 }
 
 TEST(MarkovChannelConfigTest, GilbertElliottLayout) {
-  const auto config = MarkovChannelConfig::gilbert_elliott(
-      Probability::checked(0.02), Probability::checked(0.3),
-      Probability::checked(0.001), Probability::checked(0.9), Duration::millis(7));
-  ASSERT_EQ(config.states.size(), 2u);
-  EXPECT_DOUBLE_EQ(transition(config, 0, 1), 0.02);  // p = P(good -> bad)
-  EXPECT_DOUBLE_EQ(transition(config, 0, 0), 0.98);
-  EXPECT_DOUBLE_EQ(transition(config, 1, 0), 0.3);   // q = P(bad -> good)
-  EXPECT_DOUBLE_EQ(transition(config, 1, 1), 0.7);
-  EXPECT_DOUBLE_EQ(config.states[0].drop_probability.value(), 0.001);
-  EXPECT_DOUBLE_EQ(config.states[1].drop_probability.value(), 0.9);
-  EXPECT_EQ(config.states[1].extra_delay, Duration::millis(7));
-  EXPECT_EQ(config.initial_state, 0u);
+  // The chain draws one uniform per packet and goes bad exactly when the
+  // draw reaches 1 - p from the good state or q from the bad one: the
+  // two-entry cumulative rows of the transition matrix
+  // [[1-p, p], [q, 1-q]].
+  const GilbertChannelConfig config{Probability::checked(0.02),
+                                    Probability::checked(0.3)};
+  GilbertChannel channel(config, Rng(5));
+  Rng reference(5);
+  bool bad = false;
+  for (int i = 0; i < 20000; ++i) {
+    const double u = reference.uniform();
+    bad = u >= (bad ? 0.3 : Probability::checked(0.02).complement().value());
+    ASSERT_EQ(channel.advance(), bad) << "packet " << i;
+    ASSERT_EQ(channel.state(), bad ? 1u : 0u);
+  }
+  EXPECT_GT(channel.state_packets(1), 0u);
+
+  // The corners: p = 0 never leaves the good state, p = 1 with q = 0
+  // goes bad on the first packet and stays.
+  GilbertChannel never(GilbertChannelConfig{Probability::zero(),
+                                            Probability::checked(0.5)},
+                       Rng(1));
+  GilbertChannel always(GilbertChannelConfig{Probability::one(),
+                                             Probability::zero()},
+                        Rng(1));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(never.advance());
+    EXPECT_TRUE(always.advance());
+  }
 }
 
 TEST(MarkovChannelConfigTest, FromLossTargetsSolvesPAndQ) {
   // q = 1/plg, p = q*ulp/(1-ulp): ulp = 0.08, plg = 5 -> q = 0.2,
   // p = 0.2*0.08/0.92.
-  const auto config = MarkovChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0);
-  EXPECT_NEAR(transition(config, 1, 0), 0.2, 1e-12);
-  EXPECT_NEAR(transition(config, 0, 1), 0.2 * 0.08 / 0.92, 1e-12);
-  EXPECT_DOUBLE_EQ(config.states[0].drop_probability.value(), 0.0);
-  EXPECT_DOUBLE_EQ(config.states[1].drop_probability.value(), 1.0);
+  const auto config =
+      GilbertChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0);
+  EXPECT_NEAR(config.q.value(), 0.2, 1e-12);
+  EXPECT_NEAR(config.p.value(), 0.2 * 0.08 / 0.92, 1e-12);
   // Stationary loss p/(p+q) equals the target ulp.
-  const double p = transition(config, 0, 1);
-  const double q = transition(config, 1, 0);
+  const double p = config.p.value();
+  const double q = config.q.value();
   EXPECT_NEAR(p / (p + q), 0.08, 1e-12);
-
-  EXPECT_THROW(MarkovChannelConfig::from_loss_targets(Probability::checked(0.0), 5.0),
-               std::invalid_argument);
-  EXPECT_THROW(MarkovChannelConfig::from_loss_targets(Probability::checked(1.0), 5.0),
-               std::invalid_argument);
-  EXPECT_THROW(MarkovChannelConfig::from_loss_targets(Probability::checked(0.08), 0.5),
-               std::invalid_argument);
-  // ulp = 0.9, plg = 1 -> p = 9: infeasible.
-  EXPECT_THROW(MarkovChannelConfig::from_loss_targets(Probability::checked(0.9), 1.0),
-               std::invalid_argument);
 }
 
 TEST(MarkovChannelTest, AdvanceAccountingAndAudit) {
-  MarkovChannel channel(MarkovChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0),
-                        Rng(7));
+  GilbertChannel channel(
+      GilbertChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0),
+      Rng(7));
   const int n = 20000;
   std::uint64_t drops = 0;
   for (int i = 0; i < n; ++i) {
-    if (channel.advance().drop) ++drops;
+    if (channel.advance()) ++drops;
   }
   EXPECT_EQ(channel.total_packets(), static_cast<std::uint64_t>(n));
   EXPECT_EQ(channel.state_packets(0) + channel.state_packets(1),
             static_cast<std::uint64_t>(n));
-  EXPECT_EQ(channel.total_drops(), drops);
-  // Loss-only Gilbert-Elliott: the good state never drops, the bad state
-  // always does.
-  EXPECT_EQ(channel.state_drops(0), 0u);
-  EXPECT_EQ(channel.state_drops(1), channel.state_packets(1));
-  EXPECT_NO_THROW(channel.audit_verify());
-}
-
-TEST(MarkovChannelTest, SingleStateChannelIsBernoulli) {
-  MarkovChannelConfig config;
-  config.states = {ChannelState{Probability::checked(0.3), Duration::zero(),
-                                Duration::zero()}};
-  config.transitions = {1.0};
-  MarkovChannel channel(config, Rng(11));
-  const int n = 100000;
-  int drops = 0;
-  for (int i = 0; i < n; ++i) {
-    if (channel.advance().drop) ++drops;
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / n, 0.3, 0.01);
-  EXPECT_EQ(channel.state(), 0u);
+  // The good state never drops, the bad state always does.
+  EXPECT_EQ(channel.state_packets(1), drops);
+  EXPECT_NEAR(static_cast<double>(drops) / n, 0.08, 0.02);
 }
 
 /// Feeds `n` paced probes through a fast link carrying `channel` and
 /// returns the per-packet loss indicator sequence (1 = channel drop), in
 /// send order.
-std::vector<std::uint8_t> channel_link_losses(const MarkovChannelConfig& channel,
+std::vector<std::uint8_t> channel_link_losses(const GilbertChannelConfig& channel,
                                               std::uint64_t n,
                                               std::uint64_t seed,
                                               LinkStats* stats_out = nullptr) {
@@ -183,15 +160,15 @@ std::vector<std::uint8_t> channel_link_losses(const MarkovChannelConfig& channel
   const LinkStats& stats = link.stats();
   EXPECT_EQ(stats.offered, n);
   EXPECT_EQ(stats.overflow_drops, 0u);
-  // audit_verify above holds the channel's own packet and drop counters
-  // to these stats.
+  // audit_verify above holds the channel's own packet counters to these
+  // stats.
   EXPECT_EQ(stats.delivered + stats.channel_drops, n);
   if (stats_out != nullptr) *stats_out = stats;
   return losses;
 }
 
 TEST(ChannelLinkTest, GilbertChannelMatchesGenerateGilbertEndToEnd) {
-  // The same (p, q) drive a MarkovChannel through the full link datapath
+  // The same (p, q) drive a GilbertChannel through the full link datapath
   // and analysis::generate_gilbert directly; the two loss processes must
   // be statistically indistinguishable and both must fit back to (p, q).
   analysis::GilbertFit truth;
@@ -199,8 +176,8 @@ TEST(ChannelLinkTest, GilbertChannelMatchesGenerateGilbertEndToEnd) {
   truth.q = 0.4;
   const std::uint64_t n = 400000;
   const auto via_link = channel_link_losses(
-      MarkovChannelConfig::gilbert_elliott(Probability::checked(truth.p),
-                                           Probability::checked(truth.q)),
+      GilbertChannelConfig{Probability::checked(truth.p),
+                           Probability::checked(truth.q)},
       n, 53);
   Rng rng(47);
   const auto via_generator = analysis::generate_gilbert(truth, n, rng);
@@ -219,12 +196,13 @@ TEST(ChannelLinkTest, GilbertChannelMatchesGenerateGilbertEndToEnd) {
 }
 
 TEST(ChannelLinkTest, TargetPlgFiveMeasuredWithinTenPercent) {
-  // Acceptance property: a Gilbert-Elliott channel built for
+  // Acceptance property: a Gilbert channel built for
   // (ulp = 0.08, plg = 5) measures those targets within 10% over 10^6
   // probes through the simulated link.
   const std::uint64_t n = 1000000;
   const auto losses = channel_link_losses(
-      MarkovChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0), n, 1993);
+      GilbertChannelConfig::from_loss_targets(Probability::checked(0.08), 5.0),
+      n, 1993);
   const auto stats = analysis::loss_stats(losses);
   EXPECT_EQ(stats.probes, n);
   EXPECT_NEAR(stats.ulp, 0.08, 0.008);
@@ -234,38 +212,22 @@ TEST(ChannelLinkTest, TargetPlgFiveMeasuredWithinTenPercent) {
   EXPECT_TRUE(gap.consistent);
 }
 
-TEST(ChannelLinkTest, BadStateExtraDelayAddsToPropagation) {
-  // p = 1, q = 0: the chain moves to the bad state on the first advance
-  // and stays; a lossless bad state with 5 ms extra delay shifts every
-  // arrival by exactly 5 ms.
-  Simulator simulator;
-  LinkConfig config = basic_config();
-  config.channel = MarkovChannelConfig::gilbert_elliott(
-      Probability::checked(1.0), Probability::checked(0.0),
-      Probability::checked(0.0), Probability::checked(0.0), Duration::millis(5));
-  Link link(simulator, config, Rng(1));
-  std::vector<Duration> arrivals;
-  link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
-  link.enqueue(make_packet(72));  // service 4.5 ms + 10 ms propagation
-  drain(simulator);
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0], Duration::millis(19.5));
-  EXPECT_EQ(link.stats().channel_drops, 0u);
-}
-
 TEST(ChannelLinkTest, JitterPreservesFifoOrder) {
-  // Exponential jitter in the bad state could reorder arrivals; the link
-  // clamps each arrival to its predecessor's, so delivery stays FIFO.
+  // A kMd1Wait fluid aggregate adds a sampled wait to each packet after
+  // service, which could put a packet's arrival before its predecessor's;
+  // the link clamps each arrival to the latest one already on the flight
+  // ring, so delivery stays FIFO.  At this seed some waits do clamp: a
+  // packet arrives at the very nanosecond of the packet before it.
   Simulator simulator;
   LinkConfig config = basic_config();
   config.buffer_packets = 64;
-  MarkovChannelConfig channel =
-      MarkovChannelConfig::gilbert_elliott(
-      Probability::checked(0.5), Probability::checked(0.5),
-      Probability::checked(0.0), Probability::checked(0.0));
-  channel.states[1].extra_delay_jitter = Duration::millis(30);
-  config.channel = channel;
+  FluidAggregateConfig fluid_config;
+  fluid_config.capacity = config.rate;
+  fluid_config.queue_model = FluidQueueModel::kMd1Wait;
+  FluidAggregate fluid(simulator, fluid_config, Rng(3));
+  fluid.add_base_rate(config.rate * 0.8);
   Link link(simulator, config, Rng(3));
+  link.attach_fluid(fluid);
   std::vector<std::uint64_t> ids;
   std::vector<Duration> arrivals;
   link.set_sink([&](Packet&& p) {
@@ -276,9 +238,12 @@ TEST(ChannelLinkTest, JitterPreservesFifoOrder) {
   drain(simulator);
   ASSERT_EQ(ids.size(), 50u);
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(ids[i], i);
+  std::size_t clamped = 0;
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     EXPECT_LE(arrivals[i - 1], arrivals[i]);
+    if (arrivals[i - 1] == arrivals[i]) ++clamped;
   }
+  EXPECT_GT(clamped, 0u);
   link.audit_verify();
 }
 
@@ -312,8 +277,8 @@ TEST(ChannelLinkTest, SweepArtifactsIdenticalAcrossThreadCounts) {
     plan.seed = static_cast<std::uint64_t>(spec.param("seed"));
     scenario::ScenarioOverrides overrides;
     overrides.bottleneck_channel =
-        MarkovChannelConfig::from_loss_targets(Probability::checked(0.05),
-                                               spec.param("target_plg"));
+        GilbertChannelConfig::from_loss_targets(Probability::checked(0.05),
+                                                spec.param("target_plg"));
     return runner::scenario_metrics(scenario::run_inria_umd(plan, overrides));
   };
 

@@ -365,6 +365,23 @@ TEST(LinkTest, RejectsBadConfig) {
   EXPECT_THROW(Probability::checked(-0.1), std::invalid_argument);
 }
 
+TEST(LinkTest, SetRandomDropProbabilityKeepsTheConstructorGuard) {
+  // Reassigning the faulty-interface rate after construction (as a
+  // tomography mesh does) still refuses a link that drops every packet,
+  // and leaves the old rate in place.
+  Simulator simulator;
+  Link link(simulator, basic_config(), Rng(1));
+  link.set_random_drop_probability(Probability::checked(0.5));
+  EXPECT_EQ(link.config().random_drop_probability.value(), 0.5);
+  try {
+    link.set_random_drop_probability(Probability::one());
+    ADD_FAILURE() << "a drop probability of 1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Link: drop probability outside [0, 1)");
+  }
+  EXPECT_EQ(link.config().random_drop_probability.value(), 0.5);
+}
+
 TEST(LinkStatsTest, UtilizationGuardsZeroElapsedTime) {
   // Regression pin for the elapsed == 0 guard: busy / elapsed is 0 / 0
   // before any sim time passes, and the stats must report idle (0.0)

@@ -49,8 +49,9 @@ void PacketLog::attach_drops(Simulator& sim, Link& link) {
     event.flow = packet.flow;
     event.packet_kind = packet.kind;
     event.size_bytes = packet.size_bytes;
+    event.hop_start = packet.hop_start;
     event.offered = link.stats().offered;
-    event.sent = link.stats().delivered;
+    event.sent = link.stats().delivered + link.stats().channel_drops;
     record(event);
   });
 }

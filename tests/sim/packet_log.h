@@ -33,13 +33,17 @@ struct PacketEvent {
   std::uint32_t flow = 0;
   PacketKind packet_kind = PacketKind::kOther;
   std::int64_t size_bytes = 0;
-  /// kDelivered: when the link admitted the packet (Packet::hop_start).
+  /// When the link admitted the packet (Packet::hop_start): meaningful
+  /// for a delivery and for a kChannel drop, which the link admitted and
+  /// served before the channel lost it.
   SimTime hop_start;
-  /// kDropped: the link's LinkStats::offered and ::delivered as the drop
-  /// fired.  They place the drop in the kernel's event order: it was the
-  /// `offered`-th packet handed to the link, and `sent` packets had left
-  /// its transmitter before it, including any that left at the same
-  /// instant.
+  /// kDropped: the link's LinkStats::offered, and ::delivered plus
+  /// ::channel_drops, as the drop fired.  They place the drop in the
+  /// kernel's event order: it was the `offered`-th packet handed to the
+  /// link, and `sent` packets had left its transmitter before it,
+  /// including any that left at the same instant.  A kChannel drop fires
+  /// as it leaves the transmitter, so it counts itself in `sent` and
+  /// `offered` counts the arrivals up to that instant.
   std::uint64_t offered = 0;
   std::uint64_t sent = 0;
 };

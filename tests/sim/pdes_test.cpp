@@ -16,6 +16,7 @@
 
 #include "runner/thread_pool.h"
 #include "scenario/scenarios.h"
+#include "sim/fluid.h"
 #include "sim/network.h"
 #include "sim/spsc_channel.h"
 #include "sim/traffic.h"
@@ -116,28 +117,29 @@ TEST(PdesTest, AttachRejectsBadPartition) {
 }
 
 TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
-  // The channel stage's FIFO clamp can hold a packet back onto its
-  // predecessor's arrival time, so two packets cross the cut with the
-  // SAME arrival nanosecond; the per-link send stamp must keep them FIFO
-  // at the receiver.  The 2-state chain alternates every packet: the
-  // first (state 0) gets 20 ms of extra delay and arrives at 8 + 2 + 20 =
-  // 30 ms, the second (state 1) none and is clamped from 18 ms to 30 ms.
+  // A kMd1Wait fluid wait can hold a packet back onto its predecessor's
+  // arrival time (the link's FIFO clamp), so two packets cross the cut
+  // with the SAME arrival nanosecond; the per-link send stamp must keep
+  // them FIFO at the receiver.  At this seed the first packet waits
+  // 34.8 ms and arrives at 8 + 2 + 34.8 ms; the second, 8 ms behind it,
+  // waits 3.0 ms and is clamped from 21.0 ms onto the first's arrival.
   ParallelSimulation psim(2);
   Network net(psim.simulator(0), 7);
   const NodeId a = net.add_node("a");
   const NodeId b = net.add_node("b");
-  MarkovChannelConfig channel;
-  channel.states = {ChannelState{Probability::zero(), Duration::millis(20), {}},
-                    ChannelState{}};
-  channel.transitions = {0.0, 1.0, 1.0, 0.0};
-  channel.initial_state = 1;  // the first advance moves to state 0
   LinkConfig config;
   config.name = "a->b";
   config.rate = Bandwidth::bps(1e6);  // 8 ms per 1000-byte packet
   config.propagation = Duration::millis(2);
   config.buffer_packets = 8;
-  config.channel = channel;
   Link& link = net.add_link(a, b, config, psim.simulator(0));
+  FluidAggregateConfig fluid_config;
+  fluid_config.capacity = config.rate;
+  fluid_config.queue_model = FluidQueueModel::kMd1Wait;
+  fluid_config.mean_packet = ByteSize::bytes(1000);
+  FluidAggregate fluid(psim.simulator(0), fluid_config, Rng(45));
+  fluid.add_base_rate(config.rate * 0.5);
+  link.attach_fluid(fluid);
   std::vector<std::pair<std::int64_t, std::uint64_t>> arrivals;
   link.add_delivery_hook([&arrivals](const Packet& p, SimTime at) {
     arrivals.emplace_back(at.count_nanos(), p.id);
@@ -153,9 +155,9 @@ TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
     p.id = 2;
     link.enqueue(Packet(p));
   });
-  psim.run_until(Duration::millis(50));
+  psim.run_until(Duration::millis(500));
   ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0].first, Duration::millis(30).count_nanos());
+  EXPECT_GT(arrivals[0].first, Duration::millis(18).count_nanos());
   EXPECT_EQ(arrivals[0].first, arrivals[1].first);  // same nanosecond
   EXPECT_EQ(arrivals[0].second, 1u);                // send order kept
   EXPECT_EQ(arrivals[1].second, 2u);
@@ -632,8 +634,8 @@ TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
        }},
       {"gilbert-elliott",
        [](scenario::ScenarioOverrides& o) {
-         o.bottleneck_channel = MarkovChannelConfig::gilbert_elliott(
-             Probability::checked(0.02), Probability::checked(0.3));
+         o.bottleneck_channel = GilbertChannelConfig{
+             Probability::checked(0.02), Probability::checked(0.3)};
        }},
   };
   scenario::ProbePlan plan;
