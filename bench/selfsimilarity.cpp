@@ -79,9 +79,9 @@ HurstResult run(double pareto_shape, double minutes) {
     const auto bucket = static_cast<std::size_t>(at.millis() / kWindowMs);
     if (bucket < counts.size()) counts[bucket] += 1.0;
   };
-  bottleneck.add_delivery_hook(
+  bottleneck.set_delivery_hook(
       [&count](const sim::Packet&, SimTime at) { count(at); });
-  bottleneck.add_drop_hook([&count, &simulator](const sim::Packet&,
+  bottleneck.set_drop_hook([&count, &simulator](const sim::Packet&,
                                                 sim::DropCause) {
     count(simulator.now());
   });

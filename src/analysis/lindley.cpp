@@ -15,6 +15,11 @@ namespace {
 /// analyze_workload and estimate_bottleneck report an unordered trace
 /// under the name of the g_n walk they share.
 constexpr const char* kSamplesCaller = "workload_samples_ms";
+/// Reference cross-traffic packet for labeling workload peaks (the paper
+/// identifies ~488-byte FTP packets): 512 bytes.
+constexpr double kReferencePacketBits = 512 * 8;
+/// A workload peak holds at least this share of the g_n samples.
+constexpr double kWorkloadPeakMass = 0.01;
 
 /// Calls visit(g_n) for every g_n = rtt_{n+1} - rtt_n + delta, in order.
 template <typename Visit>
@@ -23,6 +28,20 @@ void for_each_workload_sample(const ProbeTrace& trace, Visit&& visit) {
   for_each_received_pair(trace, [&](double rtt_n, double rtt_next) {
     visit(rtt_next - rtt_n + delta_ms);
   });
+}
+
+/// The workload histogram's bin count, after the checks the two fields it
+/// is sized from need: a zero bin would turn the count into +inf, whose
+/// conversion to std::size_t is undefined.
+std::size_t workload_bins(double bin_ms, double max_ms) {
+  if (!(std::isfinite(bin_ms) && bin_ms > 0.0)) {
+    throw std::invalid_argument(
+        "analyze_workload: bin_ms must be finite and positive");
+  }
+  if (!std::isfinite(max_ms)) {
+    throw std::invalid_argument("analyze_workload: max_ms must be finite");
+  }
+  return static_cast<std::size_t>(std::max(8.0, std::ceil(max_ms / bin_ms)));
 }
 
 }  // namespace
@@ -40,7 +59,7 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
     throw std::invalid_argument("analyze_workload: mu must be positive");
   }
   // Pre-pass: validates the order, rejects a pairless trace, and sizes
-  // the auto edge, which a one-pass core cannot do.
+  // the auto edge; the second pass histograms the g_n.
   validate_probe_order(trace, kSamplesCaller);
   std::size_t samples = 0;
   double max_g = 0.0;
@@ -51,20 +70,56 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
   if (samples == 0) {
     throw std::invalid_argument("analyze_workload: no consecutive pairs");
   }
-  WorkloadOptions sized = options;
-  if (sized.max_ms <= 0.0) {
-    sized.max_ms = std::max(max_g * 1.05, trace.delta.millis() * 2.0);
-  }
-  StreamingLindley core(trace.delta, ByteSize::bytes(trace.probe_wire_bytes),
-                        sized);
-  for (const ProbeRecord& record : trace.records) {
-    if (record.received) {
-      core.push_received(record.rtt);
-    } else {
-      core.push_lost();
+  const double delta_ms = trace.delta.millis();
+  // The edge is used as resolved (a Duration round trip would round an
+  // auto-sized edge to whole nanoseconds and move the bins).
+  const double max_ms = options.max_ms <= 0.0
+                            ? std::max(max_g * 1.05, delta_ms * 2.0)
+                            : options.max_ms;
+  WorkloadAnalysis result{
+      Histogram(0.0, max_ms, workload_bins(options.bin_ms, max_ms)), {}, 0.0,
+      0.0};
+  const double mu_bits_per_ms = options.bottleneck_bps * 1e-3;
+  const double probe_bits = static_cast<double>(trace.probe_wire_bytes * 8);
+  std::size_t busy = 0;
+  double busy_bits_sum = 0.0;
+  for_each_workload_sample(trace, [&](double g) {
+    result.histogram.add(g);
+    // Eq. (6): the busy-period workload b_n = mu * g_n - P, averaged over
+    // the samples where the busy-server assumption holds (b_n > 0).
+    const double b = mu_bits_per_ms * g - probe_bits;
+    if (b > 0.0) {
+      busy_bits_sum += b;
+      ++busy;
     }
+  });
+
+  const double service_ms = probe_bits / mu_bits_per_ms;  // P/mu in ms
+  // A peak is the compression (P/mu) or idle (delta) peak only if its
+  // *bin* covers that value, i.e. the center lies within half a bin of
+  // it; a full bin's tolerance would swallow the adjacent-bin peaks too.
+  const double half_bin = 0.5 * result.histogram.bin_width();
+  for (const HistogramPeak& peak :
+       result.histogram.find_peaks(kWorkloadPeakMass, 2)) {
+    WorkloadPeak wp;
+    wp.position_ms = peak.center;
+    wp.mass = peak.mass;
+    wp.workload_bits =
+        std::max(0.0, mu_bits_per_ms * peak.center - probe_bits);
+    const bool is_compression =
+        std::abs(peak.center - service_ms) <= half_bin;
+    const bool is_idle = std::abs(peak.center - delta_ms) <= half_bin;
+    // Every other peak is labeled as k reference packets.
+    if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
+      wp.cross_packets = wp.workload_bits / kReferencePacketBits;
+    }
+    result.peaks.push_back(wp);
   }
-  return core.analysis();
+  result.mean_workload_bits =
+      busy > 0 ? busy_bits_sum / static_cast<double>(busy) : 0.0;
+  result.busy_sample_fraction =
+      static_cast<double>(busy) / static_cast<double>(samples);
+  return result;
 }
 
 BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {

@@ -48,9 +48,11 @@ struct WorkloadOptions {
   double max_ms = 0.0;             // histogram upper edge; 0 -> auto
 };
 
-/// Builds the Fig.-8/9 distribution and decodes its peaks: a fold over
-/// StreamingLindley (analysis/streaming.h), after a pre-pass that sizes
-/// the histogram edge when options.max_ms is 0.
+/// Builds the Fig.-8/9 distribution and decodes its peaks in two passes
+/// over the g_n: the first sizes the histogram edge when options.max_ms
+/// is 0, the second fills the histogram and the busy-sample sum.  Throws
+/// std::invalid_argument naming the field when bin_ms is not finite and
+/// positive or max_ms is not finite.
 WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
                                   const WorkloadOptions& options = {});
 

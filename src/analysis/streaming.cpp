@@ -1,7 +1,6 @@
 #include "analysis/streaming.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -12,11 +11,6 @@ namespace {
 /// The packet-pair cluster cut, as a multiple of the median spacing: at
 /// least 1, so the cluster always holds the median.
 constexpr double kOutlierFactor = 1.5;
-/// Reference cross-traffic packet for labeling workload peaks (the paper
-/// identifies ~488-byte FTP packets): 512 bytes.
-constexpr double kReferencePacketBits = 512 * 8;
-/// A workload peak holds at least this share of the g_n samples.
-constexpr double kMinPeakMass = 0.01;
 
 }  // namespace
 
@@ -177,100 +171,6 @@ BottleneckEstimate StreamingPacketPair::estimate() {
   estimate.cluster_fraction =
       static_cast<double>(count) / static_cast<double>(spacings_ms_.size());
   return estimate;
-}
-
-// ---------------------------------------------------------------------------
-// StreamingLindley
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// The histogram's bin count, after the checks the two fields it is
-/// sized from need: a zero bin would turn the count into +inf, whose
-/// conversion to std::size_t is undefined.
-std::size_t workload_bins(const WorkloadOptions& options) {
-  if (!(std::isfinite(options.bin_ms) && options.bin_ms > 0.0)) {
-    throw std::invalid_argument(
-        "StreamingLindley: bin_ms must be finite and positive");
-  }
-  if (!std::isfinite(options.max_ms)) {
-    throw std::invalid_argument("StreamingLindley: max_ms must be finite");
-  }
-  return static_cast<std::size_t>(
-      std::max(8.0, std::ceil(options.max_ms / options.bin_ms)));
-}
-
-}  // namespace
-
-StreamingLindley::StreamingLindley(Duration delta, ByteSize probe_wire,
-                                   const WorkloadOptions& options)
-    : histogram_(0.0, options.max_ms, workload_bins(options)),
-      delta_ms_(delta.millis()),
-      mu_bits_per_ms_(options.bottleneck_bps * 1e-3),
-      probe_bits_(static_cast<double>(probe_wire.bit_count())) {
-  if (options.bottleneck_bps <= 0.0) {
-    throw std::invalid_argument("StreamingLindley: mu must be positive");
-  }
-}
-
-void StreamingLindley::push_received(Duration rtt) {
-  const double rtt_ms = rtt.millis();
-  if (have_prev_) {
-    const double g = rtt_ms - prev_rtt_ms_ + delta_ms_;
-    histogram_.add(g);
-    ++samples_;
-    // Eq. (6): the busy-period workload b_n = mu * g_n - P, averaged over
-    // the samples where the busy-server assumption holds (b_n > 0).
-    const double b = mu_bits_per_ms_ * g - probe_bits_;
-    if (b > 0.0) {
-      busy_bits_sum_ += b;
-      ++busy_;
-    }
-  }
-  prev_rtt_ms_ = rtt_ms;
-  have_prev_ = true;
-}
-
-double StreamingLindley::mean_workload_bits() const {
-  return busy_ > 0 ? busy_bits_sum_ / static_cast<double>(busy_) : 0.0;
-}
-
-double StreamingLindley::busy_sample_fraction() const {
-  return samples_ > 0
-             ? static_cast<double>(busy_) / static_cast<double>(samples_)
-             : 0.0;
-}
-
-WorkloadAnalysis StreamingLindley::analysis() const {
-  if (samples_ == 0) {
-    throw std::invalid_argument(
-        "StreamingLindley::analysis: no consecutive pairs");
-  }
-  WorkloadAnalysis result{histogram_, {}, 0.0, 0.0};
-  const double service_ms = probe_bits_ / mu_bits_per_ms_;  // P/mu in ms
-  // A peak is the compression (P/mu) or idle (delta) peak only if its
-  // *bin* covers that value, i.e. the center lies within half a bin of
-  // it; a full bin's tolerance would swallow the adjacent-bin peaks too.
-  const double half_bin = 0.5 * result.histogram.bin_width();
-  for (const HistogramPeak& peak :
-       result.histogram.find_peaks(kMinPeakMass, 2)) {
-    WorkloadPeak wp;
-    wp.position_ms = peak.center;
-    wp.mass = peak.mass;
-    wp.workload_bits =
-        std::max(0.0, mu_bits_per_ms_ * peak.center - probe_bits_);
-    const bool is_compression =
-        std::abs(peak.center - service_ms) <= half_bin;
-    const bool is_idle = std::abs(peak.center - delta_ms_) <= half_bin;
-    // Every other peak is labeled as k reference packets.
-    if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
-      wp.cross_packets = wp.workload_bits / kReferencePacketBits;
-    }
-    result.peaks.push_back(wp);
-  }
-  result.mean_workload_bits = mean_workload_bits();
-  result.busy_sample_fraction = busy_sample_fraction();
-  return result;
 }
 
 }  // namespace bolot::analysis

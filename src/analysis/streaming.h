@@ -9,27 +9,22 @@
 //   StreamingLossState  -- ulp / clp / plg and the Gilbert refit.
 //                          loss_stats() and fit_gilbert() push every
 //                          indicator into one and return its snapshot.
-//   StreamingLindley    -- the eq. (6) workload inversion: g_n histogram,
-//                          busy-sample accumulator, peak labels.
-//                          analyze_workload() validates, resolves the
-//                          histogram edge (auto-sizing needs a pre-pass
-//                          over g_n that one-pass estimation cannot do)
-//                          and pushes every record into one.
 //   StreamingPacketPair -- packet-pair return spacings, their median and
 //                          cluster centroid.  estimate_bottleneck_packet_pair()
 //                          validates and pushes every received record into
 //                          one, its array index as the seq.
 //
-// The fourth streaming core, the Welford StreamingSummary behind
-// summarize(), lives in stats.h.  The per-estimator contract is
-// documented in docs/ESTIMATORS.md.
+// The third streaming core, the Welford StreamingSummary behind
+// summarize(), lives in stats.h.  The eq. (6) workload inversion has no
+// streaming form: analyze_workload() (lindley.h) sizes its histogram edge
+// in a pre-pass over g_n, then folds the same pair walk a second time.
+// The per-estimator contract is documented in docs/ESTIMATORS.md.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "analysis/histogram.h"
 #include "analysis/lindley.h"
 #include "analysis/loss.h"
 #include "util/time.h"
@@ -124,50 +119,6 @@ class StreamingPacketPair {
   std::uint64_t last_seq_ = 0;
   Duration last_send_;
   Duration last_return_;
-};
-
-// ---------------------------------------------------------------------------
-// StreamingLindley
-// ---------------------------------------------------------------------------
-
-/// Streaming eq.-(6) workload inversion: g_n = rtt_{n+1} - rtt_n + delta
-/// over consecutively received probes, histogrammed online.
-class StreamingLindley {
- public:
-  /// analyze_workload()'s parameterization.  `options.max_ms` is the
-  /// resolved histogram edge, used as given (a Duration round trip would
-  /// round an auto-sized edge to whole nanoseconds and move the bins); a
-  /// one-pass estimator cannot auto-size it, so Histogram throws unless it
-  /// is positive.  Throws std::invalid_argument naming the field when
-  /// bin_ms is not finite and positive, or max_ms is not finite.
-  StreamingLindley(Duration delta, ByteSize probe_wire,
-                   const WorkloadOptions& options);
-
-  /// Push the next probe in sequence order.  A lost probe breaks the
-  /// consecutive pair exactly as in workload_samples_ms().
-  void push_received(Duration rtt);
-  void push_lost() { have_prev_ = false; }
-
-  /// Online accessors (obs Sampler probes): the analysis() fields over
-  /// the pushed prefix.
-  double mean_workload_bits() const;
-  double busy_sample_fraction() const;
-
-  /// The histogram, its decoded peaks and the busy-sample statistics over
-  /// the pushed prefix; throws std::invalid_argument when no pair has
-  /// formed yet.
-  WorkloadAnalysis analysis() const;
-
- private:
-  Histogram histogram_;
-  double delta_ms_ = 0.0;
-  double mu_bits_per_ms_ = 0.0;
-  double probe_bits_ = 0.0;
-  std::size_t samples_ = 0;
-  std::size_t busy_ = 0;
-  double busy_bits_sum_ = 0.0;
-  bool have_prev_ = false;
-  double prev_rtt_ms_ = 0.0;
 };
 
 }  // namespace bolot::analysis

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "nettime/clock.h"
@@ -61,19 +62,26 @@ void apply_overrides(PathSpec& path, const ScenarioOverrides& o) {
 }
 
 /// A negative load would build no source, exactly like a zero one, so it
-/// is rejected rather than run as "no traffic".
-void check_cross_loads(const CrossTraffic& cross) {
-  const std::pair<double, const char*> loads[] = {
-      {cross.session_load,
+/// is rejected rather than run as "no traffic".  A non-finite burst length
+/// would reach the burst-gap arithmetic as an undefined double-to-integer
+/// cast, so it is rejected here, by name, before any source is built.
+void check_cross_traffic(const CrossTraffic& cross) {
+  const std::tuple<double, double, const char*> fields[] = {
+      {cross.session_load, 0.0,
        "chain scenario: cross_traffic.session_load must be finite and >= 0"},
-      {cross.bulk_load,
+      {cross.bulk_load, 0.0,
        "chain scenario: cross_traffic.bulk_load must be finite and >= 0"},
-      {cross.interactive_load,
+      {cross.interactive_load, 0.0,
        "chain scenario: cross_traffic.interactive_load must be finite and "
        ">= 0"},
+      {cross.mean_burst_packets, 1.0,
+       "chain scenario: cross_traffic.mean_burst_packets must be finite and "
+       ">= 1"},
   };
-  for (const auto& [load, error] : loads) {
-    if (!std::isfinite(load) || load < 0.0) throw std::invalid_argument(error);
+  for (const auto& [value, lowest, error] : fields) {
+    if (!std::isfinite(value) || value < lowest) {
+      throw std::invalid_argument(error);
+    }
   }
 }
 
@@ -113,7 +121,7 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
   TRACE_SCOPE("scenario.run_chain");
   detail::reject_foreign_overrides(overrides, /*chain=*/true);
   apply_overrides(path, overrides);
-  check_cross_loads(path.cross);
+  check_cross_traffic(path.cross);
   const TopologyPlan topo = path_plan(path);
   detail::ScenarioBuild build(topo, overrides.domains,
                               overrides.obs_sample_interval.has_value(),

@@ -261,7 +261,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     delay_truth.count.assign(net.link_count(), 0);
     for (std::size_t i = 0; i < net.link_count(); ++i) {
       const std::uint32_t uid = static_cast<std::uint32_t>(i);
-      net.link_at(i).add_delivery_hook([gt = &delay_truth, uid](
+      net.link_at(i).set_delivery_hook([gt = &delay_truth, uid](
                                            const sim::Packet& p, SimTime at) {
         // Main-flow probes only: pair followers queue behind their leader
         // by construction, which would bias the sojourn mean.

@@ -135,7 +135,8 @@ void FluidAggregate::audit_verify() const {
 
 FluidFlow::FluidFlow(Simulator& sim, Bandwidth mean_rate, std::size_t states,
                      Duration mean_holding, Rng rng)
-    : sim_(sim), mean_rate_(mean_rate), rng_(rng) {
+    : sim_(sim), mean_rate_(mean_rate), mean_holding_(mean_holding),
+      rng_(rng) {
   // State i's rate is the mean x (1 + kEnvelopeSwing u_i), u_i in [-1, 1].
   constexpr double kEnvelopeSwing = 0.5;
   if (states < 2) {
@@ -148,19 +149,10 @@ FluidFlow::FluidFlow(Simulator& sim, Bandwidth mean_rate, std::size_t states,
     throw std::invalid_argument("FluidFlow: non-positive holding time");
   }
   state_rate_fraction_.resize(states);
-  mean_holding_.assign(states, mean_holding);
-  transition_.assign(states * states, 0.0);
   for (std::size_t i = 0; i < states; ++i) {
     const double u =
         2.0 * static_cast<double>(i) / static_cast<double>(states - 1) - 1.0;
     state_rate_fraction_[i] = 1.0 + kEnvelopeSwing * u;
-    // Uniform jumps to every other state: the stationary distribution is
-    // uniform, so the stationary mean fraction is exactly 1.0.
-    for (std::size_t j = 0; j < states; ++j) {
-      if (j != i) {
-        transition_[i * states + j] = 1.0 / static_cast<double>(states - 1);
-      }
-    }
   }
 }
 
@@ -193,14 +185,18 @@ void FluidFlow::start(SimTime at) {
 void FluidFlow::on_transition(bool rearm) {
   // Hold in the current state, then jump.  The holding draw happens at
   // entry so the trajectory is a pure function of the rng stream.
-  const Duration hold = rng_.exponential_time(mean_holding_[state_]);
+  const Duration hold = rng_.exponential_time(mean_holding_);
   const auto jump = [this] {
+    // Uniform jumps to every other state: the stationary distribution is
+    // uniform, so the stationary mean fraction is exactly 1.0.
     const std::size_t k = state_rate_fraction_.size();
+    const double p = 1.0 / static_cast<double>(k - 1);
     const double u = rng_.uniform();
     double cumulative = 0.0;
     std::size_t next = k - 1;  // guard against rounding at u ~ 1
     for (std::size_t j = 0; j < k; ++j) {
-      cumulative += transition_[state_ * k + j];
+      if (j == state_) continue;
+      cumulative += p;
       if (u < cumulative) {
         next = j;
         break;

@@ -155,11 +155,10 @@ class FluidFlow {
 
   Simulator& sim_;
   Bandwidth mean_rate_;
-  /// The chain as per-state tables: rate fraction, holding time and the
-  /// row-major K x K jump matrix.
+  /// State k's rate as a fraction of mean_rate_; every state holds
+  /// exponential(mean_holding_) and jumps uniformly to another.
   std::vector<double> state_rate_fraction_;
-  std::vector<Duration> mean_holding_;
-  std::vector<double> transition_;
+  Duration mean_holding_;
   Rng rng_;
   std::vector<FluidAggregate*> aggregates_;
   double rate_bps_ = 0.0;

@@ -31,7 +31,7 @@ Link::Link(Simulator& sim, LinkConfig config, Rng drop_rng)
     if (!(red.min_threshold >= 0.0) ||
         !(red.max_threshold > red.min_threshold) ||
         red.max_probability.is_zero() ||
-        red.weight <= 0.0 || red.weight > 1.0 ||
+        !(red.weight > 0.0 && red.weight <= 1.0) ||
         red.mean_packet <= ByteSize::zero()) {
       throw std::invalid_argument("Link: malformed RED configuration");
     }
@@ -59,20 +59,20 @@ void Link::attach_fluid(FluidAggregate& fluid) {
   fluid_ = &fluid;
 }
 
-void Link::add_drop_hook(DropHook hook) {
-  if (!hook) return;
-  if (drop_hook_count_ == kMaxHooks) {
-    throw std::length_error("Link: drop-hook chain full");
+void Link::set_drop_hook(DropHook hook) {
+  if (drop_hook_) {
+    throw std::logic_error("Link " + config_.name +
+                           ": drop hook already set");
   }
-  drop_hooks_[drop_hook_count_++] = std::move(hook);
+  drop_hook_ = std::move(hook);
 }
 
-void Link::add_delivery_hook(DeliveryHook hook) {
-  if (!hook) return;
-  if (delivery_hook_count_ == kMaxHooks) {
-    throw std::length_error("Link: delivery-hook chain full");
+void Link::set_delivery_hook(DeliveryHook hook) {
+  if (delivery_hook_) {
+    throw std::logic_error("Link " + config_.name +
+                           ": delivery hook already set");
   }
-  delivery_hooks_[delivery_hook_count_++] = std::move(hook);
+  delivery_hook_ = std::move(hook);
 }
 
 void Link::set_random_drop_probability(Probability p) {
@@ -218,7 +218,7 @@ void Link::complete_front() {
     const SimTime armed = std::max(sim_.now(), last_flight_arrival_);
     last_flight_arrival_ = arrive;
     remote_egress_(arrive, armed, std::move(done));
-  } else if (sink_ || delivery_hook_count_ > 0) {
+  } else if (sink_ || delivery_hook_) {
     // Hand off to the propagation stage: constant delay means FIFO order,
     // so one ring + one outstanding arrival event replaces a per-packet
     // closure (MODEL_NOTES §10).  Moving straight from the queue slot
@@ -260,7 +260,7 @@ void Link::on_arrival() {
   // place instead of moved out.
   InFlight& flight = flight_.front();
   flight_.drop_front();
-  // Re-arm before running hooks/sink: downstream work scheduled by the
+  // Re-arm before running hook and sink: downstream work scheduled by the
   // sink at this same timestamp must dispatch after the already-due next
   // arrival was sequenced, preserving the per-packet event order of the
   // uncoalesced datapath.
@@ -269,9 +269,7 @@ void Link::on_arrival() {
   } else {
     arm_arrival(/*rearm=*/true);
   }
-  for (std::uint8_t i = 0; i < delivery_hook_count_; ++i) {
-    delivery_hooks_[i](flight.packet, sim_.now());
-  }
+  if (delivery_hook_) delivery_hook_(flight.packet, sim_.now());
   if (sink_) sink_(std::move(flight.packet));
   if constexpr (util::kAuditChecksEnabled) {
     // Audited after the sink so a conservation break caused by the sink
@@ -457,9 +455,7 @@ void Link::drop(Packet&& packet, DropCause cause) {
       ++stats_.channel_drops;
       break;
   }
-  for (std::uint8_t i = 0; i < drop_hook_count_; ++i) {
-    drop_hooks_[i](packet, cause);
-  }
+  if (drop_hook_) drop_hook_(packet, cause);
 }
 
 }  // namespace bolot::sim

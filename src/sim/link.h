@@ -16,7 +16,6 @@
 // many packets are on the wire.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -109,9 +108,6 @@ class Link {
   /// Hooks live inline in the Link (no heap, no std::function): a closure
   /// must fit kHookCapacity bytes, enforced at compile time.
   static constexpr std::size_t kHookCapacity = 48;
-  /// Observation hooks form small chains (e.g. a logging + a counting drop
-  /// hook on the same link); each link holds up to kMaxHooks of each kind.
-  static constexpr std::size_t kMaxHooks = 4;
 
   using Sink = util::InplaceFunction<void(Packet&&), kHookCapacity>;
   /// Called for every dropped packet (after stats are updated); used by
@@ -151,30 +147,28 @@ class Link {
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
-  /// Appends a hook, chaining after any already installed (fires in
-  /// installation order).  Throws std::length_error past kMaxHooks.
-  void add_drop_hook(DropHook hook);
-  void add_delivery_hook(DeliveryHook hook);
+  /// Installs the link's one observer of each kind.  A second install
+  /// throws std::logic_error naming the link.
+  void set_drop_hook(DropHook hook);
+  void set_delivery_hook(DeliveryHook hook);
 
   /// Marks this link as a PDES domain boundary: packets leaving the
   /// transmitter are handed to `egress` (stamped with their arrival time)
   /// instead of the local flight ring.  The propagation span then lives in
   /// the cross-domain channel, which is exactly what gives the receiving
   /// domain its lookahead.  Sending-side stages (queue, transmitter,
-  /// channel model, drop hooks, FIFO clamp) are untouched; delivery hooks
-  /// and the sink fire on the receiving side via deliver_remote().
+  /// channel model, drop hook, FIFO clamp) are untouched; the delivery
+  /// hook and the sink fire on the receiving side via deliver_remote().
   void set_remote_egress(RemoteEgress egress) {
     remote_egress_ = std::move(egress);
   }
 
-  /// Receiving-domain half of a boundary link: runs the delivery hooks and
+  /// Receiving-domain half of a boundary link: runs the delivery hook and
   /// the sink for a packet that crossed via the remote egress.  Must be
   /// called from within an event dispatched at `at` in the receiving
   /// domain (Simulator::dispatch_external).
   void deliver_remote(SimTime at, Packet&& packet) {
-    for (std::uint8_t i = 0; i < delivery_hook_count_; ++i) {
-      delivery_hooks_[i](packet, at);
-    }
+    if (delivery_hook_) delivery_hook_(packet, at);
     if (sink_) sink_(std::move(packet));
   }
 
@@ -296,10 +290,8 @@ class Link {
   SimTime last_flight_arrival_;
   Sink sink_;
   RemoteEgress remote_egress_;
-  std::array<DropHook, kMaxHooks> drop_hooks_;
-  std::array<DeliveryHook, kMaxHooks> delivery_hooks_;
-  std::uint8_t drop_hook_count_ = 0;
-  std::uint8_t delivery_hook_count_ = 0;
+  DropHook drop_hook_;
+  DeliveryHook delivery_hook_;
 
   /// Waiting packets; when busy_, front() is the packet in service.  Full
   /// capacity (buffer_packets) is reserved at construction, so enqueue

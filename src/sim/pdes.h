@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/domain.h"
@@ -40,26 +39,6 @@
 #include "util/time.h"
 
 namespace bolot::sim {
-
-/// Compile-time validation of a cut's conservative lookahead.  A zero (or
-/// negative) lookahead is the classic conservative-PDES deadlock: no
-/// domain can ever prove a horizon past its neighbor's clock.  attach()
-/// rejects such cuts at run time; partitions whose lookahead is known
-/// statically can reject them at compile time instead —
-///
-///   constexpr Duration la = checked_cut_lookahead(Duration::millis(10));
-///
-/// fails to compile when the argument is not positive (the throw below is
-/// not a constant expression), so a zero-lookahead partition never makes
-/// it into a binary.
-consteval Duration checked_cut_lookahead(Duration lookahead) {
-  if (lookahead <= Duration::zero()) {
-    throw std::invalid_argument(
-        "PDES cut lookahead must be positive (zero-lookahead cuts "
-        "deadlock the conservative kernel; use a single domain instead)");
-  }
-  return lookahead;
-}
 
 class ParallelSimulation {
  public:

@@ -54,7 +54,8 @@ void TokenBucketShaper::release_ready() {
   while (!queue_.empty() &&
          tokens_bytes_ + 1e-9 >=
              static_cast<double>(queue_.front().size_bytes)) {
-    Packet packet = queue_.pop_front();
+    Packet packet = std::move(queue_.front());
+    queue_.drop_front();
     tokens_bytes_ -= static_cast<double>(packet.size_bytes);
     net_.send(std::move(packet));
   }

@@ -68,8 +68,10 @@ BurstSource::BurstSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
   if (config_.mean_burst_gap <= Duration::zero()) {
     throw std::invalid_argument("BurstSource: burst gap must be positive");
   }
-  if (config_.mean_burst_packets < 1.0) {
-    throw std::invalid_argument("BurstSource: mean burst length < 1");
+  if (!(std::isfinite(config_.mean_burst_packets) &&
+        config_.mean_burst_packets >= 1.0)) {
+    throw std::invalid_argument(
+        "BurstSource: mean_burst_packets must be finite and >= 1");
   }
 }
 

@@ -10,8 +10,9 @@
 //
 // Requirements on T: default-constructible and move-assignable.  Elements
 // are stored in a value-initialized array; push_back move-assigns into a
-// slot and pop_front moves out, so a popped slot holds a moved-from T
-// until it is reused (fine for Packet and other value types).
+// slot and drop_front() leaves the slot as it is, so a dropped slot holds
+// whatever the caller left in it (a moved-from T, say) until it is reused
+// (fine for Packet and other value types).
 #pragma once
 
 #include <cstddef>
@@ -86,21 +87,6 @@ class RingBuffer {
               capacity());
     head_ = (head_ + 1) & mask_;
     --size_;
-  }
-
-  /// Removes and returns the oldest element.  Requires !empty().
-  T pop_front() {
-    SIM_AUDIT(size_ > 0, "RingBuffer: pop_front() on empty ring (cap=%zu)",
-              capacity());
-    T out = std::move(data_[head_]);
-    head_ = (head_ + 1) & mask_;
-    --size_;
-    return out;
-  }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
   }
 
   /// Ensures capacity() >= min_capacity (rounded up to a power of two),

@@ -88,7 +88,9 @@ double Rng::pareto(double alpha, double xm) {
 }
 
 std::uint64_t Rng::geometric(double p) {
-  if (p <= 0.0 || p > 1.0) throw std::invalid_argument("geometric: bad p");
+  if (!(p > 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("geometric: p must be in (0, 1]");
+  }
   if (p == 1.0) return 1;
   double u;
   do {

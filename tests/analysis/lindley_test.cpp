@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "tests/analysis/trace_fixtures.h"
@@ -139,8 +140,8 @@ TEST(AnalyzeWorkloadTest, Validation) {
       analyze_workload(trace, bad);
       ADD_FAILURE() << field << " accepted";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-          << e.what();
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("analyze_workload: " + field, 0), 0u) << what;
     }
   };
   const double inf = std::numeric_limits<double>::infinity();
@@ -153,6 +154,20 @@ TEST(AnalyzeWorkloadTest, Validation) {
     WorkloadOptions bad;
     bad.max_ms = edge;
     expect_named(bad, "max_ms");
+  }
+}
+
+TEST(AnalyzeWorkloadTest, LossBreaksTheOnlyPair) {
+  // Two received probes around a lost one form no pair, so there is no
+  // g_n to histogram: a named error, with a pinned edge as well.
+  const auto trace = make_trace(50, {80.0, std::nullopt, 90.0});
+  WorkloadOptions options;
+  options.max_ms = 100.0;
+  try {
+    analyze_workload(trace, options);
+    ADD_FAILURE() << "a pairless trace was analyzed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "analyze_workload: no consecutive pairs");
   }
 }
 

@@ -1,11 +1,9 @@
 // Streaming estimator tests (docs/ESTIMATORS.md states the per-estimator
-// contract these tests pin).  loss_stats, fit_gilbert and analyze_workload
-// are folds over StreamingLossState and StreamingLindley, so their outputs
-// are pinned in loss_test / lindley_test instead; what stays here is what
-// a fold cannot show: snapshots taken mid-stream, the online accessors,
-// the push(Duration) convention, the one-pass estimator's own argument
-// checks, and the packet-pair front end under seeded out-of-order,
-// duplicate and late returns.
+// contract these tests pin).  loss_stats and fit_gilbert are folds over
+// StreamingLossState, so their outputs are pinned in loss_test instead;
+// what stays here is what a fold cannot show: snapshots taken mid-stream
+// and the packet-pair front end under seeded out-of-order, duplicate and
+// late returns.
 #include "analysis/streaming.h"
 
 #include <gtest/gtest.h>
@@ -25,8 +23,6 @@ namespace bolot::analysis {
 namespace {
 
 using testing::random_gilbert_losses;
-using testing::random_rtt_stream;
-using testing::stream_trace;
 
 // ---------------------------------------------------------------------------
 // StreamingLossState
@@ -274,57 +270,6 @@ TEST(StreamingPacketPairTest, RejectsOutlierFactorBelowOne) {
   EXPECT_EQ(estimate.cluster_samples, 4u);
   EXPECT_EQ(estimate.service_time_ms, 4.5);
   EXPECT_EQ(estimate.cluster_fraction, 0.8);
-}
-
-// ---------------------------------------------------------------------------
-// StreamingLindley
-// ---------------------------------------------------------------------------
-
-TEST(StreamingLindleyTest, OnlineAccessorsMatchBatchAtPrefixes) {
-  const double delta_ms = 20.0;
-  const auto rtts = random_rtt_stream(13, 2000, 0.1, 8.0, 0.0);
-  WorkloadOptions options;
-  options.max_ms = 100.0;
-  StreamingLindley streaming(Duration::millis(delta_ms), ByteSize::bytes(72),
-                             options);
-
-  std::vector<std::optional<double>> prefix;
-  for (const auto& r : rtts) {
-    prefix.push_back(r);
-    if (r) {
-      streaming.push_received(Duration::millis(*r));
-    } else {
-      streaming.push_lost();
-    }
-  }
-  const ProbeTrace trace = stream_trace(prefix, delta_ms, 0.0);
-  const WorkloadAnalysis batch = analyze_workload(trace, options);
-  EXPECT_EQ(streaming.mean_workload_bits(), batch.mean_workload_bits);
-  EXPECT_EQ(streaming.busy_sample_fraction(), batch.busy_sample_fraction);
-  const Histogram online = streaming.analysis().histogram;
-  ASSERT_EQ(online.bin_count(), batch.histogram.bin_count());
-  for (std::size_t i = 0; i < online.bin_count(); ++i) {
-    EXPECT_EQ(online.count(i), batch.histogram.count(i)) << "bin " << i;
-  }
-}
-
-TEST(StreamingLindleyTest, RequiresExplicitHistogramEdge) {
-  WorkloadOptions options;
-  options.max_ms = 0.0;  // batch would auto-size; streaming cannot
-  EXPECT_THROW(
-      StreamingLindley(Duration::millis(50), ByteSize::bytes(72), options),
-      std::invalid_argument);
-}
-
-TEST(StreamingLindleyTest, NoPairsThrowsLikeBatch) {
-  WorkloadOptions options;
-  options.max_ms = 100.0;
-  StreamingLindley streaming(Duration::millis(50), ByteSize::bytes(72),
-                             options);
-  streaming.push_received(Duration::millis(80));
-  streaming.push_lost();  // loss breaks the only pair
-  streaming.push_received(Duration::millis(90));
-  EXPECT_THROW(streaming.analysis(), std::invalid_argument);
 }
 
 }  // namespace

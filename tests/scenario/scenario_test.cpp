@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "nettime/clock.h"
@@ -199,23 +200,27 @@ TEST(ChainScenarioTest, RejectsRunTopologyOverrides) {
 
 TEST(ChainScenarioTest, RejectsNegativeOrNonFiniteCrossTrafficLoads) {
   // A negative load would build no source, the run of a zero load; each
-  // bad load is a named error instead.
-  const std::pair<const char*, double CrossTraffic::*> fields[] = {
-      {"session_load", &CrossTraffic::session_load},
-      {"bulk_load", &CrossTraffic::bulk_load},
-      {"interactive_load", &CrossTraffic::interactive_load},
-  };
-  for (const auto& [field, load] : fields) {
+  // bad load is a named error instead.  So is a burst length that is not
+  // a finite count of at least one packet (NaN or infinity used to reach
+  // the burst-gap arithmetic as an undefined cast).
+  const std::tuple<const char*, double CrossTraffic::*, const char*>
+      fields[] = {
+          {"session_load", &CrossTraffic::session_load, "0"},
+          {"bulk_load", &CrossTraffic::bulk_load, "0"},
+          {"interactive_load", &CrossTraffic::interactive_load, "0"},
+          {"mean_burst_packets", &CrossTraffic::mean_burst_packets, "1"},
+      };
+  for (const auto& [field, value, lowest] : fields) {
     for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
       ScenarioOverrides overrides;
       overrides.cross_traffic = kUmdPittCrossTraffic;
-      (*overrides.cross_traffic).*load = bad;
+      (*overrides.cross_traffic).*value = bad;
       try {
         run_umd_pitt(quick_plan(20, 0.1), overrides);
         ADD_FAILURE() << field << " = " << bad << " was accepted";
       } catch (const std::invalid_argument& e) {
         EXPECT_EQ(e.what(), std::string("chain scenario: cross_traffic.") +
-                                field + " must be finite and >= 0");
+                                field + " must be finite and >= " + lowest);
       }
     }
   }

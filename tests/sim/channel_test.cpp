@@ -141,7 +141,7 @@ std::vector<std::uint8_t> channel_link_losses(const GilbertChannelConfig& channe
 
   std::vector<std::uint8_t> losses(n, 0);
   link.set_sink([](Packet&&) {});
-  link.add_drop_hook([&losses](const Packet& p, DropCause cause) {
+  link.set_drop_hook([&losses](const Packet& p, DropCause cause) {
     ASSERT_EQ(cause, DropCause::kChannel);
     losses[p.id] = 1;
   });

@@ -8,8 +8,8 @@
 // packet traversing a multi-hop path costs ZERO heap allocations — not
 // per packet, not per hop, not per event.  The scenario is deliberately
 // hostile: a 3-hop chain driven at exactly line rate with a counting
-// delivery hook and a counting drop hook attached to every link, i.e. a
-// hook chain runs for every delivery.
+// delivery hook and a counting drop hook attached to every link, i.e. an
+// observer runs for every delivery.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,13 +61,13 @@ TEST(DatapathAllocTest, ForwardedPacketsCostZeroAllocationsAtSteadyState) {
   Link& hop2 = net.add_link(n2, n3, config, simulator);
   net.compute_routes();
 
-  // Observer chain on every hop.
+  // One observer of each kind on every hop.
   std::uint64_t deliveries = 0;
   std::uint64_t drops = 0;
   for (Link* link : {&hop0, &hop1, &hop2}) {
-    link->add_delivery_hook(
+    link->set_delivery_hook(
         [&deliveries](const Packet&, SimTime) { ++deliveries; });
-    link->add_drop_hook([&drops](const Packet&, DropCause) { ++drops; });
+    link->set_drop_hook([&drops](const Packet&, DropCause) { ++drops; });
   }
 
   std::uint64_t received = 0;

@@ -131,6 +131,54 @@ TEST(FluidFlowTest, ConstantFlowCostsNoEvents) {
   }
 }
 
+TEST(FluidFlowTest, RejectsMalformedConfigs) {
+  Simulator simulator;
+  const auto expect_rejected = [&simulator](std::size_t states,
+                                            Bandwidth rate, Duration holding,
+                                            const char* message) {
+    try {
+      FluidFlow flow(simulator, rate, states, holding, Rng(2));
+      ADD_FAILURE() << message << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  };
+  const Bandwidth rate = Bandwidth::bps(250e3);
+  const Duration holding = Duration::millis(10);
+  expect_rejected(0, rate, holding, "FluidFlow: need >= 2 states");
+  expect_rejected(2, Bandwidth::bps(-1.0), holding,
+                  "FluidFlow: negative mean rate");
+  expect_rejected(2, rate, Duration::zero(),
+                  "FluidFlow: non-positive holding time");
+  expect_rejected(2, rate, Duration::millis(-10),
+                  "FluidFlow: non-positive holding time");
+}
+
+TEST(FluidFlowTest, AttachAndStartBelongBeforeTheFirstStart) {
+  Simulator simulator;
+  FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(1));
+  FluidFlow flow(simulator, Bandwidth::bps(250e3), 2, Duration::millis(10),
+                 Rng(2));
+  flow.attach(fluid);
+  flow.start(Duration::zero());
+  try {
+    flow.attach(fluid);
+    ADD_FAILURE() << "attach after start was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "FluidFlow: attach after start");
+  }
+  try {
+    flow.start(Duration::millis(1));
+    ADD_FAILURE() << "a second start was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "FluidFlow: started twice");
+  }
+  // The rejected calls changed nothing: one aggregate, one start edge.
+  simulator.run_until(Duration::zero());
+  EXPECT_EQ(flow.edges(), 1u);
+  EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 125e3);
+}
+
 TEST(FluidFlowTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
   // The PDES contract: a replica constructed with the same (arguments,
   // seed) in another domain emits the identical trajectory, so fluid

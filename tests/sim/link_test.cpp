@@ -4,6 +4,8 @@
 
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tests/sim/sim_fixtures.h"
@@ -79,7 +81,7 @@ TEST(LinkTest, DropTailWhenBufferFull) {
   int delivered = 0;
   link.set_sink([&](Packet&&) { ++delivered; });
   std::vector<std::uint64_t> dropped;
-  link.add_drop_hook([&](const Packet& p, DropCause cause) {
+  link.set_drop_hook([&](const Packet& p, DropCause cause) {
     EXPECT_EQ(cause, DropCause::kOverflow);
     dropped.push_back(p.id);
   });
@@ -207,7 +209,7 @@ TEST(LinkTest, DeliveryHookFiresWithoutSink) {
   Simulator simulator;
   Link link(simulator, basic_config(), Rng(1));
   std::vector<Duration> deliveries;
-  link.add_delivery_hook(
+  link.set_delivery_hook(
       [&deliveries](const Packet&, SimTime at) { deliveries.push_back(at); });
 
   link.enqueue(make_packet(72));  // service 4.5 ms + 10 ms propagation
@@ -217,22 +219,45 @@ TEST(LinkTest, DeliveryHookFiresWithoutSink) {
   EXPECT_EQ(link.stats().delivered, 1u);
 }
 
-TEST(LinkTest, DeliveryAndDropHooksChainInAttachOrder) {
+/// A link holds one observer of each kind: a second set throws, naming
+/// the link, and the first hook keeps firing.
+void expect_second_set_throws(bool drop_hook) {
   Simulator simulator;
   LinkConfig config = basic_config();
+  config.name = "hooked";
   config.buffer_packets = 1;
   Link link(simulator, config, Rng(1));
-  link.set_sink([](Packet&&) {});
   std::vector<int> fired;
-  link.add_delivery_hook([&fired](const Packet&, SimTime) { fired.push_back(1); });
-  link.add_delivery_hook([&fired](const Packet&, SimTime) { fired.push_back(2); });
-  link.add_drop_hook([&fired](const Packet&, DropCause) { fired.push_back(3); });
-  link.add_drop_hook([&fired](const Packet&, DropCause) { fired.push_back(4); });
-
+  const auto set_hook = [&](int tag) {
+    if (drop_hook) {
+      link.set_drop_hook(
+          [&fired, tag](const Packet&, DropCause) { fired.push_back(tag); });
+    } else {
+      link.set_delivery_hook(
+          [&fired, tag](const Packet&, SimTime) { fired.push_back(tag); });
+    }
+  };
+  set_hook(1);
+  try {
+    set_hook(2);
+    ADD_FAILURE() << "a second hook was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string("Link hooked: ") +
+                  (drop_hook ? "drop" : "delivery") + " hook already set");
+  }
   link.enqueue(make_packet(72));
   link.enqueue(make_packet(72));  // buffer holds 1: tail drop
   drain(simulator);
-  EXPECT_EQ(fired, (std::vector<int>{3, 4, 1, 2}));
+  EXPECT_EQ(fired, std::vector<int>{1});
+}
+
+TEST(LinkTest, SecondDropHookThrows) {
+  expect_second_set_throws(/*drop_hook=*/true);
+}
+
+TEST(LinkTest, SecondDeliveryHookThrows) {
+  expect_second_set_throws(/*drop_hook=*/false);
 }
 
 TEST(LinkTest, PausedLinkStillDeliversInFlightPackets) {
@@ -320,7 +345,7 @@ TEST(LinkTest, EnqueueStampsHopStart) {
   };
   int delivered[3] = {0, 0, 0};
   for (int k = 0; k < 3; ++k) {
-    links[k]->add_delivery_hook([&, k](const Packet& p, SimTime at) {
+    links[k]->set_delivery_hook([&, k](const Packet& p, SimTime at) {
       const Sojourn& e = expected[k][p.id];
       EXPECT_EQ(at - p.hop_start,
                 Duration::millis(e.wait + e.service + e.propagation))

@@ -22,7 +22,7 @@ void PacketLog::attach_deliveries(Link& link) {
   // Intern the name once at attach time; the per-event hooks then store a
   // 4-byte id instead of constructing a std::string per delivery/drop.
   const std::uint32_t link_id = intern_link(link.config().name);
-  link.add_delivery_hook([this, link_id](const Packet& packet, SimTime at) {
+  link.set_delivery_hook([this, link_id](const Packet& packet, SimTime at) {
     PacketEvent event;
     event.at = at;
     event.kind = PacketEventKind::kDelivered;
@@ -38,7 +38,7 @@ void PacketLog::attach_deliveries(Link& link) {
 
 void PacketLog::attach_drops(Simulator& sim, Link& link) {
   const std::uint32_t link_id = intern_link(link.config().name);
-  link.add_drop_hook([this, link_id, &sim, &link](const Packet& packet,
+  link.set_drop_hook([this, link_id, &sim, &link](const Packet& packet,
                                                   DropCause cause) {
     PacketEvent event;
     event.at = sim.now();

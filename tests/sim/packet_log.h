@@ -5,9 +5,10 @@
 // its capacity of events and throws when one more arrives, so a caller
 // never reads a series with its start silently cut off.
 //
-// Delivery events hook the link delivery hook, drop events the drop hook;
-// both chain to whatever was installed before, so logging composes with
-// other drop hooks and with the Network's own forwarding.
+// Delivery events come from the link's delivery hook, drop events from
+// its drop hook; a link holds one of each, so the log is a link's only
+// observer.  The Network's own forwarding runs in the sink and is
+// untouched.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +55,13 @@ class PacketLog {
   /// std::length_error rather than hand back a truncated series.
   explicit PacketLog(std::size_t capacity = 1 << 20);
 
-  /// Instruments `link`, chaining after any drop/delivery hooks already
-  /// installed (attach order is fire order).  `sim` supplies timestamps
-  /// for drop events.
+  /// Instruments `link` by setting its drop and delivery hooks (throws
+  /// std::logic_error if either is already set).  `sim` supplies
+  /// timestamps for drop events.
   void attach(Simulator& sim, Link& link);
 
   /// Split halves of attach(), for sharded runs where one link's drop
-  /// hooks fire in the sending domain and its delivery hooks in the
+  /// hook fires in the sending domain and its delivery hook in the
   /// receiving domain: a log written from both sides of a cut link would
   /// be a data race, so instrument each side with its own PacketLog.
   void attach_drops(Simulator& sim, Link& link);

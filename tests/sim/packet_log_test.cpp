@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sim/network.h"
@@ -91,37 +90,6 @@ TEST_F(LogFixture, RecordPastCapacityThrows) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].packet_id, 0u);
   EXPECT_EQ(events[1].packet_id, 1u);
-}
-
-/// Hook chaining: the log and a counting drop hook on one link, attached
-/// in either order, each see every drop.  Buffer 2, four sends at t = 0:
-/// two overflow.
-void expect_log_and_hook_see_both_drops(LogFixture& f, bool log_first) {
-  PacketLog log;
-  std::uint64_t overflow = 0;
-  const auto count_overflow = [&overflow](const Packet&, DropCause cause) {
-    if (cause == DropCause::kOverflow) ++overflow;
-  };
-  Link& link = *f.ab;
-  if (log_first) log.attach(f.simulator, link);
-  link.add_drop_hook(count_overflow);
-  if (!log_first) log.attach(f.simulator, link);
-  for (std::uint64_t i = 0; i < 4; ++i) f.send(1, i);
-  drain(f.simulator);
-  EXPECT_EQ(overflow, 2u);
-  EXPECT_EQ(std::count_if(log.events().begin(), log.events().end(),
-                          [](const PacketEvent& event) {
-                            return event.kind == PacketEventKind::kDropped;
-                          }),
-            2);
-}
-
-TEST_F(LogFixture, ComposesWithDropHookFirst) {
-  expect_log_and_hook_see_both_drops(*this, /*log_first=*/true);
-}
-
-TEST_F(LogFixture, ComposesWithDropHookSecond) {
-  expect_log_and_hook_see_both_drops(*this, /*log_first=*/false);
 }
 
 TEST_F(LogFixture, RejectsZeroCapacity) {

@@ -141,7 +141,7 @@ TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
   fluid.add_base_rate(config.rate * 0.5);
   link.attach_fluid(fluid);
   std::vector<std::pair<std::int64_t, std::uint64_t>> arrivals;
-  link.add_delivery_hook([&arrivals](const Packet& p, SimTime at) {
+  link.set_delivery_hook([&arrivals](const Packet& p, SimTime at) {
     arrivals.emplace_back(at.count_nanos(), p.id);
   });
   psim.attach(net, {0, 1});
@@ -187,7 +187,7 @@ std::string tie_order(std::size_t domains, Duration local_armed) {
   config.propagation = Duration::millis(2);
   Link& link = net.add_link(a, b, config, sim_a);
   std::string order;
-  link.add_delivery_hook(
+  link.set_delivery_hook(
       [&order](const Packet&, SimTime) { order += "arrival "; });
   if (psim) {
     psim->attach(net, {0, 1});
@@ -289,11 +289,11 @@ ChainTrace run_chain_case(std::size_t domains, Duration slice = {}) {
   // forward direction's last hop and the reverse direction's last hop.
   ChainTrace trace;
   net.link_at(4)
-      .add_delivery_hook([&trace](const Packet& p, SimTime at) {
+      .set_delivery_hook([&trace](const Packet& p, SimTime at) {
         trace.fwd.emplace_back(at.count_nanos(), p.id, p.flow);
       });
   net.link_at(1)
-      .add_delivery_hook([&trace](const Packet& p, SimTime at) {
+      .set_delivery_hook([&trace](const Packet& p, SimTime at) {
         trace.rev.emplace_back(at.count_nanos(), p.id, p.flow);
       });
 

@@ -107,7 +107,7 @@ TEST(RedTest, DropHookReportsRedCause) {
   Link link(simulator, config, Rng(1));
   link.set_sink([](Packet&&) {});
   int red_drops = 0;
-  link.add_drop_hook([&](const Packet&, DropCause cause) {
+  link.set_drop_hook([&](const Packet&, DropCause cause) {
     if (cause == DropCause::kRed) ++red_drops;
   });
   for (int i = 0; i < 10; ++i) link.enqueue(make_packet());
@@ -235,6 +235,11 @@ TEST(RedTest, RejectsMalformedConfig) {
   EXPECT_THROW(Link(simulator, config, Rng(1)), std::invalid_argument);
   config = red_config();
   config.red->weight = 1.5;
+  EXPECT_THROW(Link(simulator, config, Rng(1)), std::invalid_argument);
+  // A NaN weight passes both halves of "w <= 0 || w > 1"; unchecked, it
+  // makes the average NaN and RED drops nearly every packet.
+  config = red_config();
+  config.red->weight = std::nan("");
   EXPECT_THROW(Link(simulator, config, Rng(1)), std::invalid_argument);
 }
 

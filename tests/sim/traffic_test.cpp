@@ -183,11 +183,18 @@ TEST_F(TrafficFixture, RejectsBadConfigs) {
   EXPECT_THROW(PoissonSource(simulator, net, src, dst, 1, PacketKind::kOther,
                              Rng(1), Duration::zero(), ByteSize::bytes(72)),
                std::invalid_argument);
-  BurstConfig burst;
-  burst.mean_burst_packets = 0.5;
-  EXPECT_THROW(BurstSource(simulator, net, src, dst, 1, PacketKind::kBulk,
-                           Rng(1), burst),
-               std::invalid_argument);
+  for (const double bad : {0.5, std::nan(""), HUGE_VAL}) {
+    BurstConfig burst;
+    burst.mean_burst_packets = bad;
+    try {
+      BurstSource(simulator, net, src, dst, 1, PacketKind::kBulk, Rng(1),
+                  burst);
+      ADD_FAILURE() << "mean_burst_packets = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "BurstSource: mean_burst_packets must be finite and >= 1");
+    }
+  }
   FtpSessionConfig session;
   session.pace_load = 0.0;
   EXPECT_THROW(FtpSessionSource(simulator, net, src, dst, 1,

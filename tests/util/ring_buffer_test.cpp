@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace bolot::util {
 namespace {
@@ -22,7 +23,7 @@ TEST(RingBufferTest, PushPopIsFifo) {
   for (int i = 0; i < 5; ++i) ring.push_back(int{i});
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(ring.front(), i);
-    EXPECT_EQ(ring.pop_front(), i);
+    ring.drop_front();
   }
   EXPECT_TRUE(ring.empty());
 }
@@ -44,7 +45,8 @@ TEST(RingBufferTest, WrapsAroundWithoutGrowing) {
   ring.push_back(next++);
   for (int i = 0; i < 100; ++i) {
     ring.push_back(next++);
-    EXPECT_EQ(ring.pop_front(), expect++);
+    EXPECT_EQ(ring.front(), expect++);
+    ring.drop_front();
   }
   EXPECT_EQ(ring.capacity(), cap);
   EXPECT_EQ(ring.size(), 2u);
@@ -55,12 +57,12 @@ TEST(RingBufferTest, GrowthPreservesOrderAcrossTheSeam) {
   // Wrap the head so live elements straddle the array end, then force a
   // growth: reserve() must compact them to the front in FIFO order.
   for (int i = 0; i < 3; ++i) ring.push_back(int{i});
-  ring.pop_front();
-  ring.pop_front();
+  ring.drop_front();
+  ring.drop_front();
   for (int i = 3; i < 7; ++i) ring.push_back(int{i});  // fills, wraps
   ring.push_back(int{7});                              // grows to 8
   EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 2; i < 8; ++i) EXPECT_EQ(ring.pop_front(), i);
+  for (int i = 2; i < 8; ++i) EXPECT_EQ(ring[i - 2], i);
 }
 
 TEST(RingBufferTest, IndexingIsFrontRelative) {
@@ -68,7 +70,7 @@ TEST(RingBufferTest, IndexingIsFrontRelative) {
   ring.push_back("a");
   ring.push_back("b");
   ring.push_back("c");
-  ring.pop_front();
+  ring.drop_front();
   EXPECT_EQ(ring[0], "b");
   EXPECT_EQ(ring[1], "c");
 }
@@ -91,19 +93,21 @@ TEST(RingBufferTest, HoldsMoveOnlyElements) {
   ring.push_back(std::make_unique<int>(1));
   ring.push_back(std::make_unique<int>(2));
   ring.push_back(std::make_unique<int>(3));  // grows
-  EXPECT_EQ(*ring.pop_front(), 1);
-  EXPECT_EQ(*ring.pop_front(), 2);
-  EXPECT_EQ(*ring.pop_front(), 3);
+  for (int i = 1; i <= 3; ++i) {
+    const std::unique_ptr<int> out = std::move(ring.front());
+    ring.drop_front();
+    EXPECT_EQ(*out, i);
+  }
 }
 
-TEST(RingBufferTest, ClearResetsSizeButKeepsStorage) {
+TEST(RingBufferTest, DrainedRingKeepsStorage) {
   RingBuffer<int> ring(8);
   for (int i = 0; i < 5; ++i) ring.push_back(int{i});
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
+  while (!ring.empty()) ring.drop_front();
   EXPECT_EQ(ring.capacity(), 8u);
   ring.push_back(int{42});
   EXPECT_EQ(ring.front(), 42);
+  EXPECT_EQ(ring.size(), 1u);
 }
 
 TEST(RingBufferTest, ReserveBeyondTheLargestPowerOfTwoThrows) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "tests/util/normal.h"
@@ -108,6 +110,14 @@ TEST(RngTest, GeometricMeanMatches) {
   EXPECT_EQ(rng.geometric(1.0), 1u);
   EXPECT_THROW(rng.geometric(0.0), std::invalid_argument);
   EXPECT_THROW(rng.geometric(1.5), std::invalid_argument);
+  // NaN fails every comparison: unchecked, it cast log(u) / NaN to a
+  // 9.2e18-packet burst.
+  try {
+    rng.geometric(std::nan(""));
+    ADD_FAILURE() << "geometric(NaN) was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "geometric: p must be in (0, 1]");
+  }
 }
 
 TEST(RngTest, GeometricIsAtLeastOne) {

@@ -81,10 +81,10 @@ boundary, where traces and estimators exchange plain scalars by design
 (LindleyOptions::bottleneck_bps, BottleneckEstimate::mu_bps,
 ProbeTrace::probe_wire_bytes).
 The *streaming* estimator layer (src/analysis/streaming.{h,cpp}) is the
-exception: it was written against the typed units (the StreamingLindley
-and StreamingPacketPair constructors take their probe spacing and size
-as Duration / ByteSize beside the batch WorkloadOptions), so it is
-enrolled in the raw-unit rules via UNIT_FILES and must stay typed.  Extending the typed
+exception: it was written against the typed units (the
+StreamingPacketPair constructor and push take the probe size and times
+as ByteSize / Duration), so it is enrolled in the raw-unit rules via
+UNIT_FILES and must stay typed.  Extending the typed
 layer across the rest of the batch boundary is future work; when it
 happens, those names move into the allowlist here.
 

@@ -32,6 +32,14 @@ Skipped, because no one wrote them as functions of their own:
   `-fkeep-inline-functions` emits them even where no program converts
   the lambda; the lambda's body, its `operator()`, is still scanned.
 
+Blind spot: code that never reaches an object file cannot be scanned.
+A consteval function is evaluated at compile time and never emitted,
+and a member of a class template is emitted only for the instantiations
+some translation unit uses, so an unused consteval guard or an unused
+member of a template (RingBuffer<T>, say) leaves no symbol to report.
+Such code has to be found by reading: grep for callers before keeping
+it.
+
 A file-local helper (anonymous namespace) is reported only when it is
 all that its object leaves unreached; next to an unreached or
 allowlisted function of its own file, it is taken to be that function's
