@@ -101,8 +101,10 @@ double fec_recoverable_fraction(std::span<const std::uint8_t> losses,
 
 FecPlan design_fec(std::span<const std::uint8_t> losses,
                    double target_residual_loss, std::size_t max_k) {
-  if (target_residual_loss < 0.0) {
-    throw std::invalid_argument("design_fec: negative target");
+  // NaN fails every comparison: unchecked, it would return an
+  // infeasible max_k plan instead of an error.
+  if (!(target_residual_loss >= 0.0)) {
+    throw std::invalid_argument("design_fec: target must be >= 0");
   }
   const LossStats stats = loss_stats(losses);
   FecPlan plan;

@@ -5,8 +5,8 @@
 // demand, deterministic service at the hop capacity.  Under the
 // independence assumption the path delay is the sum of per-hop waits,
 // transmissions and propagations, so mean and variance add.  This is the
-// analytic cross-check for the hybrid fluid engine's kMd1Wait mode, whose
-// sampled waits match the same first two M/D/1 moments per hop
+// analytic cross-check for the hybrid fluid engine, whose sampled waits
+// match the same first two M/D/1 moments per hop
 // (arXiv:2003.08780 applies the same construction to validate fluid
 // network approximations).
 #pragma once

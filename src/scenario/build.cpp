@@ -20,24 +20,6 @@ constexpr std::size_t kObsSeriesBudget = 16384;
 /// sources and the M/D/1 moments of the fluid links' displaced traffic.
 constexpr ByteSize kBackgroundPacket = ByteSize::bytes(512);
 
-/// The one PDES domain clamp (see the ScenarioBuild constructor).
-std::size_t clamp_domains(const TopologyPlan& plan, std::size_t requested,
-                          bool sampled) {
-  std::size_t domains = std::max<std::size_t>(1, requested);
-  domains = std::min(domains, plan.partition_count);
-  if (domains == 1 || sampled) return 1;
-  const auto domain_of = [&](std::uint32_t node) {
-    return plan.nodes[node].partition * domains / plan.partition_count;
-  };
-  for (const TopologyPlan::EdgeSpec& edge : plan.edges) {
-    if (domain_of(edge.a) != domain_of(edge.b) &&
-        edge.link.propagation <= Duration::zero()) {
-      return 1;
-    }
-  }
-  return domains;
-}
-
 /// Every comparison with NaN is false, so a NaN field would otherwise pass
 /// the downstream range checks and reach every aggregate as a plausible
 /// wrong answer.
@@ -121,10 +103,11 @@ void reject_foreign_overrides(const ScenarioOverrides& o, bool chain) {
   }
 }
 
-ScenarioBuild::ScenarioBuild(const TopologyPlan& plan, std::size_t requested,
-                             bool sampled, std::uint64_t seed)
+ScenarioBuild::ScenarioBuild(const TopologyPlan& plan, std::uint64_t seed,
+                             std::size_t requested)
     : plan_(plan),
-      domains_(clamp_domains(plan, requested, sampled)),
+      domains_(std::min(std::max<std::size_t>(1, requested),
+                         plan.partition_count)),
       // Only the Simulator& each object binds to depends on the kernel, so
       // the rng split order — every random stream — does not.
       net_(domains_ > 1 ? psim_.emplace(domains_).simulator(0)
@@ -174,10 +157,8 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
     const std::vector<std::uint32_t> uids =
         net.route_links(topo.hosts[p / hosts], topo.hosts[p % hosts]);
     packetized_pair[p] =
-        !in_zone.empty() && std::any_of(uids.begin(), uids.end(),
-                                        [&](std::uint32_t uid) {
-                                          return in_zone[uid];
-                                        });
+        std::any_of(uids.begin(), uids.end(),
+                    [&](std::uint32_t uid) { return in_zone[uid]; });
     (packetized_pair[p] ? packetized_ : fluid_flows_) += n;
     for (const std::uint32_t uid : uids) {
       crossings[uid] += n;
@@ -245,7 +226,6 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
     sim::Simulator& link_sim = build.sim_for(net.link_source(i));
     sim::FluidAggregateConfig aggregate;
     aggregate.capacity = link.config().rate;
-    aggregate.queue_model = config.queue_model;
     aggregate.mean_packet = kBackgroundPacket;
     aggregates_[i] = std::make_unique<sim::FluidAggregate>(
         link_sim, aggregate, Rng(derive_stream_seed(config.seed ^ 0xF1u, i)));
@@ -314,7 +294,6 @@ ScenarioResult ProbedRun::run(const std::function<void()>& start_background,
   result.hop_deliveries = net.total_delivered();
   result.simulated = end;
   result.events = build_.events();
-  result.domains_used = build_.domains();
   if (sampler_) {
     result.metrics = registry_.snapshot(build_.sim_for(src_).now());
     result.series = sampler_->snapshot();

@@ -35,14 +35,12 @@ void reject_foreign_overrides(const ScenarioOverrides& overrides, bool chain);
 /// Network is fresh, and nodes are added in plan order).
 class ScenarioBuild {
  public:
-  /// Clamps `requested` PDES domains against `plan`'s partition hints,
-  /// falling back to 1 when `sampled` (a sampler reads state across the
-  /// whole topology) or when a cut edge would have zero lookahead
-  /// (MODEL_NOTES §14).  Then builds the sequential or parallel kernel, a
-  /// Network seeded with `seed`, and the routed topology.  `plan` must
-  /// outlive the build.
-  ScenarioBuild(const TopologyPlan& plan, std::size_t requested,
-                bool sampled, std::uint64_t seed);
+  /// Clamps `requested` PDES domains into [1, `plan`'s partition hint
+  /// count] (MODEL_NOTES §14); only run_tomography asks for more than
+  /// one.  Then builds the sequential or parallel kernel, a Network seeded
+  /// with `seed`, and the routed topology.  `plan` must outlive the build.
+  ScenarioBuild(const TopologyPlan& plan, std::uint64_t seed,
+                std::size_t requested = 1);
 
   const TopologyPlan& plan() const { return plan_; }
   sim::Network& net() { return net_; }
@@ -81,8 +79,7 @@ class ScenarioBuild {
 /// `flows` on/off flows between seeded random host pairs.  Flows whose
 /// route touches the packetized zone become Poisson packet sources; the
 /// rest fold to their mean rate into one FluidAggregate (plus an optional
-/// envelope FluidFlow) per loaded link, homed in the link's domain and
-/// seeded by link uid, so set-up does not depend on the domain count.
+/// envelope FluidFlow) per loaded link, seeded by link uid.
 ///
 /// Set-up keeps O(hosts^2 + links) state, none of it per flow: one replay
 /// of the pair stream counts flows per host pair, each drawn pair is
@@ -91,8 +88,8 @@ class ScenarioBuild {
 /// replayed in flow order, to build their sources.
 class FluidBackground {
  public:
-  /// `in_zone` flags packetized links by uid (empty: no zone, every flow
-  /// is fluid).  Throws std::invalid_argument naming the field when
+  /// `in_zone` flags packetized links by uid (all false: no zone, every
+  /// flow is fluid).  Throws std::invalid_argument naming the field when
   /// `config` is malformed.
   FluidBackground(const FluidBackgroundConfig& config, ScenarioBuild& build,
                   const std::vector<bool>& in_zone);
@@ -136,7 +133,7 @@ class ProbedRun {
 
   sim::UdpEchoSource& probe() { return probe_; }
   obs::MetricsRegistry& registry() { return registry_; }
-  /// Null unless sampling, which keeps the run on one simulator.
+  /// Null unless obs_sample_interval is set.
   obs::Sampler* sampler() { return sampler_ ? &*sampler_ : nullptr; }
 
   /// Finishes the build, then starts the background, the probe and the

@@ -85,22 +85,16 @@ void check_cross_traffic(const CrossTraffic& cross) {
   }
 }
 
-/// The path as a plan.  Path node i has partition hint i, so the PDES
-/// clamp cuts the path into contiguous blocks.  Two cross-traffic hosts
-/// hang off the bottleneck's routers via fast access links, so their
-/// packets traverse exactly the bottleneck; each takes its router's
-/// partition, so an access link is never cut.  Edges: the hops, then the
-/// two access links.
+/// The path as a plan.  Two cross-traffic hosts hang off the bottleneck's
+/// routers via fast access links, so their packets traverse exactly the
+/// bottleneck.  Edges: the hops, then the two access links.
 TopologyPlan path_plan(const PathSpec& path) {
   const std::uint32_t n = static_cast<std::uint32_t>(path.names.size());
   const std::uint32_t up = static_cast<std::uint32_t>(path.bottleneck_hop);
   TopologyPlan plan;
-  plan.partition_count = n;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    plan.nodes.push_back({path.names[i], i});
-  }
-  plan.nodes.push_back({"cross-host-upstream", up});
-  plan.nodes.push_back({"cross-host-downstream", up + 1});
+  for (const std::string& name : path.names) plan.nodes.push_back({name});
+  plan.nodes.push_back({"cross-host-upstream"});
+  plan.nodes.push_back({"cross-host-downstream"});
   for (std::uint32_t h = 0; h + 1 < n; ++h) {
     plan.edges.push_back({h, h + 1, path.hops[h]});
     plan.edges.back().link.name = path.names[h] + "->" + path.names[h + 1];
@@ -123,9 +117,7 @@ ScenarioResult run_chain(PathSpec path, const ProbePlan& plan,
   apply_overrides(path, overrides);
   check_cross_traffic(path.cross);
   const TopologyPlan topo = path_plan(path);
-  detail::ScenarioBuild build(topo, overrides.domains,
-                              overrides.obs_sample_interval.has_value(),
-                              plan.seed);
+  detail::ScenarioBuild build(topo, plan.seed);
   sim::Network& net = build.net();
   const sim::NodeId host_up = static_cast<sim::NodeId>(path.names.size());
   const Bandwidth mu = path.hops[path.bottleneck_hop].rate;

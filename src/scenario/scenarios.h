@@ -79,11 +79,10 @@ struct FluidBackgroundConfig {
   /// its capacity in mean background demand.
   double duty = 0.5;
   double max_link_load = 0.5;
-  /// How fluid-served links model queueing (see sim::FluidQueueModel):
-  /// kResidualRate drains probes at the residual capacity; kMd1Wait adds
-  /// a sampled M/D/1 wait of 512-byte displaced packets that also
-  /// matches delay variance.
-  sim::FluidQueueModel queue_model = sim::FluidQueueModel::kResidualRate;
+  /// Unread: every fluid link serves at full rate plus a sampled M/D/1
+  /// wait (sim::FluidQueueModel's one mode).  Kept only because
+  /// bench/perf_ledger/perf_ledger.cpp assigns it.
+  sim::FluidQueueModel queue_model = sim::FluidQueueModel::kMd1Wait;
   /// Optional K-state envelope modulation of each fluid link's aggregate
   /// demand (0 = constant mean demand), swinging +-50 % around the mean.
   /// The envelope is the only event source a fluid link has: O(1) per
@@ -124,17 +123,6 @@ struct ScenarioOverrides {
   /// so measured loss attributes cleanly to the modeled channel).
   /// MODEL_NOTES §13.
   std::optional<sim::GilbertChannelConfig> bottleneck_channel;
-  /// Shard the run across this many PDES domains (sim/pdes.h).  Both kinds
-  /// of scenario clamp to their plan's TopologyPlan::partition_count: a
-  /// chain's path length (path index = partition hint, so the path is cut
-  /// into contiguous node blocks and cross-traffic hosts ride with their
-  /// router), a generated fabric's pods or provider cores.  The event
-  /// stream is that of the sequential kernel; see MODEL_NOTES §14.  Falls
-  /// back to 1 when a cut hop would have zero lookahead or when
-  /// obs_sample_interval is set (the sampler reads state across the
-  /// whole topology).  Default 1 keeps every default output
-  /// byte-identical to the sequential kernel.
-  std::size_t domains = 1;
   /// --- run_topology only (rejected by the chain scenarios) ---
   /// Generated topology to probe instead of a historical path.
   std::optional<TopologySpec> topology;
@@ -161,8 +149,8 @@ struct ScenarioResult {
   std::uint64_t hop_deliveries = 0;
   Duration simulated;
   std::uint64_t events = 0;
-  /// Domains the run actually used after the fallback rules (see
-  /// ScenarioOverrides::domains); 1 means the sequential kernel ran.
+  /// Always 1: chains and fabrics run on the sequential kernel.  Kept
+  /// because bench/perf_ledger/perf_ledger.cpp reads it.
   std::size_t domains_used = 1;
   /// Filled only when ScenarioOverrides::obs_sample_interval is set.
   obs::MetricsSnapshot metrics;

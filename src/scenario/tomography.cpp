@@ -7,7 +7,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -233,8 +232,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument("run_tomography: need at least two hosts");
   }
 
-  detail::ScenarioBuild build(topo, spec.domains, /*sampled=*/false,
-                              spec.seed);
+  detail::ScenarioBuild build(topo, spec.seed, spec.domains);
   sim::Network& net = build.net();
 
   // --- Loss ground truth: seeded per-directed-link drop probabilities ---
@@ -273,12 +271,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         ++gt->count[uid];
       });
     }
-  }
-
-  // --- Optional fluid background (all flows folded; no packetized zone) -
-  std::optional<detail::FluidBackground> background;
-  if (spec.fluid_background) {
-    background.emplace(*spec.fluid_background, build, std::vector<bool>{});
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
@@ -321,7 +313,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   build.finish();
-  if (background) background->start();
   // Staggered starts spread the mesh's send instants across one delta so
   // streams do not fire in lockstep.
   for (std::size_t s = 0; s < stream_count; ++s) {

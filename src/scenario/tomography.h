@@ -1,8 +1,8 @@
 // N x N network tomography over one generated topology (topology_gen.h).
 //
 // Every ordered pair of generated hosts runs a round-trip probe stream
-// (probe out, echo back), all sharing the fabric and the optional fluid
-// background population — so an H-host mesh drives H*(H-1) concurrent
+// (probe out, echo back), all sharing the fabric and loading it with
+// nothing but each other — so an H-host mesh drives H*(H-1) concurrent
 // streams through the *streaming* estimators (analysis/streaming.h).  The
 // mesh keeps per-stream state, never per-probe state: each stream's bank
 // is one StreamingLossState (loss fraction for the inference and the
@@ -48,10 +48,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "scenario/scenarios.h"
 #include "scenario/topology_gen.h"
 #include "util/time.h"
 #include "util/units.h"
@@ -85,14 +83,10 @@ struct TomographySpec {
   /// never chain into one.
   std::size_t pair_stride = 16;
 
-  /// Optional fluid background population loading the fabric (all flows
-  /// folded into per-link aggregates; the mesh has no single probed path
-  /// to packetize around).
-  std::optional<FluidBackgroundConfig> fluid_background;
-
-  /// PDES domains (clamped to the generator's partition hints, with the
-  /// same fallbacks as run_topology).  Delay ground truth is collected on
-  /// the sequential kernel only; loss inference is domain-count-invariant.
+  /// PDES domains, clamped into [1, the generator's partition hint count]
+  /// (MODEL_NOTES §14); the mesh is the one scenario that shards.  Delay
+  /// ground truth is collected on the sequential kernel only; loss
+  /// inference is domain-count-invariant.
   std::size_t domains = 1;
 };
 

@@ -62,8 +62,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (topo.hosts.size() < 2) {
     throw std::invalid_argument("run_topology: need at least two hosts");
   }
-  detail::ScenarioBuild build(topo, overrides.domains, /*sampled=*/false,
-                              plan.seed);
+  detail::ScenarioBuild build(topo, plan.seed);
   sim::Network& net = build.net();
 
   // The probe travels between the first and last generated hosts, which

@@ -10,8 +10,9 @@ namespace bolot::sim {
 
 namespace {
 
-/// Floor on the residual rate, as a fraction of capacity.
-constexpr double kMinResidualFraction = 0.01;
+/// Cap on the load the M/D/1 wait is sampled at: an oversubscribed
+/// aggregate gives long waits, never an unbounded one.
+constexpr double kMaxLoad = 1.0 - 0.01;
 
 }  // namespace
 
@@ -51,7 +52,7 @@ void FluidAggregate::adjust_rate(Bandwidth delta) {
   accrue(sim_.now());
   dynamic_rate_bps_ += delta.bps();
   // Sums of float-ish deltas can undershoot zero by an ulp when the last
-  // flow turns off; clamp so residual() never exceeds capacity.
+  // flow turns off; snap that to an exact zero demand.
   if (dynamic_rate_bps_ < 0.0 &&
       dynamic_rate_bps_ > -1e-6 * config_.capacity.bps()) {
     dynamic_rate_bps_ = 0.0;
@@ -61,12 +62,6 @@ void FluidAggregate::adjust_rate(Bandwidth delta) {
 
 Bandwidth FluidAggregate::fluid_rate() const {
   return Bandwidth::bps(std::max(0.0, base_rate_bps_ + dynamic_rate_bps_));
-}
-
-Bandwidth FluidAggregate::residual() const {
-  const double floor_bps = config_.capacity.bps() * kMinResidualFraction;
-  return Bandwidth::bps(
-      std::max(floor_bps, config_.capacity.bps() - fluid_rate().bps()));
 }
 
 double FluidAggregate::utilization(SimTime now) const {
@@ -80,17 +75,7 @@ double FluidAggregate::utilization(SimTime now) const {
   return busy_ns / static_cast<double>(now.count_nanos());
 }
 
-Duration FluidAggregate::service_time(ByteSize size) const {
-  if (config_.queue_model == FluidQueueModel::kResidualRate) {
-    return residual().transmission_time(size);
-  }
-  return config_.capacity.transmission_time(size);
-}
-
 Duration FluidAggregate::sample_extra_wait() {
-  if (config_.queue_model != FluidQueueModel::kMd1Wait) {
-    return Duration::zero();
-  }
   ++wait_samples_;
   // Two-moment M/D/1 wait fit (MODEL_NOTES §15): with load rho and
   // deterministic service s of the displaced packets,
@@ -99,8 +84,7 @@ Duration FluidAggregate::sample_extra_wait() {
   // modeled as W = 0 with prob 1-a, Exp(m) with prob a, where matching
   // both moments gives m = E[W^2] / (2 E[W]) and a = E[W] / m <= 1.
   const double rho =
-      std::min(fluid_rate().bps() / config_.capacity.bps(),
-               1.0 - kMinResidualFraction);
+      std::min(fluid_rate().bps() / config_.capacity.bps(), kMaxLoad);
   if (rho <= 0.0) return Duration::zero();
   const double s = static_cast<double>(config_.mean_packet.bit_count()) /
                    config_.capacity.bps();
@@ -122,10 +106,6 @@ void FluidAggregate::audit_verify() const {
             base_rate_bps_, dynamic_rate_bps_);
   SIM_CHECK(std::isfinite(base_rate_bps_) && std::isfinite(dynamic_rate_bps_),
             "FluidAggregate: non-finite demand");
-  SIM_CHECK(residual().bps() >=
-                config_.capacity.bps() * kMinResidualFraction * 0.999,
-            "FluidAggregate: residual %.3f bps fell through the floor",
-            residual().bps());
   SIM_CHECK(fluid_busy_ns_ >= 0.0 && accrued_to_ <= sim_.now(),
             "FluidAggregate: utilization integral ran backwards");
 }

@@ -6,10 +6,12 @@
 // this module makes the cost proportional to *probed* packets instead:
 //
 //   * FluidAggregate — one per link: the sum of all fluid demand crossing
-//     that link as a piecewise-constant rate.  The link's transmitter
-//     subtracts the demand from its service capacity, so packetized probes
-//     see a time-varying residual rate, while fluid-vs-fluid contention
-//     resolves analytically with zero events per fluid "packet".
+//     that link as a piecewise-constant rate.  The link serves packetized
+//     probes at its full rate and adds, per delivered packet, a sampled
+//     wait whose first two moments match the M/D/1 queue the demand
+//     displaces — the within-state jitter the paper's rtt_n series show —
+//     while fluid-vs-fluid contention resolves analytically with zero
+//     events per fluid "packet".
 //   * FluidFlow — an event-driven piecewise-constant rate process (an
 //     MMPP-style K-state modulated chain) feeding one or more same-domain
 //     aggregates.  Cost: O(1) events per rate edge, independent of the
@@ -36,25 +38,18 @@
 
 namespace bolot::sim {
 
-/// How an attached aggregate is charged to packetized traffic.
-enum class FluidQueueModel : std::uint8_t {
-  /// Serve each packet at the instantaneous residual rate
-  /// (capacity - fluid demand).  Deterministic: draws no randomness.
-  /// Exact for the mean sojourn of displaced M/M/1 traffic; biases delay
-  /// *tails* toward zero because within-state queueing noise is removed.
-  kResidualRate,
-  /// Serve at full rate and add a sampled waiting time whose first two
-  /// moments match the M/D/1 queue the fluid demand displaces (Poisson
-  /// arrivals of mean_packet_bytes packets).  Restores delay jitter; used
-  /// by the KIA validation (MODEL_NOTES §15).
-  kMd1Wait,
-};
+/// How an attached aggregate is charged to packetized traffic: one mode,
+/// full-rate service plus a sampled wait whose first two moments match
+/// the M/D/1 queue the fluid demand displaces (Poisson arrivals of
+/// mean_packet packets; MODEL_NOTES §15).  No simulator code reads it;
+/// the enum and scenario::FluidBackgroundConfig::queue_model stay only
+/// because bench/perf_ledger/perf_ledger.cpp assigns them.
+enum class FluidQueueModel : std::uint8_t { kMd1Wait };
 
 struct FluidAggregateConfig {
   /// Must equal the attached link's rate (Link::attach_fluid checks).
   Bandwidth capacity = Bandwidth::mbps(1);
-  FluidQueueModel queue_model = FluidQueueModel::kResidualRate;
-  /// Packet size of the displaced traffic, for the kMd1Wait moments.
+  /// Packet size of the displaced traffic, for the M/D/1 moments.
   ByteSize mean_packet = ByteSize::bytes(512);
 };
 
@@ -64,8 +59,8 @@ struct FluidAggregateConfig {
 /// (its Simulator& is the link's).
 class FluidAggregate {
  public:
-  /// `rng` is only ever drawn in kMd1Wait mode, one draw pair per
-  /// delivered packet; in kResidualRate mode the stream sits untouched.
+  /// `rng` is drawn once or twice per delivered packet, by
+  /// sample_extra_wait.
   FluidAggregate(Simulator& sim, FluidAggregateConfig config, Rng rng);
 
   /// Setup-time registration of time-invariant demand (background flows
@@ -80,21 +75,14 @@ class FluidAggregate {
 
   /// Instantaneous total fluid demand (never negative).
   Bandwidth fluid_rate() const;
-  /// Instantaneous residual capacity packetized traffic is served at;
-  /// never below 1 % of capacity, so an oversubscribed fluid aggregate
-  /// slows packets down (a lot) instead of stalling the transmitter
-  /// forever.
-  Bandwidth residual() const;
   /// Fraction of capacity the fluid has consumed on time average in
   /// [0, now] — the fluid half of the link utilization gauge.  Returns 0
   /// at now == 0 (nothing has elapsed to be utilized).
   double utilization(SimTime now) const;
 
-  /// Service span for one packet of `size` under the configured model.
-  Duration service_time(ByteSize size) const;
-  /// Extra queueing delay for one delivered packet: zero in
-  /// kResidualRate mode (no rng draw), a two-moment M/D/1 wait sample in
-  /// kMd1Wait mode.
+  /// Extra queueing delay for one delivered packet: a two-moment M/D/1
+  /// wait sample at the current demand (zero, with no draw, while the
+  /// demand is zero).
   Duration sample_extra_wait();
 
   const FluidAggregateConfig& config() const { return config_; }

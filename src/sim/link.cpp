@@ -167,13 +167,7 @@ void Link::resume() {
 
 void Link::start_front_transmission(bool rearm) {
   busy_ = true;
-  // With a fluid aggregate attached the service span is computed against
-  // the instantaneous residual rate (memoization does not apply — the
-  // rate moves under us).  Fluid rate changes mid-service take effect at
-  // the next packet boundary, bounding the error by one service time.
-  const Duration service =
-      fluid_ != nullptr ? fluid_->service_time(queue_.front().size())
-                        : service_time(queue_.front().size());
+  const Duration service = service_time(queue_.front().size());
   stats_.busy += service;
   if (rearm) {
     // Back-to-back service: reuse the completion event that is dispatching
@@ -199,12 +193,11 @@ void Link::complete_front() {
   stats_.bytes_delivered += done.size_bytes;
   SimTime arrive = sim_.now() + config_.propagation;
   if (fluid_ != nullptr) {
-    // kMd1Wait queueing delay of the displaced fluid traffic (zero, and
-    // no rng draw, in kResidualRate mode), decided at transmission-complete
-    // time, after the server.  A sampled wait could reorder arrivals;
-    // clamp to the latest arrival already handed on so the single-event
-    // flight ring stays FIFO (a link does not reorder — late packets
-    // delay their successors; MODEL_NOTES §15).
+    // M/D/1 queueing delay of the displaced fluid traffic, decided at
+    // transmission-complete time, after the server.  A sampled wait could
+    // reorder arrivals; clamp to the latest arrival already handed on so
+    // the single-event flight ring stays FIFO (a link does not reorder —
+    // late packets delay their successors; MODEL_NOTES §15).
     arrive += fluid_->sample_extra_wait();
     if (arrive < last_flight_arrival_) arrive = last_flight_arrival_;
   }
@@ -427,13 +420,11 @@ void Link::publish_metrics(obs::MetricsRegistry& registry,
     }
   }
   if (fluid_ != nullptr) {
-    // Fluid demand and what it leaves for packetized traffic.  Appended
-    // after every pre-fluid metric so fluid-free snapshots keep their
-    // exact registration order (byte-stable serialization).
+    // Fluid demand and its share of the wire.  Appended after every
+    // pre-fluid metric so fluid-free snapshots keep their exact
+    // registration order (byte-stable serialization).
     registry.probe_gauge(prefix + ".fluid_rate_bps",
                          [this] { return fluid_->fluid_rate().bps(); });
-    registry.probe_gauge(prefix + ".residual_bps",
-                         [this] { return fluid_->residual().bps(); });
     registry.probe_gauge(prefix + ".fluid_utilization", [this] {
       return fluid_->utilization(sim_.now());
     });

@@ -197,20 +197,20 @@ class Link {
     return service_memo_;
   }
 
-  /// Attaches a fluid aggregate (sim/fluid.h): the transmitter serves
-  /// packets against the aggregate's time-varying residual rate (or, in
-  /// kMd1Wait mode, adds its sampled queueing delay).  The aggregate must
-  /// be driven by this link's Simulator (same PDES domain), its capacity
+  /// Attaches a fluid aggregate (sim/fluid.h): the transmitter still
+  /// serves at the link rate, and each delivered packet carries the
+  /// aggregate's sampled M/D/1 queueing delay.  The aggregate must be
+  /// driven by this link's Simulator (same PDES domain), its capacity
   /// must equal rate_bps.  Call before traffic flows; links without one
   /// are byte-for-byte untouched.
   void attach_fluid(FluidAggregate& fluid);
 
-  /// Residual-capacity utilization over [0, now]: stats().utilization,
-  /// plus the attached fluid aggregate's share capped at 1 in total, so
-  /// a fluid-saturated link reads full rather than near-zero.  (A
-  /// service span counts as busy from its start, so the packetized share
-  /// alone can read a little above 1 mid-span.)  The `utilization` gauge
-  /// of publish_metrics and obs::watch_utilization both read it.
+  /// Utilization over [0, now]: stats().utilization, plus the attached
+  /// fluid aggregate's share capped at 1 in total, so a fluid-saturated
+  /// link reads full rather than near-zero.  (A service span counts as
+  /// busy from its start, so the packetized share alone can read a little
+  /// above 1 mid-span.)  The `utilization` gauge of publish_metrics and
+  /// obs::watch_utilization both read it.
   double utilization() const;
 
   /// Registers this link's observables with a MetricsRegistry, prefixed

@@ -59,8 +59,7 @@ class ParallelSimulation {
   /// pair's links).  `node_domain[n]` is the domain owning node n.
   /// Computes routes if needed (routing is frozen once the run starts).
   /// Throws std::invalid_argument if a cut link has zero propagation
-  /// delay — callers wanting those topologies must fall back to one
-  /// domain (the zero-lookahead fallback, MODEL_NOTES §14).
+  /// delay (MODEL_NOTES §14): such a topology must run on one domain.
   void attach(Network& net, const std::vector<std::size_t>& node_domain);
 
   /// Advances every domain to `end` (inclusive, like

@@ -99,8 +99,13 @@ FtpSessionSource::FtpSessionSource(Simulator& sim, Network& net, NodeId src,
       config_.mean_idle <= Duration::zero()) {
     throw std::invalid_argument("FtpSessionSource: periods must be positive");
   }
-  if (config_.pace_load <= 0.0 || !config_.bottleneck.is_positive()) {
-    throw std::invalid_argument("FtpSessionSource: pacing must be positive");
+  // NaN fails every comparison and would reach the pace interval's
+  // integer cast; an infinite load paces at zero spacing, a session that
+  // never lets simulated time advance.
+  if (!(config_.pace_load > 0.0 && std::isfinite(config_.pace_load)) ||
+      !config_.bottleneck.is_positive()) {
+    throw std::invalid_argument(
+        "FtpSessionSource: pacing must be finite and positive");
   }
   pace_interval_ = (config_.bottleneck * config_.pace_load)
                        .transmission_time(config_.packet);
@@ -130,7 +135,8 @@ ModulatedPoissonSource::ModulatedPoissonSource(Simulator& sim, Network& net,
       config_.period <= Duration::zero()) {
     throw std::invalid_argument("ModulatedPoissonSource: bad timing");
   }
-  if (config_.relative_amplitude < 0.0 || config_.relative_amplitude >= 1.0) {
+  if (!(config_.relative_amplitude >= 0.0 &&
+        config_.relative_amplitude < 1.0)) {
     throw std::invalid_argument(
         "ModulatedPoissonSource: amplitude outside [0, 1)");
   }

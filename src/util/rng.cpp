@@ -1,6 +1,9 @@
 #include "util/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace bolot {
@@ -68,7 +71,15 @@ bool Rng::chance(double p) {
 }
 
 double Rng::exponential(double mean) {
-  if (mean <= 0.0) throw std::invalid_argument("exponential: mean <= 0");
+  // Accepts exactly the finite means > 0 (an infinite one would draw an
+  // infinite gap), whose bit patterns are the one range (0, DBL_MAX's]:
+  // one compare, one branch, on the path of every Poisson and FTP draw.
+  constexpr auto kMaxBits =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max());
+  const auto bits = std::bit_cast<std::uint64_t>(mean);
+  if (!(bits > 0 && bits <= kMaxBits)) {
+    throw std::invalid_argument("exponential: mean must be finite and > 0");
+  }
   double u;
   do {
     u = uniform();
@@ -77,8 +88,11 @@ double Rng::exponential(double mean) {
 }
 
 double Rng::pareto(double alpha, double xm) {
-  if (alpha <= 0.0 || xm <= 0.0) {
-    throw std::invalid_argument("pareto: parameters must be positive");
+  // NaN fails every comparison; an infinite scale would return an
+  // infinite draw that no Duration can hold.
+  if (!(alpha > 0.0 && xm > 0.0 && std::isfinite(alpha) &&
+        std::isfinite(xm))) {
+    throw std::invalid_argument("pareto: parameters must be finite and > 0");
   }
   double u;
   do {

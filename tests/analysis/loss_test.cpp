@@ -330,7 +330,16 @@ TEST(DesignFecTest, InfeasibleReported) {
   const FecPlan plan = design_fec(losses, 0.01, 4);
   EXPECT_FALSE(plan.feasible);
   EXPECT_EQ(plan.k, 4u);
-  EXPECT_THROW(design_fec(losses, -0.1), std::invalid_argument);
+  // NaN fails `target < 0` too: unchecked, it returned this same
+  // infeasible k = 4 plan instead of an error.
+  for (const double bad : {-0.1, std::nan("")}) {
+    try {
+      design_fec(losses, bad, 4);
+      ADD_FAILURE() << "target " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "design_fec: target must be >= 0");
+    }
+  }
 }
 
 TEST(GenerateGilbertTest, RoundTripsThroughFit) {

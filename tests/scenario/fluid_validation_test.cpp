@@ -1,9 +1,9 @@
 // Accuracy validation of the hybrid fluid/packet engine (MODEL_NOTES §15):
 //
 //   1. Against the Kleinrock-independence analytic model (model/kia.h) on
-//      a fat-tree: the kMd1Wait fluid mode samples per-hop waits with
-//      exact M/D/1 first two moments, so the probe's mean RTT and jitter
-//      must land on the analytic prediction.
+//      a fat-tree: fluid links sample per-hop waits with exact M/D/1
+//      first two moments, so the probe's mean RTT and jitter must land
+//      on the analytic prediction.
 //   2. Against a fully packetized reference on the same small fabric: the
 //      identical flow population simulated packet-by-packet must produce
 //      the same mean RTT within the stated tolerance.
@@ -19,7 +19,7 @@
 namespace bolot::scenario {
 namespace {
 
-/// The displaced packet size a fluid link's kMd1Wait moments use (the
+/// The displaced packet size a fluid link's M/D/1 moments use (the
 /// background's fixed 512 bytes, MODEL_NOTES §15).
 constexpr ByteSize kBackgroundPacket = ByteSize::bytes(512);
 
@@ -40,7 +40,7 @@ TraceMoments moments(const analysis::ProbeTrace& trace) {
   return m;
 }
 
-ScenarioOverrides fabric_overrides(sim::FluidQueueModel queue_model) {
+ScenarioOverrides fabric_overrides() {
   ScenarioOverrides overrides;
   TopologySpec spec;
   spec.fat_tree_k = 4;
@@ -53,7 +53,6 @@ ScenarioOverrides fabric_overrides(sim::FluidQueueModel queue_model) {
   // M/D/1 waits assume Poisson arrivals at that mean.
   background.duty = 1.0;
   background.max_link_load = 0.5;
-  background.queue_model = queue_model;
   overrides.fluid_background = background;
   return overrides;
 }
@@ -63,8 +62,7 @@ TEST(FluidValidationTest, HybridMatchesKiaMeanAndJitterOnFatTree) {
   plan.delta = Duration::millis(20);
   plan.duration = Duration::seconds(80);  // 4000 probes
   plan.seed = 1993;
-  const ScenarioOverrides overrides =
-      fabric_overrides(sim::FluidQueueModel::kMd1Wait);
+  const ScenarioOverrides overrides = fabric_overrides();
   const ScenarioResult result = run_topology(plan, overrides);
   ASSERT_GT(result.trace.received_count(), 3000u);
   ASSERT_FALSE(result.probe_hops.empty());
@@ -95,7 +93,7 @@ TEST(FluidValidationTest, HybridMatchesFullyPacketizedReference) {
   plan.duration = Duration::seconds(40);
   plan.seed = 7;
 
-  ScenarioOverrides hybrid = fabric_overrides(sim::FluidQueueModel::kMd1Wait);
+  ScenarioOverrides hybrid = fabric_overrides();
   hybrid.fluid_background->flows = 400;
   hybrid.fluid_background->max_link_load = 0.35;
   ScenarioOverrides reference = hybrid;
@@ -116,31 +114,6 @@ TEST(FluidValidationTest, HybridMatchesFullyPacketizedReference) {
   // The event bill is the point: the reference pays per background
   // packet, the hybrid pays per probed packet.
   EXPECT_LT(hybrid_run.events, reference_run.events / 2);
-}
-
-TEST(FluidValidationTest, ResidualRateModeShiftsMeanWithoutJitter) {
-  // kResidualRate is the deterministic headline mode: same fluid demand,
-  // no sampled waits — delay is stretched but the tails collapse (the
-  // documented bias; MODEL_NOTES §15).
-  ProbePlan plan;
-  plan.delta = Duration::millis(25);
-  plan.duration = Duration::seconds(20);
-  plan.seed = 21;
-  const ScenarioResult result = run_topology(
-      plan, fabric_overrides(sim::FluidQueueModel::kResidualRate));
-  ASSERT_GT(result.trace.received_count(), 500u);
-  const TraceMoments measured = moments(result.trace);
-  // Constant demand + periodic probes: every RTT is identical.
-  EXPECT_LT(measured.jitter_ms, 1e-3);
-  // But slower than an unloaded fabric: residual service stretched the
-  // transmission times.
-  double unloaded_ms = 0.0;
-  for (const ScenarioResult::ProbeHop& hop : result.probe_hops) {
-    unloaded_ms += hop.propagation.millis() +
-                   1e3 * static_cast<double>(plan.probe_wire.count() * 8) /
-                       hop.capacity.bps();
-  }
-  EXPECT_GT(measured.mean_ms, unloaded_ms * 1.0001);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "runner/thread_pool.h"
-#include "tests/scenario/malformed_fluid_configs.h"
 #include "tests/scenario/tomography_ci_spec.h"
 #include "tests/sim/lent_workers.h"
 
@@ -79,56 +78,24 @@ TEST(TomographyTest, DelayTruthIsPinned) {
   // The ledger digest leaves the delay ground truth out (it exists on the
   // sequential kernel only), so these hex floats are what prove the
   // per-probe hop table exact: every class's true_delay_ms and the
-  // delay_error, on the idle mesh and under a 3-state fluid background
-  // whose M/D/1 wait lengthens every loaded sojourn.  Recorded before the
-  // hop table replaced a hash map keyed by packet id.
+  // delay_error.  Recorded before the hop table replaced a hash map keyed
+  // by packet id.
   TomographySpec spec = ci_spec();
   spec.duration = Duration::seconds(10);
-  const TomographyResult idle = run_tomography(spec);
-  FluidBackgroundConfig background;
-  background.flows = 10000;
-  background.max_link_load = 0.5;
-  background.envelope_states = 3;
-  background.envelope_mean_holding = Duration::millis(500);
-  background.queue_model = sim::FluidQueueModel::kMd1Wait;
-  spec.fluid_background = background;
-  const TomographyResult loaded = run_tomography(spec);
-
-  struct Pinned {
-    const char* name;
-    const TomographyResult& result;
-    double delay_error;
-    double true_delay_ms[13];
-  };
-  const Pinned cases[] = {
-      {"idle",
-       idle,
-       0x1.a83cb22abaea6p-9,
-       {0x1.21f81b2fc9ee4p-1, 0x1.d2b28e8ac7184p-2, 0x1.01cca70d1feb6p+1,
-        0x1.ef806a582652ep-2, 0x1.f4c4b87ccd09cp-2, 0x1.349b6f663c752p+1,
-        0x1.ee3da07f959d8p+1, 0x1.0ace75acf2d92p-1, 0x1.da2bbc87e1155p-2,
-        0x1.146ac6070ef37p+1, 0x1.0ba59aecf0524p+1, 0x1.0833b51c7017p-1,
-        0x1.f678ab112d306p-2}},
-      {"fluid",
-       loaded,
-       0x1.e2be0f5bc71a4p-6,
-       {0x1.3bf8f05af115p+0, 0x1.2f53bb51cf942p+0, 0x1.07b1c84d26236p+1,
-        0x1.28133e42eee91p+0, 0x1.0b523a30bbfc4p+0, 0x1.39e6432577c38p+1,
-        0x1.ef2afd3fc8c55p+1, 0x1.5e1866e4bbbdbp+0, 0x1.69ae73922ec52p+0,
-        0x1.1ac0ee6e139ap+1, 0x1.116065ac3ae4ap+1, 0x1.4fab3f7564f82p+0,
-        0x1.43251272d6bbap+0}},
-  };
-  for (const Pinned& pinned : cases) {
-    SCOPED_TRACE(pinned.name);
-    ASSERT_TRUE(pinned.result.delay_truth_collected);
-    ASSERT_EQ(pinned.result.classes.size(), std::size(pinned.true_delay_ms));
-    for (std::size_t c = 0; c < pinned.result.classes.size(); ++c) {
-      EXPECT_EQ(pinned.result.classes[c].true_delay_ms,
-                pinned.true_delay_ms[c])
-          << "class " << c;
-    }
-    EXPECT_EQ(pinned.result.delay_error, pinned.delay_error);
+  const TomographyResult result = run_tomography(spec);
+  const double true_delay_ms[] = {
+      0x1.21f81b2fc9ee4p-1, 0x1.d2b28e8ac7184p-2, 0x1.01cca70d1feb6p+1,
+      0x1.ef806a582652ep-2, 0x1.f4c4b87ccd09cp-2, 0x1.349b6f663c752p+1,
+      0x1.ee3da07f959d8p+1, 0x1.0ace75acf2d92p-1, 0x1.da2bbc87e1155p-2,
+      0x1.146ac6070ef37p+1, 0x1.0ba59aecf0524p+1, 0x1.0833b51c7017p-1,
+      0x1.f678ab112d306p-2};
+  ASSERT_TRUE(result.delay_truth_collected);
+  ASSERT_EQ(result.classes.size(), std::size(true_delay_ms));
+  for (std::size_t c = 0; c < result.classes.size(); ++c) {
+    EXPECT_EQ(result.classes[c].true_delay_ms, true_delay_ms[c])
+        << "class " << c;
   }
+  EXPECT_EQ(result.delay_error, 0x1.a83cb22abaea6p-9);
 }
 
 TEST(TomographyTest, PacketPairRecoversBottleneckCapacity) {
@@ -253,93 +220,6 @@ TEST(TomographyTest, RejectsMalformedSpecs) {
   bad.delta = Duration::micros(25);
   bad.pair_stride = 20;  // pairs 500 us apart: chained at the send gap
   EXPECT_THROW(run_tomography(bad), std::invalid_argument);
-  bad = ci_spec();
-  expect_malformed_fluid_configs_rejected(
-      FluidBackgroundConfig{}, [&](const FluidBackgroundConfig& config) {
-        bad.fluid_background = config;
-        run_tomography(bad);
-      });
-}
-
-TEST(TomographyTest, FluidBackgroundLoadsTheMeshDeterministically) {
-  TomographySpec spec = ci_spec();
-  spec.duration = Duration::seconds(10);
-  const TomographyResult idle = run_tomography(spec);
-  FluidBackgroundConfig background;
-  background.flows = 10000;
-  background.max_link_load = 0.5;
-  background.envelope_states = 3;
-  background.envelope_mean_holding = Duration::millis(500);
-  spec.fluid_background = background;
-  const TomographyResult loaded = run_tomography(spec);
-  const TomographyResult again = run_tomography(spec);
-  spec.domains = 2;
-  runner::ThreadPool worker(1);
-  sim::LentWorkers lent(&worker);  // the second domain runs on a worker
-  const TomographyResult sharded = run_tomography(spec);
-  ASSERT_EQ(sharded.domains_used, 2u);
-  EXPECT_GT(lent.jobs(), 0u);
-
-  ASSERT_EQ(loaded.streams, idle.streams);
-  ASSERT_EQ(again.streams, loaded.streams);
-  ASSERT_EQ(sharded.streams, loaded.streams);
-  EXPECT_EQ(again.events, loaded.events);
-  EXPECT_EQ(again.loss_error, loaded.loss_error);
-  EXPECT_EQ(again.delay_error, loaded.delay_error);
-  EXPECT_EQ(sharded.loss_error, loaded.loss_error);
-  double idle_rtt = 0.0, loaded_rtt = 0.0;
-  for (std::size_t s = 0; s < loaded.streams; ++s) {
-    const TomographyStreamSummary& x = loaded.stream_summaries[s];
-    EXPECT_EQ(again.stream_summaries[s].received, x.received);
-    EXPECT_EQ(again.stream_summaries[s].mean_rtt_ms, x.mean_rtt_ms);
-    EXPECT_EQ(sharded.stream_summaries[s].received, x.received);
-    EXPECT_EQ(sharded.stream_summaries[s].loss_fraction, x.loss_fraction);
-    idle_rtt += idle.stream_summaries[s].mean_rtt_ms;
-    loaded_rtt += x.mean_rtt_ms;
-  }
-  ASSERT_EQ(sharded.classes.size(), loaded.classes.size());
-  for (std::size_t c = 0; c < loaded.classes.size(); ++c) {
-    EXPECT_EQ(sharded.classes[c].est_loss_sum, loaded.classes[c].est_loss_sum);
-  }
-  // Fluid demand takes capacity from every loaded link, so the probes
-  // queue longer on average than on the idle fabric.
-  EXPECT_GT(loaded_rtt, idle_rtt);
-}
-
-TEST(TomographyTest, FluidLoadedInferenceIsPinned) {
-  // Recorded as hex floats: the mesh's per-class estimates see the fluid
-  // background only through each link's folded demand, so a change to
-  // the fold moves bits here.
-  TomographySpec spec = ci_spec();
-  spec.duration = Duration::seconds(4);
-  FluidBackgroundConfig background;
-  background.flows = 10000;
-  background.max_link_load = 0.5;
-  background.duty = 0.3;
-  background.queue_model = sim::FluidQueueModel::kMd1Wait;
-  spec.fluid_background = background;
-  const TomographyResult result = run_tomography(spec);
-  EXPECT_EQ(result.events, 392354u);
-  const double expected[][2] = {
-      {0x1.012f3e360a997p-4, 0x1.2f4dc83329df7p+0},
-      {0x1.6ee5353a5ed2cp-4, 0x1.06fe4b61cb357p+0},
-      {0x1.ed43a52fd242cp-5, 0x1.0276045d39ea3p+1},
-      {0x1.0d0e7b07fa53cp-4, 0x1.0c2d79d93bf29p+0},
-      {0x1.22f8547c11ba1p-4, 0x1.0fba8b2299781p+0},
-      {0x1.5ae12ed33d3fap-5, 0x1.33243c635decfp+1},
-      {0x1.1c09569ad629p-4, 0x1.f5527ca15a0cap+1},
-      {0x1.11fd0260e154dp-4, 0x1.2946dfb811fddp+0},
-      {0x1.228d70205d92dp-4, 0x1.15ebe44028f1dp+0},
-      {0x1.42b764715a54ep-4, 0x1.126c1f6c58f63p+1},
-      {0x1.451200e28980ep-5, 0x1.0d182cf12489cp+1},
-      {0x1.817eaea5b875cp-4, 0x1.099ddaeaca21cp+0},
-      {0x1.6d7756f4cddb2p-4, 0x1.e6c2a5217d224p-1},
-  };
-  ASSERT_EQ(result.classes.size(), std::size(expected));
-  for (std::size_t c = 0; c < result.classes.size(); ++c) {
-    EXPECT_EQ(result.classes[c].est_loss_sum, expected[c][0]) << "class " << c;
-    EXPECT_EQ(result.classes[c].est_delay_ms, expected[c][1]) << "class " << c;
-  }
 }
 
 }  // namespace

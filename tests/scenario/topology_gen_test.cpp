@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "scenario/scenarios.h"
-#include "tests/scenario/malformed_fluid_configs.h"
 #include "sim/network.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
@@ -84,10 +84,28 @@ TEST(TopologyGenTest, WiringDigestsArePinned) {
             0x608b183c80a8282cULL);
 }
 
+TEST(TopologyGenTest, FatTreeRejectsOddKAndHostlessEdges) {
+  const auto expect_rejected = [](const TopologySpec& spec,
+                                  const char* what) {
+    try {
+      generate_topology(spec);
+      ADD_FAILURE() << "accepted; expected: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), what);
+    }
+  };
+  TopologySpec odd;
+  odd.fat_tree_k = 3;
+  expect_rejected(odd, "generate_topology: fat_tree_k must be even");
+  TopologySpec hostless;
+  hostless.hosts_per_edge = 0;
+  expect_rejected(hostless, "generate_topology: hosts_per_edge == 0");
+}
+
 TEST(TopologyGenTest, InstantiateRejectsMoreDomainsThanPartitions) {
-  // The enforcement surface behind the ScenarioOverrides::domains clamp
-  // bugfix: callers must clamp against partition_count, not any route
-  // length, and the instantiator refuses to paper over it.
+  // The enforcement surface behind the scenario build's domains clamp:
+  // callers must clamp against partition_count, and the instantiator
+  // refuses to paper over it.
   const TopologyPlan plan = generate_topology(TopologySpec{});  // 4 pods
   sim::Simulator sim;
   sim::Network net(sim, 1);
@@ -135,10 +153,8 @@ ProbePlan small_fabric_plan() {
   return plan;
 }
 
-ScenarioOverrides small_fabric(std::size_t domains,
-                               std::optional<std::size_t> radius) {
+ScenarioOverrides small_fabric(std::optional<std::size_t> radius) {
   ScenarioOverrides overrides;
-  overrides.domains = domains;
   TopologySpec spec;
   spec.fat_tree_k = 4;
   spec.hosts_per_edge = 2;
@@ -154,51 +170,16 @@ ScenarioOverrides small_fabric(std::size_t domains,
   return overrides;
 }
 
-ScenarioResult run_small_fabric(std::size_t domains,
-                                std::optional<std::size_t> radius) {
-  return run_topology(small_fabric_plan(), small_fabric(domains, radius));
-}
-
-TEST(RunTopologyTest, DomainsClampAgainstPartitionHints) {
-  // Requesting far more domains than the generator's partition hints must
-  // clamp (to the hint count), not throw and not shard arbitrarily.
-  const ScenarioResult result = run_small_fabric(64, std::nullopt);
-  EXPECT_EQ(result.domains_used, 4u);  // fat_tree_k = 4 partitions
-  EXPECT_GT(result.trace.received_count(), 0u);
-}
-
-TEST(RunTopologyTest, EventStreamIsInvariantAcrossDomainCounts) {
-  // The hybrid engine rides the PDES contract: fluid trajectories are
-  // seed-replicated per link, so the probe trace and the event count must
-  // not depend on how the fabric is sharded.
-  const ScenarioResult sequential = run_small_fabric(1, 1);
-  ASSERT_GT(sequential.trace.received_count(), 0u);
-  EXPECT_GT(sequential.background_flows_fluid, 0u);
-  EXPECT_GT(sequential.background_flows_packetized, 0u);
-  for (const std::size_t domains : {2u, 4u}) {
-    SCOPED_TRACE(std::to_string(domains) + " domains");
-    const ScenarioResult sharded = run_small_fabric(domains, 1);
-    EXPECT_EQ(sharded.domains_used, domains);
-    EXPECT_EQ(sharded.events, sequential.events);
-    ASSERT_EQ(sharded.trace.records.size(), sequential.trace.records.size());
-    for (std::size_t i = 0; i < sequential.trace.records.size(); ++i) {
-      EXPECT_EQ(sharded.trace.records[i].rtt, sequential.trace.records[i].rtt)
-          << "probe " << i;
-      EXPECT_EQ(sharded.trace.records[i].received,
-                sequential.trace.records[i].received);
-    }
-    EXPECT_EQ(sharded.hop_deliveries, sequential.hop_deliveries);
-    EXPECT_EQ(sharded.background_flows_fluid,
-              sequential.background_flows_fluid);
-  }
+ScenarioResult run_small_fabric(std::optional<std::size_t> radius) {
+  return run_topology(small_fabric_plan(), small_fabric(radius));
 }
 
 TEST(RunTopologyTest, PacketizeRadiusSplitsThePopulation) {
   // nullopt -> everything fluid; a huge radius -> everything packetized.
-  const ScenarioResult all_fluid = run_small_fabric(1, std::nullopt);
+  const ScenarioResult all_fluid = run_small_fabric(std::nullopt);
   EXPECT_EQ(all_fluid.background_flows_packetized, 0u);
   EXPECT_GT(all_fluid.background_flows_fluid, 0u);
-  const ScenarioResult all_packets = run_small_fabric(1, 100);
+  const ScenarioResult all_packets = run_small_fabric(100);
   EXPECT_EQ(all_packets.background_flows_fluid, 0u);
   EXPECT_GT(all_packets.background_flows_packetized, 0u);
   // A fully fluid run dispatches far fewer events than a fully packetized
@@ -240,7 +221,7 @@ TEST(RunTopologyTest, FluidEventCountIsFlatInFlowCount) {
 /// every partial sum is exact, and the two agree).
 ScenarioOverrides pinned_fabric(std::size_t flows,
                                 std::optional<std::size_t> radius) {
-  ScenarioOverrides overrides = small_fabric(1, radius);
+  ScenarioOverrides overrides = small_fabric(radius);
   overrides.fluid_background->flows = flows;
   overrides.fluid_background->duty = 0.3;
   overrides.fluid_background->envelope_states = 0;
@@ -298,7 +279,7 @@ TEST(RunTopologyTest, PacketizedSplitIsPinned) {
   EXPECT_EQ(result.background_flows_fluid, 242u);
   EXPECT_EQ(result.background_flows_packetized, 1758u);
   EXPECT_EQ(result.events, 1226061u);
-  EXPECT_EQ(result.hop_deliveries, 564159u);
+  EXPECT_EQ(result.hop_deliveries, 564160u);
   expect_probe_hop_fluid(result, std::vector<double>(12, 0.0));
 }
 
@@ -329,7 +310,7 @@ TEST(RunTopologyTest, RejectsChainOverrides) {
        }},
   };
   for (const auto& [field, set] : fields) {
-    ScenarioOverrides overrides = small_fabric(1, 1);
+    ScenarioOverrides overrides = small_fabric(1);
     set(overrides);
     try {
       run_topology(small_fabric_plan(), overrides);
@@ -342,13 +323,34 @@ TEST(RunTopologyTest, RejectsChainOverrides) {
 }
 
 TEST(RunTopologyTest, RejectsMalformedFluidBackground) {
-  ScenarioOverrides overrides = small_fabric(1, 1);
-  const FluidBackgroundConfig base = *overrides.fluid_background;
-  expect_malformed_fluid_configs_rejected(
-      base, [&](const FluidBackgroundConfig& bad) {
-        overrides.fluid_background = bad;
-        run_topology(small_fabric_plan(), overrides);
-      });
+  // One malformed variant per validated field; each must be refused with
+  // a std::invalid_argument whose message names the field.
+  const ScenarioOverrides base = small_fabric(1);
+  const auto expect_rejected = [&](const char* field, const auto& corrupt) {
+    SCOPED_TRACE(field);
+    ScenarioOverrides overrides = base;
+    corrupt(*overrides.fluid_background);
+    try {
+      run_topology(small_fabric_plan(), overrides);
+      ADD_FAILURE() << "malformed " << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Config = FluidBackgroundConfig;
+  expect_rejected("duty", [&](Config& c) { c.duty = nan; });
+  expect_rejected("duty", [](Config& c) { c.duty = 1.5; });
+  expect_rejected("max_link_load", [](Config& c) { c.max_link_load = 0.0; });
+  expect_rejected("max_link_load", [](Config& c) { c.max_link_load = 1.5; });
+  expect_rejected("max_link_load", [&](Config& c) { c.max_link_load = nan; });
+  // Fluid rates fold at float precision: a peak calibrated past FLT_MAX
+  // from a tiny duty must not fold as infinity.
+  expect_rejected("duty", [](Config& c) { c.duty = 1e-40; });
+  expect_rejected("envelope_states", [](Config& c) {
+    c.envelope_states = 1;
+  });
 }
 
 }  // namespace

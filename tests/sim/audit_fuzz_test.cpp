@@ -555,8 +555,7 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
   }
 
   // Fluid on every third link: half constant base demand, half an
-  // envelope-modulated demand (the only event source a fluid link has),
-  // alternating queue models so both service paths are audited.
+  // envelope-modulated demand (the only event source a fluid link has).
   std::vector<std::unique_ptr<FluidAggregate>> aggregates;
   std::vector<std::unique_ptr<FluidFlow>> envelopes;
   std::vector<Link*> fluid_links;
@@ -565,8 +564,6 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
     Simulator& link_sim = sim_of(domain_of_node[net.link_source(uid)]);
     FluidAggregateConfig config;
     config.capacity = Bandwidth::bps(link.config().rate.bps());
-    config.queue_model = uid % 2 == 0 ? FluidQueueModel::kResidualRate
-                                      : FluidQueueModel::kMd1Wait;
     aggregates.push_back(std::make_unique<FluidAggregate>(
         link_sim, config, Rng(derive_stream_seed(seed ^ 0xF1u, uid))));
     link.attach_fluid(*aggregates.back());

@@ -213,7 +213,7 @@ TEST(ChannelLinkTest, TargetPlgFiveMeasuredWithinTenPercent) {
 }
 
 TEST(ChannelLinkTest, JitterPreservesFifoOrder) {
-  // A kMd1Wait fluid aggregate adds a sampled wait to each packet after
+  // A fluid aggregate adds a sampled M/D/1 wait to each packet after
   // service, which could put a packet's arrival before its predecessor's;
   // the link clamps each arrival to the latest one already on the flight
   // ring, so delivery stays FIFO.  At this seed some waits do clamp: a
@@ -223,7 +223,6 @@ TEST(ChannelLinkTest, JitterPreservesFifoOrder) {
   config.buffer_packets = 64;
   FluidAggregateConfig fluid_config;
   fluid_config.capacity = config.rate;
-  fluid_config.queue_model = FluidQueueModel::kMd1Wait;
   FluidAggregate fluid(simulator, fluid_config, Rng(3));
   fluid.add_base_rate(config.rate * 0.8);
   Link link(simulator, config, Rng(3));

@@ -22,31 +22,6 @@ FluidAggregateConfig aggregate_config(double capacity_bps = 1e6) {
   return config;
 }
 
-TEST(FluidAggregateTest, ResidualRateSubtractsDemandWithFloor) {
-  Simulator simulator;
-  FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(1));
-  EXPECT_DOUBLE_EQ(fluid.residual().bps(), 1e6);
-  fluid.add_base_rate(Bandwidth::bps(400e3));
-  EXPECT_DOUBLE_EQ(fluid.fluid_rate().bps(), 400e3);
-  EXPECT_DOUBLE_EQ(fluid.residual().bps(), 600e3);
-  // Oversubscription floors at 1 % of capacity instead of stalling the
-  // transmitter.
-  fluid.add_base_rate(Bandwidth::bps(2e6));
-  EXPECT_DOUBLE_EQ(fluid.residual().bps(), 0.01 * 1e6);
-}
-
-TEST(FluidAggregateTest, ResidualServiceTimeStretchesByLoad) {
-  Simulator simulator;
-  FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(1));
-  const Duration empty = fluid.service_time(ByteSize::bytes(500));
-  fluid.add_base_rate(Bandwidth::bps(500e3));  // residual = half capacity
-  EXPECT_EQ(fluid.service_time(ByteSize::bytes(500)), empty * 2.0);
-  // Residual mode is deterministic: the extra wait is zero and the rng
-  // stream sits untouched.
-  EXPECT_TRUE(fluid.sample_extra_wait().is_zero());
-  EXPECT_EQ(fluid.wait_samples(), 0u);
-}
-
 TEST(FluidAggregateTest, UtilizationIntegratesPiecewiseDemand) {
   Simulator simulator;
   FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(1));
@@ -64,14 +39,12 @@ TEST(FluidAggregateTest, UtilizationIntegratesPiecewiseDemand) {
 TEST(FluidAggregateTest, Md1WaitMatchesPollaczekKhinchineMoments) {
   Simulator simulator;
   FluidAggregateConfig config = aggregate_config(1e6);
-  config.queue_model = FluidQueueModel::kMd1Wait;
   config.mean_packet = ByteSize::bytes(512);
   FluidAggregate fluid(simulator, config, Rng(99));
+  // No demand, no wait, and no draw.
+  EXPECT_TRUE(fluid.sample_extra_wait().is_zero());
   const double rho = 0.6;
   fluid.add_base_rate(Bandwidth::bps(rho * config.capacity.bps()));
-  // kMd1Wait serves at full capacity; the queueing shows up as waits.
-  EXPECT_EQ(fluid.service_time(ByteSize::bytes(500)),
-            transmission_time(500 * 8, config.capacity.bps()));
 
   const double service = 512.0 * 8.0 / config.capacity.bps();
   const double mean_wait = rho * service / (2.0 * (1.0 - rho));
@@ -86,7 +59,7 @@ TEST(FluidAggregateTest, Md1WaitMatchesPollaczekKhinchineMoments) {
   }
   EXPECT_NEAR(sum / n, mean_wait, 0.03 * mean_wait);
   EXPECT_NEAR(sum_sq / n, second, 0.05 * second);
-  EXPECT_EQ(fluid.wait_samples(), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(fluid.wait_samples(), static_cast<std::uint64_t>(n) + 1);
 }
 
 TEST(FluidFlowTest, OnOffEdgesToggleAggregateDemand) {
@@ -229,7 +202,7 @@ TEST(FluidFlowTest, EnvelopeConfigHasStationaryMeanAtPeak) {
   flow.audit_verify();
 }
 
-TEST(FluidLinkTest, PacketsServeAtResidualRate) {
+TEST(FluidLinkTest, PacketsServeAtFullRatePlusSampledWait) {
   Simulator simulator;
   LinkConfig config;
   config.rate = Bandwidth::bps(1e6);
@@ -239,15 +212,22 @@ TEST(FluidLinkTest, PacketsServeAtResidualRate) {
   FluidAggregate fluid(simulator, aggregate_config(1e6), Rng(2));
   fluid.add_base_rate(Bandwidth::bps(500e3));
   link.attach_fluid(fluid);
+  // A twin on the same seed draws the wait the link's packet will carry.
+  FluidAggregate twin(simulator, aggregate_config(1e6), Rng(2));
+  twin.add_base_rate(Bandwidth::bps(500e3));
+  const Duration wait = twin.sample_extra_wait();
+  ASSERT_GT(wait, Duration::zero());  // this seed draws a nonzero wait
 
   std::vector<Duration> arrivals;
   link.set_sink([&](Packet&&) { arrivals.push_back(simulator.now()); });
   Packet p;
-  p.size_bytes = 500;  // 4 ms at 1 Mb/s -> 8 ms at the residual 500 kb/s
+  p.size_bytes = 500;  // 4 ms at the full 1 Mb/s, whatever the demand
   link.enqueue(std::move(p));
   drain(simulator);
   ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0], Duration::millis(18));
+  EXPECT_EQ(arrivals[0], Duration::millis(14) + wait);
+  EXPECT_EQ(link.stats().busy, Duration::millis(4));
+  EXPECT_EQ(fluid.wait_samples(), 1u);
   link.audit_verify();
 }
 
@@ -281,7 +261,7 @@ TEST(FluidLinkTest, UtilizationGaugeReportsResidualCapacityView) {
 
   obs::MetricsRegistry registry;
   link.publish_metrics(registry, "lnk");
-  // One packet: 500 B at the residual 400 kb/s = 10 ms busy in 1 s.
+  // One packet: 500 B at the full 1 Mb/s = 4 ms busy in 1 s.
   Packet p;
   p.size_bytes = 500;
   link.enqueue(std::move(p));
@@ -290,13 +270,10 @@ TEST(FluidLinkTest, UtilizationGaugeReportsResidualCapacityView) {
   const obs::MetricsSnapshot snap = registry.snapshot(simulator.now());
   const double* utilization = obs::find_metric(snap, "lnk.utilization");
   ASSERT_NE(utilization, nullptr);
-  EXPECT_NEAR(*utilization, 0.6 + 0.01, 1e-6);
+  EXPECT_NEAR(*utilization, 0.6 + 0.004, 1e-6);
   const double* fluid_rate = obs::find_metric(snap, "lnk.fluid_rate_bps");
   ASSERT_NE(fluid_rate, nullptr);
   EXPECT_DOUBLE_EQ(*fluid_rate, 600e3);
-  const double* residual = obs::find_metric(snap, "lnk.residual_bps");
-  ASSERT_NE(residual, nullptr);
-  EXPECT_DOUBLE_EQ(*residual, 400e3);
   const double* fluid_util = obs::find_metric(snap, "lnk.fluid_utilization");
   ASSERT_NE(fluid_util, nullptr);
   EXPECT_NEAR(*fluid_util, 0.6, 1e-9);
@@ -313,7 +290,6 @@ TEST(FluidLinkTest, FluidFreeLinkPublishesNoFluidGauges) {
   link.publish_metrics(registry, "lnk");
   const obs::MetricsSnapshot snap = registry.snapshot(simulator.now());
   EXPECT_EQ(obs::find_metric(snap, "lnk.fluid_rate_bps"), nullptr);
-  EXPECT_EQ(obs::find_metric(snap, "lnk.residual_bps"), nullptr);
   EXPECT_EQ(obs::find_metric(snap, "lnk.fluid_utilization"), nullptr);
   ASSERT_FALSE(snap.entries.empty());
   EXPECT_EQ(snap.entries.back().name, "lnk.utilization");

@@ -15,12 +15,13 @@
 #include <vector>
 
 #include "runner/thread_pool.h"
-#include "scenario/scenarios.h"
+#include "scenario/tomography.h"
 #include "sim/fluid.h"
 #include "sim/network.h"
 #include "sim/spsc_channel.h"
 #include "sim/traffic.h"
 #include "util/rng.h"
+#include "tests/scenario/tomography_ci_spec.h"
 #include "tests/sim/lent_workers.h"
 #include "tests/sim/sim_fixtures.h"
 
@@ -116,8 +117,22 @@ TEST(PdesTest, AttachRejectsBadPartition) {
   EXPECT_THROW(psim.attach(net, {0, 5}), std::invalid_argument);   // range
 }
 
+TEST(PdesTest, AttachRejectsASecondAttach) {
+  ParallelSimulation psim(2);
+  Network net(psim.simulator(0), 7);
+  net.add_node("a");
+  net.add_node("b");
+  psim.attach(net, {0, 1});
+  try {
+    psim.attach(net, {0, 1});
+    ADD_FAILURE() << "second attach was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "ParallelSimulation: attach called twice");
+  }
+}
+
 TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
-  // A kMd1Wait fluid wait can hold a packet back onto its predecessor's
+  // A fluid M/D/1 wait can hold a packet back onto its predecessor's
   // arrival time (the link's FIFO clamp), so two packets cross the cut
   // with the SAME arrival nanosecond; the per-link send stamp must keep
   // them FIFO at the receiver.  At this seed the first packet waits
@@ -135,7 +150,6 @@ TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
   Link& link = net.add_link(a, b, config, psim.simulator(0));
   FluidAggregateConfig fluid_config;
   fluid_config.capacity = config.rate;
-  fluid_config.queue_model = FluidQueueModel::kMd1Wait;
   fluid_config.mean_packet = ByteSize::bytes(1000);
   FluidAggregate fluid(psim.simulator(0), fluid_config, Rng(45));
   fluid.add_base_rate(config.rate * 0.5);
@@ -576,108 +590,18 @@ TEST(PdesTest, ThrowingCallbackStopsTheRunAndLeavesItResumable) {
   }
 }
 
-void expect_same_stats(const LinkStats& a, const LinkStats& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.overflow_drops, b.overflow_drops);
-  EXPECT_EQ(a.random_drops, b.random_drops);
-  EXPECT_EQ(a.red_drops, b.red_drops);
-  EXPECT_EQ(a.channel_drops, b.channel_drops);
-  EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
-}
-
-/// Probe trace, bottleneck stats, drop totals and events all equal.
-void expect_same_run(const scenario::ScenarioResult& a,
-                     const scenario::ScenarioResult& b) {
-  ASSERT_EQ(a.trace.records.size(), b.trace.records.size());
-  for (std::size_t i = 0; i < a.trace.records.size(); ++i) {
-    EXPECT_EQ(a.trace.records[i].send_time, b.trace.records[i].send_time)
-        << "probe " << i;
-    EXPECT_EQ(a.trace.records[i].rtt, b.trace.records[i].rtt) << "probe " << i;
-    EXPECT_EQ(a.trace.records[i].received, b.trace.records[i].received)
-        << "probe " << i;
-  }
-  expect_same_stats(a.bottleneck_forward, b.bottleneck_forward);
-  expect_same_stats(a.bottleneck_reverse, b.bottleneck_reverse);
-  EXPECT_EQ(a.total_overflow_drops, b.total_overflow_drops);
-  EXPECT_EQ(a.total_random_drops, b.total_random_drops);
-  EXPECT_EQ(a.total_channel_drops, b.total_channel_drops);
-  EXPECT_EQ(a.hop_deliveries, b.hop_deliveries);
-  EXPECT_EQ(a.events, b.events);
-}
-
-TEST(PdesScenarioTest, ShardedChainsMatchSequential) {
-  // Every paper path x every bottleneck discipline, the forward-only
-  // channel included: a sharded run is the sequential run.  INRIA->UMd
-  // with RED is the case that needs the arm-time tie order: probes leave
-  // the 128 kb/s bottleneck compressed 4.5 ms apart, so each echo reaches
-  // Ithaca the nanosecond the previous echo's reverse-direction service
-  // ends, and RED reads the queue length at that instant.
-  using Run = scenario::ScenarioResult (*)(const scenario::ProbePlan&,
-                                           const scenario::ScenarioOverrides&);
-  const std::pair<const char*, Run> paths[] = {
-      {"inria_umd", scenario::run_inria_umd},
-      {"umd_pitt", scenario::run_umd_pitt},
-      {"inria_europe", scenario::run_inria_europe},
-  };
-  using Discipline = void (*)(scenario::ScenarioOverrides&);
-  const std::pair<const char*, Discipline> disciplines[] = {
-      {"drop-tail", [](scenario::ScenarioOverrides&) {}},
-      {"red",
-       [](scenario::ScenarioOverrides& o) {
-         RedConfig red;
-         red.min_threshold = 2.0;
-         red.max_threshold = 10.0;
-         red.max_probability = Probability::checked(0.2);
-         red.weight = 0.05;
-         o.bottleneck_red = red;
-       }},
-      {"gilbert-elliott",
-       [](scenario::ScenarioOverrides& o) {
-         o.bottleneck_channel = GilbertChannelConfig{
-             Probability::checked(0.02), Probability::checked(0.3)};
-       }},
-  };
-  scenario::ProbePlan plan;
-  plan.delta = Duration::millis(20);
-  plan.duration = Duration::seconds(3);
-  plan.seed = 1993;
-  runner::ThreadPool pool(0);
-  LentWorkers lent(&pool);  // sharded runs cross threads where cores allow
-  for (const auto& [path, run] : paths) {
-    for (const auto& [discipline, configure] : disciplines) {
-      const std::string label = std::string(path) + " " + discipline;
-      scenario::ScenarioOverrides overrides;
-      configure(overrides);
-      const scenario::ScenarioResult sequential = run(plan, overrides);
-      ASSERT_EQ(sequential.domains_used, 1u) << label;
-      ASSERT_GT(sequential.trace.received_count(), 0u) << label;
-      for (const std::size_t domains : {2u, 4u}) {
-        SCOPED_TRACE(label + ", " + std::to_string(domains) + " domains");
-        overrides.domains = domains;
-        const scenario::ScenarioResult sharded = run(plan, overrides);
-        EXPECT_EQ(sharded.domains_used, domains);
-        expect_same_run(sharded, sequential);
-      }
-    }
-  }
-}
-
 TEST(PdesScenarioTest, DomainsClampAndFallback) {
-  scenario::ProbePlan plan;
-  plan.delta = Duration::millis(50);
-  plan.duration = Duration::seconds(1);
-  scenario::ScenarioOverrides overrides;
-  overrides.domains = 64;  // far beyond the path length: clamped, still runs
-  const scenario::ScenarioResult big = scenario::run_inria_umd(plan, overrides);
-  EXPECT_GT(big.domains_used, 1u);
-  EXPECT_LE(big.domains_used, scenario::inria_umd_route_names().size());
-
-  overrides.domains = 4;
-  overrides.obs_sample_interval = Duration::millis(100);  // sampler => seq
-  const scenario::ScenarioResult sampled =
-      scenario::run_inria_umd(plan, overrides);
-  EXPECT_EQ(sampled.domains_used, 1u);
+  // The mesh is the one scenario that shards.  Far more domains than the
+  // generator's partition hints clamp to the hint count (one per provider
+  // core), and zero falls back to the sequential kernel.
+  scenario::TomographySpec spec = scenario::ci_spec();
+  spec.duration = Duration::seconds(1);
+  spec.domains = 64;
+  const scenario::TomographyResult big = scenario::run_tomography(spec);
+  EXPECT_EQ(big.domains_used, spec.topology.core_count);
+  EXPECT_GT(big.stream_summaries.front().received, 0u);
+  spec.domains = 0;
+  EXPECT_EQ(scenario::run_tomography(spec).domains_used, 1u);
 }
 
 }  // namespace

@@ -179,10 +179,28 @@ TEST_F(TrafficFixture, ParetoOnOffKeepsMeanButFattensTail) {
             0.3 * static_cast<double>(sent_exp));
 }
 
+/// Expects `make()` to throw std::invalid_argument saying exactly `what`.
+template <class Make>
+void expect_rejected(const char* what, Make make) {
+  try {
+    make();
+    ADD_FAILURE() << "accepted; expected: " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), what);
+  }
+}
+
 TEST_F(TrafficFixture, RejectsBadConfigs) {
-  EXPECT_THROW(PoissonSource(simulator, net, src, dst, 1, PacketKind::kOther,
-                             Rng(1), Duration::zero(), ByteSize::bytes(72)),
-               std::invalid_argument);
+  expect_rejected("PoissonSource: mean must be positive", [&] {
+    PoissonSource(simulator, net, src, dst, 1, PacketKind::kOther, Rng(1),
+                  Duration::zero(), ByteSize::bytes(72));
+  });
+  BurstConfig no_gap;
+  no_gap.mean_burst_gap = Duration::zero();
+  expect_rejected("BurstSource: burst gap must be positive", [&] {
+    BurstSource(simulator, net, src, dst, 1, PacketKind::kBulk, Rng(1),
+                no_gap);
+  });
   for (const double bad : {0.5, std::nan(""), HUGE_VAL}) {
     BurstConfig burst;
     burst.mean_burst_packets = bad;
@@ -195,11 +213,45 @@ TEST_F(TrafficFixture, RejectsBadConfigs) {
                    "BurstSource: mean_burst_packets must be finite and >= 1");
     }
   }
-  FtpSessionConfig session;
-  session.pace_load = 0.0;
-  EXPECT_THROW(FtpSessionSource(simulator, net, src, dst, 1,
-                                PacketKind::kBulk, Rng(1), session),
-               std::invalid_argument);
+  const auto make_session = [&](const FtpSessionConfig& session) {
+    return [&, session] {
+      FtpSessionSource(simulator, net, src, dst, 1, PacketKind::kBulk, Rng(1),
+                       session);
+    };
+  };
+  for (Duration FtpSessionConfig::*period :
+       {&FtpSessionConfig::mean_session, &FtpSessionConfig::mean_idle}) {
+    FtpSessionConfig session;
+    session.*period = Duration::zero();
+    expect_rejected("FtpSessionSource: periods must be positive",
+                    make_session(session));
+  }
+  // NaN passed `pace_load <= 0` and reached the pace interval's integer
+  // cast; an infinite load paced at zero spacing.
+  for (const double bad : {0.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    FtpSessionConfig session;
+    session.pace_load = bad;
+    expect_rejected("FtpSessionSource: pacing must be finite and positive",
+                    make_session(session));
+  }
+  FtpSessionConfig no_bottleneck;
+  no_bottleneck.bottleneck = Bandwidth::zero();
+  expect_rejected("FtpSessionSource: pacing must be finite and positive",
+                  make_session(no_bottleneck));
+}
+
+TEST_F(TrafficFixture, OnOffValidation) {
+  for (Duration OnOffConfig::*period :
+       {&OnOffConfig::mean_on, &OnOffConfig::mean_off,
+        &OnOffConfig::on_interval}) {
+    OnOffConfig config;
+    config.*period = Duration::zero();
+    expect_rejected("OnOffSource: periods must be positive", [&] {
+      OnOffSource(simulator, net, src, dst, 1, PacketKind::kBulk, Rng(1),
+                  config);
+    });
+  }
 }
 
 TEST_F(TrafficFixture, ModulatedPoissonAverageRateMatches) {
@@ -244,12 +296,27 @@ TEST_F(TrafficFixture, ModulatedPoissonRateOscillates) {
 }
 
 TEST_F(TrafficFixture, ModulatedPoissonValidation) {
-  ModulatedPoissonConfig config;
-  config.relative_amplitude = 1.0;
-  EXPECT_THROW(
+  const auto make = [&](const ModulatedPoissonConfig& config) {
+    return [&, config] {
       ModulatedPoissonSource(simulator, net, src, dst, 1,
-                             PacketKind::kInteractive, Rng(1), config),
-      std::invalid_argument);
+                             PacketKind::kInteractive, Rng(1), config);
+    };
+  };
+  for (Duration ModulatedPoissonConfig::*timing :
+       {&ModulatedPoissonConfig::mean_interarrival,
+        &ModulatedPoissonConfig::period}) {
+    ModulatedPoissonConfig config;
+    config.*timing = Duration::zero();
+    expect_rejected("ModulatedPoissonSource: bad timing", make(config));
+  }
+  // A NaN amplitude failed both `< 0` and `>= 1` and was accepted.
+  for (const double bad : {1.0, -0.1, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    ModulatedPoissonConfig config;
+    config.relative_amplitude = bad;
+    expect_rejected("ModulatedPoissonSource: amplitude outside [0, 1)",
+                    make(config));
+  }
 }
 
 TEST_F(TrafficFixture, PacketIdsAreUniquePerSource) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "tests/util/normal.h"
@@ -88,7 +89,16 @@ TEST(RngTest, ExponentialMeanMatches) {
   const int n = 200000;
   for (int i = 0; i < n; ++i) sum += rng.exponential(42.0);
   EXPECT_NEAR(sum / n, 42.0, 0.5);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
+  // NaN fails `mean <= 0` too, and an infinite mean returned an infinite
+  // draw that exponential_time's Duration cast cannot hold.
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    try {
+      rng.exponential(bad);
+      ADD_FAILURE() << "exponential(" << bad << ") was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "exponential: mean must be finite and > 0");
+    }
+  }
 }
 
 TEST(RngTest, ExponentialTimeMeanMatches) {
@@ -132,8 +142,18 @@ TEST(RngTest, ParetoBoundedBelowByScale) {
   for (int i = 0; i < 10000; ++i) {
     EXPECT_GE(rng.pareto(1.5, 3.0), 3.0);
   }
-  EXPECT_THROW(rng.pareto(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(rng.pareto(1.0, 0.0), std::invalid_argument);
+  const double nan = std::nan("");
+  const std::pair<double, double> bad[] = {
+      {0.0, 1.0}, {1.0, 0.0}, {nan, 1.0}, {1.0, nan}, {HUGE_VAL, 1.0},
+      {1.0, HUGE_VAL}};
+  for (const auto& [alpha, xm] : bad) {
+    try {
+      rng.pareto(alpha, xm);
+      ADD_FAILURE() << "pareto(" << alpha << ", " << xm << ") was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "pareto: parameters must be finite and > 0");
+    }
+  }
 }
 
 TEST(RngTest, NormalMoments) {
