@@ -55,8 +55,12 @@ std::vector<double> workload_samples_ms(const ProbeTrace& trace) {
 
 WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
                                   const WorkloadOptions& options) {
-  if (options.bottleneck_bps <= 0.0) {
-    throw std::invalid_argument("analyze_workload: mu must be positive");
+  // NaN fails every comparison, and an infinite mu makes every workload
+  // infinite: either would be a plausible wrong histogram.
+  if (!(options.bottleneck_bps > 0.0 &&
+        std::isfinite(options.bottleneck_bps))) {
+    throw std::invalid_argument(
+        "analyze_workload: mu must be finite and positive");
   }
   // Pre-pass: validates the order, rejects a pairless trace, and sizes
   // the auto edge; the second pass histograms the g_n.

@@ -11,8 +11,10 @@ double KiaDelay::jitter_seconds() const {
 }
 
 double md1_mean_wait_seconds(double rho, double service_seconds) {
-  if (rho < 0.0 || rho >= 1.0 || service_seconds < 0.0) {
-    throw std::invalid_argument("md1_mean_wait_seconds: need rho in [0, 1)");
+  if (!(rho >= 0.0 && rho < 1.0 && service_seconds >= 0.0 &&
+        std::isfinite(service_seconds))) {
+    throw std::invalid_argument(
+        "md1_mean_wait_seconds: need rho in [0, 1) and finite service >= 0");
   }
   return rho * service_seconds / (2.0 * (1.0 - rho));
 }
@@ -28,7 +30,7 @@ KiaDelay kia_path_delay(const std::vector<KiaHop>& hops, ByteSize probe_wire,
   if (probe_wire <= ByteSize::zero() || background_packet <= ByteSize::zero()) {
     throw std::invalid_argument("kia_path_delay: non-positive packet size");
   }
-  if (max_rho <= 0.0 || max_rho >= 1.0) {
+  if (!(max_rho > 0.0 && max_rho < 1.0)) {
     throw std::invalid_argument("kia_path_delay: max_rho outside (0, 1)");
   }
   KiaDelay delay;

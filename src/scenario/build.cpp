@@ -16,9 +16,6 @@ namespace {
 /// Per-series sample budget before decimation; even (see
 /// obs::TimeSeries::check_budget).
 constexpr std::size_t kObsSeriesBudget = 16384;
-/// Packet size of background traffic: the packetized zone's Poisson
-/// sources and the M/D/1 moments of the fluid links' displaced traffic.
-constexpr ByteSize kBackgroundPacket = ByteSize::bytes(512);
 
 /// Every comparison with NaN is false, so a NaN field would otherwise pass
 /// the downstream range checks and reach every aggregate as a plausible
@@ -199,7 +196,7 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
   const double mean_flow_bps = peak * config.duty;
   if (packetized_ > 0 && mean_flow_bps > 0.0) {
     const double packet_bits =
-        static_cast<double>(kBackgroundPacket.bit_count());
+        static_cast<double>(sim::kBackgroundPacket.bit_count());
     sources_.reserve(packetized_);
     std::uint32_t next_flow = 1;
     stream = SplitMix64(pair_seed);
@@ -210,40 +207,26 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
       sources_.push_back(std::make_unique<sim::PoissonSource>(
           build.sim_for(src), net, src, topo.hosts[p % hosts], next_flow++,
           sim::PacketKind::kBulk, packet_rng_.split(),
-          Duration::seconds(packet_bits / mean_flow_bps), kBackgroundPacket));
+          Duration::seconds(packet_bits / mean_flow_bps),
+          sim::kBackgroundPacket));
     }
   }
 
-  // Per-link fluid demand -> aggregates.  With envelope modulation the
-  // demand arrives as a K-state FluidFlow (stationary mean == demand)
-  // instead of a constant base rate — the only event source a fluid link
-  // has, O(1) per link.
-  aggregates_.resize(links);
+  // Per-link fluid demand -> each link's aggregate.  With envelope
+  // modulation the demand is a K-state envelope (stationary mean ==
+  // demand) instead of a constant — the only event source a fluid link
+  // has, O(1) per link, its first edge scheduled here at time zero.
   for (std::size_t i = 0; i < links; ++i) {
     const Bandwidth demand = Bandwidth::bps(link_demand_bps_[i]);
     if (!demand.is_positive()) continue;
-    sim::Link& link = net.link_at(i);
-    sim::Simulator& link_sim = build.sim_for(net.link_source(i));
-    sim::FluidAggregateConfig aggregate;
-    aggregate.capacity = link.config().rate;
-    aggregate.mean_packet = kBackgroundPacket;
-    aggregates_[i] = std::make_unique<sim::FluidAggregate>(
-        link_sim, aggregate, Rng(derive_stream_seed(config.seed ^ 0xF1u, i)));
-    link.attach_fluid(*aggregates_[i]);
-    if (config.envelope_states >= 2) {
-      envelopes_.push_back(std::make_unique<sim::FluidFlow>(
-          link_sim, demand, config.envelope_states,
-          config.envelope_mean_holding,
-          Rng(derive_stream_seed(config.seed ^ 0xE2u, i))));
-      envelopes_.back()->attach(*aggregates_[i]);
-    } else {
-      aggregates_[i]->add_base_rate(demand);
-    }
+    net.link_at(i).attach_fluid(
+        demand, config.envelope_states, config.envelope_mean_holding,
+        Rng(derive_stream_seed(config.seed ^ 0xF1u, i)),
+        Rng(derive_stream_seed(config.seed ^ 0xE2u, i)));
   }
 }
 
 void FluidBackground::start() {
-  for (auto& envelope : envelopes_) envelope->start(Duration::zero());
   for (auto& source : sources_) {
     source->start(Duration::millis(packet_rng_.uniform(0.0, 100.0)));
   }

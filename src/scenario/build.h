@@ -78,8 +78,8 @@ class ScenarioBuild {
 /// A run's FluidBackgroundConfig population on a generated fabric:
 /// `flows` on/off flows between seeded random host pairs.  Flows whose
 /// route touches the packetized zone become Poisson packet sources; the
-/// rest fold to their mean rate into one FluidAggregate (plus an optional
-/// envelope FluidFlow) per loaded link, seeded by link uid.
+/// rest fold to their mean rate into the fluid demand of each loaded link
+/// (constant, or a K-state envelope around it), seeded by link uid.
 ///
 /// Set-up keeps O(hosts^2 + links) state, none of it per flow: one replay
 /// of the pair stream counts flows per host pair, each drawn pair is
@@ -94,8 +94,9 @@ class FluidBackground {
   FluidBackground(const FluidBackgroundConfig& config, ScenarioBuild& build,
                   const std::vector<bool>& in_zone);
 
-  /// Starts every envelope at time zero, then every packet source at a
-  /// seeded offset in [0, 100) ms.
+  /// Starts every packet source at a seeded offset in [0, 100) ms.  The
+  /// envelopes' first edges were scheduled at construction, at time zero
+  /// in link order, so they come before every source.
   void start();
 
   std::size_t fluid_flows() const { return fluid_flows_; }
@@ -107,8 +108,6 @@ class FluidBackground {
 
  private:
   std::vector<double> link_demand_bps_;
-  std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates_;
-  std::vector<std::unique_ptr<sim::FluidFlow>> envelopes_;
   std::vector<std::unique_ptr<sim::TrafficSource>> sources_;
   std::size_t fluid_flows_ = 0;
   std::size_t packetized_ = 0;

@@ -69,7 +69,7 @@ struct CrossTraffic {
 /// Background-traffic population for generated-topology runs
 /// (run_topology): `flows` on/off flows between seeded random host pairs.
 /// Flows whose route stays outside the packetized zone are folded into
-/// per-link FluidAggregates (zero events per flow — see MODEL_NOTES §15);
+/// each link's fluid demand (zero events per flow — see MODEL_NOTES §15);
 /// flows that touch the zone become real packet sources.
 struct FluidBackgroundConfig {
   std::size_t flows = 10000;
@@ -83,7 +83,7 @@ struct FluidBackgroundConfig {
   /// wait (sim::FluidQueueModel's one mode).  Kept only because
   /// bench/perf_ledger/perf_ledger.cpp assigns it.
   sim::FluidQueueModel queue_model = sim::FluidQueueModel::kMd1Wait;
-  /// Optional K-state envelope modulation of each fluid link's aggregate
+  /// Optional K-state envelope modulation of each fluid link's
   /// demand (0 = constant mean demand), swinging +-50 % around the mean.
   /// The envelope is the only event source a fluid link has: O(1) per
   /// link, independent of flow count.

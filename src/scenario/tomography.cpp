@@ -251,26 +251,28 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   const std::size_t host_count = topo.hosts.size();
   const std::size_t stream_count = host_count * (host_count - 1);
 
-  // --- Delay ground truth: delivery hooks (sequential kernel only) ------
-  const bool collect_delay = build.domains() == 1;
+  // --- Delay ground truth: delivery hooks -------------------------------
+  // Each hook writes only its own link's slots, and all of a link's
+  // deliveries run in one domain (its home domain, or the receiving one
+  // through Link::deliver_remote, which still sees the sender-stamped
+  // hop_start), so a sharded run sums the same sojourns in the same order
+  // without locks.
   DelayTruth delay_truth;
-  if (collect_delay) {
-    delay_truth.sum_ms.assign(net.link_count(), 0.0);
-    delay_truth.count.assign(net.link_count(), 0);
-    for (std::size_t i = 0; i < net.link_count(); ++i) {
-      const std::uint32_t uid = static_cast<std::uint32_t>(i);
-      net.link_at(i).set_delivery_hook([gt = &delay_truth, uid](
-                                           const sim::Packet& p, SimTime at) {
-        // Main-flow probes only: pair followers queue behind their leader
-        // by construction, which would bias the sojourn mean.
-        if (p.kind != sim::PacketKind::kProbe || p.flow < kMeshFlowBase ||
-            p.flow >= kMeshPairFlowBase) {
-          return;
-        }
-        gt->sum_ms[uid] += (at - p.hop_start).millis();
-        ++gt->count[uid];
-      });
-    }
+  delay_truth.sum_ms.assign(net.link_count(), 0.0);
+  delay_truth.count.assign(net.link_count(), 0);
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    const std::uint32_t uid = static_cast<std::uint32_t>(i);
+    net.link_at(i).set_delivery_hook([gt = &delay_truth, uid](
+                                         const sim::Packet& p, SimTime at) {
+      // Main-flow probes only: pair followers queue behind their leader
+      // by construction, which would bias the sojourn mean.
+      if (p.kind != sim::PacketKind::kProbe || p.flow < kMeshFlowBase ||
+          p.flow >= kMeshPairFlowBase) {
+        return;
+      }
+      gt->sum_ms[uid] += (at - p.hop_start).millis();
+      ++gt->count[uid];
+    });
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
@@ -337,7 +339,6 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   result.hosts = host_count;
   result.streams = stream_count;
   result.domains_used = build.domains();
-  result.delay_truth_collected = collect_delay;
   result.simulated = end;
   result.events = build.events();
 
@@ -404,7 +405,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     link_class.links = uids;
     for (const std::uint32_t uid : uids) {
       link_class.true_loss_sum += -std::log(1.0 - drop_prob[uid]);
-      if (collect_delay && delay_truth.count[uid] > 0) {
+      if (delay_truth.count[uid] > 0) {
         link_class.true_delay_ms +=
             delay_truth.sum_ms[uid] /
             static_cast<double>(delay_truth.count[uid]);
@@ -414,11 +415,9 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     link_class.est_delay_ms = est_delay[ci];
     loss_err_num += std::abs(link_class.est_loss_sum - link_class.true_loss_sum);
     loss_err_den += link_class.true_loss_sum;
-    if (collect_delay) {
-      delay_err_num +=
-          std::abs(link_class.est_delay_ms - link_class.true_delay_ms);
-      delay_err_den += link_class.true_delay_ms;
-    }
+    delay_err_num +=
+        std::abs(link_class.est_delay_ms - link_class.true_delay_ms);
+    delay_err_den += link_class.true_delay_ms;
     result.classes.push_back(std::move(link_class));
     ++ci;
   }

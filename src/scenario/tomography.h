@@ -84,9 +84,8 @@ struct TomographySpec {
   std::size_t pair_stride = 16;
 
   /// PDES domains, clamped into [1, the generator's partition hint count]
-  /// (MODEL_NOTES §14); the mesh is the one scenario that shards.  Delay
-  /// ground truth is collected on the sequential kernel only; loss
-  /// inference is domain-count-invariant.
+  /// (MODEL_NOTES §14); the mesh is the one scenario that shards.  The
+  /// whole result, delay ground truth included, is domain-count-invariant.
   std::size_t domains = 1;
 };
 
@@ -110,8 +109,7 @@ struct TomographyLinkClass {
   /// drop probabilities; est = the least-squares recovery.
   double true_loss_sum = 0.0;
   double est_loss_sum = 0.0;
-  /// Mean per-link probe sojourn in ms, summed over members.  true is 0
-  /// when delay ground truth was off (PDES run).
+  /// Mean per-link probe sojourn in ms, summed over members.
   double true_delay_ms = 0.0;
   double est_delay_ms = 0.0;
 };
@@ -122,9 +120,6 @@ struct TomographyResult {
   std::size_t probed_links = 0;  // directed links crossed by >= 1 stream
   std::size_t link_classes = 0;
   bool ridge_used = false;
-  /// True when per-link delay ground truth was collected (sequential
-  /// kernel only); est_delay is inferred either way.
-  bool delay_truth_collected = false;
 
   std::vector<TomographyStreamSummary> stream_summaries;
   std::vector<TomographyLinkClass> classes;
@@ -132,7 +127,7 @@ struct TomographyResult {
   /// Aggregate relative L1 errors over classes:
   /// sum_c |est_c - true_c| / sum_c true_c.
   double loss_error = 0.0;
-  double delay_error = 0.0;  // 0 when delay_truth_collected is false
+  double delay_error = 0.0;
   /// Median over streams of the packet-pair bottleneck's relative error.
   double capacity_error = 0.0;
 
@@ -159,8 +154,7 @@ struct TomographyResult {
 };
 
 /// Runs the mesh and the inference.  Deterministic: a spec maps to one
-/// result, independent of PDES domain count for everything except the
-/// delay ground-truth fields (collected only on the sequential kernel).
+/// result, independent of PDES domain count.
 TomographyResult run_tomography(const TomographySpec& spec);
 
 }  // namespace bolot::scenario

@@ -48,15 +48,17 @@ Link::Link(Simulator& sim, LinkConfig config, Rng drop_rng)
   queue_.reserve(config_.buffer_packets);
 }
 
-void Link::attach_fluid(FluidAggregate& fluid) {
+Link::~Link() = default;
+
+void Link::attach_fluid(Bandwidth mean_rate, std::size_t envelope_states,
+                        Duration mean_holding, Rng wait_rng,
+                        Rng envelope_rng) {
   if (fluid_ != nullptr) {
     throw std::logic_error("Link: fluid aggregate already attached");
   }
-  if (fluid.config().capacity != config_.rate) {
-    throw std::invalid_argument(
-        "Link: fluid aggregate capacity does not match the link rate");
-  }
-  fluid_ = &fluid;
+  fluid_ = std::make_unique<FluidAggregate>(sim_, config_.rate, mean_rate,
+                                            envelope_states, mean_holding,
+                                            wait_rng, envelope_rng);
 }
 
 void Link::set_drop_hook(DropHook hook) {

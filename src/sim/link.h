@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -131,6 +132,7 @@ class Link {
                             kHookCapacity>;
 
   Link(Simulator& sim, LinkConfig config, Rng drop_rng);
+  ~Link();
 
   /// Hands a packet to the link.  May drop (buffer full or random stage);
   /// an admitted packet's hop_start is stamped with the current time.
@@ -197,13 +199,16 @@ class Link {
     return service_memo_;
   }
 
-  /// Attaches a fluid aggregate (sim/fluid.h): the transmitter still
-  /// serves at the link rate, and each delivered packet carries the
-  /// aggregate's sampled M/D/1 queueing delay.  The aggregate must be
-  /// driven by this link's Simulator (same PDES domain), its capacity
-  /// must equal rate_bps.  Call before traffic flows; links without one
-  /// are byte-for-byte untouched.
-  void attach_fluid(FluidAggregate& fluid);
+  /// Attaches fluid demand (sim/fluid.h): builds the link's
+  /// FluidAggregate on this link's Simulator and rate, from the demand's
+  /// mean rate, envelope states and holding time (0 states: constant), and
+  /// the wait and envelope seeds.  The transmitter still serves at the
+  /// link rate, and each delivered packet carries the aggregate's sampled
+  /// M/D/1 queueing delay.  An envelope's first edge is scheduled now.
+  /// Call before traffic flows, at most once (a second call throws
+  /// std::logic_error); links without one are byte-for-byte untouched.
+  void attach_fluid(Bandwidth mean_rate, std::size_t envelope_states,
+                    Duration mean_holding, Rng wait_rng, Rng envelope_rng);
 
   /// Utilization over [0, now]: stats().utilization, plus the attached
   /// fluid aggregate's share capped at 1 in total, so a fluid-saturated
@@ -280,9 +285,9 @@ class Link {
   /// split from drop_rng_ at construction *only in that case*, so
   /// channel-free links draw the exact pre-channel random streams.
   std::optional<GilbertChannel> channel_;
-  /// Borrowed fluid demand aggregate (attach_fluid); null on the pure
-  /// packet path, which then compiles to the exact pre-fluid behavior.
-  FluidAggregate* fluid_ = nullptr;
+  /// Fluid demand aggregate (attach_fluid); null on the pure packet path,
+  /// which then compiles to the exact pre-fluid behavior.
+  std::unique_ptr<FluidAggregate> fluid_;
   /// Latest arrival time pushed to flight_ or handed to remote_egress_;
   /// a fluid-wait arrival is clamped to this so the in-flight ring stays
   /// FIFO.  Maintained on the local path only when fluid_ is engaged,

@@ -110,7 +110,6 @@ void Network::forward(NodeId at, Packet&& packet) {
       throw std::runtime_error("Network: no route from " + nodes_[at].name +
                                " to " + nodes_[packet.dst].name);
     }
-    unroutable_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   links_[static_cast<std::size_t>(i)].link->enqueue(std::move(packet));

@@ -2,7 +2,6 @@
 // and a traceroute facility used to regenerate the paper's Tables 1 and 2.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -93,10 +92,6 @@ class Network {
   std::uint64_t total_channel_drops() const;
   /// Sum of per-link deliveries (hop traversals, not end-to-end packets).
   std::uint64_t total_delivered() const;
-  /// Packets dropped mid-path because no route existed (link failures).
-  std::uint64_t unroutable_drops() const {
-    return unroutable_drops_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct DirectedLink {
@@ -119,10 +114,6 @@ class Network {
   std::vector<Node> nodes_;
   std::vector<DirectedLink> links_;
   bool routes_valid_ = false;
-  /// Atomic because in a sharded run any domain's forwarding path may hit
-  /// a routeless packet; everything else in Network is read-only once the
-  /// run starts (routes frozen, no topology changes).
-  std::atomic<std::uint64_t> unroutable_drops_{0};
 };
 
 }  // namespace bolot::sim

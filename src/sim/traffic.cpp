@@ -34,7 +34,6 @@ void TrafficSource::emit(ByteSize size) {
   p.src = src_;
   p.dst = dst_;
   ++sent_;
-  bytes_ += size.count();
   net_.send(std::move(p));
 }
 
@@ -100,15 +99,15 @@ FtpSessionSource::FtpSessionSource(Simulator& sim, Network& net, NodeId src,
     throw std::invalid_argument("FtpSessionSource: periods must be positive");
   }
   // NaN fails every comparison and would reach the pace interval's
-  // integer cast; an infinite load paces at zero spacing, a session that
-  // never lets simulated time advance.
-  if (!(config_.pace_load > 0.0 && std::isfinite(config_.pace_load)) ||
-      !config_.bottleneck.is_positive()) {
+  // integer cast; an infinite paced rate (load or bottleneck) paces at
+  // zero spacing, a session that never lets simulated time advance.
+  const Bandwidth paced = config_.bottleneck * config_.pace_load;
+  if (!(config_.pace_load > 0.0 && paced.is_positive() &&
+        std::isfinite(paced.bps()))) {
     throw std::invalid_argument(
         "FtpSessionSource: pacing must be finite and positive");
   }
-  pace_interval_ = (config_.bottleneck * config_.pace_load)
-                       .transmission_time(config_.packet);
+  pace_interval_ = paced.transmission_time(config_.packet);
 }
 
 void FtpSessionSource::step() {
@@ -169,6 +168,12 @@ OnOffSource::OnOffSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
       config_.mean_off <= Duration::zero() ||
       config_.on_interval <= Duration::zero()) {
     throw std::invalid_argument("OnOffSource: periods must be positive");
+  }
+  // A NaN or infinite shape would otherwise pass to the first Pareto
+  // draw and throw mid-run.
+  if (!(config_.pareto_shape >= 0.0 && std::isfinite(config_.pareto_shape))) {
+    throw std::invalid_argument(
+        "OnOffSource: pareto_shape must be finite and >= 0");
   }
 }
 

@@ -32,7 +32,6 @@ class TrafficSource {
   void start(SimTime at);
 
   std::uint64_t packets_sent() const { return sent_; }
-  std::int64_t bytes_sent() const { return bytes_; }
 
  protected:
   /// Emits one packet of `size` now.
@@ -55,7 +54,6 @@ class TrafficSource {
   Rng rng_;
   bool running_ = false;
   std::uint64_t sent_ = 0;
-  std::int64_t bytes_ = 0;
 };
 
 /// Poisson arrivals of fixed-size packets; models interactive (Telnet)
@@ -158,7 +156,9 @@ struct OnOffConfig {
   Duration on_interval = Duration::millis(10);  // packet spacing while ON
   ByteSize packet = kFtpWireBytes;
   /// When > 0, ON/OFF period lengths are Pareto with this shape (scale
-  /// chosen to keep the configured means for shape > 1).  Shapes in
+  /// chosen to keep the configured means for shape > 1); 0 keeps them
+  /// exponential.  The constructor rejects a negative or non-finite
+  /// shape.  Shapes in
   /// (1, 2) have infinite variance — the Willinger construction whose
   /// superposition is self-similar, unlike the default exponential
   /// periods.

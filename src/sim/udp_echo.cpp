@@ -27,7 +27,6 @@ void EchoHost::on_packet(Packet&& p) {
   p.probe().echoed = true;
   p.probe().echo_ts = sim_.now();
   std::swap(p.src, p.dst);
-  ++echoed_;
   net_.send(std::move(p));
 }
 

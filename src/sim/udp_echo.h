@@ -31,15 +31,12 @@ class EchoHost {
  public:
   EchoHost(Simulator& sim, Network& net, NodeId node);
 
-  std::uint64_t echoed_count() const { return echoed_; }
-
  private:
   void on_packet(Packet&& p);
 
   Simulator& sim_;
   Network& net_;
   NodeId node_;
-  std::uint64_t echoed_ = 0;
 };
 
 struct ProbeSourceConfig {

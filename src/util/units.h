@@ -84,9 +84,8 @@ class BitSize {
 /// A transmission rate in bits per second, stored as the same double the
 /// raw `rate_bps` fields held, so every formula reading `.bps()` computes
 /// bit-for-bit what it did before the refactor.  Negative values are
-/// representable (rate *deltas*, e.g. FluidAggregate::adjust_rate);
-/// transmission_time() enforces positivity exactly where the old helper
-/// did.
+/// representable; transmission_time() enforces positivity exactly where
+/// the old helper did.
 class Bandwidth {
  public:
   constexpr Bandwidth() = default;

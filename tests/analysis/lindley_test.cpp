@@ -127,9 +127,19 @@ TEST(AnalyzeWorkloadTest, LabelsPeakOneBinAwayFromDelta) {
 
 TEST(AnalyzeWorkloadTest, Validation) {
   const auto trace = fig8_trace(20.0);
-  WorkloadOptions options;
-  options.bottleneck_bps = 0.0;
-  EXPECT_THROW(analyze_workload(trace, options), std::invalid_argument);
+  // NaN gave busy fraction 0 and two peaks; infinity an infinite mean.
+  for (const double bad : {0.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    WorkloadOptions options;
+    options.bottleneck_bps = bad;
+    try {
+      analyze_workload(trace, options);
+      ADD_FAILURE() << "mu = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "analyze_workload: mu must be finite and positive");
+    }
+  }
   EXPECT_THROW(analyze_workload(make_trace(20, {}), {}),
                std::invalid_argument);
   // A bad bin or edge is a named error, never a plausible histogram (a

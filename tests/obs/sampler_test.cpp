@@ -6,7 +6,6 @@
 #include <string>
 
 #include "obs/timeseries.h"
-#include "sim/fluid.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
@@ -232,7 +231,7 @@ TEST(SamplerTest, WatchHelpersTrackComponentState) {
 
 TEST(SamplerTest, UtilizationSeriesEqualsRegistryGaugeOnFluidLink) {
   // One definition of link utilization: on a link whose only load is a
-  // constant fluid base rate (the transmitter never runs), the
+  // constant fluid demand (the transmitter never runs), the
   // watch_utilization series and the registry's utilization gauge, read
   // at the same instants, are equal and carry the fluid share.
   sim::Simulator simulator;
@@ -240,11 +239,8 @@ TEST(SamplerTest, UtilizationSeriesEqualsRegistryGaugeOnFluidLink) {
   config.name = "fluid";
   config.rate = Bandwidth::bps(1e6);
   sim::Link link(simulator, config, Rng(1));
-  sim::FluidAggregateConfig fluid_config;
-  fluid_config.capacity = config.rate;
-  sim::FluidAggregate fluid(simulator, fluid_config, Rng(2));
-  fluid.add_base_rate(Bandwidth::bps(400e3));
-  link.attach_fluid(fluid);
+  link.attach_fluid(Bandwidth::bps(400e3), 0, Duration::zero(), Rng(2),
+                    Rng(0));
   MetricsRegistry registry;
   link.publish_metrics(registry);
 

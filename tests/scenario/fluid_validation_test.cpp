@@ -11,17 +11,15 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "model/kia.h"
 #include "scenario/scenarios.h"
+#include "sim/fluid.h"
 
 namespace bolot::scenario {
 namespace {
-
-/// The displaced packet size a fluid link's M/D/1 moments use (the
-/// background's fixed 512 bytes, MODEL_NOTES §15).
-constexpr ByteSize kBackgroundPacket = ByteSize::bytes(512);
 
 struct TraceMoments {
   double mean_ms = 0.0;
@@ -72,7 +70,7 @@ TEST(FluidValidationTest, HybridMatchesKiaMeanAndJitterOnFatTree) {
     hops.push_back({hop.capacity, hop.fluid, hop.propagation});
   }
   const model::KiaDelay predicted =
-      model::kia_path_delay(hops, plan.probe_wire, kBackgroundPacket);
+      model::kia_path_delay(hops, plan.probe_wire, sim::kBackgroundPacket);
   const TraceMoments measured = moments(result.trace);
 
   EXPECT_NEAR(measured.mean_ms, predicted.mean_seconds * 1e3,
@@ -114,6 +112,38 @@ TEST(FluidValidationTest, HybridMatchesFullyPacketizedReference) {
   // The event bill is the point: the reference pays per background
   // packet, the hybrid pays per probed packet.
   EXPECT_LT(hybrid_run.events, reference_run.events / 2);
+}
+
+TEST(FluidValidationTest, KiaOracleRejectsNonFiniteInputs) {
+  // NaN fails every comparison: md1_mean_wait_seconds returned NaN, and
+  // kia_path_delay a plausible delay, before the accept tests.
+  for (const double bad : {-0.1, 1.0, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    try {
+      model::md1_mean_wait_seconds(bad, 1e-3);
+      ADD_FAILURE() << "rho accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "md1_mean_wait_seconds: need rho in [0, 1) and finite "
+                   "service >= 0");
+    }
+  }
+  for (const double bad : {-1e-3, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(model::md1_mean_wait_seconds(0.5, bad),
+                 std::invalid_argument);
+  }
+  const std::vector<model::KiaHop> hops(1);
+  for (const double bad : {0.0, 1.0, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    try {
+      model::kia_path_delay(hops, ByteSize::bytes(72), sim::kBackgroundPacket,
+                            bad);
+      ADD_FAILURE() << "max_rho accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "kia_path_delay: max_rho outside (0, 1)");
+    }
+  }
 }
 
 }  // namespace

@@ -46,7 +46,6 @@
 #include "runner/thread_pool.h"
 #include "scenario/topology_gen.h"
 #include "sim/channel.h"
-#include "sim/fluid.h"
 #include "sim/network.h"
 #include "tests/sim/packet_log.h"
 #include "sim/pdes.h"
@@ -519,10 +518,9 @@ TEST_F(AuditFuzzTest, ShardedRunsMatchSequentialDigestsExactly) {
 
 /// One generated fabric (scenario/topology_gen.h) with fluid-served links
 /// (sim/fluid.h), probed end to end, run with every deep invariant walk
-/// enabled.  Aggregates and envelope flows are seeded by link uid and
-/// homed in the link's domain, so the trajectory — and with it the whole
-/// event stream — must be a function of the seed alone, not of how the
-/// fabric is sharded.
+/// enabled.  Fluid demand is seeded by link uid and homed in the link's
+/// domain, so the trajectory — and with it the whole event stream — must
+/// be a function of the seed alone, not of how the fabric is sharded.
 FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
   scenario::TopologySpec spec;
   spec.family = seed % 2 == 0 ? scenario::TopologySpec::Family::kFatTree
@@ -554,29 +552,18 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
     domain_of_node[built.nodes[i]] = built.node_domain[i];
   }
 
-  // Fluid on every third link: half constant base demand, half an
-  // envelope-modulated demand (the only event source a fluid link has).
-  std::vector<std::unique_ptr<FluidAggregate>> aggregates;
-  std::vector<std::unique_ptr<FluidFlow>> envelopes;
+  // Fluid on every third link: half constant demand, half an
+  // envelope-modulated demand (the only event source a fluid link has),
+  // whose first edge each attach schedules at time zero.
   std::vector<Link*> fluid_links;
   for (std::size_t uid = 0; uid < net.link_count(); uid += 3) {
     Link& link = net.link_at(uid);
-    Simulator& link_sim = sim_of(domain_of_node[net.link_source(uid)]);
-    FluidAggregateConfig config;
-    config.capacity = Bandwidth::bps(link.config().rate.bps());
-    aggregates.push_back(std::make_unique<FluidAggregate>(
-        link_sim, config, Rng(derive_stream_seed(seed ^ 0xF1u, uid))));
-    link.attach_fluid(*aggregates.back());
+    const std::size_t states = uid % 6 == 0 ? 0 : 3;
+    link.attach_fluid(Bandwidth::bps(0.4 * link.config().rate.bps()), states,
+                      Duration::millis(120),
+                      Rng(derive_stream_seed(seed ^ 0xF1u, uid)),
+                      Rng(derive_stream_seed(seed ^ 0xE2u, uid)));
     fluid_links.push_back(&link);
-    const double demand = 0.4 * link.config().rate.bps();
-    if (uid % 6 == 0) {
-      aggregates.back()->add_base_rate(Bandwidth::bps(demand));
-    } else {
-      envelopes.push_back(std::make_unique<FluidFlow>(
-          link_sim, Bandwidth::bps(demand), 3, Duration::millis(120),
-          Rng(derive_stream_seed(seed ^ 0xE2u, uid))));
-      envelopes.back()->attach(*aggregates.back());
-    }
   }
 
   const NodeId probe_src = built.nodes[plan.hosts.front()];
@@ -593,7 +580,6 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
                       cross_rng.split(), Duration::millis(5), ByteSize::bytes(512));
 
   if (psim) psim->attach(net, built.node_domain);
-  for (auto& envelope : envelopes) envelope->start(Duration::zero());
   probe.start(Duration::millis(1));
   cross.start(Duration::millis(2));
 
@@ -629,10 +615,6 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
     digest.mix(static_cast<std::uint64_t>(stats.bytes_delivered));
     digest.mix_time(stats.busy);
     outcome.hop_deliveries += stats.delivered;
-  }
-  for (const auto& aggregate : aggregates) {
-    digest.mix(aggregate->rate_changes());
-    digest.mix(aggregate->wait_samples());
   }
   digest.mix(outcome.events);
   outcome.digest = digest.value();

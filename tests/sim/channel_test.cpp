@@ -12,7 +12,6 @@
 #include "runner/sweep.h"
 #include "runner/sweep_io.h"
 #include "scenario/scenarios.h"
-#include "sim/fluid.h"
 #include "sim/link.h"
 #include "util/rng.h"
 #include "tests/sim/sim_fixtures.h"
@@ -221,12 +220,8 @@ TEST(ChannelLinkTest, JitterPreservesFifoOrder) {
   Simulator simulator;
   LinkConfig config = basic_config();
   config.buffer_packets = 64;
-  FluidAggregateConfig fluid_config;
-  fluid_config.capacity = config.rate;
-  FluidAggregate fluid(simulator, fluid_config, Rng(3));
-  fluid.add_base_rate(config.rate * 0.8);
   Link link(simulator, config, Rng(3));
-  link.attach_fluid(fluid);
+  link.attach_fluid(config.rate * 0.8, 0, Duration::zero(), Rng(3), Rng(0));
   std::vector<std::uint64_t> ids;
   std::vector<Duration> arrivals;
   link.set_sink([&](Packet&& p) {

@@ -16,7 +16,6 @@
 
 #include "runner/thread_pool.h"
 #include "scenario/tomography.h"
-#include "sim/fluid.h"
 #include "sim/network.h"
 #include "sim/spsc_channel.h"
 #include "sim/traffic.h"
@@ -136,8 +135,8 @@ TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
   // arrival time (the link's FIFO clamp), so two packets cross the cut
   // with the SAME arrival nanosecond; the per-link send stamp must keep
   // them FIFO at the receiver.  At this seed the first packet waits
-  // 34.8 ms and arrives at 8 + 2 + 34.8 ms; the second, 8 ms behind it,
-  // waits 3.0 ms and is clamped from 21.0 ms onto the first's arrival.
+  // 17.8 ms and arrives at 8 + 2 + 17.8 ms; the second, 8 ms behind it,
+  // waits 1.6 ms and is clamped from 19.6 ms onto the first's arrival.
   ParallelSimulation psim(2);
   Network net(psim.simulator(0), 7);
   const NodeId a = net.add_node("a");
@@ -148,12 +147,7 @@ TEST(PdesTest, EqualTimestampHandoffsDeliverInSendOrder) {
   config.propagation = Duration::millis(2);
   config.buffer_packets = 8;
   Link& link = net.add_link(a, b, config, psim.simulator(0));
-  FluidAggregateConfig fluid_config;
-  fluid_config.capacity = config.rate;
-  fluid_config.mean_packet = ByteSize::bytes(1000);
-  FluidAggregate fluid(psim.simulator(0), fluid_config, Rng(45));
-  fluid.add_base_rate(config.rate * 0.5);
-  link.attach_fluid(fluid);
+  link.attach_fluid(config.rate * 0.5, 0, Duration::zero(), Rng(45), Rng(0));
   std::vector<std::pair<std::int64_t, std::uint64_t>> arrivals;
   link.set_delivery_hook([&arrivals](const Packet& p, SimTime at) {
     arrivals.emplace_back(at.count_nanos(), p.id);

@@ -102,7 +102,8 @@ TEST_F(TrafficFixture, FtpSessionPacesAtConfiguredShare) {
   simulator.run_until(Duration::seconds(400));
   // Average rate ~ on_fraction (0.5) * pace (0.5 * 128 kb/s) = 32 kb/s.
   const double avg_bps =
-      static_cast<double>(source.bytes_sent()) * 8.0 / 400.0;
+      static_cast<double>(net.link_at(0).stats().bytes_delivered) * 8.0 /
+      400.0;
   EXPECT_NEAR(avg_bps, 32e3, 6e3);
   // Within a session, spacing is the pace interval: 4096 bits at 64 kb/s.
   Duration expected = transmission_time(512 * 8, 0.5 * 128e3);
@@ -235,10 +236,15 @@ TEST_F(TrafficFixture, RejectsBadConfigs) {
     expect_rejected("FtpSessionSource: pacing must be finite and positive",
                     make_session(session));
   }
-  FtpSessionConfig no_bottleneck;
-  no_bottleneck.bottleneck = Bandwidth::zero();
-  expect_rejected("FtpSessionSource: pacing must be finite and positive",
-                  make_session(no_bottleneck));
+  // An infinite bottleneck passed `is_positive()` and paced at zero
+  // spacing: run_until never returned.
+  for (const double bad : {0.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    FtpSessionConfig session;
+    session.bottleneck = Bandwidth::bps(bad);
+    expect_rejected("FtpSessionSource: pacing must be finite and positive",
+                    make_session(session));
+  }
 }
 
 TEST_F(TrafficFixture, OnOffValidation) {
@@ -248,6 +254,17 @@ TEST_F(TrafficFixture, OnOffValidation) {
     OnOffConfig config;
     config.*period = Duration::zero();
     expect_rejected("OnOffSource: periods must be positive", [&] {
+      OnOffSource(simulator, net, src, dst, 1, PacketKind::kBulk, Rng(1),
+                  config);
+    });
+  }
+  // A NaN or infinite shape passed construction and threw from the first
+  // Pareto draw, mid-run.
+  for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    OnOffConfig config;
+    config.pareto_shape = bad;
+    expect_rejected("OnOffSource: pareto_shape must be finite and >= 0", [&] {
       OnOffSource(simulator, net, src, dst, 1, PacketKind::kBulk, Rng(1),
                   config);
     });
@@ -325,6 +342,7 @@ TEST_F(TrafficFixture, PacketIdsAreUniquePerSource) {
   std::vector<std::uint64_t> ids;
   net.set_receiver(dst, [&ids](Packet&& p) {
     EXPECT_EQ(p.flow, 7u);
+    EXPECT_EQ(p.size_bytes, 72);
     ids.push_back(p.id);
   });
   source.start(Duration::zero());
@@ -332,8 +350,6 @@ TEST_F(TrafficFixture, PacketIdsAreUniquePerSource) {
   EXPECT_GT(source.packets_sent(), 50u);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
-  EXPECT_EQ(source.bytes_sent(),
-            static_cast<std::int64_t>(source.packets_sent()) * 72);
 }
 
 }  // namespace
