@@ -36,14 +36,14 @@ LossStats loss_stats(const ProbeTrace& trace) {
   return loss_stats(indicators);
 }
 
-LossGapEstimate LossStats::loss_gap(double relative_tolerance) const {
+LossGapEstimate LossStats::loss_gap() const {
   LossGapEstimate gap;
   gap.from_clp = plg_from_clp;
   gap.from_bursts = mean_burst_length;
   if (std::isfinite(gap.from_clp) && std::isfinite(gap.from_bursts) &&
       gap.from_bursts > 0.0) {
     gap.consistent = std::abs(gap.from_clp - gap.from_bursts) <=
-                     relative_tolerance * gap.from_bursts;
+                     0.1 * gap.from_bursts;
   }
   return gap;
 }

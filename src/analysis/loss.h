@@ -27,7 +27,7 @@ namespace bolot::analysis {
 /// pair equally, while from_bursts weights every *run* equally, so a
 /// single long burst in a short trace pulls from_clp up much harder.
 /// `consistent` is false when either is non-finite or they differ by
-/// more than the tolerance passed to loss_gap().
+/// more than 10 % of from_bursts.
 struct LossGapEstimate {
   double from_clp = 0.0;
   double from_bursts = 0.0;
@@ -43,12 +43,11 @@ struct LossStats {
   double mean_burst_length = 0.0;  // empirical mean loss-run length
   std::vector<std::size_t> burst_length_counts;  // index k = runs of length k+1
 
-  /// Reports both gap estimators and whether they agree within
-  /// `relative_tolerance` (see LossGapEstimate for why they can differ
-  /// on short traces).  Consumers that must pick one (e.g.
-  /// bench/fec_ablation) should prefer from_bursts, which stays finite,
-  /// and print which estimator they used.
-  LossGapEstimate loss_gap(double relative_tolerance = 0.1) const;
+  /// Reports both gap estimators and whether they agree within 10 % (see
+  /// LossGapEstimate for why they can differ on short traces).  Consumers
+  /// that must pick one (e.g. bench/fec_ablation) should prefer
+  /// from_bursts, which stays finite, and print which estimator they used.
+  LossGapEstimate loss_gap() const;
 };
 
 /// Computes the loss statistics from a 0/1 loss indicator sequence

@@ -10,20 +10,21 @@ namespace bolot::analysis {
 
 namespace {
 
-/// Log-spaced aggregation levels in [min_scale, max_scale].
+constexpr std::size_t kScales = 12;
+
+/// kScales log-spaced aggregation levels in [min_scale, max_scale_fraction·n]
+/// (the estimate needs several blocks per level).
 std::vector<std::size_t> aggregation_levels(std::size_t n,
-                                            const HurstOptions& options) {
+                                            std::size_t min_scale,
+                                            double max_scale_fraction) {
   const auto max_scale = static_cast<std::size_t>(
-      std::max(2.0, options.max_scale_fraction * static_cast<double>(n)));
+      std::max(2.0, max_scale_fraction * static_cast<double>(n)));
   std::vector<std::size_t> levels;
-  const double lo = std::log(static_cast<double>(
-      std::max<std::size_t>(1, options.min_scale)));
+  const double lo = std::log(static_cast<double>(min_scale));
   const double hi = std::log(static_cast<double>(max_scale));
-  for (std::size_t k = 0; k < options.scales; ++k) {
-    const double f = options.scales > 1
-                         ? static_cast<double>(k) /
-                               static_cast<double>(options.scales - 1)
-                         : 0.0;
+  for (std::size_t k = 0; k < kScales; ++k) {
+    const double f =
+        static_cast<double>(k) / static_cast<double>(kScales - 1);
     const auto level =
         static_cast<std::size_t>(std::lround(std::exp(lo + f * (hi - lo))));
     if (levels.empty() || level > levels.back()) levels.push_back(level);
@@ -55,11 +56,10 @@ void validate(std::span<const double> xs) {
 
 }  // namespace
 
-HurstEstimate hurst_variance_time(std::span<const double> xs,
-                                  const HurstOptions& options) {
+HurstEstimate hurst_variance_time(std::span<const double> xs) {
   validate(xs);
   std::vector<double> log_m, log_var;
-  for (const std::size_t m : aggregation_levels(xs.size(), options)) {
+  for (const std::size_t m : aggregation_levels(xs.size(), 1, 0.1)) {
     const std::size_t blocks = xs.size() / m;
     if (blocks < 4) break;
     std::vector<double> means;
@@ -84,16 +84,12 @@ HurstEstimate hurst_variance_time(std::span<const double> xs,
   return estimate;
 }
 
-HurstEstimate hurst_rescaled_range(std::span<const double> xs,
-                                   const HurstOptions& options) {
+HurstEstimate hurst_rescaled_range(std::span<const double> xs) {
   validate(xs);
   std::vector<double> log_n, log_rs;
-  HurstOptions adjusted = options;
-  adjusted.min_scale = std::max<std::size_t>(options.min_scale, 8);
-  adjusted.max_scale_fraction = std::max(options.max_scale_fraction, 0.25);
-  for (const std::size_t n : aggregation_levels(xs.size(), adjusted)) {
+  for (const std::size_t n : aggregation_levels(xs.size(), 8, 0.25)) {
     const std::size_t blocks = xs.size() / n;
-    if (blocks < 2 || n < 8) continue;
+    if (blocks < 2) continue;
     double rs_sum = 0.0;
     std::size_t rs_count = 0;
     for (std::size_t b = 0; b < blocks; ++b) {

@@ -26,22 +26,13 @@ struct HurstEstimate {
   std::size_t scales = 0; // how many aggregation levels entered the fit
 };
 
-struct HurstOptions {
-  std::size_t min_scale = 1;
-  /// Largest aggregation level as a fraction of the series length (the
-  /// estimate needs several blocks per level).
-  double max_scale_fraction = 0.1;
-  std::size_t scales = 12;  // log-spaced levels between min and max
-};
+/// Variance-time estimator over 12 log-spaced aggregation levels from 1 to
+/// 0.1·n.  Throws on series shorter than ~64 samples or zero variance.
+HurstEstimate hurst_variance_time(std::span<const double> xs);
 
-/// Variance-time estimator.  Throws on series shorter than ~64 samples or
-/// zero variance.
-HurstEstimate hurst_variance_time(std::span<const double> xs,
-                                  const HurstOptions& options = {});
-
-/// Rescaled-range (R/S) estimator.  Same preconditions.
-HurstEstimate hurst_rescaled_range(std::span<const double> xs,
-                                   const HurstOptions& options = {});
+/// Rescaled-range (R/S) estimator over 12 log-spaced block sizes from 8 to
+/// 0.25·n.  Same preconditions.
+HurstEstimate hurst_rescaled_range(std::span<const double> xs);
 
 /// RFC-3550-style interarrival jitter of a probe trace: the exponential
 /// average J += (|D| - J)/16 over transit-time differences D of

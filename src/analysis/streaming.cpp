@@ -18,8 +18,8 @@ constexpr double kOutlierFactor = 1.5;
 // StreamingLossState
 // ---------------------------------------------------------------------------
 
-StreamingLossState::StreamingLossState(std::size_t burst_capacity) {
-  closed_bursts_.reserve(burst_capacity);
+StreamingLossState::StreamingLossState() {
+  closed_bursts_.reserve(64);
 }
 
 void StreamingLossState::push_lost(bool lost) {

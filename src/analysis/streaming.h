@@ -43,11 +43,11 @@ namespace bolot::analysis {
 /// class.
 class StreamingLossState {
  public:
-  /// `burst_capacity` reserves the burst-length histogram; a loss run
-  /// longer than every previous run *and* the reservation grows the
-  /// vector (the only allocation push_lost() can ever perform — sized so
-  /// it never happens in realistic traces).
-  explicit StreamingLossState(std::size_t burst_capacity = 64);
+  /// Reserves the burst-length histogram for runs of up to 64 losses; a
+  /// loss run longer than every previous run *and* the reservation grows
+  /// the vector (the only allocation push_lost() can ever perform — sized
+  /// so it never happens in realistic traces).
+  StreamingLossState();
 
   void push_lost(bool lost);
 

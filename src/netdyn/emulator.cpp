@@ -67,8 +67,8 @@ void PathEmulator::admit(std::size_t direction,
   }
   const Duration service =
       config_.rate.is_positive()
-          ? transmission_time(static_cast<std::int64_t>(payload.size()) * 8,
-                              config_.rate.bps())
+          ? config_.rate.transmission_time(
+                ByteSize::bytes(static_cast<std::int64_t>(payload.size())))
           : Duration::zero();
   const auto departure = servers_[direction].admit(now, service);
   if (!departure) {

@@ -1,8 +1,6 @@
 #include "scenario/build.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,12 +15,14 @@ namespace {
 /// obs::TimeSeries::check_budget).
 constexpr std::size_t kObsSeriesBudget = 16384;
 
+constexpr double kFlowDuty = 0.5;  // share of time a background flow is on
+constexpr Duration kEnvelopeMeanHolding = Duration::seconds(2);  // per state
+
 /// Every comparison with NaN is false, so a NaN field would otherwise pass
 /// the downstream range checks and reach every aggregate as a plausible
 /// wrong answer.
 void validate(const FluidBackgroundConfig& c) {
   const std::pair<bool, const char*> checks[] = {
-      {c.duty >= 0.0 && c.duty <= 1.0, "duty outside [0, 1]"},
       {c.max_link_load > 0.0 && c.max_link_load <= 1.0,
        "max_link_load outside (0, 1]"},
       {c.envelope_states != 1,
@@ -36,31 +36,16 @@ void validate(const FluidBackgroundConfig& c) {
   }
 }
 
-/// Per link i, `addend` added counts[i] times to 0.0, rounding after each
-/// addition: the sum a flow-order fold reaches when every flow adds the
-/// same value, whatever the order.  `counts[i] * addend` rounds once and
-/// can differ.  Every link's chain of additions is a prefix of the same
-/// one sequence, so it runs once, to the largest count, and each link
-/// reads the partial sum at its own count (in ascending count order).
-std::vector<double> repeated_sums(double addend,
-                                  const std::vector<std::size_t>& counts) {
-  std::vector<std::size_t> order(counts.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return counts[a] < counts[b];
-  });
-  std::vector<double> sums(counts.size());
-  double sum = 0.0;
-  std::size_t added = 0;
-  for (const std::size_t i : order) {
-    for (; added < counts[i]; ++added) sum += addend;
-    sums[i] = sum;
-  }
-  return sums;
-}
-
+/// Checks the plan before probe_count() divides by delta: neither an
+/// infinite nor a negative quotient converts to a probe count.
 sim::ProbeSourceConfig probe_config(const ProbePlan& plan,
                                     Duration clock_tick) {
+  if (!(plan.delta > Duration::zero())) {
+    throw std::invalid_argument("ProbePlan: delta must be positive");
+  }
+  if (plan.duration < Duration::zero()) {
+    throw std::invalid_argument("ProbePlan: duration must not be negative");
+  }
   sim::ProbeSourceConfig config;
   config.delta = plan.delta;
   config.probe_wire = plan.probe_wire;
@@ -165,35 +150,34 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
 
   // Unit peaks would load link i at duty per crossing over its capacity;
   // scale so the busiest link carries max_link_load.
-  const std::vector<double> unit_demand =
-      repeated_sums(config.duty, crossings);
   double worst = 0.0;
   for (std::size_t i = 0; i < links; ++i) {
-    if (unit_demand[i] > 0.0) {
+    const double unit_demand = static_cast<double>(crossings[i]) * kFlowDuty;
+    if (unit_demand > 0.0) {
       worst = std::max(worst,
-                       unit_demand[i] / net.link_at(i).config().rate.bps());
+                       unit_demand / net.link_at(i).config().rate.bps());
     }
   }
   const double peak = worst > 0.0 ? config.max_link_load / worst : 0.0;
 
-  // A fluid flow folds to its mean rate with peak and duty each held at
-  // float precision; every link it crosses gets that one addend.
-  const float fluid_peak = static_cast<float>(peak);
-  if (!std::isfinite(fluid_peak)) {
-    throw std::invalid_argument(
-        "FluidBackgroundConfig: duty calibrates a flow peak past float "
-        "range");
+  // A fluid flow folds to its mean rate with its peak held at float
+  // precision (at most 2 * max_link_load * 100 Mb/s at the generator's
+  // tier rates); every link it crosses gets that one addend.  It has at
+  // most 24 significant bits, so below 2^29 flows count x addend is the
+  // exact sum of one addend per flow (MODEL_NOTES §15).
+  const double flow_demand =
+      static_cast<double>(static_cast<float>(peak)) * kFlowDuty;
+  link_demand_bps_.resize(links);
+  for (std::size_t i = 0; i < links; ++i) {
+    link_demand_bps_[i] = static_cast<double>(fluid_crossings[i]) * flow_demand;
   }
-  const double flow_demand = static_cast<double>(fluid_peak) *
-                             static_cast<double>(static_cast<float>(config.duty));
-  link_demand_bps_ = repeated_sums(flow_demand, fluid_crossings);
 
   // Pass 2, only when there are packet sources to build: packetized flows
   // run as Poisson sources at their mean rate (peak * duty), so the zone
   // sees real contention while its cost stays proportional to the zone's
   // traffic, not the population.  Flow order fixes their flow ids and rng
   // splits.
-  const double mean_flow_bps = peak * config.duty;
+  const double mean_flow_bps = peak * kFlowDuty;
   if (packetized_ > 0 && mean_flow_bps > 0.0) {
     const double packet_bits =
         static_cast<double>(sim::kBackgroundPacket.bit_count());
@@ -220,7 +204,7 @@ FluidBackground::FluidBackground(const FluidBackgroundConfig& config,
     const Bandwidth demand = Bandwidth::bps(link_demand_bps_[i]);
     if (!demand.is_positive()) continue;
     net.link_at(i).attach_fluid(
-        demand, config.envelope_states, config.envelope_mean_holding,
+        demand, config.envelope_states, kEnvelopeMeanHolding,
         Rng(derive_stream_seed(config.seed ^ 0xF1u, i)),
         Rng(derive_stream_seed(config.seed ^ 0xE2u, i)));
   }

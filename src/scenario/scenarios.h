@@ -73,22 +73,20 @@ struct CrossTraffic {
 /// flows that touch the zone become real packet sources.
 struct FluidBackgroundConfig {
   std::size_t flows = 10000;
-  /// On/off shape of each flow: the fraction of time on.  Only the mean
-  /// (peak x duty) is modeled, so the cycle length is not a knob, and the
+  /// Each flow is on half the time.  Only the mean (peak x 0.5) is
+  /// modeled, so neither the duty nor the cycle length is a knob, and the
   /// peak is calibrated so the busiest link carries `max_link_load` of
   /// its capacity in mean background demand.
-  double duty = 0.5;
   double max_link_load = 0.5;
   /// Unread: every fluid link serves at full rate plus a sampled M/D/1
   /// wait (sim::FluidQueueModel's one mode).  Kept only because
   /// bench/perf_ledger/perf_ledger.cpp assigns it.
   sim::FluidQueueModel queue_model = sim::FluidQueueModel::kMd1Wait;
-  /// Optional K-state envelope modulation of each fluid link's
-  /// demand (0 = constant mean demand), swinging +-50 % around the mean.
+  /// Optional K-state envelope modulation of each fluid link's demand
+  /// (0 = constant mean demand): +-50 % around the mean, 2 s mean holding.
   /// The envelope is the only event source a fluid link has: O(1) per
   /// link, independent of flow count.
   std::size_t envelope_states = 0;
-  Duration envelope_mean_holding = Duration::seconds(2);
   std::uint64_t seed = 0xF10D;
 };
 

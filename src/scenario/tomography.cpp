@@ -16,6 +16,7 @@
 #include "analysis/streaming.h"
 #include "obs/trace.h"
 #include "scenario/build.h"
+#include "sim/packet.h"
 
 namespace bolot::scenario {
 
@@ -36,11 +37,11 @@ constexpr double kRidgeLambda = 1e-6;
 /// shift.
 struct alignas(64) Stream {
   Stream(sim::NodeId src_node, sim::NodeId dst_node, std::uint64_t probes,
-         ByteSize probe_wire, std::size_t max_pairs)
+         std::size_t max_pairs)
       : src(src_node),
         dst(dst_node),
         probe_count(probes),
-        pair(probe_wire, max_pairs) {}
+        pair(sim::kProbeWireBytes, max_pairs) {}
 
   sim::NodeId src;
   sim::NodeId dst;
@@ -107,15 +108,8 @@ struct MeshState {
 class MeshProbeHost {
  public:
   MeshProbeHost(sim::Simulator& sim, sim::Network& net, sim::NodeId node,
-                MeshState& mesh, Duration delta, ByteSize probe_wire,
-                std::size_t pair_stride)
-      : sim_(sim),
-        net_(net),
-        node_(node),
-        mesh_(mesh),
-        delta_(delta),
-        probe_wire_(probe_wire),
-        pair_stride_(pair_stride) {
+                MeshState& mesh, Duration delta)
+      : sim_(sim), net_(net), node_(node), mesh_(mesh), delta_(delta) {
     net_.set_receiver(node_,
                       [this](sim::Packet&& p) { on_packet(std::move(p)); });
   }
@@ -134,10 +128,10 @@ class MeshProbeHost {
     net_.send(make_probe(kMeshFlowBase + static_cast<std::uint32_t>(s), seq,
                          stream.src, stream.dst));
 
-    // Every pair_stride-th slot also fires a back-to-back pair on the
+    // Every kMeshPairStride-th slot also fires a back-to-back pair on the
     // side flow, offset half a delta so the dispersion measurement never
     // queues behind this probe.
-    if (pair_stride_ > 0 && seq % pair_stride_ == 0) {
+    if (seq % kMeshPairStride == 0) {
       sim_.schedule_in(delta_ / 2, [this, s] { send_pair(s); });
     }
     sim_.rearm_in(delta_);
@@ -160,7 +154,7 @@ class MeshProbeHost {
     p.id = (static_cast<std::uint64_t>(flow) << 40) + seq;
     p.kind = sim::PacketKind::kProbe;
     p.flow = flow;
-    p.size_bytes = probe_wire_.count();
+    p.size_bytes = sim::kProbeWireBytes.count();
     p.src = src;
     p.dst = dst;
     p.set_probe({seq, sim_.now(), Duration::zero(), false});
@@ -185,8 +179,6 @@ class MeshProbeHost {
   sim::NodeId node_;
   MeshState& mesh_;
   Duration delta_;
-  ByteSize probe_wire_;
-  std::size_t pair_stride_;
 };
 
 /// Per-link probe sojourn accumulators (delay ground truth).  A packet's
@@ -217,15 +209,18 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument(
         "run_tomography: need 0 <= drop_min <= drop_max < 1");
   }
-  // Pairs are pair_stride * delta apart; at or below the pair send gap
+  if (spec.duration < Duration::zero()) {
+    throw std::invalid_argument(
+        "run_tomography: duration must not be negative");
+  }
+  // Pairs are kMeshPairStride * delta apart; at or below the pair send gap
   // the estimator would chain one pair's second probe to the next pair's
   // first and keep more spacings than pairs.
-  if (spec.pair_stride > 0 &&
-      !(spec.delta * static_cast<std::int64_t>(spec.pair_stride) >
+  if (!(spec.delta * static_cast<std::int64_t>(kMeshPairStride) >
         analysis::kPairSendGap)) {
     throw std::invalid_argument(
-        "run_tomography: pair_stride * delta must exceed the packet-pair "
-        "send gap");
+        "run_tomography: delta must exceed the packet-pair send gap / "
+        "kMeshPairStride");
   }
   const TopologyPlan topo = generate_topology(spec.topology);
   if (topo.hosts.size() < 2) {
@@ -277,9 +272,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
 
   // --- Streams: every ordered host pair, round-trip probed --------------
   const std::size_t max_pairs =
-      spec.pair_stride > 0
-          ? static_cast<std::size_t>(probes_per_stream / spec.pair_stride) + 1
-          : 0;
+      static_cast<std::size_t>(probes_per_stream / kMeshPairStride) + 1;
   MeshState mesh;
   mesh.streams.reserve(stream_count);
   for (std::size_t i = 0; i < host_count; ++i) {
@@ -295,8 +288,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         mu = std::min(mu, net.link_at(uid).config().rate.bps());
       }
 
-      Stream stream(src, dst, probes_per_stream, spec.probe_wire,
-                    max_pairs);
+      Stream stream(src, dst, probes_per_stream, max_pairs);
       stream.mu_true_bps = mu;
       stream.round_trip = std::move(round_trip);
       mesh.streams.push_back(std::move(stream));
@@ -309,8 +301,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   std::map<sim::NodeId, MeshProbeHost*> host_of;
   for (const sim::NodeId node : topo.hosts) {
     hosts.push_back(std::make_unique<MeshProbeHost>(
-        build.sim_for(node), net, node, mesh, spec.delta, spec.probe_wire,
-        spec.pair_stride));
+        build.sim_for(node), net, node, mesh, spec.delta));
     host_of[node] = hosts.back().get();
   }
 

@@ -32,13 +32,13 @@
 // link-local delivery hooks).  A rank-deficient class system falls back to
 // ridge regression (ridge_least_squares).
 //
-// A packet-pair dispersion pass rides along: every pair_stride-th probe
+// A packet-pair dispersion pass rides along: every kMeshPairStride-th probe
 // slot additionally emits two back-to-back probes on a side flow, and
 // each stream's StreamingPacketPair recovers its round trip's bottleneck
 // capacity from their return spacing.  The side flow's returns are
 // pushed in seq order like the main flow's, the send time again read
 // from the probe's source_ts; the estimator keeps one return spacing per
-// pair (8 B per pair_stride probes), the one state that grows with run
+// pair (8 B per kMeshPairStride probes), the one state that grows with run
 // length.
 //
 // tests/scenario/tomography_test.cpp gates inference error against mesh
@@ -62,12 +62,17 @@ namespace bolot::scenario {
 inline constexpr std::uint32_t kMeshFlowBase = 0x400000;
 inline constexpr std::uint32_t kMeshPairFlowBase = 0x800000;
 
+/// Every kMeshPairStride-th probe slot also emits a back-to-back packet
+/// pair on the side flow.  Pairs are then kMeshPairStride * delta apart,
+/// which must exceed analysis::kPairSendGap so two pairs never chain into
+/// one.
+inline constexpr std::size_t kMeshPairStride = 16;
+
 struct TomographySpec {
   /// Shared fabric; every generated host is a mesh endpoint.
   TopologySpec topology;
   Duration delta = Duration::millis(20);      // per-stream probe spacing
   Duration duration = Duration::seconds(30);  // probing window per stream
-  ByteSize probe_wire = ByteSize::bytes(72);
   std::uint64_t seed = 1993;
 
   /// Per-directed-link faulty-interface drop probability, drawn uniform in
@@ -76,12 +81,6 @@ struct TomographySpec {
   /// truth the inference is scored against.
   double drop_min = 0.01;
   double drop_max = 0.05;
-
-  /// Every pair_stride-th probe slot also emits a back-to-back packet
-  /// pair on the side flow (0 disables the dispersion pass).  When set,
-  /// pair_stride * delta must exceed analysis::kPairSendGap, so two pairs
-  /// never chain into one.
-  std::size_t pair_stride = 16;
 
   /// PDES domains, clamped into [1, the generator's partition hint count]
   /// (MODEL_NOTES §14); the mesh is the one scenario that shards.  The

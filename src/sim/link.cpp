@@ -31,8 +31,7 @@ Link::Link(Simulator& sim, LinkConfig config, Rng drop_rng)
     if (!(red.min_threshold >= 0.0) ||
         !(red.max_threshold > red.min_threshold) ||
         red.max_probability.is_zero() ||
-        !(red.weight > 0.0 && red.weight <= 1.0) ||
-        red.mean_packet <= ByteSize::zero()) {
+        !(red.weight > 0.0 && red.weight <= 1.0)) {
       throw std::invalid_argument("Link: malformed RED configuration");
     }
   }
@@ -94,7 +93,7 @@ bool Link::red_admits(std::size_t queue_length) {
     // are excluded — see red_idle_accrued_.
     Duration idle = red_idle_accrued_;
     if (!paused_) idle += sim_.now() - idle_since_;
-    const double slots = idle / service_time(red.mean_packet);
+    const double slots = idle / service_time(kRedMeanPacket);
     if (slots > 0.0) red_avg_ *= std::pow(1.0 - red.weight, slots);
     red_idle_accrued_ = Duration::zero();
     if (!paused_) {

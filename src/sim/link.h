@@ -50,11 +50,12 @@ struct RedConfig {
   double max_threshold = 15.0;
   Probability max_probability = Probability::checked(0.1);
   double weight = 0.002;  // EWMA gain w_q
-  /// Typical packet size defining the service-slot length s used by the
-  /// idle-time correction (Floyd & Jacobson's parameter s = transmission
-  /// time of a small packet).
-  ByteSize mean_packet = ByteSize::bytes(512);
 };
+
+/// Typical packet size defining the service-slot length s used by RED's
+/// idle-time correction (Floyd & Jacobson's parameter s = transmission
+/// time of a small packet).
+inline constexpr ByteSize kRedMeanPacket = ByteSize::bytes(512);
 
 /// The largest buffer a Link accepts.  The whole buffer is reserved at
 /// construction, so the bound keeps a mistyped K from exhausting memory;

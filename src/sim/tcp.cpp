@@ -12,10 +12,13 @@ namespace bolot::sim {
 namespace {
 
 constexpr ByteSize kAckWire = ByteSize::bytes(40);  // pure ack wire size
+constexpr ByteSize kSegmentWire = ByteSize::bytes(512);  // MSS + headers
 constexpr Duration kInitialRto = Duration::seconds(1);
 constexpr Duration kMinRto = Duration::millis(200);
 constexpr Duration kMaxRto = Duration::seconds(30);
 constexpr std::uint32_t kDupackThreshold = 3;
+constexpr double kInitialSsthresh = 16.0;   // packets
+constexpr double kReceiverWindow = 32.0;    // packets; the cwnd cap
 
 /// Window-state sanity, checked (audit builds) everywhere the sliding
 /// window moves: the paper's closed-loop cross traffic is only faithful
@@ -23,23 +26,20 @@ constexpr std::uint32_t kDupackThreshold = 3;
 /// deadlocks the flow, one above the receiver window overdrives the
 /// bottleneck, and an una/nxt inversion corrupts go-back-N recovery.
 void audit_window(const char* where, std::uint64_t snd_una,
-                  std::uint64_t snd_nxt, double cwnd, double ssthresh,
-                  const TcpConfig& config) {
+                  std::uint64_t snd_nxt, double cwnd, double ssthresh) {
   SIM_AUDIT(snd_una <= snd_nxt,
             "TcpSource(%s): send window inverted — snd_una %llu > snd_nxt "
             "%llu",
             where, static_cast<unsigned long long>(snd_una),
             static_cast<unsigned long long>(snd_nxt));
-  SIM_AUDIT(cwnd >= 1.0 && cwnd <= config.receiver_window_packets,
+  SIM_AUDIT(cwnd >= 1.0 && cwnd <= kReceiverWindow,
             "TcpSource(%s): cwnd %.3f outside [1, rwnd=%.1f]", where, cwnd,
-            config.receiver_window_packets);
-  SIM_AUDIT(ssthresh >= 2.0 ||
-                ssthresh >= config.initial_ssthresh_packets,
+            kReceiverWindow);
+  SIM_AUDIT(ssthresh >= 2.0,
             "TcpSource(%s): ssthresh %.3f collapsed below 2 packets", where,
             ssthresh);
   // Suppress unused-parameter warnings in non-audit builds.
-  (void)where, (void)snd_una, (void)snd_nxt, (void)cwnd, (void)ssthresh,
-      (void)config;
+  (void)where, (void)snd_una, (void)snd_nxt, (void)cwnd, (void)ssthresh;
 }
 
 }  // namespace
@@ -89,15 +89,8 @@ TcpSource::TcpSource(Simulator& sim, Network& net, NodeId src, NodeId dst,
       flow_(flow),
       rng_(rng),
       config_(config),
-      ssthresh_(config.initial_ssthresh_packets),
+      ssthresh_(kInitialSsthresh),
       rto_(kInitialRto) {
-  if (config_.segment <= ByteSize::zero()) {
-    throw std::invalid_argument("TcpSource: segment size must be positive");
-  }
-  if (config_.initial_ssthresh_packets < 1.0 ||
-      config_.receiver_window_packets < 1.0) {
-    throw std::invalid_argument("TcpSource: windows must be >= 1 packet");
-  }
   if (config_.mean_file_packets && *config_.mean_file_packets < 1.0) {
     throw std::invalid_argument("TcpSource: mean file length < 1 packet");
   }
@@ -127,8 +120,8 @@ void TcpSource::begin_transfer() {
 
 void TcpSource::try_send() {
   if (!transfer_active_) return;
-  audit_window("try_send", snd_una_, snd_nxt_, cwnd_, ssthresh_, config_);
-  const double window = std::min(cwnd_, config_.receiver_window_packets);
+  audit_window("try_send", snd_una_, snd_nxt_, cwnd_, ssthresh_);
+  const double window = std::min(cwnd_, kReceiverWindow);
   const auto window_packets = static_cast<std::uint64_t>(window);
   while (snd_nxt_ < transfer_end_ &&
          snd_nxt_ - snd_una_ < window_packets) {
@@ -147,7 +140,7 @@ void TcpSource::send_segment(std::uint64_t seq, bool is_retransmission) {
   segment.id = (static_cast<std::uint64_t>(flow_) << 40) + stats_.segments_sent;
   segment.kind = PacketKind::kBulk;
   segment.flow = flow_;
-  segment.size_bytes = config_.segment.count();
+  segment.size_bytes = kSegmentWire.count();
   segment.src = src_;
   segment.dst = dst_;
   segment.set_tcp({seq, /*is_ack=*/false});
@@ -224,9 +217,9 @@ void TcpSource::on_ack(std::uint64_t cumulative_ack) {
       cwnd_ += 1.0 / cwnd_;
     }
   }
-  cwnd_ = std::min(cwnd_, config_.receiver_window_packets);
+  cwnd_ = std::min(cwnd_, kReceiverWindow);
   stats_.last_cwnd_packets = cwnd_;
-  audit_window("on_ack", snd_una_, snd_nxt_, cwnd_, ssthresh_, config_);
+  audit_window("on_ack", snd_una_, snd_nxt_, cwnd_, ssthresh_);
   SIM_AUDIT(dupacks_ == 0,
             "TcpSource(on_ack): dupack counter %u survived new data", dupacks_);
 
@@ -258,8 +251,7 @@ void TcpSource::enter_loss_recovery() {
   send_segment(snd_nxt_, /*is_retransmission=*/true);
   ++snd_nxt_;
   arm_timer();
-  audit_window("loss_recovery", snd_una_, snd_nxt_, cwnd_, ssthresh_,
-               config_);
+  audit_window("loss_recovery", snd_una_, snd_nxt_, cwnd_, ssthresh_);
 }
 
 void TcpSource::on_timeout() {

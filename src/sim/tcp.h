@@ -31,14 +31,12 @@
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/time.h"
-#include "util/units.h"
 
 namespace bolot::sim {
 
+/// Every source sends 512-byte segments (MSS + headers), starts at a
+/// 16-packet ssthresh and caps cwnd at a 32-packet receiver window.
 struct TcpConfig {
-  ByteSize segment = ByteSize::bytes(512);  // data segment wire size (MSS+hdrs)
-  double initial_ssthresh_packets = 16.0;
-  double receiver_window_packets = 32.0;  // cwnd cap
   /// Finite transfers: geometric file length with this mean (packets),
   /// separated by exponential idle periods.  Unset = one infinite
   /// transfer (a greedy FTP).

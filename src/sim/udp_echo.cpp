@@ -13,6 +13,9 @@ namespace {
 /// Seed of the Rng an interval_sampler draws from.
 constexpr std::uint64_t kIntervalSeed = 2024;
 
+/// Flow identifier every probe carries.
+constexpr std::uint32_t kProbeFlow = 0xFFFF;
+
 }  // namespace
 
 EchoHost::EchoHost(Simulator& sim, Network& net, NodeId node)
@@ -74,9 +77,9 @@ void UdpEchoSource::send_next() {
   trace_.records.push_back(record);
 
   Packet p;
-  p.id = (static_cast<std::uint64_t>(config_.flow) << 40) + next_seq_;
+  p.id = (static_cast<std::uint64_t>(kProbeFlow) << 40) + next_seq_;
   p.kind = PacketKind::kProbe;
-  p.flow = config_.flow;
+  p.flow = kProbeFlow;
   p.size_bytes = config_.probe_wire.count();
   p.src = source_;
   p.dst = echo_;

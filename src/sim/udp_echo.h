@@ -53,7 +53,6 @@ struct ProbeSourceConfig {
   /// that assume one; index-based loss metrics remain exact.
   /// It draws from an Rng seeded with a fixed 2024.
   std::function<Duration(Rng&)> interval_sampler;
-  std::uint32_t flow = 0xFFFF;                    // probe flow identifier
 };
 
 class UdpEchoSource {

@@ -64,7 +64,7 @@ void scatter_plot(std::ostream& os, const std::vector<double>& xs,
   const int w = std::max(8, options.width);
   const int h = std::max(4, options.height);
   const Range xr = resolve_range(xs, options.x_min, options.x_max);
-  const Range yr = resolve_range(ys, options.y_min, options.y_max);
+  const Range yr = resolve_range(ys, options.y_min, std::nullopt);
 
   std::vector<int> counts(static_cast<std::size_t>(w * h), 0);
   const std::size_t n = std::min(xs.size(), ys.size());

@@ -17,8 +17,8 @@ struct PlotOptions {
   std::string title;
   std::string x_label;
   std::string y_label;
-  /// If set, force the axis range instead of auto-scaling to the data.
-  std::optional<double> x_min, x_max, y_min, y_max;
+  /// If set, force the axis bound instead of auto-scaling to the data.
+  std::optional<double> x_min, x_max, y_min;
 };
 
 /// Scatter plot (used for phase plots): one marker per (x, y) point,

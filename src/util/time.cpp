@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace bolot {
 
@@ -19,14 +18,6 @@ std::string Duration::to_string() const {
     std::snprintf(buf, sizeof buf, "%.3fs", seconds());
   }
   return buf;
-}
-
-Duration transmission_time(std::int64_t bits, double bits_per_second) {
-  if (bits < 0) throw std::invalid_argument("transmission_time: bits < 0");
-  if (bits_per_second <= 0.0) {
-    throw std::invalid_argument("transmission_time: rate must be positive");
-  }
-  return Duration::seconds(static_cast<double>(bits) / bits_per_second);
 }
 
 }  // namespace bolot

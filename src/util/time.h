@@ -94,7 +94,4 @@ class Duration {
 /// Absolute simulation time is a Duration since the start of the run.
 using SimTime = Duration;
 
-/// Time needed to serialize `bits` onto a link of `bits_per_second`.
-Duration transmission_time(std::int64_t bits, double bits_per_second);
-
 }  // namespace bolot

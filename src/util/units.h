@@ -84,8 +84,7 @@ class BitSize {
 /// A transmission rate in bits per second, stored as the same double the
 /// raw `rate_bps` fields held, so every formula reading `.bps()` computes
 /// bit-for-bit what it did before the refactor.  Negative values are
-/// representable; transmission_time() enforces positivity exactly where
-/// the old helper did.
+/// representable; transmission_time() enforces positivity.
 class Bandwidth {
  public:
   constexpr Bandwidth() = default;
@@ -102,10 +101,10 @@ class Bandwidth {
   constexpr double bps() const { return bps_; }
   constexpr bool is_positive() const { return bps_ > 0.0; }
 
-  /// Time to serialize `size` onto this wire, rounded to the nearest
-  /// nanosecond — the exact computation of the legacy
-  /// transmission_time(bits, bps) helper, including its domain checks
-  /// (tests/util/units_test.cpp pins equality over 10^6 random pairs).
+  /// Time to serialize `size` onto this wire, bits / bps rounded to the
+  /// nearest nanosecond (tests/util/units_test.cpp pins that formula over
+  /// 10^6 random pairs).  Throws on a negative size or a non-positive
+  /// rate.
   constexpr Duration transmission_time(ByteSize size) const {
     return transmission_time(BitSize::of(size));
   }

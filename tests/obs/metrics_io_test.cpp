@@ -29,9 +29,10 @@ TEST(MetricsIoTest, DocumentLayoutIsPinned) {
 
 TEST(MetricsIoTest, ControlBytesInNamesAreEscaped) {
   MetricsRegistry registry;
-  registry.probe_counter("a\tb\r\x01", [] { return 0.0; });
+  registry.probe_counter("a\tb\r\x01\\c\nd", [] { return 0.0; });
   const std::string json = metrics_to_json(registry.snapshot(SimTime()));
-  EXPECT_NE(json.find(R"("name": "a\tb\r\u0001")"), std::string::npos)
+  EXPECT_NE(json.find(R"("name": "a\tb\r\u0001\\c\nd")"),
+            std::string::npos)
       << json;
 }
 

@@ -47,9 +47,8 @@ ScenarioOverrides fabric_overrides() {
   overrides.topology = spec;
   FluidBackgroundConfig background;
   background.flows = 2000;
-  // Only each link's mean demand is modelled, whatever the duty; the
-  // M/D/1 waits assume Poisson arrivals at that mean.
-  background.duty = 1.0;
+  // Only each link's mean demand is modelled; the M/D/1 waits assume
+  // Poisson arrivals at that mean.
   background.max_link_load = 0.5;
   overrides.fluid_background = background;
   return overrides;

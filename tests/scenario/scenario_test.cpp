@@ -90,6 +90,25 @@ TEST(InriaUmdTest, NegativeClockTickOverrideIsRejected) {
   }
 }
 
+TEST(InriaUmdTest, RejectsZeroDeltaOrNegativeDuration) {
+  // Each is a named error before probe_count() divides duration by delta:
+  // a zero delta would make the quotient infinite and a negative duration
+  // negative, and converting either to a probe count is undefined.
+  const std::pair<ProbePlan, const char*> rows[] = {
+      {quick_plan(0, 0.1), "ProbePlan: delta must be positive"},
+      {quick_plan(50, -1.0 / 60.0),
+       "ProbePlan: duration must not be negative"},
+  };
+  for (const auto& [plan, message] : rows) {
+    try {
+      run_inria_umd(plan);
+      ADD_FAILURE() << message << ": the plan was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), std::string(message));
+    }
+  }
+}
+
 TEST(InriaUmdTest, DeterministicForFixedSeed) {
   const auto a = run_inria_umd(quick_plan(50, 0.5));
   const auto b = run_inria_umd(quick_plan(50, 0.5));

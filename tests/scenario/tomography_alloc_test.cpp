@@ -8,7 +8,7 @@
 // link-local), so run_tomography's peak live heap at duration D and at 4D
 // differ by at most a small constant independent of the probe count.  The
 // packet-pair pass keeps one return spacing, a double, per pair (one pair
-// per pair_stride probes), and its growth is bounded by exactly that.
+// per kMeshPairStride probes), and its growth is bounded by exactly that.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -66,11 +66,23 @@ namespace {
 constexpr std::int64_t kRunLengthSlackBytes = 4096;
 
 /// The ci_spec mesh at duration `seconds` (200 probes per stream per 2 s).
-TomographySpec mesh(std::size_t pair_stride, int seconds) {
+TomographySpec mesh(int seconds) {
   TomographySpec spec = ci_spec();
-  spec.pair_stride = pair_stride;
   spec.duration = Duration::seconds(seconds);
   return spec;
+}
+
+/// Upper bound on the pair pass's extra heap at `long_spec` over
+/// `short_spec`: one 8 B spacing per kMeshPairStride extra probes, for
+/// each of ci_spec's 8 x 7 streams.
+std::int64_t pair_spacings_bound(const TomographySpec& short_spec,
+                                 const TomographySpec& long_spec) {
+  const auto extra_probes = static_cast<std::int64_t>(
+      (long_spec.duration - short_spec.duration) / long_spec.delta);
+  const std::int64_t streams = 8 * 7;
+  return streams * extra_probes /
+         static_cast<std::int64_t>(kMeshPairStride) *
+         static_cast<std::int64_t>(sizeof(double));
 }
 
 /// Peak heap bytes live inside one run_tomography call, above what was
@@ -78,7 +90,7 @@ TomographySpec mesh(std::size_t pair_stride, int seconds) {
 std::int64_t peak_heap_bytes(const TomographySpec& spec) {
   // The first run in the process also builds statics that outlive it
   // (about 20 KiB); that is not the run's own memory, so pay it up front.
-  static const bool warmed_up = (run_tomography(mesh(0, 2)), true);
+  static const bool warmed_up = (run_tomography(mesh(2)), true);
   (void)warmed_up;
 
   const std::int64_t before = g_live.load();
@@ -92,27 +104,26 @@ std::int64_t peak_heap_bytes(const TomographySpec& spec) {
 }
 
 TEST(TomographyAllocTest, MainFlowHeapDoesNotGrowWithDuration) {
-  const std::int64_t short_run = peak_heap_bytes(mesh(0, 2));
-  const std::int64_t long_run = peak_heap_bytes(mesh(0, 8));
-  EXPECT_LE(std::abs(long_run - short_run), kRunLengthSlackBytes)
+  // Everything beyond the pair pass's spacings stays within the slack.
+  const TomographySpec short_spec = mesh(2);
+  const TomographySpec long_spec = mesh(8);
+  const std::int64_t short_run = peak_heap_bytes(short_spec);
+  const std::int64_t long_run = peak_heap_bytes(long_spec);
+  EXPECT_LE(std::abs(long_run - short_run -
+                     pair_spacings_bound(short_spec, long_spec)),
+            kRunLengthSlackBytes)
       << "D: " << short_run << " B, 4D: " << long_run << " B";
 }
 
 TEST(TomographyAllocTest, PairPassGrowsByOneDoublePerPair) {
-  constexpr std::size_t kStride = 8;  // divides both probe counts
-  const TomographySpec short_spec = mesh(kStride, 2);
-  const TomographySpec long_spec = mesh(kStride, 8);
+  const TomographySpec short_spec = mesh(2);
+  const TomographySpec long_spec = mesh(8);
   const std::int64_t short_run = peak_heap_bytes(short_spec);
   const std::int64_t long_run = peak_heap_bytes(long_spec);
-
-  const auto extra_probes = static_cast<std::int64_t>(
-      (long_spec.duration - short_spec.duration) / long_spec.delta);
-  const std::int64_t streams = 8 * 7;  // ci_spec: every ordered host pair
-  const std::int64_t pair_spacings_bound =
-      streams * extra_probes / static_cast<std::int64_t>(kStride) *
-      static_cast<std::int64_t>(sizeof(double));
   EXPECT_GE(long_run, short_run);
-  EXPECT_LE(long_run - short_run, pair_spacings_bound + kRunLengthSlackBytes)
+  EXPECT_LE(long_run - short_run,
+            pair_spacings_bound(short_spec, long_spec) +
+                kRunLengthSlackBytes)
       << "D: " << short_run << " B, 4D: " << long_run << " B";
 }
 

@@ -217,8 +217,14 @@ TEST(TomographyTest, RejectsMalformedSpecs) {
   bad.drop_max = 0.1;
   EXPECT_THROW(run_tomography(bad), std::invalid_argument);
   bad = ci_spec();
-  bad.delta = Duration::micros(25);
-  bad.pair_stride = 20;  // pairs 500 us apart: chained at the send gap
+  // Pairs kMeshPairStride x 31.25 us = 500 us apart: chained at the send
+  // gap.
+  bad.delta = Duration::nanos(31'250);
+  EXPECT_THROW(run_tomography(bad), std::invalid_argument);
+  // A negative window would size the per-stream pair buffers from a
+  // negative probe count.
+  bad = ci_spec();
+  bad.duration = Duration::seconds(-1);
   EXPECT_THROW(run_tomography(bad), std::invalid_argument);
 }
 

@@ -164,7 +164,6 @@ ScenarioOverrides small_fabric(std::optional<std::size_t> radius) {
   background.flows = 500;
   background.max_link_load = 0.4;
   background.envelope_states = 3;
-  background.envelope_mean_holding = Duration::millis(400);
   overrides.fluid_background = background;
   overrides.packetize_radius = radius;
   return overrides;
@@ -214,16 +213,12 @@ TEST(RunTopologyTest, FluidEventCountIsFlatInFlowCount) {
 }
 
 /// Pins recorded as hex floats: the fluid demand on every probed hop is
-/// the per-flow addend summed once per crossing flow, so any change to
-/// the pair stream, the calibration or the fold moves a bit here.  A duty
-/// of 0.3 gives the addends enough significant bits that a sum formed as
-/// count x addend rounds differently from the repeated one (at duty 0.5
-/// every partial sum is exact, and the two agree).
+/// the per-flow addend times the number of crossing flows, so any change
+/// to the pair stream, the calibration or the fold moves a bit here.
 ScenarioOverrides pinned_fabric(std::size_t flows,
                                 std::optional<std::size_t> radius) {
   ScenarioOverrides overrides = small_fabric(radius);
   overrides.fluid_background->flows = flows;
-  overrides.fluid_background->duty = 0.3;
   overrides.fluid_background->envelope_states = 0;
   return overrides;
 }
@@ -249,10 +244,10 @@ TEST(RunTopologyTest, CalibratedFluidDemandIsPinned) {
   EXPECT_EQ(result.background_flows_packetized, 0u);
   expect_probe_hop_fluid(
       result,
-      {0x1.de22c05ec1d4cp+21, 0x1.bf95b52e63306p+22, 0x1.7cdb6a67e6cc7p+23,
-       0x1.7ee5cb83430b8p+23, 0x1.be0f24cd5ed16p+22, 0x1.da7965dc50edcp+21,
-       0x1.d0409e858068ep+21, 0x1.b76c30c0f2342p+22, 0x1.7993b3fdb7003p+23,
-       0x1.7b54da06e26d7p+23, 0x1.b616726c0e61p+22, 0x1.d361467f962e3p+21});
+      {0x1.de22bf2p+21, 0x1.bf95b404p+22, 0x1.7cdb696ap+23,
+       0x1.7ee5ca84p+23, 0x1.be0f23a4p+22, 0x1.da7964ap+21,
+       0x1.d0409d5p+21, 0x1.b76c2f9cp+22, 0x1.7993b302p+23,
+       0x1.7b54d90ap+23, 0x1.b6167148p+22, 0x1.d3614548p+21});
 }
 
 TEST(RunTopologyTest, ExplicitPeakFluidDemandIsPinned) {
@@ -264,10 +259,10 @@ TEST(RunTopologyTest, ExplicitPeakFluidDemandIsPinned) {
   EXPECT_EQ(result.background_flows_packetized, 0u);
   expect_probe_hop_fluid(
       result,
-      {0x1.b3ea35a29c23p+21, 0x1.a94cd16b888aep+22, 0x1.699c7821130ccp+23,
-       0x1.5fb43cba7838cp+23, 0x1.98ab92487260dp+22, 0x1.a897a89b0fc5p+21,
-       0x1.aa01fa3c0150cp+21, 0x1.a50ddc88b3e7ap+22, 0x1.5e49eb1986accp+23,
-       0x1.5ac01f072acecp+23, 0x1.83cb5e4287938p+22, 0x1.9f649604edb8ap+21});
+      {0x1.b3ea348p+21, 0x1.a94cd05p+22, 0x1.699c773p+23,
+       0x1.5fb43bdp+23, 0x1.98ab9138p+22, 0x1.a897a78p+21,
+       0x1.aa01f92p+21, 0x1.a50ddb7p+22, 0x1.5e49ea3p+23,
+       0x1.5ac01e2p+23, 0x1.83cb5d4p+22, 0x1.9f6494fp+21});
 }
 
 TEST(RunTopologyTest, PacketizedSplitIsPinned) {
@@ -340,14 +335,9 @@ TEST(RunTopologyTest, RejectsMalformedFluidBackground) {
   };
   const double nan = std::numeric_limits<double>::quiet_NaN();
   using Config = FluidBackgroundConfig;
-  expect_rejected("duty", [&](Config& c) { c.duty = nan; });
-  expect_rejected("duty", [](Config& c) { c.duty = 1.5; });
   expect_rejected("max_link_load", [](Config& c) { c.max_link_load = 0.0; });
   expect_rejected("max_link_load", [](Config& c) { c.max_link_load = 1.5; });
   expect_rejected("max_link_load", [&](Config& c) { c.max_link_load = nan; });
-  // Fluid rates fold at float precision: a peak calibrated past FLT_MAX
-  // from a tiny duty must not fold as infinity.
-  expect_rejected("duty", [](Config& c) { c.duty = 1e-40; });
   expect_rejected("envelope_states", [](Config& c) {
     c.envelope_states = 1;
   });

@@ -302,9 +302,6 @@ FuzzOutcome run_topology(std::uint64_t seed, std::size_t domains = 0) {
 
   TcpSink tcp_sink(sim_of(hops), net, tcp_dst);
   TcpConfig tcp_cfg;
-  tcp_cfg.receiver_window_packets = 4.0 + static_cast<double>(rng.uniform_int(28));
-  tcp_cfg.initial_ssthresh_packets =
-      2.0 + static_cast<double>(rng.uniform_int(14));
   if (rng.chance(0.5)) tcp_cfg.mean_file_packets = 10.0 + rng.uniform(0.0, 40.0);
   TcpSource tcp(sim, net, tcp_src, tcp_dst, /*flow=*/7, rng.split(), tcp_cfg);
   tcp.start(Duration::millis(rng.uniform(0.0, 50.0)));

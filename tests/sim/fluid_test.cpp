@@ -95,7 +95,7 @@ TEST(FluidAggregateTest, Md1WaitMatchesPollaczekKhinchineMoments) {
   EXPECT_NEAR(sum_sq / n, second, 0.05 * second);
 }
 
-TEST(FluidFlowTest, OnOffEdgesToggleAggregateDemand) {
+TEST(FluidEnvelopeTest, OnOffEdgesToggleAggregateDemand) {
   // A two-state envelope swinging +-50 % around 300 kb/s: every jump
   // leaves its state for the other, so each edge toggles the demand
   // between 150 and 450 kb/s, starting low at the start edge, at the
@@ -118,7 +118,7 @@ TEST(FluidFlowTest, OnOffEdgesToggleAggregateDemand) {
   fluid.audit_verify();
 }
 
-TEST(FluidFlowTest, ConstantFlowCostsNoEvents) {
+TEST(FluidEnvelopeTest, ConstantFlowCostsNoEvents) {
   // Constant demand is zero envelope states, which schedules nothing.  A
   // one-state envelope would be that constant, so it is a named error.
   Simulator simulator;
@@ -135,7 +135,7 @@ TEST(FluidFlowTest, ConstantFlowCostsNoEvents) {
   }
 }
 
-TEST(FluidFlowTest, RejectsMalformedConfigs) {
+TEST(FluidEnvelopeTest, RejectsMalformedConfigs) {
   Simulator simulator;
   const auto expect_rejected = [&simulator](std::size_t states, double bps,
                                             Duration holding,
@@ -165,7 +165,7 @@ TEST(FluidFlowTest, RejectsMalformedConfigs) {
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
-TEST(FluidFlowTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
+TEST(FluidEnvelopeTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
   // The PDES contract: a replica constructed with the same (arguments,
   // seed) in another domain emits the identical trajectory, so fluid
   // demand crosses cuts without messages.  The wait seed plays no part.
@@ -187,7 +187,7 @@ TEST(FluidFlowTest, ModulatedTrajectoryIsPureFunctionOfSeed) {
   EXPECT_GT(std::set<double>(rates_a.begin(), rates_a.end()).size(), 2u);
 }
 
-TEST(FluidFlowTest, EnvelopeConfigHasStationaryMeanAtPeak) {
+TEST(FluidEnvelopeTest, EnvelopeConfigHasStationaryMeanAtPeak) {
   // Five states swinging +-50 % around 1 Mb/s: the rates are 0.5, 0.75,
   // 1, 1.25 and 1.5 Mb/s, and uniform jumps with a common holding time
   // make the stationary distribution uniform, so the time-average demand

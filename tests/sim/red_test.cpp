@@ -179,7 +179,7 @@ TEST(RedTest, IdleDecayIsCumulativeAcrossProbes) {
   simulator.schedule_in(Duration::seconds(2),
                         [&] { link.enqueue(make_packet()); });
   drain(simulator);
-  const Duration slot = link.service_time(config.red->mean_packet);
+  const Duration slot = link.service_time(kRedMeanPacket);
   const double slots_per_gap = Duration::seconds(2) / slot;
   const double per_gap_decay =
       std::pow(1.0 - config.red->weight, slots_per_gap);
@@ -219,7 +219,7 @@ TEST(RedTest, PausedSpansDoNotCountAsIdleTime) {
   const Duration idle =
       (Duration::seconds(1) - drained_at) + Duration::seconds(1);
   const double slots =
-      idle / link.service_time(config.red->mean_packet);
+      idle / link.service_time(kRedMeanPacket);
   const double expected =
       avg_after_burst * std::pow(1.0 - config.red->weight, slots);
   EXPECT_NEAR(red_average_queue(link), expected, expected * 1e-9);

@@ -106,7 +106,8 @@ TEST_F(TrafficFixture, FtpSessionPacesAtConfiguredShare) {
       400.0;
   EXPECT_NEAR(avg_bps, 32e3, 6e3);
   // Within a session, spacing is the pace interval: 4096 bits at 64 kb/s.
-  Duration expected = transmission_time(512 * 8, 0.5 * 128e3);
+  Duration expected =
+      Bandwidth::bps(0.5 * 128e3).transmission_time(ByteSize::bytes(512));
   std::size_t paced = 0, gaps = 0;
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     const Duration gap = arrivals[i] - arrivals[i - 1];

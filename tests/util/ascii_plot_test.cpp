@@ -47,7 +47,6 @@ TEST(SeriesPlotTest, ZeroValuesRenderAsGaps) {
   options.width = 10;
   options.height = 4;
   options.y_min = 0.0;
-  options.y_max = 2.0;
   // All values are zero (all lost): nothing should be plotted.  Inspect
   // only the plot area (after the axis '|'); labels contain dots.
   std::ostringstream os;

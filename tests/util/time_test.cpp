@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "util/units.h"
+
 namespace bolot {
 namespace {
 
@@ -64,15 +68,20 @@ TEST(DurationTest, ToStringPicksUnit) {
 
 TEST(TransmissionTimeTest, MatchesPaperNumbers) {
   // A 72-byte probe on the 128 kb/s transatlantic link: 4.5 ms.
-  EXPECT_DOUBLE_EQ(transmission_time(72 * 8, 128e3).millis(), 4.5);
+  const Bandwidth link = Bandwidth::bps(128e3);
+  EXPECT_DOUBLE_EQ(link.transmission_time(ByteSize::bytes(72)).millis(), 4.5);
   // One 512-byte FTP packet: 32 ms of service at the bottleneck.
-  EXPECT_DOUBLE_EQ(transmission_time(512 * 8, 128e3).millis(), 32.0);
+  EXPECT_DOUBLE_EQ(link.transmission_time(ByteSize::bytes(512)).millis(),
+                   32.0);
 }
 
 TEST(TransmissionTimeTest, RejectsBadArguments) {
-  EXPECT_THROW(transmission_time(-1, 128e3), std::invalid_argument);
-  EXPECT_THROW(transmission_time(100, 0.0), std::invalid_argument);
-  EXPECT_THROW(transmission_time(100, -5.0), std::invalid_argument);
+  EXPECT_THROW(Bandwidth::bps(128e3).transmission_time(BitSize::bits(-1)),
+               std::invalid_argument);
+  EXPECT_THROW(Bandwidth::bps(0.0).transmission_time(BitSize::bits(100)),
+               std::invalid_argument);
+  EXPECT_THROW(Bandwidth::bps(-5.0).transmission_time(BitSize::bits(100)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -57,9 +57,10 @@ TEST(UnitsTest, ByteBitConversionIsExactAndChecked) {
 
 // ---------------------------------------------------------------------------
 // Transmission-time exactness: Bandwidth::transmission_time must compute
-// bit-for-bit what the legacy free helper transmission_time(bits, bps)
-// computes, at 1 ns granularity, across a large random sample.  This is
-// the property the whole byte-identical refactor leans on.
+// bit-for-bit the raw-double formula Duration::seconds(bits / bps) the
+// code used before the unit types, at 1 ns granularity, across a large
+// random sample.  This is the property the whole byte-identical refactor
+// leans on.
 // ---------------------------------------------------------------------------
 
 TEST(UnitsTest, TransmissionTimeMatchesLegacyHelperOverRandomPairs) {
@@ -71,7 +72,8 @@ TEST(UnitsTest, TransmissionTimeMatchesLegacyHelperOverRandomPairs) {
     const double rate = 9.6e3 * std::pow(10.0, rng.uniform(0.0, 6.0));
     const Duration typed =
         Bandwidth::bps(rate).transmission_time(ByteSize::bytes(bytes));
-    const Duration legacy = transmission_time(bytes * 8, rate);
+    const Duration legacy =
+        Duration::seconds(static_cast<double>(bytes * 8) / rate);
     ASSERT_EQ(typed.count_nanos(), legacy.count_nanos())
         << "bytes=" << bytes << " rate=" << rate;
   }
@@ -85,7 +87,8 @@ TEST(UnitsTest, TransmissionTimeBitOverloadMatchesLegacyHelper) {
     const double rate = rng.uniform(1e3, 1e9);
     const Duration typed =
         Bandwidth::bps(rate).transmission_time(BitSize::bits(bits));
-    const Duration legacy = transmission_time(bits, rate);
+    const Duration legacy =
+        Duration::seconds(static_cast<double>(bits) / rate);
     ASSERT_EQ(typed.count_nanos(), legacy.count_nanos())
         << "bits=" << bits << " rate=" << rate;
   }
