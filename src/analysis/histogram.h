@@ -25,9 +25,6 @@ class Histogram {
   void add(double x);
   void add_all(std::span<const double> xs);
 
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-
   double bin_width() const;
   double bin_center(std::size_t bin) const;
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
-#include <utility>
 
-#include "analysis/phase_plot.h"
 #include "analysis/streaming.h"
 
 namespace bolot::analysis {
@@ -20,6 +19,8 @@ constexpr const char* kSamplesCaller = "workload_samples_ms";
 constexpr double kReferencePacketBits = 512 * 8;
 /// A workload peak holds at least this share of the g_n samples.
 constexpr double kWorkloadPeakMass = 0.01;
+/// A compression cluster holds at least this share of the g_n samples.
+constexpr double kMinClusterMass = 0.01;
 
 /// Calls visit(g_n) for every g_n = rtt_{n+1} - rtt_n + delta, in order.
 template <typename Visit>
@@ -32,14 +33,16 @@ void for_each_workload_sample(const ProbeTrace& trace, Visit&& visit) {
 
 /// The workload histogram's bin count, after the checks the two fields it
 /// is sized from need: a zero bin would turn the count into +inf, whose
-/// conversion to std::size_t is undefined.
+/// conversion to std::size_t is undefined, and a negative edge is no
+/// histogram (only 0 selects the auto edge).
 std::size_t workload_bins(double bin_ms, double max_ms) {
   if (!(std::isfinite(bin_ms) && bin_ms > 0.0)) {
     throw std::invalid_argument(
         "analyze_workload: bin_ms must be finite and positive");
   }
-  if (!std::isfinite(max_ms)) {
-    throw std::invalid_argument("analyze_workload: max_ms must be finite");
+  if (!(std::isfinite(max_ms) && max_ms > 0.0)) {
+    throw std::invalid_argument(
+        "analyze_workload: max_ms must be finite and not negative");
   }
   return static_cast<std::size_t>(std::max(8.0, std::ceil(max_ms / bin_ms)));
 }
@@ -77,7 +80,7 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
   const double delta_ms = trace.delta.millis();
   // The edge is used as resolved (a Duration round trip would round an
   // auto-sized edge to whole nanoseconds and move the bins).
-  const double max_ms = options.max_ms <= 0.0
+  const double max_ms = options.max_ms == 0.0
                             ? std::max(max_g * 1.05, delta_ms * 2.0)
                             : options.max_ms;
   WorkloadAnalysis result{
@@ -127,76 +130,85 @@ WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
 }
 
 BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
-  // Exact clocks: the modal bin of a histogram this fine, and a peak must
-  // hold this share of the samples below search_hi.
+  // Exact clocks: the peaks of a histogram this fine.
   constexpr double kBinMs = 0.25;
-  constexpr double kMinPeakMass = 0.02;
   validate_probe_order(trace, kSamplesCaller);
   const double delta_ms = trace.delta.millis();
   const double tick_ms = trace.clock_tick.millis();
   // The compression cluster must sit clearly left of the idle peak at
-  // delta.
+  // delta.  Flooring both timestamps moves a g_n by less than one tick, so
+  // a service time shorter than a tick may land at g_n <= 0.
   const double search_hi = 0.75 * delta_ms;
+  const auto is_candidate = [&](double g) {
+    return g > -tick_ms && g < search_hi;
+  };
   std::size_t samples = 0;
-  std::size_t below_search_hi = 0;
+  std::size_t candidates = 0;
   for_each_workload_sample(trace, [&](double g) {
     ++samples;
-    if (g > 0.0 && g < search_hi) ++below_search_hi;
+    if (is_candidate(g)) ++candidates;
   });
   if (samples == 0) {
     throw std::invalid_argument("estimate_bottleneck: no consecutive pairs");
   }
+  const auto no_cluster = [] {
+    return std::runtime_error(
+        "estimate_bottleneck: no compression cluster (delta too large or "
+        "path uncongested)");
+  };
+  // A cluster holds at least kMinClusterMass of all pairs; of the
+  // clusters that do, the leftmost is the one eq. (3) describes (larger
+  // spacings hold interleaved cross traffic).
+  const double min_count = kMinClusterMass * static_cast<double>(samples);
 
   double lower = 0.0;
   double upper = 0.0;
   if (tick_ms > 0.0) {
-    // Quantized clocks spread a point mass over exactly two adjacent tick
-    // values; the pure-compression samples (nothing interleaved between
-    // two queued probes) repeat exactly, while contaminated samples
-    // scatter to other ticks.  Find the adjacent tick pair with maximal
-    // combined count and average just those samples — this stays robust
-    // as delta grows and interleaving becomes common.  The values are
+    // Quantized clocks split a point mass over exactly two adjacent tick
+    // values, so the cluster is the first adjacent tick pair, in key
+    // order, whose combined count meets the floor.  The values are
     // discrete, so they are counted at microsecond resolution, not binned.
-    if (below_search_hi == 0) {
-      throw std::runtime_error(
-          "estimate_bottleneck: no compression cluster (delta too large or "
-          "path uncongested)");
-    }
     std::vector<std::int64_t> keys;
-    keys.reserve(below_search_hi);
+    keys.reserve(candidates);
     for_each_workload_sample(trace, [&](double g) {
-      if (g > 0.0 && g < search_hi) {
+      if (is_candidate(g)) {
         keys.push_back(static_cast<std::int64_t>(std::llround(g * 1e3)));
       }
     });
+    std::sort(keys.begin(), keys.end());
     const auto tick_us = static_cast<std::int64_t>(std::llround(tick_ms * 1e3));
-    const detail::TickPair best =
-        detail::heaviest_adjacent_ticks(std::move(keys), tick_us);
-    lower = static_cast<double>(best.key) * 1e-3 - 1e-3;
-    upper = static_cast<double>(best.key + tick_us) * 1e-3 + 1e-3;
+    std::optional<std::int64_t> first;
+    for (auto run = keys.begin(); run != keys.end() && !first;) {
+      const auto run_end = std::upper_bound(run, keys.end(), *run);
+      const auto [pair_begin, pair_end] =
+          std::equal_range(run_end, keys.end(), *run + tick_us);
+      if (static_cast<double>((run_end - run) + (pair_end - pair_begin)) >=
+          min_count) {
+        first = *run;
+      }
+      run = run_end;
+    }
+    if (!first) throw no_cluster();
+    lower = static_cast<double>(*first) * 1e-3 - 1e-3;
+    upper = static_cast<double>(*first + tick_us) * 1e-3 + 1e-3;
   } else {
-    // Exact clocks: pure-compression samples coincide at P/mu, so a fine
-    // histogram's modal bin nails the cluster.
+    // Exact clocks: pure-compression samples coincide at P/mu, so the
+    // first peak of a fine histogram nails the cluster.
+    if (candidates == 0) throw no_cluster();
     Histogram hist(0.0, search_hi,
                    static_cast<std::size_t>(
                        std::max(4.0, std::ceil(search_hi / kBinMs))));
     for_each_workload_sample(trace, [&](double g) {
-      if (g > 0.0 && g < search_hi) hist.add(g);
+      if (is_candidate(g)) hist.add(g);
     });
-    const auto peaks = hist.find_peaks(kMinPeakMass, 2);
-    const HistogramPeak* dominant = nullptr;
-    for (const auto& peak : peaks) {
-      if (dominant == nullptr || peak.mass > dominant->mass) dominant = &peak;
-    }
-    if (dominant == nullptr) {
-      throw std::runtime_error(
-          "estimate_bottleneck: no compression cluster (delta too large or "
-          "path uncongested)");
-    }
-    lower = dominant->center - hist.bin_width();
-    upper = dominant->center + hist.bin_width();
+    const auto peaks = hist.find_peaks(
+        min_count / static_cast<double>(candidates), 2);
+    if (peaks.empty()) throw no_cluster();
+    lower = peaks.front().center - hist.bin_width();
+    upper = peaks.front().center + hist.bin_width();
   }
 
+  // The window holds the cluster's own samples, so it is never empty.
   double sum = 0.0;
   std::size_t count = 0;
   for_each_workload_sample(trace, [&](double g) {
@@ -205,11 +217,11 @@ BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
       ++count;
     }
   });
-  if (count == 0) {
-    throw std::runtime_error("estimate_bottleneck: empty cluster");
-  }
   BottleneckEstimate estimate;
   estimate.service_time_ms = sum / static_cast<double>(count);
+  // Flooring can pull a sub-tick cluster's centroid to 0 or below, and
+  // eq. (3) has no such spacing.
+  if (!(estimate.service_time_ms > 0.0)) throw no_cluster();
   estimate.mu_bps = static_cast<double>(trace.probe_wire_bytes * 8) /
                     (estimate.service_time_ms * 1e-3);
   estimate.cluster_samples = count;

@@ -52,16 +52,17 @@ struct WorkloadOptions {
 /// over the g_n: the first sizes the histogram edge when options.max_ms
 /// is 0, the second fills the histogram and the busy-sample sum.  Throws
 /// std::invalid_argument naming the field when bin_ms is not finite and
-/// positive or max_ms is not finite.
+/// positive or max_ms is negative or not finite.
 WorkloadAnalysis analyze_workload(const ProbeTrace& trace,
                                   const WorkloadOptions& options = {});
 
 /// Bottleneck bandwidth estimated from the *compression peak*: by eq. (3),
 /// probes that accumulated back-to-back behind cross traffic return spaced
 /// g = P/mu apart, so the leftmost cluster of the g_n distribution sits at
-/// the probe service time.  This estimator needs no prior mu (unlike
-/// analyze_workload) and is the programmatic version of reading the
-/// compression-line intercept off the paper's Fig. 2.
+/// the probe service time; larger spacings carry interleaved cross
+/// traffic.  This estimator needs no prior mu (unlike analyze_workload),
+/// and analyze_phase_plot derives the compression-line intercept
+/// delta - P/mu of the paper's Fig. 2 from it.
 struct BottleneckEstimate {
   double service_time_ms = 0.0;  // centroid of the compression cluster
   double mu_bps = 0.0;           // probe_wire_bits / service_time
@@ -69,10 +70,17 @@ struct BottleneckEstimate {
   double cluster_fraction = 0.0;  // share of all g_n samples in the cluster
 };
 
-/// Throws if no compression cluster exists (e.g. delta so large that
-/// probes never queue together, as in the paper's Fig. 4 regime).  Folds
-/// over the g_n without storing them; on quantized clocks it holds one
-/// key per g_n below the search edge.
+/// The cluster is the leftmost one, among the g_n in (-tick, 0.75 delta),
+/// that holds at least 1 % of all g_n: the first histogram peak over
+/// 0.25 ms bins on an exact clock, the first adjacent tick pair on a
+/// quantized one (a floored g_n is off by less than a tick, so a service
+/// time below one tick may read as g_n <= 0).  The service time is the
+/// mean of the g_n within one bin of that peak, or within 1 us of that
+/// pair.  Throws std::runtime_error if no compression cluster exists (e.g.
+/// delta so large that probes never queue together, as in the paper's
+/// Fig. 4 regime) or its mean is not positive.  Folds over the g_n without
+/// storing them; on quantized clocks it holds one key per g_n in the
+/// search range.
 BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace);
 
 /// Packet-pair bottleneck estimation (Keshav 1991; Keshav is acknowledged

@@ -42,8 +42,10 @@ PlayoutResult evaluate_fixed_playout(const ProbeTrace& trace,
 
 double size_fixed_playout(const ProbeTrace& trace,
                           double target_gap_fraction) {
-  if (target_gap_fraction < 0.0 || target_gap_fraction >= 1.0) {
-    throw std::invalid_argument("size_fixed_playout: bad target");
+  // A NaN target fails every comparison.
+  if (!(target_gap_fraction >= 0.0 && target_gap_fraction < 1.0)) {
+    throw std::invalid_argument(
+        "size_fixed_playout: target_gap_fraction not in [0, 1)");
   }
   std::vector<double> delays = trace.rtt_ms_received();
   if (delays.empty()) {

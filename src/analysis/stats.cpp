@@ -51,7 +51,10 @@ double quantile(std::span<const double> xs, double q) {
 
 double sorted_quantile(std::span<const double> sorted, double q) {
   if (sorted.empty()) throw std::invalid_argument("quantile: empty sample");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q not in [0,1]");
+  // A NaN q fails every comparison, and its index cast is undefined.
+  if (!(q >= 0.0 && q <= 1.0)) {
+    throw std::invalid_argument("quantile: q not in [0,1]");
+  }
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace bolot::analysis {
 namespace {
 
 TEST(HistogramTest, BinsAndCenters) {
   Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
+  EXPECT_EQ(h.centers().size(), 5u);
   EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
   EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
   EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
@@ -20,10 +22,8 @@ TEST(HistogramTest, AddRoutesToCorrectBin) {
   h.add(1.99);  // bin 0
   h.add(2.0);   // bin 1
   h.add(9.99);  // bin 4
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.densities()[0], 0.5);  // of the four samples
+  // Two, one and one of the four samples.
+  EXPECT_EQ(h.densities(), (std::vector<double>{0.5, 0.25, 0.0, 0.0, 0.25}));
 }
 
 TEST(HistogramTest, UnderflowAndOverflow) {
@@ -31,12 +31,10 @@ TEST(HistogramTest, UnderflowAndOverflow) {
   h.add(-1.0);
   h.add(10.0);  // hi edge is exclusive
   h.add(100.0);
-  for (std::size_t i = 0; i < h.bin_count(); ++i) EXPECT_EQ(h.count(i), 0u);
   for (const double d : h.densities()) EXPECT_EQ(d, 0.0);
   // One in-range sample: the densities are over in-range samples only,
   // while a peak's mass counts the three out-of-range ones too.
   h.add(5.0);
-  EXPECT_EQ(h.count(2), 1u);
   EXPECT_EQ(h.densities()[2], 1.0);
   const auto peaks = h.find_peaks(0.0);
   ASSERT_EQ(peaks.size(), 1u);

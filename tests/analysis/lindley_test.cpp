@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "tests/analysis/trace_fixtures.h"
 #include "util/rng.h"
@@ -160,7 +162,8 @@ TEST(AnalyzeWorkloadTest, Validation) {
     bad.bin_ms = bin;
     expect_named(bad, "bin_ms");
   }
-  for (const double edge : {std::nan(""), inf}) {
+  // A negative edge once passed for the auto edge (0).
+  for (const double edge : {-1.0, std::nan(""), inf}) {
     WorkloadOptions bad;
     bad.max_ms = edge;
     expect_named(bad, "max_ms");
@@ -181,6 +184,19 @@ TEST(AnalyzeWorkloadTest, LossBreaksTheOnlyPair) {
   }
 }
 
+/// Samples per bin of a histogram holding `total` samples in all:
+/// find_peaks with no floor and no neighbourhood reports every non-empty
+/// bin, with its share of the total.
+std::vector<std::uint64_t> bin_counts(const Histogram& histogram,
+                                      std::size_t total) {
+  std::vector<std::uint64_t> counts(histogram.centers().size(), 0);
+  for (const HistogramPeak& peak : histogram.find_peaks(0.0, 0)) {
+    counts[peak.bin] = static_cast<std::uint64_t>(
+        std::llround(peak.mass * static_cast<double>(total)));
+  }
+  return counts;
+}
+
 TEST(AnalyzeWorkloadTest, ReceivedProbeWithZeroRttFormsPairs) {
   // Pairing follows ProbeRecord::received, never rtt == 0: the received
   // 0-ns probe pairs with both neighbors (g = -80 ms, then 120 ms).
@@ -190,10 +206,10 @@ TEST(AnalyzeWorkloadTest, ReceivedProbeWithZeroRttFormsPairs) {
     WorkloadOptions options;
     options.max_ms = max_ms;
     const WorkloadAnalysis wa = analyze_workload(trace, options);
-    EXPECT_EQ(wa.histogram.bin_count(), max_ms > 0.0 ? 200u : 126u);
+    EXPECT_EQ(wa.histogram.centers().size(), max_ms > 0.0 ? 200u : 126u);
     // Two samples, one binned: the density is over the binned one, the
     // peak mass over both (g = -80 ms falls below the first bin).
-    EXPECT_EQ(wa.histogram.count(120), 1u);
+    EXPECT_EQ(bin_counts(wa.histogram, 2)[120], 1u);
     EXPECT_EQ(wa.histogram.densities()[120], 1.0);
     EXPECT_EQ(wa.histogram.find_peaks(0.0).at(0).mass, 0.5);
     EXPECT_EQ(wa.mean_workload_bits, 0x1.cep+13);  // 128 * 120 - 576
@@ -203,22 +219,18 @@ TEST(AnalyzeWorkloadTest, ReceivedProbeWithZeroRttFormsPairs) {
   }
 }
 
-/// Histogram bins weighted by (index + 1): one number that moves when any
+/// Bin counts weighted by (index + 1): one number that moves when any
 /// sample lands in a different bin.
-std::uint64_t bin_checksum(const Histogram& histogram) {
+std::uint64_t bin_checksum(const std::vector<std::uint64_t>& counts) {
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < histogram.bin_count(); ++i) {
-    sum += (i + 1) * histogram.count(i);
-  }
+  for (std::size_t i = 0; i < counts.size(); ++i) sum += (i + 1) * counts[i];
   return sum;
 }
 
-/// Samples in the histogram's bins.
-std::uint64_t binned(const Histogram& histogram) {
+/// Samples in the bins.
+std::uint64_t binned(const std::vector<std::uint64_t>& counts) {
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < histogram.bin_count(); ++i) {
-    sum += histogram.count(i);
-  }
+  for (const std::uint64_t count : counts) sum += count;
   return sum;
 }
 
@@ -257,14 +269,19 @@ TEST(AnalyzeWorkloadTest, MillionSampleStreamIsPinned) {
   options.bottleneck_bps = 128e3;
   options.bin_ms = 1.0;
 
+  // Loss gaps leave the same g_n count at either delta.
+  const std::size_t samples =
+      workload_samples_ms(make_trace(50.0, rtts)).size();
+
   options.max_ms = 200.0;
   const WorkloadAnalysis explicit_edge =
       analyze_workload(make_trace(50.0, rtts), options);
-  EXPECT_EQ(explicit_edge.histogram.bin_count(), 200u);
+  EXPECT_EQ(explicit_edge.histogram.centers().size(), 200u);
   EXPECT_EQ(explicit_edge.histogram.bin_width(), 1.0);
-  EXPECT_EQ(binned(explicit_edge.histogram), 902483u);
+  const auto explicit_counts = bin_counts(explicit_edge.histogram, samples);
+  EXPECT_EQ(binned(explicit_counts), 902483u);
   EXPECT_TRUE(none_out_of_range(explicit_edge.histogram));
-  EXPECT_EQ(bin_checksum(explicit_edge.histogram), 45576632u);
+  EXPECT_EQ(bin_checksum(explicit_counts), 45576632u);
   EXPECT_EQ(explicit_edge.mean_workload_bits, 0x1.6c03f5f0005bap+12);
   EXPECT_EQ(explicit_edge.busy_sample_fraction, 1.0);
   expect_peaks(explicit_edge,
@@ -275,11 +292,12 @@ TEST(AnalyzeWorkloadTest, MillionSampleStreamIsPinned) {
   options.max_ms = 0.0;
   const WorkloadAnalysis auto_edge =
       analyze_workload(make_trace(20.0, rtts), options);
-  EXPECT_EQ(auto_edge.histogram.bin_count(), 53u);
+  EXPECT_EQ(auto_edge.histogram.centers().size(), 53u);
   EXPECT_EQ(auto_edge.histogram.bin_width(), 0x1.f9f68b34bcdcep-1);
-  EXPECT_EQ(binned(auto_edge.histogram), 902483u);
+  const auto auto_counts = bin_counts(auto_edge.histogram, samples);
+  EXPECT_EQ(binned(auto_counts), 902483u);
   EXPECT_TRUE(none_out_of_range(auto_edge.histogram));
-  EXPECT_EQ(bin_checksum(auto_edge.histogram), 18719839u);
+  EXPECT_EQ(bin_checksum(auto_counts), 18719839u);
   EXPECT_EQ(auto_edge.mean_workload_bits, 0x1.13eb769bec6f2p+11);
   EXPECT_EQ(auto_edge.busy_sample_fraction, 0x1.d5dcae1cdf25dp-1);
   expect_peaks(
@@ -311,6 +329,63 @@ TEST(EstimateBottleneckTest, QuantizedClockRecoversMu) {
   // Quantization spreads the cluster over two ticks; the pair centroid
   // lands within roughly half a tick of the truth.
   EXPECT_NEAR(estimate.service_time_ms, 4.5, 2.0);
+}
+
+TEST(EstimateBottleneckTest, TakesTheLeftmostClusterNotTheHeaviest) {
+  // delta = 50 ms: probes queued back to back return P/mu = 4.5 ms apart,
+  // and 36.5 ms apart with one 512-byte FTP packet between them.  The
+  // one-packet peak holds three times the compression cluster's mass, but
+  // eq. (3) describes the leftmost.
+  std::vector<std::optional<double>> rtts;
+  double rtt = 400.0;
+  Rng rng(31);
+  for (int i = 0; i < 4000; ++i) {
+    const double u = rng.uniform();
+    const double g =
+        u < 0.1 ? 4.5 : u < 0.4 ? 36.5 : 50.0 + rng.uniform(0.0, 30.0);
+    rtt = std::max(rtt + g - 50.0, 140.0);
+    rtts.push_back(rtt);
+  }
+  const BottleneckEstimate estimate =
+      estimate_bottleneck(make_trace(50.0, rtts));
+  EXPECT_NEAR(estimate.service_time_ms, 4.5, 1e-6);
+  EXPECT_NEAR(estimate.mu_bps, 128e3, 1.0);
+}
+
+TEST(EstimateBottleneckTest, ServiceTimeBelowOneTickIsNotATick) {
+  // A 2 Mb/s bottleneck (P/mu = 0.288 ms) under a 3 ms source clock at
+  // delta = 8 ms.  Flooring both stamps puts a back-to-back pair at
+  // g = -1, 2 or 5 ms around the true 0.288 ms, so the cluster's left
+  // image lies at g <= 0.
+  constexpr double kTickMs = 3.0;
+  constexpr double kDeltaMs = 8.0;
+  constexpr double kServiceMs = 0.288;
+  const auto floor_tick = [](double ms) {
+    return std::floor(ms / kTickMs) * kTickMs;
+  };
+  std::vector<std::optional<double>> rtts;
+  Rng rng(37);
+  double receive = 0.0;
+  for (int n = 0; n < 3000; ++n) {
+    const double send = kDeltaMs * n;
+    // Every sixth probe waits about 40 ms behind cross traffic; the next
+    // five queue behind it and leave one service time apart.
+    receive = n % 6 == 0 ? send + 150.0 + rng.uniform(40.0, 41.0)
+                         : receive + kServiceMs;
+    rtts.push_back(floor_tick(receive) - floor_tick(send));
+  }
+  const BottleneckEstimate estimate =
+      estimate_bottleneck(make_trace(kDeltaMs, rtts, 72, kTickMs));
+  EXPECT_GT(estimate.service_time_ms, 0.0);
+  EXPECT_LT(estimate.service_time_ms, 1.0);
+
+  // A cluster whose centroid is at g <= 0 (every pair reads -1 ms) is no
+  // service time.
+  std::vector<std::optional<double>> descending;
+  for (int n = 0; n < 20; ++n) descending.push_back(300.0 - 9.0 * n);
+  EXPECT_THROW(
+      estimate_bottleneck(make_trace(kDeltaMs, descending, 72, kTickMs)),
+      std::runtime_error);
 }
 
 ProbeTrace packet_pair_trace(double service_ms, double contamination_rate,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "analysis/lindley.h"
 #include "tests/analysis/trace_fixtures.h"
 #include "util/rng.h"
 
@@ -79,8 +81,7 @@ TEST(AnalyzePhasePlotTest, RecoversCompressionInterceptExactClock) {
   const PhaseAnalysis a = analyze_phase_plot(trace);
   ASSERT_TRUE(a.compression_intercept_ms.has_value());
   EXPECT_NEAR(*a.compression_intercept_ms, 45.5, 0.3);
-  ASSERT_TRUE(a.bottleneck_bps.has_value());
-  EXPECT_NEAR(*a.bottleneck_bps, 128e3, 10e3);
+  EXPECT_NEAR(estimate_bottleneck(trace).mu_bps, 128e3, 10e3);
   EXPECT_GT(a.compression_fraction, 0.1);
   EXPECT_GT(a.diagonal_fraction, 0.3);
 }
@@ -101,9 +102,10 @@ TEST(AnalyzePhasePlotTest, NoCompressionMeansNoIntercept) {
   for (int i = 0; i < 500; ++i) {
     rtts.push_back(145.0 + rng.uniform(0.0, 3.0));
   }
-  const PhaseAnalysis a = analyze_phase_plot(make_trace(500.0, rtts));
+  const auto trace = make_trace(500.0, rtts);
+  const PhaseAnalysis a = analyze_phase_plot(trace);
   EXPECT_FALSE(a.compression_intercept_ms.has_value());
-  EXPECT_FALSE(a.bottleneck_bps.has_value());
+  EXPECT_THROW(estimate_bottleneck(trace), std::runtime_error);
   EXPECT_EQ(a.compression_fraction, 0.0);
   EXPECT_GT(a.diagonal_fraction, 0.9);
 }
@@ -132,17 +134,17 @@ INSTANTIATE_TEST_SUITE_P(ServiceTimes, InterceptSweep,
 struct PhasePins {
   double fixed_delay_ms;
   double compression_intercept_ms;
-  double bottleneck_bps;
+  double mu_bps;
   double compression_fraction;
   double diagonal_fraction;
 };
 
-void expect_pinned(const PhaseAnalysis& got, const PhasePins& want) {
+void expect_pinned(const ProbeTrace& trace, const PhasePins& want) {
+  const PhaseAnalysis got = analyze_phase_plot(trace);
   EXPECT_EQ(got.fixed_delay_ms, want.fixed_delay_ms);
   ASSERT_TRUE(got.compression_intercept_ms.has_value());
   EXPECT_EQ(*got.compression_intercept_ms, want.compression_intercept_ms);
-  ASSERT_TRUE(got.bottleneck_bps.has_value());
-  EXPECT_EQ(*got.bottleneck_bps, want.bottleneck_bps);
+  EXPECT_EQ(estimate_bottleneck(trace).mu_bps, want.mu_bps);
   EXPECT_EQ(got.compression_fraction, want.compression_fraction);
   EXPECT_EQ(got.diagonal_fraction, want.diagonal_fraction);
 }
@@ -157,18 +159,18 @@ TEST(AnalyzePhasePlotTest, MillionSampleStreamsArePinned) {
       random_rtt_stream(17, kMillionSamples, 0.05,
                         /*descent_ms=*/5.0 * tick_ms, tick_ms),
       50.0, tick_ms);
-  expect_pinned(analyze_phase_plot(quantized),
-                {0x1.387ae147ae147p+5, 0x1.359415455b88ep+4,
-                 0x1.259ffc4ad5cdcp+14, 0x1.5bcf0929f4cd1p-4,
+  expect_pinned(quantized,
+                {0x1.387ae147ae147p+5, 0x1.359415455a085p+4,
+                 0x1.259ffc4ad4e78p+14, 0x1.5bcf0929f4cd1p-4,
                  0x1.91a7fb7aa6e22p-1});
 
   const ProbeTrace exact = stream_trace(
       random_rtt_stream(19, kMillionSamples, 0.05, /*descent_ms=*/19.53,
                         /*tick_ms=*/0.0),
       50.0, 0.0);
-  expect_pinned(analyze_phase_plot(exact),
-                {0x1.400005c4651f4p+5, 0x1.38760fcb88c7p+4,
-                 0x1.275c70b2fc70cp+14, 0x1.516f4800bf38bp-4,
+  expect_pinned(exact,
+                {0x1.400005c4651f4p+5, 0x1.387ae147aef4dp+4,
+                 0x1.275f5bffaa7f5p+14, 0x1.516e1e6b0b3a6p-4,
                  0x1.63ac39433f3c6p-1});
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tests/analysis/trace_fixtures.h"
 #include "util/rng.h"
 
@@ -63,6 +65,10 @@ TEST(SizeFixedPlayoutTest, Validation) {
   const auto trace = make_trace(20, {100.0});
   EXPECT_THROW(size_fixed_playout(trace, -0.1), std::invalid_argument);
   EXPECT_THROW(size_fixed_playout(trace, 1.0), std::invalid_argument);
+  // A NaN target is no target, not a 100 ms playout delay.
+  const auto ten =
+      make_trace(20, std::vector<std::optional<double>>(10, 100.0));
+  EXPECT_THROW(size_fixed_playout(ten, std::nan("")), std::invalid_argument);
   const auto lost = make_trace(20, {std::nullopt});
   EXPECT_THROW(size_fixed_playout(lost, 0.5), std::invalid_argument);
 }

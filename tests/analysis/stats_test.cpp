@@ -89,6 +89,8 @@ TEST(QuantileTest, Validation) {
   EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
   EXPECT_THROW(quantile(xs, -0.1), std::invalid_argument);
   EXPECT_THROW(quantile(xs, 1.1), std::invalid_argument);
+  // NaN passes q < 0 || q > 1; its index cast is undefined behaviour.
+  EXPECT_THROW(quantile(xs, std::nan("")), std::invalid_argument);
 }
 
 TEST(AutocorrelationTest, Lag0IsOne) {

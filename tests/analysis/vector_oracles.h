@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -116,117 +117,6 @@ inline double loss_delay_correlation(const ProbeTrace& trace) {
   return pearson(loss_indicator, preceding_rtt);
 }
 
-// ---- phase plot ----------------------------------------------------------
-
-inline PhasePlot phase_plot(const ProbeTrace& trace) {
-  PhasePlot plot;
-  const auto& records = trace.records;
-  for (std::size_t n = 0; n + 1 < records.size(); ++n) {
-    if (!records[n].received || !records[n + 1].received) continue;
-    plot.x.push_back(records[n].rtt.millis());
-    plot.y.push_back(records[n + 1].rtt.millis());
-  }
-  return plot;
-}
-
-inline PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
-  constexpr double kToleranceMs = 4.0;
-  constexpr double kHistogramBinMs = 1.0;
-  constexpr double kMinInterceptFraction = 0.3;
-  constexpr double kMinClusterMass = 0.01;
-  const PhasePlot plot = phase_plot(trace);
-  if (plot.size() == 0) {
-    throw std::invalid_argument("oracle::analyze_phase_plot: no pairs");
-  }
-  const double delta_ms = trace.delta.millis();
-  PhaseAnalysis result;
-  result.fixed_delay_ms = std::numeric_limits<double>::infinity();
-  for (double v : plot.x) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
-  for (double v : plot.y) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
-
-  const double d_lo = kMinInterceptFraction * delta_ms;
-  std::vector<double> candidates;
-  for (std::size_t i = 0; i < plot.size(); ++i) {
-    const double d = plot.x[i] - plot.y[i];
-    if (d > d_lo) candidates.push_back(d);
-  }
-  std::optional<double> intercept;
-  const double tick_ms = trace.clock_tick.millis();
-  if (!candidates.empty()) {
-    if (tick_ms > 0.0) {
-      std::vector<std::int64_t> keys;
-      for (double d : candidates) {
-        keys.push_back(static_cast<std::int64_t>(std::llround(d * 1e3)));
-      }
-      const detail::TickPair best = detail::heaviest_adjacent_ticks(
-          std::move(keys),
-          static_cast<std::int64_t>(std::llround(tick_ms * 1e3)));
-      if (static_cast<double>(best.count) >=
-          kMinClusterMass * static_cast<double>(plot.size())) {
-        const double lo = static_cast<double>(best.key) * 1e-3 - 1e-3;
-        const double hi = lo + tick_ms + 2e-3;
-        double sum = 0.0;
-        std::size_t count = 0;
-        for (double d : candidates) {
-          if (d > lo && d <= hi) {
-            sum += d;
-            ++count;
-          }
-        }
-        if (count > 0) intercept = sum / static_cast<double>(count);
-      }
-    } else {
-      Histogram descents(
-          d_lo, delta_ms,
-          std::max<std::size_t>(
-              8, static_cast<std::size_t>((delta_ms - d_lo) /
-                                          kHistogramBinMs)));
-      for (double d : candidates) descents.add(d);
-      double best_mass = 0.0;
-      std::optional<double> modal;
-      for (std::size_t bin = 0; bin < descents.bin_count(); ++bin) {
-        const double mass = static_cast<double>(descents.count(bin)) /
-                            static_cast<double>(plot.size());
-        if (mass > best_mass && mass >= kMinClusterMass) {
-          best_mass = mass;
-          modal = descents.bin_center(bin);
-        }
-      }
-      if (modal) {
-        double sum = 0.0;
-        std::size_t count = 0;
-        for (double d : candidates) {
-          if (std::abs(d - *modal) <= descents.bin_width()) {
-            sum += d;
-            ++count;
-          }
-        }
-        if (count > 0) intercept = sum / static_cast<double>(count);
-      }
-    }
-  }
-  if (intercept) {
-    result.compression_intercept_ms = *intercept;
-    const double service_ms = delta_ms - *intercept;
-    if (service_ms > 0.0) {
-      result.bottleneck_bps =
-          static_cast<double>(trace.probe_wire_bytes * 8) / (service_ms * 1e-3);
-    }
-  }
-  std::size_t on_line = 0;
-  std::size_t on_diagonal = 0;
-  for (std::size_t i = 0; i < plot.size(); ++i) {
-    const double d = plot.x[i] - plot.y[i];
-    if (intercept && std::abs(d - *intercept) <= kToleranceMs) ++on_line;
-    if (std::abs(d) <= kToleranceMs) ++on_diagonal;
-  }
-  result.compression_fraction =
-      static_cast<double>(on_line) / static_cast<double>(plot.size());
-  result.diagonal_fraction =
-      static_cast<double>(on_diagonal) / static_cast<double>(plot.size());
-  return result;
-}
-
 // ---- bottleneck from the g_n samples -------------------------------------
 
 /// g_n = rtt_{n+1} - rtt_n + delta over consecutively received pairs.
@@ -242,70 +132,123 @@ inline std::vector<double> workload_samples(const ProbeTrace& trace) {
   return samples;
 }
 
+/// The leftmost cluster of the stored g_n in (-tick, 0.75 delta) that
+/// holds 1 % of all pairs: the first tick pair of a key-count map, or the
+/// first peak of a 0.25 ms histogram.
 inline BottleneckEstimate estimate_bottleneck(const ProbeTrace& trace) {
   constexpr double kBinMs = 0.25;
-  constexpr double kMinPeakMass = 0.02;
+  constexpr double kMinClusterMass = 0.01;
   const std::vector<double> samples = workload_samples(trace);
   if (samples.empty()) {
     throw std::invalid_argument("oracle::estimate_bottleneck: no pairs");
   }
-  const double delta_ms = trace.delta.millis();
   const double tick_ms = trace.clock_tick.millis();
-  const double search_hi = 0.75 * delta_ms;
-  double lower = 0.0;
-  double upper = 0.0;
+  const double search_hi = 0.75 * trace.delta.millis();
+  std::vector<double> candidates;
+  for (double g : samples) {
+    if (g > -tick_ms && g < search_hi) candidates.push_back(g);
+  }
+  const double min_count =
+      kMinClusterMass * static_cast<double>(samples.size());
+  std::optional<std::pair<double, double>> window;
   if (tick_ms > 0.0) {
-    std::vector<std::int64_t> keys;
-    for (double g : samples) {
-      if (g > 0.0 && g < search_hi) {
-        keys.push_back(static_cast<std::int64_t>(std::llround(g * 1e3)));
-      }
-    }
-    if (keys.empty()) {
-      throw std::runtime_error("oracle::estimate_bottleneck: no cluster");
+    std::map<std::int64_t, std::size_t> counts;
+    for (double g : candidates) {
+      ++counts[static_cast<std::int64_t>(std::llround(g * 1e3))];
     }
     const auto tick_us = static_cast<std::int64_t>(std::llround(tick_ms * 1e3));
-    const detail::TickPair best =
-        detail::heaviest_adjacent_ticks(std::move(keys), tick_us);
-    lower = static_cast<double>(best.key) * 1e-3 - 1e-3;
-    upper = static_cast<double>(best.key + tick_us) * 1e-3 + 1e-3;
-  } else {
+    for (const auto& [key, count] : counts) {
+      const auto next = counts.find(key + tick_us);
+      const std::size_t pair =
+          count + (next == counts.end() ? 0 : next->second);
+      if (static_cast<double>(pair) >= min_count) {
+        window = {static_cast<double>(key) * 1e-3 - 1e-3,
+                  static_cast<double>(key + tick_us) * 1e-3 + 1e-3};
+        break;
+      }
+    }
+  } else if (!candidates.empty()) {
     Histogram hist(0.0, search_hi,
                    static_cast<std::size_t>(
                        std::max(4.0, std::ceil(search_hi / kBinMs))));
-    for (double g : samples) {
-      if (g > 0.0 && g < search_hi) hist.add(g);
+    hist.add_all(candidates);
+    const auto peaks = hist.find_peaks(
+        min_count / static_cast<double>(candidates.size()), 2);
+    if (!peaks.empty()) {
+      window = {peaks.front().center - hist.bin_width(),
+                peaks.front().center + hist.bin_width()};
     }
-    const auto peaks = hist.find_peaks(kMinPeakMass, 2);
-    const HistogramPeak* dominant = nullptr;
-    for (const auto& peak : peaks) {
-      if (dominant == nullptr || peak.mass > dominant->mass) dominant = &peak;
-    }
-    if (dominant == nullptr) {
-      throw std::runtime_error("oracle::estimate_bottleneck: no cluster");
-    }
-    lower = dominant->center - hist.bin_width();
-    upper = dominant->center + hist.bin_width();
+  }
+  if (!window) {
+    throw std::runtime_error("oracle::estimate_bottleneck: no cluster");
   }
   double sum = 0.0;
   std::size_t count = 0;
   for (double g : samples) {
-    if (g > lower && g <= upper) {
+    if (g > window->first && g <= window->second) {
       sum += g;
       ++count;
     }
   }
-  if (count == 0) {
-    throw std::runtime_error("oracle::estimate_bottleneck: empty cluster");
-  }
   BottleneckEstimate estimate;
   estimate.service_time_ms = sum / static_cast<double>(count);
+  if (estimate.service_time_ms <= 0.0) {
+    throw std::runtime_error("oracle::estimate_bottleneck: no cluster");
+  }
   estimate.mu_bps = static_cast<double>(trace.probe_wire_bytes * 8) /
                     (estimate.service_time_ms * 1e-3);
   estimate.cluster_samples = count;
   estimate.cluster_fraction =
       static_cast<double>(count) / static_cast<double>(samples.size());
   return estimate;
+}
+
+// ---- phase plot ----------------------------------------------------------
+
+inline PhasePlot phase_plot(const ProbeTrace& trace) {
+  PhasePlot plot;
+  const auto& records = trace.records;
+  for (std::size_t n = 0; n + 1 < records.size(); ++n) {
+    if (!records[n].received || !records[n + 1].received) continue;
+    plot.x.push_back(records[n].rtt.millis());
+    plot.y.push_back(records[n + 1].rtt.millis());
+  }
+  return plot;
+}
+
+/// The stored plot's bands around the intercept delta - P/mu of
+/// estimate_bottleneck above.
+inline PhaseAnalysis analyze_phase_plot(const ProbeTrace& trace) {
+  constexpr double kToleranceMs = 4.0;
+  const PhasePlot plot = phase_plot(trace);
+  if (plot.size() == 0) {
+    throw std::invalid_argument("oracle::analyze_phase_plot: no pairs");
+  }
+  PhaseAnalysis result;
+  result.fixed_delay_ms = std::numeric_limits<double>::infinity();
+  for (double v : plot.x) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
+  for (double v : plot.y) result.fixed_delay_ms = std::min(result.fixed_delay_ms, v);
+  try {
+    result.compression_intercept_ms =
+        trace.delta.millis() -
+        oracle::estimate_bottleneck(trace).service_time_ms;
+  } catch (const std::runtime_error&) {
+  }
+  std::size_t on_line = 0;
+  std::size_t on_diagonal = 0;
+  for (std::size_t i = 0; i < plot.size(); ++i) {
+    const double d = plot.x[i] - plot.y[i];
+    if (result.compression_intercept_ms &&
+        std::abs(d - *result.compression_intercept_ms) <= kToleranceMs) {
+      ++on_line;
+    }
+    if (std::abs(d) <= kToleranceMs) ++on_diagonal;
+  }
+  result.compression_fraction =
+      static_cast<double>(on_line) / static_cast<double>(plot.size());
+  result.diagonal_fraction =
+      static_cast<double>(on_diagonal) / static_cast<double>(plot.size());
+  return result;
 }
 
 // ---- least squares -------------------------------------------------------

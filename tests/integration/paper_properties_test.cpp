@@ -251,9 +251,9 @@ TEST(PaperProperties, ObservationsHoldOnOtherConnections) {
 
   // Measurement physics: the 2 Mb/s bottleneck serves a probe in
   // 0.29 ms, far below the DECstation's 3.906 ms tick, so the
-  // compression-based mu-hat is clock-limited (it can only report
-  // P / (k * tick)).  With an exact clock the same estimator recovers
-  // the bottleneck.
+  // compression-based mu-hat is clock-limited (the service time shows
+  // only in the weights of two tick values around it).  With an exact
+  // clock the same estimator recovers the bottleneck.
   scenario::ScenarioOverrides exact_clock;
   exact_clock.clock_tick = Duration::zero();
   const auto exact = scenario::run_inria_europe(plan, exact_clock);

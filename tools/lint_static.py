@@ -78,7 +78,7 @@ The pinned outputs must depend on the source, not on how it is compiled.
 The legacy batch-analysis layer (src/analysis) is deliberately outside
 the scope of the raw-unit rules: it is the serialization/estimation
 boundary, where traces and estimators exchange plain scalars by design
-(LindleyOptions::bottleneck_bps, BottleneckEstimate::mu_bps,
+(WorkloadOptions::bottleneck_bps, BottleneckEstimate::mu_bps,
 ProbeTrace::probe_wire_bytes).
 The *streaming* estimator layer (src/analysis/streaming.{h,cpp}) is the
 exception: it was written against the typed units (the
